@@ -1,20 +1,20 @@
 //! Cell advection through the diffusion velocity field (paper Eq. 7).
 
 use crate::{DiffusionConfig, DiffusionEngine};
-use dpm_geom::{clamp, Point};
+use dpm_geom::{clamp, floor_index, Point};
 use dpm_netlist::{CellId, Netlist};
-use dpm_par::{chunk_ranges, parallel_for_chunks, tree_reduce};
+use dpm_par::tree_reduce;
 use dpm_place::{BinGrid, Placement};
 
 /// Movable cells per parallel advection chunk. Fixed (independent of the
 /// thread count) so partial `AdvectOutcome` sums fold identically at any
 /// parallelism — the bit-identical guarantee of the kernel runtime.
 ///
-/// Sized so the per-chunk overhead (a move-list `Vec` allocation plus a
-/// pool dispatch) stays small against the per-cell work: at 2048 the
-/// chunks were fine enough that 4 threads ran *slower* than 1 on a
-/// 256×256 / 100k-cell advect (0.982×); 4096 keeps dozens of chunks in
-/// flight on realistic designs while halving the fixed costs.
+/// Sized so the per-chunk overhead (one pool dispatch plus one partial
+/// outcome) stays small against the per-cell work: at 2048 the chunks
+/// were fine enough that 4 threads ran *slower* than 1 on a 256×256 /
+/// 100k-cell advect (0.982×); 4096 keeps dozens of chunks in flight on
+/// realistic designs while halving the fixed costs.
 const CELL_CHUNK: usize = 4096;
 
 /// Result of advecting all cells through one time step.
@@ -24,6 +24,86 @@ pub struct AdvectOutcome {
     pub total_movement: f64,
     /// Number of cells that moved.
     pub moved_cells: usize,
+}
+
+/// One movable cell of a [`CellCache`]: its id and its half extents in
+/// world units (center ↔ lower-left corner) and in bin units (the
+/// region clamp).
+///
+/// Each extent is exactly the expression the per-step kernels used to
+/// evaluate for every cell on every step, so caching them changes no
+/// bit of any result.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CachedCell {
+    pub id: CellId,
+    /// `width / 2.0`.
+    pub half_w: f64,
+    /// `height / 2.0`.
+    pub half_h: f64,
+    /// `width / (2.0 * bin_w)`.
+    pub half_w_bins: f64,
+    /// `height / (2.0 * bin_h)`.
+    pub half_h_bins: f64,
+}
+
+/// The per-job advect input: every movable cell, in ascending id order,
+/// with its extents — shared by the planar and volumetric kernels.
+///
+/// A job's netlist and bin grid never change between steps, so the
+/// runners build this once per job instead of re-walking the netlist's
+/// cell records on every step. Because ids ascend, the fixed
+/// [`CELL_CHUNK`] chunks of `cells` own disjoint, ascending ranges of the
+/// placement's position slice; `bounds` records where those ranges
+/// start, so each parallel chunk can write its moves straight into its
+/// own sub-slice.
+#[derive(Debug, Clone)]
+pub(crate) struct CellCache {
+    cells: Vec<CachedCell>,
+    /// Chunk `c` owns positions `bounds[c]..bounds[c + 1]`; empty when
+    /// there are no movable cells.
+    bounds: Vec<usize>,
+}
+
+impl CellCache {
+    /// Caches the movable cells of `netlist` for advection on `grid`.
+    ///
+    /// The runners build it after their density map and engine: built
+    /// before them, it measured about 5% more peak RSS on the end-to-end
+    /// benchmark, from where it landed in the heap job after job.
+    pub(crate) fn new(netlist: &Netlist, grid: &BinGrid) -> Self {
+        // Sized up front: the movable-id filter hides the length from
+        // `collect`, whose doubling would leave the buffer up to twice
+        // the cache.
+        let mut cells = Vec::with_capacity(netlist.movable_cell_ids().count());
+        cells.extend(netlist.movable_cell_ids().map(|id| {
+            let cell = netlist.cell(id);
+            CachedCell {
+                id,
+                half_w: cell.width / 2.0,
+                half_h: cell.height / 2.0,
+                half_w_bins: cell.width / (2.0 * grid.bin_width()),
+                half_h_bins: cell.height / (2.0 * grid.bin_height()),
+            }
+        }));
+        let mut bounds = Vec::new();
+        if !cells.is_empty() {
+            bounds.push(0);
+            bounds.extend(
+                cells
+                    .iter()
+                    .skip(CELL_CHUNK)
+                    .step_by(CELL_CHUNK)
+                    .map(|c| c.id.index()),
+            );
+            bounds.push(netlist.num_cells());
+        }
+        Self { cells, bounds }
+    }
+
+    /// The cached cells, ascending by id.
+    pub(crate) fn cells(&self) -> &[CachedCell] {
+        &self.cells
+    }
 }
 
 /// Moves every movable cell one step along the velocity field:
@@ -44,53 +124,54 @@ pub struct AdvectOutcome {
 ///
 /// Each cell's step depends only on its *own* position and the (fixed)
 /// velocity field, so cells advect in parallel on the engine's worker
-/// pool. Every chunk *owns* a slice of one preallocated plan buffer —
-/// slot `i` is cell `ids[i]`'s move — so the parallel pass allocates
-/// nothing and there is no per-chunk move list to merge; the serial
-/// tail just applies the planned moves in cell order and folds the
-/// per-chunk partials in a fixed-shape tree. Chunks are fixed-size
-/// (independent of the thread count), so results are bit-identical at
-/// every parallelism.
+/// pool. The [`CellCache`] splits the placement's positions into one
+/// disjoint sub-slice per fixed [`CELL_CHUNK`] chunk of cells; each chunk
+/// moves its cells in place and sums its own partial outcome, and the
+/// partials fold in a fixed-shape tree. There is no move buffer and no
+/// second pass, and chunk boundaries never depend on the thread count,
+/// so results are bit-identical at every parallelism.
+///
+/// # Panics
+///
+/// Panics if `placement` does not cover the netlist `cells` was built
+/// from.
 pub(crate) fn advect_cells(
     engine: &DiffusionEngine,
     grid: &BinGrid,
-    netlist: &Netlist,
+    cells: &CellCache,
     placement: &mut Placement,
     cfg: &DiffusionConfig,
     respect_frozen: bool,
 ) -> AdvectOutcome {
-    let ids: Vec<CellId> = netlist.movable_cell_ids().collect();
-    let frozen_placement: &Placement = placement;
-    let mut planned: Vec<Option<(Point, f64)>> = vec![None; ids.len()];
-    parallel_for_chunks(engine.pool(), &mut planned, CELL_CHUNK, |_, range, out| {
-        for (slot, &cell_id) in out.iter_mut().zip(&ids[range]) {
-            *slot = advect_one(
-                engine,
-                grid,
-                netlist,
-                frozen_placement,
-                cfg,
-                respect_frozen,
-                cell_id,
-            );
-        }
-    });
-
-    // Serial apply + partial-outcome accumulation, chunked exactly like
-    // the historical per-chunk sums so the tree fold sees the same
-    // addition order.
-    let mut partials = Vec::new();
-    for range in chunk_ranges(ids.len(), CELL_CHUNK) {
+    let mut rest = placement.as_mut_slice();
+    assert_eq!(
+        rest.len(),
+        cells.bounds.last().copied().unwrap_or(rest.len()),
+        "placement does not cover the cached netlist"
+    );
+    let chunks: Vec<_> = cells
+        .bounds
+        .windows(2)
+        .zip(cells.cells.chunks(CELL_CHUNK))
+        .map(|(span, chunk)| {
+            let (owned, tail) = std::mem::take(&mut rest).split_at_mut(span[1] - span[0]);
+            rest = tail;
+            (span[0], owned, chunk)
+        })
+        .collect();
+    let partials = engine.pool().map(chunks, |_, (base, positions, chunk)| {
         let mut partial = AdvectOutcome::default();
-        for (plan, &cell_id) in planned[range.clone()].iter().zip(&ids[range]) {
-            if let Some((new_pos, dist)) = plan {
-                placement.set(cell_id, *new_pos);
+        for cell in chunk {
+            let pos = &mut positions[cell.id.index() - base];
+            if let Some((new_pos, dist)) = step_cell(engine, grid, cfg, respect_frozen, cell, *pos)
+            {
+                *pos = new_pos;
                 partial.total_movement += dist;
                 partial.moved_cells += 1;
             }
         }
-        partials.push(partial);
-    }
+        partial
+    });
     tree_reduce(partials, |a, b| AdvectOutcome {
         total_movement: a.total_movement + b.total_movement,
         moved_cells: a.moved_cells + b.moved_cells,
@@ -98,30 +179,27 @@ pub(crate) fn advect_cells(
     .unwrap_or_default()
 }
 
-/// One cell's advection step: the new position and the distance moved, or
-/// `None` if the cell stays put. Pure in the placement — reads only the
-/// cell's own position — which is what makes the parallel map sound.
-fn advect_one(
+/// One cell's advection step from lower-left corner `old_pos`: the new
+/// corner and the distance moved, or `None` if the cell stays put.
+/// Reads only the cell's own position, which is what makes the
+/// parallel chunks independent.
+#[inline]
+fn step_cell(
     engine: &DiffusionEngine,
     grid: &BinGrid,
-    netlist: &Netlist,
-    placement: &Placement,
     cfg: &DiffusionConfig,
     respect_frozen: bool,
-    cell_id: CellId,
+    cell: &CachedCell,
+    old_pos: Point,
 ) -> Option<(Point, f64)> {
-    let nx = engine.nx() as f64;
-    let ny = engine.ny() as f64;
-    let cell = netlist.cell(cell_id);
-    let old_pos = placement.get(cell_id);
-    let center_world = Point::new(old_pos.x + cell.width / 2.0, old_pos.y + cell.height / 2.0);
+    let nx = engine.nx();
+    let ny = engine.ny();
+    let bin_of = |p: Point| (floor_index(p.x, nx), floor_index(p.y, ny));
+    let center_world = Point::new(old_pos.x + cell.half_w, old_pos.y + cell.half_h);
     let c = grid.to_bin_coords(center_world);
 
-    let (j, k) = bin_of(c, engine);
-    if engine.is_wall(j, k) {
-        return None;
-    }
-    if respect_frozen && engine.is_frozen(j, k) {
+    let (j, k) = bin_of(c);
+    if engine.is_wall(j, k) || (respect_frozen && engine.is_frozen(j, k)) {
         return None;
     }
 
@@ -136,24 +214,18 @@ fn advect_one(
     }
 
     // Keep the cell outline inside the region (all in bin coords).
-    let half_w = cell.width / (2.0 * grid.bin_width());
-    let half_h = cell.height / (2.0 * grid.bin_height());
-    let lim = |v: f64, half: f64, n: f64| {
-        if 2.0 * half >= n {
-            n / 2.0 // cell wider than region: pin to the middle
-        } else {
-            clamp(v, half, n - half)
-        }
-    };
-    let mut target = Point::new(lim(c.x + disp.x, half_w, nx), lim(c.y + disp.y, half_h, ny));
+    let mut target = Point::new(
+        clamp_extent(c.x + disp.x, cell.half_w_bins, nx as f64),
+        clamp_extent(c.y + disp.y, cell.half_h_bins, ny as f64),
+    );
 
     // Never step onto a macro: project the move axis-wise.
-    let (tj, tk) = bin_of(target, engine);
+    let (tj, tk) = bin_of(target);
     if engine.is_wall(tj, tk) {
         let x_only = Point::new(target.x, c.y);
-        let (xj, xk) = bin_of(x_only, engine);
+        let (xj, xk) = bin_of(x_only);
         let y_only = Point::new(c.x, target.y);
-        let (yj, yk) = bin_of(y_only, engine);
+        let (yj, yk) = bin_of(y_only);
         if !engine.is_wall(xj, xk) {
             target = x_only;
         } else if !engine.is_wall(yj, yk) {
@@ -165,22 +237,159 @@ fn advect_one(
 
     let new_center_world = grid.to_world_coords(target);
     let new_pos = Point::new(
-        new_center_world.x - cell.width / 2.0,
-        new_center_world.y - cell.height / 2.0,
+        new_center_world.x - cell.half_w,
+        new_center_world.y - cell.half_h,
     );
     let dist = (new_pos - old_pos).length();
-    if dist > 0.0 {
-        Some((new_pos, dist))
+    (dist > 0.0).then_some((new_pos, dist))
+}
+
+/// Clamps a center coordinate so an outline of half extent `half` stays
+/// inside `[0, n]`; an outline wider than the axis is pinned to the
+/// middle.
+#[inline]
+pub(crate) fn clamp_extent(v: f64, half: f64, n: f64) -> f64 {
+    if 2.0 * half >= n {
+        n / 2.0
     } else {
-        None
+        clamp(v, half, n - half)
     }
 }
 
-/// The (clamped) bin containing a point in bin coordinates.
-fn bin_of(p: Point, engine: &DiffusionEngine) -> (usize, usize) {
-    let j = (p.x.floor().max(0.0) as usize).min(engine.nx() - 1);
-    let k = (p.y.floor().max(0.0) as usize).min(engine.ny() - 1);
-    (j, k)
+/// The per-cell advect kernel as it stood before [`CellCache`]: ids
+/// collected and a move planned for every cell on each step, then a
+/// serial apply pass. Kept verbatim as the oracle the fused kernel must
+/// match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{AdvectOutcome, CELL_CHUNK};
+    use crate::{DiffusionConfig, DiffusionEngine};
+    use dpm_geom::{clamp, Point};
+    use dpm_netlist::{CellId, Netlist};
+    use dpm_par::{chunk_ranges, parallel_for_chunks, tree_reduce};
+    use dpm_place::{BinGrid, Placement};
+
+    pub(super) fn advect_cells(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        netlist: &Netlist,
+        placement: &mut Placement,
+        cfg: &DiffusionConfig,
+        respect_frozen: bool,
+    ) -> AdvectOutcome {
+        let ids: Vec<CellId> = netlist.movable_cell_ids().collect();
+        let frozen_placement: &Placement = placement;
+        let mut planned: Vec<Option<(Point, f64)>> = vec![None; ids.len()];
+        parallel_for_chunks(engine.pool(), &mut planned, CELL_CHUNK, |_, range, out| {
+            for (slot, &cell_id) in out.iter_mut().zip(&ids[range]) {
+                *slot = advect_one(
+                    engine,
+                    grid,
+                    netlist,
+                    frozen_placement,
+                    cfg,
+                    respect_frozen,
+                    cell_id,
+                );
+            }
+        });
+        let mut partials = Vec::new();
+        for range in chunk_ranges(ids.len(), CELL_CHUNK) {
+            let mut partial = AdvectOutcome::default();
+            for (plan, &cell_id) in planned[range.clone()].iter().zip(&ids[range]) {
+                if let Some((new_pos, dist)) = plan {
+                    placement.set(cell_id, *new_pos);
+                    partial.total_movement += dist;
+                    partial.moved_cells += 1;
+                }
+            }
+            partials.push(partial);
+        }
+        tree_reduce(partials, |a, b| AdvectOutcome {
+            total_movement: a.total_movement + b.total_movement,
+            moved_cells: a.moved_cells + b.moved_cells,
+        })
+        .unwrap_or_default()
+    }
+
+    fn advect_one(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        netlist: &Netlist,
+        placement: &Placement,
+        cfg: &DiffusionConfig,
+        respect_frozen: bool,
+        cell_id: CellId,
+    ) -> Option<(Point, f64)> {
+        let nx = engine.nx() as f64;
+        let ny = engine.ny() as f64;
+        let cell = netlist.cell(cell_id);
+        let old_pos = placement.get(cell_id);
+        let center_world = Point::new(old_pos.x + cell.width / 2.0, old_pos.y + cell.height / 2.0);
+        let c = grid.to_bin_coords(center_world);
+
+        let (j, k) = bin_of(c, engine);
+        if engine.is_wall(j, k) {
+            return None;
+        }
+        if respect_frozen && engine.is_frozen(j, k) {
+            return None;
+        }
+
+        let v = if cfg.interpolate {
+            engine.velocity_at(c)
+        } else {
+            engine.bin_velocity(j, k)
+        };
+        let disp = (v * cfg.dt).clamped_linf(cfg.max_step_displacement);
+        if disp.linf_length() == 0.0 {
+            return None;
+        }
+
+        let half_w = cell.width / (2.0 * grid.bin_width());
+        let half_h = cell.height / (2.0 * grid.bin_height());
+        let lim = |v: f64, half: f64, n: f64| {
+            if 2.0 * half >= n {
+                n / 2.0
+            } else {
+                clamp(v, half, n - half)
+            }
+        };
+        let mut target = Point::new(lim(c.x + disp.x, half_w, nx), lim(c.y + disp.y, half_h, ny));
+
+        let (tj, tk) = bin_of(target, engine);
+        if engine.is_wall(tj, tk) {
+            let x_only = Point::new(target.x, c.y);
+            let (xj, xk) = bin_of(x_only, engine);
+            let y_only = Point::new(c.x, target.y);
+            let (yj, yk) = bin_of(y_only, engine);
+            if !engine.is_wall(xj, xk) {
+                target = x_only;
+            } else if !engine.is_wall(yj, yk) {
+                target = y_only;
+            } else {
+                return None;
+            }
+        }
+
+        let new_center_world = grid.to_world_coords(target);
+        let new_pos = Point::new(
+            new_center_world.x - cell.width / 2.0,
+            new_center_world.y - cell.height / 2.0,
+        );
+        let dist = (new_pos - old_pos).length();
+        if dist > 0.0 {
+            Some((new_pos, dist))
+        } else {
+            None
+        }
+    }
+
+    fn bin_of(p: Point, engine: &DiffusionEngine) -> (usize, usize) {
+        let j = (p.x.floor().max(0.0) as usize).min(engine.nx() - 1);
+        let k = (p.y.floor().max(0.0) as usize).min(engine.ny() - 1);
+        (j, k)
+    }
 }
 
 #[cfg(test)]
@@ -188,6 +397,20 @@ mod tests {
     use super::*;
     use dpm_geom::Rect;
     use dpm_netlist::{CellKind, NetlistBuilder};
+    use dpm_rng::Rng;
+
+    /// One fused step with a freshly built per-job cache.
+    fn advect(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        netlist: &Netlist,
+        placement: &mut Placement,
+        cfg: &DiffusionConfig,
+        respect_frozen: bool,
+    ) -> AdvectOutcome {
+        let cells = CellCache::new(netlist, grid);
+        advect_cells(engine, grid, &cells, placement, cfg, respect_frozen)
+    }
 
     /// One 2×2 cell on a 4×4 grid of 10-unit bins.
     fn setup(at_world: Point) -> (Netlist, Placement, BinGrid) {
@@ -215,7 +438,7 @@ mod tests {
         let (nl, mut p, grid) = setup(Point::new(14.0, 14.0));
         let e = engine_with_uniform_velocity(1.0, 0.0);
         let cfg = DiffusionConfig::default();
-        let out = advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+        let out = advect(&e, &grid, &nl, &mut p, &cfg, false);
         assert_eq!(out.moved_cells, 1);
         // v = 1 bin per unit time, dt = 0.2 → 0.2 bins = 2 world units.
         let np = p.get(dpm_netlist::CellId::new(0));
@@ -229,7 +452,7 @@ mod tests {
         let (nl, mut p, grid) = setup(Point::new(14.0, 14.0));
         let e = engine_with_uniform_velocity(100.0, 0.0); // absurd speed
         let cfg = DiffusionConfig::default();
-        advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+        advect(&e, &grid, &nl, &mut p, &cfg, false);
         let np = p.get(dpm_netlist::CellId::new(0));
         // At most 1 bin = 10 world units.
         assert!(np.x - 14.0 <= 10.0 + 1e-9);
@@ -241,7 +464,7 @@ mod tests {
         let e = engine_with_uniform_velocity(5.0, 5.0);
         let cfg = DiffusionConfig::default();
         for _ in 0..20 {
-            advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+            advect(&e, &grid, &nl, &mut p, &cfg, false);
         }
         let r = p.cell_rect(&nl, dpm_netlist::CellId::new(0));
         assert!(grid.region().contains_rect(&r), "cell escaped: {r}");
@@ -261,7 +484,7 @@ mod tests {
             }
         }
         let cfg = DiffusionConfig::default();
-        advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+        advect(&e, &grid, &nl, &mut p, &cfg, false);
         let center = p.cell_center(&nl, dpm_netlist::CellId::new(0));
         let b = grid.bin_of_point(center);
         assert!(!(b.j == 2 && b.k == 1), "cell moved onto the macro");
@@ -277,11 +500,11 @@ mod tests {
         frozen[4 + 1] = true; // the cell's own bin
         e.set_frozen_mask(&frozen);
         let cfg = DiffusionConfig::default();
-        let out = advect_cells(&e, &grid, &nl, &mut p, &cfg, true);
+        let out = advect(&e, &grid, &nl, &mut p, &cfg, true);
         assert_eq!(out.moved_cells, 0);
         assert_eq!(p.get(dpm_netlist::CellId::new(0)), Point::new(14.0, 14.0));
         // Without respect_frozen the cell moves.
-        let out2 = advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+        let out2 = advect(&e, &grid, &nl, &mut p, &cfg, false);
         assert_eq!(out2.moved_cells, 1);
     }
 
@@ -328,7 +551,7 @@ mod tests {
             e.set_threads(threads);
             e.compute_velocities();
             let mut p = p0.clone();
-            let out = advect_cells(&e, &grid, &nl, &mut p, &cfg, true);
+            let out = advect(&e, &grid, &nl, &mut p, &cfg, true);
             (out, p)
         };
         let (ref_out, ref_p) = run(1);
@@ -345,7 +568,168 @@ mod tests {
         let (nl, mut p, grid) = setup(Point::new(14.0, 14.0));
         let e = engine_with_uniform_velocity(0.0, 0.0);
         let cfg = DiffusionConfig::default();
-        let out = advect_cells(&e, &grid, &nl, &mut p, &cfg, false);
+        let out = advect(&e, &grid, &nl, &mut p, &cfg, false);
         assert_eq!(out, AdvectOutcome::default());
+    }
+
+    #[test]
+    fn cache_chunks_own_disjoint_ascending_position_ranges() {
+        let mut b = NetlistBuilder::new();
+        for i in 0..(2 * CELL_CHUNK + 7) {
+            let kind = if i % 5 == 3 {
+                CellKind::FixedMacro
+            } else {
+                CellKind::Movable
+            };
+            b.add_cell(format!("c{i}"), 1.0, 1.0, kind);
+        }
+        let nl = b.build().expect("valid");
+        let grid = BinGrid::new(Rect::new(0.0, 0.0, 40.0, 40.0), 10.0);
+        let cache = CellCache::new(&nl, &grid);
+        assert_eq!(cache.bounds.first(), Some(&0));
+        assert_eq!(cache.bounds.last(), Some(&nl.num_cells()));
+        assert_eq!(
+            cache.bounds.len(),
+            cache.cells.len().div_ceil(CELL_CHUNK) + 1
+        );
+        for (span, chunk) in cache.bounds.windows(2).zip(cache.cells.chunks(CELL_CHUNK)) {
+            assert!(span[0] < span[1]);
+            assert!(chunk
+                .iter()
+                .all(|c| (span[0]..span[1]).contains(&c.id.index())));
+        }
+    }
+
+    /// A random design for the fused-vs-reference property: macros
+    /// interleaved among the movable ids, cells on and past the grid
+    /// edge, cells wider/taller than the region, positions in shuffled
+    /// order, and a wall/frozen-laced bumpy field on non-square bins.
+    fn random_case(rng: &mut Rng) -> (Netlist, Placement, BinGrid, DiffusionEngine) {
+        let (nx, ny) = (rng.random_range(12..48usize), rng.random_range(12..48usize));
+        let region = Rect::new(
+            -30.0,
+            15.0,
+            -30.0 + 9.5 * nx as f64,
+            15.0 + 7.25 * ny as f64,
+        );
+        let grid = BinGrid::with_counts(region, nx, ny);
+        // ≥ 3 full chunks plus a partial tail.
+        let movable = 3 * CELL_CHUNK + rng.random_range(1..CELL_CHUNK);
+        let mut b = NetlistBuilder::new();
+        let mut placed = 0;
+        while placed < movable {
+            if rng.random_bool(0.03) {
+                b.add_cell(format!("m{placed}"), 20.0, 14.0, CellKind::FixedMacro);
+                continue;
+            }
+            let (w, h) = match rng.random_range(0..50u32) {
+                0 => (region.width() * rng.random_range(1.0..1.5), 7.25),
+                1 => (4.0, region.height() * rng.random_range(1.0..1.5)),
+                _ => (rng.random_range(1.0..12.0), rng.random_range(1.0..9.0)),
+            };
+            b.add_cell(format!("c{placed}"), w, h, CellKind::Movable);
+            placed += 1;
+        }
+        let nl = b.build().expect("valid");
+        let mut corners: Vec<Point> = nl
+            .cell_ids()
+            .map(|id| {
+                let cell = nl.cell(id);
+                let x = match rng.random_range(0..20u32) {
+                    0 => region.llx,
+                    1 => region.urx - cell.width,
+                    2 => region.urx,
+                    3 => region.llx - rng.random_range(0.0..20.0),
+                    _ => rng.random_range(region.llx..region.urx),
+                };
+                let y = match rng.random_range(0..20u32) {
+                    0 => region.lly,
+                    1 => region.ury - cell.height,
+                    2 => region.lly - 3.0,
+                    _ => rng.random_range(region.lly..region.ury),
+                };
+                Point::new(x, y)
+            })
+            .collect();
+        rng.shuffle(&mut corners);
+        let placement: Placement = corners.into_iter().collect();
+
+        let bins = nx * ny;
+        let density: Vec<f64> = (0..bins).map(|_| rng.random_range(0.0..2.0)).collect();
+        let mut wall = vec![false; bins];
+        let mut frozen = vec![false; bins];
+        for mask in [&mut wall, &mut frozen] {
+            for _ in 0..3 {
+                let (j0, k0) = (rng.random_range(0..nx), rng.random_range(0..ny));
+                for k in k0..(k0 + rng.random_range(1..6usize)).min(ny) {
+                    for j in j0..(j0 + rng.random_range(1..6usize)).min(nx) {
+                        mask[k * nx + j] = true;
+                    }
+                }
+            }
+        }
+        let mut engine = DiffusionEngine::from_raw(nx, ny, density, Some(wall));
+        engine.set_frozen_mask(&frozen);
+        engine.compute_velocities();
+        (nl, placement, grid, engine)
+    }
+
+    fn bits(p: &Placement) -> Vec<(u64, u64)> {
+        p.as_slice()
+            .iter()
+            .map(|q| (q.x.to_bits(), q.y.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn fused_kernel_matches_the_reference_bit_for_bit() {
+        let mut rng = Rng::seed_from_u64(0xad_ec7);
+        for case in 0..3 {
+            let (nl, p0, grid, mut engine) = random_case(&mut rng);
+            let cells = CellCache::new(&nl, &grid);
+            for (interpolate, respect_frozen) in
+                [(true, true), (true, false), (false, true), (false, false)]
+            {
+                let cfg = DiffusionConfig {
+                    interpolate,
+                    // Large steps hit the CFL clamp and walls often.
+                    dt: rng.random_range(0.2..4.0),
+                    ..DiffusionConfig::default()
+                };
+                engine.set_threads(1);
+                let mut want = p0.clone();
+                let mut want_out = Vec::new();
+                for _ in 0..2 {
+                    want_out.push(reference::advect_cells(
+                        &engine,
+                        &grid,
+                        &nl,
+                        &mut want,
+                        &cfg,
+                        respect_frozen,
+                    ));
+                }
+                assert!(want_out[0].moved_cells > 0, "case {case}: nothing moved");
+                for threads in [1, 2, 4, 8] {
+                    engine.set_threads(threads);
+                    let mut got = p0.clone();
+                    for (step, want_step) in want_out.iter().enumerate() {
+                        let out =
+                            advect_cells(&engine, &grid, &cells, &mut got, &cfg, respect_frozen);
+                        let ctx = format!(
+                            "case {case} step {step} threads {threads} \
+                             interpolate {interpolate} respect_frozen {respect_frozen}"
+                        );
+                        assert_eq!(out.moved_cells, want_step.moved_cells, "{ctx}");
+                        assert_eq!(
+                            out.total_movement.to_bits(),
+                            want_step.total_movement.to_bits(),
+                            "{ctx}"
+                        );
+                    }
+                    assert_eq!(bits(&got), bits(&want), "case {case} threads {threads}");
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,7 @@ use crate::config::{FieldPrecision, LaneMode};
 use crate::dims::Dims;
 use crate::telemetry::KernelTimers;
 use crate::velocity::interpolate_velocity;
-use dpm_geom::{Point, Point3, Vector, Vector3};
+use dpm_geom::{floor, Point, Point3, Vector, Vector3};
 use dpm_par::{
     blocked_lines, parallel_for_chunks, parallel_for_chunks2, parallel_for_chunks3, ThreadPool,
     CACHE_BLOCK_BYTES,
@@ -1271,20 +1271,35 @@ impl DiffusionEngine {
     /// Points within half a bin of the grid edge clamp to the edge bin's
     /// velocity (velocity is replicated outward). On a volumetric grid
     /// this samples tier 0; use [`velocity_at3`](Self::velocity_at3).
+    #[inline]
     pub fn velocity_at(&self, p: Point) -> Vector {
         let xs = p.x + 0.5;
         let ys = p.y + 0.5;
-        let alpha = xs - xs.floor();
-        let beta = ys - ys.floor();
+        let (fx, fy) = (floor(xs), floor(ys));
+        let alpha = xs - fx;
+        let beta = ys - fy;
         // p,q = lower-left of the four nearest centers; may be -1 at edges.
-        let pj = xs.floor() as isize - 1;
-        let qk = ys.floor() as isize - 1;
+        let pj = fx as isize - 1;
+        let qk = fy as isize - 1;
         let clamp_j = |v: isize| v.clamp(0, self.nx() as isize - 1) as usize;
         let clamp_k = |v: isize| v.clamp(0, self.ny() as isize - 1) as usize;
-        let v00 = self.bin_velocity(clamp_j(pj), clamp_k(qk));
-        let v10 = self.bin_velocity(clamp_j(pj + 1), clamp_k(qk));
-        let v01 = self.bin_velocity(clamp_j(pj), clamp_k(qk + 1));
-        let v11 = self.bin_velocity(clamp_j(pj + 1), clamp_k(qk + 1));
+        let (j0, j1) = (clamp_j(pj), clamp_j(pj + 1));
+        let (row0, row1) = (clamp_k(qk) * self.nx(), clamp_k(qk + 1) * self.nx());
+        let (i00, i10, i01, i11) = (row0 + j0, row0 + j1, row1 + j0, row1 + j1);
+        // One precision branch per gather, not one per component read;
+        // f32 velocities widen exactly, as in `vel_component`.
+        let (v00, v10, v01, v11) = match self.precision {
+            FieldPrecision::F64 => {
+                let (vx, vy) = (&self.vel[0], &self.vel[1]);
+                let at = |i: usize| Vector::new(vx[i], vy[i]);
+                (at(i00), at(i10), at(i01), at(i11))
+            }
+            FieldPrecision::F32 => {
+                let (vx, vy) = (&self.vel32[0], &self.vel32[1]);
+                let at = |i: usize| Vector::new(f64::from(vx[i]), f64::from(vy[i]));
+                (at(i00), at(i10), at(i01), at(i11))
+            }
+        };
         interpolate_velocity(v00, v10, v01, v11, alpha, beta)
     }
 
@@ -1303,12 +1318,13 @@ impl DiffusionEngine {
         let xs = p.x + 0.5;
         let ys = p.y + 0.5;
         let zs = p.z + 0.5;
-        let alpha = xs - xs.floor();
-        let beta = ys - ys.floor();
-        let gamma = zs - zs.floor();
-        let pj = xs.floor() as isize - 1;
-        let qk = ys.floor() as isize - 1;
-        let rz = zs.floor() as isize - 1;
+        let (fx, fy, fz) = (floor(xs), floor(ys), floor(zs));
+        let alpha = xs - fx;
+        let beta = ys - fy;
+        let gamma = zs - fz;
+        let pj = fx as isize - 1;
+        let qk = fy as isize - 1;
+        let rz = fz as isize - 1;
         let cj = |v: isize| v.clamp(0, self.nx() as isize - 1) as usize;
         let ck = |v: isize| v.clamp(0, self.ny() as isize - 1) as usize;
         let cz = |v: isize| v.clamp(0, self.nz() as isize - 1) as usize;

@@ -10,7 +10,7 @@
 //! diffusion steps on `area_density + weight · normalized(field)` and
 //! moves cells along the blended gradients.
 
-use crate::advect::advect_cells;
+use crate::advect::{advect_cells, CellCache};
 use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, StepRecord, Telemetry};
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
@@ -129,10 +129,11 @@ impl FieldMigration {
         engine.set_lanes(self.cfg.lanes);
         engine.set_precision(self.cfg.precision);
 
+        let cells = CellCache::new(netlist, &grid);
         let mut telemetry = Telemetry::new();
         for step in 0..self.steps {
             engine.compute_velocities();
-            let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, false);
+            let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, false);
             engine.step_density(self.cfg.dt * self.cfg.diffusivity);
             telemetry.push(StepRecord {
                 step,

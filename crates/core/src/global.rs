@@ -1,6 +1,6 @@
 //! Global diffusion-based legalization (paper Algorithm 1).
 
-use crate::advect::advect_cells;
+use crate::advect::{advect_cells, CellCache};
 use crate::observe::{DiffusionObserver, KernelEvent, KernelKind, NoopObserver, StepEvent};
 use crate::spectral::SpectralSolver;
 use crate::{
@@ -159,6 +159,7 @@ impl GlobalDiffusion {
             engine.load_densities(&d);
         }
 
+        let cells = CellCache::new(netlist, &grid);
         let mut telemetry = Telemetry::new();
         let mut steps = 0;
         let mut converged = engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
@@ -204,7 +205,7 @@ impl GlobalDiffusion {
                 // max_step_displacement.
                 let mut strided = self.cfg.clone();
                 strided.dt = self.cfg.dt * stride as f64;
-                let advect = advect_cells(&engine, &grid, netlist, placement, &strided, false);
+                let advect = advect_cells(&engine, &grid, &cells, placement, &strided, false);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()
@@ -265,7 +266,7 @@ impl GlobalDiffusion {
                     threads: pool.threads(),
                 });
                 let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, false);
+                let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, false);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()

@@ -1,6 +1,6 @@
 //! Robust local diffusion with dynamic density update (paper Algorithm 3).
 
-use crate::advect::advect_cells;
+use crate::advect::{advect_cells, CellCache};
 use crate::global::DiffusionResult;
 use crate::observe::{
     DiffusionObserver, KernelEvent, KernelKind, NoopObserver, RoundEvent, StepEvent,
@@ -155,6 +155,7 @@ impl LocalDiffusion {
             elapsed: splat_elapsed,
             threads: pool.threads(),
         });
+        let cells = CellCache::new(netlist, &grid);
         let mut avg: Vec<f64> = Vec::new();
         let mut frozen: Vec<bool> = Vec::new();
 
@@ -226,7 +227,7 @@ impl LocalDiffusion {
                     threads: pool.threads(),
                 });
                 let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, netlist, placement, &self.cfg, true);
+                let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, true);
                 let advect_elapsed = advect_start.elapsed();
                 engine
                     .kernel_timers_mut()

@@ -25,7 +25,7 @@
 //! halo refreshes lives in `dpm-serve`'s `ShardRouter`; this module is
 //! deliberately transport-free.
 
-use dpm_geom::{Point, Rect};
+use dpm_geom::{floor_index, Point, Rect};
 use dpm_netlist::{CellId, CellKind, Netlist, NetlistBuilder};
 use dpm_place::{BinGrid, BinIdx, Die, Placement};
 
@@ -612,8 +612,7 @@ impl ZSlabPartition {
     /// nearest tier, like [`BinGrid::bin_of_point`] does in-plane.
     #[inline]
     pub fn owner_of_depth(&self, z: f64) -> usize {
-        let tier = (z.floor().max(0.0) as usize).min(self.nz - 1);
-        self.owner_of_layer(tier)
+        self.owner_of_layer(floor_index(z, self.nz))
     }
 }
 

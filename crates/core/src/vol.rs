@@ -31,13 +31,13 @@
 //! drift across a slab boundary mid-round; the router re-derives
 //! ownership from the fresh depths every round.
 
-use crate::advect::AdvectOutcome;
+use crate::advect::{clamp_extent, AdvectOutcome, CellCache};
 use crate::spectral::SpectralSolver3;
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, FieldPrecision,
     KernelEvent, KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
 };
-use dpm_geom::{clamp, Point, Point3};
+use dpm_geom::{floor_index, Point, Point3};
 use dpm_netlist::{CellId, CellKind, Netlist};
 use dpm_place::{BinGrid, BinIdx, DensityMap, Die, Placement};
 use std::time::Instant;
@@ -82,14 +82,8 @@ impl VolPlacement {
     /// [`ZSlabPartition::owner_of_depth`]: crate::ZSlabPartition::owner_of_depth
     #[inline]
     pub fn tier(&self, id: CellId, nz: usize) -> usize {
-        tier_of(self.z[id.index()], nz)
+        floor_index(self.z[id.index()], nz)
     }
-}
-
-/// The tier containing depth `z`, clamped to `[0, nz)`.
-#[inline]
-fn tier_of(z: f64, nz: usize) -> usize {
-    (z.floor().max(0.0) as usize).min(nz - 1)
 }
 
 /// Raises the through-stack macro walls into `density`/`wall`: bins
@@ -422,6 +416,7 @@ impl VolumetricDiffusion {
             engine.load_densities(&d);
         }
 
+        let cells = CellCache::new(netlist, &grid);
         let mut telemetry = Telemetry::new();
         let mut steps = 0;
         let mut converged = job.exact_steps.is_none()
@@ -459,7 +454,7 @@ impl VolumetricDiffusion {
                 let advect = advect_cells3(
                     &engine,
                     &grid,
-                    netlist,
+                    &cells,
                     placement,
                     &strided,
                     job.z0,
@@ -502,7 +497,7 @@ impl VolumetricDiffusion {
                 let advect = advect_cells3(
                     &engine,
                     &grid,
-                    netlist,
+                    &cells,
                     placement,
                     &self.cfg,
                     job.z0,
@@ -554,13 +549,14 @@ impl VolumetricDiffusion {
 ///    z (walls are through-stack, so the z projection succeeds whenever
 ///    the cell's own column is clear).
 ///
-/// The loop is serial in netlist order: each step depends only on the
-/// cell's own position and the fixed field, so results are
-/// deterministic at any thread count by construction.
+/// The loop is serial in netlist order over the job's [`CellCache`]:
+/// each step depends only on the cell's own position and the fixed
+/// field, so results are deterministic at any thread count by
+/// construction.
 fn advect_cells3(
     engine: &DiffusionEngine,
     grid: &BinGrid,
-    netlist: &Netlist,
+    cells: &CellCache,
     placement: &mut VolPlacement,
     cfg: &DiffusionConfig,
     z0: usize,
@@ -570,11 +566,11 @@ fn advect_cells3(
     let ny = engine.ny() as f64;
     let gz = global_nz as f64;
     let mut outcome = AdvectOutcome::default();
-    for cell_id in netlist.movable_cell_ids() {
-        let cell = netlist.cell(cell_id);
+    for cell in cells.cells() {
+        let cell_id = cell.id;
         let old_pos = placement.xy.get(cell_id);
         let old_z = placement.z[cell_id.index()];
-        let center = Point::new(old_pos.x + cell.width / 2.0, old_pos.y + cell.height / 2.0);
+        let center = Point::new(old_pos.x + cell.half_w, old_pos.y + cell.half_h);
         let c = grid.to_bin_coords(center);
         let zl = old_z - z0 as f64;
         let (j, k, t) = bin3_of(c.x, c.y, zl, engine);
@@ -590,19 +586,10 @@ fn advect_cells3(
         if disp.linf_length() == 0.0 {
             continue;
         }
-        let half_w = cell.width / (2.0 * grid.bin_width());
-        let half_h = cell.height / (2.0 * grid.bin_height());
-        let lim = |v: f64, half: f64, n: f64| {
-            if 2.0 * half >= n {
-                n / 2.0 // cell spans the whole axis: pin to the middle
-            } else {
-                clamp(v, half, n - half)
-            }
-        };
-        let mut tx = lim(c.x + disp.x, half_w, nx);
-        let mut ty = lim(c.y + disp.y, half_h, ny);
+        let mut tx = clamp_extent(c.x + disp.x, cell.half_w_bins, nx);
+        let mut ty = clamp_extent(c.y + disp.y, cell.half_h_bins, ny);
         // z stays global; clamp against the full stack.
-        let mut tz = lim(old_z + disp.z, 0.5, gz);
+        let mut tz = clamp_extent(old_z + disp.z, 0.5, gz);
         let (tj, tk, tt) = bin3_of(tx, ty, tz - z0 as f64, engine);
         if engine.is_wall3(tj, tk, tt) {
             let (xj, xk, xt) = bin3_of(tx, c.y, zl, engine);
@@ -622,10 +609,7 @@ fn advect_cells3(
             }
         }
         let new_center = grid.to_world_coords(Point::new(tx, ty));
-        let new_pos = Point::new(
-            new_center.x - cell.width / 2.0,
-            new_center.y - cell.height / 2.0,
-        );
+        let new_pos = Point::new(new_center.x - cell.half_w, new_center.y - cell.half_h);
         // Movement mixes units deliberately: world distance in-plane
         // plus tier count along z (tiers have no world pitch).
         let dist = (new_pos - old_pos).length() + (tz - old_z).abs();
@@ -642,10 +626,11 @@ fn advect_cells3(
 /// The (clamped) region-local bin containing a point: x/y in bin
 /// coordinates, z in region-local tier units.
 fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, usize) {
-    let j = (x.floor().max(0.0) as usize).min(engine.nx() - 1);
-    let k = (y.floor().max(0.0) as usize).min(engine.ny() - 1);
-    let t = (zl.floor().max(0.0) as usize).min(engine.nz() - 1);
-    (j, k, t)
+    (
+        floor_index(x, engine.nx()),
+        floor_index(y, engine.ny()),
+        floor_index(zl, engine.nz()),
+    )
 }
 
 #[cfg(test)]

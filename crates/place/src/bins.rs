@@ -7,7 +7,7 @@
 //! transform and the `(j, k) ↔ flat index` arithmetic every grid-shaped
 //! buffer in the workspace shares.
 
-use dpm_geom::{Point, Rect};
+use dpm_geom::{floor_index, Point, Rect};
 
 /// Integer coordinates of a bin: column `j` (x) and row `k` (y).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,11 +175,9 @@ impl BinGrid {
 
     /// The bin containing a world point, clamped to the grid.
     pub fn bin_of_point(&self, p: Point) -> BinIdx {
-        let bx = ((p.x - self.region.llx) / self.bin_w).floor();
-        let by = ((p.y - self.region.lly) / self.bin_h).floor();
         BinIdx::new(
-            (bx.max(0.0) as usize).min(self.nx - 1),
-            (by.max(0.0) as usize).min(self.ny - 1),
+            floor_index((p.x - self.region.llx) / self.bin_w, self.nx),
+            floor_index((p.y - self.region.lly) / self.bin_h, self.ny),
         )
     }
 

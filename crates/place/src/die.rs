@@ -1,6 +1,6 @@
 //! Die (placement image) geometry: outline and standard-cell rows.
 
-use dpm_geom::Rect;
+use dpm_geom::{floor_index, Rect};
 
 /// One standard-cell row: a horizontal strip of the die where cells of one
 /// row height may be placed.
@@ -131,7 +131,7 @@ impl Die {
     /// row).
     pub fn row_of_y(&self, y: f64) -> usize {
         let rel = (y - self.outline.lly) / self.row_height;
-        (rel.floor().max(0.0) as usize).min(self.rows.len() - 1)
+        floor_index(rel, self.rows.len())
     }
 
     /// Snaps a y coordinate to the bottom edge of the nearest row (by the

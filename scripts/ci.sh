@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Hermetic CI gate: formatting, lints, docs, build, tests, a kernel
 # determinism matrix (solver × lane mode × thread count, plus the f32
-# field mode), kernel throughput floors, and service smoke tests, all
-# offline.
+# field mode), kernel throughput floors, service smoke tests and an
+# end-to-end migration smoke test, all offline.
 #
 # The workspace has zero registry dependencies by design — everything
 # resolves from path crates — so `--offline` must always succeed. Any
@@ -308,6 +308,23 @@ cargo run --release --offline -p dpm-bench --bin perf_shard -- "$shard_out" --sm
 grep -q '"bench": "perf_shard"' "$shard_out"
 grep -q '"shards": 2' "$shard_out"
 grep -Eq '"halo_exchanges": [1-9][0-9]*' "$shard_out"
+
+gate "end-to-end smoke test (bench_e2e --smoke, untraced and traced)"
+# Runs every bench_e2e workload for a few jobs through the public
+# migration entry points. The binary exits non-zero when any job ends
+# illegal or fails its workload's checks; the traced leg also re-runs
+# each job with a recording observer and requires the traced placement
+# to be bit-identical to the untraced one. A kernel change that breaks
+# legality or observer transparency fails here.
+for trace in 0 1; do
+    e2e_log="$(mktemp_tracked)"
+    if ! cargo run --release --offline -p dpm-bench --bin bench_e2e -- --smoke --all --trace "$trace" >"$e2e_log" 2>&1; then
+        tail -n 40 "$e2e_log" >&2
+        echo "E2E SMOKE: a bench_e2e workload failed its checks (--trace $trace)" >&2
+        exit 1
+    fi
+done
+echo "  -> every workload legal; traced placements bit-identical to untraced"
 
 gate_names+=("$_gate")
 gate_secs+=("$((SECONDS - _gate_t0))")
