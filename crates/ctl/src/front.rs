@@ -12,8 +12,9 @@
 //! diffusion.
 //!
 //! Worker threads pop jobs in deficit-round-robin order and execute
-//! them either in process ([`dpm_serve::execute_job`]) or across a
-//! shard fleet ([`ShardRouter`]) selected per job from the
+//! them either in process ([`dpm_serve::execute_request`], the same
+//! executor a `dpm-serve` worker runs) or across a shard or z-slab
+//! fleet ([`ShardRouter`], [`VolRouter`]) selected per job from the
 //! [`BackendRegistry`]. Replies travel back to the front-end through
 //! an outbox; the front-end writes them on the owning connection with
 //! the codec version that connection last spoke, so v2 clients of a
@@ -28,8 +29,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use dpm_diffusion::{DiffusionObserver, SpanObserver, StepEvent};
-use dpm_geom::Point;
 use dpm_obs::{labeled, normalize_spans, rebase_spans, SpanRecorder, TraceIdGen};
 use dpm_serve::delta::decode_delta_request;
 use dpm_serve::wire::{
@@ -39,7 +38,8 @@ use dpm_serve::wire::{
     JobRequest, JobResponse, NeedDesign, ProgressUpdate, WireError, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
-    execute_job, ShardRouter, ShardRouterConfig, VolRouteError, VolRouter, VolRouterConfig,
+    execute_request, ShardBackend, ShardRouter, ShardRouterConfig, VolRouteError, VolRouter,
+    VolRouterConfig,
 };
 
 use crate::cache::{CacheStats, CachedDesign, DesignCache};
@@ -52,8 +52,9 @@ use crate::registry::{BackendRegistry, RegistrySnapshot};
 pub enum ExecMode {
     /// Run the diffusion on the worker thread itself.
     InProcess,
-    /// Fan each job out across a shard fleet, selecting backends from
-    /// a health-checked registry per job.
+    /// Fan each planar job out across a shard fleet, selecting backends
+    /// from a health-checked registry per job. Volumetric jobs (the
+    /// planar router has no tier axis) run on the worker thread.
     Sharded {
         /// Requested shard count K.
         shards: usize,
@@ -717,54 +718,6 @@ fn admit(shared: &Shared, token: u64, conn: &mut Conn, tenant_idx: usize, req: J
 // Workers.
 // ---------------------------------------------------------------------------
 
-/// Streams progress frames into the outbox every `stride` steps.
-struct ProgressToOutbox<'a> {
-    shared: &'a Shared,
-    conn: u64,
-    version: u16,
-    id: u64,
-    stride: u64,
-    movement: f64,
-}
-
-impl DiffusionObserver for ProgressToOutbox<'_> {
-    fn on_step(&mut self, event: &StepEvent<'_>) {
-        if self.stride == 0 {
-            return;
-        }
-        self.movement += event.record.movement;
-        let completed = event.record.step as u64 + 1;
-        if completed.is_multiple_of(self.stride) {
-            let p = ProgressUpdate {
-                id: self.id,
-                step: completed,
-                round: event.round as u64,
-                overflow: event.record.computed_overflow,
-                movement: self.movement,
-                max_density: event.record.max_density,
-            };
-            self.shared.send(
-                self.conn,
-                self.version,
-                FrameKind::Progress,
-                &encode_progress(&p),
-            );
-            self.shared.metrics.progress_frames.inc();
-        }
-    }
-}
-
-fn movement_stats(before: &[Point], after: &[Point]) -> (f64, f64) {
-    let mut total = 0.0f64;
-    let mut max = 0.0f64;
-    for (b, a) in before.iter().zip(after) {
-        let d = ((a.x - b.x).powi(2) + (a.y - b.y).powi(2)).sqrt();
-        total += d;
-        max = max.max(d);
-    }
-    (total, max)
-}
-
 fn worker_loop(shared: &Shared) {
     while let Some((tenant_idx, job)) = shared.queue.pop_wait() {
         let queue_wait = job.arrived.elapsed();
@@ -778,9 +731,9 @@ fn worker_loop(shared: &Shared) {
         } = job;
         let id = req.id;
         // Traced requests get a retroactive queue-wait span and an
-        // execution context; downstream hops (routers, in-process
-        // kernel bridges) inherit the execution context so their spans
-        // nest under `ctl.execute`, not directly under the root.
+        // execution context; downstream hops (routers, the executor's
+        // job span) inherit the execution context so their spans nest
+        // under `ctl.execute`, not directly under the root.
         let root = req.trace;
         let job_ctx = root.map(|ctx| {
             let mut ids = TraceIdGen::seeded(ctx.span_id ^ CTL_JOB_SALT);
@@ -794,7 +747,9 @@ fn worker_loop(shared: &Shared) {
             ids.child_of(&ctx)
         });
         req.trace = job_ctx;
-        let outcome = if let Err(e) = req.config.validate() {
+        let t0 = Instant::now();
+        let exec_start = shared.spans.now_ns();
+        let mut outcome = if let Err(e) = req.config.validate() {
             shared.metrics.invalid_config.inc();
             Err(ErrorReply {
                 id,
@@ -805,13 +760,12 @@ fn worker_loop(shared: &Shared) {
             })
         } else {
             match &shared.exec {
-                Exec::InProcess => run_in_process(shared, conn, version, deadline, &req),
                 Exec::Sharded {
                     shards,
                     halo_bins,
                     max_halo_rounds,
                     registry,
-                } => run_sharded(
+                } if req.vol.is_none() => run_sharded(
                     shared,
                     registry,
                     *shards,
@@ -823,15 +777,36 @@ fn worker_loop(shared: &Shared) {
                     slabs,
                     halo_layers,
                     registry,
-                } => {
-                    if req.vol.is_some() {
-                        run_volumetric(shared, registry, *slabs, *halo_layers, &req)
-                    } else {
-                        run_in_process(shared, conn, version, deadline, &req)
-                    }
+                } if req.vol.is_some() => {
+                    run_volumetric(shared, registry, *slabs, *halo_layers, &req)
+                }
+                // In process, and the jobs a router does not take:
+                // volumetric ones in sharded mode, planar ones in
+                // volumetric mode.
+                _ => {
+                    let mut sink = |p: &ProgressUpdate| {
+                        shared.send(conn, version, FrameKind::Progress, &encode_progress(p));
+                        shared.metrics.progress_frames.inc();
+                    };
+                    let spans = job_ctx.map(|_| &shared.spans);
+                    execute_request(&req, deadline, Some(&mut sink), spans).map(|(resp, _)| resp)
                 }
             }
         };
+        if let Ok(resp) = &mut outcome {
+            resp.service_ns = t0.elapsed().as_nanos() as u64;
+        }
+        if let Some(ctx) = job_ctx {
+            // A router normalized its span tree to start at zero; re-base
+            // it onto this front-end's clock so it interleaves correctly
+            // with the admission and queue spans drained below.
+            shared
+                .spans
+                .record_traced("ctl.execute", exec_start, shared.spans.now_ns(), ctx);
+            if let Ok(resp) = &mut outcome {
+                rebase_spans(&mut resp.spans, exec_start);
+            }
+        }
         shared.metrics.served.inc();
         let e2e = arrived.elapsed();
         shared.metrics.e2e_hist.record_duration(e2e);
@@ -840,9 +815,10 @@ fn worker_loop(shared: &Shared) {
             Ok(mut resp) => {
                 resp.queue_ns = queue_wait.as_nanos() as u64;
                 // Stitch the trace: the control plane's own spans
-                // (admission, cache, queue wait, execution) plus the
-                // tree a router or kernel bridge already put in
-                // `resp.spans`, normalized for the client to re-base.
+                // (admission, cache, queue wait, execution, and an
+                // in-process job's kernel spans) plus the tree a router
+                // put in `resp.spans`, normalized for the client to
+                // re-base.
                 if let Some(ctx) = root {
                     let mut spans = shared.spans.drain_trace(ctx.trace_id);
                     spans.append(&mut resp.spans);
@@ -869,82 +845,20 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_in_process(
+/// Picks this job's primaries and spares, counting any replacement the
+/// registry made while health-checking.
+fn select_backends(
     shared: &Shared,
-    conn: u64,
-    version: u16,
-    deadline: Option<Instant>,
-    req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let mut placement = req.placement.clone();
-    let should_stop = move || deadline.is_some_and(|d| Instant::now() >= d);
-    let mut observer = ProgressToOutbox {
-        shared,
-        conn,
-        version,
-        id: req.id,
-        stride: u64::from(req.progress_stride),
-        movement: 0.0,
-    };
-    let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
-    let result = match req.trace {
-        // Traced: thread a kernel-span bridge in front of the progress
-        // observer so per-kernel spans land in the front-end's recorder
-        // under the execution context.
-        Some(ctx) => {
-            let mut bridge =
-                SpanObserver::new(&shared.spans, ctx, ctx.span_id).with_inner(&mut observer);
-            execute_job(
-                req.kind,
-                &req.config,
-                &req.netlist,
-                &req.die,
-                &mut placement,
-                &should_stop,
-                &mut bridge,
-            )
-        }
-        None => execute_job(
-            req.kind,
-            &req.config,
-            &req.netlist,
-            &req.die,
-            &mut placement,
-            &should_stop,
-            &mut observer,
-        ),
-    };
-    let service_ns = t0.elapsed().as_nanos() as u64;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-    }
-    if result.cancelled {
-        return Err(ErrorReply {
-            id: req.id,
-            code: ErrorCode::DeadlineExpired,
-            steps: result.steps as u64,
-            rounds: result.rounds as u64,
-            message: "deadline expired mid-run".into(),
-        });
-    }
-    let (total_movement, max_movement) =
-        movement_stats(req.placement.as_slice(), placement.as_slice());
-    Ok(JobResponse {
-        id: req.id,
-        converged: result.converged,
-        steps: result.steps as u64,
-        rounds: result.rounds as u64,
-        total_movement,
-        max_movement,
-        queue_ns: 0,
-        service_ns,
-        positions: placement.as_slice().to_vec(),
-        vol: None,
-        spans: Vec::new(),
-    })
+    registry: &Mutex<BackendRegistry>,
+) -> (Vec<ShardBackend>, Vec<ShardBackend>) {
+    let mut reg = registry.lock().unwrap();
+    let before = reg.snapshot().replacements;
+    let selected = reg.select();
+    shared
+        .metrics
+        .replacements
+        .add(reg.snapshot().replacements - before);
+    selected
 }
 
 fn run_sharded(
@@ -955,16 +869,7 @@ fn run_sharded(
     max_halo_rounds: usize,
     req: &JobRequest,
 ) -> Result<JobResponse, ErrorReply> {
-    let (primaries, spares) = {
-        let mut reg = registry.lock().unwrap();
-        let before = reg.snapshot().replacements;
-        let selected = reg.select();
-        shared
-            .metrics
-            .replacements
-            .add(reg.snapshot().replacements - before);
-        selected
-    };
+    let (primaries, spares) = select_backends(shared, registry);
     let router = ShardRouter::with_spares(
         ShardRouterConfig {
             shards,
@@ -975,10 +880,7 @@ fn run_sharded(
         primaries,
         spares,
     );
-    let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
     let reply = router.route(req);
-    let service_ns = t0.elapsed().as_nanos() as u64;
     if !reply.failovers.is_empty() {
         shared.metrics.failovers.add(reply.failovers.len() as u64);
         let mut reg = registry.lock().unwrap();
@@ -999,19 +901,7 @@ fn run_sharded(
             ),
         });
     }
-    let mut resp = reply.response;
-    resp.id = req.id;
-    resp.service_ns = service_ns;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        // The router normalized its span tree to start at zero; re-base
-        // it onto this front-end's clock so it interleaves correctly
-        // with the admission and queue spans drained in the worker.
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-        rebase_spans(&mut resp.spans, start);
-    }
-    Ok(resp)
+    Ok(reply.response)
 }
 
 fn run_volumetric(
@@ -1021,64 +911,38 @@ fn run_volumetric(
     halo_layers: usize,
     req: &JobRequest,
 ) -> Result<JobResponse, ErrorReply> {
-    let (primaries, _spares) = {
-        let mut reg = registry.lock().unwrap();
-        let before = reg.snapshot().replacements;
-        let selected = reg.select();
-        shared
-            .metrics
-            .replacements
-            .add(reg.snapshot().replacements - before);
-        selected
-    };
+    let (primaries, _spares) = select_backends(shared, registry);
     let router = VolRouter::new(
         VolRouterConfig {
             slabs,
             halo_layers,
             encoding: dpm_serve::wire::PayloadEncoding::Binary,
         },
-        primaries.clone(),
+        primaries,
     );
-    let t0 = Instant::now();
-    let exec_start = req.trace.map(|_| shared.spans.now_ns());
-    let reply = router.route(req);
-    let service_ns = t0.elapsed().as_nanos() as u64;
-    let reply = match reply {
-        Ok(reply) => reply,
-        Err(err) => {
-            // Exact volumetric stitching cannot degrade: a failed slab
-            // fails the job. Shape errors are the client's fault; a
-            // dead backend is ours.
-            let code = match &err {
-                VolRouteError::Backend { .. } => ErrorCode::Internal,
-                VolRouteError::NotVolumetric
-                | VolRouteError::NotGlobal
-                | VolRouteError::SpectralUnsupported => ErrorCode::InvalidConfig,
-                VolRouteError::BadExtension(_) => ErrorCode::Malformed,
-            };
-            if let VolRouteError::Backend { slab, .. } = &err {
-                // Slab `i` ran on backend `i % primaries.len()`.
-                shared.metrics.failovers.inc();
-                let backend = primaries[slab % primaries.len()];
-                registry.lock().unwrap().report_failure(backend);
-            }
-            return Err(ErrorReply {
-                id: req.id,
-                code,
-                steps: 0,
-                rounds: 0,
-                message: err.to_string(),
-            });
-        }
+    let err = match router.route(req) {
+        Ok(reply) => return Ok(reply.response),
+        Err(err) => err,
     };
-    let mut resp = reply.response;
-    resp.id = req.id;
-    resp.service_ns = service_ns;
-    if let (Some(start), Some(ctx)) = (exec_start, req.trace) {
-        shared
-            .spans
-            .record_traced("ctl.execute", start, shared.spans.now_ns(), ctx);
-        rebase_spans(&mut resp.spans, start);
-    }
-    Ok(resp)
+    // Exact volumetric stitching cannot degrade: a failed slab fails the
+    // job. Shape errors are the client's fault; a dead backend is ours.
+    let code = match &err {
+        VolRouteError::Backend { slab, .. } => {
+            shared.metrics.failovers.inc();
+            let backend = router.slab_backend(*slab);
+            registry.lock().unwrap().report_failure(backend);
+            ErrorCode::Internal
+        }
+        VolRouteError::NotVolumetric
+        | VolRouteError::NotGlobal
+        | VolRouteError::SpectralUnsupported => ErrorCode::InvalidConfig,
+        VolRouteError::BadExtension(_) => ErrorCode::Malformed,
+    };
+    Err(ErrorReply {
+        id: req.id,
+        code,
+        steps: 0,
+        rounds: 0,
+        message: err.to_string(),
+    })
 }

@@ -2,17 +2,19 @@
 //! bit-identical to a full resend (both solvers, in-process engine and
 //! over TCP), the NeedDesign handshake and LRU eviction behave
 //! deterministically over the wire, legacy v2 clients get v2 replies
-//! byte for byte, and a sharded control plane survives a dead backend
-//! via the registry's warm spare.
+//! byte for byte, a sharded control plane survives a dead backend via
+//! the registry's warm spare, and in-process execution is the same
+//! executor a `dpm-serve` worker runs — volumetric jobs included.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::Duration;
 
-use dpm_diffusion::{DiffusionConfig, SolverKind};
-use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec};
+use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
+use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec, VolCircuitSpec};
 use dpm_serve::wire::{
-    design_hash, encode_request, encode_response, write_frame_versioned, FrameKind, JobKind,
-    JobRequest, PayloadEncoding,
+    design_hash, encode_request, encode_response, read_frame, write_frame_versioned, ErrorCode,
+    FrameKind, JobKind, JobRequest, PayloadEncoding, VolRequestExt, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
     execute_job, DeltaJobRequest, DeltaReply, EcoDelta, Reply, ServeClient, ServeConfig, Server,
@@ -394,5 +396,178 @@ fn hundreds_of_idle_connections_do_not_starve_a_request() {
         .expect("read stats")
         .expect("stats frame");
     assert_eq!(frame.kind, FrameKind::Stats);
+    ctl.shutdown();
+}
+
+/// Runs a full-stack volumetric job through a control plane in `exec`
+/// mode and checks the reply against a direct 3D engine run.
+fn assert_volumetric_job_runs_in_process(exec: ExecMode) {
+    let bench = VolCircuitSpec::with_size("ctl_e2e_vol", 3, 150, 17)
+        .with_hotspot(1)
+        .generate();
+    let config = DiffusionConfig::default();
+    let mut direct = bench.placement.clone();
+    let result = VolumetricDiffusion::new(config.clone(), bench.layers()).run(
+        &bench.netlist,
+        &bench.die,
+        &mut direct,
+    );
+    assert!(result.steps > 0, "workload must do real work");
+
+    let ctl = CtlServer::start(CtlConfig {
+        exec,
+        ..one_tenant_cfg()
+    })
+    .expect("ctl starts");
+    let req = JobRequest {
+        id: 9,
+        deadline_ms: 0,
+        progress_stride: 0,
+        kind: JobKind::Global,
+        design: "ctl_e2e_vol".into(),
+        config,
+        netlist: bench.netlist.clone(),
+        die: bench.die.clone(),
+        placement: bench.placement.xy.clone(),
+        vol: Some(VolRequestExt {
+            nz: bench.layers() as u32,
+            z0: 0,
+            global_nz: bench.layers() as u32,
+            exact_steps: None,
+            z: bench.placement.z.clone(),
+            field: None,
+        }),
+        trace: None,
+    };
+    let reply = ServeClient::connect(ctl.local_addr())
+        .expect("connect")
+        .request(&req, PayloadEncoding::Binary)
+        .expect("request");
+    ctl.shutdown();
+    let Reply::Ok(resp) = reply else {
+        panic!("volumetric job rejected: {reply:?}");
+    };
+    assert_eq!(resp.steps, result.steps as u64);
+    assert_eq!(resp.positions, direct.xy.as_slice().to_vec());
+    let ext = resp.vol.expect("the reply keeps the tier axis");
+    assert_eq!(ext.z, direct.z);
+    assert!(
+        ext.field.is_none(),
+        "field not shipped in, must not ship out"
+    );
+}
+
+#[test]
+fn in_process_ctl_runs_volumetric_jobs_on_the_3d_engine() {
+    assert_volumetric_job_runs_in_process(ExecMode::InProcess);
+}
+
+#[test]
+fn sharded_ctl_runs_volumetric_jobs_in_process() {
+    // The planar shard router has no tier axis; a volumetric job must
+    // not be flattened through it.
+    assert_volumetric_job_runs_in_process(ExecMode::Sharded {
+        shards: 2,
+        halo_bins: 2,
+        max_halo_rounds: 4,
+        registry: BackendRegistry::new(vec![ShardBackend::InProcess], vec![]),
+    });
+}
+
+#[test]
+fn ctl_and_server_run_one_executor() {
+    // The same planar job through a dpm-serve worker and through the
+    // control plane's in-process mode: bit-identical placement and
+    // movement, global and local, traced and untraced.
+    let mut b = bench(160, 113);
+    b.inflate(&InflationSpec::centered(0.3, 0.25, 113));
+    let config = DiffusionConfig::default();
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
+    for kind in [JobKind::Global, JobKind::Local] {
+        for traced in [false, true] {
+            let run = |addr| {
+                let mut client = ServeClient::connect(addr).expect("connect");
+                let mut req = full_request(&b, 21, kind, &config);
+                if traced {
+                    client = client.with_tracing(0x0E7E_C070);
+                    client.begin_trace(&mut req).expect("tracing armed");
+                }
+                match client.request(&req, PayloadEncoding::Binary) {
+                    Ok(Reply::Ok(resp)) => (resp, client.take_trace_spans()),
+                    other => panic!("{kind:?} traced={traced} failed: {other:?}"),
+                }
+            };
+            let ((served, served_spans), (ctld, ctl_spans)) =
+                (run(server.local_addr()), run(ctl.local_addr()));
+            let what = format!("{kind:?}, traced={traced}");
+            assert_eq!(served.positions, ctld.positions, "{what}");
+            assert_eq!(served.steps, ctld.steps, "{what}");
+            assert_eq!(served.rounds, ctld.rounds, "{what}");
+            assert_eq!(
+                served.total_movement.to_bits(),
+                ctld.total_movement.to_bits(),
+                "{what}"
+            );
+            assert_eq!(
+                served.max_movement.to_bits(),
+                ctld.max_movement.to_bits(),
+                "{what}"
+            );
+            // One executor, one job span: traced runs export the same
+            // `job.*` span with the kernel spans, whichever front-end ran
+            // them.
+            let job_span = match kind {
+                JobKind::Global => "job.global",
+                JobKind::Local => "job.local",
+            };
+            for spans in [&served_spans, &ctl_spans] {
+                let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+                let jobs = names.iter().filter(|&&n| n == job_span).count();
+                assert_eq!(jobs, usize::from(traced), "{what}: {names:?}");
+                assert_eq!(
+                    spans.iter().any(|s| s.name.starts_with("kernel.")),
+                    traced,
+                    "{what}: kernel spans iff traced"
+                );
+            }
+        }
+    }
+    ctl.shutdown();
+    server.shutdown();
+}
+
+#[test]
+fn non_finite_request_is_rejected_and_the_worker_keeps_serving() {
+    let config = DiffusionConfig::default();
+    let b = bench(120, 127);
+    let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
+    let mut stream = TcpStream::connect(ctl.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut send = |req: &JobRequest| {
+        let payload = encode_request(req, PayloadEncoding::Binary);
+        write_frame_versioned(&mut stream, 3, FrameKind::Request, &payload).expect("send");
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+            .expect("an answer before the timeout")
+            .expect("connection open");
+        Reply::from_frame(&frame).expect("decodes")
+    };
+
+    let mut poisoned = full_request(&b, 1, JobKind::Local, &config);
+    let cell = b.netlist.movable_cell_ids().next().expect("a movable cell");
+    poisoned
+        .placement
+        .set(cell, dpm_geom::Point::new(f64::NAN, 1.0));
+    match send(&poisoned) {
+        Reply::Rejected(e) => assert_eq!(e.code, ErrorCode::Malformed, "{}", e.message),
+        Reply::Ok(_) => panic!("a NaN position must not migrate"),
+    }
+    // The one worker is still alive and serves the next job.
+    assert!(matches!(
+        send(&full_request(&b, 2, JobKind::Local, &config)),
+        Reply::Ok(resp) if resp.id == 2
+    ));
     ctl.shutdown();
 }

@@ -91,7 +91,7 @@ pub mod zslab;
 
 pub use client::{DeltaReply, ServeClient};
 pub use delta::{CellMove, CellResize, DeltaError, DeltaJobRequest, EcoDelta, NewCell};
-pub use server::{execute_job, ServeConfig, ServeStats, Server};
+pub use server::{execute_job, execute_request, ServeConfig, ServeStats, Server};
 pub use shard::{
     ShardBackend, ShardFailover, ShardOutcome, ShardReply, ShardRouter, ShardRouterConfig,
 };

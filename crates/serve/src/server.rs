@@ -10,10 +10,11 @@
 //!    queue answers [`ErrorCode::Overloaded`] at once (explicit
 //!    backpressure; the server never buffers without bound).
 //! 3. A worker pops the job, checks the deadline (queue wait counts
-//!    against it), and runs global or local diffusion with a
-//!    cancellation hook that compares `Instant::now()` against the
-//!    deadline between diffusion steps. When the request asked for a
-//!    progress stride, a [`DiffusionObserver`] on the run streams
+//!    against it), and hands it to [`execute_request`] — the one
+//!    executor the control plane and the routers' in-process backends
+//!    share — with a cancellation hook that compares `Instant::now()`
+//!    against the deadline between diffusion steps. When the request
+//!    asked for a progress stride, a [`DiffusionObserver`] on the run streams
 //!    [`ProgressUpdate`] frames back through the connection thread
 //!    every `progress_stride` steps — the observer only reads post-step
 //!    state, so streaming never changes the result.
@@ -42,7 +43,7 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::panic::AssertUnwindSafe;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -78,6 +79,11 @@ const SPAN_CAPACITY: usize = 256;
 /// generator, so sibling jobs under one client connection mint distinct
 /// id streams even though each inherits ids from the same root context.
 const TRACE_SEED_SALT: u64 = 0x5E7E_D0C5_B10B_5EED;
+
+/// Salt for the job span [`execute_request`] mints under the request's
+/// trace context; distinct from [`TRACE_SEED_SALT`] so the job span and
+/// the server's queue-wait span never share an id.
+const JOB_SEED_SALT: u64 = 0x10B5_7A7E_C0DE_D00D;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -639,26 +645,20 @@ fn kind_name(kind: JobKind) -> &'static str {
 /// Why a volumetric extension cannot run, or `None` if it can. Checked
 /// before the engine because the core runner asserts on these instead of
 /// erroring.
-fn vol_rejection(
-    v: &VolRequestExt,
-    kind: JobKind,
-    config: &DiffusionConfig,
-    netlist: &dpm_netlist::Netlist,
-    die: &dpm_place::Die,
-) -> Option<&'static str> {
-    if !matches!(kind, JobKind::Global) {
+fn vol_rejection(v: &VolRequestExt, req: &JobRequest) -> Option<&'static str> {
+    if !matches!(req.kind, JobKind::Global) {
         return Some("volumetric jobs run global diffusion only");
     }
-    if v.z.len() != netlist.num_cells() {
+    if v.z.len() != req.netlist.num_cells() {
         return Some("vol.z does not cover the netlist");
     }
-    if matches!(config.solver, SolverKind::Spectral)
+    if matches!(req.config.solver, SolverKind::Spectral)
         && (v.exact_steps.is_some() || v.field.is_some())
     {
         return Some("halo-exchange volumetric sub-jobs are FTCS-only");
     }
     if let Some(field) = &v.field {
-        let bins = BinGrid::new(die.outline(), config.bin_size).len();
+        let bins = BinGrid::new(req.die.outline(), req.config.bin_size).len();
         if field.len() != bins * v.nz as usize {
             return Some("vol.field does not match the job region");
         }
@@ -666,29 +666,29 @@ fn vol_rejection(
     None
 }
 
-/// The observer that turns diffusion steps into [`WorkerMsg::Progress`]
-/// messages every `stride` steps. It accumulates cumulative movement
-/// from the per-step records and never touches the run's state.
-struct ProgressEmitter<'a> {
+/// The observer that hands a [`ProgressUpdate`] to a sink every `stride`
+/// steps. It accumulates cumulative movement from the per-step records
+/// and never touches the run's state.
+struct ProgressObserver<'a> {
     id: u64,
     stride: u64,
     movement: f64,
-    tx: &'a mpsc::Sender<WorkerMsg>,
+    sink: &'a mut dyn FnMut(&ProgressUpdate),
 }
 
-impl DiffusionObserver for ProgressEmitter<'_> {
+impl DiffusionObserver for ProgressObserver<'_> {
     fn on_step(&mut self, event: &StepEvent<'_>) {
         self.movement += event.record.movement;
         let completed = event.record.step as u64 + 1;
         if completed.is_multiple_of(self.stride) {
-            let _ = self.tx.send(WorkerMsg::Progress(ProgressUpdate {
+            (self.sink)(&ProgressUpdate {
                 id: self.id,
                 step: completed,
                 round: event.round as u64,
                 overflow: event.record.computed_overflow,
                 movement: self.movement,
                 max_density: event.record.max_density,
-            }));
+            });
         }
     }
 }
@@ -700,301 +700,269 @@ fn worker_loop(shared: Arc<Shared>) {
         shared.metrics.queue_hist.record_duration(queue_elapsed);
         shared.metrics.started.inc();
         let Job {
-            req,
+            mut req,
             deadline,
             reply_tx,
             ..
         } = job;
-        let JobRequest {
-            id,
-            progress_stride,
-            kind,
-            design,
-            mut config,
-            netlist,
-            die,
-            placement,
-            vol,
-            trace,
-            ..
-        } = req;
-        let trace_id = trace.map_or(0, |t| t.trace_id);
-        let kind_str = kind_name(kind);
-        let cells = netlist.num_cells();
-        config.threads = config.threads.clamp(1, shared.job_threads);
+        req.config.threads = req.config.threads.clamp(1, shared.job_threads);
+        let trace_id = req.trace.map_or(0, |t| t.trace_id);
+        let mut record = RequestRecord {
+            id: req.id,
+            kind: kind_name(req.kind),
+            design: req.design.clone(),
+            cells: req.netlist.num_cells(),
+            queue_ns,
+            trace_id,
+            ..Default::default()
+        };
 
         // Queue wait counts against the deadline.
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            shared.metrics.deadline_expired.inc();
-            shared.log.write(&RequestRecord {
-                id,
-                outcome: ErrorCode::DeadlineExpired.as_str(),
-                kind: kind_str,
-                design,
-                cells,
-                queue_ns,
-                trace_id,
-                ..Default::default()
-            });
-            let _ = reply_tx.send(WorkerMsg::Done(rejection(
-                id,
-                ErrorCode::DeadlineExpired,
-                "deadline expired while queued",
-            )));
-            continue;
-        }
-
-        // The volumetric extension is validated here rather than deep in
-        // the engine: the core runner asserts on mismatched sizes, and a
-        // malformed-but-well-framed request must reject, not panic.
-        if let Some(msg) = vol
-            .as_ref()
-            .and_then(|v| vol_rejection(v, kind, &config, &netlist, &die))
-        {
-            shared.metrics.invalid_config.inc();
-            shared.log.write(&RequestRecord {
-                id,
-                outcome: ErrorCode::InvalidConfig.as_str(),
-                kind: kind_str,
-                design,
-                cells,
-                queue_ns,
-                trace_id,
-                ..Default::default()
-            });
-            let _ = reply_tx.send(WorkerMsg::Done(rejection(
-                id,
-                ErrorCode::InvalidConfig,
-                msg,
-            )));
-            continue;
-        }
-
-        // Distributed tracing: mint deterministic child contexts under
-        // the inherited span — the queue wait (recorded retroactively,
-        // its interval already elapsed) and the job span the kernel
-        // bridge hangs off. Untraced requests skip all of it.
-        let job_ctx = trace.map(|ctx| {
-            let mut ids = TraceIdGen::seeded(ctx.span_id ^ TRACE_SEED_SALT);
-            let queue_ctx = ids.child_of(&ctx);
-            let now = shared.spans.now_ns();
-            shared
-                .spans
-                .record_traced("queue.wait", now.saturating_sub(queue_ns), now, queue_ctx);
-            ids.child_of(&ctx)
-        });
-
-        let before = placement.clone();
-        let mut after = placement;
-        let t0 = Instant::now();
-        let should_stop = move || deadline.is_some_and(|d| Instant::now() >= d);
-        let span_name = match (kind, &vol) {
-            (_, Some(_)) => "job.volumetric",
-            (JobKind::Global, None) => "job.global",
-            (JobKind::Local, None) => "job.local",
-        };
-        let span = match job_ctx {
-            Some(ctx) => shared.spans.start_traced(span_name, ctx),
-            None => shared.spans.start(span_name),
-        };
-        let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(v) = &vol {
-                let spec = VolJobSpec {
-                    nz: v.nz as usize,
-                    z0: v.z0 as usize,
-                    global_nz: v.global_nz as usize,
-                    field: v.field.clone(),
-                    exact_steps: v.exact_steps.map(|s| s as usize),
-                };
-                let mut vp = VolPlacement {
-                    xy: after.clone(),
-                    z: v.z.clone(),
-                };
-                let runner = VolumetricDiffusion::new(config.clone(), v.global_nz as usize);
-                let r = match job_ctx {
-                    Some(ctx) => {
-                        let mut bridge = SpanObserver::new(&shared.spans, ctx, ctx.span_id);
-                        runner.run_job_observed(
-                            &spec,
-                            &netlist,
-                            &die,
-                            &mut vp,
-                            &should_stop,
-                            &mut bridge,
-                        )
-                    }
-                    None => runner.run_job(&spec, &netlist, &die, &mut vp, &should_stop),
-                };
-                after = vp.xy;
-                // The evolved field travels back only on field-shipping
-                // (router sub-job) requests — direct volumetric clients
-                // don't pay for a region they never look at.
-                let field = v.field.is_some().then_some(r.field);
-                let ext = VolResponseExt { z: vp.z, field };
-                (
-                    DiffusionResult {
-                        steps: r.steps,
-                        rounds: 1,
-                        converged: r.converged,
-                        cancelled: r.cancelled,
-                        telemetry: r.telemetry,
-                    },
-                    Some(ext),
-                )
-            } else {
-                // Progress streaming and tracing compose: the span
-                // bridge forwards every event to the chained emitter.
-                let mut emitter = (progress_stride > 0).then(|| ProgressEmitter {
-                    id,
-                    stride: u64::from(progress_stride),
-                    movement: 0.0,
-                    tx: &reply_tx,
-                });
-                let result = match (job_ctx, emitter.as_mut()) {
-                    (Some(ctx), Some(emitter)) => {
-                        let mut bridge =
-                            SpanObserver::new(&shared.spans, ctx, ctx.span_id).with_inner(emitter);
-                        execute_job(
-                            kind,
-                            &config,
-                            &netlist,
-                            &die,
-                            &mut after,
-                            &should_stop,
-                            &mut bridge,
-                        )
-                    }
-                    (Some(ctx), None) => {
-                        let mut bridge = SpanObserver::new(&shared.spans, ctx, ctx.span_id);
-                        execute_job(
-                            kind,
-                            &config,
-                            &netlist,
-                            &die,
-                            &mut after,
-                            &should_stop,
-                            &mut bridge,
-                        )
-                    }
-                    (None, Some(emitter)) => execute_job(
-                        kind,
-                        &config,
-                        &netlist,
-                        &die,
-                        &mut after,
-                        &should_stop,
-                        emitter,
-                    ),
-                    (None, None) => execute_job(
-                        kind,
-                        &config,
-                        &netlist,
-                        &die,
-                        &mut after,
-                        &should_stop,
-                        &mut NoopObserver,
-                    ),
-                };
-                (result, None)
+        let outcome = if deadline.is_some_and(|d| Instant::now() >= d) {
+            Err(ErrorReply {
+                id: req.id,
+                code: ErrorCode::DeadlineExpired,
+                steps: 0,
+                rounds: 0,
+                message: "deadline expired while queued".into(),
+            })
+        } else {
+            // The queue wait is recorded retroactively under the
+            // inherited span; the executor hangs the job span beside it.
+            if let Some(ctx) = req.trace {
+                let queue_ctx = TraceIdGen::seeded(ctx.span_id ^ TRACE_SEED_SALT).child_of(&ctx);
+                let now = shared.spans.now_ns();
+                shared.spans.record_traced(
+                    "queue.wait",
+                    now.saturating_sub(queue_ns),
+                    now,
+                    queue_ctx,
+                );
             }
-        }));
-        span.finish();
-        let service_elapsed = t0.elapsed();
-        let service_ns = service_elapsed.as_nanos() as u64;
-        shared.metrics.service_hist.record_duration(service_elapsed);
+            let t0 = Instant::now();
+            let mut sink = |p: &ProgressUpdate| {
+                let _ = reply_tx.send(WorkerMsg::Progress(*p));
+            };
+            let outcome = execute_request(&req, deadline, Some(&mut sink), Some(&shared.spans));
+            let service_elapsed = t0.elapsed();
+            record.service_ns = service_elapsed.as_nanos() as u64;
+            shared.metrics.service_hist.record_duration(service_elapsed);
+            outcome
+        };
 
-        let reply = match run {
-            Err(_) => {
-                shared.metrics.internal_errors.inc();
-                shared.log.write(&RequestRecord {
-                    id,
-                    outcome: ErrorCode::Internal.as_str(),
-                    kind: kind_str,
-                    design,
-                    cells,
-                    queue_ns,
-                    service_ns,
-                    trace_id,
-                    ..Default::default()
-                });
-                rejection(id, ErrorCode::Internal, "diffusion engine panicked")
-            }
-            Ok((result, vol_ext)) => {
+        let reply = match outcome {
+            Ok((mut resp, kernels)) => {
                 shared
                     .metrics
                     .kernels
                     .lock()
                     .expect("kernel timers poisoned")
-                    .merge(result.telemetry.kernels());
-                let movement = MovementStats::between(&netlist, &before, &after);
-                let record = RequestRecord {
-                    id,
-                    outcome: if result.cancelled {
-                        ErrorCode::DeadlineExpired.as_str()
-                    } else {
-                        "ok"
-                    },
-                    kind: kind_str,
-                    design,
-                    cells,
-                    queue_ns,
-                    service_ns,
-                    steps: result.steps as u64,
-                    rounds: result.rounds as u64,
-                    converged: result.converged,
-                    movement_total: movement.total,
-                    movement_max: movement.max,
-                    trace_id,
-                };
-                shared.log.write(&record);
-                if result.cancelled {
-                    shared.metrics.deadline_expired.inc();
-                    Reply::Rejected(ErrorReply {
-                        id,
-                        code: ErrorCode::DeadlineExpired,
-                        steps: result.steps as u64,
-                        rounds: result.rounds as u64,
-                        message: "deadline expired mid-diffusion; placement progress discarded"
-                            .into(),
-                    })
-                } else {
-                    shared.metrics.served.inc();
-                    // Export this job's spans back to the caller: drain
-                    // them from the ring (they now live in the reply,
-                    // not the local diagnostics view) and normalize so
-                    // the receiver can re-base under its dispatch span.
-                    let spans = if trace_id != 0 {
-                        let mut s = shared.spans.drain_trace(trace_id);
-                        normalize_spans(&mut s);
-                        s
-                    } else {
-                        Vec::new()
-                    };
-                    Reply::Ok(JobResponse {
-                        id,
-                        converged: result.converged,
-                        steps: result.steps as u64,
-                        rounds: result.rounds as u64,
-                        total_movement: movement.total,
-                        max_movement: movement.max,
-                        queue_ns,
-                        service_ns,
-                        positions: after.as_slice().to_vec(),
-                        vol: vol_ext,
-                        spans,
-                    })
+                    .merge(&kernels);
+                shared.metrics.served.inc();
+                record.outcome = "ok";
+                record.steps = resp.steps;
+                record.rounds = resp.rounds;
+                record.converged = resp.converged;
+                record.movement_total = resp.total_movement;
+                record.movement_max = resp.max_movement;
+                resp.queue_ns = queue_ns;
+                // Export this job's spans back to the caller: drain them
+                // from the ring (they now live in the reply, not the
+                // local diagnostics view) and normalize so the receiver
+                // can re-base under its dispatch span.
+                if trace_id != 0 {
+                    resp.spans = shared.spans.drain_trace(trace_id);
+                    normalize_spans(&mut resp.spans);
                 }
+                Reply::Ok(resp)
+            }
+            Err(err) => {
+                match err.code {
+                    ErrorCode::DeadlineExpired => shared.metrics.deadline_expired.inc(),
+                    ErrorCode::InvalidConfig => shared.metrics.invalid_config.inc(),
+                    _ => shared.metrics.internal_errors.inc(),
+                }
+                record.outcome = err.code.as_str();
+                record.steps = err.steps;
+                record.rounds = err.rounds;
+                Reply::Rejected(err)
             }
         };
+        shared.log.write(&record);
         let _ = reply_tx.send(WorkerMsg::Done(reply));
     }
 }
 
-/// Runs one migration job on the calling thread: the exact execution
-/// path a [`Server`] worker uses, exported so other front-ends (the
-/// `dpm-ctl` control plane) share it. Dispatches on [`JobKind`],
-/// threads the cancellation hook and observer through the engine, and
-/// leaves the legalized positions in `placement`.
+/// Runs one [`JobRequest`] on the calling thread: the single execution
+/// path behind [`Server`] workers, the `dpm-ctl` control plane, and the
+/// in-process backends of [`ShardRouter`](crate::ShardRouter) and
+/// [`VolRouter`](crate::VolRouter), so an in-process run and a TCP
+/// backend differ only in transport.
+///
+/// - A volumetric extension is validated first (the core runner asserts
+///   instead of erroring; a bad one answers [`ErrorCode::InvalidConfig`])
+///   and runs through [`VolumetricDiffusion`]; planar requests run
+///   through [`execute_job`].
+/// - `deadline` is polled between diffusion steps; a run it cuts short
+///   answers [`ErrorCode::DeadlineExpired`] with its partial step and
+///   round counts.
+/// - `progress` receives a [`ProgressUpdate`] every
+///   `req.progress_stride` steps (never, for a zero stride).
+/// - `spans` receives a `job.{global,local,volumetric}` span. When the
+///   request carries a trace context the span is its child and the
+///   per-kernel spans hang under it.
+/// - An engine panic is contained and answers [`ErrorCode::Internal`].
+///
+/// The response reports movement over the movable cells, returns the
+/// evolved field only to requests that shipped one in, and carries no
+/// queue time and no spans: queueing and span export belong to the
+/// caller. The run's kernel timers come back beside it.
+///
+/// # Errors
+///
+/// The [`ErrorReply`] the request should be answered with.
+pub fn execute_request(
+    req: &JobRequest,
+    deadline: Option<Instant>,
+    progress: Option<&mut dyn FnMut(&ProgressUpdate)>,
+    spans: Option<&SpanRecorder>,
+) -> Result<(JobResponse, KernelTimers), ErrorReply> {
+    let reject = |code, steps, rounds, message: &str| ErrorReply {
+        id: req.id,
+        code,
+        steps,
+        rounds,
+        message: message.into(),
+    };
+    if let Some(msg) = req.vol.as_ref().and_then(|v| vol_rejection(v, req)) {
+        return Err(reject(ErrorCode::InvalidConfig, 0, 0, msg));
+    }
+    let t0 = Instant::now();
+    let should_stop = move || deadline.is_some_and(|d| Instant::now() >= d);
+
+    // Observers compose: the span bridge forwards every event to the
+    // progress observer, which is a no-op without a sink or a stride.
+    let mut progress = progress
+        .filter(|_| req.progress_stride > 0)
+        .map(|sink| ProgressObserver {
+            id: req.id,
+            stride: u64::from(req.progress_stride),
+            movement: 0.0,
+            sink,
+        });
+    let mut noop = NoopObserver;
+    let inner: &mut dyn DiffusionObserver = match progress.as_mut() {
+        Some(p) => p,
+        None => &mut noop,
+    };
+    let job_ctx = req
+        .trace
+        .map(|ctx| TraceIdGen::seeded(ctx.span_id ^ JOB_SEED_SALT).child_of(&ctx));
+    let mut bridge;
+    let observer: &mut dyn DiffusionObserver = match (spans, job_ctx) {
+        (Some(recorder), Some(ctx)) => {
+            bridge = SpanObserver::new(recorder, ctx, ctx.span_id).with_inner(inner);
+            &mut bridge
+        }
+        _ => inner,
+    };
+    let span_name = match (req.kind, &req.vol) {
+        (_, Some(_)) => "job.volumetric",
+        (JobKind::Global, None) => "job.global",
+        (JobKind::Local, None) => "job.local",
+    };
+    let span = spans.map(|recorder| match job_ctx {
+        Some(ctx) => recorder.start_traced(span_name, ctx),
+        None => recorder.start(span_name),
+    });
+
+    let run = catch_unwind(AssertUnwindSafe(|| match &req.vol {
+        Some(v) => {
+            let spec = VolJobSpec {
+                nz: v.nz as usize,
+                z0: v.z0 as usize,
+                global_nz: v.global_nz as usize,
+                field: v.field.clone(),
+                exact_steps: v.exact_steps.map(|s| s as usize),
+            };
+            let mut vp = VolPlacement {
+                xy: req.placement.clone(),
+                z: v.z.clone(),
+            };
+            let r = VolumetricDiffusion::new(req.config.clone(), v.global_nz as usize)
+                .run_job_observed(
+                    &spec,
+                    &req.netlist,
+                    &req.die,
+                    &mut vp,
+                    &should_stop,
+                    observer,
+                );
+            let result = DiffusionResult {
+                steps: r.steps,
+                rounds: 1,
+                converged: r.converged,
+                cancelled: r.cancelled,
+                telemetry: r.telemetry,
+            };
+            let field = v.field.is_some().then_some(r.field);
+            (result, vp.xy, Some(VolResponseExt { z: vp.z, field }))
+        }
+        None => {
+            let mut after = req.placement.clone();
+            let result = execute_job(
+                req.kind,
+                &req.config,
+                &req.netlist,
+                &req.die,
+                &mut after,
+                &should_stop,
+                observer,
+            );
+            (result, after, None)
+        }
+    }));
+    drop(span);
+
+    let Ok((result, after, vol)) = run else {
+        return Err(reject(
+            ErrorCode::Internal,
+            0,
+            0,
+            "diffusion engine panicked",
+        ));
+    };
+    let (steps, rounds) = (result.steps as u64, result.rounds as u64);
+    if result.cancelled {
+        return Err(reject(
+            ErrorCode::DeadlineExpired,
+            steps,
+            rounds,
+            "deadline expired mid-diffusion; placement progress discarded",
+        ));
+    }
+    let movement = MovementStats::between(&req.netlist, &req.placement, &after);
+    let response = JobResponse {
+        id: req.id,
+        converged: result.converged,
+        steps,
+        rounds,
+        total_movement: movement.total,
+        max_movement: movement.max,
+        queue_ns: 0,
+        service_ns: t0.elapsed().as_nanos() as u64,
+        positions: after.as_slice().to_vec(),
+        vol,
+        spans: Vec::new(),
+    };
+    Ok((response, *result.telemetry.kernels()))
+}
+
+/// Runs one planar migration job on the calling thread: dispatches on
+/// [`JobKind`], threads the cancellation hook and observer through the
+/// engine, and leaves the legalized positions in `placement`. This is
+/// the engine step of [`execute_request`], which wraps it with deadline,
+/// progress, tracing, panic containment and the response.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_job(
     kind: JobKind,
@@ -1020,5 +988,52 @@ pub fn execute_job(
             should_stop,
             observer,
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpm_place::Placement;
+
+    fn request(kind: JobKind) -> JobRequest {
+        let mut bench = dpm_gen::CircuitSpec::with_size("executor", 120, 5).generate();
+        bench.inflate(&dpm_gen::InflationSpec::centered(0.2, 0.3, 9));
+        JobRequest {
+            id: 3,
+            deadline_ms: 0,
+            progress_stride: 0,
+            kind,
+            design: "executor".into(),
+            config: DiffusionConfig::default(),
+            netlist: bench.netlist,
+            die: bench.die,
+            placement: bench.placement,
+            vol: None,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn engine_panic_is_an_internal_error_not_an_unwind() {
+        // Built in process, so the wire never checks it: a placement
+        // that does not cover the netlist trips an engine assertion in
+        // every build profile.
+        for kind in [JobKind::Global, JobKind::Local] {
+            let mut req = request(kind);
+            req.placement = Placement::new(req.netlist.num_cells() - 1);
+            let err = execute_request(&req, None, None, None).expect_err("cannot migrate");
+            assert_eq!(err.code, ErrorCode::Internal, "{kind:?}: {}", err.message);
+            assert_eq!(err.id, req.id);
+        }
+    }
+
+    #[test]
+    fn expired_deadline_reports_partial_progress() {
+        let req = request(JobKind::Local);
+        let err = execute_request(&req, Some(Instant::now()), None, None)
+            .expect_err("an expired deadline cancels the run");
+        assert_eq!(err.code, ErrorCode::DeadlineExpired);
+        assert_eq!(err.steps, 0, "cancellation is polled before the first step");
     }
 }

@@ -40,13 +40,9 @@
 //! the `dpm-obs` histogram snapshot merge.
 
 use std::net::SocketAddr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use dpm_diffusion::{
-    stitch_positions, DiffusionResult, GlobalDiffusion, KernelTimers, LocalDiffusion,
-    ShardPartition, ShardProblem,
-};
+use dpm_diffusion::{stitch_positions, KernelTimers, ShardPartition, ShardProblem};
 use dpm_geom::{Point, Rect};
 use dpm_obs::{
     normalize_spans, rebase_spans, Histogram, HistogramSnapshot, SpanRecord, SpanRecorder,
@@ -54,8 +50,8 @@ use dpm_obs::{
 };
 use dpm_place::{DensityMap, MovementStats, Placement};
 
-use crate::wire::{JobKind, JobRequest, JobResponse, PayloadEncoding, Reply};
-use crate::ServeClient;
+use crate::wire::{ErrorReply, JobRequest, JobResponse, PayloadEncoding, ProgressUpdate, Reply};
+use crate::{execute_request, ServeClient};
 
 /// Salt mixed into the inherited span id when seeding the router's
 /// span-id generator, distinct from the server's salt so a router and a
@@ -69,8 +65,8 @@ const ROUTE_SPAN_CAPACITY: usize = 256;
 /// Where one shard's sub-problems run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardBackend {
-    /// Run the diffusion engine on a thread inside the router's
-    /// process.
+    /// Run the sub-problem on a thread inside the router's process,
+    /// through the same [`execute_request`] a server worker runs.
     InProcess,
     /// Send the sub-problem to a [`Server`](crate::Server) at this
     /// address through a [`ServeClient`].
@@ -161,8 +157,8 @@ pub struct ShardReply {
     /// Measured global max bin density before round 1 and after every
     /// *accepted* round; non-increasing by construction for K > 1.
     pub max_density_trace: Vec<f64>,
-    /// Progress frames streamed by TCP backends (0 for in-process
-    /// backends, which run unobserved).
+    /// Progress frames the shard backends streamed, in-process and TCP
+    /// alike (0 unless the request asked for a progress stride).
     pub progress_frames: u64,
     /// Kernel timers merged across every in-process shard run via
     /// [`KernelTimers::merge`]. TCP backends report timings through
@@ -558,11 +554,9 @@ impl ShardRouter {
 /// Runs one shard's sub-problem on its backend. Never panics: engine
 /// panics and transport failures degrade to `error`.
 ///
-/// When traced, the whole backend interaction becomes one
-/// `shard.dispatch` span under `trace`'s context, the sub-request
-/// inherits that context over the wire, and the backend's exported
-/// spans (normalized to start at 0) are re-based onto the dispatch
-/// span's local start — so remote clocks never enter the stitched tree.
+/// When traced, the sub-request inherits `trace`'s context and the whole
+/// backend interaction becomes one `shard.dispatch` span under it (see
+/// [`dispatch`]).
 fn run_shard(
     backend: ShardBackend,
     req: &JobRequest,
@@ -570,112 +564,102 @@ fn run_shard(
     encoding: PayloadEncoding,
     trace: Option<(&SpanRecorder, TraceContext)>,
 ) -> ShardRun {
-    let dispatch_start = trace.map(|(recorder, _)| recorder.now_ns());
-    let mut run = run_shard_inner(backend, req, problem, encoding, trace.map(|(_, ctx)| ctx));
-    if let (Some((recorder, ctx)), Some(start)) = (trace, dispatch_start) {
-        recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
-        rebase_spans(&mut run.spans, start);
+    let started = Instant::now();
+    let sub = JobRequest {
+        id: req.id,
+        deadline_ms: req.deadline_ms,
+        progress_stride: req.progress_stride,
+        kind: req.kind,
+        design: format!("{}/shard{}", req.design, problem.shard),
+        config: req.config.clone(),
+        netlist: problem.netlist.clone(),
+        die: problem.die.clone(),
+        placement: problem.placement.clone(),
+        vol: None,
+        trace: trace.map(|(_, ctx)| ctx),
+    };
+    let mut progress_frames = 0u64;
+    let reply = dispatch(
+        backend,
+        &sub,
+        encoding,
+        trace.map(|(recorder, _)| recorder),
+        &mut |_| progress_frames += 1,
+    );
+    let service_ns = started.elapsed().as_nanos() as u64;
+    match reply {
+        Ok((resp, _)) if resp.positions.len() != problem.cell_map.len() => {
+            let msg = format!(
+                "backend returned {} positions for {} cells",
+                resp.positions.len(),
+                problem.cell_map.len()
+            );
+            failed(problem, service_ns, msg)
+        }
+        Ok((resp, kernels)) => ShardRun {
+            positions: Some(resp.positions),
+            steps: resp.steps,
+            rounds: resp.rounds,
+            converged: resp.converged,
+            service_ns: resp.service_ns,
+            progress_frames,
+            kernels,
+            error: None,
+            spans: resp.spans,
+            problem,
+        },
+        Err(e) => failed(problem, service_ns, e),
     }
-    run
 }
 
-fn run_shard_inner(
+/// Runs one sub-request on a backend — in-process through
+/// [`execute_request`], or on a [`Server`](crate::Server) over TCP — and
+/// returns the response plus, for an in-process run, its kernel timers.
+/// Both backends honour the sub-request's deadline, stream its progress
+/// into `on_progress` and export its job span; every failure (transport,
+/// rejection, engine panic) becomes a message.
+///
+/// With a `recorder` and a traced sub-request, the interaction becomes
+/// one `shard.dispatch` span under the sub-request's context, and the
+/// backend's exported spans (normalized to start at 0) are re-based onto
+/// the dispatch span's local start — so remote clocks never enter the
+/// stitched tree. An in-process run records straight into `recorder`.
+pub(crate) fn dispatch(
     backend: ShardBackend,
-    req: &JobRequest,
-    problem: ShardProblem,
+    sub: &JobRequest,
     encoding: PayloadEncoding,
-    trace: Option<TraceContext>,
-) -> ShardRun {
-    let started = Instant::now();
-    match backend {
+    recorder: Option<&SpanRecorder>,
+    on_progress: &mut dyn FnMut(&ProgressUpdate),
+) -> Result<(JobResponse, Option<KernelTimers>), String> {
+    let start = recorder.map(SpanRecorder::now_ns);
+    let rejected = |e: ErrorReply| format!("{}: {}", e.code.as_str(), e.message);
+    let mut result = match backend {
         ShardBackend::InProcess => {
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut placement = problem.placement.clone();
-                let result: DiffusionResult = match req.kind {
-                    JobKind::Global => GlobalDiffusion::new(req.config.clone()).run(
-                        &problem.netlist,
-                        &problem.die,
-                        &mut placement,
-                    ),
-                    JobKind::Local => LocalDiffusion::new(req.config.clone()).run(
-                        &problem.netlist,
-                        &problem.die,
-                        &mut placement,
-                    ),
-                };
-                (placement, result)
-            }));
-            let service_ns = started.elapsed().as_nanos() as u64;
-            match outcome {
-                Ok((placement, result)) => ShardRun {
-                    positions: Some(placement.as_slice().to_vec()),
-                    steps: result.steps as u64,
-                    rounds: result.rounds as u64,
-                    converged: result.converged,
-                    service_ns,
-                    progress_frames: 0,
-                    kernels: Some(*result.telemetry.kernels()),
-                    error: None,
-                    spans: Vec::new(),
-                    problem,
-                },
-                Err(_) => failed(problem, service_ns, "shard engine panicked".into()),
-            }
+            let deadline = (sub.deadline_ms > 0)
+                .then(|| Instant::now() + Duration::from_millis(u64::from(sub.deadline_ms)));
+            execute_request(sub, deadline, Some(on_progress), recorder)
+                .map(|(resp, kernels)| (resp, Some(kernels)))
+                .map_err(rejected)
         }
-        ShardBackend::Tcp(addr) => {
-            let sub = JobRequest {
-                id: req.id,
-                deadline_ms: req.deadline_ms,
-                progress_stride: req.progress_stride,
-                kind: req.kind,
-                design: format!("{}/shard{}", req.design, problem.shard),
-                config: req.config.clone(),
-                netlist: problem.netlist.clone(),
-                die: problem.die.clone(),
-                placement: problem.placement.clone(),
-                vol: None,
-                trace,
-            };
-            let mut progress_frames = 0u64;
-            let reply = ServeClient::connect(addr)
-                .map_err(|e| format!("connect {addr}: {e}"))
-                .and_then(|mut client| {
-                    client
-                        .request_streaming(&sub, encoding, |_| progress_frames += 1)
-                        .map_err(|e| format!("transport: {e}"))
-                });
-            let service_ns = started.elapsed().as_nanos() as u64;
-            match reply {
-                Ok(Reply::Ok(resp)) => {
-                    if resp.positions.len() != problem.cell_map.len() {
-                        let msg = format!(
-                            "backend returned {} positions for {} cells",
-                            resp.positions.len(),
-                            problem.cell_map.len()
-                        );
-                        return failed(problem, service_ns, msg);
-                    }
-                    ShardRun {
-                        positions: Some(resp.positions),
-                        steps: resp.steps,
-                        rounds: resp.rounds,
-                        converged: resp.converged,
-                        service_ns: resp.service_ns,
-                        progress_frames,
-                        kernels: None,
-                        error: None,
-                        spans: resp.spans,
-                        problem,
-                    }
-                }
-                Ok(Reply::Rejected(e)) => {
-                    let msg = format!("{}: {}", e.code.as_str(), e.message);
-                    failed(problem, service_ns, msg)
-                }
-                Err(e) => failed(problem, service_ns, e),
-            }
+        ShardBackend::Tcp(addr) => ServeClient::connect(addr)
+            .map_err(|e| format!("connect {addr}: {e}"))
+            .and_then(|mut client| {
+                client
+                    .request_streaming(sub, encoding, on_progress)
+                    .map_err(|e| format!("transport: {e}"))
+            })
+            .and_then(|reply| match reply {
+                Reply::Ok(resp) => Ok((resp, None)),
+                Reply::Rejected(e) => Err(rejected(e)),
+            }),
+    };
+    if let (Some(recorder), Some(ctx), Some(start)) = (recorder, sub.trace, start) {
+        recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
+        if let Ok((resp, _)) = &mut result {
+            rebase_spans(&mut resp.spans, start);
         }
     }
+    result
 }
 
 fn failed(problem: ShardProblem, service_ns: u64, error: String) -> ShardRun {

@@ -487,6 +487,17 @@ impl<'a> Cur<'a> {
         Ok(f64::from_bits(self.u64(context)?))
     }
 
+    /// An `f64` that must be finite: design geometry and volumetric
+    /// arrays feed engines that assert on NaN and infinities.
+    fn finite_f64(&mut self, context: &'static str) -> Result<f64, WireError> {
+        let v = self.f64(context)?;
+        if v.is_finite() {
+            Ok(v)
+        } else {
+            Err(malformed(context, format!("non-finite value {v}")))
+        }
+    }
+
     pub(crate) fn str_(&mut self, context: &'static str) -> Result<String, WireError> {
         let len = self.u32(context)? as usize;
         // A string cannot be longer than the bytes that remain; this also
@@ -732,12 +743,12 @@ fn take_binary_design(cur: &mut Cur<'_>) -> Result<(Netlist, Die, Placement), Wi
     let mut positions = Vec::with_capacity(num_cells.min(1 << 20));
     for _ in 0..num_cells {
         let name = cur.str_("cell.name")?;
-        let w = cur.f64("cell.width")?;
-        let h = cur.f64("cell.height")?;
+        let w = cur.finite_f64("cell.width")?;
+        let h = cur.finite_f64("cell.height")?;
         let kind = cell_kind_from_u8(cur.u8("cell.kind")?)?;
-        let delay = cur.f64("cell.delay")?;
-        let x = cur.f64("cell.x")?;
-        let y = cur.f64("cell.y")?;
+        let delay = cur.finite_f64("cell.delay")?;
+        let x = cur.finite_f64("cell.x")?;
+        let y = cur.finite_f64("cell.y")?;
         b.add_cell_with_delay(name, w, h, kind, delay);
         positions.push(Point::new(x, y));
     }
@@ -760,8 +771,8 @@ fn take_binary_design(cur: &mut Cur<'_>) -> Result<(Netlist, Die, Placement), Wi
             } else {
                 PinDir::Input
             };
-            let ox = cur.f64("pin.ox")?;
-            let oy = cur.f64("pin.oy")?;
+            let ox = cur.finite_f64("pin.ox")?;
+            let oy = cur.finite_f64("pin.oy")?;
             b.connect(dpm_netlist::CellId::new(cell as u32), nid, dir, ox, oy);
         }
     }
@@ -992,13 +1003,13 @@ fn take_vol_request(cur: &mut Cur<'_>, flags: u8) -> Result<VolRequestExt, WireE
     let n = cur.u32("vol.z.count")? as usize;
     let mut z = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        z.push(cur.f64("vol.z")?);
+        z.push(cur.finite_f64("vol.z")?);
     }
     let field = if flags & 2 != 0 {
         let len = cur.u64("vol.field.len")? as usize;
         let mut field = Vec::with_capacity(len.min(1 << 20));
         for _ in 0..len {
-            field.push(cur.f64("vol.field")?);
+            field.push(cur.finite_f64("vol.field")?);
         }
         Some(field)
     } else {
@@ -2388,6 +2399,89 @@ mod tests {
             .expect("planar prefix decodes")
             .vol
             .is_none());
+
+        // Non-finite depths and field values are malformed: the engine
+        // asserts on them.
+        let depth = patch_f64(&payload, 1.5, f64::NAN);
+        assert!(matches!(
+            decode_request(&depth),
+            Err(WireError::Malformed {
+                context: "vol.z",
+                ..
+            })
+        ));
+        if let Some(v) = req.vol.as_mut() {
+            v.field = Some(vec![0.25, 0.625]);
+        }
+        let payload = encode_request(&req, PayloadEncoding::Binary);
+        let field = patch_f64(&payload, 0.625, f64::INFINITY);
+        assert!(matches!(
+            decode_request(&field),
+            Err(WireError::Malformed {
+                context: "vol.field",
+                ..
+            })
+        ));
+    }
+
+    /// Replaces the one little-endian occurrence of `sentinel` in
+    /// `payload` with `value`.
+    fn patch_f64(payload: &[u8], sentinel: f64, value: f64) -> Vec<u8> {
+        let needle = sentinel.to_bits().to_le_bytes();
+        let hits: Vec<usize> = payload
+            .windows(8)
+            .enumerate()
+            .filter(|(_, w)| *w == needle)
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(hits.len(), 1, "sentinel {sentinel} must be unique");
+        let mut out = payload.to_vec();
+        out[hits[0]..hits[0] + 8].copy_from_slice(&value.to_bits().to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn malformed_design_values_error_not_panic() {
+        // Distinct sentinels locate every per-cell and per-pin value the
+        // engines consume; each must arrive finite, in a request and in a
+        // design upload alike.
+        let mut b = NetlistBuilder::new();
+        let a = b.add_cell_with_delay("a", 4.125, 12.25, CellKind::Movable, 0.375);
+        let c = b.add_cell("c", 6.0, 12.0, CellKind::Movable);
+        let n = b.add_net("n1");
+        b.connect(a, n, PinDir::Output, 2.0625, 6.0625);
+        b.connect(c, n, PinDir::Input, 0.0, 6.0);
+        let mut req = tiny_request(JobKind::Local);
+        req.netlist = b.build().expect("valid");
+        req.placement = Placement::new(2);
+        req.placement.set(a, Point::new(10.875, 17.125));
+        req.placement.set(c, Point::new(30.0, 36.0));
+        let payload = encode_request(&req, PayloadEncoding::Binary);
+        let design = encode_design_bytes(&req.netlist, &req.die, &req.placement);
+        decode_request(&payload).expect("the unpatched request decodes");
+        decode_design_bytes(&design).expect("the unpatched design decodes");
+        for (sentinel, context) in [
+            (4.125, "cell.width"),
+            (12.25, "cell.height"),
+            (0.375, "cell.delay"),
+            (10.875, "cell.x"),
+            (17.125, "cell.y"),
+            (2.0625, "pin.ox"),
+            (6.0625, "pin.oy"),
+        ] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let got = decode_request(&patch_f64(&payload, sentinel, bad));
+                assert!(
+                    matches!(got, Err(WireError::Malformed { context: c, .. }) if c == context),
+                    "{context} = {bad} in a request: {got:?}"
+                );
+                let got = decode_design_bytes(&patch_f64(&design, sentinel, bad));
+                assert!(
+                    matches!(got, Err(WireError::Malformed { context: c, .. }) if c == context),
+                    "{context} = {bad} in a design upload: {got:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -28,28 +28,26 @@
 //!   [`VolReply::max_density_trace`].
 //! - **FTCS only.** The spectral solver jumps through time analytically
 //!   and cannot honor a one-step halo contract; volumetric spectral
-//!   runs go directly through [`VolumetricDiffusion`] instead, and the
+//!   runs go directly through
+//!   [`VolumetricDiffusion`](dpm_diffusion::VolumetricDiffusion) instead, and the
 //!   router rejects them with
 //!   [`VolRouteError::SpectralUnsupported`].
 
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use dpm_diffusion::{
-    manipulate_density, splat_volume, KernelTimers, SolverKind, VolJobSpec, VolPlacement,
-    VolumetricDiffusion, ZSlabPartition,
+    manipulate_density, splat_volume, KernelTimers, SolverKind, VolPlacement, ZSlabPartition,
 };
 use dpm_geom::Point;
-use dpm_netlist::{CellId, CellKind, Netlist, NetlistBuilder};
-use dpm_obs::{normalize_spans, rebase_spans, SpanRecord, SpanRecorder, TraceContext, TraceIdGen};
+use dpm_netlist::{CellId, CellKind, NetlistBuilder};
+use dpm_obs::{normalize_spans, SpanRecord, SpanRecorder, TraceContext, TraceIdGen};
 use dpm_place::{BinGrid, MovementStats, Placement};
 
-use crate::shard::ShardBackend;
+use crate::shard::{dispatch, ShardBackend};
 use crate::wire::{
-    JobKind, JobRequest, JobResponse, PayloadEncoding, Reply, VolRequestExt, VolResponseExt,
+    JobKind, JobRequest, JobResponse, PayloadEncoding, VolRequestExt, VolResponseExt,
 };
-use crate::ServeClient;
 
 /// Salt mixed into the inherited span id when seeding the router's
 /// span-id generator; distinct from the planar router's and the
@@ -100,7 +98,8 @@ pub enum VolRouteError {
     /// Volumetric routing runs global diffusion only.
     NotGlobal,
     /// The one-step halo-exchange contract is FTCS-only; run spectral
-    /// stacks directly through [`VolumetricDiffusion`].
+    /// stacks directly through
+    /// [`VolumetricDiffusion`](dpm_diffusion::VolumetricDiffusion).
     SpectralUnsupported,
     /// The extension is not a self-contained full-stack job, or its
     /// arrays do not match the design.
@@ -157,20 +156,16 @@ pub struct VolReply {
 /// One slab's extracted sub-problem for one round.
 struct SlabProblem {
     index: usize,
-    /// Owned tier range `[z0, z1)` and shipped range `[h0, h1)`.
+    /// Owned tier range `[z0, z1)` and first shipped tier `h0`.
     z0: usize,
     z1: usize,
     h0: usize,
-    h1: usize,
-    /// All fixed macros plus the movable cells this slab owns.
-    netlist: Netlist,
-    placement: Placement,
-    /// Region-local depths, sub-netlist order.
-    z_local: Vec<f64>,
-    /// Shipped density region, plane-major over `[h0, h1)`.
-    field: Vec<f64>,
     /// Sub-netlist index -> global cell id.
     map: Vec<CellId>,
+    /// The one-step sub-job: every fixed macro plus the movable cells
+    /// this slab owns, region-local depths, and the shipped density
+    /// region (owned tiers plus ghosts), plane-major.
+    sub: JobRequest,
 }
 
 /// What one slab's backend returned for one round.
@@ -193,7 +188,8 @@ pub struct VolRouter {
 }
 
 impl VolRouter {
-    /// Creates a router. Slab `i` runs on backend `i % backends.len()`.
+    /// Creates a router. Slab `i` runs on backend `i % backends.len()`
+    /// ([`slab_backend`](Self::slab_backend)).
     ///
     /// # Panics
     ///
@@ -217,6 +213,12 @@ impl VolRouter {
     /// The configured backends.
     pub fn backends(&self) -> &[ShardBackend] {
         &self.backends
+    }
+
+    /// The backend slab `slab` runs on — the one a
+    /// [`VolRouteError::Backend`] for that slab names.
+    pub fn slab_backend(&self, slab: usize) -> ShardBackend {
+        self.backends[slab % self.backends.len()]
     }
 
     /// Routes one full-stack volumetric job across the slabs and
@@ -315,21 +317,19 @@ impl VolRouter {
             // Ownership and shipped regions derive from the freshest
             // depths and field.
             let problems: Vec<SlabProblem> = (0..k)
-                .map(|s| extract_slab(req, &vp, &partition, s, &field, nxy))
+                .map(|s| {
+                    let ctx = round_trace.as_ref().map(|(_, _, dispatch)| dispatch[s]);
+                    extract_slab(req, &vp, &partition, s, &field, nxy, ctx)
+                })
                 .collect();
 
             let runs: Vec<Result<SlabRun, String>> = std::thread::scope(|scope| {
                 let handles: Vec<_> = problems
                     .iter()
                     .map(|problem| {
-                        let backend = self.backends[problem.index % self.backends.len()];
+                        let backend = self.slab_backend(problem.index);
                         let encoding = self.cfg.encoding;
-                        let slab_trace = round_trace.as_ref().map(|(_, _, dispatch)| {
-                            (recorder_ref.unwrap(), dispatch[problem.index])
-                        });
-                        scope.spawn(move || {
-                            run_slab(backend, req, problem, nz, encoding, slab_trace)
-                        })
+                        scope.spawn(move || run_slab(backend, problem, encoding, recorder_ref))
                     })
                     .collect();
                 handles
@@ -417,7 +417,8 @@ impl VolRouter {
 
 /// Builds one slab's sub-problem: every fixed macro (for the
 /// through-stack wall mask) plus the movable cells whose depth the slab
-/// owns, with region-local depths and the slab's density region.
+/// owns, with region-local depths and the slab's density region, as a
+/// one-step sub-job that inherits `trace`.
 fn extract_slab(
     req: &JobRequest,
     vp: &VolPlacement,
@@ -425,6 +426,7 @@ fn extract_slab(
     slab_idx: usize,
     field: &[f64],
     nxy: usize,
+    trace: Option<TraceContext>,
 ) -> SlabProblem {
     let slab = partition.slabs()[slab_idx];
     let mut b = NetlistBuilder::with_capacity(req.netlist.num_cells(), 0, 0);
@@ -454,154 +456,72 @@ fn extract_slab(
         placement.set(sub, vp.xy.get(gid));
         z_local.push(vp.z[gid.index()] - slab.h0 as f64);
     }
+    let sub = JobRequest {
+        id: req.id,
+        deadline_ms: req.deadline_ms,
+        progress_stride: 0,
+        kind: JobKind::Global,
+        design: format!("{}/slab{slab_idx}", req.design),
+        config: req.config.clone(),
+        netlist,
+        die: req.die.clone(),
+        placement,
+        vol: Some(VolRequestExt {
+            nz: (slab.h1 - slab.h0) as u32,
+            z0: slab.h0 as u32,
+            global_nz: partition.nz() as u32,
+            exact_steps: Some(1),
+            z: z_local,
+            field: Some(field[slab.h0 * nxy..slab.h1 * nxy].to_vec()),
+        }),
+        trace,
+    };
     SlabProblem {
         index: slab_idx,
         z0: slab.z0,
         z1: slab.z1,
         h0: slab.h0,
-        h1: slab.h1,
-        netlist,
-        placement,
-        z_local,
-        field: field[slab.h0 * nxy..slab.h1 * nxy].to_vec(),
         map,
+        sub,
     }
 }
 
-/// Runs one slab's one-step sub-job on its backend. Transport failures
-/// and engine panics degrade to `Err` — the router fails the whole job.
-///
-/// When traced, the backend interaction becomes one `shard.dispatch`
-/// span under `trace`'s context; a TCP sub-request inherits that
-/// context over the wire and its exported spans are re-based onto the
-/// dispatch span's local start, while an in-process run records its
-/// kernel spans straight into the router's recorder.
+/// Runs one slab's one-step sub-job on its backend through [`dispatch`]
+/// and checks the reply's shape. Any failure is an `Err` — the router
+/// fails the whole job.
 fn run_slab(
     backend: ShardBackend,
-    req: &JobRequest,
     problem: &SlabProblem,
-    global_nz: usize,
     encoding: PayloadEncoding,
-    trace: Option<(&SpanRecorder, TraceContext)>,
+    recorder: Option<&SpanRecorder>,
 ) -> Result<SlabRun, String> {
-    let dispatch_start = trace.map(|(recorder, _)| recorder.now_ns());
-    let mut result = run_slab_inner(backend, req, problem, global_nz, encoding, trace);
-    if let (Some((recorder, ctx)), Some(start)) = (trace, dispatch_start) {
-        recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
-        if let Ok(run) = result.as_mut() {
-            rebase_spans(&mut run.spans, start);
-        }
+    let (resp, kernels) = dispatch(backend, &problem.sub, encoding, recorder, &mut |_| {})?;
+    let ext = resp
+        .vol
+        .ok_or_else(|| "backend reply lacks the volumetric extension".to_string())?;
+    let field = ext
+        .field
+        .ok_or_else(|| "backend reply lacks the evolved field".to_string())?;
+    let shipped = problem.sub.vol.as_ref().and_then(|v| v.field.as_ref());
+    let shipped_len = shipped.map_or(0, Vec::len);
+    if resp.positions.len() != problem.map.len()
+        || ext.z.len() != problem.map.len()
+        || field.len() != shipped_len
+    {
+        return Err(format!(
+            "backend returned {} positions / {} depths / {} field bins for {} cells / {} bins",
+            resp.positions.len(),
+            ext.z.len(),
+            field.len(),
+            problem.map.len(),
+            shipped_len
+        ));
     }
-    result
-}
-
-fn run_slab_inner(
-    backend: ShardBackend,
-    req: &JobRequest,
-    problem: &SlabProblem,
-    global_nz: usize,
-    encoding: PayloadEncoding,
-    trace: Option<(&SpanRecorder, TraceContext)>,
-) -> Result<SlabRun, String> {
-    let region_nz = problem.h1 - problem.h0;
-    match backend {
-        ShardBackend::InProcess => {
-            let spec = VolJobSpec {
-                nz: region_nz,
-                z0: problem.h0,
-                global_nz,
-                field: Some(problem.field.clone()),
-                exact_steps: Some(1),
-            };
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut svp = VolPlacement {
-                    xy: problem.placement.clone(),
-                    z: problem.z_local.clone(),
-                };
-                let runner = VolumetricDiffusion::new(req.config.clone(), global_nz);
-                let r = match trace {
-                    Some((recorder, ctx)) => {
-                        let mut obs = dpm_diffusion::SpanObserver::new(recorder, ctx, ctx.span_id);
-                        runner.run_job_observed(
-                            &spec,
-                            &problem.netlist,
-                            &req.die,
-                            &mut svp,
-                            &|| false,
-                            &mut obs,
-                        )
-                    }
-                    None => runner.run_job(&spec, &problem.netlist, &req.die, &mut svp, &|| false),
-                };
-                SlabRun {
-                    positions: svp.xy.as_slice().to_vec(),
-                    z_local: svp.z,
-                    field: r.field,
-                    kernels: Some(*r.telemetry.kernels()),
-                    spans: Vec::new(),
-                }
-            }))
-            .map_err(|_| "slab engine panicked".into())
-        }
-        ShardBackend::Tcp(addr) => {
-            let sub = JobRequest {
-                id: req.id,
-                deadline_ms: req.deadline_ms,
-                progress_stride: 0,
-                kind: JobKind::Global,
-                design: format!("{}/slab{}", req.design, problem.index),
-                config: req.config.clone(),
-                netlist: problem.netlist.clone(),
-                die: req.die.clone(),
-                placement: problem.placement.clone(),
-                vol: Some(VolRequestExt {
-                    nz: region_nz as u32,
-                    z0: problem.h0 as u32,
-                    global_nz: global_nz as u32,
-                    exact_steps: Some(1),
-                    z: problem.z_local.clone(),
-                    field: Some(problem.field.clone()),
-                }),
-                trace: trace.map(|(_, ctx)| ctx),
-            };
-            let reply = ServeClient::connect(addr)
-                .map_err(|e| format!("connect {addr}: {e}"))
-                .and_then(|mut client| {
-                    client
-                        .request(&sub, encoding)
-                        .map_err(|e| format!("transport: {e}"))
-                })?;
-            match reply {
-                Reply::Ok(resp) => {
-                    let ext = resp.vol.ok_or_else(|| {
-                        "backend reply lacks the volumetric extension".to_string()
-                    })?;
-                    let field = ext
-                        .field
-                        .ok_or_else(|| "backend reply lacks the evolved field".to_string())?;
-                    if resp.positions.len() != problem.map.len()
-                        || ext.z.len() != problem.map.len()
-                        || field.len() != problem.field.len()
-                    {
-                        return Err(format!(
-                            "backend returned {} positions / {} depths / {} field bins for {} cells / {} bins",
-                            resp.positions.len(),
-                            ext.z.len(),
-                            field.len(),
-                            problem.map.len(),
-                            problem.field.len()
-                        ));
-                    }
-                    Ok(SlabRun {
-                        positions: resp.positions,
-                        z_local: ext.z,
-                        field,
-                        kernels: None,
-                        spans: resp.spans,
-                    })
-                }
-                Reply::Rejected(e) => Err(format!("{}: {}", e.code.as_str(), e.message)),
-            }
-        }
-    }
+    Ok(SlabRun {
+        positions: resp.positions,
+        z_local: ext.z,
+        field,
+        kernels,
+        spans: resp.spans,
+    })
 }

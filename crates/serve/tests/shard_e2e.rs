@@ -420,3 +420,42 @@ fn router_reports_progress_frames_from_streamed_tcp_shards() {
     // endpoint.
     assert!(reply.kernels.ftcs.calls > 0);
 }
+
+#[test]
+fn in_process_shards_stream_progress_and_export_job_spans() {
+    // In-process shards run the same executor as a TCP backend, so they
+    // observe the same way: progress frames count, and a traced route
+    // carries the shards' job spans, each nested under its dispatch.
+    let bench = hot_bench(200, 59);
+    let router = ShardRouter::in_process(ShardRouterConfig {
+        shards: 2,
+        max_halo_rounds: 3,
+        ..ShardRouterConfig::default()
+    });
+    let plain = router.route(&request(&bench, 6));
+    assert_eq!(plain.progress_frames, 0, "no stride, no frames");
+
+    let mut req = request(&bench, 6);
+    req.progress_stride = 4;
+    req.trace = Some(dpm_obs::TraceContext {
+        trace_id: 0x1A_9C0C,
+        span_id: 0x5EED,
+        parent_id: 0,
+    });
+    let observed = router.route(&req);
+    assert_eq!(
+        observed.response.positions, plain.response.positions,
+        "observation must not perturb the placement"
+    );
+    assert!(observed.progress_frames > 0, "in-process shards stream too");
+
+    let spans = &observed.response.spans;
+    let dispatches: Vec<u64> = spans
+        .iter()
+        .filter(|s| s.name == "shard.dispatch")
+        .map(|s| s.span_id)
+        .collect();
+    let jobs: Vec<_> = spans.iter().filter(|s| s.name == "job.local").collect();
+    assert!(jobs.len() >= 2, "both shards contribute a job span");
+    assert!(jobs.iter().all(|j| dispatches.contains(&j.parent_id)));
+}
