@@ -4,9 +4,11 @@
 //! spectral-vs-FTCS race: the closed-form DCT solver against the stepped
 //! sweeps, both as a bare field jump and end-to-end through
 //! [`GlobalDiffusion`], with an explicit FLOP model for the field-update
-//! work of each solver. A separate `stencil3d` section times the
-//! volumetric 7-point FTCS sweep on a 192×192×8 tier stack at the same
-//! thread counts.
+//! work of each solver. A `spectral_generic` section times the same
+//! round trip on a 113×113 grid, where the prime length takes the
+//! cosine-matrix DCT path instead of the FFT. A separate `stencil3d`
+//! section times the volumetric 7-point FTCS sweep on a 192×192×8 tier
+//! stack at the same thread counts.
 //!
 //! Every sample line carries `lanes` and `precision` keys. The regular
 //! thread sweep runs the production configuration (`wide` lanes, `f64`
@@ -403,19 +405,25 @@ fn spectral_field_flops(nx: usize, ny: usize, iterations: u64) -> f64 {
     transforms as f64 * transform_2d_flops(nx, ny) + iterations as f64 * 2.0 * (nx * ny) as f64
 }
 
-/// Bare field jump: `s_steps` FTCS sweeps versus one spectral round trip
-/// (plan + forward + single decayed inverse) reaching the same diffusion
-/// time. Returns `(ftcs_ns, spectral_ns)`. Wall-free field so both
-/// solvers do pure dense arithmetic.
-fn time_jump(n: usize, threads: usize, s_steps: u64) -> (f64, f64) {
+/// [`bumpy_field`] with its wall block filled in: the spectral solver only
+/// runs on unmasked grids, so its timings are dense-vs-dense by
+/// construction.
+fn wall_free_field(n: usize) -> Vec<f64> {
     let (mut density, _) = bumpy_field(n);
-    // No walls in this race: the spectral solver only runs on unmasked
-    // grids, so the comparison is dense-vs-dense by construction.
     for d in density.iter_mut() {
         if *d == 0.0 {
             *d = 0.25;
         }
     }
+    density
+}
+
+/// Bare field jump: `s_steps` FTCS sweeps versus one spectral round trip
+/// (plan + forward + single decayed inverse) reaching the same diffusion
+/// time. Returns `(ftcs_ns, spectral_ns)`. Wall-free field so both
+/// solvers do pure dense arithmetic.
+fn time_jump(n: usize, threads: usize, s_steps: u64) -> (f64, f64) {
+    let density = wall_free_field(n);
     let tau = 0.1;
 
     let mut e = DiffusionEngine::from_raw(n, n, density.clone(), None);
@@ -436,6 +444,36 @@ fn time_jump(n: usize, threads: usize, s_steps: u64) -> (f64, f64) {
     let spectral_ns = t0.elapsed().as_nanos() as f64;
     assert!(out.iter().all(|d| d.is_finite()));
     (ftcs_ns, spectral_ns)
+}
+
+/// The `spectral_generic` JSON section: one single-thread 2-D DCT round
+/// trip (solver build with its forward transform, plus one decayed
+/// inverse) on an `n`×`n` grid with `n` not a power of two, so every
+/// axis runs the cosine-matrix path instead of the FFT. Each 2-D
+/// transform costs `n²·2n` multiply-adds on that path.
+fn spectral_generic_json(n: usize, reps: u64) -> String {
+    eprintln!("  grid {n}x{n}, generic-length DCT round trip...");
+    let density = wall_free_field(n);
+    let mut out = vec![0.0; n * n];
+    let (calls, ns_per_call) = best_round_ns(reps, || {
+        let mut solver = SpectralSolver::new(n, n, std::hint::black_box(&density));
+        solver.density_at(0.5, &mut out);
+    });
+    assert!(out.iter().all(|d| d.is_finite()));
+    let sample = Sample {
+        kernel: "dct2d_generic",
+        threads: 1,
+        lanes: "wide",
+        precision: "f64",
+        calls,
+        ns_per_call,
+    };
+    let madds = 2.0 * 2.0 * (n * n * n) as f64;
+    format!(
+        "  \"spectral_generic\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"samples\": [\n      {}\n    ],\n    \"madds_per_call\": {madds:.3e}, \"madds_per_ns\": {:.2}\n  }}",
+        sample.json(),
+        madds / ns_per_call,
+    )
 }
 
 /// One end-to-end `GlobalDiffusion` run of the clustered design with the
@@ -631,13 +669,14 @@ fn main() {
 
     let (n3, nz3, reps3): (usize, usize, u64) = if smoke { (48, 4, 4) } else { (192, 8, 20) };
     let stencil3d = stencil3d_json(n3, nz3, reps3);
+    let spectral_generic = spectral_generic_json(113, if smoke { 16 } else { 64 });
 
     eprintln!("  calibration loop...");
     let cal_iters: u64 = if smoke { 20_000_000 } else { 50_000_000 };
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide f64 / 8-wide f32 chunks) or scalar (reference path, bit-identical in f64), precision is the field storage type; non-stencil kernels always report wide/f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{stencil3d}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide f64 / 8-wide f32 chunks) or scalar (reference path, bit-identical in f64), precision is the field storage type; non-stencil kernels always report wide/f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

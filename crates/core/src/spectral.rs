@@ -17,9 +17,12 @@
 //!
 //! - **power-of-two lengths** run through a radix-2 complex FFT of the
 //!   even extension (length 2n), the standard DCT-II/III factorization;
-//! - **any other length** falls back to direct O(n²) evaluation off a
-//!   4n-entry cosine table — exact, just slower, and only ever used
-//!   when the bin grid is not a power of two.
+//! - **any other length** evaluates the O(n²) definition against a
+//!   precomputed n×n cosine matrix: DCT-II dots four matrix rows at a
+//!   time, DCT-III accumulates row-wise axpys that vectorise across the
+//!   output. Every output keeps the definition's summation order, so
+//!   the result is bit-identical to the textbook loop. Plans of equal
+//!   length share one matrix.
 //!
 //! [`SpectralSolver`] adds the incremental form Algorithm 1 needs: the
 //! forward transform of `ρ(0)` is computed once and cached; every
@@ -31,6 +34,7 @@
 //! path is trivially bit-identical at any worker-thread count.
 
 use std::f64::consts::PI;
+use std::sync::Arc;
 
 /// Applies the separable mode decay `dst[i] = src[i] * e_line * decay_x[i]`
 /// over one coefficient line in explicit 4-wide lane chunks with a scalar
@@ -55,6 +59,7 @@ fn decay_line(dst: &mut [f64], src: &[f64], decay_x: &[f64], e_line: f64) {
 }
 
 /// Iterative radix-2 complex FFT plan for a fixed power-of-two size.
+#[derive(Clone)]
 struct Fft {
     m: usize,
     /// `cos(-2πj/m)` for `j < m/2`.
@@ -132,6 +137,7 @@ impl Fft {
 }
 
 /// How a [`DctPlan`] evaluates its transforms.
+#[derive(Clone)]
 enum Kind {
     /// Power-of-two length: even extension + 2n-point radix-2 FFT,
     /// O(n log n) per transform.
@@ -142,9 +148,152 @@ enum Kind {
         /// `sin(πk/(2n))` for `k < n`.
         ph_sin: Vec<f64>,
     },
-    /// Generic length: direct O(n²) evaluation. `cos[t] = cos(πt/(2n))`
-    /// for `t < 4n` — every DCT angle reduces to an index mod 4n.
-    Naive { cos: Vec<f64> },
+    /// Generic length: direct O(n²) evaluation against the row-major
+    /// n×n matrix `m[k·n + j] = cos(πk(2j+1)/(2n))`, shared by every
+    /// clone of the plan. Row `k` is the DCT-II basis vector of output
+    /// `k` and, read the other way, the DCT-III weights of input `k`.
+    Matrix { m: Arc<[f64]> },
+    /// The generic-length oracle: [`reference`] loops over the 4n table
+    /// `cos[t] = cos(πt/(2n))`.
+    #[cfg(test)]
+    Reference { cos: Vec<f64> },
+}
+
+/// `cos[t] = cos(πt/(2n))` for `t < 4n`: every DCT angle of length `n`
+/// reduces to one of these entries.
+fn cos_table(n: usize) -> Vec<f64> {
+    (0..4 * n)
+        .map(|t| (PI * t as f64 / (2.0 * n as f64)).cos())
+        .collect()
+}
+
+/// The generic-length cosine matrix `m[k·n + j] = cos[(2j+1)·k mod 4n]`,
+/// read off the 4n-entry table `cos[t] = cos(πt/(2n))` so every entry
+/// is the exact value the per-term modulo loop would index.
+fn cos_matrix(n: usize) -> Arc<[f64]> {
+    let cos = &cos_table(n);
+    (0..n)
+        .flat_map(|k| (0..n).map(move |j| cos[(2 * j + 1) * k % (4 * n)]))
+        .collect()
+}
+
+/// Matrix rows one [`matrix_dct2`]/[`matrix_dct3`] block works on; the
+/// kernels split each block into the four named rows `r0..r3`.
+const ROWS: usize = 4;
+
+/// The generic-length transforms as they stood before the cosine matrix:
+/// one output at a time, every angle reduced to an index into the 4n
+/// table `cos[t] = cos(πt/(2n))` with a per-term modulo. Kept verbatim
+/// as the oracle the matrix kernels must match bit for bit.
+#[cfg(test)]
+mod reference {
+    pub(super) fn dct2(cos: &[f64], input: &[f64], output: &mut [f64]) {
+        let n = input.len();
+        for (k, out) in output.iter_mut().enumerate() {
+            let mut acc = 0.0;
+            for (j, &x) in input.iter().enumerate() {
+                acc += x * cos[(2 * j + 1) * k % (4 * n)];
+            }
+            *out = acc;
+        }
+    }
+
+    pub(super) fn dct3(cos: &[f64], input: &[f64], output: &mut [f64]) {
+        let n = input.len();
+        for (j, out) in output.iter_mut().enumerate() {
+            let mut acc = input[0] * 0.5;
+            for (k, &c) in input.iter().enumerate().skip(1) {
+                acc += c * cos[(2 * j + 1) * k % (4 * n)];
+            }
+            *out = acc;
+        }
+    }
+}
+
+/// DCT-II of `L` lines against the cosine matrix `m` (length n²):
+/// `out[l][k] = Σ_j in[l][j]·m[k·n + j]`.
+///
+/// Outputs are produced [`ROWS`] at a time, so each loaded matrix entry
+/// feeds all `L` lines and the `ROWS·L` accumulators form independent
+/// add chains. Each accumulator still starts from `0.0` and adds its
+/// products with `j` ascending — the summation order of the plain
+/// per-output loop, so the blocking is bit-identical to it.
+fn matrix_dct2<const L: usize>(m: &[f64], input: [&[f64]; L], mut out: [&mut [f64]; L]) {
+    let n = out[0].len();
+    let mut k = 0;
+    while k + ROWS <= n {
+        let block = &m[k * n..(k + ROWS) * n];
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut acc = [[0.0f64; ROWS]; L];
+        for j in 0..n {
+            let col = [r0[j], r1[j], r2[j], r3[j]];
+            for (a, x) in acc.iter_mut().zip(&input) {
+                let x = x[j];
+                for (a, &c) in a.iter_mut().zip(&col) {
+                    *a += x * c;
+                }
+            }
+        }
+        for (o, a) in out.iter_mut().zip(&acc) {
+            o[k..k + ROWS].copy_from_slice(a);
+        }
+        k += ROWS;
+    }
+    for k in k..n {
+        let row = &m[k * n..(k + 1) * n];
+        for (o, x) in out.iter_mut().zip(&input) {
+            let mut acc = 0.0;
+            for (&x, &c) in x.iter().zip(row) {
+                acc += x * c;
+            }
+            o[k] = acc;
+        }
+    }
+}
+
+/// DCT-III of `L` lines against the cosine matrix `m` (length n²):
+/// `out[l][j] = in[l][0]/2 + Σ_{k≥1} in[l][k]·m[k·n + j]`.
+///
+/// Each output starts at `in[0]·0.5` and takes the products of matrix
+/// rows `k = 1, 2, …` in ascending order, [`ROWS`] rows per pass over
+/// the output: `((o + c₀·r₀[j]) + c₁·r₁[j]) + …` is the same add chain
+/// the plain per-output loop runs, so the result is bit-identical to it.
+/// The inner loop is an axpy across `j`, which the compiler vectorises,
+/// and every loaded row entry feeds all `L` lines.
+fn matrix_dct3<const L: usize>(m: &[f64], input: [&[f64]; L], mut out: [&mut [f64]; L]) {
+    let n = out[0].len();
+    for (o, x) in out.iter_mut().zip(&input) {
+        o.fill(x[0] * 0.5);
+    }
+    let mut k = 1;
+    while k + ROWS <= n {
+        let block = &m[k * n..(k + ROWS) * n];
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let c: [[f64; ROWS]; L] = std::array::from_fn(|l| {
+            let x = input[l];
+            [x[k], x[k + 1], x[k + 2], x[k + 3]]
+        });
+        for j in 0..n {
+            let col = [r0[j], r1[j], r2[j], r3[j]];
+            for (o, c) in out.iter_mut().zip(&c) {
+                o[j] = o[j] + c[0] * col[0] + c[1] * col[1] + c[2] * col[2] + c[3] * col[3];
+            }
+        }
+        k += ROWS;
+    }
+    for k in k..n {
+        let row = &m[k * n..(k + 1) * n];
+        for (o, x) in out.iter_mut().zip(&input) {
+            let c = x[k];
+            for (o, &r) in o.iter_mut().zip(row) {
+                *o += c * r;
+            }
+        }
+    }
 }
 
 /// A reusable 1-D DCT-II/DCT-III plan for a fixed length `n`.
@@ -173,6 +322,10 @@ enum Kind {
 ///     assert!((orig - rt / scale).abs() < 1e-12);
 /// }
 /// ```
+///
+/// Clones share the generic-length cosine matrix; each clone keeps its
+/// own scratch space.
+#[derive(Clone)]
 pub struct DctPlan {
     n: usize,
     kind: Kind,
@@ -183,7 +336,7 @@ pub struct DctPlan {
 impl DctPlan {
     /// Builds a plan for length-`n` transforms. Power-of-two lengths
     /// get the O(n log n) FFT path; anything else the exact O(n²)
-    /// fallback.
+    /// cosine-matrix path (an n×n table of `f64`).
     ///
     /// # Panics
     ///
@@ -207,16 +360,28 @@ impl DctPlan {
                 2 * n,
             )
         } else {
-            let cos = (0..4 * n)
-                .map(|t| (PI * t as f64 / (2.0 * n as f64)).cos())
-                .collect();
-            (Kind::Naive { cos }, 0)
+            (Kind::Matrix { m: cos_matrix(n) }, 0)
         };
         Self {
             n,
             kind,
             sc_re: vec![0.0; scratch],
             sc_im: vec![0.0; scratch],
+        }
+    }
+
+    /// A generic-length plan that runs the [`reference`] oracle loops.
+    #[cfg(test)]
+    fn reference(n: usize) -> Self {
+        assert!(
+            n > 0 && !n.is_power_of_two(),
+            "oracle covers generic lengths"
+        );
+        Self {
+            n,
+            kind: Kind::Reference { cos: cos_table(n) },
+            sc_re: Vec::new(),
+            sc_im: Vec::new(),
         }
     }
 
@@ -257,15 +422,9 @@ impl DctPlan {
                     output[k] = 0.5 * (self.sc_re[k] * ph_cos[k] + self.sc_im[k] * ph_sin[k]);
                 }
             }
-            Kind::Naive { cos } => {
-                for (k, out) in output.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (j, &x) in input.iter().enumerate() {
-                        acc += x * cos[(2 * j + 1) * k % (4 * n)];
-                    }
-                    *out = acc;
-                }
-            }
+            Kind::Matrix { m } => matrix_dct2(m, [input], [output]),
+            #[cfg(test)]
+            Kind::Reference { cos } => reference::dct2(cos, input, output),
         }
     }
 
@@ -275,7 +434,8 @@ impl DctPlan {
     /// and imaginary halves of a single 2n-point transform and split
     /// back by conjugate symmetry — the classic two-real-sequences
     /// trick, halving the per-sequence cost on the power-of-two path.
-    /// Generic lengths just run [`dct2`](Self::dct2) twice.
+    /// Generic lengths stream the cosine matrix once for both sequences,
+    /// each output bit-equal to [`dct2`](Self::dct2).
     ///
     /// # Panics
     ///
@@ -312,16 +472,20 @@ impl DctPlan {
                     out1[k] = 0.5 * (y1_re * ph_cos[k] + y1_im * ph_sin[k]);
                 }
             }
-            Kind::Naive { .. } => {
-                self.dct2(in0, out0);
-                self.dct2(in1, out1);
+            Kind::Matrix { m } => matrix_dct2(m, [in0, in1], [out0, out1]),
+            #[cfg(test)]
+            Kind::Reference { cos } => {
+                reference::dct2(cos, in0, out0);
+                reference::dct2(cos, in1, out1);
             }
         }
     }
 
     /// DCT-III of two coefficient sequences through one complex FFT
     /// (the inverse-direction counterpart of
-    /// [`dct2_pair`](Self::dct2_pair)).
+    /// [`dct2_pair`](Self::dct2_pair)). Generic lengths stream the
+    /// cosine matrix once for both sequences, each output bit-equal to
+    /// [`dct3`](Self::dct3).
     ///
     /// # Panics
     ///
@@ -361,9 +525,11 @@ impl DctPlan {
                     out1[j] = 0.5 * self.sc_im[j];
                 }
             }
-            Kind::Naive { .. } => {
-                self.dct3(in0, out0);
-                self.dct3(in1, out1);
+            Kind::Matrix { m } => matrix_dct3(m, [in0, in1], [out0, out1]),
+            #[cfg(test)]
+            Kind::Reference { cos } => {
+                reference::dct3(cos, in0, out0);
+                reference::dct3(cos, in1, out1);
             }
         }
     }
@@ -405,17 +571,21 @@ impl DctPlan {
                     *out = 0.5 * self.sc_re[j];
                 }
             }
-            Kind::Naive { cos } => {
-                for (j, out) in output.iter_mut().enumerate() {
-                    let mut acc = input[0] * 0.5;
-                    for (k, &c) in input.iter().enumerate().skip(1) {
-                        acc += c * cos[(2 * j + 1) * k % (4 * n)];
-                    }
-                    *out = acc;
-                }
-            }
+            Kind::Matrix { m } => matrix_dct3(m, [input], [output]),
+            #[cfg(test)]
+            Kind::Reference { cos } => reference::dct3(cos, input, output),
         }
     }
+}
+
+/// A length-`n` plan that shares the tables of the first plan in `built`
+/// with the same length, so a solver holds one cosine matrix per distinct
+/// generic axis length.
+fn plan_sharing(n: usize, built: &[&DctPlan]) -> DctPlan {
+    built
+        .iter()
+        .find(|p| p.n == n)
+        .map_or_else(|| DctPlan::new(n), |p| DctPlan::clone(p))
 }
 
 /// Closed-form diffusion solver over a 2-D density field with zero-flux
@@ -487,6 +657,13 @@ impl SpectralSolver {
     /// Panics if `nx` or `ny` is zero or `density.len() != nx·ny`.
     pub fn new(nx: usize, ny: usize, density: &[f64]) -> Self {
         assert!(nx > 0 && ny > 0, "grid must be non-empty");
+        let plan_x = DctPlan::new(nx);
+        let plan_y = plan_sharing(ny, &[&plan_x]);
+        Self::from_plans(plan_x, plan_y, density)
+    }
+
+    fn from_plans(plan_x: DctPlan, plan_y: DctPlan, density: &[f64]) -> Self {
+        let (nx, ny) = (plan_x.n, plan_y.n);
         assert_eq!(density.len(), nx * ny, "field length must be nx*ny");
         let n = nx * ny;
         let rate = |k: usize, len: usize| {
@@ -496,8 +673,8 @@ impl SpectralSolver {
         let mut solver = Self {
             nx,
             ny,
-            plan_x: DctPlan::new(nx),
-            plan_y: DctPlan::new(ny),
+            plan_x,
+            plan_y,
             coeffs: vec![0.0; n],
             rate_x: (0..nx).map(|k| rate(k, nx)).collect(),
             rate_y: (0..ny).map(|l| rate(l, ny)).collect(),
@@ -669,8 +846,8 @@ impl SpectralSolver {
 /// operator on a box diagonalizes in the tensor-product DCT-II basis, so
 /// mode `(k, l, m)` decays by `exp(-t·((πk/nx)² + (πl/ny)² + (πm/nz)²))`.
 /// The three axis transforms reuse the same 1-D [`DctPlan`] primitives as
-/// the planar solver (FFT on power-of-two lengths, exact O(n²) fallback
-/// otherwise). Fields are plane-major: `field[(z·ny + k)·nx + j]`,
+/// the planar solver (FFT on power-of-two lengths, the exact O(n²)
+/// cosine-matrix path otherwise, one matrix per distinct axis length). Fields are plane-major: `field[(z·ny + k)·nx + j]`,
 /// matching [`DiffusionEngine::from_raw_3d`](crate::DiffusionEngine::from_raw_3d).
 ///
 /// All transforms run serially on the calling thread — bit-identical at
@@ -724,6 +901,14 @@ impl SpectralSolver3 {
     /// Panics if any side is zero or `density.len() != nx·ny·nz`.
     pub fn new(nx: usize, ny: usize, nz: usize, density: &[f64]) -> Self {
         assert!(nx > 0 && ny > 0 && nz > 0, "grid must be non-empty");
+        let plan_x = DctPlan::new(nx);
+        let plan_y = plan_sharing(ny, &[&plan_x]);
+        let plan_z = plan_sharing(nz, &[&plan_x, &plan_y]);
+        Self::from_plans(plan_x, plan_y, plan_z, density)
+    }
+
+    fn from_plans(plan_x: DctPlan, plan_y: DctPlan, plan_z: DctPlan, density: &[f64]) -> Self {
+        let (nx, ny, nz) = (plan_x.n, plan_y.n, plan_z.n);
         assert_eq!(density.len(), nx * ny * nz, "field length must be nx*ny*nz");
         let n = nx * ny * nz;
         let rate = |k: usize, len: usize| {
@@ -734,9 +919,9 @@ impl SpectralSolver3 {
             nx,
             ny,
             nz,
-            plan_x: DctPlan::new(nx),
-            plan_y: DctPlan::new(ny),
-            plan_z: DctPlan::new(nz),
+            plan_x,
+            plan_y,
+            plan_z,
             coeffs: vec![0.0; n],
             rate_x: (0..nx).map(|k| rate(k, nx)).collect(),
             rate_y: (0..ny).map(|l| rate(l, ny)).collect(),
@@ -1187,5 +1372,126 @@ mod tests {
         assert!(last_spread < 1e-9, "residual spread {last_spread}");
         assert_eq!(solver.forward_transforms(), 1);
         assert_eq!(solver.inverse_transforms(), 5);
+    }
+
+    /// Inputs that stress the add chains: signed zeros, subnormals and
+    /// values near 1e300 mixed into ordinary randoms.
+    fn hostile_vec(rng: &mut Rng, n: usize) -> Vec<f64> {
+        const SPECIAL: [f64; 6] = [0.0, -0.0, 5e-324, -2.2e-310, 1e300, -9.9e299];
+        (0..n)
+            .map(|i| {
+                if rng.random_bool(0.3) {
+                    SPECIAL[i % SPECIAL.len()]
+                } else {
+                    rng.random_range(-2.0..2.0)
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} [{i}]: {g:e} vs {w:e}");
+        }
+    }
+
+    #[test]
+    fn matrix_transforms_are_bit_identical_to_the_modulo_oracle() {
+        let mut rng = Rng::seed_from_u64(0xB175);
+        let lens = (1..=130usize)
+            .filter(|n| !n.is_power_of_two())
+            .chain([211, 300]);
+        for n in lens {
+            let mut plan = DctPlan::new(n);
+            let mut oracle = DctPlan::reference(n);
+            let a = hostile_vec(&mut rng, n);
+            let b = hostile_vec(&mut rng, n);
+            let zeros = vec![-0.0; n];
+            for (x, y) in [(&a, &b), (&zeros, &a)] {
+                let mut want_x = vec![0.0; n];
+                let mut want_y = vec![0.0; n];
+                let mut got_x = vec![0.0; n];
+                let mut got_y = vec![0.0; n];
+
+                oracle.dct2(x, &mut want_x);
+                oracle.dct2(y, &mut want_y);
+                plan.dct2(x, &mut got_x);
+                assert_bits_eq(&got_x, &want_x, &format!("dct2 n={n}"));
+                plan.dct2_pair(x, y, &mut got_x, &mut got_y);
+                assert_bits_eq(&got_x, &want_x, &format!("dct2_pair.0 n={n}"));
+                assert_bits_eq(&got_y, &want_y, &format!("dct2_pair.1 n={n}"));
+
+                oracle.dct3(x, &mut want_x);
+                oracle.dct3(y, &mut want_y);
+                plan.dct3(x, &mut got_x);
+                assert_bits_eq(&got_x, &want_x, &format!("dct3 n={n}"));
+                plan.dct3_pair(x, y, &mut got_x, &mut got_y);
+                assert_bits_eq(&got_x, &want_x, &format!("dct3_pair.0 n={n}"));
+                assert_bits_eq(&got_y, &want_y, &format!("dct3_pair.1 n={n}"));
+            }
+        }
+    }
+
+    #[test]
+    fn solvers_are_bit_identical_on_oracle_plans() {
+        let mut rng = Rng::seed_from_u64(0x5017);
+        let times = [0.0, 0.05, 40.0];
+        for (nx, ny) in [(113usize, 113usize), (42, 54), (7, 7)] {
+            let field: Vec<f64> = (0..nx * ny).map(|_| rng.random_range(0.0..3.0)).collect();
+            let mut fast = SpectralSolver::new(nx, ny, &field);
+            let mut slow =
+                SpectralSolver::from_plans(DctPlan::reference(nx), DctPlan::reference(ny), &field);
+            assert_bits_eq(&fast.coeffs, &slow.coeffs, &format!("{nx}x{ny} coeffs"));
+            let mut got = vec![0.0; nx * ny];
+            let mut want = vec![0.0; nx * ny];
+            for t in times {
+                fast.density_at(t, &mut got);
+                slow.density_at(t, &mut want);
+                assert_bits_eq(&got, &want, &format!("{nx}x{ny} t={t}"));
+            }
+        }
+        let (nx, ny, nz) = (6, 6, 3);
+        let field: Vec<f64> = (0..nx * ny * nz)
+            .map(|_| rng.random_range(0.0..3.0))
+            .collect();
+        let mut fast = SpectralSolver3::new(nx, ny, nz, &field);
+        let mut slow = SpectralSolver3::from_plans(
+            DctPlan::reference(nx),
+            DctPlan::reference(ny),
+            DctPlan::reference(nz),
+            &field,
+        );
+        let mut got = vec![0.0; nx * ny * nz];
+        let mut want = vec![0.0; nx * ny * nz];
+        for t in times {
+            fast.density_at(t, &mut got);
+            slow.density_at(t, &mut want);
+            assert_bits_eq(&got, &want, &format!("{nx}x{ny}x{nz} t={t}"));
+        }
+    }
+
+    #[test]
+    fn equal_length_plans_share_one_matrix() {
+        fn matrix(plan: &DctPlan) -> &Arc<[f64]> {
+            match &plan.kind {
+                Kind::Matrix { m } => m,
+                _ => panic!("length {} is not on the matrix path", plan.n),
+            }
+        }
+        let square = SpectralSolver::new(113, 113, &vec![1.0; 113 * 113]);
+        assert!(Arc::ptr_eq(matrix(&square.plan_x), matrix(&square.plan_y)));
+        assert_eq!(Arc::strong_count(matrix(&square.plan_x)), 2);
+        assert_eq!(matrix(&square.plan_x).len(), 113 * 113);
+
+        let oblong = SpectralSolver::new(42, 54, &vec![1.0; 42 * 54]);
+        assert!(!Arc::ptr_eq(matrix(&oblong.plan_x), matrix(&oblong.plan_y)));
+
+        let stack = SpectralSolver3::new(6, 6, 3, &vec![1.0; 6 * 6 * 3]);
+        assert!(Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_y)));
+        assert_eq!(matrix(&stack.plan_z).len(), 9);
+        let stack = SpectralSolver3::new(7, 5, 7, &vec![1.0; 7 * 5 * 7]);
+        assert!(Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_z)));
+        assert!(!Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_y)));
     }
 }

@@ -140,6 +140,9 @@ grep -q '"precision": "f32"' "$kernels_out"
 grep -q '"lane_speedup_1t"' "$kernels_out"
 grep -q '"f32_speedup_1t"' "$kernels_out"
 grep -q '"calibration"' "$kernels_out"
+# The generic-length DCT round trip on a prime 113x113 grid.
+grep -q '"spectral_generic"' "$kernels_out"
+grep -q '"madds_per_ns"' "$kernels_out"
 
 echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
 # Absolute wall-clock pins would break on the next slower container, so
@@ -171,6 +174,10 @@ floor_check velocity 80000
 floor_check stencil3d 300000
 floor_check splat 600000
 floor_check advect 600000
+# The generic-length DCT round trip (113x113, cosine-matrix path) runs
+# at ~480k calibration units; the ceiling leaves ~4x headroom, and the
+# per-term modulo loop it replaced (~5.8M units) lands well above it.
+floor_check dct2d_generic 2000000
 
 gate "service smoke test (perf_serve --smoke --pipeline 2)"
 # Boots a real server on an ephemeral port, replays a deterministic
