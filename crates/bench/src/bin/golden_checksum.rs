@@ -16,17 +16,12 @@
 //! default (planar) output is byte-identical to what it was before the
 //! volumetric mode existed.
 //!
-//! With the `f32` argument it runs the planar pair in
-//! [`FieldPrecision::F32`] (FTCS only — the spectral solver is f64-only)
-//! and prints that mode's own checksum, which must likewise be
-//! invariant across `DPM_THREADS` *and* `DPM_LANES`.
+//! Any other argument is an error (exit 2): the field is always f64, so
+//! these two checksums per solver are the whole contract.
 //!
-//! Usage: `cargo run --release --bin golden_checksum [-- vol|f32]`
+//! Usage: `cargo run --release --bin golden_checksum [-- vol]`
 
-use dpm_diffusion::{
-    DiffusionConfig, FieldPrecision, GlobalDiffusion, LocalDiffusion, SolverKind,
-    VolumetricDiffusion,
-};
+use dpm_diffusion::{DiffusionConfig, GlobalDiffusion, LocalDiffusion, VolumetricDiffusion};
 use dpm_gen::{CircuitSpec, InflationSpec, VolCircuitSpec};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,20 +68,17 @@ fn main() {
     let cfg = DiffusionConfig::default();
     eprintln!("golden_checksum: {} worker thread(s)", cfg.threads);
 
-    let mode = std::env::args().nth(1);
-    if mode.as_deref() == Some("vol") {
-        println!("{:016x}", vol_checksum(&cfg));
-        return;
+    match std::env::args().nth(1).as_deref() {
+        None => {}
+        Some("vol") => {
+            println!("{:016x}", vol_checksum(&cfg));
+            return;
+        }
+        Some(other) => {
+            eprintln!("golden_checksum: unknown mode {other:?} (usage: golden_checksum [vol])");
+            std::process::exit(2);
+        }
     }
-    let cfg = if mode.as_deref() == Some("f32") {
-        // The f32 leg pins its own checksum: same circuits, FTCS
-        // stepper (spectral is f64-only), single-precision field.
-        cfg.with_solver(SolverKind::Ftcs)
-            .with_precision(FieldPrecision::F32)
-    } else {
-        cfg
-    };
-
     let mut hash = FNV_OFFSET;
     for (global, cells, seed) in [(true, 400usize, 11u64), (false, 600, 23)] {
         let mut bench = CircuitSpec::with_size("golden", cells, seed).generate();

@@ -10,12 +10,13 @@
 //! section times the volumetric 7-point FTCS sweep on a 192×192×8 tier
 //! stack at the same thread counts.
 //!
-//! Every sample line carries `lanes` and `precision` keys. The regular
-//! thread sweep runs the production configuration (`wide` lanes, `f64`
-//! field); at one thread the stencil kernels are additionally timed with
-//! scalar lanes (the pre-lane reference path) and with the `f32` field
-//! mode, and the per-grid `lane_speedup_1t` / `f32_speedup_1t` ratios
-//! compare them. A `calibration` section times a fixed serial FP loop so
+//! Every sample line carries `lanes` and `precision` keys; `precision`
+//! is always `f64`, the only field width, and stays so committed
+//! samples keep their keys. The regular thread sweep runs the
+//! production `wide` lanes; at one thread the stencil kernels are
+//! additionally timed with scalar lanes (the pre-lane reference path),
+//! and the per-grid `lane_speedup_1t` ratio compares the two. A
+//! `calibration` section times a fixed serial FP loop so
 //! `scripts/ci.sh` can scale its smoke-test ns/call ceilings to the
 //! speed of whatever container it runs on.
 //!
@@ -31,8 +32,7 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, FieldPrecision, GlobalDiffusion, LaneMode, SolverKind,
-    SpectralSolver,
+    DiffusionConfig, DiffusionEngine, GlobalDiffusion, LaneMode, SolverKind, SpectralSolver,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -48,7 +48,6 @@ struct Sample {
     kernel: &'static str,
     threads: usize,
     lanes: &'static str,
-    precision: &'static str,
     calls: u64,
     ns_per_call: f64,
 }
@@ -57,8 +56,8 @@ impl Sample {
     /// One JSON object line (no trailing separator or newline).
     fn json(&self) -> String {
         format!(
-            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"{}\", \"precision\": \"{}\", \"calls\": {}, \"ns_per_call\": {:.1}}}",
-            self.kernel, self.threads, self.lanes, self.precision, self.calls, self.ns_per_call
+            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"{}\", \"precision\": \"f64\", \"calls\": {}, \"ns_per_call\": {:.1}}}",
+            self.kernel, self.threads, self.lanes, self.calls, self.ns_per_call
         )
     }
 }
@@ -146,12 +145,11 @@ fn best_round_ns<F: FnMut()>(reps: u64, mut call: F) -> (u64, f64) {
     (rounds * per, best)
 }
 
-fn time_ftcs(n: usize, threads: usize, reps: u64, lanes: LaneMode, prec: FieldPrecision) -> Sample {
+fn time_ftcs(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
     let (density, wall) = bumpy_field(n);
     let mut e = DiffusionEngine::from_raw(n, n, density, Some(wall));
     e.set_threads(threads);
     e.set_lanes(lanes);
-    e.set_precision(prec);
     e.step_density(0.1); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
         e.step_density(0.1);
@@ -160,24 +158,16 @@ fn time_ftcs(n: usize, threads: usize, reps: u64, lanes: LaneMode, prec: FieldPr
         kernel: "ftcs",
         threads,
         lanes: lanes.as_str(),
-        precision: prec.as_str(),
         calls,
         ns_per_call,
     }
 }
 
-fn time_velocity(
-    n: usize,
-    threads: usize,
-    reps: u64,
-    lanes: LaneMode,
-    prec: FieldPrecision,
-) -> Sample {
+fn time_velocity(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
     let (density, wall) = bumpy_field(n);
     let mut e = DiffusionEngine::from_raw(n, n, density, Some(wall));
     e.set_threads(threads);
     e.set_lanes(lanes);
-    e.set_precision(prec);
     e.compute_velocities(); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
         e.compute_velocities();
@@ -186,7 +176,6 @@ fn time_velocity(
         kernel: "velocity",
         threads,
         lanes: lanes.as_str(),
-        precision: prec.as_str(),
         calls,
         ns_per_call,
     }
@@ -204,7 +193,6 @@ fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64) -> Sample {
         kernel: "splat",
         threads,
         lanes: "wide",
-        precision: "f64",
         calls,
         ns_per_call,
     }
@@ -223,25 +211,16 @@ fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize) -> Samp
         kernel: "advect",
         threads,
         lanes: "wide",
-        precision: "f64",
         calls: advect.calls,
         ns_per_call: advect.total_ns() as f64 / advect.calls.max(1) as f64,
     }
 }
 
-fn time_stencil3d(
-    n: usize,
-    nz: usize,
-    threads: usize,
-    reps: u64,
-    lanes: LaneMode,
-    prec: FieldPrecision,
-) -> Sample {
+fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
     let (density, wall) = bumpy_field_3d(n, nz);
     let mut e = DiffusionEngine::from_raw_3d(n, n, nz, density, Some(wall));
     e.set_threads(threads);
     e.set_lanes(lanes);
-    e.set_precision(prec);
     // dt·3 ≤ 1 keeps the 7-point stencil stable.
     e.step_density(0.1); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
@@ -251,7 +230,6 @@ fn time_stencil3d(
         kernel: "stencil3d",
         threads,
         lanes: lanes.as_str(),
-        precision: prec.as_str(),
         calls,
         ns_per_call,
     }
@@ -275,41 +253,19 @@ fn ratio_json(body: &mut String, key: &str, pairs: &[(&str, f64, f64)], indent: 
 
 /// The `stencil3d` JSON section: the volumetric 7-point FTCS sweep on an
 /// `n`×`n`×`nz` stack at every thread count, with the 4-thread speedup
-/// plus single-thread scalar-lane and f32-field reference timings.
+/// plus a single-thread scalar-lane reference timing.
 fn stencil3d_json(n: usize, nz: usize, reps: u64) -> String {
     let mut samples = Vec::new();
     for &t in &THREAD_COUNTS {
         eprintln!("  stack {n}x{n}x{nz}, {t} thread(s)...");
-        samples.push(time_stencil3d(
-            n,
-            nz,
-            t,
-            reps,
-            LaneMode::Wide,
-            FieldPrecision::F64,
-        ));
+        samples.push(time_stencil3d(n, nz, t, reps, LaneMode::Wide));
     }
-    eprintln!("  stack {n}x{n}x{nz}, 1 thread, scalar lanes + f32 field...");
-    samples.push(time_stencil3d(
-        n,
-        nz,
-        1,
-        reps,
-        LaneMode::Scalar,
-        FieldPrecision::F64,
-    ));
-    samples.push(time_stencil3d(
-        n,
-        nz,
-        1,
-        reps,
-        LaneMode::Wide,
-        FieldPrecision::F32,
-    ));
-    let ns_of = |threads: usize, lanes: &str, prec: &str| {
+    eprintln!("  stack {n}x{n}x{nz}, 1 thread, scalar lanes...");
+    samples.push(time_stencil3d(n, nz, 1, reps, LaneMode::Scalar));
+    let ns_of = |threads: usize, lanes: &str| {
         samples
             .iter()
-            .find(|s| s.threads == threads && s.lanes == lanes && s.precision == prec)
+            .find(|s| s.threads == threads && s.lanes == lanes)
             .map(|s| s.ns_per_call)
             .unwrap_or(f64::NAN)
     };
@@ -322,7 +278,7 @@ fn stencil3d_json(n: usize, nz: usize, reps: u64) -> String {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         let _ = writeln!(body, "      {}{sep}", s.json());
     }
-    let speedup = ns_of(1, "wide", "f64") / ns_of(4, "wide", "f64");
+    let speedup = ns_of(1, "wide") / ns_of(4, "wide");
     let _ = write!(body, "    ],\n    \"speedup_4t_vs_1t\": ");
     if speedup.is_finite() {
         let _ = write!(body, "{speedup:.3}");
@@ -333,22 +289,7 @@ fn stencil3d_json(n: usize, nz: usize, reps: u64) -> String {
     ratio_json(
         &mut body,
         "lane_speedup_1t",
-        &[(
-            "stencil3d",
-            ns_of(1, "scalar", "f64"),
-            ns_of(1, "wide", "f64"),
-        )],
-        "    ",
-    );
-    let _ = writeln!(body, ",");
-    ratio_json(
-        &mut body,
-        "f32_speedup_1t",
-        &[(
-            "stencil3d",
-            ns_of(1, "wide", "f64"),
-            ns_of(1, "wide", "f32"),
-        )],
+        &[("stencil3d", ns_of(1, "scalar"), ns_of(1, "wide"))],
         "    ",
     );
     let _ = write!(body, "\n  }}");
@@ -464,7 +405,6 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
         kernel: "dct2d_generic",
         threads: 1,
         lanes: "wide",
-        precision: "f64",
         calls,
         ns_per_call,
     };
@@ -556,48 +496,22 @@ fn main() {
         let mut samples = Vec::new();
         for &t in &THREAD_COUNTS {
             eprintln!("  grid {n}x{n}, {t} thread(s)...");
-            samples.push(time_ftcs(n, t, reps, LaneMode::Wide, FieldPrecision::F64));
-            samples.push(time_velocity(
-                n,
-                t,
-                reps,
-                LaneMode::Wide,
-                FieldPrecision::F64,
-            ));
+            samples.push(time_ftcs(n, t, reps, LaneMode::Wide));
+            samples.push(time_velocity(n, t, reps, LaneMode::Wide));
             samples.push(time_splat(n, num_cells, t, reps.min(10)));
             samples.push(time_advect(n, num_cells, t, steps));
         }
-        // Single-thread lane/precision ladder for the stencil kernels:
-        // the scalar-lane run is the pre-lane reference path (bit-identical
-        // output), the f32 run is the opt-in single-precision field mode.
-        eprintln!("  grid {n}x{n}, 1 thread, scalar lanes + f32 field...");
-        samples.push(time_ftcs(n, 1, reps, LaneMode::Scalar, FieldPrecision::F64));
-        samples.push(time_velocity(
-            n,
-            1,
-            reps,
-            LaneMode::Scalar,
-            FieldPrecision::F64,
-        ));
-        samples.push(time_ftcs(n, 1, reps, LaneMode::Wide, FieldPrecision::F32));
-        samples.push(time_velocity(
-            n,
-            1,
-            reps,
-            LaneMode::Wide,
-            FieldPrecision::F32,
-        ));
+        // Single-thread scalar-lane reference for the stencil kernels:
+        // the pre-lane path, bit-identical output.
+        eprintln!("  grid {n}x{n}, 1 thread, scalar lanes...");
+        samples.push(time_ftcs(n, 1, reps, LaneMode::Scalar));
+        samples.push(time_velocity(n, 1, reps, LaneMode::Scalar));
 
         // Speedup at 4 threads vs 1 thread, per kernel (production mode).
-        let ns_of = |kernel: &str, threads: usize, lanes: &str, prec: &str| {
+        let ns_of = |kernel: &str, threads: usize, lanes: &str| {
             samples
                 .iter()
-                .find(|s| {
-                    s.kernel == kernel
-                        && s.threads == threads
-                        && s.lanes == lanes
-                        && s.precision == prec
-                })
+                .find(|s| s.kernel == kernel && s.threads == threads && s.lanes == lanes)
                 .map(|s| s.ns_per_call)
                 .unwrap_or(f64::NAN)
         };
@@ -610,7 +524,7 @@ fn main() {
         let _ = write!(body, "      ],\n      \"speedup_4t_vs_1t\": {{");
         for (i, k) in ["ftcs", "velocity", "advect", "splat"].iter().enumerate() {
             let sep = if i == 3 { "" } else { ", " };
-            let speedup = ns_of(k, 1, "wide", "f64") / ns_of(k, 4, "wide", "f64");
+            let speedup = ns_of(k, 1, "wide") / ns_of(k, 4, "wide");
             if speedup.is_finite() {
                 let _ = write!(body, "\"{k}\": {speedup:.3}{sep}");
             } else {
@@ -622,33 +536,11 @@ fn main() {
             &mut body,
             "lane_speedup_1t",
             &[
-                (
-                    "ftcs",
-                    ns_of("ftcs", 1, "scalar", "f64"),
-                    ns_of("ftcs", 1, "wide", "f64"),
-                ),
+                ("ftcs", ns_of("ftcs", 1, "scalar"), ns_of("ftcs", 1, "wide")),
                 (
                     "velocity",
-                    ns_of("velocity", 1, "scalar", "f64"),
-                    ns_of("velocity", 1, "wide", "f64"),
-                ),
-            ],
-            "      ",
-        );
-        let _ = writeln!(body, ",");
-        ratio_json(
-            &mut body,
-            "f32_speedup_1t",
-            &[
-                (
-                    "ftcs",
-                    ns_of("ftcs", 1, "wide", "f64"),
-                    ns_of("ftcs", 1, "wide", "f32"),
-                ),
-                (
-                    "velocity",
-                    ns_of("velocity", 1, "wide", "f64"),
-                    ns_of("velocity", 1, "wide", "f32"),
+                    ns_of("velocity", 1, "scalar"),
+                    ns_of("velocity", 1, "wide"),
                 ),
             ],
             "      ",
@@ -676,7 +568,7 @@ fn main() {
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide f64 / 8-wide f32 chunks) or scalar (reference path, bit-identical in f64), precision is the field storage type; non-stencil kernels always report wide/f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide chunks) or scalar (reference path, bit-identical output), precision is the field storage type, always f64; non-stencil kernels always report wide. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

@@ -53,10 +53,6 @@ pub enum ConfigError {
     /// rule: the DCT basis diagonalizes only the conservative
     /// zero-flux boundary operator, so `paper_boundaries` must be off.
     SpectralPaperBoundaries,
-    /// The spectral solver combined with the f32 field mode: the DCT
-    /// jump runs in f64 only, so [`FieldPrecision::F32`] requires the
-    /// FTCS stepper.
-    SpectralF32Field,
 }
 
 impl fmt::Display for ConfigError {
@@ -88,11 +84,6 @@ impl fmt::Display for ConfigError {
                 f,
                 "spectral solver requires the conservative zero-flux boundary \
                  rule (paper_boundaries must be off)"
-            ),
-            ConfigError::SpectralF32Field => write!(
-                f,
-                "spectral solver runs in f64 only: precision must be f64 \
-                 (FieldPrecision::F32 applies to the FTCS stepper)"
             ),
         }
     }
@@ -138,10 +129,9 @@ impl SolverKind {
 /// How the grid kernels walk bin lines.
 ///
 /// [`Wide`](LaneMode::Wide) (the default) runs the explicit lane-chunked
-/// fast paths on fully-live interior lines — 4 bins per chunk in f64,
-/// 8 in f32 — falling back to the generic per-bin path on boundary and
-/// masked lines. [`Scalar`](LaneMode::Scalar) forces the generic path
-/// everywhere.
+/// fast paths on fully-live interior lines — 4 bins per chunk — falling
+/// back to the generic per-bin path on boundary and masked lines.
+/// [`Scalar`](LaneMode::Scalar) forces the generic path everywhere.
 ///
 /// The two modes are **bit-identical**: on the lines the fast path
 /// handles, every neighbor is in-grid and live, where the mirror and
@@ -169,42 +159,18 @@ impl LaneMode {
     }
 }
 
-/// Arithmetic width of the evolving density field.
+/// Arithmetic width of the density field: always f64, the width every
+/// golden checksum and determinism guarantee is stated in.
 ///
-/// [`F64`](FieldPrecision::F64) (the default) is the bit-exactness
-/// anchor: every golden checksum and determinism guarantee is stated in
-/// f64. [`F32`](FieldPrecision::F32) halves the field's memory traffic
-/// and doubles the lane width — migration-grade accuracy for the FTCS
-/// stepper, verified by tolerance fixtures against analytic cosine
-/// flows rather than bit-exact goldens (f32 runs are still bit-identical
-/// across thread counts and lane modes, just not across precisions).
-///
-/// The spectral solver always runs in f64
-/// ([`validate`](DiffusionConfig::validate) rejects the combination),
-/// and there is deliberately no environment override: precision changes
-/// results, so it must be chosen explicitly per run.
-///
-/// The discriminants are the wire encoding of the `dpm-serve` precision
-/// extension byte; frames without the extension decode as
-/// [`F64`](FieldPrecision::F64).
+/// A single-value type kept only for source compatibility with callers
+/// that pin [`DiffusionConfig::precision`] and call
+/// [`DiffusionEngine::set_precision`](crate::DiffusionEngine::set_precision);
+/// nothing in the library reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u8)]
 pub enum FieldPrecision {
-    /// Full-width field (the default; all bit-exactness goldens).
+    /// Full-width field (the only one).
     #[default]
-    F64 = 0,
-    /// Single-precision field for the FTCS stepper (opt-in).
-    F32 = 1,
-}
-
-impl FieldPrecision {
-    /// Stable lowercase name, as used by bench JSON.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FieldPrecision::F64 => "f64",
-            FieldPrecision::F32 => "f32",
-        }
-    }
+    F64,
 }
 
 /// Tunable parameters of the diffusion process and its legalization
@@ -288,9 +254,8 @@ pub struct DiffusionConfig {
     /// (`"scalar"` or `"wide"`), else [`LaneMode::Wide`] — CI reproduces
     /// the golden checksums under both to enforce the equivalence.
     pub lanes: LaneMode,
-    /// Arithmetic width of the density field. Always
-    /// [`FieldPrecision::F64`] unless set explicitly — precision changes
-    /// results, so there is no environment override.
+    /// Always [`FieldPrecision::F64`]; kept only for source
+    /// compatibility with callers that set it, and read by nothing.
     pub precision: FieldPrecision,
     /// Worker threads for the FTCS density step (1 = serial; results are
     /// identical either way). Defaults to the `DPM_THREADS` environment
@@ -508,15 +473,6 @@ impl DiffusionConfig {
         self
     }
 
-    /// Selects the density-field precision. [`FieldPrecision::F32`]
-    /// applies only to the FTCS stepper; combine it with
-    /// [`SolverKind::Spectral`] and [`validate`](Self::validate)
-    /// rejects the config.
-    pub fn with_precision(mut self, precision: FieldPrecision) -> Self {
-        self.precision = precision;
-        self
-    }
-
     /// Sets the FTCS worker-thread count.
     ///
     /// # Panics
@@ -599,9 +555,6 @@ impl DiffusionConfig {
             }
             if self.paper_boundaries {
                 return Err(ConfigError::SpectralPaperBoundaries);
-            }
-            if self.precision == FieldPrecision::F32 {
-                return Err(ConfigError::SpectralF32Field);
             }
         }
         Ok(())
@@ -691,31 +644,7 @@ mod tests {
         assert_eq!(LaneMode::Scalar.as_str(), "scalar");
         assert_eq!(LaneMode::Wide.as_str(), "wide");
         assert_eq!(LaneMode::default(), LaneMode::Wide);
-        assert_eq!(FieldPrecision::F64.as_str(), "f64");
-        assert_eq!(FieldPrecision::F32.as_str(), "f32");
         assert_eq!(FieldPrecision::default(), FieldPrecision::F64);
-        assert_eq!(FieldPrecision::F64 as u8, 0);
-        assert_eq!(FieldPrecision::F32 as u8, 1);
-    }
-
-    #[test]
-    fn validate_rejects_spectral_f32() {
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Spectral)
-            .with_precision(FieldPrecision::F32);
-        assert_eq!(c.validate(), Err(ConfigError::SpectralF32Field));
-        let msg = c.validate().unwrap_err().to_string();
-        assert!(msg.contains("f64"), "{msg}");
-
-        // FTCS accepts f32, and spectral accepts f64.
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Ftcs)
-            .with_precision(FieldPrecision::F32);
-        assert_eq!(c.validate(), Ok(()));
-        let c = DiffusionConfig::default()
-            .with_solver(SolverKind::Spectral)
-            .with_precision(FieldPrecision::F64);
-        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]

@@ -18,51 +18,9 @@ use std::time::Instant;
 /// (guards the division in Eq. 5).
 const DENSITY_FLOOR: f64 = 1e-9;
 
-/// Explicit lane width of the f64 fast paths: 4 bins per chunk (one
+/// Explicit lane width of the fast paths: 4 bins per chunk (one
 /// 32-byte vector register / half a cache line).
-const LANES_F64: usize = 4;
-
-/// Explicit lane width of the f32 fast paths: 8 bins per chunk (the
-/// same 32 bytes as [`LANES_F64`]).
-const LANES_F32: usize = 8;
-
-/// Scalar type the grid kernels are generic over: `f64` (the default
-/// field) or `f32` ([`FieldPrecision::F32`]).
-///
-/// The trait carries exactly the constants the kernel expressions need,
-/// so the generic bodies are *textually identical* to the historical
-/// f64-only kernels — which is what makes the f64 instantiation
-/// bit-identical to the pre-refactor engine.
-trait LaneScalar:
-    Copy
-    + PartialOrd
-    + Send
-    + Sync
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::Neg<Output = Self>
-{
-    /// Additive identity (also the "no velocity" value).
-    const ZERO: Self;
-    /// The literal `2.0` of Eq. 4 and Eq. 5.
-    const TWO: Self;
-    /// [`DENSITY_FLOOR`] in this precision.
-    const FLOOR: Self;
-}
-
-impl LaneScalar for f64 {
-    const ZERO: Self = 0.0;
-    const TWO: Self = 2.0;
-    const FLOOR: Self = DENSITY_FLOOR;
-}
-
-impl LaneScalar for f32 {
-    const ZERO: Self = 0.0;
-    const TWO: Self = 2.0;
-    const FLOOR: Self = DENSITY_FLOOR as f32;
-}
+const LANES: usize = 4;
 
 /// Discrete diffusion simulator over a [`Dims`] bin grid.
 ///
@@ -114,19 +72,6 @@ pub struct DiffusionEngine {
     frozen: Vec<bool>,
     /// Per-axis velocity buffers; `vel[2]` is empty on a planar grid.
     vel: [Vec<f64>; 3],
-    /// f32 twins of `density`/`next`/`vel`, allocated only in
-    /// [`FieldPrecision::F32`] mode, where they are the authoritative
-    /// field and `density` is lazily kept as its exact f64 widening:
-    /// stepping marks the mirror dirty instead of widening inline (the
-    /// extra 8-byte store per bin would erase the f32 bandwidth win),
-    /// and [`sync_mirror`](Self::sync_mirror) rebuilds it before any
-    /// f64 bulk read.
-    density32: Vec<f32>,
-    next32: Vec<f32>,
-    vel32: [Vec<f32>; 3],
-    /// `true` while the f64 `density` mirror lags the authoritative f32
-    /// field. Never set in [`FieldPrecision::F64`] mode.
-    mirror_dirty: bool,
     /// Per-line "no wall or frozen bin" flags, refreshed on every
     /// wall/frozen mutation; lines whose whole line neighborhood is live
     /// take the lane fast path.
@@ -139,18 +84,16 @@ pub struct DiffusionEngine {
     fast_bin: Vec<bool>,
     conservative: bool,
     lanes: LaneMode,
-    precision: FieldPrecision,
     pool: ThreadPool,
     timers: KernelTimers,
 }
 
 /// Immutable view of the density field and masks, shared by the serial
-/// and parallel kernel paths so their arithmetic cannot diverge, and
-/// generic over the field scalar (f64 or f32).
+/// and parallel kernel paths so their arithmetic cannot diverge.
 #[derive(Clone, Copy)]
-struct FieldView<'a, T> {
+struct FieldView<'a> {
     dims: Dims,
-    density: &'a [T],
+    density: &'a [f64],
     wall: &'a [bool],
     frozen: &'a [bool],
     line_live: &'a [bool],
@@ -159,7 +102,7 @@ struct FieldView<'a, T> {
     wide: bool,
 }
 
-impl<T: LaneScalar> FieldView<'_, T> {
+impl FieldView<'_> {
     /// Flat index of the neighbor of bin `idx = [j, k, z]` one step in
     /// direction `dir` along `axis`, if it exists and is live.
     #[inline]
@@ -184,7 +127,7 @@ impl<T: LaneScalar> FieldView<'_, T> {
     /// the grid, a wall, or frozen, the *opposite* neighbor's density is
     /// used (and the bin's own density if that is unavailable too), which
     /// makes the normal gradient zero.
-    fn neighbor_density(&self, idx: [usize; 3], axis: usize, dir: isize) -> T {
+    fn neighbor_density(&self, idx: [usize; 3], axis: usize, dir: isize) -> f64 {
         match self.live_neighbor(idx, axis, dir) {
             Some(i) => self.density[i],
             None => match self.live_neighbor(idx, axis, -dir) {
@@ -198,7 +141,7 @@ impl<T: LaneScalar> FieldView<'_, T> {
     /// conservative ghost (`d_ghost = d_center`) when enabled. Used only
     /// by the density step; velocities always use the mirror rule so the
     /// component normal to a boundary is exactly zero.
-    fn neighbor_density_for_step(&self, idx: [usize; 3], axis: usize, dir: isize) -> T {
+    fn neighbor_density_for_step(&self, idx: [usize; 3], axis: usize, dir: isize) -> f64 {
         if self.conservative {
             match self.live_neighbor(idx, axis, dir) {
                 Some(i) => self.density[i],
@@ -238,32 +181,31 @@ impl<T: LaneScalar> FieldView<'_, T> {
     /// One bin of the velocity field through the generic (boundary-aware)
     /// path, written into `out[axis][o]`.
     #[inline]
-    fn velocity_bin(&self, i: usize, idx: [usize; 3], out: &mut [&mut [T]], o: usize) {
+    fn velocity_bin(&self, i: usize, idx: [usize; 3], out: &mut [&mut [f64]], o: usize) {
         if self.wall[i] || self.frozen[i] {
             for v in out.iter_mut() {
-                v[o] = T::ZERO;
+                v[o] = 0.0;
             }
             return;
         }
         let d = self.density[i];
-        if d <= T::FLOOR {
+        if d <= DENSITY_FLOOR {
             for v in out.iter_mut() {
-                v[o] = T::ZERO;
+                v[o] = 0.0;
             }
             return;
         }
         for (axis, v) in out.iter_mut().enumerate() {
             let dp = self.neighbor_density(idx, axis, 1);
             let dm = self.neighbor_density(idx, axis, -1);
-            v[o] = -(dp - dm) / (T::TWO * d);
+            v[o] = -(dp - dm) / (2.0 * d);
         }
     }
 
     /// Velocity field (Eq. 5) of x-major lines `l0..l1`, written into the
     /// per-axis slices of `out` (which cover exactly those lines).
-    /// `out.len()` is the grid's `ndim`. `L` is the explicit lane width
-    /// of the fast path ([`LANES_F64`] or [`LANES_F32`]).
-    fn velocity_lines<const L: usize>(&self, l0: usize, l1: usize, out: &mut [&mut [T]]) {
+    /// `out.len()` is the grid's `ndim`.
+    fn velocity_lines(&self, l0: usize, l1: usize, out: &mut [&mut [f64]]) {
         let nx = self.dims.nx();
         let ny = self.dims.ny();
         let strides = [1usize, nx, nx * ny];
@@ -276,7 +218,7 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 }
             } else if self.fast_line(l, k, z) {
                 // Wholly-live line: edge columns through the generic
-                // path, interior as zipped L-wide chunks per axis plus a
+                // path, interior as zipped lane-wide chunks per axis plus a
                 // scalar tail; per-bin arithmetic identical to
                 // `velocity_bin`'s live-interior case.
                 let row = l * nx;
@@ -286,27 +228,27 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 let m = nx - 2;
                 for (axis, v) in out.iter_mut().enumerate() {
                     let s = strides[axis];
-                    let (o_ch, o_tl) = v[orow + 1..orow + 1 + m].as_chunks_mut::<L>();
-                    let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<L>();
-                    let (sm_ch, sm_tl) = den[row + 1 - s..row + 1 - s + m].as_chunks::<L>();
-                    let (sp_ch, sp_tl) = den[row + 1 + s..row + 1 + s + m].as_chunks::<L>();
+                    let (o_ch, o_tl) = v[orow + 1..orow + 1 + m].as_chunks_mut::<LANES>();
+                    let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<LANES>();
+                    let (sm_ch, sm_tl) = den[row + 1 - s..row + 1 - s + m].as_chunks::<LANES>();
+                    let (sp_ch, sp_tl) = den[row + 1 + s..row + 1 + s + m].as_chunks::<LANES>();
                     let streams = o_ch.iter_mut().zip(c_ch).zip(sm_ch).zip(sp_ch);
                     for (((o, c), sm), sp) in streams {
-                        for t in 0..L {
+                        for t in 0..LANES {
                             let d = c[t];
-                            o[t] = if d > T::FLOOR {
-                                -(sp[t] - sm[t]) / (T::TWO * d)
+                            o[t] = if d > DENSITY_FLOOR {
+                                -(sp[t] - sm[t]) / (2.0 * d)
                             } else {
-                                T::ZERO
+                                0.0
                             };
                         }
                     }
                     let tails = o_tl.iter_mut().zip(c_tl).zip(sm_tl).zip(sp_tl);
                     for (((o, &d), &sm), &sp) in tails {
-                        *o = if d > T::FLOOR {
-                            -(sp - sm) / (T::TWO * d)
+                        *o = if d > DENSITY_FLOOR {
+                            -(sp - sm) / (2.0 * d)
                         } else {
-                            T::ZERO
+                            0.0
                         };
                     }
                 }
@@ -319,23 +261,23 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 let fast = &self.fast_bin[row..row + nx];
                 let mut j = 0usize;
                 while j < nx {
-                    if j + L <= nx && fast[j..j + L].iter().all(|&b| b) {
+                    if j + LANES <= nx && fast[j..j + LANES].iter().all(|&b| b) {
                         let i = row + j;
-                        let c: &[T; L] = den[i..i + L].try_into().unwrap();
+                        let c: &[f64; LANES] = den[i..i + LANES].try_into().unwrap();
                         for (axis, v) in out.iter_mut().enumerate() {
                             let s = strides[axis];
-                            let sm: &[T; L] = den[i - s..i - s + L].try_into().unwrap();
-                            let sp: &[T; L] = den[i + s..i + s + L].try_into().unwrap();
-                            let mut lane = [T::ZERO; L];
-                            for t in 0..L {
+                            let sm: &[f64; LANES] = den[i - s..i - s + LANES].try_into().unwrap();
+                            let sp: &[f64; LANES] = den[i + s..i + s + LANES].try_into().unwrap();
+                            let mut lane = [0.0; LANES];
+                            for t in 0..LANES {
                                 let d = c[t];
-                                if d > T::FLOOR {
-                                    lane[t] = -(sp[t] - sm[t]) / (T::TWO * d);
+                                if d > DENSITY_FLOOR {
+                                    lane[t] = -(sp[t] - sm[t]) / (2.0 * d);
                                 }
                             }
-                            v[orow + j..orow + j + L].copy_from_slice(&lane);
+                            v[orow + j..orow + j + LANES].copy_from_slice(&lane);
                         }
-                        j += L;
+                        j += LANES;
                     } else {
                         self.velocity_bin(row + j, [j, k, z], out, orow + j);
                         j += 1;
@@ -348,7 +290,7 @@ impl<T: LaneScalar> FieldView<'_, T> {
     /// One bin of the FTCS update through the generic (boundary-aware)
     /// path.
     #[inline]
-    fn ftcs_bin(&self, i: usize, idx: [usize; 3], half: T) -> T {
+    fn ftcs_bin(&self, i: usize, idx: [usize; 3], half: f64) -> f64 {
         if self.wall[i] || self.frozen[i] {
             return self.density[i];
         }
@@ -357,15 +299,14 @@ impl<T: LaneScalar> FieldView<'_, T> {
         for axis in 0..self.dims.ndim() {
             let dp = self.neighbor_density_for_step(idx, axis, 1);
             let dm = self.neighbor_density_for_step(idx, axis, -1);
-            acc = acc + half * (dp + dm - T::TWO * d);
+            acc += half * (dp + dm - 2.0 * d);
         }
         acc
     }
 
     /// FTCS update of x-major lines `l0..l1`, written into `out` (which
-    /// covers exactly those lines). `L` is the explicit lane width of the
-    /// fast path.
-    fn ftcs_lines<const L: usize>(&self, l0: usize, l1: usize, half: T, out: &mut [T]) {
+    /// covers exactly those lines).
+    fn ftcs_lines(&self, l0: usize, l1: usize, half: f64, out: &mut [f64]) {
         let nx = self.dims.nx();
         let ny = self.dims.ny();
         let d3 = self.dims.ndim() == 3;
@@ -379,7 +320,7 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 }
             } else if self.fast_line(l, k, z) {
                 // Wholly-live line: the edge columns go through the
-                // generic path, then the interior runs as zipped L-wide
+                // generic path, then the interior runs as zipped lane-wide
                 // chunks over the neighbour streams plus a scalar tail.
                 // The per-bin accumulation order is the generic path's
                 // axis order (x, then y, then z), so the bits match
@@ -390,15 +331,15 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 out[orow] = self.ftcs_bin(row, [0, k, z], half);
                 out[orow + nx - 1] = self.ftcs_bin(row + nx - 1, [nx - 1, k, z], half);
                 let m = nx - 2;
-                let (o_ch, o_tl) = out[orow + 1..orow + 1 + m].as_chunks_mut::<L>();
-                let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<L>();
-                let (xm_ch, xm_tl) = den[row..row + m].as_chunks::<L>();
-                let (xp_ch, xp_tl) = den[row + 2..row + 2 + m].as_chunks::<L>();
-                let (ym_ch, ym_tl) = den[row + 1 - nx..row + 1 - nx + m].as_chunks::<L>();
-                let (yp_ch, yp_tl) = den[row + 1 + nx..row + 1 + nx + m].as_chunks::<L>();
+                let (o_ch, o_tl) = out[orow + 1..orow + 1 + m].as_chunks_mut::<LANES>();
+                let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<LANES>();
+                let (xm_ch, xm_tl) = den[row..row + m].as_chunks::<LANES>();
+                let (xp_ch, xp_tl) = den[row + 2..row + 2 + m].as_chunks::<LANES>();
+                let (ym_ch, ym_tl) = den[row + 1 - nx..row + 1 - nx + m].as_chunks::<LANES>();
+                let (yp_ch, yp_tl) = den[row + 1 + nx..row + 1 + nx + m].as_chunks::<LANES>();
                 if d3 {
-                    let (zm_ch, zm_tl) = den[row + 1 - zs..row + 1 - zs + m].as_chunks::<L>();
-                    let (zp_ch, zp_tl) = den[row + 1 + zs..row + 1 + zs + m].as_chunks::<L>();
+                    let (zm_ch, zm_tl) = den[row + 1 - zs..row + 1 - zs + m].as_chunks::<LANES>();
+                    let (zp_ch, zp_tl) = den[row + 1 + zs..row + 1 + zs + m].as_chunks::<LANES>();
                     let streams = o_ch
                         .iter_mut()
                         .zip(c_ch)
@@ -409,11 +350,11 @@ impl<T: LaneScalar> FieldView<'_, T> {
                         .zip(zm_ch)
                         .zip(zp_ch);
                     for (((((((o, c), xm), xp), ym), yp), zm), zp) in streams {
-                        for t in 0..L {
+                        for t in 0..LANES {
                             let d = c[t];
-                            let mut acc = d + half * (xp[t] + xm[t] - T::TWO * d);
-                            acc = acc + half * (yp[t] + ym[t] - T::TWO * d);
-                            acc = acc + half * (zp[t] + zm[t] - T::TWO * d);
+                            let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                            acc += half * (yp[t] + ym[t] - 2.0 * d);
+                            acc += half * (zp[t] + zm[t] - 2.0 * d);
                             o[t] = acc;
                         }
                     }
@@ -427,9 +368,9 @@ impl<T: LaneScalar> FieldView<'_, T> {
                         .zip(zm_tl)
                         .zip(zp_tl);
                     for (((((((o, &d), &xm), &xp), &ym), &yp), &zm), &zp) in tails {
-                        let mut acc = d + half * (xp + xm - T::TWO * d);
-                        acc = acc + half * (yp + ym - T::TWO * d);
-                        acc = acc + half * (zp + zm - T::TWO * d);
+                        let mut acc = d + half * (xp + xm - 2.0 * d);
+                        acc += half * (yp + ym - 2.0 * d);
+                        acc += half * (zp + zm - 2.0 * d);
                         *o = acc;
                     }
                 } else {
@@ -441,10 +382,10 @@ impl<T: LaneScalar> FieldView<'_, T> {
                         .zip(ym_ch)
                         .zip(yp_ch);
                     for (((((o, c), xm), xp), ym), yp) in streams {
-                        for t in 0..L {
+                        for t in 0..LANES {
                             let d = c[t];
-                            let mut acc = d + half * (xp[t] + xm[t] - T::TWO * d);
-                            acc = acc + half * (yp[t] + ym[t] - T::TWO * d);
+                            let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                            acc += half * (yp[t] + ym[t] - 2.0 * d);
                             o[t] = acc;
                         }
                     }
@@ -456,8 +397,8 @@ impl<T: LaneScalar> FieldView<'_, T> {
                         .zip(ym_tl)
                         .zip(yp_tl);
                     for (((((o, &d), &xm), &xp), &ym), &yp) in tails {
-                        let mut acc = d + half * (xp + xm - T::TWO * d);
-                        acc = acc + half * (yp + ym - T::TWO * d);
+                        let mut acc = d + half * (xp + xm - 2.0 * d);
+                        acc += half * (yp + ym - 2.0 * d);
                         *o = acc;
                     }
                 }
@@ -472,34 +413,34 @@ impl<T: LaneScalar> FieldView<'_, T> {
                 let fast = &self.fast_bin[row..row + nx];
                 let mut j = 0usize;
                 while j < nx {
-                    if j + L <= nx && fast[j..j + L].iter().all(|&b| b) {
+                    if j + LANES <= nx && fast[j..j + LANES].iter().all(|&b| b) {
                         let i = row + j;
-                        let mut lane = [T::ZERO; L];
-                        let c: &[T; L] = den[i..i + L].try_into().unwrap();
-                        let xm: &[T; L] = den[i - 1..i - 1 + L].try_into().unwrap();
-                        let xp: &[T; L] = den[i + 1..i + 1 + L].try_into().unwrap();
-                        let ym: &[T; L] = den[i - nx..i - nx + L].try_into().unwrap();
-                        let yp: &[T; L] = den[i + nx..i + nx + L].try_into().unwrap();
+                        let mut lane = [0.0; LANES];
+                        let c: &[f64; LANES] = den[i..i + LANES].try_into().unwrap();
+                        let xm: &[f64; LANES] = den[i - 1..i - 1 + LANES].try_into().unwrap();
+                        let xp: &[f64; LANES] = den[i + 1..i + 1 + LANES].try_into().unwrap();
+                        let ym: &[f64; LANES] = den[i - nx..i - nx + LANES].try_into().unwrap();
+                        let yp: &[f64; LANES] = den[i + nx..i + nx + LANES].try_into().unwrap();
                         if d3 {
-                            let zm: &[T; L] = den[i - zs..i - zs + L].try_into().unwrap();
-                            let zp: &[T; L] = den[i + zs..i + zs + L].try_into().unwrap();
-                            for t in 0..L {
+                            let zm: &[f64; LANES] = den[i - zs..i - zs + LANES].try_into().unwrap();
+                            let zp: &[f64; LANES] = den[i + zs..i + zs + LANES].try_into().unwrap();
+                            for t in 0..LANES {
                                 let d = c[t];
-                                let mut acc = d + half * (xp[t] + xm[t] - T::TWO * d);
-                                acc = acc + half * (yp[t] + ym[t] - T::TWO * d);
-                                acc = acc + half * (zp[t] + zm[t] - T::TWO * d);
+                                let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                                acc += half * (yp[t] + ym[t] - 2.0 * d);
+                                acc += half * (zp[t] + zm[t] - 2.0 * d);
                                 lane[t] = acc;
                             }
                         } else {
-                            for t in 0..L {
+                            for t in 0..LANES {
                                 let d = c[t];
-                                let mut acc = d + half * (xp[t] + xm[t] - T::TWO * d);
-                                acc = acc + half * (yp[t] + ym[t] - T::TWO * d);
+                                let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                                acc += half * (yp[t] + ym[t] - 2.0 * d);
                                 lane[t] = acc;
                             }
                         }
-                        out[orow + j..orow + j + L].copy_from_slice(&lane);
-                        j += L;
+                        out[orow + j..orow + j + LANES].copy_from_slice(&lane);
+                        j += LANES;
                     } else {
                         out[orow + j] = self.ftcs_bin(row + j, [j, k, z], half);
                         j += 1;
@@ -570,18 +511,13 @@ impl DiffusionEngine {
             dims,
             next: density.clone(),
             density,
-            density32: Vec::new(),
-            next32: Vec::new(),
             wall,
             frozen: vec![false; n],
             vel: [vec![0.0; n], vec![0.0; n], vz],
-            vel32: [Vec::new(), Vec::new(), Vec::new()],
-            mirror_dirty: false,
             line_live: Vec::new(),
             fast_bin: Vec::new(),
             conservative: true,
             lanes: LaneMode::Wide,
-            precision: FieldPrecision::F64,
             pool: ThreadPool::single(),
             timers: KernelTimers::default(),
         };
@@ -632,44 +568,6 @@ impl DiffusionEngine {
         }
     }
 
-    /// Re-narrows the f64 field into the f32 field and widens it back,
-    /// so in [`FieldPrecision::F32`] mode the f64 mirror is always the
-    /// exact widening of what the stepper computes on. No-op in f64
-    /// mode.
-    fn resync_f32(&mut self) {
-        if self.precision == FieldPrecision::F32 {
-            for (s, d) in self.density32.iter_mut().zip(self.density.iter_mut()) {
-                *s = *d as f32;
-                *d = f64::from(*s);
-            }
-            self.mirror_dirty = false;
-        }
-    }
-
-    /// Rebuilds the f64 `density` mirror from the authoritative f32
-    /// field if stepping has left it stale. No-op when the mirror is
-    /// current (always the case in f64 mode).
-    fn sync_mirror(&mut self) {
-        if self.mirror_dirty {
-            for (d, &s) in self.density.iter_mut().zip(self.density32.iter()) {
-                *d = f64::from(s);
-            }
-            self.mirror_dirty = false;
-        }
-    }
-
-    /// Density of flat bin `i`, read from the authoritative buffer for
-    /// the current precision (so single-bin reads never force a mirror
-    /// rebuild). In f32 mode the widening is exact, hence bit-identical
-    /// to reading a synced mirror.
-    #[inline]
-    fn density_flat(&self, i: usize) -> f64 {
-        match self.precision {
-            FieldPrecision::F64 => self.density[i],
-            FieldPrecision::F32 => f64::from(self.density32[i]),
-        }
-    }
-
     /// Reloads density and walls from a [`DensityMap`] of the same grid,
     /// reusing every existing buffer (no allocation). Frozen bins and
     /// velocities are cleared; thread pool, boundary rule and kernel
@@ -693,10 +591,6 @@ impl DiffusionEngine {
         for axis in &mut self.vel {
             axis.iter_mut().for_each(|v| *v = 0.0);
         }
-        for axis in &mut self.vel32 {
-            axis.iter_mut().for_each(|v| *v = 0.0);
-        }
-        self.resync_f32();
         self.refresh_live_masks();
     }
 
@@ -761,13 +655,13 @@ impl DiffusionEngine {
     /// Density of bin `(j, k)` (tier 0 on a volumetric grid).
     #[inline]
     pub fn density(&self, j: usize, k: usize) -> f64 {
-        self.density_flat(self.at(j, k))
+        self.density[self.at(j, k)]
     }
 
     /// Density of bin `(j, k, z)`.
     #[inline]
     pub fn density3(&self, j: usize, k: usize, z: usize) -> f64 {
-        self.density_flat(self.dims.flat(j, k, z))
+        self.density[self.dims.flat(j, k, z)]
     }
 
     /// Overwrites the density of bin `(j, k)` (used by tests and by the
@@ -775,25 +669,12 @@ impl DiffusionEngine {
     #[inline]
     pub fn set_density(&mut self, j: usize, k: usize, d: f64) {
         let i = self.at(j, k);
-        if self.precision == FieldPrecision::F32 {
-            self.density32[i] = d as f32;
-            // Keep the mirror element current only while the mirror as a
-            // whole is current; a dirty mirror stays dirty until synced.
-            if !self.mirror_dirty {
-                self.density[i] = f64::from(self.density32[i]);
-            }
-        } else {
-            self.density[i] = d;
-        }
+        self.density[i] = d;
     }
 
-    /// Raw plane-major density buffer, as f64. Takes `&mut self`
-    /// because in [`FieldPrecision::F32`] mode the f64 mirror is
-    /// rebuilt lazily from the authoritative f32 field on first read
-    /// after a step.
+    /// Raw plane-major density buffer.
     #[inline]
-    pub fn densities(&mut self) -> &[f64] {
-        self.sync_mirror();
+    pub fn densities(&self) -> &[f64] {
         &self.density
     }
 
@@ -809,7 +690,6 @@ impl DiffusionEngine {
             "density buffer length mismatch"
         );
         self.density.copy_from_slice(density);
-        self.resync_f32();
     }
 
     /// `true` if bin `(j, k)` is a wall (fixed macro).
@@ -889,7 +769,7 @@ impl DiffusionEngine {
         let mut m = 0.0f64;
         for i in 0..self.dims.len() {
             if !self.wall[i] && !self.frozen[i] {
-                m = m.max(self.density_flat(i));
+                m = m.max(self.density[i]);
             }
         }
         m
@@ -900,7 +780,7 @@ impl DiffusionEngine {
         let mut s = 0.0;
         for i in 0..self.dims.len() {
             if !self.wall[i] && !self.frozen[i] {
-                s += self.density_flat(i);
+                s += self.density[i];
             }
         }
         s
@@ -911,7 +791,7 @@ impl DiffusionEngine {
         let mut s = 0.0;
         for i in 0..self.dims.len() {
             if !self.wall[i] && !self.frozen[i] {
-                s += (self.density_flat(i) - d_max).max(0.0);
+                s += (self.density[i] - d_max).max(0.0);
             }
         }
         s
@@ -932,11 +812,10 @@ impl DiffusionEngine {
     /// Selects scalar or lane-wise (default) kernel inner loops.
     ///
     /// The wide paths process interior bins of wholly-live lines in
-    /// explicit 4-wide (f64) / 8-wide (f32) chunks with scalar tails;
-    /// they evaluate the exact same per-bin expressions in the same
-    /// order as the scalar paths, so results are bit-identical. The
-    /// scalar mode exists as the CI reference the lane paths are
-    /// checked against.
+    /// explicit 4-wide chunks with scalar tails; they evaluate the exact
+    /// same per-bin expressions in the same order as the scalar paths,
+    /// so results are bit-identical. The scalar mode exists as the CI
+    /// reference the lane paths are checked against.
     pub fn set_lanes(&mut self, lanes: LaneMode) {
         self.lanes = lanes;
     }
@@ -947,58 +826,35 @@ impl DiffusionEngine {
         self.lanes
     }
 
-    /// Switches the working precision of the density/velocity fields.
-    ///
-    /// In [`FieldPrecision::F32`] mode the FTCS step and the velocity
-    /// field run on single-precision buffers (half the memory traffic of
-    /// the memory-bound stencils); the public f64 readers stay valid
-    /// because the engine maintains the f64 density as the *exact*
-    /// widening of the f32 field after every step. Switching to f32
-    /// narrows the current density once (quantization ≤ 1 ulp of f32);
-    /// switching back to f64 keeps the widened values and frees the f32
-    /// buffers.
-    pub fn set_precision(&mut self, precision: FieldPrecision) {
-        match precision {
-            FieldPrecision::F64 => {
-                // Materialise any pending f32 state into the f64 field
-                // before the f32 buffers are dropped.
-                self.sync_mirror();
-                self.precision = precision;
-                self.density32 = Vec::new();
-                self.next32 = Vec::new();
-                self.vel32 = [Vec::new(), Vec::new(), Vec::new()];
-            }
-            FieldPrecision::F32 => {
-                self.precision = precision;
-                let n = self.dims.len();
-                self.density32 = vec![0.0; n];
-                self.next32 = vec![0.0; n];
-                let vz = if self.dims.ndim() == 3 {
-                    vec![0.0f32; n]
-                } else {
-                    Vec::new()
-                };
-                self.vel32 = [vec![0.0; n], vec![0.0; n], vz];
-                self.resync_f32();
-            }
-        }
-    }
-
-    /// The field precision currently configured.
-    #[inline]
-    pub fn precision(&self) -> FieldPrecision {
-        self.precision
-    }
+    /// No-op: the field is always f64. Kept only so existing callers
+    /// that pin [`FieldPrecision::F64`] still compile; the engine never
+    /// reads it.
+    pub fn set_precision(&mut self, _precision: FieldPrecision) {}
 
     /// Lines per parallel work unit, sized so one chunk's stencil
     /// working set (the chunk plus its two neighbor lines) fits the
     /// cache block budget.
     fn chunk_lines(&self) -> usize {
-        let elem = match self.precision {
-            FieldPrecision::F32 => std::mem::size_of::<f32>(),
-            FieldPrecision::F64 => std::mem::size_of::<f64>(),
-        };
-        blocked_lines(self.dims.nx() * elem, CACHE_BLOCK_BYTES)
+        blocked_lines(
+            self.dims.nx() * std::mem::size_of::<f64>(),
+            CACHE_BLOCK_BYTES,
+        )
+    }
+
+    /// The kernels' read-only view of the field and masks. The step and
+    /// velocity kernels take their output buffer out of `self` first, so
+    /// the view can borrow the rest.
+    fn view(&self) -> FieldView<'_> {
+        FieldView {
+            dims: self.dims,
+            density: &self.density,
+            wall: &self.wall,
+            frozen: &self.frozen,
+            line_live: &self.line_live,
+            fast_bin: &self.fast_bin,
+            conservative: self.conservative,
+            wide: self.lanes == LaneMode::Wide,
+        }
     }
 
     /// The worker-thread count currently configured.
@@ -1048,52 +904,16 @@ impl DiffusionEngine {
         let start = Instant::now();
         let nx = self.dims.nx();
         let chunk = self.chunk_lines() * nx;
-        let wide = self.lanes == LaneMode::Wide;
-        match self.precision {
-            FieldPrecision::F64 => {
-                let half = dt / 2.0;
-                let view = FieldView {
-                    dims: self.dims,
-                    density: &self.density,
-                    wall: &self.wall,
-                    frozen: &self.frozen,
-                    line_live: &self.line_live,
-                    fast_bin: &self.fast_bin,
-                    conservative: self.conservative,
-                    wide,
-                };
-                parallel_for_chunks(&self.pool, &mut self.next, chunk, |_, range, out| {
-                    view.ftcs_lines::<LANES_F64>(range.start / nx, range.end / nx, half, out);
-                });
-            }
-            FieldPrecision::F32 => {
-                let half = (dt / 2.0) as f32;
-                let view = FieldView {
-                    dims: self.dims,
-                    density: &self.density32,
-                    wall: &self.wall,
-                    frozen: &self.frozen,
-                    line_live: &self.line_live,
-                    fast_bin: &self.fast_bin,
-                    conservative: self.conservative,
-                    wide,
-                };
-                parallel_for_chunks(&self.pool, &mut self.next32, chunk, |_, range, out32| {
-                    view.ftcs_lines::<LANES_F32>(range.start / nx, range.end / nx, half, out32);
-                });
-                std::mem::swap(&mut self.density32, &mut self.next32);
-                // The f64 mirror is not rewritten here — widening every
-                // bin would double the step's store traffic. It is
-                // rebuilt on demand by `sync_mirror`.
-                self.mirror_dirty = true;
-            }
-        }
+        let half = dt / 2.0;
+        let mut next = std::mem::take(&mut self.next);
+        let view = self.view();
+        parallel_for_chunks(&self.pool, &mut next, chunk, |_, range, out| {
+            view.ftcs_lines(range.start / nx, range.end / nx, half, out);
+        });
         self.timers
             .ftcs
             .record(start.elapsed(), self.pool.threads());
-        if self.precision == FieldPrecision::F64 {
-            std::mem::swap(&mut self.density, &mut self.next);
-        }
+        self.next = std::mem::replace(&mut self.density, next);
     }
 
     /// Recomputes the per-bin velocity field from the current density
@@ -1109,103 +929,25 @@ impl DiffusionEngine {
         let start = Instant::now();
         let nx = self.dims.nx();
         let chunk = self.chunk_lines() * nx;
-        let wide = self.lanes == LaneMode::Wide;
-        match self.precision {
-            FieldPrecision::F64 => {
-                let view = FieldView {
-                    dims: self.dims,
-                    density: &self.density,
-                    wall: &self.wall,
-                    frozen: &self.frozen,
-                    line_live: &self.line_live,
-                    fast_bin: &self.fast_bin,
-                    conservative: self.conservative,
-                    wide,
-                };
-                let [vx, vy, vz] = &mut self.vel;
-                match self.dims {
-                    Dims::D2 { .. } => {
-                        parallel_for_chunks2(&self.pool, vx, vy, chunk, |_, range, cx, cy| {
-                            view.velocity_lines::<LANES_F64>(
-                                range.start / nx,
-                                range.end / nx,
-                                &mut [cx, cy],
-                            );
-                        });
-                    }
-                    Dims::D3 { .. } => {
-                        parallel_for_chunks3(
-                            &self.pool,
-                            vx,
-                            vy,
-                            vz,
-                            chunk,
-                            |_, range, cx, cy, cz| {
-                                view.velocity_lines::<LANES_F64>(
-                                    range.start / nx,
-                                    range.end / nx,
-                                    &mut [cx, cy, cz],
-                                );
-                            },
-                        );
-                    }
-                }
+        let mut vel = std::mem::take(&mut self.vel);
+        let view = self.view();
+        let [vx, vy, vz] = &mut vel;
+        match self.dims {
+            Dims::D2 { .. } => {
+                parallel_for_chunks2(&self.pool, vx, vy, chunk, |_, range, cx, cy| {
+                    view.velocity_lines(range.start / nx, range.end / nx, &mut [cx, cy]);
+                });
             }
-            FieldPrecision::F32 => {
-                let view = FieldView {
-                    dims: self.dims,
-                    density: &self.density32,
-                    wall: &self.wall,
-                    frozen: &self.frozen,
-                    line_live: &self.line_live,
-                    fast_bin: &self.fast_bin,
-                    conservative: self.conservative,
-                    wide,
-                };
-                let [vx, vy, vz] = &mut self.vel32;
-                match self.dims {
-                    Dims::D2 { .. } => {
-                        parallel_for_chunks2(&self.pool, vx, vy, chunk, |_, range, cx, cy| {
-                            view.velocity_lines::<LANES_F32>(
-                                range.start / nx,
-                                range.end / nx,
-                                &mut [cx, cy],
-                            );
-                        });
-                    }
-                    Dims::D3 { .. } => {
-                        parallel_for_chunks3(
-                            &self.pool,
-                            vx,
-                            vy,
-                            vz,
-                            chunk,
-                            |_, range, cx, cy, cz| {
-                                view.velocity_lines::<LANES_F32>(
-                                    range.start / nx,
-                                    range.end / nx,
-                                    &mut [cx, cy, cz],
-                                );
-                            },
-                        );
-                    }
-                }
+            Dims::D3 { .. } => {
+                parallel_for_chunks3(&self.pool, vx, vy, vz, chunk, |_, range, cx, cy, cz| {
+                    view.velocity_lines(range.start / nx, range.end / nx, &mut [cx, cy, cz]);
+                });
             }
         }
+        self.vel = vel;
         self.timers
             .velocity
             .record(start.elapsed(), self.pool.threads());
-    }
-
-    /// Velocity component read that is valid in both precisions (in f32
-    /// mode the f64 buffers are stale; `vel32` is authoritative).
-    #[inline]
-    fn vel_component(&self, axis: usize, i: usize) -> f64 {
-        if self.precision == FieldPrecision::F32 {
-            f64::from(self.vel32[axis][i])
-        } else {
-            self.vel[axis][i]
-        }
     }
 
     /// The velocity assigned to bin `(j, k)` (tier 0 on a volumetric
@@ -1214,7 +956,7 @@ impl DiffusionEngine {
     #[inline]
     pub fn bin_velocity(&self, j: usize, k: usize) -> Vector {
         let i = self.at(j, k);
-        Vector::new(self.vel_component(0, i), self.vel_component(1, i))
+        Vector::new(self.vel[0][i], self.vel[1][i])
     }
 
     /// The per-axis velocity of bin `(j, k, z)` on a volumetric grid.
@@ -1226,11 +968,7 @@ impl DiffusionEngine {
     pub fn bin_velocity3(&self, j: usize, k: usize, z: usize) -> Vector3 {
         assert_eq!(self.dims.ndim(), 3, "bin_velocity3 needs a D3 engine");
         let i = self.dims.flat(j, k, z);
-        Vector3::new(
-            self.vel_component(0, i),
-            self.vel_component(1, i),
-            self.vel_component(2, i),
-        )
+        Vector3::new(self.vel[0][i], self.vel[1][i], self.vel[2][i])
     }
 
     /// Overrides a bin's velocity (test hook for the paper's worked
@@ -1240,10 +978,6 @@ impl DiffusionEngine {
         let i = self.at(j, k);
         self.vel[0][i] = v.x;
         self.vel[1][i] = v.y;
-        if self.precision == FieldPrecision::F32 {
-            self.vel32[0][i] = v.x as f32;
-            self.vel32[1][i] = v.y as f32;
-        }
     }
 
     /// Overrides a volumetric bin's velocity (test hook).
@@ -1258,11 +992,6 @@ impl DiffusionEngine {
         self.vel[0][i] = v.x;
         self.vel[1][i] = v.y;
         self.vel[2][i] = v.z;
-        if self.precision == FieldPrecision::F32 {
-            self.vel32[0][i] = v.x as f32;
-            self.vel32[1][i] = v.y as f32;
-            self.vel32[2][i] = v.z as f32;
-        }
     }
 
     /// The velocity at an arbitrary point in bin coordinates, bilinearly
@@ -1286,21 +1015,9 @@ impl DiffusionEngine {
         let (j0, j1) = (clamp_j(pj), clamp_j(pj + 1));
         let (row0, row1) = (clamp_k(qk) * self.nx(), clamp_k(qk + 1) * self.nx());
         let (i00, i10, i01, i11) = (row0 + j0, row0 + j1, row1 + j0, row1 + j1);
-        // One precision branch per gather, not one per component read;
-        // f32 velocities widen exactly, as in `vel_component`.
-        let (v00, v10, v01, v11) = match self.precision {
-            FieldPrecision::F64 => {
-                let (vx, vy) = (&self.vel[0], &self.vel[1]);
-                let at = |i: usize| Vector::new(vx[i], vy[i]);
-                (at(i00), at(i10), at(i01), at(i11))
-            }
-            FieldPrecision::F32 => {
-                let (vx, vy) = (&self.vel32[0], &self.vel32[1]);
-                let at = |i: usize| Vector::new(f64::from(vx[i]), f64::from(vy[i]));
-                (at(i00), at(i10), at(i01), at(i11))
-            }
-        };
-        interpolate_velocity(v00, v10, v01, v11, alpha, beta)
+        let (vx, vy) = (&self.vel[0], &self.vel[1]);
+        let at = |i: usize| Vector::new(vx[i], vy[i]);
+        interpolate_velocity(at(i00), at(i10), at(i01), at(i11), alpha, beta)
     }
 
     /// The velocity at an arbitrary point of a volumetric grid,
@@ -1899,7 +1616,7 @@ mod tests {
     /// patterns sized relative to the grid so walls land mid-line
     /// (breaking lane chunks), on edge columns, and — on tall grids —
     /// straddling the 64-line cache-block seam.
-    fn seam_engine(dims: Dims, lanes: LaneMode, precision: FieldPrecision) -> DiffusionEngine {
+    fn seam_engine(dims: Dims, lanes: LaneMode) -> DiffusionEngine {
         let n = dims.len();
         let nx = dims.nx();
         let ny = dims.ny();
@@ -1921,40 +1638,31 @@ mod tests {
         let mut e = DiffusionEngine::from_raw_dims(dims, density, Some(wall));
         e.set_frozen_mask(&frozen);
         e.set_lanes(lanes);
-        e.set_precision(precision);
         e
     }
 
-    /// Steps + velocities in one lane/precision mode; the returned f64
-    /// densities cover the f32 path too (they are its exact widening).
-    #[allow(clippy::type_complexity)]
-    fn run_lane_case(
-        dims: Dims,
-        lanes: LaneMode,
-        precision: FieldPrecision,
-    ) -> (Vec<f64>, [Vec<f64>; 3], [Vec<f32>; 3]) {
-        let mut e = seam_engine(dims, lanes, precision);
+    /// Steps + velocities in one lane mode.
+    fn run_lane_case(dims: Dims, lanes: LaneMode) -> (Vec<f64>, [Vec<f64>; 3]) {
+        let mut e = seam_engine(dims, lanes);
         let dt = if e.ndim() == 3 { 0.15 } else { 0.2 };
         for _ in 0..8 {
             e.step_density(dt);
         }
         e.compute_velocities();
-        (e.density.clone(), e.vel.clone(), e.vel32.clone())
+        (e.density.clone(), e.vel.clone())
     }
 
     #[test]
     fn wide_lanes_match_scalar_bitwise_2d() {
-        // nx sweeps 1, lane_width±1 for both widths (3/5 around 4, 7/9
-        // around 8), and a non-multiple of the 64-line block (70); tall
-        // grids put walls across the block seam.
+        // nx sweeps 1, the lane width ±1 (3/5 around 4), one and two
+        // chunks plus a tail (7/9), and a non-multiple of the 64-line
+        // block (70); tall grids put walls across the block seam.
         for &nx in &[1usize, 3, 5, 7, 9, 70] {
             for &ny in &[1usize, 3, 70] {
                 let dims = Dims::d2(nx, ny);
-                for precision in [FieldPrecision::F64, FieldPrecision::F32] {
-                    let s = run_lane_case(dims, LaneMode::Scalar, precision);
-                    let w = run_lane_case(dims, LaneMode::Wide, precision);
-                    assert_eq!(s, w, "nx={nx} ny={ny} {precision:?}");
-                }
+                let s = run_lane_case(dims, LaneMode::Scalar);
+                let w = run_lane_case(dims, LaneMode::Wide);
+                assert_eq!(s, w, "nx={nx} ny={ny}");
             }
         }
     }
@@ -1963,66 +1671,10 @@ mod tests {
     fn wide_lanes_match_scalar_bitwise_3d() {
         for &(nx, ny, nz) in &[(1, 3, 3), (3, 3, 3), (5, 9, 4), (70, 5, 3), (9, 70, 2)] {
             let dims = Dims::d3(nx, ny, nz);
-            for precision in [FieldPrecision::F64, FieldPrecision::F32] {
-                let s = run_lane_case(dims, LaneMode::Scalar, precision);
-                let w = run_lane_case(dims, LaneMode::Wide, precision);
-                assert_eq!(s, w, "nx={nx} ny={ny} nz={nz} {precision:?}");
-            }
+            let s = run_lane_case(dims, LaneMode::Scalar);
+            let w = run_lane_case(dims, LaneMode::Wide);
+            assert_eq!(s, w, "nx={nx} ny={ny} nz={nz}");
         }
-    }
-
-    #[test]
-    fn f32_parallel_step_is_bit_identical_to_serial() {
-        let run = |threads: usize| {
-            let mut e = bumpy_engine(threads);
-            e.set_precision(FieldPrecision::F32);
-            for _ in 0..25 {
-                e.step_density(0.2);
-            }
-            e.compute_velocities();
-            // `densities()` also syncs the lazy f64 mirror, so the
-            // comparison covers it too.
-            let mirror = e.densities().to_vec();
-            (e.density32.clone(), mirror, e.vel32.clone())
-        };
-        let reference = run(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(reference, run(threads), "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn f32_field_keeps_f64_mirror_exact() {
-        let mut e = bumpy_engine(2);
-        e.set_precision(FieldPrecision::F32);
-        for _ in 0..5 {
-            e.step_density(0.2);
-        }
-        e.compute_velocities();
-        // The mirror is rebuilt lazily: raw field access right after a
-        // step sees stale data by design, the public accessor syncs.
-        let mirror = e.densities().to_vec();
-        for (d, &s) in mirror.iter().zip(&e.density32) {
-            assert_eq!(*d, f64::from(s), "f64 mirror must be the exact widening");
-        }
-        // Velocity reads come from the f32 field and are not all zero.
-        let mut any = false;
-        for k in 0..e.ny() {
-            for j in 0..e.nx() {
-                any |= e.bin_velocity(j, k) != Vector::ZERO;
-            }
-        }
-        assert!(any, "f32 velocity field must be populated");
-    }
-
-    #[test]
-    fn precision_round_trip_keeps_widened_field() {
-        let mut e = fig1_engine();
-        e.set_precision(FieldPrecision::F32);
-        let narrowed = e.densities().to_vec();
-        e.set_precision(FieldPrecision::F64);
-        assert_eq!(e.densities(), &narrowed[..]);
-        assert!(e.density32.is_empty(), "f32 buffers are freed in f64 mode");
     }
 
     #[test]
@@ -2031,8 +1683,8 @@ mod tests {
         // product mode cos(θx(j+0.5))·cos(θy(k+0.5)), θ = πq/n, is an
         // FTCS eigenvector with per-step multiplier
         // 1 + Δt(cosθx − 1) + Δt(cosθy − 1); the constant offset is
-        // conserved exactly. f64 must track the closed form to rounding;
-        // f32 within single-precision accumulation tolerance.
+        // conserved exactly, so the field tracks the closed form to
+        // rounding.
         let (nx, ny, q, r) = (48usize, 32usize, 3usize, 2usize);
         let dt = 0.2;
         let tx = std::f64::consts::PI * q as f64 / nx as f64;
@@ -2044,22 +1696,19 @@ mod tests {
             .map(|i| 1.0 + 0.5 * mode(i % nx, i / nx))
             .collect();
         let steps = 20usize;
-        for (precision, tol) in [(FieldPrecision::F64, 1e-12), (FieldPrecision::F32, 5e-4)] {
-            let mut e = DiffusionEngine::from_raw(nx, ny, density.clone(), None);
-            e.set_precision(precision);
-            for _ in 0..steps {
-                e.step_density(dt);
-            }
-            let amp = 0.5 * m.powi(steps as i32);
-            for k in 0..ny {
-                for j in 0..nx {
-                    let want = 1.0 + amp * mode(j, k);
-                    let got = e.density(j, k);
-                    assert!(
-                        (got - want).abs() < tol,
-                        "({j},{k}) {precision:?}: got {got}, want {want}"
-                    );
-                }
+        let mut e = DiffusionEngine::from_raw(nx, ny, density, None);
+        for _ in 0..steps {
+            e.step_density(dt);
+        }
+        let amp = 0.5 * m.powi(steps as i32);
+        for k in 0..ny {
+            for j in 0..nx {
+                let want = 1.0 + amp * mode(j, k);
+                let got = e.density(j, k);
+                assert!(
+                    (got - want).abs() < 1e-12,
+                    "({j},{k}): got {got}, want {want}"
+                );
             }
         }
     }

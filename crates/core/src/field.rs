@@ -127,7 +127,6 @@ impl FieldMigration {
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
         engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
 
         let cells = CellCache::new(netlist, &grid);
         let mut telemetry = Telemetry::new();

@@ -4,8 +4,7 @@ use crate::advect::{advect_cells, CellCache};
 use crate::observe::{DiffusionObserver, KernelEvent, KernelKind, NoopObserver, StepEvent};
 use crate::spectral::SpectralSolver;
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, FieldPrecision, SolverKind, StepRecord,
-    Telemetry,
+    manipulate_density, DiffusionConfig, DiffusionEngine, SolverKind, StepRecord, Telemetry,
 };
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
@@ -141,7 +140,6 @@ impl GlobalDiffusion {
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
         engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
         engine
             .kernel_timers_mut()
             .splat
@@ -170,7 +168,6 @@ impl GlobalDiffusion {
         // diagonalization, and the paper's mirror boundary rule is a
         // different operator, so those runs keep the FTCS stepper.
         let use_spectral = self.cfg.solver == SolverKind::Spectral
-            && self.cfg.precision == FieldPrecision::F64
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w)
             && !engine.frozen_mask().iter().any(|&f| f);

@@ -145,7 +145,6 @@ impl LocalDiffusion {
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
         engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
         engine
             .kernel_timers_mut()
             .splat

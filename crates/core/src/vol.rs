@@ -34,8 +34,8 @@
 use crate::advect::{clamp_extent, AdvectOutcome, CellCache};
 use crate::spectral::SpectralSolver3;
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, FieldPrecision,
-    KernelEvent, KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
+    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
+    KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
 };
 use dpm_geom::{floor_index, Point, Point3};
 use dpm_netlist::{CellId, CellKind, Netlist};
@@ -404,7 +404,6 @@ impl VolumetricDiffusion {
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
         engine.set_lanes(self.cfg.lanes);
-        engine.set_precision(self.cfg.precision);
         let splat_elapsed = splat_start.elapsed();
         engine.kernel_timers_mut().splat.record(splat_elapsed, 1);
         observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
@@ -426,7 +425,6 @@ impl VolumetricDiffusion {
 
         let use_spectral = job.exact_steps.is_none()
             && self.cfg.solver == SolverKind::Spectral
-            && self.cfg.precision == FieldPrecision::F64
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w);
 

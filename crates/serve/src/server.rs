@@ -666,6 +666,27 @@ fn vol_rejection(v: &VolRequestExt, req: &JobRequest) -> Option<&'static str> {
     None
 }
 
+/// Which input value is not finite, or `None` if all are. The wire
+/// decoder rejects these already; an in-process request reaches the
+/// engine unchecked, where a NaN migrates to a NaN placement.
+fn non_finite_input(req: &JobRequest) -> Option<&'static str> {
+    fn finite(vs: impl IntoIterator<Item = f64>) -> bool {
+        vs.into_iter().all(f64::is_finite)
+    }
+    if !finite(req.placement.as_slice().iter().flat_map(|p| [p.x, p.y])) {
+        return Some("non-finite cell position");
+    }
+    let cells = req.netlist.cell_ids().map(|c| req.netlist.cell(c));
+    if !finite(cells.flat_map(|c| [c.width, c.height])) {
+        return Some("non-finite cell size");
+    }
+    let vol = req.vol.iter();
+    if !finite(vol.flat_map(|v| v.z.iter().chain(v.field.iter().flatten()).copied())) {
+        return Some("non-finite vol.z or vol.field");
+    }
+    None
+}
+
 /// The observer that hands a [`ProgressUpdate`] to a sink every `stride`
 /// steps. It accumulates cumulative movement from the per-step records
 /// and never touches the run's state.
@@ -780,6 +801,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 match err.code {
                     ErrorCode::DeadlineExpired => shared.metrics.deadline_expired.inc(),
                     ErrorCode::InvalidConfig => shared.metrics.invalid_config.inc(),
+                    ErrorCode::Malformed => shared.metrics.malformed.inc(),
                     _ => shared.metrics.internal_errors.inc(),
                 }
                 record.outcome = err.code.as_str();
@@ -799,10 +821,13 @@ fn worker_loop(shared: Arc<Shared>) {
 /// [`VolRouter`](crate::VolRouter), so an in-process run and a TCP
 /// backend differ only in transport.
 ///
-/// - A volumetric extension is validated first (the core runner asserts
-///   instead of erroring; a bad one answers [`ErrorCode::InvalidConfig`])
-///   and runs through [`VolumetricDiffusion`]; planar requests run
-///   through [`execute_job`].
+/// - The request is checked before the engine runs, whoever built it: a
+///   config [`DiffusionConfig::validate`] rejects or a bad volumetric
+///   extension (the core runners assert instead of erroring) answers
+///   [`ErrorCode::InvalidConfig`], and a non-finite cell position, depth,
+///   width, height or field value answers [`ErrorCode::Malformed`].
+/// - A volumetric job runs through [`VolumetricDiffusion`]; planar
+///   requests run through [`execute_job`].
 /// - `deadline` is polled between diffusion steps; a run it cuts short
 ///   answers [`ErrorCode::DeadlineExpired`] with its partial step and
 ///   round counts.
@@ -834,8 +859,14 @@ pub fn execute_request(
         rounds,
         message: message.into(),
     };
+    if let Err(e) = req.config.validate() {
+        return Err(reject(ErrorCode::InvalidConfig, 0, 0, &e.to_string()));
+    }
     if let Some(msg) = req.vol.as_ref().and_then(|v| vol_rejection(v, req)) {
         return Err(reject(ErrorCode::InvalidConfig, 0, 0, msg));
+    }
+    if let Some(msg) = non_finite_input(req) {
+        return Err(reject(ErrorCode::Malformed, 0, 0, msg));
     }
     let t0 = Instant::now();
     let should_stop = move || deadline.is_some_and(|d| Instant::now() >= d);
@@ -994,6 +1025,12 @@ pub fn execute_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::tests::legacy_f32_frames;
+    use crate::wire::{
+        decode_error, decode_response, encode_request, read_frame, write_frame, PayloadEncoding,
+        DEFAULT_MAX_FRAME_LEN,
+    };
+    use dpm_geom::Point;
     use dpm_place::Placement;
 
     fn request(kind: JobKind) -> JobRequest {
@@ -1026,6 +1063,50 @@ mod tests {
             assert_eq!(err.code, ErrorCode::Internal, "{kind:?}: {}", err.message);
             assert_eq!(err.id, req.id);
         }
+    }
+
+    #[test]
+    fn in_process_requests_are_checked_before_the_engine_runs() {
+        // Neither reaches the engine: in a release build an unstable dt
+        // diverges and a NaN position migrates to a NaN placement that
+        // reports converged.
+        for kind in [JobKind::Global, JobKind::Local] {
+            let mut req = request(kind);
+            req.config.dt = 0.9;
+            let err = execute_request(&req, None, None, None).expect_err("unstable dt");
+            assert_eq!(err.code, ErrorCode::InvalidConfig, "{}", err.message);
+
+            let mut req = request(kind);
+            let cell = req.netlist.movable_cell_ids().next().expect("movable cell");
+            req.placement.set(cell, Point::new(f64::NAN, 1.0));
+            let err = execute_request(&req, None, None, None).expect_err("NaN position");
+            assert_eq!(err.code, ErrorCode::Malformed, "{kind:?}: {}", err.message);
+            assert_eq!(err.id, req.id);
+        }
+    }
+
+    #[test]
+    fn legacy_f32_frames_get_a_typed_rejection_and_the_connection_keeps_serving() {
+        let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let req = request(JobKind::Global);
+        let mut send = |payload: &[u8]| {
+            write_frame(&mut stream, FrameKind::Request, payload).expect("send");
+            read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+                .expect("reply")
+                .expect("connection open")
+        };
+        for frame in legacy_f32_frames(&req) {
+            let err = send(&frame);
+            assert_eq!(err.kind, FrameKind::Error);
+            let err = decode_error(&err.payload).expect("typed error");
+            assert_eq!(err.code, ErrorCode::Malformed, "{}", err.message);
+
+            let ok = send(&encode_request(&req, PayloadEncoding::Binary));
+            assert_eq!(ok.kind, FrameKind::Response, "the connection keeps serving");
+            assert!(decode_response(&ok.payload).expect("response").steps > 0);
+        }
+        server.shutdown();
     }
 
     #[test]

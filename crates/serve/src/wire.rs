@@ -648,22 +648,8 @@ pub(crate) fn take_config(cur: &mut Cur<'_>) -> Result<DiffusionConfig, WireErro
         // travel on the wire. Explicitly Wide — never `Default`, which
         // consults `DPM_LANES`.
         lanes: LaneMode::Wide,
-        // Field precision rides the trailing extension-flags byte (see
-        // `encode_request`); absent ⇒ f64, keeping every legacy frame's
-        // meaning.
         precision: FieldPrecision::F64,
     })
-}
-
-pub(crate) fn precision_from_u8(b: u8) -> Result<FieldPrecision, WireError> {
-    match b {
-        0 => Ok(FieldPrecision::F64),
-        1 => Ok(FieldPrecision::F32),
-        k => Err(malformed(
-            "request.ext.precision",
-            format!("unknown field precision {k}"),
-        )),
-    }
 }
 
 pub(crate) fn solver_kind_from_u8(b: u8) -> Result<SolverKind, WireError> {
@@ -855,13 +841,8 @@ pub fn encode_request(req: &JobRequest, encoding: PayloadEncoding) -> Vec<u8> {
     // block (after the vol body), and bit 3 says the vol body itself is
     // absent — a planar traced request. Untraced frames never set bits
     // 2/3, so every pre-tracing frame is byte-identical.
-    // A non-default field precision stacks one more trailing byte after
-    // the trace block, announced by `EXT_PRECISION` in the same flags
-    // byte; f64 requests never emit it, so every pre-precision frame is
-    // byte-identical.
-    let f32_field = req.config.precision == FieldPrecision::F32;
     match (&req.vol, &req.trace) {
-        (None, None) if !f32_field => {}
+        (None, None) => {}
         (Some(v), trace) => {
             let mut flags = 0u8;
             if v.exact_steps.is_some() {
@@ -872,9 +853,6 @@ pub fn encode_request(req: &JobRequest, encoding: PayloadEncoding) -> Vec<u8> {
             }
             if trace.is_some() {
                 flags |= EXT_TRACE;
-            }
-            if f32_field {
-                flags |= EXT_PRECISION;
             }
             put_u8(&mut buf, flags);
             put_u32(&mut buf, v.nz);
@@ -896,25 +874,10 @@ pub fn encode_request(req: &JobRequest, encoding: PayloadEncoding) -> Vec<u8> {
             if let Some(t) = trace {
                 put_trace(&mut buf, t);
             }
-            if f32_field {
-                put_u8(&mut buf, req.config.precision as u8);
-            }
         }
-        (None, trace) => {
-            let mut flags = EXT_NO_VOL;
-            if trace.is_some() {
-                flags |= EXT_TRACE;
-            }
-            if f32_field {
-                flags |= EXT_PRECISION;
-            }
-            put_u8(&mut buf, flags);
-            if let Some(t) = trace {
-                put_trace(&mut buf, t);
-            }
-            if f32_field {
-                put_u8(&mut buf, req.config.precision as u8);
-            }
+        (None, Some(t)) => {
+            put_u8(&mut buf, EXT_NO_VOL | EXT_TRACE);
+            put_trace(&mut buf, t);
         }
     }
     buf
@@ -930,14 +893,9 @@ const REQ_EXT_FIELD: u8 = 1 << 1;
 /// block is a span export rather than a context.
 const EXT_TRACE: u8 = 1 << 2;
 /// Extension-flags bit: the volumetric body is absent (planar traced
-/// frame). Only canonical together with [`EXT_TRACE`] or
-/// [`EXT_PRECISION`] — a frame with no vol body and no other extension
-/// encodes as no extension at all.
+/// frame). Only canonical together with [`EXT_TRACE`] — a frame with no
+/// vol body and no trace encodes as no extension at all.
 const EXT_NO_VOL: u8 = 1 << 3;
-/// Extension-flags bit: one trailing field-precision byte follows every
-/// other extension block (request only). Absent ⇒ f64, so f64 frames
-/// stay byte-identical to pre-precision frames.
-const EXT_PRECISION: u8 = 1 << 4;
 
 /// Writes a 24-byte trace-context block.
 pub(crate) fn put_trace(buf: &mut Vec<u8>, t: &TraceContext) {
@@ -973,7 +931,7 @@ fn check_ext_flags(flags: u8, allowed: u8, context: &'static str) -> Result<(), 
                 format!("vol-absent flag with vol body bits {flags:#x}"),
             ));
         }
-        if flags & (EXT_TRACE | EXT_PRECISION) == 0 {
+        if flags & EXT_TRACE == 0 {
             return Err(malformed(
                 context,
                 "vol-absent flag without another extension is non-canonical",
@@ -1080,7 +1038,7 @@ pub fn decode_request(payload: &[u8]) -> Result<JobRequest, WireError> {
         let flags = cur.u8("request.ext.flags")?;
         check_ext_flags(
             flags,
-            REQ_EXT_EXACT_STEPS | REQ_EXT_FIELD | EXT_TRACE | EXT_NO_VOL | EXT_PRECISION,
+            REQ_EXT_EXACT_STEPS | REQ_EXT_FIELD | EXT_TRACE | EXT_NO_VOL,
             "request.ext.flags",
         )?;
         if flags & EXT_NO_VOL == 0 {
@@ -1088,9 +1046,6 @@ pub fn decode_request(payload: &[u8]) -> Result<JobRequest, WireError> {
         }
         if flags & EXT_TRACE != 0 {
             trace = Some(take_trace(&mut cur)?);
-        }
-        if flags & EXT_PRECISION != 0 {
-            config.precision = precision_from_u8(cur.u8("request.ext.precision")?)?;
         }
     }
     cur.finish("request")?;
@@ -1868,7 +1823,7 @@ impl Reply {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn tiny_request(kind: JobKind) -> JobRequest {
@@ -1929,71 +1884,66 @@ mod tests {
         assert_eq!(req.die.outline(), back.die.outline());
     }
 
-    #[test]
-    fn f32_precision_rides_a_trailing_extension_byte() {
-        let mut req = tiny_request(JobKind::Global);
-        let baseline = encode_request(&req, PayloadEncoding::Binary);
-        req.config = req.config.with_precision(FieldPrecision::F32);
-        let payload = encode_request(&req, PayloadEncoding::Binary);
-        // Exactly two extra trailing bytes: the extension-flags byte and
-        // the precision byte — every earlier byte (through the solver
-        // byte) is identical, so f64 frames stay byte-identical to
-        // pre-precision frames.
-        assert_eq!(payload.len(), baseline.len() + 2);
-        assert_eq!(&payload[..baseline.len()], &baseline[..]);
-        assert_eq!(payload[baseline.len()], EXT_NO_VOL | EXT_PRECISION);
-        assert_eq!(payload[baseline.len() + 1], FieldPrecision::F32 as u8);
-        let back = decode_request(&payload).expect("decodes");
-        assert_eq!(back.config.precision, FieldPrecision::F32);
-        assert_eq!(back.config, req.config);
-        // And the f64 frame still decodes as f64.
-        let legacy = decode_request(&baseline).expect("decodes");
-        assert_eq!(legacy.config.precision, FieldPrecision::F64);
-    }
+    /// The retired field-precision flag bit: older encoders announced
+    /// one trailing precision byte (`1` = f32) with it.
+    const RETIRED_PRECISION_BIT: u8 = 1 << 4;
 
-    #[test]
-    fn f32_precision_stacks_with_vol_and_trace_extensions() {
-        let mut req = tiny_request(JobKind::Global);
-        req.config = req.config.with_precision(FieldPrecision::F32);
-        req.vol = Some(VolRequestExt {
+    /// The two f32 request frames older encoders emitted for `req`: a
+    /// planar one (flags `EXT_NO_VOL | bit 4`, then the precision byte)
+    /// and one stacking a vol body and a trace block before that byte.
+    pub(crate) fn legacy_f32_frames(req: &JobRequest) -> [Vec<u8>; 2] {
+        let mut planar = encode_request(req, PayloadEncoding::Binary);
+        let flags_at = planar.len();
+        planar.extend([EXT_NO_VOL | RETIRED_PRECISION_BIT, 1]);
+        let mut stacked_req = req.clone();
+        stacked_req.vol = Some(VolRequestExt {
             nz: 3,
             z0: 0,
             global_nz: 3,
             exact_steps: Some(4),
-            z: vec![0.5, 1.5, 2.5],
+            z: vec![0.5; req.netlist.num_cells()],
             field: None,
         });
-        req.trace = Some(TraceContext {
+        stacked_req.trace = Some(TraceContext {
             trace_id: 9,
             span_id: 8,
             parent_id: 7,
         });
-        let payload = encode_request(&req, PayloadEncoding::Binary);
-        let back = decode_request(&payload).expect("decodes");
-        assert_eq!(back.config.precision, FieldPrecision::F32);
-        assert_eq!(back.vol, req.vol);
-        assert_eq!(back.trace, req.trace);
-        // The precision byte is the very last payload byte.
+        let mut stacked = encode_request(&stacked_req, PayloadEncoding::Binary);
         assert_eq!(
-            *payload.last().expect("non-empty"),
-            FieldPrecision::F32 as u8
+            stacked[flags_at],
+            REQ_EXT_EXACT_STEPS | EXT_TRACE,
+            "flags byte follows the solver byte"
         );
-        assert!(
-            decode_request(&payload[..payload.len() - 1]).is_err(),
-            "announced precision byte must be present"
-        );
+        stacked[flags_at] |= RETIRED_PRECISION_BIT;
+        stacked.push(1);
+        [planar, stacked]
+    }
+
+    fn assert_flags_malformed(frame: &[u8]) {
+        assert!(matches!(
+            decode_request(frame),
+            Err(WireError::Malformed { context, .. }) if context == "request.ext.flags"
+        ));
     }
 
     #[test]
-    fn unknown_precision_byte_is_malformed() {
-        let mut req = tiny_request(JobKind::Global);
-        req.config = req.config.with_precision(FieldPrecision::F32);
-        let mut payload = encode_request(&req, PayloadEncoding::Binary);
-        *payload.last_mut().expect("non-empty") = 7;
-        assert!(matches!(
-            decode_request(&payload),
-            Err(WireError::Malformed { context, .. }) if context == "request.ext.precision"
-        ));
+    fn legacy_f32_planar_frame_is_malformed() {
+        let [planar, _] = legacy_f32_frames(&tiny_request(JobKind::Global));
+        assert_flags_malformed(&planar);
+    }
+
+    #[test]
+    fn legacy_f32_stacked_frame_is_malformed() {
+        let [_, stacked] = legacy_f32_frames(&tiny_request(JobKind::Global));
+        assert_flags_malformed(&stacked);
+        // Any precision byte value, and the frame without it, too.
+        for last in [0u8, 7] {
+            let mut frame = stacked.clone();
+            *frame.last_mut().expect("non-empty") = last;
+            assert_flags_malformed(&frame);
+        }
+        assert_flags_malformed(&stacked[..stacked.len() - 1]);
     }
 
     #[test]
@@ -2772,9 +2722,9 @@ mod tests {
             })
         ));
 
-        // Unknown future flag bits are malformed, not silently skipped
-        // (0x10 became EXT_PRECISION; 0x20 is the next unassigned bit).
-        for unknown in [0x20u8, 0x40, 0xE0] {
+        // Unknown flag bits are malformed, not silently skipped: 0x10
+        // (the retired f32 precision bit) and every bit above it.
+        for unknown in [0x10u8, 0x20, 0x40, 0xE0] {
             let mut bad = payload.clone();
             bad[flags_off] = unknown;
             assert!(matches!(

@@ -459,3 +459,27 @@ fn in_process_shards_stream_progress_and_export_job_spans() {
     assert!(jobs.len() >= 2, "both shards contribute a job span");
     assert!(jobs.iter().all(|j| dispatches.contains(&j.parent_id)));
 }
+
+#[test]
+fn in_process_shards_reject_an_unstable_config_and_leave_the_placement_unmigrated() {
+    // The in-process backend skips the wire and the server's admission
+    // check, so the executor itself must refuse a dt outside the FTCS
+    // stability bound rather than run a diverging stencil.
+    let bench = hot_bench(180, 43);
+    let mut req = request(&bench, 9);
+    req.config.dt = 0.9;
+    let router = ShardRouter::in_process(ShardRouterConfig {
+        shards: 2,
+        max_halo_rounds: 2,
+        ..ShardRouterConfig::default()
+    });
+    let reply = router.route(&req);
+    assert_eq!(reply.shards, 2);
+    for (s, outcome) in reply.outcomes.iter().enumerate() {
+        let err = outcome.error.as_ref().expect("shard must fail");
+        assert!(err.starts_with("invalid_config"), "shard {s}: {err}");
+        assert_eq!(outcome.steps, 0, "shard {s} ran the engine");
+    }
+    assert_eq!(reply.response.positions, bench.placement.as_slice());
+    assert_eq!(reply.response.total_movement, 0.0);
+}

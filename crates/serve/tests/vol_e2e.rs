@@ -382,3 +382,26 @@ fn local_job_with_vol_extension_is_rejected_by_the_server() {
         Reply::Ok(_) => panic!("a Local job with a vol extension must be rejected"),
     }
 }
+
+#[test]
+fn in_process_slabs_reject_an_unstable_config() {
+    // No wire and no server admission check in between: the executor
+    // itself answers invalid_config instead of running a diverging
+    // stencil.
+    let bench = hot_stack(103);
+    let mut req = request(&bench, 12);
+    req.config.dt = 0.9;
+    let router = VolRouter::in_process(VolRouterConfig {
+        slabs: 2,
+        ..VolRouterConfig::default()
+    });
+    match router.route(&req) {
+        Err(VolRouteError::Backend { message, .. }) => {
+            assert!(
+                message.starts_with("invalid_config"),
+                "unexpected error: {message}"
+            );
+        }
+        other => panic!("expected a backend failure, got {other:?}"),
+    }
+}
