@@ -18,7 +18,10 @@
 //! and the per-grid `lane_speedup_1t` ratio compares the two. A
 //! `calibration` section times a fixed serial FP loop so
 //! `scripts/ci.sh` can scale its smoke-test ns/call ceilings to the
-//! speed of whatever container it runs on.
+//! speed of whatever container it runs on. `cpu_model` records the
+//! `/proc/cpuinfo` model name (`"unknown"` where there is none), so the
+//! CI regression rule can tell a different processor from a slower
+//! build.
 //!
 //! Writes `BENCH_kernels.json` at the repository root (or the current
 //! directory when not run from the workspace). All workloads are
@@ -313,6 +316,24 @@ fn calibrate(iters: u64) -> f64 {
     ns / iters as f64
 }
 
+/// The first `model name` in `/proc/cpuinfo`, or `"unknown"`, with the
+/// characters a JSON string cannot hold verbatim replaced by spaces.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|line| line.split_once(':'))
+                .find(|(key, _)| key.trim() == "model name")
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .filter(|model| !model.is_empty())
+        .map_or_else(
+            || "unknown".to_string(),
+            |model| model.replace(|c: char| c == '"' || c == '\\' || c.is_control(), " "),
+        )
+}
+
 // ---------------------------------------------------------------------------
 // Spectral-vs-FTCS race and its FLOP model.
 // ---------------------------------------------------------------------------
@@ -469,7 +490,8 @@ fn main() {
         }
     }
     let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
-    eprintln!("perf_kernels: {cores} hardware thread(s) available (smoke: {smoke})");
+    let cpu = cpu_model();
+    eprintln!("perf_kernels: {cores} hardware thread(s) of {cpu} (smoke: {smoke})");
 
     let grids: &[usize] = if smoke { &[64] } else { &[256, 1024] };
     let mut grids_json = Vec::new();
@@ -568,7 +590,7 @@ fn main() {
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide chunks) or scalar (reference path, bit-identical output), precision is the field storage type, always f64; non-stencil kernels always report wide. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide chunks) or scalar (reference path, bit-identical output), precision is the field storage type, always f64; non-stencil kernels always report wide. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

@@ -1,7 +1,7 @@
 //! Cell advection through the diffusion velocity field (paper Eq. 7).
 
 use crate::{DiffusionConfig, DiffusionEngine};
-use dpm_geom::{clamp, floor_index, Point};
+use dpm_geom::{clamp, floor_index, Point, Vector};
 use dpm_netlist::{CellId, Netlist};
 use dpm_par::tree_reduce;
 use dpm_place::{BinGrid, Placement};
@@ -20,7 +20,9 @@ const CELL_CHUNK: usize = 4096;
 /// Result of advecting all cells through one time step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AdvectOutcome {
-    /// Sum of world-space displacements this step.
+    /// Sum of the Euclidean world-space displacements this step. Each
+    /// cell's term is within 2 ulp of `hypot`, so the sum may differ
+    /// from a `hypot`-based sum in its last bits.
     pub total_movement: f64,
     /// Number of cells that moved.
     pub moved_cells: usize,
@@ -240,8 +242,30 @@ fn step_cell(
         new_center_world.x - cell.half_w,
         new_center_world.y - cell.half_h,
     );
-    let dist = (new_pos - old_pos).length();
+    let dist = move_length(new_pos - old_pos);
     (dist > 0.0).then_some((new_pos, dist))
+}
+
+/// The Euclidean length of one cell's move, as both advect kernels
+/// measure it: `sqrt(dx² + dy²)` when that sum of squares is a normal,
+/// finite number, and `hypot` otherwise.
+///
+/// The fast path is one `sqrtsd` instead of an out-of-line libm call,
+/// within 2 ulp of `hypot`. The fallback covers every input where the
+/// plain formula loses information: a zero or subnormal sum (moves
+/// below about 1e-154 whose squares underflow), an overflowed sum and
+/// NaN. So the result is `> 0` exactly when `hypot` is, and NaN or
+/// infinite exactly when `hypot` is. The kernels' stay-put test
+/// `dist > 0.0` therefore decides every move as `hypot` would: only
+/// the movement telemetry can change, in its last bits.
+#[inline]
+pub(crate) fn move_length(d: Vector) -> f64 {
+    let sq = d.x * d.x + d.y * d.y;
+    if (f64::MIN_POSITIVE..f64::INFINITY).contains(&sq) {
+        sq.sqrt()
+    } else {
+        d.x.hypot(d.y)
+    }
 }
 
 /// Clamps a center coordinate so an outline of half extent `half` stays
@@ -710,6 +734,11 @@ mod tests {
                     ));
                 }
                 assert!(want_out[0].moved_cells > 0, "case {case}: nothing moved");
+                // The fused kernel measures moves with `move_length`, the
+                // oracle with `hypot`: positions and counts match bit for
+                // bit, the movement sums to within rounding, and the
+                // fused sums are bit-exact across thread counts.
+                let mut one_thread_movement = Vec::new();
                 for threads in [1, 2, 4, 8] {
                     engine.set_threads(threads);
                     let mut got = p0.clone();
@@ -721,15 +750,172 @@ mod tests {
                              interpolate {interpolate} respect_frozen {respect_frozen}"
                         );
                         assert_eq!(out.moved_cells, want_step.moved_cells, "{ctx}");
-                        assert_eq!(
-                            out.total_movement.to_bits(),
-                            want_step.total_movement.to_bits(),
-                            "{ctx}"
+                        let (got_m, want_m) = (out.total_movement, want_step.total_movement);
+                        assert!(
+                            (got_m - want_m).abs() <= 1e-12 * want_m.abs(),
+                            "{ctx}: movement {got_m} vs oracle {want_m}"
                         );
+                        if threads == 1 {
+                            one_thread_movement.push(got_m.to_bits());
+                        } else {
+                            assert_eq!(got_m.to_bits(), one_thread_movement[step], "{ctx}");
+                        }
                     }
                     assert_eq!(bits(&got), bits(&want), "case {case} threads {threads}");
                 }
             }
         }
+    }
+
+    /// The distance between two floats of the same sign, in ulps.
+    fn ulps(a: f64, b: f64) -> u64 {
+        a.to_bits().abs_diff(b.to_bits())
+    }
+
+    /// Checks `move_length` against `hypot` on one `(dx, dy)` pair.
+    fn assert_move_length_matches_hypot(dx: f64, dy: f64) {
+        let got = move_length(Vector::new(dx, dy));
+        let want = dx.hypot(dy);
+        let ctx = format!("dx {dx:e} dy {dy:e}: move_length {got:e}, hypot {want:e}");
+        assert_eq!(got.is_nan(), want.is_nan(), "{ctx}");
+        assert_eq!(got.is_infinite(), want.is_infinite(), "{ctx}");
+        assert_eq!(got > 0.0, want > 0.0, "{ctx}");
+        if want.is_finite() {
+            assert!(ulps(got, want) <= 2, "{ctx}");
+        }
+    }
+
+    #[test]
+    fn move_length_is_hypot_to_2_ulp_with_the_same_zero_nan_and_inf() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 3.0,
+            -5e-324,
+            1e-160,
+            -1.5e-154,
+            1e154,
+            -1.4e154,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            1.0,
+        ];
+        for &dx in &specials {
+            for &dy in &specials {
+                assert_move_length_matches_hypot(dx, dy);
+            }
+        }
+        // Magnitudes log-uniform over 1e-300..1e300 per axis, so sums
+        // of squares underflow, overflow and straddle both edges of
+        // the normal range; one coordinate in 64 is a special.
+        let mut rng = Rng::seed_from_u64(0x004e_7970);
+        let draw = |rng: &mut Rng| {
+            if rng.random_bool(1.0 / 64.0) {
+                specials[rng.random_range(0..specials.len())]
+            } else {
+                let sign = if rng.random_bool(0.5) { -1.0 } else { 1.0 };
+                sign * rng.random_range(1.0..10.0) * 10f64.powi(rng.random_range(-300..300i32))
+            }
+        };
+        for _ in 0..1_000_000 {
+            let (dx, dy) = (draw(&mut rng), draw(&mut rng));
+            assert_move_length_matches_hypot(dx, dy);
+        }
+    }
+
+    /// One 2×2 cell per corner in `corners`, on [`setup`]'s 4×4 grid of
+    /// 10-unit bins.
+    fn cells_at(corners: &[Point]) -> (Netlist, Placement, BinGrid) {
+        let mut b = NetlistBuilder::new();
+        for i in 0..corners.len() {
+            b.add_cell(format!("c{i}"), 2.0, 2.0, CellKind::Movable);
+        }
+        let nl = b.build().expect("valid");
+        let p: Placement = corners.iter().copied().collect();
+        let grid = BinGrid::new(Rect::new(0.0, 0.0, 40.0, 40.0), 10.0);
+        (nl, p, grid)
+    }
+
+    /// Runs one fused step and one oracle step from the same placement;
+    /// asserts identical positions, counts and movement bits.
+    fn assert_step_matches_reference(
+        engine: &DiffusionEngine,
+        corners: &[Point],
+        cfg: &DiffusionConfig,
+    ) -> (AdvectOutcome, Placement) {
+        let (nl, p0, grid) = cells_at(corners);
+        let mut got = p0.clone();
+        let out = advect(engine, &grid, &nl, &mut got, cfg, false);
+        let mut want = p0;
+        let want_out = reference::advect_cells(engine, &grid, &nl, &mut want, cfg, false);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(out.moved_cells, want_out.moved_cells);
+        assert_eq!(
+            out.total_movement.to_bits(),
+            want_out.total_movement.to_bits()
+        );
+        (out, got)
+    }
+
+    #[test]
+    fn moves_below_the_squared_underflow_still_move_and_count() {
+        // A velocity far below one ulp of the bin coordinate leaves the
+        // center where it was, so the corner snaps from `x` to
+        // `(x + 1) - 1 = 0`: a move of exactly `x`, whose square is
+        // subnormal (1e-160) or zero (the rest). `hypot` sees each.
+        let xs = [1e-160, 1e-170, 1e-300, 5e-324];
+        let corners: Vec<Point> = xs.iter().map(|&x| Point::new(x, 14.0)).collect();
+        let e = engine_with_uniform_velocity(1e-20, 0.0);
+        let (out, p) = assert_step_matches_reference(&e, &corners, &DiffusionConfig::default());
+        assert_eq!(out.moved_cells, xs.len());
+        for (&x, &q) in xs.iter().zip(p.as_slice()) {
+            assert_eq!(q, Point::new(0.0, 14.0), "x = {x:e}");
+        }
+        assert_eq!(out.total_movement, 1e-160 + 1e-170 + 1e-300 + 5e-324);
+    }
+
+    #[test]
+    fn non_finite_corners_advect_exactly_as_the_reference() {
+        // Every pairing of NaN, ±∞ and a finite coordinate. A corner at
+        // ±∞ with a NaN partner moves an infinite `hypot` distance even
+        // though its square sums to NaN: the fallback must keep it.
+        let vals = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 14.0];
+        let corners: Vec<Point> = vals
+            .iter()
+            .flat_map(|&x| vals.iter().map(move |&y| Point::new(x, y)))
+            .collect();
+        let e = engine_with_uniform_velocity(1.0, 1.0);
+        // The bin-velocity path: NaN centers would trip the bilinear
+        // gather's weight assertions in debug builds.
+        let cfg = DiffusionConfig {
+            interpolate: false,
+            ..DiffusionConfig::default()
+        };
+        let (out, p) = assert_step_matches_reference(&e, &corners, &cfg);
+        assert!(out.total_movement.is_infinite());
+        let inf_nan = corners
+            .iter()
+            .position(|c| c.x == f64::INFINITY && c.y.is_nan())
+            .expect("pairing present");
+        assert!(p.as_slice()[inf_nan].is_finite(), "∞/NaN corner stayed put");
+    }
+
+    #[test]
+    fn total_movement_bits_are_pinned() {
+        // A diagonal move of (0.05 - 1.07e-15, 0.2 - 7e-16) world units,
+        // whose rounded square root lies one ulp below `hypot`'s
+        // (0x3fca634bd77fe183).
+        let (nl, mut p, grid) = setup(Point::new(14.0, 14.0));
+        let e = engine_with_uniform_velocity(0.025, 0.1);
+        let cfg = DiffusionConfig {
+            interpolate: false,
+            ..DiffusionConfig::default()
+        };
+        let out = advect(&e, &grid, &nl, &mut p, &cfg, false);
+        assert_eq!(out.moved_cells, 1);
+        assert_eq!(out.total_movement.to_bits(), 0x3fca_634b_d77f_e182);
     }
 }

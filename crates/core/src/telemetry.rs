@@ -92,7 +92,9 @@ impl KernelTimers {
 pub struct StepRecord {
     /// Step number `n` (0-based).
     pub step: usize,
-    /// Total cell movement during this step, in world units.
+    /// Total cell movement during this step, in world units: the sum of
+    /// each moved cell's Euclidean displacement, each term within 2 ulp
+    /// of `hypot` (the volumetric engine adds the tiers moved along z).
     pub movement: f64,
     /// Total overflow of the *computed* (PDE) density after the step.
     pub computed_overflow: f64,

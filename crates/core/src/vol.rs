@@ -31,7 +31,7 @@
 //! drift across a slab boundary mid-round; the router re-derives
 //! ownership from the fresh depths every round.
 
-use crate::advect::{clamp_extent, AdvectOutcome, CellCache};
+use crate::advect::{clamp_extent, move_length, AdvectOutcome, CellCache};
 use crate::spectral::SpectralSolver3;
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
@@ -610,7 +610,7 @@ fn advect_cells3(
         let new_pos = Point::new(new_center.x - cell.half_w, new_center.y - cell.half_h);
         // Movement mixes units deliberately: world distance in-plane
         // plus tier count along z (tiers have no world pitch).
-        let dist = (new_pos - old_pos).length() + (tz - old_z).abs();
+        let dist = move_length(new_pos - old_pos) + (tz - old_z).abs();
         if dist > 0.0 {
             placement.xy.set(cell_id, new_pos);
             placement.z[cell_id.index()] = tz;
@@ -634,6 +634,7 @@ fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dpm_geom::{Rect, Vector3};
     use dpm_netlist::NetlistBuilder;
 
     /// `n` movable cells piled near `at` in tier `tier` of a 96×96 die.
@@ -877,5 +878,209 @@ mod tests {
         for &z in &vp.z {
             assert_eq!(z, 0.5, "depth moved on a single-tier stack");
         }
+    }
+
+    /// [`advect_cells3`] as it stood before [`move_length`]: the xy
+    /// distance is `hypot`. Kept as the oracle for positions and depths.
+    fn advect_cells3_hypot(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        cells: &CellCache,
+        placement: &mut VolPlacement,
+        cfg: &DiffusionConfig,
+        z0: usize,
+        global_nz: usize,
+    ) -> AdvectOutcome {
+        let nx = engine.nx() as f64;
+        let ny = engine.ny() as f64;
+        let gz = global_nz as f64;
+        let mut outcome = AdvectOutcome::default();
+        for cell in cells.cells() {
+            let cell_id = cell.id;
+            let old_pos = placement.xy.get(cell_id);
+            let old_z = placement.z[cell_id.index()];
+            let center = Point::new(old_pos.x + cell.half_w, old_pos.y + cell.half_h);
+            let c = grid.to_bin_coords(center);
+            let zl = old_z - z0 as f64;
+            let (j, k, t) = bin3_of(c.x, c.y, zl, engine);
+            if engine.is_wall3(j, k, t) {
+                continue;
+            }
+            let v = if cfg.interpolate {
+                engine.velocity_at3(Point3::new(c.x, c.y, zl))
+            } else {
+                engine.bin_velocity3(j, k, t)
+            };
+            let disp = (v * cfg.dt).clamped_linf(cfg.max_step_displacement);
+            if disp.linf_length() == 0.0 {
+                continue;
+            }
+            let mut tx = clamp_extent(c.x + disp.x, cell.half_w_bins, nx);
+            let mut ty = clamp_extent(c.y + disp.y, cell.half_h_bins, ny);
+            let mut tz = clamp_extent(old_z + disp.z, 0.5, gz);
+            let (tj, tk, tt) = bin3_of(tx, ty, tz - z0 as f64, engine);
+            if engine.is_wall3(tj, tk, tt) {
+                let (xj, xk, xt) = bin3_of(tx, c.y, zl, engine);
+                let (yj, yk, yt) = bin3_of(c.x, ty, zl, engine);
+                let (zj, zk, zt) = bin3_of(c.x, c.y, tz - z0 as f64, engine);
+                if !engine.is_wall3(xj, xk, xt) {
+                    ty = c.y;
+                    tz = old_z;
+                } else if !engine.is_wall3(yj, yk, yt) {
+                    tx = c.x;
+                    tz = old_z;
+                } else if !engine.is_wall3(zj, zk, zt) {
+                    tx = c.x;
+                    ty = c.y;
+                } else {
+                    continue;
+                }
+            }
+            let new_center = grid.to_world_coords(Point::new(tx, ty));
+            let new_pos = Point::new(new_center.x - cell.half_w, new_center.y - cell.half_h);
+            let dist = (new_pos - old_pos).length() + (tz - old_z).abs();
+            if dist > 0.0 {
+                placement.xy.set(cell_id, new_pos);
+                placement.z[cell_id.index()] = tz;
+                outcome.total_movement += dist;
+                outcome.moved_cells += 1;
+            }
+        }
+        outcome
+    }
+
+    fn vol_bits(p: &VolPlacement) -> Vec<(u64, u64, u64)> {
+        p.xy.as_slice()
+            .iter()
+            .zip(&p.z)
+            .map(|(q, z)| (q.x.to_bits(), q.y.to_bits(), z.to_bits()))
+            .collect()
+    }
+
+    /// Advects `p0` two steps with [`advect_cells3`] and with the `hypot`
+    /// oracle: positions, depths and counts match bit for bit, movement
+    /// to within rounding. Returns the kernel's placement and outcomes.
+    fn assert_vol_steps_match_hypot(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        nl: &Netlist,
+        p0: &VolPlacement,
+        cfg: &DiffusionConfig,
+        (z0, global_nz): (usize, usize),
+    ) -> (VolPlacement, Vec<AdvectOutcome>) {
+        let cells = CellCache::new(nl, grid);
+        let (mut got, mut want) = (p0.clone(), p0.clone());
+        let mut outcomes = Vec::new();
+        for step in 0..2 {
+            let out = advect_cells3(engine, grid, &cells, &mut got, cfg, z0, global_nz);
+            let want_out = advect_cells3_hypot(engine, grid, &cells, &mut want, cfg, z0, global_nz);
+            let ctx = format!("step {step} z0 {z0} global_nz {global_nz}");
+            assert_eq!(vol_bits(&got), vol_bits(&want), "{ctx}");
+            assert_eq!(out.moved_cells, want_out.moved_cells, "{ctx}");
+            let (got_m, want_m) = (out.total_movement, want_out.total_movement);
+            assert!(
+                (got_m - want_m).abs() <= 1e-12 * want_m.abs(),
+                "{ctx}: movement {got_m} vs oracle {want_m}"
+            );
+            outcomes.push(out);
+        }
+        (got, outcomes)
+    }
+
+    #[test]
+    fn vol_advect_keeps_every_position_and_depth_of_the_hypot_kernel() {
+        // A bumpy 8x8x3 slab with a through-stack wall block and a wall
+        // in the middle tier only, at large steps: cells project around
+        // walls, drift across tiers and clamp against the region and
+        // both stack faces — with the slab spanning a 3-tier stack and
+        // in the middle of a 5-tier one. A quarter of the depths start
+        // on or beyond a stack face.
+        let mut rng = dpm_rng::Rng::seed_from_u64(0x0007_013d);
+        let (nx, ny, nz) = (8usize, 8usize, 3usize);
+        let grid = BinGrid::new(Rect::new(0.0, 0.0, 96.0, 96.0), 12.0);
+        let mut b = NetlistBuilder::new();
+        for i in 0..600 {
+            b.add_cell(format!("c{i}"), 6.0, 12.0, CellKind::Movable);
+        }
+        let nl = b.build().expect("valid");
+        let density: Vec<f64> = (0..nx * ny * nz)
+            .map(|_| rng.random_range(0.0..2.0))
+            .collect();
+        let mut wall = vec![false; nx * ny * nz];
+        for t in 0..nz {
+            for k in 2..4 {
+                for j in 3..5 {
+                    wall[(t * ny + k) * nx + j] = true;
+                }
+            }
+        }
+        wall[(ny + 6) * nx + 1] = true;
+        let mut engine = DiffusionEngine::from_raw_3d(nx, ny, nz, density, Some(wall));
+        engine.compute_velocities();
+        for (z0, global_nz) in [(0, 3), (1, 5)] {
+            let top = global_nz as f64;
+            let mut p0 = VolPlacement::new(nl.num_cells());
+            for c in nl.cell_ids() {
+                let xy = Point::new(rng.random_range(-3.0..93.0), rng.random_range(-3.0..87.0));
+                let z = match rng.random_range(0..16u32) {
+                    0 => 0.5,
+                    1 => top - 0.5,
+                    2 => rng.random_range(0.0..0.5),
+                    3 => rng.random_range(top - 0.5..top),
+                    _ => rng.random_range(z0 as f64..(z0 + nz) as f64),
+                };
+                p0.set(c, xy, z);
+            }
+            for interpolate in [true, false] {
+                let cfg = DiffusionConfig {
+                    interpolate,
+                    dt: 3.0,
+                    ..DiffusionConfig::default()
+                };
+                let (got, _) =
+                    assert_vol_steps_match_hypot(&engine, &grid, &nl, &p0, &cfg, (z0, global_nz));
+                let z_moves: Vec<(f64, f64)> =
+                    p0.z.iter()
+                        .zip(&got.z)
+                        .filter(|&(a, b)| a != b)
+                        .map(|(&a, &b)| (a, b))
+                        .collect();
+                assert!(
+                    z_moves.iter().any(|&(_, b)| b == 0.5 || b == top - 0.5),
+                    "no depth clamped to a stack face"
+                );
+                assert!(
+                    z_moves.iter().any(|&(a, _)| a > 0.5 && a < top - 0.5),
+                    "no cell drifted across tiers"
+                );
+            }
+        }
+
+        // Moves whose squares underflow: the xy distance falls back to
+        // `hypot`, so each cell still moves and is counted.
+        let mut engine = DiffusionEngine::from_raw_3d(nx, ny, nz, vec![1.0; nx * ny * nz], None);
+        for t in 0..nz {
+            for k in 0..ny {
+                for j in 0..nx {
+                    engine.set_bin_velocity3(j, k, t, Vector3::new(1e-20, 0.0, 0.0));
+                }
+            }
+        }
+        let xs = [1e-160, 1e-170, 1e-300];
+        let mut p0 = VolPlacement::new(nl.num_cells());
+        for (c, &x) in nl.cell_ids().zip(xs.iter().cycle()) {
+            p0.set(c, Point::new(x, 30.0), 1.5);
+        }
+        let (got, outcomes) = assert_vol_steps_match_hypot(
+            &engine,
+            &grid,
+            &nl,
+            &p0,
+            &DiffusionConfig::default(),
+            (0, 3),
+        );
+        assert_eq!(outcomes[0].moved_cells, nl.num_cells());
+        assert!(got.xy.as_slice().iter().all(|q| q.x == 0.0));
+        assert!(got.z.iter().all(|&z| z == 1.5));
     }
 }

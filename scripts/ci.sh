@@ -35,6 +35,10 @@ mktemp_tracked() {
     printf '%s' "$f"
 }
 
+# The first value of a number or string key in a JSON file, or nothing.
+json_num() { grep -o "\"$1\": [0-9.]*" "$2" | head -1 | grep -o '[0-9.]*$' || true; }
+json_str() { grep -o "\"$1\": \"[^\"]*\"" "$2" | head -1 | sed 's/^[^:]*: "//; s/"$//' || true; }
+
 # Each gate is announced with `gate "<name>"`, which also records how
 # long the previous gate took; the per-gate timing summary printed just
 # before the final verdict makes slow gates easy to spot.
@@ -137,7 +141,7 @@ echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
 # scheduling jitter, they catch structural regressions — a stencil
 # falling off its lane path runs ~5x slower, a splat losing its bucket
 # pass ~10x.
-cal_ns=$(grep -o '"ns_per_iter": [0-9.]*' "$kernels_out" | head -1 | grep -o '[0-9.]*$')
+cal_ns=$(json_num ns_per_iter "$kernels_out")
 floor_check() {
     local kernel="$1" ceiling="$2" ns
     ns=$(grep -o "\"kernel\": \"$kernel\", \"threads\": 1, \"lanes\": \"wide\", \"precision\": \"f64\", \"calls\": [0-9]*, \"ns_per_call\": [0-9.]*" "$kernels_out" |
@@ -250,15 +254,21 @@ for f in BENCH_*.json; do
         exit 1
     fi
 done
-# Regression rule, kernel bench only: when the worktree BENCH_kernels
-# was recorded on the same hardware as the committed one (matching
-# hardware_threads), no single-thread sample may regress by more than
-# 25% ns/call against the committed value for the same
-# (kernel, grid, lanes, precision) configuration. Single-thread only:
-# the multi-thread samples on an oversubscribed CI box measure scheduler
-# jitter, not kernels. Legacy samples without lanes/precision keys are
-# the production configuration (wide/f64); committed samples of the
-# removed f32 mode have no worktree counterpart and are not compared.
+# Regression rule, kernel bench only: no single-thread sample may
+# regress by more than 25% against the committed value for the same
+# (kernel, grid, lanes, precision) configuration. What is compared
+# depends on where the two files were recorded:
+#   - same cpu_model and hardware_threads: raw ns/call;
+#   - both files name a cpu_model, and the model or the thread count
+#     differs: calibration units (ns_per_call / calibration ns_per_iter),
+#     since raw ns/call across processors measures the processor;
+#   - either file predates the cpu_model key: raw ns/call when
+#     hardware_threads match, otherwise no comparison.
+# Single-thread only: the multi-thread samples on an oversubscribed CI
+# box measure scheduler jitter, not kernels. Legacy samples without
+# lanes/precision keys are the production configuration (wide/f64);
+# committed samples of the removed f32 mode have no worktree
+# counterpart and are not compared.
 sample_table() {
     awk '
         /"nx":/ {
@@ -277,22 +287,39 @@ sample_table() {
 if [[ -f BENCH_kernels.json ]] && git cat-file -e "HEAD:BENCH_kernels.json" 2>/dev/null; then
     head_json="$(mktemp_tracked)"
     git show "HEAD:BENCH_kernels.json" >"$head_json"
-    head_hw=$(grep -o '"hardware_threads": [0-9]*' "$head_json" | head -1 | grep -o '[0-9]*$')
-    work_hw=$(grep -o '"hardware_threads": [0-9]*' BENCH_kernels.json | head -1 | grep -o '[0-9]*$')
-    if [[ -n "$head_hw" && "$head_hw" == "$work_hw" ]]; then
+    head_hw=$(json_num hardware_threads "$head_json")
+    work_hw=$(json_num hardware_threads BENCH_kernels.json)
+    head_cpu=$(json_str cpu_model "$head_json")
+    work_cpu=$(json_str cpu_model BENCH_kernels.json)
+    unit=""
+    if [[ -n "$head_cpu" && -n "$work_cpu" && ("$head_cpu" != "$work_cpu" || "$head_hw" != "$work_hw") ]]; then
+        unit="calibration units"
+        head_scale=$(json_num ns_per_iter "$head_json")
+        work_scale=$(json_num ns_per_iter BENCH_kernels.json)
+        if [[ -z "$head_scale" || -z "$work_scale" ]]; then
+            echo "BENCH GUARD: BENCH_kernels.json calibration missing (HEAD ${head_scale:-none}, worktree ${work_scale:-none})" >&2
+            exit 1
+        fi
+    elif [[ -n "$head_hw" && "$head_hw" == "$work_hw" ]]; then
+        unit="ns/call"
+        head_scale=1
+        work_scale=1
+    fi
+    if [[ -n "$unit" ]]; then
         head_tab="$(mktemp_tracked)"
         work_tab="$(mktemp_tracked)"
         sample_table "$head_json" >"$head_tab"
         sample_table BENCH_kernels.json >"$work_tab"
-        awk 'NR == FNR { old[$1] = $2; next }
-            ($1 in old) && $2 > old[$1] * 1.25 {
-                printf "BENCH GUARD: %s regressed %.0f -> %.0f ns/call (>25%%)\n", $1, old[$1], $2 > "/dev/stderr"
+        awk -v hs="$head_scale" -v ws="$work_scale" -v unit="$unit" '
+            NR == FNR { old[$1] = $2 / hs; next }
+            ($1 in old) && $2 / ws > old[$1] * 1.25 {
+                printf "BENCH GUARD: %s regressed %.4g -> %.4g %s (>25%%)\n", $1, old[$1], $2 / ws, unit > "/dev/stderr"
                 bad = 1
             }
             END { exit bad }' "$head_tab" "$work_tab"
-        echo "  -> same-hardware run: 1-thread ns/call within 25% of committed"
+        echo "  -> HEAD (${head_cpu:-no cpu_model}, ${head_hw:-?} threads) vs worktree (${work_cpu:-no cpu_model}, ${work_hw:-?} threads): 1-thread $unit within 25% of committed"
     else
-        echo "  -> hardware_threads differ (HEAD ${head_hw:-none}, worktree ${work_hw:-none}); regression rule skipped"
+        echo "  -> hardware_threads differ and no cpu_model on both sides (HEAD ${head_hw:-none}, worktree ${work_hw:-none}); regression rule skipped"
     fi
 fi
 
