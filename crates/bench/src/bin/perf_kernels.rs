@@ -201,11 +201,14 @@ fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64) -> Sample {
     }
 }
 
+/// Times `steps` advect calls inside a global-diffusion run: global
+/// diffusion advects once per doubling stride of FTCS sweeps, so the
+/// sweep budget is `2^steps − 1`.
 fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize) -> Sample {
     let (nl, mut p, die) = clustered_design(n, num_cells);
     let cfg = DiffusionConfig::default()
         .with_bin_size(1.0)
-        .with_max_steps(steps)
+        .with_max_steps((1 << steps) - 1)
         .with_threads(threads)
         .with_lanes(LaneMode::Wide);
     let result = GlobalDiffusion::new(cfg).run(&nl, &die, &mut p);
@@ -439,7 +442,9 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
 
 /// One end-to-end `GlobalDiffusion` run of the clustered design with the
 /// given solver, capped at `max_steps` so neither solver converges — an
-/// equal-time-budget race (both reach the same diffusion time).
+/// equal-time-budget race (both reach the same diffusion time). Returns
+/// the field updates the run made (FTCS sweeps, or spectral transforms:
+/// one per stride) and its wall time.
 fn run_e2e(n: usize, num_cells: usize, max_steps: usize, solver: SolverKind) -> (u64, f64) {
     let (nl, mut p, die) = clustered_design(n, num_cells);
     let cfg = DiffusionConfig::default()
@@ -450,16 +455,16 @@ fn run_e2e(n: usize, num_cells: usize, max_steps: usize, solver: SolverKind) -> 
     let t0 = Instant::now();
     let result = GlobalDiffusion::new(cfg).run(&nl, &die, &mut p);
     let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
-    (result.steps as u64, wall_ms)
+    (result.telemetry.kernels().ftcs.calls, wall_ms)
 }
 
 /// The `spectral_vs_ftcs` JSON section for one grid.
 fn spectral_race_json(n: usize, num_cells: usize, jump_steps: u64, e2e_cap: usize) -> String {
     eprintln!("  grid {n}x{n}, spectral-vs-FTCS race...");
     let (jump_ftcs_ns, jump_spectral_ns) = time_jump(n, 4, jump_steps);
-    let (ftcs_steps, ftcs_ms) = run_e2e(n, num_cells, e2e_cap, SolverKind::Ftcs);
+    let (ftcs_sweeps, ftcs_ms) = run_e2e(n, num_cells, e2e_cap, SolverKind::Ftcs);
     let (spec_iters, spec_ms) = run_e2e(n, num_cells, e2e_cap, SolverKind::Spectral);
-    let f_flops = ftcs_field_flops(n, n, ftcs_steps);
+    let f_flops = ftcs_field_flops(n, n, ftcs_sweeps);
     let s_flops = spectral_field_flops(n, n, spec_iters);
     let mut body = String::new();
     let _ = write!(
@@ -467,7 +472,7 @@ fn spectral_race_json(n: usize, num_cells: usize, jump_steps: u64, e2e_cap: usiz
         "      \"spectral_vs_ftcs\": {{\n\
          \x20       \"jump\": {{\"ftcs_steps\": {jump_steps}, \"ftcs_ns\": {jump_ftcs_ns:.0}, \
          \"spectral_round_trip_ns\": {jump_spectral_ns:.0}, \"wall_speedup\": {:.2}}},\n\
-         \x20       \"e2e\": {{\"max_steps\": {e2e_cap}, \"ftcs_steps\": {ftcs_steps}, \
+         \x20       \"e2e\": {{\"max_steps\": {e2e_cap}, \"ftcs_steps\": {ftcs_sweeps}, \
          \"ftcs_wall_ms\": {ftcs_ms:.1}, \"spectral_iterations\": {spec_iters}, \
          \"spectral_wall_ms\": {spec_ms:.1}}},\n\
          \x20       \"field_update_flops\": {{\"ftcs\": {f_flops:.3e}, \"spectral\": {s_flops:.3e}, \

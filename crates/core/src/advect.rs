@@ -75,8 +75,9 @@ impl CellCache {
     pub(crate) fn new(netlist: &Netlist, grid: &BinGrid) -> Self {
         // Sized up front: the movable-id filter hides the length from
         // `collect`, whose doubling would leave the buffer up to twice
-        // the cache.
-        let mut cells = Vec::with_capacity(netlist.movable_cell_ids().count());
+        // the cache. The cell count bounds it without a counting pass
+        // over the netlist; fixed cells are few.
+        let mut cells = Vec::with_capacity(netlist.num_cells());
         cells.extend(netlist.movable_cell_ids().map(|id| {
             let cell = netlist.cell(id);
             CachedCell {

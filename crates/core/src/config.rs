@@ -222,7 +222,11 @@ pub struct DiffusionConfig {
     /// density spreads relative to cell motion; the stability requirement
     /// is `D·Δt ≤ 0.5`.
     pub diffusivity: f64,
-    /// Hard cap on diffusion steps (guards non-convergent settings).
+    /// Hard cap on diffusion time, in FTCS sweeps (guards non-convergent
+    /// settings). Local diffusion and field migration advect once per
+    /// sweep, so it caps their steps. Global diffusion advects once per
+    /// stride of sweeps under either solver; the strides are cut to fit
+    /// this budget.
     pub max_steps: usize,
     /// Apply density-map manipulation (Eq. 8) before global diffusion.
     pub manipulate: bool,

@@ -797,6 +797,20 @@ impl DiffusionEngine {
         s
     }
 
+    /// `(max_live_density(), total_overflow(d_max))` in one pass over the
+    /// bins, bit-identical to the two calls: each value keeps its own
+    /// chain in ascending bin order.
+    pub fn peak_and_overflow(&self, d_max: f64) -> (f64, f64) {
+        let (mut m, mut s) = (0.0f64, 0.0);
+        for i in 0..self.dims.len() {
+            if !self.wall[i] && !self.frozen[i] {
+                m = m.max(self.density[i]);
+                s += (self.density[i] - d_max).max(0.0);
+            }
+        }
+        (m, s)
+    }
+
     /// Number of worker threads the kernels may use (1 = serial).
     ///
     /// The FTCS update and the velocity field are embarrassingly parallel
@@ -1282,6 +1296,17 @@ mod tests {
         assert_eq!(e.max_live_density(), 1.5);
         assert!((e.total_overflow(1.0) - 0.5).abs() < 1e-12);
         assert_eq!(e.total_overflow(2.0), 0.0);
+    }
+
+    #[test]
+    fn peak_and_overflow_is_bit_identical_to_the_two_passes() {
+        // Walls and a frozen block, so the live filter matters.
+        let e = bumpy_engine(1);
+        for d_max in [0.0, 0.3, 1.0, 1e9] {
+            let (m, s) = e.peak_and_overflow(d_max);
+            assert_eq!(m.to_bits(), e.max_live_density().to_bits());
+            assert_eq!(s.to_bits(), e.total_overflow(d_max).to_bits());
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@ use std::time::Instant;
 /// [`LocalDiffusion`](crate::LocalDiffusion)).
 #[derive(Debug, Clone)]
 pub struct DiffusionResult {
-    /// Total number of diffusion steps executed. Under
-    /// [`SolverKind::Spectral`] this counts advect/re-jump iterations:
-    /// each one covers a geometrically growing stride of FTCS-step
-    /// budget, so the count is roughly logarithmic in the diffusion
-    /// time an FTCS run would have stepped through.
+    /// Total number of diffusion steps executed: one velocity
+    /// computation and one advect each. [`LocalDiffusion`](crate::LocalDiffusion)
+    /// steps 1:1 with FTCS sweeps. [`GlobalDiffusion`] counts strides,
+    /// under either solver: each covers a geometrically growing stride
+    /// of FTCS-sweep budget (1, 2, 4, …), so the count is roughly
+    /// logarithmic in the diffusion time the run stepped through.
     pub steps: usize,
     /// Number of local-diffusion rounds (1 for global diffusion).
     pub rounds: usize,
@@ -40,6 +41,13 @@ pub struct DiffusionResult {
 /// the engine alternates velocity computation, cell advection, and FTCS
 /// density steps until the maximum *computed* density drops to
 /// `d_max + Δ`.
+///
+/// Unlike the paper, which advects once per FTCS step, the run moves
+/// cells once per *stride* of `s = 2^k` sweeps (capped by what is left of
+/// [`DiffusionConfig::max_steps`]): `⌊s/2⌋` sweeps, one velocity sample
+/// at the stride's midpoint, one advect for `s·Δt`, then the remaining
+/// sweeps. The spectral solver runs the same strides but samples at the
+/// stride's start (DESIGN.md §19).
 ///
 /// # Examples
 ///
@@ -92,12 +100,15 @@ impl GlobalDiffusion {
 
     /// Runs global diffusion with a cancellation hook.
     ///
-    /// `should_stop` is polled between diffusion steps; once it returns
-    /// `true` the loop exits before the next step, leaving the placement
-    /// in its current (partially migrated, still consistent) state and
-    /// setting [`DiffusionResult::cancelled`]. This is how `dpm-serve`
-    /// enforces per-request deadlines: the hook compares `Instant::now()`
-    /// against the request deadline, costing one branch per step.
+    /// `should_stop` is polled before each stride and between the FTCS
+    /// sweeps inside one (a late stride can be thousands of sweeps).
+    /// Once it returns `true` the run skips the rest of the stride,
+    /// leaving the placement in its current (partially migrated, still
+    /// consistent) state and setting [`DiffusionResult::cancelled`]. A
+    /// stride whose advect already ran still counts as a step. This is
+    /// how `dpm-serve` enforces per-request deadlines: the hook compares
+    /// `Instant::now()` against the request deadline, costing one branch
+    /// per sweep.
     ///
     /// A hook that always returns `false` makes this identical to
     /// [`run`](Self::run) — the hook never influences the arithmetic, only
@@ -116,9 +127,11 @@ impl GlobalDiffusion {
     /// Runs global diffusion with a cancellation hook and an attached
     /// [`DiffusionObserver`].
     ///
-    /// The observer is notified after every completed step
+    /// The observer is notified after every step
     /// ([`DiffusionObserver::on_step`]) and every timed kernel
-    /// invocation ([`DiffusionObserver::on_kernel`]); it sees only
+    /// invocation ([`DiffusionObserver::on_kernel`]; one
+    /// [`KernelKind::Ftcs`] event per stride bills all of its sweeps or
+    /// its spectral jump); it sees only
     /// shared references to post-step state, so attaching one cannot
     /// change the run's arithmetic — `run`, `run_with_cancel` and
     /// `run_observed` produce bit-identical placements for the same
@@ -133,6 +146,11 @@ impl GlobalDiffusion {
     ) -> DiffusionResult {
         let grid = BinGrid::new(die.outline(), self.cfg.bin_size);
         let pool = ThreadPool::new(self.cfg.threads);
+        let kernel_event = |kernel, elapsed| KernelEvent {
+            kernel,
+            elapsed,
+            threads: pool.threads(),
+        };
         let splat_start = Instant::now();
         let map = DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool);
         let splat_elapsed = splat_start.elapsed();
@@ -144,11 +162,7 @@ impl GlobalDiffusion {
             .kernel_timers_mut()
             .splat
             .record(splat_elapsed, pool.threads());
-        observer.on_kernel(&KernelEvent {
-            kernel: KernelKind::Splat,
-            elapsed: splat_elapsed,
-            threads: pool.threads(),
-        });
+        observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
 
         if self.cfg.manipulate {
             let mut d = engine.densities().to_vec();
@@ -171,134 +185,82 @@ impl GlobalDiffusion {
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w)
             && !engine.frozen_mask().iter().any(|&f| f);
+        let mut field = StrideField {
+            at: 0,
+            tau: self.cfg.dt * self.cfg.diffusivity,
+            spectral: use_spectral.then(|| {
+                let solver = SpectralSolver::new(engine.nx(), engine.ny(), engine.densities());
+                (solver, vec![0.0; engine.nx() * engine.ny()])
+            }),
+        };
 
-        if use_spectral {
-            // Closed-form evolution: the field no longer needs
-            // stepping — iterations exist only so cells can follow the
-            // changing velocity field. Strides double geometrically
-            // (in units of the FTCS step budget): early iterations
-            // resolve the fast transient finely, later ones jump whole
-            // swaths of diffusion time in one inverse transform.
-            let tau = self.cfg.dt * self.cfg.diffusivity;
-            let mut solver = SpectralSolver::new(engine.nx(), engine.ny(), engine.densities());
-            let mut field = vec![0.0; engine.nx() * engine.ny()];
-            let mut elapsed_budget = 0usize;
-            while !converged && elapsed_budget < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - elapsed_budget);
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                // One advect call covers the whole stride: velocities
-                // act for stride·Δt, still clamped per call by
-                // max_step_displacement.
-                let mut strided = self.cfg.clone();
-                strided.dt = self.cfg.dt * stride as f64;
-                let advect = advect_cells(&engine, &grid, &cells, placement, &strided, false);
-                let advect_elapsed = advect_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                // The jump replaces the FTCS sweep, so its time lands
-                // in the ftcs timer slot (recorded with the pool width
-                // the run was configured for, though transforms are
-                // serial by construction).
-                let jump_start = Instant::now();
-                elapsed_budget += stride;
-                solver.density_at(elapsed_budget as f64 * tau * 0.5, &mut field);
-                engine.load_densities(&field);
-                let jump_elapsed = jump_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .ftcs
-                    .record(jump_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: jump_elapsed,
-                    threads: pool.threads(),
-                });
-                steps += 1;
-                let max_density = engine.max_live_density();
-                let record = StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
-                    record,
-                    round: 1,
-                    placement,
-                    netlist,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
+        // One stride loop serves both solvers (DESIGN.md §19). Strides
+        // double geometrically in units of the FTCS-sweep budget: early
+        // strides resolve the fast transient finely, later ones cover
+        // whole swaths of diffusion time with one velocity sample and
+        // one advect. The field advances to the stride's sample point,
+        // cells follow the velocity there for the whole stride, then the
+        // field finishes the stride.
+        while !converged && field.at < self.cfg.max_steps {
+            if should_stop() {
+                cancelled = true;
+                break;
             }
-        } else {
-            while !converged && steps < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, false);
-                let advect_elapsed = advect_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: ftcs_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                steps += 1;
-                let max_density = engine.max_live_density();
-                let record = StepRecord {
-                    step: steps - 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
-                    record,
-                    round: 1,
-                    placement,
-                    netlist,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
+            let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - field.at);
+            let end = field.at + stride;
+            let field_start = Instant::now();
+            let sampled = field.advance(&mut engine, field.sample_point(stride), should_stop);
+            let mut field_elapsed = field_start.elapsed();
+            if !sampled {
+                observer.on_kernel(&kernel_event(KernelKind::Ftcs, field_elapsed));
+                cancelled = true;
+                break;
             }
+            let velocity_start = Instant::now();
+            engine.compute_velocities();
+            observer.on_kernel(&kernel_event(
+                KernelKind::Velocity,
+                velocity_start.elapsed(),
+            ));
+            let advect_start = Instant::now();
+            // One advect call covers the whole stride: velocities act
+            // for stride·Δt, still clamped per call by
+            // max_step_displacement.
+            let mut strided = self.cfg.clone();
+            strided.dt = self.cfg.dt * stride as f64;
+            let advect = advect_cells(&engine, &grid, &cells, placement, &strided, false);
+            let advect_elapsed = advect_start.elapsed();
+            engine
+                .kernel_timers_mut()
+                .advect
+                .record(advect_elapsed, pool.threads());
+            observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
+            let field_start = Instant::now();
+            let finished = field.advance(&mut engine, end, should_stop);
+            field_elapsed += field_start.elapsed();
+            // One event bills both halves of the stride's field update.
+            observer.on_kernel(&kernel_event(KernelKind::Ftcs, field_elapsed));
+            steps += 1;
+            let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
+            let record = StepRecord {
+                step: steps - 1,
+                movement: advect.total_movement,
+                computed_overflow,
+                max_density,
+                measured_overflow: None,
+            };
+            telemetry.push(record);
+            observer.on_step(&StepEvent {
+                record,
+                round: 1,
+                placement,
+                netlist,
+            });
+            if !finished {
+                cancelled = true;
+                break;
+            }
+            converged = max_density <= self.cfg.d_max + self.cfg.delta;
         }
 
         telemetry.set_kernels(*engine.kernel_timers());
@@ -309,6 +271,70 @@ impl GlobalDiffusion {
             cancelled,
             telemetry,
         }
+    }
+}
+
+/// The density field a global-diffusion stride advances: FTCS sweeps,
+/// or the spectral closed-form jump standing in for them.
+struct StrideField {
+    /// FTCS-sweep budget the density has advanced through.
+    at: usize,
+    /// `D·Δt`: one FTCS sweep advances diffusion time by `τ/2`.
+    tau: f64,
+    /// The closed-form solver and its output buffer, when the spectral
+    /// jump replaces the sweeps.
+    spectral: Option<(SpectralSolver, Vec<f64>)>,
+}
+
+impl StrideField {
+    /// The budget at which a stride of `stride` sweeps starting here
+    /// samples velocity. FTCS samples the stride's midpoint. The
+    /// spectral jump samples its start: a mid-stride field would cost a
+    /// second inverse transform per stride.
+    fn sample_point(&self, stride: usize) -> usize {
+        match self.spectral {
+            None => self.at + stride / 2,
+            Some(_) => self.at,
+        }
+    }
+
+    /// Advances the engine's density to budget `to` (a no-op when it is
+    /// already there). FTCS polls `should_stop` between sweeps and
+    /// returns `false` if it fired, leaving the sweeps done so far; the
+    /// spectral jump is one transform and always finishes.
+    fn advance(
+        &mut self,
+        engine: &mut DiffusionEngine,
+        to: usize,
+        should_stop: &dyn Fn() -> bool,
+    ) -> bool {
+        match &mut self.spectral {
+            None => {
+                let from = self.at;
+                while self.at < to {
+                    if self.at > from && should_stop() {
+                        return false;
+                    }
+                    engine.step_density(self.tau);
+                    self.at += 1;
+                }
+            }
+            Some((solver, buf)) if self.at < to => {
+                // The jump replaces the sweeps, so its time lands in the
+                // ftcs timer slot (transforms are serial by construction).
+                let start = Instant::now();
+                solver.density_at(to as f64 * self.tau * 0.5, buf);
+                engine.load_densities(buf);
+                let threads = engine.pool().threads();
+                engine
+                    .kernel_timers_mut()
+                    .ftcs
+                    .record(start.elapsed(), threads);
+                self.at = to;
+            }
+            Some(_) => {}
+        }
+        true
     }
 }
 
@@ -339,6 +365,88 @@ mod tests {
 
     fn cfg() -> DiffusionConfig {
         DiffusionConfig::default().with_bin_size(24.0)
+    }
+
+    /// 8×8 bins: the slowest modes live long enough that the doubling
+    /// strides need several steps to converge the pile.
+    fn fine_cfg() -> DiffusionConfig {
+        DiffusionConfig::default()
+            .with_bin_size(12.0)
+            .with_delta(0.05)
+    }
+
+    /// An FTCS run with a density target the pile can never reach, so it
+    /// spends its whole `max_steps` budget (or stops on its hook).
+    fn unreachable_cfg() -> DiffusionConfig {
+        DiffusionConfig {
+            d_max: 0.01,
+            ..cfg().with_solver(SolverKind::Ftcs)
+        }
+    }
+
+    /// The strides `run` takes for `steps` steps under `max_steps`.
+    fn schedule(steps: usize, max_steps: usize) -> Vec<usize> {
+        let mut left = max_steps;
+        (0..steps)
+            .map(|i| {
+                let stride = (1usize << i.min(20)).min(left);
+                left -= stride;
+                stride
+            })
+            .collect()
+    }
+
+    /// The FTCS stride schedule rebuilt from engine primitives, one
+    /// explicit loop: `⌊s/2⌋` sweeps, velocity, one advect for `s·Δt`,
+    /// the remaining sweeps. `on_field` sees the field before the first
+    /// sweep and after every sweep. Returns the step count and whether
+    /// the run converged.
+    fn oracle_run(
+        cfg: &DiffusionConfig,
+        nl: &Netlist,
+        die: &Die,
+        p: &mut Placement,
+        on_field: &mut dyn FnMut(&DiffusionEngine),
+    ) -> (usize, bool) {
+        let grid = BinGrid::new(die.outline(), cfg.bin_size);
+        let map = DensityMap::from_placement(nl, p, grid.clone());
+        let mut engine = DiffusionEngine::from_density_map(&map);
+        engine.set_conservative_boundaries(!cfg.paper_boundaries);
+        engine.set_threads(cfg.threads);
+        engine.set_lanes(cfg.lanes);
+        if cfg.manipulate {
+            let mut d = engine.densities().to_vec();
+            let wall = engine.wall_mask().to_vec();
+            manipulate_density(&mut d, Some(&wall), cfg.d_max);
+            engine.load_densities(&d);
+        }
+        on_field(&engine);
+        let cells = CellCache::new(nl, &grid);
+        let target = cfg.d_max + cfg.delta;
+        let tau = cfg.dt * cfg.diffusivity;
+        let (mut swept, mut steps) = (0, 0);
+        let mut converged = engine.max_live_density() <= target;
+        while !converged && swept < cfg.max_steps {
+            let s = (1usize << steps).min(cfg.max_steps - swept);
+            for _ in 0..s / 2 {
+                engine.step_density(tau);
+                on_field(&engine);
+            }
+            engine.compute_velocities();
+            let strided = DiffusionConfig {
+                dt: cfg.dt * s as f64,
+                ..cfg.clone()
+            };
+            advect_cells(&engine, &grid, &cells, p, &strided, false);
+            for _ in s / 2..s {
+                engine.step_density(tau);
+                on_field(&engine);
+            }
+            swept += s;
+            steps += 1;
+            converged = engine.max_live_density() <= target;
+        }
+        (steps, converged)
     }
 
     #[test]
@@ -473,17 +581,17 @@ mod tests {
         use std::cell::Cell;
 
         // Reference run to know the uncancelled step count. Pinned to
-        // FTCS: the spectral jump converges this tiny workload in a
-        // couple of iterations, leaving nothing to cancel mid-run (the
-        // spectral cancellation contract is covered on a finer grid by
-        // `spectral_cancellation_stops_mid_run`).
-        let cfg = || cfg().with_solver(SolverKind::Ftcs);
+        // FTCS on the finer grid of `spectral_cancellation_stops_mid_run`:
+        // the doubling strides converge the 4×4-bin pile in at most two,
+        // leaving nothing to cancel mid-run.
+        let cfg = || fine_cfg().with_solver(SolverKind::Ftcs);
         let (nl, die, mut p_ref) = pile(24, Point::new(36.0, 36.0));
         let full = GlobalDiffusion::new(cfg()).run(&nl, &die, &mut p_ref);
         assert!(!full.cancelled);
         assert!(full.steps > 2, "workload too small to cancel mid-run");
 
-        // Cancel after two steps.
+        // Cancel after two steps: strides 1 and 2 poll once each, at
+        // their start.
         let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
         let p0 = p.clone();
         let budget = Cell::new(2usize);
@@ -573,6 +681,9 @@ mod tests {
 
     #[test]
     fn spectral_mode_converges_in_fewer_iterations() {
+        // Both solvers run the same strides, so what separates them is
+        // the field update: one transform per stride against one FTCS
+        // sweep per unit of budget.
         let (nl, die, mut p_ftcs) = pile(24, Point::new(36.0, 36.0));
         let ftcs =
             GlobalDiffusion::new(cfg().with_solver(SolverKind::Ftcs)).run(&nl, &die, &mut p_ftcs);
@@ -583,20 +694,32 @@ mod tests {
             &mut p_spec,
         );
         assert!(
+            ftcs.converged,
+            "FTCS did not converge in {} strides",
+            ftcs.steps
+        );
+        assert!(
             spec.converged,
             "spectral did not converge in {} iters",
             spec.steps
         );
+        let transforms = spec.telemetry.kernels().ftcs.calls;
+        let sweeps = ftcs.telemetry.kernels().ftcs.calls;
+        assert_eq!(transforms as usize, spec.steps, "one transform per stride");
+        assert_eq!(
+            sweeps as usize,
+            schedule(ftcs.steps, cfg().max_steps).iter().sum::<usize>()
+        );
         assert!(
-            spec.steps < ftcs.steps,
-            "spectral iterations ({}) should undercut FTCS steps ({})",
-            spec.steps,
-            ftcs.steps
+            transforms < sweeps,
+            "spectral transforms ({transforms}) should undercut FTCS sweeps ({sweeps})"
         );
         // Both end legal-ish on the real measured density.
         let grid = BinGrid::new(die.outline(), 24.0);
-        let dm = DensityMap::from_placement(&nl, &p_spec, grid);
-        assert!(dm.max_density() < 1.5, "measured {}", dm.max_density());
+        for p in [&p_ftcs, &p_spec] {
+            let dm = DensityMap::from_placement(&nl, p, grid.clone());
+            assert!(dm.max_density() < 1.5, "measured {}", dm.max_density());
+        }
     }
 
     #[test]
@@ -684,12 +807,162 @@ mod tests {
     #[test]
     fn kernel_timers_cover_every_step() {
         let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
-        let r = GlobalDiffusion::new(cfg().with_threads(2)).run(&nl, &die, &mut p);
+        let cfg = fine_cfg().with_solver(SolverKind::Ftcs).with_threads(2);
+        let r = GlobalDiffusion::new(cfg.clone()).run(&nl, &die, &mut p);
+        assert!(r.steps > 2, "workload too small to stride");
         let k = r.telemetry.kernels();
-        assert_eq!(k.ftcs.calls as usize, r.steps);
+        // One sweep per unit of every stride's budget.
+        let sweeps: usize = schedule(r.steps, cfg.max_steps).iter().sum();
+        assert_eq!(k.ftcs.calls as usize, sweeps);
         assert_eq!(k.velocity.calls as usize, r.steps);
         assert_eq!(k.advect.calls as usize, r.steps);
         assert_eq!(k.splat.calls, 1, "one initial density splat");
         assert_eq!(k.ftcs.max_threads, 2);
+    }
+
+    #[test]
+    fn run_matches_primitive_oracle_at_every_thread_count() {
+        for base in [cfg(), fine_cfg(), fine_cfg().with_paper_boundaries(true)] {
+            let base = base.with_solver(SolverKind::Ftcs);
+            let (nl, die, p0) = pile(24, Point::new(36.0, 36.0));
+            let mut expected = p0.clone();
+            let (steps, converged) = oracle_run(&base, &nl, &die, &mut expected, &mut |_| {});
+            assert!(converged);
+            for threads in [1, 2, 4] {
+                let mut p = p0.clone();
+                let r =
+                    GlobalDiffusion::new(base.clone().with_threads(threads)).run(&nl, &die, &mut p);
+                assert_eq!(r.steps, steps, "{threads} threads");
+                assert_eq!(r.converged, converged);
+                assert_eq!(
+                    p, expected,
+                    "{threads} threads: placement differs from oracle"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn budget_caps_the_last_stride() {
+        // Five sweeps of budget: strides 1, 2, then 2 (not 4).
+        let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
+        let r = GlobalDiffusion::new(unreachable_cfg().with_max_steps(5)).run(&nl, &die, &mut p);
+        assert!(!r.converged);
+        assert_eq!(r.steps, 3);
+        assert_eq!(schedule(r.steps, 5), [1, 2, 2]);
+        let k = r.telemetry.kernels();
+        assert_eq!(k.ftcs.calls, 5);
+        assert_eq!(k.advect.calls, 3);
+        let (_, _, mut expected) = pile(24, Point::new(36.0, 36.0));
+        let cfg = unreachable_cfg().with_max_steps(5);
+        assert_eq!(
+            oracle_run(&cfg, &nl, &die, &mut expected, &mut |_| {}),
+            (3, false)
+        );
+        assert_eq!(p, expected);
+    }
+
+    #[test]
+    fn strided_run_conserves_mass_and_obeys_maximum_principle() {
+        // `run` matches the oracle bit for bit (above), so the oracle's
+        // field is the run's field: check it after every sweep.
+        let cfg = fine_cfg().with_solver(SolverKind::Ftcs);
+        let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
+        let mut first: Option<(f64, f64, f64)> = None;
+        let mut prev_max = f64::INFINITY;
+        let mut fields = 0;
+        let (steps, _) = oracle_run(&cfg, &nl, &die, &mut p, &mut |e| {
+            let d = e.densities();
+            let mass: f64 = d.iter().sum();
+            let max = d.iter().copied().fold(f64::MIN, f64::max);
+            let min = d.iter().copied().fold(f64::MAX, f64::min);
+            let (mass0, max0, min0) = *first.get_or_insert((mass, max, min));
+            assert!(
+                (mass - mass0).abs() <= 1e-9 * mass0,
+                "mass {mass} vs {mass0}"
+            );
+            assert!(
+                max <= max0 + 1e-12 && max <= prev_max + 1e-12,
+                "max rose to {max}"
+            );
+            assert!(min >= min0 - 1e-12, "min fell to {min}");
+            prev_max = max;
+            fields += 1;
+        });
+        assert!(steps > 2);
+        let sweeps: usize = schedule(steps, cfg.max_steps).iter().sum();
+        assert_eq!(fields, 1 + sweeps);
+        // And on the run itself: the computed peak never rises across
+        // strides.
+        let (_, _, mut p) = pile(24, Point::new(36.0, 36.0));
+        let r = GlobalDiffusion::new(cfg).run(&nl, &die, &mut p);
+        let peaks: Vec<f64> = r
+            .telemetry
+            .records()
+            .iter()
+            .map(|s| s.max_density)
+            .collect();
+        assert!(peaks.windows(2).all(|w| w[1] <= w[0]), "{peaks:?}");
+    }
+
+    #[test]
+    fn hook_firing_mid_stride_skips_the_rest_of_it() {
+        use std::cell::Cell;
+        // Polls: one per stride start, then one between consecutive
+        // sweeps of each half. Stride 3 (8 sweeps) starts at poll 6;
+        // polls 7–9 fall between its first four sweeps, 10–12 between
+        // its last four.
+        let run = |fire_at: usize| {
+            let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
+            let polls = Cell::new(0usize);
+            let r =
+                GlobalDiffusion::new(unreachable_cfg()).run_with_cancel(&nl, &die, &mut p, &|| {
+                    polls.set(polls.get() + 1);
+                    polls.get() >= fire_at
+                });
+            assert_eq!(
+                polls.get(),
+                fire_at,
+                "the run stops polling once the hook fires"
+            );
+            (r, p)
+        };
+        let capped = |max_steps: usize| {
+            let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
+            GlobalDiffusion::new(unreachable_cfg().with_max_steps(max_steps))
+                .run(&nl, &die, &mut p);
+            p
+        };
+
+        // Before stride 3's advect: its velocity and advect are skipped,
+        // so the placement is the one after strides 1, 2, 4.
+        let (r, p) = run(8);
+        assert!(r.cancelled && !r.converged);
+        assert_eq!(r.steps, 3);
+        assert_eq!(r.telemetry.len(), 3);
+        let k = r.telemetry.kernels();
+        assert_eq!(
+            (k.ftcs.calls, k.velocity.calls, k.advect.calls),
+            (7 + 2, 3, 3)
+        );
+        assert_eq!(p, capped(7));
+
+        // After stride 3's advect: the step counts, its remaining sweeps
+        // are skipped, and the placement is the full stride's (sweeps
+        // after the advect never move cells).
+        let (r, p) = run(10);
+        assert!(r.cancelled && !r.converged);
+        assert_eq!(r.steps, 4);
+        assert_eq!(r.telemetry.len(), 4);
+        let k = r.telemetry.kernels();
+        assert_eq!(
+            (k.ftcs.calls, k.velocity.calls, k.advect.calls),
+            (7 + 4 + 1, 4, 4)
+        );
+        assert_eq!(p, capped(15));
+        assert!(p
+            .as_slice()
+            .iter()
+            .all(|q| q.x.is_finite() && q.y.is_finite()));
     }
 }

@@ -21,7 +21,8 @@ use std::time::Duration;
 /// Which parallel kernel a [`KernelEvent`] timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The FTCS density step (Eq. 4).
+    /// The density-field update: FTCS sweeps (Eq. 4) or the spectral
+    /// jump that replaces them.
     Ftcs,
     /// The velocity-field computation (Eq. 5).
     Velocity,
@@ -31,7 +32,9 @@ pub enum KernelKind {
     Splat,
 }
 
-/// Emitted after every completed diffusion step.
+/// Emitted after every diffusion step: each advect, which in global
+/// diffusion is once per stride of FTCS sweeps. A stride cut short by
+/// cancellation after its advect still emits one.
 ///
 /// `record` is the exact [`StepRecord`] pushed to the run's
 /// [`Telemetry`](crate::Telemetry); `placement` and `netlist` let an
@@ -63,7 +66,10 @@ pub struct RoundEvent {
     pub steps_so_far: usize,
 }
 
-/// Emitted after each timed kernel invocation.
+/// Emitted after each timed kernel invocation. Global diffusion sends
+/// one [`KernelKind::Ftcs`] event per stride, billing all of its sweeps
+/// (or its spectral jump); local and volumetric FTCS diffusion send one per
+/// sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEvent {
     /// Which kernel ran.

@@ -90,7 +90,8 @@ impl KernelTimers {
 /// Snapshot of one diffusion step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRecord {
-    /// Step number `n` (0-based).
+    /// Step number `n` (0-based): one advect. In global diffusion a step
+    /// is a stride of FTCS sweeps, so `n` is the stride index.
     pub step: usize,
     /// Total cell movement during this step, in world units: the sum of
     /// each moved cell's Euclidean displacement, each term within 2 ulp

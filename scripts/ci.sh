@@ -83,7 +83,7 @@ gate "determinism matrix (DPM_SOLVER × DPM_LANES × DPM_THREADS, pinned checksu
 # suite (which carries its own lane/seam fixtures) runs once per
 # (solver, threads) pair on the production wide configuration. The
 # field is always f64, so these four literals are the whole contract.
-declare -A golden_plain=([ftcs]=cef7fcd6348a9441 [spectral]=87b3c85022bddcf4)
+declare -A golden_plain=([ftcs]=17e4ee4d823bc613 [spectral]=87b3c85022bddcf4)
 declare -A golden_vol=([ftcs]=dcc914ce61fcb375 [spectral]=38f1b000b964ad02)
 for solver in ftcs spectral; do
     for lanes in scalar wide; do
