@@ -448,7 +448,6 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
         tenants: specs,
         exec: ExecMode::Sharded {
             shards: 2,
-            halo_bins: 2,
             max_halo_rounds: 4,
             registry,
         },

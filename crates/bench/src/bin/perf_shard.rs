@@ -14,20 +14,28 @@
 //! measured max density trace never rises across an accepted
 //! halo-exchange round.
 //!
+//! A volumetric leg then routes one hot-spot tier stack through a
+//! 2-slab [`VolRouter`] over the first two TCP servers, asserts that
+//! the routed placement and depths are bit-identical to a direct
+//! [`VolumetricDiffusion`] run and that the stitched max-density trace
+//! never rises, and reports the run under `"volumetric"`.
+//!
 //! Usage: `cargo run --release --bin perf_shard [-- <output-path>]
 //! [--smoke]`
 //!
-//! `--smoke` boots a 2-shard router and replays one streamed request
-//! (used by `scripts/ci.sh`, which grep-pins the emitted JSON).
+//! `--smoke` boots a 2-shard router, replays one streamed request and
+//! runs the volumetric leg (used by `scripts/ci.sh`, which grep-pins
+//! the emitted JSON).
 
 use std::time::Instant;
 
-use dpm_diffusion::DiffusionConfig;
-use dpm_gen::{Benchmark, CircuitSpec, InflationSpec};
+use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
+use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolCircuitSpec};
 use dpm_obs::{Histogram, HistogramSnapshot};
 use dpm_place::{BinGrid, DensityMap, Placement};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
-use dpm_serve::wire::{JobKind, JobRequest};
+use dpm_serve::wire::{JobKind, JobRequest, VolRequestExt};
+use dpm_serve::zslab::{VolRouter, VolRouterConfig};
 use dpm_serve::{ServeConfig, Server};
 
 struct LoadSpec {
@@ -57,6 +65,11 @@ const SMOKE: LoadSpec = LoadSpec {
 
 /// Progress stride for the streamed shard sub-requests.
 const STREAM_STRIDE: u32 = 4;
+
+/// The volumetric leg: slab count, stack height and cell count.
+const VOL_SLABS: usize = 2;
+const VOL_TIERS: usize = 3;
+const VOL_CELLS: usize = 300;
 
 fn hot_bench(cells: usize, seed: u64) -> Benchmark {
     let mut b = CircuitSpec::with_size("shard", cells, seed).generate();
@@ -121,6 +134,74 @@ fn density_of(req: &JobRequest, positions: &[dpm_geom::Point]) -> (f64, f64) {
     )
 }
 
+/// Routes one hot-spot tier stack through a `VOL_SLABS`-slab router
+/// over `backends`, checks it bit for bit against a direct
+/// [`VolumetricDiffusion`] run, and returns the leg's JSON object.
+fn volumetric_leg(backends: &[ShardBackend]) -> String {
+    let bench = VolCircuitSpec::with_size("shard_vol", VOL_TIERS, VOL_CELLS, 0x5EED)
+        .with_hotspot(1)
+        .generate();
+    // The z-slab halo exchange is FTCS-only.
+    let config = DiffusionConfig::default().with_solver(SolverKind::Ftcs);
+    let req = JobRequest {
+        id: 0,
+        deadline_ms: 0,
+        progress_stride: 0,
+        kind: JobKind::Global,
+        design: "shard_vol".into(),
+        config: config.clone(),
+        netlist: bench.netlist.clone(),
+        die: bench.die.clone(),
+        placement: bench.placement.xy.clone(),
+        vol: Some(VolRequestExt {
+            nz: VOL_TIERS as u32,
+            z0: 0,
+            global_nz: VOL_TIERS as u32,
+            exact_steps: None,
+            z: bench.placement.z.clone(),
+            field: None,
+        }),
+        trace: None,
+    };
+    let mut direct = bench.placement.clone();
+    let direct_run =
+        VolumetricDiffusion::new(config, VOL_TIERS).run(&bench.netlist, &bench.die, &mut direct);
+
+    let router = VolRouter::new(VolRouterConfig { slabs: VOL_SLABS }, backends.to_vec());
+    let sent = Instant::now();
+    let reply = router.route(&req).expect("volumetric route succeeds");
+    let wall = sent.elapsed();
+    assert_eq!(reply.slabs, VOL_SLABS, "stack clamped the slab count");
+    assert_eq!(
+        reply.response.positions,
+        direct.xy.as_slice(),
+        "routed placement diverged from the direct volumetric run"
+    );
+    let ext = reply.response.vol.as_ref().expect("volumetric reply");
+    assert_eq!(
+        ext.z, direct.z,
+        "routed depths diverged from the direct run"
+    );
+    assert_eq!(reply.rounds, direct_run.steps, "round count diverged");
+    let trace = &reply.max_density_trace;
+    for w in trace.windows(2) {
+        assert!(w[1] <= w[0], "max density rose across a slab exchange");
+    }
+    eprintln!(
+        "  volumetric: {VOL_CELLS} cells on {VOL_TIERS} tiers, {VOL_SLABS} slabs, {} rounds, max density {:.3} -> {:.3}, bit-identical to the direct run",
+        reply.rounds,
+        trace[0],
+        trace[trace.len() - 1]
+    );
+    format!(
+        "{{\"slabs\": {VOL_SLABS}, \"tiers\": {VOL_TIERS}, \"cells\": {VOL_CELLS}, \"rounds\": {}, \"wall_ms\": {:.3}, \"bit_identical\": true, \"initial_max_density\": {:.4}, \"final_max_density\": {:.4}}}",
+        reply.rounds,
+        wall.as_secs_f64() * 1e3,
+        trace[0],
+        trace[trace.len() - 1]
+    )
+}
+
 fn main() {
     let mut out_path = "BENCH_shard.json".to_string();
     let mut smoke = false;
@@ -151,7 +232,6 @@ fn main() {
         ShardRouterConfig {
             shards: spec.shards,
             max_halo_rounds: spec.max_halo_rounds,
-            ..ShardRouterConfig::default()
         },
         backends.clone(),
     );
@@ -215,6 +295,7 @@ fn main() {
         );
     }
     let wall = t0.elapsed();
+    let volumetric = volumetric_leg(&backends[..VOL_SLABS]);
     for s in servers {
         s.shutdown();
     }
@@ -225,7 +306,7 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_shard\",\n  \"mode\": \"{mode}\",\n  \"hardware_threads\": {cores},\n  \"shards\": {shards},\n  \"config\": {{\"jobs\": {jobs}, \"halo_bins\": 2, \"max_halo_rounds\": {rounds}, \"circuit_cells\": {cells:?}, \"d_max\": 1.1}},\n  \"wall_seconds\": {wall:.3},\n  \"halo_exchanges\": {halo_exchanges},\n  \"progress_frames\": {progress_frames},\n  \"latency\": {{\n    {shard_lat},\n    {e2e_lat}\n  }},\n  \"density\": [\n    {density}\n  ],\n  \"note\": \"Each job is routed twice on identical requests: once over K TCP shard backends with halo exchange, once through a 1-shard router (bit-identical to a direct engine run). shard_service covers every per-shard sub-request (one sample per shard per exchange, merged dpm-obs histograms); e2e is the client-side wall time of the whole routed job. Density rows compare final max bin density and raw overflow; the router enforces that the sharded max never exceeds the initial max.\"\n}}\n",
+        "{{\n  \"bench\": \"perf_shard\",\n  \"mode\": \"{mode}\",\n  \"hardware_threads\": {cores},\n  \"shards\": {shards},\n  \"config\": {{\"jobs\": {jobs}, \"halo_bins\": 2, \"max_halo_rounds\": {rounds}, \"circuit_cells\": {cells:?}, \"d_max\": 1.1}},\n  \"wall_seconds\": {wall:.3},\n  \"halo_exchanges\": {halo_exchanges},\n  \"progress_frames\": {progress_frames},\n  \"latency\": {{\n    {shard_lat},\n    {e2e_lat}\n  }},\n  \"density\": [\n    {density}\n  ],\n  \"volumetric\": {volumetric},\n  \"note\": \"Each job is routed twice on identical requests: once over K TCP shard backends with halo exchange, once through a 1-shard router (bit-identical to a direct engine run). shard_service covers every successful per-shard sub-request (one sample per shard per exchange, merged dpm-obs histograms); e2e is the client-side wall time of the whole routed job. Density rows compare final max bin density and raw overflow; the router enforces that the sharded max never exceeds the initial max. The volumetric leg routes one tier stack over the first two TCP servers as 2 z-slabs and is asserted bit-identical to a direct VolumetricDiffusion run.\"\n}}\n",
         mode = if smoke { "smoke" } else { "full" },
         shards = spec.shards,
         jobs = spec.jobs,

@@ -26,7 +26,7 @@
 //! deliberately transport-free.
 
 use dpm_geom::{floor_index, Point, Rect};
-use dpm_netlist::{CellId, CellKind, Netlist, NetlistBuilder};
+use dpm_netlist::{CellId, CellKind, Netlist};
 use dpm_place::{BinGrid, BinIdx, Die, Placement};
 
 /// A half-open rectangular block of bins: columns `[j0, j1)`, rows
@@ -390,21 +390,8 @@ impl ShardPartition {
             Die::with_origin(halo_rect.llx, lly, halo_rect.width(), height, rh)
         };
 
-        let mut b = NetlistBuilder::with_capacity(members.len(), 0, 0);
-        let mut sub_placement = Placement::new(members.len());
-        for (local, &c) in members.iter().enumerate() {
-            let cell = netlist.cell(c);
-            let id = b.add_cell_with_delay(
-                cell.name.clone(),
-                cell.width,
-                cell.height,
-                cell.kind,
-                cell.delay,
-            );
-            debug_assert_eq!(id.index(), local);
-            sub_placement.set(id, placement.get(c));
-        }
-        let sub_netlist = b.build().expect("cells without nets always build");
+        let sub_netlist = netlist.cell_subset(&members);
+        let sub_placement = members.iter().map(|&c| placement.get(c)).collect();
 
         Some(ShardProblem {
             shard,
@@ -620,6 +607,7 @@ impl ZSlabPartition {
 mod tests {
     use super::*;
     use crate::identify_windows_into;
+    use dpm_netlist::NetlistBuilder;
     use dpm_place::DensityMap;
 
     /// `n` movable cells staggered around `at`.

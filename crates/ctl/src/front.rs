@@ -56,10 +56,9 @@ pub enum ExecMode {
     /// from a health-checked registry per job. Volumetric jobs (the
     /// planar router has no tier axis) run on the worker thread.
     Sharded {
-        /// Requested shard count K.
+        /// Requested shard count K. The halo is `max(W2, 2)` bins of
+        /// each job's own window.
         shards: usize,
-        /// Halo width in bins.
-        halo_bins: usize,
         /// Upper bound on halo-exchange rounds.
         max_halo_rounds: usize,
         /// Primaries and warm spares.
@@ -70,12 +69,12 @@ pub enum ExecMode {
     /// per job. Planar jobs (no volumetric extension) fall back to
     /// running on the worker thread.
     Volumetric {
-        /// Requested slab count K.
+        /// Requested slab count K. Slabs always ship two ghost tiers,
+        /// the only exact width.
         slabs: usize,
-        /// Ghost tiers shipped on each side of a slab's owned range.
-        halo_layers: usize,
-        /// Primaries (the z-slab router has no degraded mode, so warm
-        /// spares are ignored).
+        /// Primaries and warm spares: a slab whose backend fails is
+        /// retried on a spare within the job; with no spare left the
+        /// job fails.
         registry: BackendRegistry,
     },
 }
@@ -128,13 +127,11 @@ enum Exec {
     InProcess,
     Sharded {
         shards: usize,
-        halo_bins: usize,
         max_halo_rounds: usize,
         registry: Mutex<BackendRegistry>,
     },
     Volumetric {
         slabs: usize,
-        halo_layers: usize,
         registry: Mutex<BackendRegistry>,
     },
 }
@@ -217,22 +214,15 @@ impl CtlServer {
             ExecMode::InProcess => Exec::InProcess,
             ExecMode::Sharded {
                 shards,
-                halo_bins,
                 max_halo_rounds,
                 registry,
             } => Exec::Sharded {
                 shards,
-                halo_bins,
                 max_halo_rounds,
                 registry: Mutex::new(registry),
             },
-            ExecMode::Volumetric {
+            ExecMode::Volumetric { slabs, registry } => Exec::Volumetric {
                 slabs,
-                halo_layers,
-                registry,
-            } => Exec::Volumetric {
-                slabs,
-                halo_layers,
                 registry: Mutex::new(registry),
             },
         };
@@ -762,23 +752,20 @@ fn worker_loop(shared: &Shared) {
             match &shared.exec {
                 Exec::Sharded {
                     shards,
-                    halo_bins,
                     max_halo_rounds,
                     registry,
-                } if req.vol.is_none() => run_sharded(
-                    shared,
-                    registry,
-                    *shards,
-                    *halo_bins,
-                    *max_halo_rounds,
-                    &req,
-                ),
-                Exec::Volumetric {
-                    slabs,
-                    halo_layers,
-                    registry,
-                } if req.vol.is_some() => {
-                    run_volumetric(shared, registry, *slabs, *halo_layers, &req)
+                } if req.vol.is_none() => run_routed(shared, registry, |primaries, spares| {
+                    let cfg = ShardRouterConfig {
+                        shards: *shards,
+                        max_halo_rounds: *max_halo_rounds,
+                    };
+                    run_sharded(ShardRouter::with_spares(cfg, primaries, spares), &req)
+                }),
+                Exec::Volumetric { slabs, registry } if req.vol.is_some() => {
+                    run_routed(shared, registry, |primaries, spares| {
+                        let cfg = VolRouterConfig { slabs: *slabs };
+                        run_volumetric(VolRouter::with_spares(cfg, primaries, spares), &req)
+                    })
                 }
                 // In process, and the jobs a router does not take:
                 // volumetric ones in sharded mode, planar ones in
@@ -845,51 +832,42 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Picks this job's primaries and spares, counting any replacement the
-/// registry made while health-checking.
-fn select_backends(
+/// A routed job's answer, plus every backend the route found dead.
+type RouteOutcome = (Result<JobResponse, ErrorReply>, Vec<ShardBackend>);
+
+/// Routes one job on this job's primaries and spares from the
+/// registry (counting any replacement its health check made), then
+/// reports every backend the route found dead back to the registry and
+/// counts them as failovers.
+fn run_routed(
     shared: &Shared,
     registry: &Mutex<BackendRegistry>,
-) -> (Vec<ShardBackend>, Vec<ShardBackend>) {
+    route: impl FnOnce(Vec<ShardBackend>, Vec<ShardBackend>) -> RouteOutcome,
+) -> Result<JobResponse, ErrorReply> {
+    let (primaries, spares) = {
+        let mut reg = registry.lock().unwrap();
+        let before = reg.snapshot().replacements;
+        let selected = reg.select();
+        let replaced = reg.snapshot().replacements - before;
+        shared.metrics.replacements.add(replaced);
+        selected
+    };
+    let (outcome, dead) = route(primaries, spares);
+    shared.metrics.failovers.add(dead.len() as u64);
     let mut reg = registry.lock().unwrap();
-    let before = reg.snapshot().replacements;
-    let selected = reg.select();
-    shared
-        .metrics
-        .replacements
-        .add(reg.snapshot().replacements - before);
-    selected
+    for backend in dead {
+        reg.report_failure(backend);
+    }
+    outcome
 }
 
-fn run_sharded(
-    shared: &Shared,
-    registry: &Mutex<BackendRegistry>,
-    shards: usize,
-    halo_bins: usize,
-    max_halo_rounds: usize,
-    req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let (primaries, spares) = select_backends(shared, registry);
-    let router = ShardRouter::with_spares(
-        ShardRouterConfig {
-            shards,
-            halo_bins,
-            max_halo_rounds,
-            encoding: dpm_serve::wire::PayloadEncoding::Binary,
-        },
-        primaries,
-        spares,
-    );
+/// A planar route degrades a shard that failed on every backend; the
+/// control plane answers such a job with an error instead.
+fn run_sharded(router: ShardRouter, req: &JobRequest) -> RouteOutcome {
     let reply = router.route(req);
-    if !reply.failovers.is_empty() {
-        shared.metrics.failovers.add(reply.failovers.len() as u64);
-        let mut reg = registry.lock().unwrap();
-        for f in &reply.failovers {
-            reg.report_failure(f.from);
-        }
-    }
-    if let Some(out) = reply.outcomes.iter().find(|o| o.error.is_some()) {
-        return Err(ErrorReply {
+    let dead = reply.failovers.iter().map(|f| f.from).collect();
+    let outcome = match reply.outcomes.iter().find(|o| o.error.is_some()) {
+        Some(out) => Err(ErrorReply {
             id: req.id,
             code: ErrorCode::Internal,
             steps: reply.response.steps,
@@ -899,50 +877,38 @@ fn run_sharded(
                 out.shard,
                 out.error.as_deref().unwrap_or("unknown")
             ),
-        });
-    }
-    Ok(reply.response)
+        }),
+        None => Ok(reply.response),
+    };
+    (outcome, dead)
 }
 
-fn run_volumetric(
-    shared: &Shared,
-    registry: &Mutex<BackendRegistry>,
-    slabs: usize,
-    halo_layers: usize,
-    req: &JobRequest,
-) -> Result<JobResponse, ErrorReply> {
-    let (primaries, _spares) = select_backends(shared, registry);
-    let router = VolRouter::new(
-        VolRouterConfig {
-            slabs,
-            halo_layers,
-            encoding: dpm_serve::wire::PayloadEncoding::Binary,
-        },
-        primaries,
-    );
+/// An exact volumetric route cannot degrade: a slab that failed on
+/// every backend fails the job.
+fn run_volumetric(router: VolRouter, req: &JobRequest) -> RouteOutcome {
     let err = match router.route(req) {
-        Ok(reply) => return Ok(reply.response),
+        Ok(reply) => {
+            let dead = reply.failovers.iter().map(|f| f.from).collect();
+            return (Ok(reply.response), dead);
+        }
         Err(err) => err,
     };
-    // Exact volumetric stitching cannot degrade: a failed slab fails the
-    // job. Shape errors are the client's fault; a dead backend is ours.
-    let code = match &err {
+    // Shape errors are the client's fault; a dead backend is ours.
+    let (code, dead) = match &err {
         VolRouteError::Backend { slab, .. } => {
-            shared.metrics.failovers.inc();
-            let backend = router.slab_backend(*slab);
-            registry.lock().unwrap().report_failure(backend);
-            ErrorCode::Internal
+            (ErrorCode::Internal, vec![router.slab_backend(*slab)])
         }
         VolRouteError::NotVolumetric
         | VolRouteError::NotGlobal
-        | VolRouteError::SpectralUnsupported => ErrorCode::InvalidConfig,
-        VolRouteError::BadExtension(_) => ErrorCode::Malformed,
+        | VolRouteError::SpectralUnsupported => (ErrorCode::InvalidConfig, Vec::new()),
+        VolRouteError::BadExtension(_) => (ErrorCode::Malformed, Vec::new()),
     };
-    Err(ErrorReply {
+    let reply = ErrorReply {
         id: req.id,
         code,
         steps: 0,
         rounds: 0,
         message: err.to_string(),
-    })
+    };
+    (Err(reply), dead)
 }

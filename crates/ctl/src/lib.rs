@@ -24,7 +24,7 @@
 //!   per-connection version echo for wire-v2 clients.
 //! - [`BackendRegistry`][]: health-checked
 //!   primaries with warm spares; dead backends are replaced between
-//!   jobs, and the shard router's intra-job failovers feed back in.
+//!   jobs, and both routers' intra-job failovers feed back in.
 //!
 //! Everything is std-only, deterministic where it matters (cache
 //! eviction, fair-queue schedule), and speaks the same framed TCP

@@ -336,7 +336,6 @@ fn sharded_ctl_survives_dead_backend_via_registry_spare() {
         tenants: vec![TenantSpec::new("acme", 1, 64)],
         exec: ExecMode::Sharded {
             shards: shard_cfg.shards,
-            halo_bins: shard_cfg.halo_bins,
             max_halo_rounds: shard_cfg.max_halo_rounds,
             registry,
         },
@@ -468,7 +467,6 @@ fn sharded_ctl_runs_volumetric_jobs_in_process() {
     // not be flattened through it.
     assert_volumetric_job_runs_in_process(ExecMode::Sharded {
         shards: 2,
-        halo_bins: 2,
         max_halo_rounds: 4,
         registry: BackendRegistry::new(vec![ShardBackend::InProcess], vec![]),
     });

@@ -81,11 +81,7 @@ fn traced_volumetric_job_builds_one_cross_process_span_tree() {
     let ctl = CtlServer::start(CtlConfig {
         workers: 1,
         tenants: vec![TenantSpec::new("acme", 1, 64)],
-        exec: ExecMode::Volumetric {
-            slabs: 2,
-            halo_layers: 2,
-            registry,
-        },
+        exec: ExecMode::Volumetric { slabs: 2, registry },
         ..CtlConfig::default()
     })
     .expect("ctl starts");
@@ -240,11 +236,7 @@ fn traced_planar_job_falls_back_in_process_with_kernel_spans() {
     let ctl = CtlServer::start(CtlConfig {
         workers: 1,
         tenants: vec![TenantSpec::new("acme", 1, 64)],
-        exec: ExecMode::Volumetric {
-            slabs: 2,
-            halo_layers: 2,
-            registry,
-        },
+        exec: ExecMode::Volumetric { slabs: 2, registry },
         ..CtlConfig::default()
     })
     .expect("ctl starts");

@@ -249,6 +249,23 @@ impl Netlist {
             self.pins[p.index()].offset.x *= factor;
         }
     }
+
+    /// The netlist restricted to `cells`, without nets: cell `i` of the
+    /// result copies cell `cells[i]` (name, size, kind and delay). The
+    /// shard routers cut their sub-problems with it, since diffusion
+    /// never reads connectivity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell id is out of range.
+    pub fn cell_subset(&self, cells: &[CellId]) -> Netlist {
+        let mut b = NetlistBuilder::with_capacity(cells.len(), 0, 0);
+        for &id in cells {
+            let c = self.cell(id);
+            b.add_cell_with_delay(c.name.clone(), c.width, c.height, c.kind, c.delay);
+        }
+        b.build().expect("cells without nets always build")
+    }
 }
 
 #[cfg(test)]

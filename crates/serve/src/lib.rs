@@ -28,13 +28,20 @@
 //!   degrades to an unmigrated region instead of a failed job;
 //! - **z-slab volumetric routing** ([`zslab`]): a [`VolRouter`] splats
 //!   a 3D (tiered) job's density once, then ships each of K backends a
-//!   tier slab with ghost layers and runs one exact FTCS step per
+//!   tier slab with two ghost tiers and runs one exact FTCS step per
 //!   halo-exchange round — the routed stack is bit-identical to a
 //!   direct [`VolumetricDiffusion`](dpm_diffusion::VolumetricDiffusion)
 //!   run at any K, in-process or over TCP. The [`wire`] format carries
 //!   the tier axis as an optional trailing extension, so planar frames
 //!   are byte-identical to pre-volumetric ones and legacy frames decode
 //!   as 2D jobs.
+//!
+//! The two routers are thin front ends over one halo-exchange round
+//! loop: it owns the fan-out, warm-spare failover, reply-shape checks,
+//! tracing and response assembly, while each partition decides only how
+//! to cut and stitch its sub-jobs, when to stop, and whether a part that
+//! failed on every backend degrades (planar) or fails the job
+//! (volumetric).
 //!
 //! Determinism survives the wire: `f64` values travel as IEEE-754 bit
 //! patterns, so a round trip through the server produces placements
@@ -84,6 +91,7 @@ pub mod client;
 pub mod delta;
 pub mod log;
 pub mod queue;
+mod router;
 pub mod server;
 pub mod shard;
 pub mod wire;

@@ -1,16 +1,25 @@
 //! Horizontal sharding: route one migration job across K backends.
 //!
 //! A [`ShardRouter`] takes a normal [`JobRequest`], partitions its die
-//! into K bin-aligned shard regions with H-bin density halos
+//! into K bin-aligned shard regions with density halos
 //! ([`ShardPartition`]), and fans each shard's sub-problem out to a
 //! backend — either an in-process diffusion run or a remote
 //! [`Server`](crate::Server) reached over TCP through
-//! [`ServeClient`]. Between shard-local diffusion passes it runs
-//! bounded **halo-exchange rounds**: after every fan-out the owned-cell
-//! results are stitched into the global placement, ownership and halos
-//! are recomputed from the fresh positions, and the next round's shards
-//! see their neighbors' latest boundary density through the refreshed
-//! ghosts.
+//! [`ServeClient`](crate::ServeClient). Between shard-local diffusion
+//! passes it runs bounded **halo-exchange rounds**: after every fan-out
+//! the owned-cell results are stitched into the global placement,
+//! ownership and halos are recomputed from the fresh positions, and the
+//! next round's shards see their neighbors' latest boundary density
+//! through the refreshed ghosts. The halo is `max(W2, 2)` bins wide, derived from the job's
+//! own window, so a diffusion window straddling a shard boundary is
+//! fully visible from both sides.
+//!
+//! The round loop itself — fan-out, warm-spare failover, tracing and
+//! response assembly — is shared with the volumetric
+//! [`VolRouter`](crate::VolRouter); this module supplies only the planar
+//! partition's decisions: how a shard's sub-problem is cut and stitched,
+//! when a round is accepted, and that a shard failing on every backend
+//! degrades instead of failing the job.
 //!
 //! Correctness anchors:
 //!
@@ -25,10 +34,10 @@
 //!   exchange loop stops. Post-migration max density is therefore never
 //!   above pre-migration max density, mirroring the FTCS maximum
 //!   principle the engines guarantee per shard.
-//! - **Graceful degradation**: a dead, overloaded or panicking shard
-//!   leaves its region unmigrated for that round and records a
-//!   per-shard error in the [`ShardReply`]; the job as a whole still
-//!   succeeds with whatever the healthy shards achieved.
+//! - **Graceful degradation**: a dead, overloaded, misbehaving or
+//!   panicking shard leaves its region unmigrated for that round and
+//!   records a per-shard error in the [`ShardReply`]; the job as a whole
+//!   still succeeds with whatever the healthy shards achieved.
 //! - **Warm spares**: a router built with [`ShardRouter::with_spares`]
 //!   retries a failed shard's sub-problem on a spare backend within the
 //!   same round and hands the shard to that spare for later rounds, so
@@ -39,37 +48,27 @@
 //! timers via [`KernelTimers::merge`], per-shard service latencies via
 //! the `dpm-obs` histogram snapshot merge.
 
+use std::convert::Infallible;
 use std::net::SocketAddr;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dpm_diffusion::{stitch_positions, KernelTimers, ShardPartition, ShardProblem};
-use dpm_geom::{Point, Rect};
-use dpm_obs::{
-    normalize_spans, rebase_spans, Histogram, HistogramSnapshot, SpanRecord, SpanRecorder,
-    TraceContext, TraceIdGen,
-};
-use dpm_place::{DensityMap, MovementStats, Placement};
+use dpm_geom::Rect;
+use dpm_obs::{Histogram, HistogramSnapshot};
+use dpm_place::{BinGrid, DensityMap, Placement};
 
-use crate::wire::{ErrorReply, JobRequest, JobResponse, PayloadEncoding, ProgressUpdate, Reply};
-use crate::{execute_request, ServeClient};
-
-/// Salt mixed into the inherited span id when seeding the router's
-/// span-id generator, distinct from the server's salt so a router and a
-/// backend seeded from the same context never collide id streams.
-const ROUTE_SEED_SALT: u64 = 0x5AAD_0D15_7A7C_40F5;
-
-/// Spans a traced route keeps locally (round + dispatch spans; remote
-/// spans ride back inside the sub-responses instead).
-const ROUTE_SPAN_CAPACITY: usize = 256;
+use crate::router::{self, Finished, PartReply, Partition};
+use crate::wire::{JobRequest, JobResponse};
 
 /// Where one shard's sub-problems run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardBackend {
     /// Run the sub-problem on a thread inside the router's process,
-    /// through the same [`execute_request`] a server worker runs.
+    /// through the same [`execute_request`](crate::execute_request) a
+    /// server worker runs.
     InProcess,
     /// Send the sub-problem to a [`Server`](crate::Server) at this
-    /// address through a [`ServeClient`].
+    /// address through a [`ServeClient`](crate::ServeClient), binary-encoded.
     Tcp(SocketAddr),
 }
 
@@ -79,31 +78,23 @@ pub struct ShardRouterConfig {
     /// Requested shard count K. The partitioner may clamp this on tiny
     /// grids; [`ShardReply::shards`] reports what actually ran.
     pub shards: usize,
-    /// Halo width H in bins. At least the diffusion window `W2` is
-    /// sensible: then a window straddling a shard boundary is fully
-    /// visible from both sides.
-    pub halo_bins: usize,
     /// Upper bound on halo-exchange rounds (each round is one fan-out
     /// over all shards). With one shard a single round runs — there is
     /// no neighbor state to exchange.
     pub max_halo_rounds: usize,
-    /// Payload encoding for TCP backends.
-    pub encoding: PayloadEncoding,
 }
 
 impl Default for ShardRouterConfig {
     fn default() -> Self {
         Self {
             shards: 2,
-            halo_bins: 2,
             max_halo_rounds: 4,
-            encoding: PayloadEncoding::Binary,
         }
     }
 }
 
 /// Per-shard accounting, accumulated over every halo-exchange round.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ShardOutcome {
     /// Shard index.
     pub shard: usize,
@@ -115,7 +106,8 @@ pub struct ShardOutcome {
     pub steps: u64,
     /// Diffusion rounds (the engines' inner rounds) across all rounds.
     pub rounds: u64,
-    /// Total service time across all rounds, nanoseconds.
+    /// Total backend-reported service time across all successful
+    /// rounds, nanoseconds.
     pub service_ns: u64,
     /// The most recent error, if any round failed on this shard. A set
     /// error means the shard's region kept its pre-round placement for
@@ -123,12 +115,12 @@ pub struct ShardOutcome {
     pub error: Option<String>,
 }
 
-/// One warm-spare replacement: the backend a shard was assigned to
-/// failed a round, and a spare ran the sub-problem instead (and owns
-/// the shard for any later rounds of the same job).
+/// One warm-spare replacement: the backend a shard (or slab) was
+/// assigned to failed a round, and a spare ran the sub-problem instead
+/// (and owns the part for any later rounds of the same job).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardFailover {
-    /// Which shard failed over.
+    /// Which shard (or slab) failed over.
     pub shard: usize,
     /// The backend that failed.
     pub from: ShardBackend,
@@ -161,32 +153,12 @@ pub struct ShardReply {
     /// alike (0 unless the request asked for a progress stride).
     pub progress_frames: u64,
     /// Kernel timers merged across every in-process shard run via
-    /// [`KernelTimers::merge`]. TCP backends report timings through
-    /// their own stats endpoint instead.
+    /// [`KernelTimers::merge`], plus each TCP backend server's lifetime
+    /// timers from its stats endpoint (a `JobResponse` carries none).
     pub kernels: KernelTimers,
-    /// Per-shard service latencies: one histogram per shard, merged
-    /// into a single snapshot with the `dpm-obs` histogram merge (one
-    /// sample per shard per round).
+    /// Per-shard service latencies in one `dpm-obs` histogram: one
+    /// sample per successful shard run per round.
     pub shard_service_hist: HistogramSnapshot,
-}
-
-/// What one shard's run produced in one round.
-struct ShardRun {
-    /// The sub-problem that ran (carries the owned-cell mapping the
-    /// stitcher needs).
-    problem: ShardProblem,
-    /// Post-run position of every sub-problem cell; `None` on error.
-    positions: Option<Vec<Point>>,
-    steps: u64,
-    rounds: u64,
-    converged: bool,
-    service_ns: u64,
-    progress_frames: u64,
-    kernels: Option<KernelTimers>,
-    error: Option<String>,
-    /// Remote spans exported by a TCP backend, already re-based into
-    /// the router's clock by the dispatch span's start.
-    spans: Vec<SpanRecord>,
 }
 
 /// Fans one [`JobRequest`] out over K shard backends with halo
@@ -271,408 +243,168 @@ impl ShardRouter {
         Self::new(cfg, vec![ShardBackend::InProcess])
     }
 
-    /// The routing configuration.
-    pub fn config(&self) -> &ShardRouterConfig {
-        &self.cfg
-    }
-
-    /// The configured backends.
-    pub fn backends(&self) -> &[ShardBackend] {
-        &self.backends
-    }
-
-    /// The configured warm spares (not yet consumed by a failover).
-    pub fn spares(&self) -> &[ShardBackend] {
-        &self.spares
-    }
-
     /// Routes one job across the shards and stitches the result.
     ///
     /// Never fails as a whole: backend errors degrade to per-shard
     /// [`ShardOutcome::error`] entries while the rest of the die is
     /// still migrated.
     pub fn route(&self, req: &JobRequest) -> ShardReply {
-        let t0 = Instant::now();
-        // Tracing state: a local recorder for round/dispatch spans and a
-        // deterministic id generator seeded from the inherited context.
-        // Remote spans come back through the sub-responses and are
-        // stitched (re-based onto dispatch-span starts) into one tree.
-        let trace_ctx = req.trace;
-        let recorder = trace_ctx.map(|_| SpanRecorder::new(ROUTE_SPAN_CAPACITY));
-        let recorder_ref = recorder.as_ref();
-        let mut ids = trace_ctx.map(|ctx| TraceIdGen::seeded(ctx.span_id ^ ROUTE_SEED_SALT));
-        let mut collected_spans: Vec<SpanRecord> = Vec::new();
-        let partition = ShardPartition::new(
-            &req.die,
-            req.config.bin_size,
-            self.cfg.shards,
-            self.cfg.halo_bins,
-        );
-        let k = partition.len();
-        let grid = partition.grid().clone();
-        let target = req.config.d_max + req.config.delta;
-
-        let mut working = req.placement.clone();
-        let measure =
-            |p: &Placement| DensityMap::from_placement(&req.netlist, p, grid.clone()).max_density();
-        let mut trace = vec![measure(&working)];
-
-        let mut outcomes: Vec<ShardOutcome> = partition
-            .shards()
-            .iter()
-            .map(|s| ShardOutcome {
-                shard: s.index,
-                region: s.core.world_rect(&grid),
-                owned_cells: 0,
-                steps: 0,
-                rounds: 0,
-                service_ns: 0,
-                error: None,
-            })
-            .collect();
-        let shard_hists: Vec<Histogram> = (0..k)
-            .map(|_| Histogram::new(&Histogram::latency_bounds()))
-            .collect();
-        let mut kernels = KernelTimers::default();
-        let mut progress_frames = 0u64;
-        let mut halo_exchanges = 0usize;
-        let mut single_shard_converged = false;
-
-        // Per-shard backend assignment; failovers rewrite it mid-job.
-        let mut assign: Vec<ShardBackend> = (0..k)
-            .map(|shard| self.backends[shard % self.backends.len()])
-            .collect();
-        let mut spares = self.spares.clone();
-        let mut failovers: Vec<ShardFailover> = Vec::new();
-
-        let round_cap = if k == 1 {
-            1
-        } else {
-            self.cfg.max_halo_rounds.max(1)
+        let started = Instant::now();
+        let halo_bins = req.config.w2.max(2);
+        let partition =
+            ShardPartition::new(&req.die, req.config.bin_size, self.cfg.shards, halo_bins);
+        let grid = partition.grid();
+        let outcomes = partition.shards().iter().map(|s| ShardOutcome {
+            shard: s.index,
+            region: s.core.world_rect(grid),
+            ..ShardOutcome::default()
+        });
+        let mut planar = Planar {
+            req,
+            max_rounds: self.cfg.max_halo_rounds.max(1),
+            target: req.config.d_max + req.config.delta,
+            trace: vec![max_density(req, grid, &req.placement)],
+            working: req.placement.clone(),
+            candidate: Placement::default(),
+            owners: Vec::new(),
+            outcomes: outcomes.collect(),
+            service: Histogram::new(&Histogram::latency_bounds()),
+            converged: false,
+            stepped: false,
+            stopped: false,
+            partition,
         };
-        for _ in 0..round_cap {
-            // One `halo.round` span per fan-out; each shard's dispatch
-            // context is minted serially up front so span ids stay a
-            // pure function of the inherited context, independent of
-            // thread interleaving.
-            let round_trace = trace_ctx.map(|ctx| {
-                let ids = ids.as_mut().expect("id generator exists when traced");
-                let round_ctx = ids.child_of(&ctx);
-                let dispatch: Vec<TraceContext> =
-                    (0..k).map(|_| ids.child_of(&round_ctx)).collect();
-                let start = recorder_ref.expect("recorder exists when traced").now_ns();
-                (start, round_ctx, dispatch)
-            });
-            // Halo exchange: ownership and ghost positions are derived
-            // from the freshest global placement.
-            let owners = partition.assign_owners(&req.netlist, &working);
-            let mut runs: Vec<Option<ShardRun>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..k)
-                    .map(|shard| {
-                        let backend = assign[shard];
-                        let partition = &partition;
-                        let owners = &owners;
-                        let working = &working;
-                        let encoding = self.cfg.encoding;
-                        let shard_trace = round_trace
-                            .as_ref()
-                            .map(|(_, _, dispatch)| (recorder_ref.unwrap(), dispatch[shard]));
-                        scope.spawn(move || {
-                            partition
-                                .extract_problem(shard, &req.netlist, &req.die, working, owners)
-                                .map(|problem| {
-                                    run_shard(backend, req, problem, encoding, shard_trace)
-                                })
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard thread never panics"))
-                    .collect()
-            });
-
-            // Warm-spare failover: retry each failed shard serially on
-            // the spares before stitching, so a dead backend costs a
-            // retry, not an unmigrated region. The successful spare owns
-            // the shard from here on; a spare that fails its retry is
-            // consumed (presumed dead) and the next one is tried. The
-            // wire is bit-exact, so which backend ran the sub-problem
-            // cannot change the stitched placement.
-            for (shard, slot) in runs.iter_mut().enumerate() {
-                if slot.as_ref().is_none_or(|run| run.error.is_none()) {
-                    continue;
-                }
-                while !spares.is_empty() {
-                    let spare = spares.remove(0);
-                    // A retry is a fresh dispatch: it gets its own span
-                    // (and id) under the same round.
-                    let retry_trace = round_trace.as_ref().map(|(_, round_ctx, _)| {
-                        let ctx = ids.as_mut().expect("traced").child_of(round_ctx);
-                        (recorder_ref.expect("traced"), ctx)
-                    });
-                    let retry = partition
-                        .extract_problem(shard, &req.netlist, &req.die, &working, &owners)
-                        .map(|problem| {
-                            run_shard(spare, req, problem, self.cfg.encoding, retry_trace)
-                        });
-                    match retry {
-                        Some(run) if run.error.is_none() => {
-                            failovers.push(ShardFailover {
-                                shard,
-                                from: assign[shard],
-                                to: spare,
-                            });
-                            assign[shard] = spare;
-                            *slot = Some(run);
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-
-            halo_exchanges += 1;
-            let mut candidate = working.clone();
-            let mut any_steps = false;
-            let mut all_converged = true;
-            for (shard, run) in runs.into_iter().enumerate() {
-                let Some(mut run) = run else {
-                    // Shard owns no cells this round; nothing to do.
-                    continue;
-                };
-                collected_spans.append(&mut run.spans);
-                let out = &mut outcomes[shard];
-                out.owned_cells = run.problem.owned;
-                out.steps += run.steps;
-                out.rounds += run.rounds;
-                out.service_ns += run.service_ns;
-                shard_hists[shard].record(run.service_ns);
-                progress_frames += run.progress_frames;
-                if let Some(kt) = &run.kernels {
-                    kernels.merge(kt);
-                }
-                all_converged &= run.converged && run.error.is_none();
-                if let Some(err) = run.error {
-                    out.error = Some(err);
-                }
-                if let Some(positions) = run.positions {
-                    any_steps |= run.steps > 0;
-                    stitch_positions(&run.problem, &positions, &mut candidate);
-                }
-            }
-
-            let candidate_max = measure(&candidate);
-            if let Some((start, round_ctx, _)) = &round_trace {
-                let recorder = recorder_ref.expect("recorder exists when traced");
-                recorder.record_traced("halo.round", *start, recorder.now_ns(), *round_ctx);
-            }
-            if k > 1 && candidate_max > *trace.last().expect("trace is never empty") {
-                // Rejecting the round preserves the maximum-principle
-                // invariant across the stitch: accepted state is never
-                // denser than what came before.
-                break;
-            }
-            working = candidate;
-            trace.push(candidate_max);
-            single_shard_converged = all_converged;
-            if candidate_max <= target || !any_steps {
-                break;
-            }
-        }
-
-        // TCP backends cannot ship per-run kernel timers in a
-        // JobResponse; fold in their servers' lifetime timers instead.
-        for addr in self.distinct_tcp_addrs() {
-            if let Ok(snapshot) = ServeClient::connect(addr).and_then(|mut c| {
-                c.stats()
-                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-            }) {
-                kernels.merge(&snapshot.kernels);
-            }
-        }
-
-        let mut shard_service_hist = HistogramSnapshot::empty(&Histogram::latency_bounds());
-        for h in &shard_hists {
-            shard_service_hist.merge(&h.snapshot());
-        }
-
-        let final_max = *trace.last().expect("trace is never empty");
-        // Assemble the stitched span tree: the router's own round and
-        // dispatch spans plus every backend's re-based remote spans,
-        // normalized so the earliest span starts at 0 (a receiver one
-        // hop up re-bases again onto its own dispatch span).
-        let spans = match (recorder_ref, trace_ctx) {
-            (Some(recorder), Some(ctx)) => {
-                let mut spans = recorder.drain_trace(ctx.trace_id);
-                spans.append(&mut collected_spans);
-                normalize_spans(&mut spans);
-                spans
-            }
-            _ => Vec::new(),
-        };
-        let movement = MovementStats::between(&req.netlist, &req.placement, &working);
-        let response = JobResponse {
-            id: req.id,
-            converged: final_max <= target || (k == 1 && single_shard_converged),
-            steps: outcomes.iter().map(|o| o.steps).sum(),
-            rounds: outcomes.iter().map(|o| o.rounds).sum(),
-            total_movement: movement.total,
-            max_movement: movement.max,
-            queue_ns: 0,
-            service_ns: t0.elapsed().as_nanos() as u64,
-            positions: working.as_slice().to_vec(),
-            vol: None,
-            spans,
-        };
+        let Ok(routed) = router::route(req, &mut planar, &self.backends, &self.spares, started);
         ShardReply {
-            response,
-            shards: k,
-            outcomes,
-            halo_exchanges,
-            failovers,
-            max_density_trace: trace,
-            progress_frames,
-            kernels,
-            shard_service_hist,
+            response: routed.response,
+            shards: planar.partition.len(),
+            outcomes: planar.outcomes,
+            halo_exchanges: routed.rounds,
+            failovers: routed.failovers,
+            max_density_trace: planar.trace,
+            progress_frames: routed.progress_frames,
+            kernels: routed.kernels,
+            shard_service_hist: planar.service.snapshot(),
         }
     }
+}
 
-    fn distinct_tcp_addrs(&self) -> Vec<SocketAddr> {
-        let mut addrs = Vec::new();
-        for b in &self.backends {
-            if let ShardBackend::Tcp(a) = b {
-                if !addrs.contains(a) {
-                    addrs.push(*a);
-                }
+/// Measured global max bin density of `p` on `grid`.
+fn max_density(req: &JobRequest, grid: &BinGrid, p: &Placement) -> f64 {
+    DensityMap::from_placement(&req.netlist, p, grid.clone()).max_density()
+}
+
+/// The planar partition's side of the round loop: the die's shard
+/// regions, the accepted placement, and the round being stitched.
+struct Planar<'a> {
+    req: &'a JobRequest,
+    partition: ShardPartition,
+    max_rounds: usize,
+    target: f64,
+    /// Max density of the input and of every accepted round.
+    trace: Vec<f64>,
+    /// Accepted placement, and the candidate this round stitches into.
+    working: Placement,
+    candidate: Placement,
+    /// Cell owners, derived from `working` at the start of each round.
+    owners: Vec<usize>,
+    outcomes: Vec<ShardOutcome>,
+    /// Every shard run's service time, one sample per shard per round.
+    service: Histogram,
+    /// Whether the last stitched run converged (what a single shard
+    /// reports), and whether any run of this round took a step.
+    converged: bool,
+    stepped: bool,
+    stopped: bool,
+}
+
+impl Partition for Planar<'_> {
+    type Cut = ShardProblem;
+    type Error = Infallible;
+
+    fn len(&self) -> usize {
+        self.partition.len()
+    }
+
+    fn next_round(&mut self, rounds: usize) -> bool {
+        if rounds > 0 {
+            let max = max_density(self.req, self.partition.grid(), &self.candidate);
+            let last = *self.trace.last().expect("trace is never empty");
+            // Rejecting a round that raised the max preserves the
+            // maximum principle across the stitch: accepted state is
+            // never denser than what came before.
+            self.stopped = self.partition.len() > 1 && max > last;
+            if !self.stopped {
+                std::mem::swap(&mut self.working, &mut self.candidate);
+                self.trace.push(max);
+                // A single shard has no neighbor state to exchange.
+                self.stopped = max <= self.target || !self.stepped || self.partition.len() == 1;
             }
         }
-        addrs
-    }
-}
-
-/// Runs one shard's sub-problem on its backend. Never panics: engine
-/// panics and transport failures degrade to `error`.
-///
-/// When traced, the sub-request inherits `trace`'s context and the whole
-/// backend interaction becomes one `shard.dispatch` span under it (see
-/// [`dispatch`]).
-fn run_shard(
-    backend: ShardBackend,
-    req: &JobRequest,
-    problem: ShardProblem,
-    encoding: PayloadEncoding,
-    trace: Option<(&SpanRecorder, TraceContext)>,
-) -> ShardRun {
-    let started = Instant::now();
-    let sub = JobRequest {
-        id: req.id,
-        deadline_ms: req.deadline_ms,
-        progress_stride: req.progress_stride,
-        kind: req.kind,
-        design: format!("{}/shard{}", req.design, problem.shard),
-        config: req.config.clone(),
-        netlist: problem.netlist.clone(),
-        die: problem.die.clone(),
-        placement: problem.placement.clone(),
-        vol: None,
-        trace: trace.map(|(_, ctx)| ctx),
-    };
-    let mut progress_frames = 0u64;
-    let reply = dispatch(
-        backend,
-        &sub,
-        encoding,
-        trace.map(|(recorder, _)| recorder),
-        &mut |_| progress_frames += 1,
-    );
-    let service_ns = started.elapsed().as_nanos() as u64;
-    match reply {
-        Ok((resp, _)) if resp.positions.len() != problem.cell_map.len() => {
-            let msg = format!(
-                "backend returned {} positions for {} cells",
-                resp.positions.len(),
-                problem.cell_map.len()
-            );
-            failed(problem, service_ns, msg)
+        if self.stopped || rounds >= self.max_rounds {
+            return false;
         }
-        Ok((resp, kernels)) => ShardRun {
-            positions: Some(resp.positions),
-            steps: resp.steps,
-            rounds: resp.rounds,
-            converged: resp.converged,
-            service_ns: resp.service_ns,
-            progress_frames,
-            kernels,
-            error: None,
-            spans: resp.spans,
-            problem,
-        },
-        Err(e) => failed(problem, service_ns, e),
+        // Halo exchange: ownership and ghost positions derive from the
+        // freshest accepted placement.
+        let netlist = &self.req.netlist;
+        self.owners = self.partition.assign_owners(netlist, &self.working);
+        self.candidate = self.working.clone();
+        self.stepped = false;
+        true
     }
-}
 
-/// Runs one sub-request on a backend — in-process through
-/// [`execute_request`], or on a [`Server`](crate::Server) over TCP — and
-/// returns the response plus, for an in-process run, its kernel timers.
-/// Both backends honour the sub-request's deadline, stream its progress
-/// into `on_progress` and export its job span; every failure (transport,
-/// rejection, engine panic) becomes a message.
-///
-/// With a `recorder` and a traced sub-request, the interaction becomes
-/// one `shard.dispatch` span under the sub-request's context, and the
-/// backend's exported spans (normalized to start at 0) are re-based onto
-/// the dispatch span's local start — so remote clocks never enter the
-/// stitched tree. An in-process run records straight into `recorder`.
-pub(crate) fn dispatch(
-    backend: ShardBackend,
-    sub: &JobRequest,
-    encoding: PayloadEncoding,
-    recorder: Option<&SpanRecorder>,
-    on_progress: &mut dyn FnMut(&ProgressUpdate),
-) -> Result<(JobResponse, Option<KernelTimers>), String> {
-    let start = recorder.map(SpanRecorder::now_ns);
-    let rejected = |e: ErrorReply| format!("{}: {}", e.code.as_str(), e.message);
-    let mut result = match backend {
-        ShardBackend::InProcess => {
-            let deadline = (sub.deadline_ms > 0)
-                .then(|| Instant::now() + Duration::from_millis(u64::from(sub.deadline_ms)));
-            execute_request(sub, deadline, Some(on_progress), recorder)
-                .map(|(resp, kernels)| (resp, Some(kernels)))
-                .map_err(rejected)
-        }
-        ShardBackend::Tcp(addr) => ServeClient::connect(addr)
-            .map_err(|e| format!("connect {addr}: {e}"))
-            .and_then(|mut client| {
-                client
-                    .request_streaming(sub, encoding, on_progress)
-                    .map_err(|e| format!("transport: {e}"))
-            })
-            .and_then(|reply| match reply {
-                Reply::Ok(resp) => Ok((resp, None)),
-                Reply::Rejected(e) => Err(rejected(e)),
-            }),
-    };
-    if let (Some(recorder), Some(ctx), Some(start)) = (recorder, sub.trace, start) {
-        recorder.record_traced("shard.dispatch", start, recorder.now_ns(), ctx);
-        if let Ok((resp, _)) = &mut result {
-            rebase_spans(&mut resp.spans, start);
-        }
+    fn cut(&self, shard: usize) -> Option<(JobRequest, ShardProblem)> {
+        let (req, working, owners) = (self.req, &self.working, &self.owners);
+        let partition = &self.partition;
+        let problem = partition.extract_problem(shard, &req.netlist, &req.die, working, owners)?;
+        let sub = JobRequest {
+            design: format!("{}/shard{shard}", req.design),
+            config: req.config.clone(),
+            netlist: problem.netlist.clone(),
+            die: problem.die.clone(),
+            placement: problem.placement.clone(),
+            vol: None,
+            trace: None,
+            ..*req
+        };
+        Some((sub, problem))
     }
-    result
-}
 
-fn failed(problem: ShardProblem, service_ns: u64, error: String) -> ShardRun {
-    ShardRun {
-        problem,
-        positions: None,
-        steps: 0,
-        rounds: 0,
-        converged: false,
-        service_ns,
-        progress_frames: 0,
-        kernels: None,
-        error: Some(error),
-        spans: Vec::new(),
+    fn stitch(
+        &mut self,
+        shard: usize,
+        cut: ShardProblem,
+        reply: PartReply,
+    ) -> Result<(), Infallible> {
+        let out = &mut self.outcomes[shard];
+        out.owned_cells = cut.owned;
+        self.converged = reply.as_ref().is_ok_and(|resp| resp.converged);
+        match reply {
+            Ok(resp) => {
+                out.steps += resp.steps;
+                out.rounds += resp.rounds;
+                out.service_ns += resp.service_ns;
+                self.service.record(resp.service_ns);
+                self.stepped |= resp.steps > 0;
+                stitch_positions(&cut, &resp.positions, &mut self.candidate);
+            }
+            // A failed shard degrades: its region keeps the pre-round
+            // placement already in the candidate.
+            Err(error) => out.error = Some(error),
+        }
+        Ok(())
+    }
+
+    fn finish(&mut self) -> Finished {
+        // A single shard's own convergence verdict stands; K > 1 judges
+        // the stitched placement.
+        let stitched = *self.trace.last().expect("trace is never empty") <= self.target;
+        Finished {
+            converged: stitched || (self.partition.len() == 1 && self.converged),
+            steps: self.outcomes.iter().map(|o| o.steps).sum(),
+            rounds: self.outcomes.iter().map(|o| o.rounds).sum(),
+            placement: std::mem::take(&mut self.working),
+            vol: None,
+        }
     }
 }

@@ -211,7 +211,6 @@ fn planar_route_degrades_a_faulty_shard_for_every_fault() {
             ShardRouterConfig {
                 shards: 2,
                 max_halo_rounds: 3,
-                ..ShardRouterConfig::default()
             },
             vec![ShardBackend::InProcess, backend.backend()],
         );
@@ -260,10 +259,7 @@ fn vol_route_fails_typed_for_every_fault() {
     for fault in FAULTS {
         let backend = FaultBackend::start(fault);
         let router = VolRouter::new(
-            VolRouterConfig {
-                slabs: 2,
-                ..VolRouterConfig::default()
-            },
+            VolRouterConfig { slabs: 2 },
             vec![ShardBackend::InProcess, backend.backend()],
         );
         let outcome = router.route(&req);

@@ -174,9 +174,7 @@ fn k4_never_increases_max_density_at_any_halo_exchange() {
 
     let router = ShardRouter::in_process(ShardRouterConfig {
         shards: 4,
-        halo_bins: 2,
         max_halo_rounds: 12,
-        ..ShardRouterConfig::default()
     });
     let reply = router.route(&req);
 
@@ -263,7 +261,6 @@ fn dead_shard_degrades_to_unmigrated_region_not_job_failure() {
         ShardRouterConfig {
             shards: 2,
             max_halo_rounds: 2,
-            ..ShardRouterConfig::default()
         },
         vec![ShardBackend::InProcess, ShardBackend::Tcp(dead_addr())],
     );
@@ -338,7 +335,6 @@ fn killed_backend_fails_over_to_warm_spare_with_no_unmigrated_region() {
     let cfg = ShardRouterConfig {
         shards: 2,
         max_halo_rounds: 2,
-        ..ShardRouterConfig::default()
     };
 
     // Reference: both shards healthy, in-process.
@@ -398,7 +394,6 @@ fn router_reports_progress_frames_from_streamed_tcp_shards() {
         ShardRouterConfig {
             shards: 2,
             max_halo_rounds: 3,
-            ..ShardRouterConfig::default()
         },
         vec![
             ShardBackend::Tcp(server_a.local_addr()),
@@ -430,7 +425,6 @@ fn in_process_shards_stream_progress_and_export_job_spans() {
     let router = ShardRouter::in_process(ShardRouterConfig {
         shards: 2,
         max_halo_rounds: 3,
-        ..ShardRouterConfig::default()
     });
     let plain = router.route(&request(&bench, 6));
     assert_eq!(plain.progress_frames, 0, "no stride, no frames");
@@ -471,7 +465,6 @@ fn in_process_shards_reject_an_unstable_config_and_leave_the_placement_unmigrate
     let router = ShardRouter::in_process(ShardRouterConfig {
         shards: 2,
         max_halo_rounds: 2,
-        ..ShardRouterConfig::default()
     });
     let reply = router.route(&req);
     assert_eq!(reply.shards, 2);

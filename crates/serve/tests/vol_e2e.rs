@@ -2,11 +2,12 @@
 //! K = 2 bit-identicality with the direct 3D engine (in-process and
 //! through the wire), the maximum principle across stitched rounds,
 //! awkward partitions (halos thicker than a slab, K not dividing the
-//! stack), through-stack macros, and the router's exactness refusals.
+//! stack, one slab per tier), through-stack macros, warm-spare
+//! failover, and the router's exactness refusals.
 
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolPlacement, VolumetricDiffusion};
 use dpm_gen::{VolBenchmark, VolCircuitSpec};
-use dpm_serve::shard::ShardBackend;
+use dpm_serve::shard::{ShardBackend, ShardFailover};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply, VolRequestExt};
 use dpm_serve::zslab::{VolRouteError, VolRouter, VolRouterConfig};
 use dpm_serve::{ServeClient, ServeConfig, Server};
@@ -78,10 +79,7 @@ fn k1_in_process_is_bit_identical_to_direct_volumetric_run() {
     let bench = hot_stack(71);
     let (direct, steps) = direct_run(&bench);
 
-    let router = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    });
+    let router = VolRouter::in_process(VolRouterConfig { slabs: 1 });
     let reply = router.route(&request(&bench, 1)).expect("routes");
 
     assert_eq!(reply.slabs, 1);
@@ -102,19 +100,13 @@ fn k1_in_process_is_bit_identical_to_direct_volumetric_run() {
 #[test]
 fn k2_in_process_is_bit_identical_to_k1() {
     let bench = hot_stack(73);
-    let k1 = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    })
-    .route(&request(&bench, 2))
-    .expect("K=1 routes");
+    let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+        .route(&request(&bench, 2))
+        .expect("K=1 routes");
 
-    let k2 = VolRouter::in_process(VolRouterConfig {
-        slabs: 2,
-        ..VolRouterConfig::default()
-    })
-    .route(&request(&bench, 2))
-    .expect("K=2 routes");
+    let k2 = VolRouter::in_process(VolRouterConfig { slabs: 2 })
+        .route(&request(&bench, 2))
+        .expect("K=2 routes");
 
     assert_eq!(k2.slabs, 2);
     assert_eq!(k1.rounds, k2.rounds);
@@ -140,20 +132,14 @@ fn k2_over_tcp_is_bit_identical_to_k1_and_preserves_the_maximum_principle() {
     let bench = hot_stack(79);
     let req = request(&bench, 3);
 
-    let k1 = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    })
-    .route(&req)
-    .expect("K=1 routes");
+    let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+        .route(&req)
+        .expect("K=1 routes");
 
     let server_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server a");
     let server_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server b");
     let router = VolRouter::new(
-        VolRouterConfig {
-            slabs: 2,
-            ..VolRouterConfig::default()
-        },
+        VolRouterConfig { slabs: 2 },
         vec![
             ShardBackend::Tcp(server_a.local_addr()),
             ShardBackend::Tcp(server_b.local_addr()),
@@ -187,20 +173,14 @@ fn awkward_partitions_stay_exact() {
     // Requesting more slabs than tiers clamps to one slab per tier.
     let bench = hot_stack(83);
     let req = request(&bench, 4);
-    let k1 = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    })
-    .route(&req)
-    .expect("K=1 routes");
+    let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+        .route(&req)
+        .expect("K=1 routes");
 
     for slabs in [2usize, 3, 5] {
-        let reply = VolRouter::in_process(VolRouterConfig {
-            slabs,
-            ..VolRouterConfig::default()
-        })
-        .route(&req)
-        .expect("routes");
+        let reply = VolRouter::in_process(VolRouterConfig { slabs })
+            .route(&req)
+            .expect("routes");
         assert_eq!(reply.slabs, slabs.min(bench.layers()));
         assert_eq!(
             reply.response.positions, k1.response.positions,
@@ -221,18 +201,12 @@ fn through_stack_macros_wall_every_slab_identically() {
         .with_hotspot(1)
         .generate();
     let req = request(&bench, 5);
-    let k1 = VolRouter::in_process(VolRouterConfig {
-        slabs: 1,
-        ..VolRouterConfig::default()
-    })
-    .route(&req)
-    .expect("K=1 routes");
-    let k3 = VolRouter::in_process(VolRouterConfig {
-        slabs: 3,
-        ..VolRouterConfig::default()
-    })
-    .route(&req)
-    .expect("K=3 routes");
+    let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+        .route(&req)
+        .expect("K=1 routes");
+    let k3 = VolRouter::in_process(VolRouterConfig { slabs: 3 })
+        .route(&req)
+        .expect("K=3 routes");
 
     assert_eq!(
         k1.response.positions, k3.response.positions,
@@ -298,6 +272,80 @@ fn router_refuses_what_it_cannot_run_exactly() {
 }
 
 #[test]
+fn one_slab_per_tier_is_bit_identical_to_k1() {
+    // Slabs as thin as one tier are where a narrower halo loses reads:
+    // every slab boundary is one tier from the next. The router always
+    // ships two ghost tiers, so the stack must match K=1 exactly.
+    for seed in [73u64, 79, 101] {
+        let bench = hot_stack(seed);
+        let req = request(&bench, seed);
+        let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+            .route(&req)
+            .expect("K=1 routes");
+        let k3 = VolRouter::in_process(VolRouterConfig {
+            slabs: bench.layers(),
+        })
+        .route(&req)
+        .expect("one slab per tier routes");
+
+        assert_eq!(k3.slabs, bench.layers());
+        assert_eq!(k3.rounds, k1.rounds, "seed {seed}: round count diverged");
+        assert_eq!(
+            k3.response.positions, k1.response.positions,
+            "seed {seed}: placement diverged from K=1"
+        );
+        let (e1, e3) = (k1.response.vol.expect("vol"), k3.response.vol.expect("vol"));
+        assert_eq!(e3.z, e1.z, "seed {seed}: depths diverged from K=1");
+        assert_eq!(e3.field, e1.field, "seed {seed}: field diverged from K=1");
+        assert_eq!(k3.max_density_trace, k1.max_density_trace);
+    }
+}
+
+#[test]
+fn dead_slab_backend_fails_over_to_a_spare_bit_identically() {
+    let dead = {
+        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = l.local_addr().expect("addr");
+        drop(l);
+        addr
+    };
+    let bench = hot_stack(109);
+    let req = request(&bench, 14);
+    let k1 = VolRouter::in_process(VolRouterConfig { slabs: 1 })
+        .route(&req)
+        .expect("K=1 routes");
+
+    let router = VolRouter::with_spares(
+        VolRouterConfig { slabs: 2 },
+        vec![ShardBackend::InProcess, ShardBackend::Tcp(dead)],
+        vec![ShardBackend::InProcess],
+    );
+    let reply = router.route(&req).expect("the spare takes over slab 1");
+
+    assert_eq!(
+        reply.failovers,
+        vec![ShardFailover {
+            shard: 1,
+            from: ShardBackend::Tcp(dead),
+            to: ShardBackend::InProcess,
+        }],
+        "one failover, in the first round, and the spare keeps the slab"
+    );
+    assert!(reply.response.converged);
+    assert_eq!(
+        reply.response.positions, k1.response.positions,
+        "which backend ran a slab must not change a bit of the placement"
+    );
+    let (ek, e1) = (
+        reply.response.vol.expect("vol"),
+        k1.response.vol.expect("vol"),
+    );
+    assert_eq!(ek.z, e1.z);
+    assert_eq!(ek.field, e1.field);
+    assert_eq!(reply.max_density_trace, k1.max_density_trace);
+}
+
+#[test]
 fn dead_slab_backend_fails_the_whole_job() {
     // Exact stitching is impossible without every region, so unlike the
     // planar ShardRouter there is no degraded partial result.
@@ -309,10 +357,7 @@ fn dead_slab_backend_fails_the_whole_job() {
     };
     let bench = hot_stack(101);
     let router = VolRouter::new(
-        VolRouterConfig {
-            slabs: 2,
-            ..VolRouterConfig::default()
-        },
+        VolRouterConfig { slabs: 2 },
         vec![ShardBackend::InProcess, ShardBackend::Tcp(dead)],
     );
     match router.route(&request(&bench, 11)) {
@@ -391,10 +436,7 @@ fn in_process_slabs_reject_an_unstable_config() {
     let bench = hot_stack(103);
     let mut req = request(&bench, 12);
     req.config.dt = 0.9;
-    let router = VolRouter::in_process(VolRouterConfig {
-        slabs: 2,
-        ..VolRouterConfig::default()
-    });
+    let router = VolRouter::in_process(VolRouterConfig { slabs: 2 });
     match router.route(&req) {
         Err(VolRouteError::Backend { message, .. }) => {
             assert!(

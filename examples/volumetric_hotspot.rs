@@ -8,7 +8,9 @@
 //! after, and counts the cells that changed tier. Then routes the same
 //! job through a 2-slab [`VolRouter`](diffuplace::serve::VolRouter) and
 //! checks the placement is bit-identical — slab count is an operational
-//! knob, not a quality knob.
+//! knob, not a quality knob, and the slab count is the router's only
+//! knob: every slab ships two ghost tiers, the one exact width, through
+//! the same halo-exchange loop the planar shard router runs.
 //!
 //! Run with: `cargo run --release --example volumetric_hotspot`
 
@@ -89,8 +91,9 @@ fn main() {
     }
     println!("cells that migrated vertically (|dz| > 0.05 tiers): {drifted}, max |dz| {max_dz:.2} — the z axis is a real relief valve");
 
-    // The same job through the z-slab router: two slabs, halo-exchange
-    // rounds of one exact FTCS step each. Bit-identical by contract.
+    // The same job through the z-slab router: two slabs with two ghost
+    // tiers each, halo-exchange rounds of one exact FTCS step each.
+    // Bit-identical by contract.
     let req = JobRequest {
         id: 1,
         deadline_ms: 0,
@@ -111,10 +114,7 @@ fn main() {
         }),
         trace: None,
     };
-    let router = VolRouter::in_process(VolRouterConfig {
-        slabs: 2,
-        ..VolRouterConfig::default()
-    });
+    let router = VolRouter::in_process(VolRouterConfig { slabs: 2 });
     let reply = router.route(&req).expect("volumetric job routes");
     let routed_xy = reply.response.positions;
     let routed_z = reply.response.vol.expect("volumetric reply").z;

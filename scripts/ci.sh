@@ -325,14 +325,17 @@ fi
 
 gate "shard smoke test (perf_shard --smoke)"
 # Boots a 2-shard router over two TCP servers on ephemeral ports and
-# replays one streamed request. The binary asserts the maximum-principle
-# trace, error-free shards, and nonzero progress frames; the greps pin
-# the shard telemetry into the emitted JSON.
+# replays one streamed request, then routes one tier stack as 2 z-slabs
+# over the same two servers. The binary asserts the maximum-principle
+# trace, error-free shards, nonzero progress frames, and a volumetric
+# placement bit-identical to a direct VolumetricDiffusion run; the greps
+# pin the shard telemetry and the volumetric leg into the emitted JSON.
 shard_out="$(mktemp_tracked)"
 cargo run --release --offline -p dpm-bench --bin perf_shard -- "$shard_out" --smoke >/dev/null
 grep -q '"bench": "perf_shard"' "$shard_out"
 grep -q '"shards": 2' "$shard_out"
 grep -Eq '"halo_exchanges": [1-9][0-9]*' "$shard_out"
+grep -q '"slabs": 2' "$shard_out"
 
 gate "end-to-end smoke test (bench_e2e --smoke, untraced and traced)"
 # Runs every bench_e2e workload for a few jobs through the public
