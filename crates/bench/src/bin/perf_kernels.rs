@@ -10,13 +10,10 @@
 //! section times the volumetric 7-point FTCS sweep on a 192×192×8 tier
 //! stack at the same thread counts.
 //!
-//! Every sample line carries `lanes` and `precision` keys; `precision`
-//! is always `f64`, the only field width, and stays so committed
-//! samples keep their keys. The regular thread sweep runs the
-//! production `wide` lanes; at one thread the stencil kernels are
-//! additionally timed with scalar lanes (the pre-lane reference path),
-//! and the per-grid `lane_speedup_1t` ratio compares the two. A
-//! `calibration` section times a fixed serial FP loop so
+//! Every sample line carries `lanes` and `precision` keys, always
+//! `wide` and `f64`: the kernels have one lane path and one field
+//! width, and the keys stay so committed samples and the CI bench
+//! guard's sample table keep lining up. A `calibration` section times a fixed serial FP loop so
 //! `scripts/ci.sh` can scale its smoke-test ns/call ceilings to the
 //! speed of whatever container it runs on. `cpu_model` records the
 //! `/proc/cpuinfo` model name (`"unknown"` where there is none), so the
@@ -35,7 +32,7 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, GlobalDiffusion, LaneMode, SolverKind, SpectralSolver,
+    DiffusionConfig, DiffusionEngine, GlobalDiffusion, SolverKind, SpectralSolver,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -50,7 +47,6 @@ const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 struct Sample {
     kernel: &'static str,
     threads: usize,
-    lanes: &'static str,
     calls: u64,
     ns_per_call: f64,
 }
@@ -59,8 +55,8 @@ impl Sample {
     /// One JSON object line (no trailing separator or newline).
     fn json(&self) -> String {
         format!(
-            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"{}\", \"precision\": \"f64\", \"calls\": {}, \"ns_per_call\": {:.1}}}",
-            self.kernel, self.threads, self.lanes, self.calls, self.ns_per_call
+            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"wide\", \"precision\": \"f64\", \"calls\": {}, \"ns_per_call\": {:.1}}}",
+            self.kernel, self.threads, self.calls, self.ns_per_call
         )
     }
 }
@@ -148,11 +144,10 @@ fn best_round_ns<F: FnMut()>(reps: u64, mut call: F) -> (u64, f64) {
     (rounds * per, best)
 }
 
-fn time_ftcs(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
+fn time_ftcs(n: usize, threads: usize, reps: u64) -> Sample {
     let (density, wall) = bumpy_field(n);
     let mut e = DiffusionEngine::from_raw(n, n, density, Some(wall));
     e.set_threads(threads);
-    e.set_lanes(lanes);
     e.step_density(0.1); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
         e.step_density(0.1);
@@ -160,17 +155,15 @@ fn time_ftcs(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
     Sample {
         kernel: "ftcs",
         threads,
-        lanes: lanes.as_str(),
         calls,
         ns_per_call,
     }
 }
 
-fn time_velocity(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
+fn time_velocity(n: usize, threads: usize, reps: u64) -> Sample {
     let (density, wall) = bumpy_field(n);
     let mut e = DiffusionEngine::from_raw(n, n, density, Some(wall));
     e.set_threads(threads);
-    e.set_lanes(lanes);
     e.compute_velocities(); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
         e.compute_velocities();
@@ -178,7 +171,6 @@ fn time_velocity(n: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample
     Sample {
         kernel: "velocity",
         threads,
-        lanes: lanes.as_str(),
         calls,
         ns_per_call,
     }
@@ -195,7 +187,6 @@ fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64) -> Sample {
     Sample {
         kernel: "splat",
         threads,
-        lanes: "wide",
         calls,
         ns_per_call,
     }
@@ -209,24 +200,21 @@ fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize) -> Samp
     let cfg = DiffusionConfig::default()
         .with_bin_size(1.0)
         .with_max_steps((1 << steps) - 1)
-        .with_threads(threads)
-        .with_lanes(LaneMode::Wide);
+        .with_threads(threads);
     let result = GlobalDiffusion::new(cfg).run(&nl, &die, &mut p);
     let advect = result.telemetry.kernels().advect;
     Sample {
         kernel: "advect",
         threads,
-        lanes: "wide",
         calls: advect.calls,
         ns_per_call: advect.total_ns() as f64 / advect.calls.max(1) as f64,
     }
 }
 
-fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64, lanes: LaneMode) -> Sample {
+fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64) -> Sample {
     let (density, wall) = bumpy_field_3d(n, nz);
     let mut e = DiffusionEngine::from_raw_3d(n, n, nz, density, Some(wall));
     e.set_threads(threads);
-    e.set_lanes(lanes);
     // dt·3 ≤ 1 keeps the 7-point stencil stable.
     e.step_density(0.1); // warm-up
     let (calls, ns_per_call) = best_round_ns(reps, || {
@@ -235,43 +223,23 @@ fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64, lanes: LaneMod
     Sample {
         kernel: "stencil3d",
         threads,
-        lanes: lanes.as_str(),
         calls,
         ns_per_call,
     }
 }
 
-/// Writes a `{"kernel": ratio, ...}` summary object from ns/call pairs,
-/// emitting `null` for non-finite ratios (e.g. a kernel that never ran).
-fn ratio_json(body: &mut String, key: &str, pairs: &[(&str, f64, f64)], indent: &str) {
-    let _ = write!(body, "{indent}\"{key}\": {{");
-    for (i, (kernel, slow_ns, fast_ns)) in pairs.iter().enumerate() {
-        let sep = if i + 1 == pairs.len() { "" } else { ", " };
-        let ratio = slow_ns / fast_ns;
-        if ratio.is_finite() {
-            let _ = write!(body, "\"{kernel}\": {ratio:.3}{sep}");
-        } else {
-            let _ = write!(body, "\"{kernel}\": null{sep}");
-        }
-    }
-    let _ = write!(body, "}}");
-}
-
 /// The `stencil3d` JSON section: the volumetric 7-point FTCS sweep on an
-/// `n`×`n`×`nz` stack at every thread count, with the 4-thread speedup
-/// plus a single-thread scalar-lane reference timing.
+/// `n`×`n`×`nz` stack at every thread count, with the 4-thread speedup.
 fn stencil3d_json(n: usize, nz: usize, reps: u64) -> String {
     let mut samples = Vec::new();
     for &t in &THREAD_COUNTS {
         eprintln!("  stack {n}x{n}x{nz}, {t} thread(s)...");
-        samples.push(time_stencil3d(n, nz, t, reps, LaneMode::Wide));
+        samples.push(time_stencil3d(n, nz, t, reps));
     }
-    eprintln!("  stack {n}x{n}x{nz}, 1 thread, scalar lanes...");
-    samples.push(time_stencil3d(n, nz, 1, reps, LaneMode::Scalar));
-    let ns_of = |threads: usize, lanes: &str| {
+    let ns_of = |threads: usize| {
         samples
             .iter()
-            .find(|s| s.threads == threads && s.lanes == lanes)
+            .find(|s| s.threads == threads)
             .map(|s| s.ns_per_call)
             .unwrap_or(f64::NAN)
     };
@@ -284,20 +252,13 @@ fn stencil3d_json(n: usize, nz: usize, reps: u64) -> String {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         let _ = writeln!(body, "      {}{sep}", s.json());
     }
-    let speedup = ns_of(1, "wide") / ns_of(4, "wide");
+    let speedup = ns_of(1) / ns_of(4);
     let _ = write!(body, "    ],\n    \"speedup_4t_vs_1t\": ");
     if speedup.is_finite() {
         let _ = write!(body, "{speedup:.3}");
     } else {
         let _ = write!(body, "null");
     }
-    let _ = writeln!(body, ",");
-    ratio_json(
-        &mut body,
-        "lane_speedup_1t",
-        &[("stencil3d", ns_of(1, "scalar"), ns_of(1, "wide"))],
-        "    ",
-    );
     let _ = write!(body, "\n  }}");
     body
 }
@@ -428,7 +389,6 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
     let sample = Sample {
         kernel: "dct2d_generic",
         threads: 1,
-        lanes: "wide",
         calls,
         ns_per_call,
     };
@@ -523,22 +483,17 @@ fn main() {
         let mut samples = Vec::new();
         for &t in &THREAD_COUNTS {
             eprintln!("  grid {n}x{n}, {t} thread(s)...");
-            samples.push(time_ftcs(n, t, reps, LaneMode::Wide));
-            samples.push(time_velocity(n, t, reps, LaneMode::Wide));
+            samples.push(time_ftcs(n, t, reps));
+            samples.push(time_velocity(n, t, reps));
             samples.push(time_splat(n, num_cells, t, reps.min(10)));
             samples.push(time_advect(n, num_cells, t, steps));
         }
-        // Single-thread scalar-lane reference for the stencil kernels:
-        // the pre-lane path, bit-identical output.
-        eprintln!("  grid {n}x{n}, 1 thread, scalar lanes...");
-        samples.push(time_ftcs(n, 1, reps, LaneMode::Scalar));
-        samples.push(time_velocity(n, 1, reps, LaneMode::Scalar));
 
-        // Speedup at 4 threads vs 1 thread, per kernel (production mode).
-        let ns_of = |kernel: &str, threads: usize, lanes: &str| {
+        // Speedup at 4 threads vs 1 thread, per kernel.
+        let ns_of = |kernel: &str, threads: usize| {
             samples
                 .iter()
-                .find(|s| s.kernel == kernel && s.threads == threads && s.lanes == lanes)
+                .find(|s| s.kernel == kernel && s.threads == threads)
                 .map(|s| s.ns_per_call)
                 .unwrap_or(f64::NAN)
         };
@@ -551,7 +506,7 @@ fn main() {
         let _ = write!(body, "      ],\n      \"speedup_4t_vs_1t\": {{");
         for (i, k) in ["ftcs", "velocity", "advect", "splat"].iter().enumerate() {
             let sep = if i == 3 { "" } else { ", " };
-            let speedup = ns_of(k, 1, "wide") / ns_of(k, 4, "wide");
+            let speedup = ns_of(k, 1) / ns_of(k, 4);
             if speedup.is_finite() {
                 let _ = write!(body, "\"{k}\": {speedup:.3}{sep}");
             } else {
@@ -559,20 +514,6 @@ fn main() {
             }
         }
         let _ = writeln!(body, "}},");
-        ratio_json(
-            &mut body,
-            "lane_speedup_1t",
-            &[
-                ("ftcs", ns_of("ftcs", 1, "scalar"), ns_of("ftcs", 1, "wide")),
-                (
-                    "velocity",
-                    ns_of("velocity", 1, "scalar"),
-                    ns_of("velocity", 1, "wide"),
-                ),
-            ],
-            "      ",
-        );
-        let _ = writeln!(body, ",");
         // Equal-time-budget race: cap the step count so neither solver
         // converges; both then reach the same diffusion time and the
         // field-update FLOP comparison is apples to apples.
@@ -595,7 +536,7 @@ fn main() {
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration: lanes is wide (explicit 4-wide chunks) or scalar (reference path, bit-identical output), precision is the field storage type, always f64; non-stencil kernels always report wide. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

@@ -126,36 +126,27 @@ impl SolverKind {
     }
 }
 
-/// How the grid kernels walk bin lines.
+/// How the grid kernels walk bin lines: always lane-wise. Each line is
+/// walked as maximal runs of bins whose whole stencil is live and
+/// in-grid, processed 4 bins per chunk with a scalar tail; every other
+/// bin takes the generic per-bin path. Both compute the same bits (the
+/// engine's tests pin the runs against a per-bin oracle).
 ///
-/// [`Wide`](LaneMode::Wide) (the default) runs the explicit lane-chunked
-/// fast paths on fully-live interior lines — 4 bins per chunk — falling
-/// back to the generic per-bin path on boundary and masked lines.
-/// [`Scalar`](LaneMode::Scalar) forces the generic path everywhere.
-///
-/// The two modes are **bit-identical**: on the lines the fast path
-/// handles, every neighbor is in-grid and live, where the mirror and
-/// conservative boundary rules both reduce to plain neighbor reads, and
-/// the lane loops perform the exact per-bin operation sequence of the
-/// generic path. `scripts/ci.sh` pins that claim by reproducing the
-/// golden checksums under `DPM_LANES=scalar` and `wide`; the scalar mode
-/// otherwise exists as the throughput baseline `perf_kernels` records.
+/// A single-value type kept only for source compatibility with callers
+/// that pin [`DiffusionConfig::lanes`] and call
+/// [`DiffusionEngine::set_lanes`](crate::DiffusionEngine::set_lanes);
+/// nothing in the library reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LaneMode {
-    /// Generic per-bin loops everywhere (the reference path).
-    Scalar,
-    /// Lane-chunked fast paths on interior lines (the default).
+    /// Lane-processed runs plus the per-bin path (the only mode).
     #[default]
     Wide,
 }
 
 impl LaneMode {
-    /// Stable lowercase name, as used by `DPM_LANES` and bench JSON.
+    /// Stable lowercase name, as recorded in bench JSON.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            LaneMode::Scalar => "scalar",
-            LaneMode::Wide => "wide",
-        }
+        "wide"
     }
 }
 
@@ -253,10 +244,8 @@ pub struct DiffusionConfig {
     /// `"spectral"`), else [`SolverKind::Ftcs`] — CI runs the test
     /// suite under both to keep the spectral path honest.
     pub solver: SolverKind,
-    /// How the grid kernels walk bin lines (results are bit-identical
-    /// either way). Defaults to the `DPM_LANES` environment variable
-    /// (`"scalar"` or `"wide"`), else [`LaneMode::Wide`] — CI reproduces
-    /// the golden checksums under both to enforce the equivalence.
+    /// Always [`LaneMode::Wide`]; kept only for source compatibility
+    /// with callers that set it, and read by nothing.
     pub lanes: LaneMode,
     /// Always [`FieldPrecision::F64`]; kept only for source
     /// compatibility with callers that set it, and read by nothing.
@@ -303,25 +292,6 @@ fn default_solver() -> SolverKind {
     parse_solver(std::env::var("DPM_SOLVER").ok().as_deref()).unwrap_or_default()
 }
 
-/// Parses a `DPM_LANES`-style value: `"scalar"` or `"wide"`
-/// (case-insensitive, whitespace-trimmed), else `None`.
-fn parse_lanes(value: Option<&str>) -> Option<LaneMode> {
-    match value?.trim().to_ascii_lowercase().as_str() {
-        "scalar" => Some(LaneMode::Scalar),
-        "wide" => Some(LaneMode::Wide),
-        _ => None,
-    }
-}
-
-/// Default lane mode: `DPM_LANES` from the environment when it names a
-/// known mode, else [`LaneMode::Wide`]. Lane mode never changes results
-/// (the fast paths are bit-identical to the generic path), so this is a
-/// pure performance knob; `scripts/ci.sh` reproduces the golden
-/// checksums under `scalar` and `wide` to enforce exactly that.
-fn default_lanes() -> LaneMode {
-    parse_lanes(std::env::var("DPM_LANES").ok().as_deref()).unwrap_or_default()
-}
-
 impl Default for DiffusionConfig {
     fn default() -> Self {
         Self {
@@ -340,7 +310,7 @@ impl Default for DiffusionConfig {
             max_step_displacement: 1.0,
             paper_boundaries: false,
             solver: default_solver(),
-            lanes: default_lanes(),
+            lanes: LaneMode::Wide,
             precision: FieldPrecision::F64,
             threads: default_threads(),
         }
@@ -467,13 +437,6 @@ impl DiffusionConfig {
     /// spectral jump).
     pub fn with_solver(mut self, solver: SolverKind) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Selects the kernel lane mode (results are bit-identical either
-    /// way; `Scalar` is the throughput baseline).
-    pub fn with_lanes(mut self, lanes: LaneMode) -> Self {
-        self.lanes = lanes;
         self
     }
 
@@ -634,18 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_env_parsing_accepts_only_known_modes() {
-        assert_eq!(parse_lanes(None), None);
-        assert_eq!(parse_lanes(Some("")), None);
-        assert_eq!(parse_lanes(Some("simd")), None);
-        assert_eq!(parse_lanes(Some("scalar")), Some(LaneMode::Scalar));
-        assert_eq!(parse_lanes(Some(" WIDE ")), Some(LaneMode::Wide));
-        assert_eq!(parse_lanes(Some("Scalar")), Some(LaneMode::Scalar));
-    }
-
-    #[test]
     fn lane_and_precision_names_are_stable() {
-        assert_eq!(LaneMode::Scalar.as_str(), "scalar");
         assert_eq!(LaneMode::Wide.as_str(), "wide");
         assert_eq!(LaneMode::default(), LaneMode::Wide);
         assert_eq!(FieldPrecision::default(), FieldPrecision::F64);

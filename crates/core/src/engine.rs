@@ -18,7 +18,7 @@ use std::time::Instant;
 /// (guards the division in Eq. 5).
 const DENSITY_FLOOR: f64 = 1e-9;
 
-/// Explicit lane width of the fast paths: 4 bins per chunk (one
+/// Explicit lane width of the lane runs: 4 bins per chunk (one
 /// 32-byte vector register / half a cache line).
 const LANES: usize = 4;
 
@@ -72,18 +72,13 @@ pub struct DiffusionEngine {
     frozen: Vec<bool>,
     /// Per-axis velocity buffers; `vel[2]` is empty on a planar grid.
     vel: [Vec<f64>; 3],
-    /// Per-line "no wall or frozen bin" flags, refreshed on every
-    /// wall/frozen mutation; lines whose whole line neighborhood is live
-    /// take the lane fast path.
-    line_live: Vec<bool>,
-    /// Per-bin lane eligibility: the bin is strictly interior and its
-    /// whole stencil neighborhood (itself plus 2·ndim neighbors) is
-    /// live, so its update reduces to plain neighbor reads under both
-    /// boundary rules. Lets lines that straddle a wall or frozen block
-    /// still lane-process their clean spans.
+    /// Per-bin lane eligibility, refreshed on every wall/frozen
+    /// mutation: the bin is strictly interior and its whole stencil
+    /// neighborhood (itself plus 2·ndim neighbors) is live, so its
+    /// update reduces to plain neighbor reads under both boundary rules.
+    /// The kernels lane-process each line's runs of such bins.
     fast_bin: Vec<bool>,
     conservative: bool,
-    lanes: LaneMode,
     pool: ThreadPool,
     timers: KernelTimers,
 }
@@ -96,10 +91,8 @@ struct FieldView<'a> {
     density: &'a [f64],
     wall: &'a [bool],
     frozen: &'a [bool],
-    line_live: &'a [bool],
     fast_bin: &'a [bool],
     conservative: bool,
-    wide: bool,
 }
 
 impl FieldView<'_> {
@@ -152,30 +145,37 @@ impl FieldView<'_> {
         }
     }
 
-    /// `true` if line `l = (k, z)` may take the lane fast path: the line
-    /// and every neighboring line are wholly live and in-grid, so every
-    /// interior bin's stencil reduces to plain neighbor reads — the
-    /// mirror and conservative boundary rules become unreachable there,
-    /// which is what makes the fast path bit-identical to the generic
-    /// one.
+    /// Walks x-major lines `l0..l1` as maximal runs of lane-eligible
+    /// bins and single bins outside them, calling `f(i, idx, o, m)` once
+    /// per span: `i` is the flat index of its first bin, `idx` that
+    /// bin's `[j, k, z]`, `o` its offset into the lines' output, and `m`
+    /// the run length, or 0 for one bin that needs the generic path.
+    ///
+    /// Every bin of a run is strictly interior with a live stencil,
+    /// where the mirror and conservative boundary rules reduce to plain
+    /// neighbor reads, so a run's lane body computes the generic path's
+    /// bits. Edge columns are never lane-eligible, so runs stay within
+    /// one line; a wholly-live interior line is one run from column 1
+    /// to `nx − 2`.
     #[inline]
-    fn fast_line(&self, l: usize, k: usize, z: usize) -> bool {
+    fn for_each_span(
+        &self,
+        l0: usize,
+        l1: usize,
+        mut f: impl FnMut(usize, [usize; 3], usize, usize),
+    ) {
+        let nx = self.dims.nx();
         let ny = self.dims.ny();
-        if k == 0 || k + 1 == ny {
-            return false;
-        }
-        if !(self.line_live[l - 1] && self.line_live[l] && self.line_live[l + 1]) {
-            return false;
-        }
-        if self.dims.ndim() == 3 {
-            if z == 0 || z + 1 == self.dims.nz() {
-                return false;
-            }
-            if !(self.line_live[l - ny] && self.line_live[l + ny]) {
-                return false;
+        for l in l0..l1 {
+            let row = l * nx;
+            let fast = &self.fast_bin[row..row + nx];
+            let mut j = 0;
+            while j < nx {
+                let m = fast[j..].iter().take_while(|&&b| b).count();
+                f(row + j, [j, l % ny, l / ny], (l - l0) * nx + j, m);
+                j += m.max(1);
             }
         }
-        true
     }
 
     /// One bin of the velocity field through the generic (boundary-aware)
@@ -202,89 +202,50 @@ impl FieldView<'_> {
         }
     }
 
+    /// Velocity (Eq. 5) of the `m` lane-eligible bins starting at flat
+    /// index `i`, written into `out[axis][o..o + m]`: zipped lane-wide
+    /// chunks per axis plus a scalar tail, each bin computed exactly as
+    /// `velocity_bin`'s live-interior case.
+    fn velocity_run(&self, i: usize, m: usize, out: &mut [&mut [f64]], o: usize) {
+        let nx = self.dims.nx();
+        let strides = [1, nx, nx * self.dims.ny()];
+        let den = self.density;
+        for (axis, v) in out.iter_mut().enumerate() {
+            let s = strides[axis];
+            let (o_ch, o_tl) = v[o..o + m].as_chunks_mut::<LANES>();
+            let (c_ch, c_tl) = den[i..i + m].as_chunks::<LANES>();
+            let (sm_ch, sm_tl) = den[i - s..i - s + m].as_chunks::<LANES>();
+            let (sp_ch, sp_tl) = den[i + s..i + s + m].as_chunks::<LANES>();
+            let streams = o_ch.iter_mut().zip(c_ch).zip(sm_ch).zip(sp_ch);
+            for (((o, c), sm), sp) in streams {
+                for t in 0..LANES {
+                    let d = c[t];
+                    o[t] = if d > DENSITY_FLOOR {
+                        -(sp[t] - sm[t]) / (2.0 * d)
+                    } else {
+                        0.0
+                    };
+                }
+            }
+            let tails = o_tl.iter_mut().zip(c_tl).zip(sm_tl).zip(sp_tl);
+            for (((o, &d), &sm), &sp) in tails {
+                *o = if d > DENSITY_FLOOR {
+                    -(sp - sm) / (2.0 * d)
+                } else {
+                    0.0
+                };
+            }
+        }
+    }
+
     /// Velocity field (Eq. 5) of x-major lines `l0..l1`, written into the
     /// per-axis slices of `out` (which cover exactly those lines).
     /// `out.len()` is the grid's `ndim`.
     fn velocity_lines(&self, l0: usize, l1: usize, out: &mut [&mut [f64]]) {
-        let nx = self.dims.nx();
-        let ny = self.dims.ny();
-        let strides = [1usize, nx, nx * ny];
-        for l in l0..l1 {
-            let (k, z) = (l % ny, l / ny);
-            let orow = (l - l0) * nx;
-            if !self.wide || nx <= 2 {
-                for j in 0..nx {
-                    self.velocity_bin(l * nx + j, [j, k, z], out, orow + j);
-                }
-            } else if self.fast_line(l, k, z) {
-                // Wholly-live line: edge columns through the generic
-                // path, interior as zipped lane-wide chunks per axis plus a
-                // scalar tail; per-bin arithmetic identical to
-                // `velocity_bin`'s live-interior case.
-                let row = l * nx;
-                let den = self.density;
-                self.velocity_bin(row, [0, k, z], out, orow);
-                self.velocity_bin(row + nx - 1, [nx - 1, k, z], out, orow + nx - 1);
-                let m = nx - 2;
-                for (axis, v) in out.iter_mut().enumerate() {
-                    let s = strides[axis];
-                    let (o_ch, o_tl) = v[orow + 1..orow + 1 + m].as_chunks_mut::<LANES>();
-                    let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<LANES>();
-                    let (sm_ch, sm_tl) = den[row + 1 - s..row + 1 - s + m].as_chunks::<LANES>();
-                    let (sp_ch, sp_tl) = den[row + 1 + s..row + 1 + s + m].as_chunks::<LANES>();
-                    let streams = o_ch.iter_mut().zip(c_ch).zip(sm_ch).zip(sp_ch);
-                    for (((o, c), sm), sp) in streams {
-                        for t in 0..LANES {
-                            let d = c[t];
-                            o[t] = if d > DENSITY_FLOOR {
-                                -(sp[t] - sm[t]) / (2.0 * d)
-                            } else {
-                                0.0
-                            };
-                        }
-                    }
-                    let tails = o_tl.iter_mut().zip(c_tl).zip(sm_tl).zip(sp_tl);
-                    for (((o, &d), &sm), &sp) in tails {
-                        *o = if d > DENSITY_FLOOR {
-                            -(sp - sm) / (2.0 * d)
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            } else {
-                // Mixed line: lane-process runs of lane-eligible bins
-                // (whole stencil neighborhood live, so the expression is
-                // bit-identical to `velocity_bin`), generic elsewhere.
-                let row = l * nx;
-                let den = self.density;
-                let fast = &self.fast_bin[row..row + nx];
-                let mut j = 0usize;
-                while j < nx {
-                    if j + LANES <= nx && fast[j..j + LANES].iter().all(|&b| b) {
-                        let i = row + j;
-                        let c: &[f64; LANES] = den[i..i + LANES].try_into().unwrap();
-                        for (axis, v) in out.iter_mut().enumerate() {
-                            let s = strides[axis];
-                            let sm: &[f64; LANES] = den[i - s..i - s + LANES].try_into().unwrap();
-                            let sp: &[f64; LANES] = den[i + s..i + s + LANES].try_into().unwrap();
-                            let mut lane = [0.0; LANES];
-                            for t in 0..LANES {
-                                let d = c[t];
-                                if d > DENSITY_FLOOR {
-                                    lane[t] = -(sp[t] - sm[t]) / (2.0 * d);
-                                }
-                            }
-                            v[orow + j..orow + j + LANES].copy_from_slice(&lane);
-                        }
-                        j += LANES;
-                    } else {
-                        self.velocity_bin(row + j, [j, k, z], out, orow + j);
-                        j += 1;
-                    }
-                }
-            }
-        }
+        self.for_each_span(l0, l1, |i, idx, o, m| match m {
+            0 => self.velocity_bin(i, idx, out, o),
+            m => self.velocity_run(i, m, out, o),
+        });
     }
 
     /// One bin of the FTCS update through the generic (boundary-aware)
@@ -304,150 +265,97 @@ impl FieldView<'_> {
         acc
     }
 
+    /// FTCS update of the `out.len()` lane-eligible bins starting at
+    /// flat index `i`: zipped lane-wide chunks over the neighbour streams
+    /// plus a scalar tail. The per-bin accumulation order is
+    /// `ftcs_bin`'s axis order (x, then y, then z), so the bits match
+    /// exactly; `as_chunks` gives fixed-width array windows with no
+    /// per-element bounds checks.
+    fn ftcs_run(&self, i: usize, half: f64, out: &mut [f64]) {
+        let m = out.len();
+        let nx = self.dims.nx();
+        let zs = nx * self.dims.ny();
+        let den = self.density;
+        let (o_ch, o_tl) = out.as_chunks_mut::<LANES>();
+        let (c_ch, c_tl) = den[i..i + m].as_chunks::<LANES>();
+        let (xm_ch, xm_tl) = den[i - 1..i - 1 + m].as_chunks::<LANES>();
+        let (xp_ch, xp_tl) = den[i + 1..i + 1 + m].as_chunks::<LANES>();
+        let (ym_ch, ym_tl) = den[i - nx..i - nx + m].as_chunks::<LANES>();
+        let (yp_ch, yp_tl) = den[i + nx..i + nx + m].as_chunks::<LANES>();
+        if self.dims.ndim() == 3 {
+            let (zm_ch, zm_tl) = den[i - zs..i - zs + m].as_chunks::<LANES>();
+            let (zp_ch, zp_tl) = den[i + zs..i + zs + m].as_chunks::<LANES>();
+            let streams = o_ch
+                .iter_mut()
+                .zip(c_ch)
+                .zip(xm_ch)
+                .zip(xp_ch)
+                .zip(ym_ch)
+                .zip(yp_ch)
+                .zip(zm_ch)
+                .zip(zp_ch);
+            for (((((((o, c), xm), xp), ym), yp), zm), zp) in streams {
+                for t in 0..LANES {
+                    let d = c[t];
+                    let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                    acc += half * (yp[t] + ym[t] - 2.0 * d);
+                    acc += half * (zp[t] + zm[t] - 2.0 * d);
+                    o[t] = acc;
+                }
+            }
+            let tails = o_tl
+                .iter_mut()
+                .zip(c_tl)
+                .zip(xm_tl)
+                .zip(xp_tl)
+                .zip(ym_tl)
+                .zip(yp_tl)
+                .zip(zm_tl)
+                .zip(zp_tl);
+            for (((((((o, &d), &xm), &xp), &ym), &yp), &zm), &zp) in tails {
+                let mut acc = d + half * (xp + xm - 2.0 * d);
+                acc += half * (yp + ym - 2.0 * d);
+                acc += half * (zp + zm - 2.0 * d);
+                *o = acc;
+            }
+        } else {
+            let streams = o_ch
+                .iter_mut()
+                .zip(c_ch)
+                .zip(xm_ch)
+                .zip(xp_ch)
+                .zip(ym_ch)
+                .zip(yp_ch);
+            for (((((o, c), xm), xp), ym), yp) in streams {
+                for t in 0..LANES {
+                    let d = c[t];
+                    let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
+                    acc += half * (yp[t] + ym[t] - 2.0 * d);
+                    o[t] = acc;
+                }
+            }
+            let tails = o_tl
+                .iter_mut()
+                .zip(c_tl)
+                .zip(xm_tl)
+                .zip(xp_tl)
+                .zip(ym_tl)
+                .zip(yp_tl);
+            for (((((o, &d), &xm), &xp), &ym), &yp) in tails {
+                let mut acc = d + half * (xp + xm - 2.0 * d);
+                acc += half * (yp + ym - 2.0 * d);
+                *o = acc;
+            }
+        }
+    }
+
     /// FTCS update of x-major lines `l0..l1`, written into `out` (which
     /// covers exactly those lines).
     fn ftcs_lines(&self, l0: usize, l1: usize, half: f64, out: &mut [f64]) {
-        let nx = self.dims.nx();
-        let ny = self.dims.ny();
-        let d3 = self.dims.ndim() == 3;
-        let zs = nx * ny;
-        for l in l0..l1 {
-            let (k, z) = (l % ny, l / ny);
-            let orow = (l - l0) * nx;
-            if !self.wide || nx <= 2 {
-                for j in 0..nx {
-                    out[orow + j] = self.ftcs_bin(l * nx + j, [j, k, z], half);
-                }
-            } else if self.fast_line(l, k, z) {
-                // Wholly-live line: the edge columns go through the
-                // generic path, then the interior runs as zipped lane-wide
-                // chunks over the neighbour streams plus a scalar tail.
-                // The per-bin accumulation order is the generic path's
-                // axis order (x, then y, then z), so the bits match
-                // exactly; `as_chunks` gives fixed-width array windows
-                // with no per-element bounds checks.
-                let row = l * nx;
-                let den = self.density;
-                out[orow] = self.ftcs_bin(row, [0, k, z], half);
-                out[orow + nx - 1] = self.ftcs_bin(row + nx - 1, [nx - 1, k, z], half);
-                let m = nx - 2;
-                let (o_ch, o_tl) = out[orow + 1..orow + 1 + m].as_chunks_mut::<LANES>();
-                let (c_ch, c_tl) = den[row + 1..row + 1 + m].as_chunks::<LANES>();
-                let (xm_ch, xm_tl) = den[row..row + m].as_chunks::<LANES>();
-                let (xp_ch, xp_tl) = den[row + 2..row + 2 + m].as_chunks::<LANES>();
-                let (ym_ch, ym_tl) = den[row + 1 - nx..row + 1 - nx + m].as_chunks::<LANES>();
-                let (yp_ch, yp_tl) = den[row + 1 + nx..row + 1 + nx + m].as_chunks::<LANES>();
-                if d3 {
-                    let (zm_ch, zm_tl) = den[row + 1 - zs..row + 1 - zs + m].as_chunks::<LANES>();
-                    let (zp_ch, zp_tl) = den[row + 1 + zs..row + 1 + zs + m].as_chunks::<LANES>();
-                    let streams = o_ch
-                        .iter_mut()
-                        .zip(c_ch)
-                        .zip(xm_ch)
-                        .zip(xp_ch)
-                        .zip(ym_ch)
-                        .zip(yp_ch)
-                        .zip(zm_ch)
-                        .zip(zp_ch);
-                    for (((((((o, c), xm), xp), ym), yp), zm), zp) in streams {
-                        for t in 0..LANES {
-                            let d = c[t];
-                            let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
-                            acc += half * (yp[t] + ym[t] - 2.0 * d);
-                            acc += half * (zp[t] + zm[t] - 2.0 * d);
-                            o[t] = acc;
-                        }
-                    }
-                    let tails = o_tl
-                        .iter_mut()
-                        .zip(c_tl)
-                        .zip(xm_tl)
-                        .zip(xp_tl)
-                        .zip(ym_tl)
-                        .zip(yp_tl)
-                        .zip(zm_tl)
-                        .zip(zp_tl);
-                    for (((((((o, &d), &xm), &xp), &ym), &yp), &zm), &zp) in tails {
-                        let mut acc = d + half * (xp + xm - 2.0 * d);
-                        acc += half * (yp + ym - 2.0 * d);
-                        acc += half * (zp + zm - 2.0 * d);
-                        *o = acc;
-                    }
-                } else {
-                    let streams = o_ch
-                        .iter_mut()
-                        .zip(c_ch)
-                        .zip(xm_ch)
-                        .zip(xp_ch)
-                        .zip(ym_ch)
-                        .zip(yp_ch);
-                    for (((((o, c), xm), xp), ym), yp) in streams {
-                        for t in 0..LANES {
-                            let d = c[t];
-                            let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
-                            acc += half * (yp[t] + ym[t] - 2.0 * d);
-                            o[t] = acc;
-                        }
-                    }
-                    let tails = o_tl
-                        .iter_mut()
-                        .zip(c_tl)
-                        .zip(xm_tl)
-                        .zip(xp_tl)
-                        .zip(ym_tl)
-                        .zip(yp_tl);
-                    for (((((o, &d), &xm), &xp), &ym), &yp) in tails {
-                        let mut acc = d + half * (xp + xm - 2.0 * d);
-                        acc += half * (yp + ym - 2.0 * d);
-                        *o = acc;
-                    }
-                }
-            } else {
-                // Mixed line (straddles a wall, frozen block, or grid
-                // edge): lane-process the runs of bins whose whole
-                // stencil neighborhood is live — the per-bin mask makes
-                // the lane expression bit-identical to `ftcs_bin` there —
-                // and fall back to the generic path bin by bin elsewhere.
-                let row = l * nx;
-                let den = self.density;
-                let fast = &self.fast_bin[row..row + nx];
-                let mut j = 0usize;
-                while j < nx {
-                    if j + LANES <= nx && fast[j..j + LANES].iter().all(|&b| b) {
-                        let i = row + j;
-                        let mut lane = [0.0; LANES];
-                        let c: &[f64; LANES] = den[i..i + LANES].try_into().unwrap();
-                        let xm: &[f64; LANES] = den[i - 1..i - 1 + LANES].try_into().unwrap();
-                        let xp: &[f64; LANES] = den[i + 1..i + 1 + LANES].try_into().unwrap();
-                        let ym: &[f64; LANES] = den[i - nx..i - nx + LANES].try_into().unwrap();
-                        let yp: &[f64; LANES] = den[i + nx..i + nx + LANES].try_into().unwrap();
-                        if d3 {
-                            let zm: &[f64; LANES] = den[i - zs..i - zs + LANES].try_into().unwrap();
-                            let zp: &[f64; LANES] = den[i + zs..i + zs + LANES].try_into().unwrap();
-                            for t in 0..LANES {
-                                let d = c[t];
-                                let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
-                                acc += half * (yp[t] + ym[t] - 2.0 * d);
-                                acc += half * (zp[t] + zm[t] - 2.0 * d);
-                                lane[t] = acc;
-                            }
-                        } else {
-                            for t in 0..LANES {
-                                let d = c[t];
-                                let mut acc = d + half * (xp[t] + xm[t] - 2.0 * d);
-                                acc += half * (yp[t] + ym[t] - 2.0 * d);
-                                lane[t] = acc;
-                            }
-                        }
-                        out[orow + j..orow + j + LANES].copy_from_slice(&lane);
-                        j += LANES;
-                    } else {
-                        out[orow + j] = self.ftcs_bin(row + j, [j, k, z], half);
-                        j += 1;
-                    }
-                }
-            }
-        }
+        self.for_each_span(l0, l1, |i, idx, o, m| match m {
+            0 => out[o] = self.ftcs_bin(i, idx, half),
+            m => self.ftcs_run(i, half, &mut out[o..o + m]),
+        });
     }
 }
 
@@ -514,10 +422,8 @@ impl DiffusionEngine {
             wall,
             frozen: vec![false; n],
             vel: [vec![0.0; n], vec![0.0; n], vz],
-            line_live: Vec::new(),
             fast_bin: Vec::new(),
             conservative: true,
-            lanes: LaneMode::Wide,
             pool: ThreadPool::single(),
             timers: KernelTimers::default(),
         };
@@ -525,20 +431,13 @@ impl DiffusionEngine {
         engine
     }
 
-    /// Recomputes the per-line "wholly live" flags and the per-bin lane
-    /// eligibility mask the fast paths key off. Must run after every
-    /// wall/frozen mutation.
+    /// Recomputes the per-bin lane eligibility mask whose runs the
+    /// kernels lane-process. Must run after every wall/frozen mutation.
     fn refresh_live_masks(&mut self) {
         let nx = self.dims.nx();
         let ny = self.dims.ny();
         let nz = self.dims.nz();
         let lines = ny * nz;
-        self.line_live.resize(lines, false);
-        for l in 0..lines {
-            let row = l * nx;
-            self.line_live[l] = self.wall[row..row + nx].iter().all(|&w| !w)
-                && self.frozen[row..row + nx].iter().all(|&f| !f);
-        }
         let n = self.dims.len();
         let zs = nx * ny;
         let d3 = self.dims.ndim() == 3;
@@ -823,22 +722,10 @@ impl DiffusionEngine {
         self.pool = ThreadPool::new(threads);
     }
 
-    /// Selects scalar or lane-wise (default) kernel inner loops.
-    ///
-    /// The wide paths process interior bins of wholly-live lines in
-    /// explicit 4-wide chunks with scalar tails; they evaluate the exact
-    /// same per-bin expressions in the same order as the scalar paths,
-    /// so results are bit-identical. The scalar mode exists as the CI
-    /// reference the lane paths are checked against.
-    pub fn set_lanes(&mut self, lanes: LaneMode) {
-        self.lanes = lanes;
-    }
-
-    /// The lane mode currently configured.
-    #[inline]
-    pub fn lanes(&self) -> LaneMode {
-        self.lanes
-    }
+    /// No-op: the kernels always lane-process runs of lane-eligible
+    /// bins. Kept only so existing callers that pin [`LaneMode::Wide`]
+    /// still compile; the engine never reads it.
+    pub fn set_lanes(&mut self, _lanes: LaneMode) {}
 
     /// No-op: the field is always f64. Kept only so existing callers
     /// that pin [`FieldPrecision::F64`] still compile; the engine never
@@ -864,10 +751,8 @@ impl DiffusionEngine {
             density: &self.density,
             wall: &self.wall,
             frozen: &self.frozen,
-            line_live: &self.line_live,
             fast_bin: &self.fast_bin,
             conservative: self.conservative,
-            wide: self.lanes == LaneMode::Wide,
         }
     }
 
@@ -1637,11 +1522,84 @@ mod tests {
         assert!((v.z - 1.5).abs() < 1e-12, "vz = {}", v.z);
     }
 
+    /// The per-bin oracle the lane runs are pinned against: one FTCS
+    /// step with every bin through the generic `ftcs_bin`.
+    fn oracle_step(e: &DiffusionEngine, dt: f64) -> Vec<f64> {
+        let view = e.view();
+        (0..e.dims.len())
+            .map(|i| view.ftcs_bin(i, bin_idx(e.dims, i), dt / 2.0))
+            .collect()
+    }
+
+    /// The per-bin oracle velocity field: every bin through the generic
+    /// `velocity_bin`, one buffer per axis.
+    fn oracle_velocities(e: &DiffusionEngine) -> Vec<Vec<f64>> {
+        let view = e.view();
+        let n = e.dims.len();
+        let mut axes = vec![vec![0.0; n]; e.ndim()];
+        let mut out: Vec<&mut [f64]> = axes.iter_mut().map(|v| &mut v[..]).collect();
+        for i in 0..n {
+            view.velocity_bin(i, bin_idx(e.dims, i), &mut out, i);
+        }
+        axes
+    }
+
+    fn bin_idx(dims: Dims, i: usize) -> [usize; 3] {
+        let (nx, ny) = (dims.nx(), dims.ny());
+        [i % nx, (i / nx) % ny, i / (nx * ny)]
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Steps `e` eight times, then computes its velocities, under both
+    /// boundary rules, asserting every step and every velocity axis
+    /// bit-equal to the per-bin oracle.
+    fn assert_matches_oracle(e: &DiffusionEngine, what: &str) {
+        for conservative in [true, false] {
+            let mut e = e.clone();
+            e.set_conservative_boundaries(conservative);
+            let dt = if e.ndim() == 3 { 0.15 } else { 0.2 };
+            for step in 0..8 {
+                let want = oracle_step(&e, dt);
+                e.step_density(dt);
+                let ok = bits(&e.density) == bits(&want);
+                assert!(ok, "{what} conservative={conservative}: step {step}");
+            }
+            e.compute_velocities();
+            for (axis, want) in oracle_velocities(&e).iter().enumerate() {
+                let ok = bits(&e.vel[axis]) == bits(want);
+                assert!(
+                    ok,
+                    "{what} conservative={conservative}: velocity axis {axis}"
+                );
+            }
+        }
+    }
+
+    /// `(length, start column parity)` of every lane run in `e`'s mask.
+    fn lane_runs(e: &DiffusionEngine) -> std::collections::BTreeSet<(usize, usize)> {
+        let nx = e.nx();
+        let mut runs = std::collections::BTreeSet::new();
+        for line in e.fast_bin.chunks(nx) {
+            let mut j = 0;
+            while j < nx {
+                let m = line[j..].iter().take_while(|&&b| b).count();
+                if m > 0 {
+                    runs.insert((m, j % 2));
+                }
+                j += m.max(1);
+            }
+        }
+        runs
+    }
+
     /// Engine with deterministic bumpy density plus wall and frozen
     /// patterns sized relative to the grid so walls land mid-line
-    /// (breaking lane chunks), on edge columns, and — on tall grids —
+    /// (breaking lane runs), on edge columns, and — on tall grids —
     /// straddling the 64-line cache-block seam.
-    fn seam_engine(dims: Dims, lanes: LaneMode) -> DiffusionEngine {
+    fn seam_engine(dims: Dims) -> DiffusionEngine {
         let n = dims.len();
         let nx = dims.nx();
         let ny = dims.ny();
@@ -1662,43 +1620,77 @@ mod tests {
         }
         let mut e = DiffusionEngine::from_raw_dims(dims, density, Some(wall));
         e.set_frozen_mask(&frozen);
-        e.set_lanes(lanes);
         e
     }
 
-    /// Steps + velocities in one lane mode.
-    fn run_lane_case(dims: Dims, lanes: LaneMode) -> (Vec<f64>, [Vec<f64>; 3]) {
-        let mut e = seam_engine(dims, lanes);
-        let dt = if e.ndim() == 3 { 0.15 } else { 0.2 };
-        for _ in 0..8 {
-            e.step_density(dt);
+    /// Engine with seeded random density (some bins below the velocity
+    /// floor) and sparse random wall and frozen bins, so its lane runs
+    /// take many lengths and start columns.
+    fn random_mask_engine(dims: Dims, seed: u64) -> DiffusionEngine {
+        let mut rng = dpm_rng::Rng::seed_from_u64(seed);
+        let n = dims.len();
+        let density: Vec<f64> = (0..n)
+            .map(|_| {
+                if rng.random_bool(0.05) {
+                    0.0
+                } else {
+                    rng.random_range(0.1..2.0)
+                }
+            })
+            .collect();
+        let wall: Vec<bool> = (0..n).map(|_| rng.random_bool(0.03)).collect();
+        let frozen: Vec<bool> = (0..n).map(|_| rng.random_bool(0.03)).collect();
+        let mut e = DiffusionEngine::from_raw_dims(dims, density, Some(wall));
+        e.set_frozen_mask(&frozen);
+        e
+    }
+
+    /// Every run length from 1 to 9, starting at an even and at an odd
+    /// column, must occur among `engines`' lane runs.
+    fn assert_run_coverage(engines: &[DiffusionEngine], what: &str) {
+        let mut seen = std::collections::BTreeSet::new();
+        for e in engines {
+            seen.extend(lane_runs(e));
         }
-        e.compute_velocities();
-        (e.density.clone(), e.vel.clone())
+        for m in 1..=9 {
+            for parity in 0..2 {
+                assert!(
+                    seen.contains(&(m, parity)),
+                    "{what}: no run of {m} at parity {parity}"
+                );
+            }
+        }
     }
 
     #[test]
     fn wide_lanes_match_scalar_bitwise_2d() {
-        // nx sweeps 1, the lane width ±1 (3/5 around 4), one and two
-        // chunks plus a tail (7/9), and a non-multiple of the 64-line
-        // block (70); tall grids put walls across the block seam.
+        // Seam grids: nx sweeps 1, the lane width ±1 (3/5 around 4), one
+        // and two chunks plus a tail (7/9), and a non-multiple of the
+        // 64-line block (70); tall grids put walls across the block seam.
         for &nx in &[1usize, 3, 5, 7, 9, 70] {
             for &ny in &[1usize, 3, 70] {
-                let dims = Dims::d2(nx, ny);
-                let s = run_lane_case(dims, LaneMode::Scalar);
-                let w = run_lane_case(dims, LaneMode::Wide);
-                assert_eq!(s, w, "nx={nx} ny={ny}");
+                assert_matches_oracle(&seam_engine(Dims::d2(nx, ny)), &format!("seam {nx}x{ny}"));
             }
+        }
+        let dims = Dims::d2(41, 23);
+        let engines: Vec<_> = (0..4).map(|seed| random_mask_engine(dims, seed)).collect();
+        assert_run_coverage(&engines, "2d random masks");
+        for (seed, e) in engines.iter().enumerate() {
+            assert_matches_oracle(e, &format!("2d random mask seed {seed}"));
         }
     }
 
     #[test]
     fn wide_lanes_match_scalar_bitwise_3d() {
         for &(nx, ny, nz) in &[(1, 3, 3), (3, 3, 3), (5, 9, 4), (70, 5, 3), (9, 70, 2)] {
-            let dims = Dims::d3(nx, ny, nz);
-            let s = run_lane_case(dims, LaneMode::Scalar);
-            let w = run_lane_case(dims, LaneMode::Wide);
-            assert_eq!(s, w, "nx={nx} ny={ny} nz={nz}");
+            let what = format!("seam {nx}x{ny}x{nz}");
+            assert_matches_oracle(&seam_engine(Dims::d3(nx, ny, nz)), &what);
+        }
+        let dims = Dims::d3(29, 9, 5);
+        let engines: Vec<_> = (0..4).map(|seed| random_mask_engine(dims, seed)).collect();
+        assert_run_coverage(&engines, "3d random masks");
+        for (seed, e) in engines.iter().enumerate() {
+            assert_matches_oracle(e, &format!("3d random mask seed {seed}"));
         }
     }
 

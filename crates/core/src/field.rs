@@ -126,7 +126,6 @@ impl FieldMigration {
         );
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
 
         let cells = CellCache::new(netlist, &grid);
         let mut telemetry = Telemetry::new();

@@ -157,7 +157,6 @@ impl GlobalDiffusion {
         let mut engine = DiffusionEngine::from_density_map(&map);
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
         engine
             .kernel_timers_mut()
             .splat
@@ -413,7 +412,6 @@ mod tests {
         let mut engine = DiffusionEngine::from_density_map(&map);
         engine.set_conservative_boundaries(!cfg.paper_boundaries);
         engine.set_threads(cfg.threads);
-        engine.set_lanes(cfg.lanes);
         if cfg.manipulate {
             let mut d = engine.densities().to_vec();
             let wall = engine.wall_mask().to_vec();

@@ -144,7 +144,6 @@ impl LocalDiffusion {
         let mut engine = DiffusionEngine::from_density_map(&map);
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
         engine
             .kernel_timers_mut()
             .splat

@@ -403,7 +403,6 @@ impl VolumetricDiffusion {
             DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine.set_lanes(self.cfg.lanes);
         let splat_elapsed = splat_start.elapsed();
         engine.kernel_timers_mut().splat.record(splat_elapsed, 1);
         observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));

@@ -1,17 +1,18 @@
 //! Input extremes for the grid kernels and the runners built on them:
 //! a 1×1 grid (bin larger than the die), single-row, single-column and
 //! two-column grids, every cell stacked in one bin, and cells hanging
-//! partly outside the die. These reach the `nx <= 2` fallback and the
-//! edge-line paths of the FTCS and velocity kernels, the clamped
-//! gathers of advection, and degenerate DCT lengths.
+//! partly outside the die. These reach grids too small for any
+//! lane-eligible bin (every bin takes the per-bin path of the FTCS and
+//! velocity kernels), the clamped gathers of advection, and degenerate
+//! DCT lengths.
 //!
 //! Every case must finish without panicking and leave finite positions,
-//! and live density must be conserved by the FTCS engine (both lane
-//! modes), the spectral solver and the single-tier volumetric runner.
+//! and live density must be conserved by the FTCS engine, the spectral
+//! solver and the single-tier volumetric runner.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, GlobalDiffusion, LaneMode, LocalDiffusion, SolverKind,
-    SpectralSolver, VolJobSpec, VolPlacement, VolumetricDiffusion,
+    DiffusionConfig, DiffusionEngine, GlobalDiffusion, LocalDiffusion, SolverKind, SpectralSolver,
+    VolJobSpec, VolPlacement, VolumetricDiffusion,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -73,7 +74,6 @@ fn config(c: &Case, solver: SolverKind) -> DiffusionConfig {
     DiffusionConfig::default()
         .with_bin_size(c.bin_size)
         .with_solver(solver)
-        .with_lanes(LaneMode::Wide)
         .with_threads(1)
         .with_max_steps(300)
         .with_max_rounds(20)
@@ -108,27 +108,24 @@ fn extreme_grids_have_the_expected_shape() {
 #[test]
 fn ftcs_engine_conserves_live_density_and_keeps_velocities_finite() {
     for c in cases() {
-        for lanes in [LaneMode::Scalar, LaneMode::Wide] {
-            let mut e = DiffusionEngine::from_density_map(&density_map(&c));
-            e.set_lanes(lanes);
-            let mass = e.total_live_density();
-            assert!(mass > 0.0, "{}: empty field", c.name);
-            let (nx, ny) = (e.nx() as f64, e.ny() as f64);
-            for _ in 0..40 {
-                e.compute_velocities();
-                // Inside, on and beyond every grid edge: the gather
-                // clamps to the edge bins.
-                for x in [-1.0, 0.0, 0.25, nx / 2.0, nx - 0.5, nx, nx + 1.0] {
-                    for y in [-1.0, 0.0, 0.25, ny / 2.0, ny - 0.5, ny, ny + 1.0] {
-                        let v = e.velocity_at(Point::new(x, y));
-                        assert!(v.x.is_finite() && v.y.is_finite(), "{}: ({x}, {y})", c.name);
-                    }
+        let mut e = DiffusionEngine::from_density_map(&density_map(&c));
+        let mass = e.total_live_density();
+        assert!(mass > 0.0, "{}: empty field", c.name);
+        let (nx, ny) = (e.nx() as f64, e.ny() as f64);
+        for _ in 0..40 {
+            e.compute_velocities();
+            // Inside, on and beyond every grid edge: the gather
+            // clamps to the edge bins.
+            for x in [-1.0, 0.0, 0.25, nx / 2.0, nx - 0.5, nx, nx + 1.0] {
+                for y in [-1.0, 0.0, 0.25, ny / 2.0, ny - 0.5, ny, ny + 1.0] {
+                    let v = e.velocity_at(Point::new(x, y));
+                    assert!(v.x.is_finite() && v.y.is_finite(), "{}: ({x}, {y})", c.name);
                 }
-                e.step_density(0.2);
             }
-            assert_close(&c, "live mass", e.total_live_density(), mass);
-            assert!(e.densities().iter().all(|d| d.is_finite()), "{}", c.name);
+            e.step_density(0.2);
         }
+        assert_close(&c, "live mass", e.total_live_density(), mass);
+        assert!(e.densities().iter().all(|d| d.is_finite()), "{}", c.name);
     }
 }
 

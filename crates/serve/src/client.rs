@@ -25,6 +25,7 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 use dpm_netlist::Netlist;
 use dpm_obs::{rebase_spans, SpanRecord, SpanRecorder, TraceContext, TraceIdGen};
@@ -89,6 +90,14 @@ impl ServeClient {
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             tracing: None,
         })
+    }
+
+    /// Bounds every blocking read and write on this connection to
+    /// `timeout` of silence (`None`, the default, blocks indefinitely).
+    /// A read or write that times out fails with an I/O error.
+    pub(crate) fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        self.stream.set_read_timeout(timeout)?;
+        self.stream.set_write_timeout(timeout)
     }
 
     /// Caps the size of reply frames this client will accept.

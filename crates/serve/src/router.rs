@@ -22,7 +22,7 @@ use dpm_diffusion::KernelTimers;
 use dpm_obs::{normalize_spans, rebase_spans, SpanRecorder, TraceIdGen};
 use dpm_place::{MovementStats, Placement};
 
-use crate::shard::{ShardBackend, ShardFailover};
+use crate::shard::{ShardBackend, ShardFailover, REPLY_GRACE};
 use crate::wire::{
     ErrorReply, JobRequest, JobResponse, PayloadEncoding, ProgressUpdate, Reply, VolResponseExt,
 };
@@ -42,6 +42,11 @@ const SPAN_CAPACITY: usize = 256;
 /// carry the structure a trace needs, the rest would only bloat the
 /// wire export.
 const REMOTE_SPAN_CAP: usize = 2048;
+
+/// Bound on the end-of-route stats probe of each TCP backend. A live
+/// server answers a stats request at once; one that stays silent this
+/// long contributes no timers instead of stalling the route.
+const STATS_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// One partition's side of the halo-exchange loop.
 pub(crate) trait Partition: Sync {
@@ -116,6 +121,7 @@ pub(crate) fn route<P: Partition>(
     let mut assign: Vec<ShardBackend> = (0..k).map(|i| backends[i % backends.len()]).collect();
     let mut spares = spares.to_vec();
     let mut failovers = Vec::new();
+    let mut failed = Vec::new();
     let mut remote_spans = Vec::new();
     let mut kernels = KernelTimers::default();
     let frames = AtomicU64::new(0);
@@ -151,6 +157,9 @@ pub(crate) fn route<P: Partition>(
         // Warm-spare failover, serially and before any stitching. A
         // retry is a fresh dispatch with its own span under the round.
         for (i, sub, _, reply) in runs.iter_mut().flatten() {
+            if reply.is_err() {
+                failed.push(assign[*i]);
+            }
             while reply.is_err() && !spares.is_empty() {
                 let spare = spares.remove(0);
                 if let Some((_, round_ctx, _)) = &round {
@@ -185,13 +194,18 @@ pub(crate) fn route<P: Partition>(
     }
 
     // TCP backends cannot ship per-run kernel timers in a JobResponse;
-    // fold in each server's lifetime timers once instead.
+    // fold in each server's lifetime timers once instead. A primary
+    // that failed a sub-job of this route is not probed: dead or
+    // silent, it would only stall the route.
     for (i, &backend) in backends.iter().enumerate() {
         let stats = match backend {
-            ShardBackend::Tcp(addr) if !backends[..i].contains(&backend) => {
-                ServeClient::connect(addr)
-                    .ok()
-                    .and_then(|mut c| c.stats().ok())
+            ShardBackend::Tcp(addr)
+                if !backends[..i].contains(&backend) && !failed.contains(&backend) =>
+            {
+                ServeClient::connect(addr).ok().and_then(|mut c| {
+                    c.set_io_timeout(Some(STATS_TIMEOUT)).ok()?;
+                    c.stats().ok()
+                })
             }
             _ => None,
         };
@@ -262,6 +276,8 @@ fn check(sub: &JobRequest, resp: &JobResponse) -> Result<(), String> {
 /// backends honour the sub-job's deadline, count its streamed progress
 /// frames into `frames` and export its job span; every failure
 /// (transport, rejection, engine panic, bad shape) becomes a message.
+/// A TCP backend silent for the sub-job's `deadline_ms` plus
+/// [`REPLY_GRACE`] fails with a transport timeout.
 ///
 /// With a `recorder` and a traced sub-job, the interaction becomes one
 /// `shard.dispatch` span under the sub-job's context, and the backend's
@@ -286,6 +302,11 @@ fn attempt(
             execute_request(sub, deadline, Some(on_progress), recorder).map_err(rejected)
         }
         ShardBackend::Tcp(addr) => ServeClient::connect(addr)
+            .and_then(|client| {
+                let bound = (sub.deadline_ms > 0)
+                    .then(|| Duration::from_millis(u64::from(sub.deadline_ms)) + REPLY_GRACE);
+                client.set_io_timeout(bound).map(|()| client)
+            })
             .map_err(|e| format!("connect {addr}: {e}"))
             .and_then(|mut client| {
                 client

@@ -50,7 +50,7 @@
 
 use std::convert::Infallible;
 use std::net::SocketAddr;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use dpm_diffusion::{stitch_positions, KernelTimers, ShardPartition, ShardProblem};
 use dpm_geom::Rect;
@@ -69,8 +69,17 @@ pub enum ShardBackend {
     InProcess,
     /// Send the sub-problem to a [`Server`](crate::Server) at this
     /// address through a [`ServeClient`](crate::ServeClient), binary-encoded.
+    /// A sub-job with a deadline waits at most `deadline_ms` plus
+    /// [`REPLY_GRACE`] of backend silence.
     Tcp(SocketAddr),
 }
+
+/// How long past a sub-job's deadline a router waits on a silent TCP
+/// backend. A [`Server`](crate::Server) answers an expired job within
+/// about one diffusion step of its deadline, so a backend still silent
+/// after `deadline_ms` plus this grace fails the attempt instead of
+/// hanging the route. A sub-job without a deadline waits indefinitely.
+pub const REPLY_GRACE: Duration = Duration::from_secs(2);
 
 /// Routing parameters for a [`ShardRouter`].
 #[derive(Debug, Clone)]

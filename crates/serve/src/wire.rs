@@ -643,10 +643,8 @@ pub(crate) fn take_config(cur: &mut Cur<'_>) -> Result<DiffusionConfig, WireErro
         // Explicitly Ftcs here — never `Default`, which consults the
         // server process's `DPM_SOLVER` environment.
         solver: SolverKind::Ftcs,
-        // Lane width is a per-host microarchitectural choice, not part of
-        // the job (results are bit-identical either way), so it does not
-        // travel on the wire. Explicitly Wide — never `Default`, which
-        // consults `DPM_LANES`.
+        // `LaneMode` has a single value and changes no result, so it
+        // does not travel on the wire.
         lanes: LaneMode::Wide,
         precision: FieldPrecision::F64,
     })
@@ -1846,12 +1844,7 @@ pub(crate) mod tests {
             progress_stride: 0,
             kind,
             design: "tiny".into(),
-            // Lane mode does not travel on the wire (decode pins Wide), so
-            // pin it here too or round-trip equality would depend on the
-            // test process's DPM_LANES environment.
-            config: DiffusionConfig::default()
-                .with_bin_size(24.0)
-                .with_lanes(LaneMode::Wide),
+            config: DiffusionConfig::default().with_bin_size(24.0),
             netlist,
             die,
             placement,

@@ -1,21 +1,23 @@
 //! Fault injection for both routers: a tiny TCP backend that misbehaves
-//! in one of four ways (closes on accept, truncates its reply frame,
-//! answers garbage bytes, or sends a well-formed reply with the wrong
-//! position count). The planar router must degrade the faulty shard's
-//! region and keep the maximum principle; the volumetric router must
-//! fail with a typed backend error naming the slab. Every fault closes
-//! the connection, so no test can hang on a reply that never comes.
+//! in one of five ways (closes on accept, truncates its reply frame,
+//! answers garbage bytes, sends a well-formed reply with the wrong
+//! position count, or never answers). The planar router must degrade
+//! the faulty shard's region and keep the maximum principle; the
+//! volumetric router must fail with a typed backend error naming the
+//! slab. Every request carries a deadline, and no route may outlive it
+//! by more than the router's reply grace: a silent backend must not
+//! hang a route.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dpm_diffusion::{DiffusionConfig, ShardPartition, SolverKind};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolBenchmark, VolCircuitSpec};
-use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
+use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig, REPLY_GRACE};
 use dpm_serve::wire::{
     decode_request, encode_response, read_frame, write_frame, FrameKind, JobKind, JobRequest,
     JobResponse, VolRequestExt, VolResponseExt, DEFAULT_MAX_FRAME_LEN,
@@ -34,14 +36,28 @@ enum Fault {
     /// Read the request, then send a well-formed response carrying one
     /// position fewer than the request had cells.
     WrongCount,
+    /// Read the request, then hold the connection open and never reply.
+    Silent,
 }
 
-const FAULTS: [Fault; 4] = [
+const FAULTS: [Fault; 5] = [
     Fault::CloseOnAccept,
     Fault::TruncatedFrame,
     Fault::Garbage,
     Fault::WrongCount,
+    Fault::Silent,
 ];
+
+/// Every request's deadline. Generous enough that the healthy
+/// in-process part always finishes inside it.
+const DEADLINE_MS: u32 = 1000;
+
+/// How long any route may take: one round's deadline plus the reply
+/// grace, plus slack for connecting, the in-process part and thread
+/// scheduling. A planar route with a silent backend runs one round.
+fn route_bound() -> Duration {
+    Duration::from_millis(u64::from(DEADLINE_MS)) + REPLY_GRACE + Duration::from_secs(1)
+}
 
 /// A listener answering every connection with its [`Fault`]. Dropping
 /// it stops the accept loop and joins the thread.
@@ -102,6 +118,12 @@ fn misbehave(fault: Fault, mut stream: TcpStream) {
     let Ok(Some(frame)) = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN) else {
         return;
     };
+    if fault == Fault::Silent {
+        // Hold the connection until the client gives up and closes it.
+        let _ = stream.set_read_timeout(Some(Duration::from_secs(60)));
+        let _ = stream.read(&mut [0u8; 1]);
+        return;
+    }
     let reply = match (fault, frame.kind) {
         (Fault::Garbage, _) => b"NOT A FRAME, JUST NOISE".to_vec(),
         (_, FrameKind::Request) => {
@@ -158,7 +180,7 @@ fn hot_bench(seed: u64) -> Benchmark {
 fn planar_request(bench: &Benchmark) -> JobRequest {
     JobRequest {
         id: 1,
-        deadline_ms: 0,
+        deadline_ms: DEADLINE_MS,
         progress_stride: 0,
         kind: JobKind::Local,
         design: "fault_planar".into(),
@@ -174,7 +196,7 @@ fn planar_request(bench: &Benchmark) -> JobRequest {
 fn vol_request(bench: &VolBenchmark) -> JobRequest {
     JobRequest {
         id: 2,
-        deadline_ms: 0,
+        deadline_ms: DEADLINE_MS,
         progress_stride: 0,
         kind: JobKind::Global,
         design: "fault_vol".into(),
@@ -207,16 +229,22 @@ fn planar_route_degrades_a_faulty_shard_for_every_fault() {
 
     for fault in FAULTS {
         let backend = FaultBackend::start(fault);
+        // Every round re-dispatches the faulty shard, and a silent
+        // backend costs a full deadline plus grace each time.
+        let max_halo_rounds = if fault == Fault::Silent { 1 } else { 3 };
         let router = ShardRouter::new(
             ShardRouterConfig {
                 shards: 2,
-                max_halo_rounds: 3,
+                max_halo_rounds,
             },
             vec![ShardBackend::InProcess, backend.backend()],
         );
+        let started = Instant::now();
         let reply = router.route(&req);
+        let elapsed = started.elapsed();
         drop(backend);
 
+        assert!(elapsed < route_bound(), "{fault:?}: route took {elapsed:?}");
         assert_eq!(reply.shards, 2, "{fault:?}");
         assert!(reply.outcomes[0].error.is_none(), "{fault:?}");
         let err = reply.outcomes[1]
@@ -262,9 +290,12 @@ fn vol_route_fails_typed_for_every_fault() {
             VolRouterConfig { slabs: 2 },
             vec![ShardBackend::InProcess, backend.backend()],
         );
+        let started = Instant::now();
         let outcome = router.route(&req);
+        let elapsed = started.elapsed();
         drop(backend);
 
+        assert!(elapsed < route_bound(), "{fault:?}: route took {elapsed:?}");
         match outcome {
             Err(VolRouteError::Backend { slab, message }) => {
                 assert_eq!(slab, 1, "{fault:?}: {message}");

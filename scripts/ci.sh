@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Hermetic CI gate: formatting, lints, docs, build, tests, a kernel
-# determinism matrix (solver × lane mode × thread count), kernel
+# determinism matrix (solver × thread count), kernel
 # throughput floors, service smoke tests and an end-to-end migration
 # smoke test, all offline.
 #
@@ -72,39 +72,35 @@ cargo build --release --offline --workspace
 gate "cargo test"
 cargo test -q --release --offline --workspace
 
-gate "determinism matrix (DPM_SOLVER × DPM_LANES × DPM_THREADS, pinned checksums)"
-# The dpm-par decomposition is independent of the worker count and the
-# wide-lane kernel paths are bit-identical to the scalar reference, so
-# the golden placement checksums must reproduce these pinned literals at
-# every (solver, lane mode, thread count) combination — for both the
-# planar run and the volumetric (3-tier) leg. The literals are part of
-# the contract: any kernel change that shifts a single output bit fails
+gate "determinism matrix (DPM_SOLVER × DPM_THREADS, pinned checksums)"
+# The dpm-par decomposition is independent of the worker count, so the
+# golden placement checksums must reproduce these pinned literals at
+# every (solver, thread count) combination — for both the planar run
+# and the volumetric (3-tier) leg. The literals are part of the
+# contract: any kernel change that shifts a single output bit fails
 # here instead of being silently re-baselined. The dpm-diffusion test
-# suite (which carries its own lane/seam fixtures) runs once per
-# (solver, threads) pair on the production wide configuration. The
-# field is always f64, so these four literals are the whole contract.
+# suite (which pins the lane runs against a per-bin oracle on its own
+# seam and random-mask fixtures) runs once per (solver, threads) pair.
+# The field is always f64, so these four literals are the whole
+# contract.
 declare -A golden_plain=([ftcs]=17e4ee4d823bc613 [spectral]=87b3c85022bddcf4)
 declare -A golden_vol=([ftcs]=dcc914ce61fcb375 [spectral]=38f1b000b964ad02)
 for solver in ftcs spectral; do
-    for lanes in scalar wide; do
-        for t in 1 2 4; do
-            if [[ "$lanes" == wide ]]; then
-                echo "  -> DPM_SOLVER=$solver DPM_THREADS=$t: dpm-diffusion test suite"
-                DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo test -q --release --offline -p dpm-diffusion
-            fi
-            got=$(DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum 2>/dev/null)
-            if [[ "$got" != "${golden_plain[$solver]}" ]]; then
-                echo "DETERMINISM BREAK: $solver lanes=$lanes threads=$t planar checksum $got != ${golden_plain[$solver]}" >&2
-                exit 1
-            fi
-            got=$(DPM_SOLVER=$solver DPM_LANES=$lanes DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- vol 2>/dev/null)
-            if [[ "$got" != "${golden_vol[$solver]}" ]]; then
-                echo "DETERMINISM BREAK: $solver lanes=$lanes threads=$t volumetric checksum $got != ${golden_vol[$solver]}" >&2
-                exit 1
-            fi
-        done
+    for t in 1 2 4; do
+        echo "  -> DPM_SOLVER=$solver DPM_THREADS=$t: dpm-diffusion test suite"
+        DPM_SOLVER=$solver DPM_THREADS=$t cargo test -q --release --offline -p dpm-diffusion
+        got=$(DPM_SOLVER=$solver DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum 2>/dev/null)
+        if [[ "$got" != "${golden_plain[$solver]}" ]]; then
+            echo "DETERMINISM BREAK: $solver threads=$t planar checksum $got != ${golden_plain[$solver]}" >&2
+            exit 1
+        fi
+        got=$(DPM_SOLVER=$solver DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- vol 2>/dev/null)
+        if [[ "$got" != "${golden_vol[$solver]}" ]]; then
+            echo "DETERMINISM BREAK: $solver threads=$t volumetric checksum $got != ${golden_vol[$solver]}" >&2
+            exit 1
+        fi
     done
-    echo "  -> $solver planar+volumetric checksums pinned across lanes × threads"
+    echo "  -> $solver planar+volumetric checksums pinned across threads"
 done
 
 gate "kernel smoke test (perf_kernels --smoke)"
@@ -122,11 +118,6 @@ grep -q '"flops_ratio"' "$kernels_out"
 grep -q '"stencil3d"' "$kernels_out"
 grep -q '"nz": 4' "$kernels_out"
 grep -Eq '"kernel": "stencil3d", "threads": 8' "$kernels_out"
-# The lane axis: every sample carries it (and the constant f64
-# precision key), the single-thread ladder includes the scalar-lane
-# reference, and the derived speedup ratio is emitted.
-grep -q '"lanes": "scalar"' "$kernels_out"
-grep -q '"lane_speedup_1t"' "$kernels_out"
 grep -q '"calibration"' "$kernels_out"
 # The generic-length DCT round trip on a prime 113x113 grid.
 grep -q '"spectral_generic"' "$kernels_out"
@@ -236,8 +227,9 @@ gate "bench guard (committed BENCH_*.json keys and throughput must survive)"
 # survive in the worktree copy (new keys are fine). The only exception
 # is a key whose measured mode no longer exists, named here one by one
 # with the reason it went:
-#   f32_speedup_1t  the f32 field mode it compared against was removed
-retired_keys=('"f32_speedup_1t":')
+#   f32_speedup_1t   the f32 field mode it compared against was removed
+#   lane_speedup_1t  the scalar lane mode it compared against was removed
+retired_keys=('"f32_speedup_1t":' '"lane_speedup_1t":')
 for f in BENCH_*.json; do
     [[ -f "$f" ]] || continue
     git cat-file -e "HEAD:$f" 2>/dev/null || continue
