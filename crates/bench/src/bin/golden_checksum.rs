@@ -16,13 +16,22 @@
 //! default (planar) output is byte-identical to what it was before the
 //! volumetric mode existed.
 //!
-//! Any other argument is an error (exit 2): the field is always f64, so
-//! these two checksums per solver are the whole contract.
+//! With the `local` argument it runs one windowed DIFF(L) migration: a
+//! ckt-shaped circuit with a centred hotspot, on which several rounds
+//! run and each round's windows leave most cells frozen. It hashes the
+//! step/round counts and every final position. Local diffusion always
+//! steps FTCS, so this literal is the same under either solver.
 //!
-//! Usage: `cargo run --release --bin golden_checksum [-- vol]`
+//! Any other argument is an error (exit 2): the field is always f64, so
+//! these checksums per solver are the whole contract.
+//!
+//! Usage: `cargo run --release --bin golden_checksum [-- vol|local]`
 
-use dpm_diffusion::{DiffusionConfig, GlobalDiffusion, LocalDiffusion, VolumetricDiffusion};
+use dpm_diffusion::{
+    DiffusionConfig, DiffusionResult, GlobalDiffusion, LocalDiffusion, VolumetricDiffusion,
+};
 use dpm_gen::{CircuitSpec, InflationSpec, VolCircuitSpec};
+use dpm_place::Placement;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -64,6 +73,45 @@ fn vol_checksum(cfg: &DiffusionConfig) -> u64 {
     hash
 }
 
+/// The windowed local leg: 3,000 cells shaped like the paper's
+/// industrial suite (55% utilization, 97% locally dense clusters,
+/// whitespace every 6 clusters), 10% of the area inflated within 15% of
+/// the die centre, DIFF(L) with W1/W2 = 1/2 on 2.5-row bins. It runs two
+/// rounds, in which 793 and 1,007 of the 3,032 cells are live. In the
+/// planar leg's local run nearly every cell is live.
+fn local_checksum(cfg: &DiffusionConfig) -> u64 {
+    let seed = 1;
+    let mut bench = CircuitSpec::with_size("golden_local", 3_000, seed)
+        .with_utilization(0.55)
+        .with_local_utilization(0.97)
+        .with_clusters_per_gap(6)
+        .generate();
+    bench.inflate(&InflationSpec::centered(0.10, 0.15, seed ^ 0x5EED));
+    let cfg = cfg
+        .clone()
+        .with_bin_size(2.5 * bench.die.row_height())
+        .with_windows(1, 2)
+        .with_update_period(10);
+    let result = LocalDiffusion::new(cfg).run(&bench.netlist, &bench.die, &mut bench.placement);
+    eprintln!(
+        "golden_checksum: local leg ran {} round(s), {} step(s)",
+        result.rounds, result.steps
+    );
+    let mut hash = FNV_OFFSET;
+    absorb_run(&mut hash, &result, &bench.placement);
+    hash
+}
+
+/// Hashes a planar run's step and round counts and every final position.
+fn absorb_run(hash: &mut u64, result: &DiffusionResult, placement: &Placement) {
+    absorb(hash, &(result.steps as u64).to_le_bytes());
+    absorb(hash, &(result.rounds as u64).to_le_bytes());
+    for p in placement.as_slice() {
+        absorb(hash, &p.x.to_bits().to_le_bytes());
+        absorb(hash, &p.y.to_bits().to_le_bytes());
+    }
+}
+
 fn main() {
     let cfg = DiffusionConfig::default();
     eprintln!("golden_checksum: {} worker thread(s)", cfg.threads);
@@ -74,8 +122,14 @@ fn main() {
             println!("{:016x}", vol_checksum(&cfg));
             return;
         }
+        Some("local") => {
+            println!("{:016x}", local_checksum(&cfg));
+            return;
+        }
         Some(other) => {
-            eprintln!("golden_checksum: unknown mode {other:?} (usage: golden_checksum [vol])");
+            eprintln!(
+                "golden_checksum: unknown mode {other:?} (usage: golden_checksum [vol|local])"
+            );
             std::process::exit(2);
         }
     }
@@ -88,12 +142,7 @@ fn main() {
         } else {
             LocalDiffusion::new(cfg.clone()).run(&bench.netlist, &bench.die, &mut bench.placement)
         };
-        absorb(&mut hash, &(result.steps as u64).to_le_bytes());
-        absorb(&mut hash, &(result.rounds as u64).to_le_bytes());
-        for p in bench.placement.as_slice() {
-            absorb(&mut hash, &p.x.to_bits().to_le_bytes());
-            absorb(&mut hash, &p.y.to_bits().to_le_bytes());
-        }
+        absorb_run(&mut hash, &result, &bench.placement);
     }
     println!("{hash:016x}");
 }

@@ -8,7 +8,10 @@
 //! round trip on a 113×113 grid, where the prime length takes the
 //! cosine-matrix DCT path instead of the FFT. A separate `stencil3d`
 //! section times the volumetric 7-point FTCS sweep on a 192×192×8 tier
-//! stack at the same thread counts.
+//! stack at the same thread counts. An `advect_windowed` section times
+//! the advects of local diffusion on a 256×256 grid whose windows leave
+//! about 2% of the cells live, so a local path that walks every cell
+//! again shows up against its ceiling in `scripts/ci.sh`.
 //!
 //! Every sample line carries `lanes` and `precision` keys, always
 //! `wide` and `f64`: the kernels have one lane path and one field
@@ -32,7 +35,8 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, GlobalDiffusion, SolverKind, SpectralSolver,
+    DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion, LocalDiffusion,
+    RoundEvent, SolverKind, SpectralSolver,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -209,6 +213,98 @@ fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize) -> Samp
         calls: advect.calls,
         ns_per_call: advect.total_ns() as f64 / advect.calls.max(1) as f64,
     }
+}
+
+/// A local-diffusion design on an `n`×`n` grid of unit bins: a dense
+/// core of unit cells, two per bin, in a centred `n/16`-bin square, on a
+/// checkerboard of single cells at half density. The windows open over
+/// the core and its two-bin margin and freeze the rest, so about 2% of
+/// the cells are live: a small hotspot in a large design.
+fn windowed_design(n: usize) -> (Netlist, Placement, Die) {
+    let core = (n - n / 16) / 2..(n + n / 16) / 2;
+    let mut corners = Vec::new();
+    for k in 0..n {
+        for j in 0..n {
+            let (x, y) = (j as f64, k as f64);
+            if core.contains(&j) && core.contains(&k) {
+                corners.push(Point::new(x, y));
+                corners.push(Point::new(x + 0.5, y + 0.5));
+            } else if (j + k) % 2 == 0 {
+                corners.push(Point::new(x, y));
+            }
+        }
+    }
+    let mut b = NetlistBuilder::new();
+    for i in 0..corners.len() {
+        b.add_cell(format!("c{i}"), 1.0, 1.0, CellKind::Movable);
+    }
+    let nl = b.build().expect("valid synthetic netlist");
+    let side = n as f64;
+    (nl, corners.into_iter().collect(), Die::new(side, side, 1.0))
+}
+
+/// Times the advects of two local-diffusion rounds on
+/// [`windowed_design`], `reps` runs, and reports the fastest run's mean
+/// per advect call. Each advect visits only the live cells, and the
+/// per-round list build is billed to the round's first advect. Also
+/// returns the first round's live share.
+fn time_advect_windowed(n: usize, threads: usize, reps: usize) -> (Sample, f64) {
+    struct FirstRound(Option<usize>);
+    impl DiffusionObserver for FirstRound {
+        fn on_round(&mut self, event: &RoundEvent) {
+            self.0.get_or_insert(event.live_cells);
+        }
+    }
+    let (nl, p0, die) = windowed_design(n);
+    let cfg = DiffusionConfig::default()
+        .with_bin_size(1.0)
+        .with_windows(1, 2)
+        .with_update_period(10)
+        .with_max_rounds(2)
+        .with_threads(threads);
+    let mut first = FirstRound(None);
+    let (mut calls, mut best) = (0, f64::INFINITY);
+    for _ in 0..reps {
+        let mut p = p0.clone();
+        let result =
+            LocalDiffusion::new(cfg.clone()).run_observed(&nl, &die, &mut p, &|| false, &mut first);
+        let advect = result.telemetry.kernels().advect;
+        calls += advect.calls;
+        best = best.min(advect.total_ns() as f64 / advect.calls.max(1) as f64);
+    }
+    let sample = Sample {
+        kernel: "advect_windowed",
+        threads,
+        calls,
+        ns_per_call: best,
+    };
+    (sample, first.0.unwrap_or(0) as f64 / nl.num_cells() as f64)
+}
+
+/// The `advect_windowed` JSON section: local-diffusion advect on an
+/// `n`×`n` grid whose windows leave about 2% of the cells live, at every
+/// thread count.
+fn advect_windowed_json(n: usize, reps: usize) -> String {
+    let mut samples = Vec::new();
+    let mut live_share = 0.0;
+    for &t in &THREAD_COUNTS {
+        eprintln!("  windowed advect {n}x{n}, {t} thread(s)...");
+        let (sample, share) = time_advect_windowed(n, t, reps);
+        samples.push(sample);
+        live_share = share;
+    }
+    let cells = windowed_design(n).0.num_cells();
+    let mut body = String::new();
+    let _ = write!(
+        body,
+        "  \"advect_windowed\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"cells\": {cells},\n    \"live_share\": {live_share:.3},\n    \"samples\": [\n"
+    );
+    for (i, s) in samples.iter().enumerate() {
+        let sep = if i + 1 == samples.len() { "" } else { "," };
+        let _ = writeln!(body, "      {}{sep}", s.json());
+    }
+    let _ = write!(body, "    ]\n  }}");
+    body
 }
 
 fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64) -> Sample {
@@ -530,13 +626,14 @@ fn main() {
     let (n3, nz3, reps3): (usize, usize, u64) = if smoke { (48, 4, 4) } else { (192, 8, 20) };
     let stencil3d = stencil3d_json(n3, nz3, reps3);
     let spectral_generic = spectral_generic_json(113, if smoke { 16 } else { 64 });
+    let advect_windowed = advect_windowed_json(256, if smoke { 3 } else { 10 });
 
     eprintln!("  calibration loop...");
     let cal_iters: u64 = if smoke { 20_000_000 } else { 50_000_000 };
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d},\n{advect_windowed}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

@@ -109,15 +109,90 @@ impl CellCache {
     }
 }
 
-/// Moves every movable cell one step along the velocity field:
+/// The cells a local-diffusion round can move: the [`CellCache`] cells
+/// whose centre bin is neither wall nor frozen when the round starts,
+/// grouped by the cache's fixed [`CELL_CHUNK`] chunks.
+///
+/// Local diffusion rebuilds it once per round, right after installing
+/// the round's frozen mask, and [`advect_cells`] then visits only the
+/// listed cells. A cell left off stays put for the whole round: its
+/// centre starts in a wall or frozen bin, both masks are fixed for the
+/// round, so every step of the full walk would have returned it
+/// unmoved. The list is therefore exact, not an approximation
+/// (DESIGN.md §20).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct LiveCells {
+    /// Chunk-local indices of the listed cells, ascending within each
+    /// chunk.
+    cells: Vec<u32>,
+    /// Chunk `c` lists `cells[starts[c]..starts[c + 1]]`.
+    starts: Vec<usize>,
+}
+
+impl LiveCells {
+    /// Rebuilds the list from `engine`'s current wall and frozen masks
+    /// and the cells' current positions, reusing the buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `placement` does not cover the netlist `cache` was
+    /// built from.
+    pub(crate) fn rebuild(
+        &mut self,
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        cache: &CellCache,
+        placement: &Placement,
+    ) {
+        let positions = placement.as_slice();
+        self.cells.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        for chunk in cache.cells.chunks(CELL_CHUNK) {
+            self.cells
+                .extend(chunk.iter().zip(0u32..).filter_map(|(cell, i)| {
+                    let (_, (j, k)) = centre_bin(engine, grid, cell, positions[cell.id.index()]);
+                    engine.is_live(j, k).then_some(i)
+                }));
+            self.starts.push(self.cells.len());
+        }
+    }
+
+    /// Number of listed cells: the cells each of the round's advects
+    /// visits.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// A list of every cached cell, live or not: the full walk that
+    /// respects frozen bins, which the list must match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn every(cache: &CellCache) -> Self {
+        let mut list = Self::default();
+        list.starts.push(0);
+        for chunk in cache.cells.chunks(CELL_CHUNK) {
+            list.cells.extend(0..chunk.len() as u32);
+            list.starts.push(list.cells.len());
+        }
+        list
+    }
+}
+
+/// Moves movable cells one step along the velocity field:
 /// `x(n+1) = x(n) + v(x(n), y(n)) · Δt` (Eq. 7), with the velocity taken
 /// at the cell *center*, bilinearly interpolated when
 /// [`DiffusionConfig::interpolate`] is set.
 ///
+/// With `live` set to `None` (global diffusion and field migration) it
+/// visits every cached cell; with `Some(list)` (local diffusion) it
+/// visits only the listed cells of each chunk.
+///
 /// Rules enforced, in order:
 ///
-/// 1. cells whose center sits in a wall or (when `respect_frozen`) frozen
-///    bin do not move;
+/// 1. cells whose center sits in a wall bin do not move; with a live
+///    list, neither do cells whose center sits in a frozen bin (the list
+///    leaves off every cell that starts the round in one, and a listed
+///    cell that advects into one stops there);
 /// 2. the per-step displacement is clamped to
 ///    [`DiffusionConfig::max_step_displacement`] bins (CFL);
 /// 3. a move whose destination bin is a wall is projected onto the axis
@@ -132,19 +207,21 @@ impl CellCache {
 /// moves its cells in place and sums its own partial outcome, and the
 /// partials fold in a fixed-shape tree. There is no move buffer and no
 /// second pass, and chunk boundaries never depend on the thread count,
-/// so results are bit-identical at every parallelism.
+/// so results are bit-identical at every parallelism. A cell the list
+/// leaves off would have added nothing to its chunk's partial, so the
+/// partials, and the fold, are the same as the full walk's.
 ///
 /// # Panics
 ///
 /// Panics if `placement` does not cover the netlist `cells` was built
-/// from.
+/// from, or if `live` was built from another cache.
 pub(crate) fn advect_cells(
     engine: &DiffusionEngine,
     grid: &BinGrid,
     cells: &CellCache,
     placement: &mut Placement,
     cfg: &DiffusionConfig,
-    respect_frozen: bool,
+    live: Option<&LiveCells>,
 ) -> AdvectOutcome {
     let mut rest = placement.as_mut_slice();
     assert_eq!(
@@ -152,34 +229,101 @@ pub(crate) fn advect_cells(
         cells.bounds.last().copied().unwrap_or(rest.len()),
         "placement does not cover the cached netlist"
     );
+    if let Some(list) = live {
+        assert_eq!(
+            list.starts.len(),
+            cells.cells.len().div_ceil(CELL_CHUNK) + 1,
+            "live list was built from another cache"
+        );
+    }
     let chunks: Vec<_> = cells
         .bounds
         .windows(2)
         .zip(cells.cells.chunks(CELL_CHUNK))
-        .map(|(span, chunk)| {
+        .enumerate()
+        .map(|(c, (span, chunk))| {
             let (owned, tail) = std::mem::take(&mut rest).split_at_mut(span[1] - span[0]);
             rest = tail;
-            (span[0], owned, chunk)
+            let listed = live.map(|list| &list.cells[list.starts[c]..list.starts[c + 1]]);
+            (span[0], owned, chunk, listed)
         })
         .collect();
-    let partials = engine.pool().map(chunks, |_, (base, positions, chunk)| {
-        let mut partial = AdvectOutcome::default();
-        for cell in chunk {
-            let pos = &mut positions[cell.id.index() - base];
-            if let Some((new_pos, dist)) = step_cell(engine, grid, cfg, respect_frozen, cell, *pos)
-            {
-                *pos = new_pos;
-                partial.total_movement += dist;
-                partial.moved_cells += 1;
+    let partials = engine
+        .pool()
+        .map(chunks, |_, (base, positions, chunk, listed)| {
+            if let Some(listed) = listed {
+                return advect_listed(engine, grid, cfg, base, positions, chunk, listed);
             }
-        }
-        partial
-    });
+            let mut partial = AdvectOutcome::default();
+            for cell in chunk {
+                let pos = &mut positions[cell.id.index() - base];
+                if let Some((new_pos, dist)) = step_cell(engine, grid, cfg, false, cell, *pos) {
+                    *pos = new_pos;
+                    partial.total_movement += dist;
+                    partial.moved_cells += 1;
+                }
+            }
+            partial
+        });
     tree_reduce(partials, |a, b| AdvectOutcome {
         total_movement: a.total_movement + b.total_movement,
         moved_cells: a.moved_cells + b.moved_cells,
     })
     .unwrap_or_default()
+}
+
+/// [`advect_cells`]'s loop over one chunk's listed cells, frozen bins
+/// respected: `listed` holds chunk-local indices into `chunk`, whose
+/// positions start at id `base` in `positions`.
+///
+/// Kept out of line so that the full walk in [`advect_cells`] stays the
+/// only other call of [`step_cell`] in that loop. With both walks
+/// inlined into one closure, the compiler stopped inlining or
+/// vectorizing the per-cell centre arithmetic, and the global advect
+/// ran about 10% slower.
+#[inline(never)]
+fn advect_listed(
+    engine: &DiffusionEngine,
+    grid: &BinGrid,
+    cfg: &DiffusionConfig,
+    base: usize,
+    positions: &mut [Point],
+    chunk: &[CachedCell],
+    listed: &[u32],
+) -> AdvectOutcome {
+    let mut partial = AdvectOutcome::default();
+    for &i in listed {
+        let cell = &chunk[i as usize];
+        let pos = &mut positions[cell.id.index() - base];
+        if let Some((new_pos, dist)) = step_cell(engine, grid, cfg, true, cell, *pos) {
+            *pos = new_pos;
+            partial.total_movement += dist;
+            partial.moved_cells += 1;
+        }
+    }
+    partial
+}
+
+/// The bin containing point `p` (in bin coordinates) of an `nx × ny`
+/// grid, clamped to the grid.
+#[inline]
+fn bin_of(p: Point, nx: usize, ny: usize) -> (usize, usize) {
+    (floor_index(p.x, nx), floor_index(p.y, ny))
+}
+
+/// The center, in bin coordinates, of a cell whose lower-left corner is
+/// `pos`, and the bin holding it. [`LiveCells::rebuild`] and
+/// [`step_cell`] both locate a cell with this one expression, so the
+/// list and the kernel agree on every cell's bin bit for bit.
+#[inline]
+fn centre_bin(
+    engine: &DiffusionEngine,
+    grid: &BinGrid,
+    cell: &CachedCell,
+    pos: Point,
+) -> (Point, (usize, usize)) {
+    let c = grid.to_bin_coords(Point::new(pos.x + cell.half_w, pos.y + cell.half_h));
+    (c, bin_of(c, engine.nx(), engine.ny()))
 }
 
 /// One cell's advection step from lower-left corner `old_pos`: the new
@@ -191,18 +335,14 @@ fn step_cell(
     engine: &DiffusionEngine,
     grid: &BinGrid,
     cfg: &DiffusionConfig,
-    respect_frozen: bool,
+    check_frozen: bool,
     cell: &CachedCell,
     old_pos: Point,
 ) -> Option<(Point, f64)> {
     let nx = engine.nx();
     let ny = engine.ny();
-    let bin_of = |p: Point| (floor_index(p.x, nx), floor_index(p.y, ny));
-    let center_world = Point::new(old_pos.x + cell.half_w, old_pos.y + cell.half_h);
-    let c = grid.to_bin_coords(center_world);
-
-    let (j, k) = bin_of(c);
-    if engine.is_wall(j, k) || (respect_frozen && engine.is_frozen(j, k)) {
+    let (c, (j, k)) = centre_bin(engine, grid, cell, old_pos);
+    if engine.is_wall(j, k) || (check_frozen && engine.is_frozen(j, k)) {
         return None;
     }
 
@@ -223,12 +363,12 @@ fn step_cell(
     );
 
     // Never step onto a macro: project the move axis-wise.
-    let (tj, tk) = bin_of(target);
+    let (tj, tk) = bin_of(target, nx, ny);
     if engine.is_wall(tj, tk) {
         let x_only = Point::new(target.x, c.y);
-        let (xj, xk) = bin_of(x_only);
+        let (xj, xk) = bin_of(x_only, nx, ny);
         let y_only = Point::new(c.x, target.y);
-        let (yj, yk) = bin_of(y_only);
+        let (yj, yk) = bin_of(y_only, nx, ny);
         if !engine.is_wall(xj, xk) {
             target = x_only;
         } else if !engine.is_wall(yj, yk) {
@@ -424,7 +564,9 @@ mod tests {
     use dpm_netlist::{CellKind, NetlistBuilder};
     use dpm_rng::Rng;
 
-    /// One fused step with a freshly built per-job cache.
+    /// One fused step with a freshly built per-job cache. With
+    /// `respect_frozen` the step runs through a live list built from the
+    /// current placement, as a local-diffusion round does.
     fn advect(
         engine: &DiffusionEngine,
         grid: &BinGrid,
@@ -434,7 +576,20 @@ mod tests {
         respect_frozen: bool,
     ) -> AdvectOutcome {
         let cells = CellCache::new(netlist, grid);
-        advect_cells(engine, grid, &cells, placement, cfg, respect_frozen)
+        let live = respect_frozen.then(|| live_list(engine, grid, &cells, placement));
+        advect_cells(engine, grid, &cells, placement, cfg, live.as_ref())
+    }
+
+    /// The live list a local-diffusion round would build right now.
+    fn live_list(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        cells: &CellCache,
+        placement: &Placement,
+    ) -> LiveCells {
+        let mut live = LiveCells::default();
+        live.rebuild(engine, grid, cells, placement);
+        live
     }
 
     /// One 2×2 cell on a 4×4 grid of 10-unit bins.
@@ -721,6 +876,9 @@ mod tests {
                     dt: rng.random_range(0.2..4.0),
                     ..DiffusionConfig::default()
                 };
+                // Built once, as at a round start, and kept for both
+                // steps: the oracle re-checks every cell on each.
+                let live = respect_frozen.then(|| live_list(&engine, &grid, &cells, &p0));
                 engine.set_threads(1);
                 let mut want = p0.clone();
                 let mut want_out = Vec::new();
@@ -745,7 +903,7 @@ mod tests {
                     let mut got = p0.clone();
                     for (step, want_step) in want_out.iter().enumerate() {
                         let out =
-                            advect_cells(&engine, &grid, &cells, &mut got, &cfg, respect_frozen);
+                            advect_cells(&engine, &grid, &cells, &mut got, &cfg, live.as_ref());
                         let ctx = format!(
                             "case {case} step {step} threads {threads} \
                              interpolate {interpolate} respect_frozen {respect_frozen}"
@@ -918,5 +1076,123 @@ mod tests {
         let out = advect(&e, &grid, &nl, &mut p, &cfg, false);
         assert_eq!(out.moved_cells, 1);
         assert_eq!(out.total_movement.to_bits(), 0x3fca_634b_d77f_e182);
+    }
+
+    /// How a live list's bins are chosen for one round in
+    /// [`live_list_matches_the_full_walk_bit_for_bit`].
+    #[derive(Debug, Clone, Copy)]
+    enum Mask {
+        /// `random_case`'s frozen rectangles.
+        Rectangles,
+        /// Each bin frozen with probability 0.6: window edges everywhere.
+        Scattered,
+        /// Every bin frozen: the list is empty.
+        AllFrozen,
+        /// No bin frozen: the list holds every cell off the walls.
+        NoneFrozen,
+    }
+
+    /// `true` when the outline of a cell centred at `c` (bin coords)
+    /// covers bins of both kinds: live and frozen-or-wall.
+    fn straddles(engine: &DiffusionEngine, cell: &CachedCell, c: Point) -> bool {
+        let (nx, ny) = (engine.nx(), engine.ny());
+        let (j0, k0) = bin_of(
+            Point::new(c.x - cell.half_w_bins, c.y - cell.half_h_bins),
+            nx,
+            ny,
+        );
+        let (j1, k1) = bin_of(
+            Point::new(c.x + cell.half_w_bins, c.y + cell.half_h_bins),
+            nx,
+            ny,
+        );
+        let mut kinds = (k0..=k1).flat_map(|k| (j0..=j1).map(move |j| engine.is_live(j, k)));
+        let first = kinds.next();
+        kinds.any(|live| Some(live) != first)
+    }
+
+    #[test]
+    fn live_list_matches_the_full_walk_bit_for_bit() {
+        // The list path against the walk over every cell that respects
+        // frozen bins, both three steps from one list, as in a round.
+        // Covered: walls, window-edge straddlers, cells that advect into
+        // a frozen bin, empty and full lists, at 1, 2 and 4 threads.
+        let mut rng = Rng::seed_from_u64(0x11fe_ce11);
+        let (mut straddlers, mut into_frozen) = (0usize, 0usize);
+        for case in 0..2 {
+            let (nl, p0, grid, mut engine) = random_case(&mut rng);
+            let cells = CellCache::new(&nl, &grid);
+            let every = LiveCells::every(&cells);
+            assert_eq!(every.len(), cells.cells().len());
+            let bins = engine.nx() * engine.ny();
+            for mask in [
+                Mask::Rectangles,
+                Mask::Scattered,
+                Mask::AllFrozen,
+                Mask::NoneFrozen,
+            ] {
+                let frozen: Vec<bool> = match mask {
+                    Mask::Rectangles => engine.frozen_mask().to_vec(),
+                    Mask::Scattered => (0..bins).map(|_| rng.random_bool(0.6)).collect(),
+                    Mask::AllFrozen => vec![true; bins],
+                    Mask::NoneFrozen => vec![false; bins],
+                };
+                engine.set_frozen_mask(&frozen);
+                engine.compute_velocities();
+                let live = live_list(&engine, &grid, &cells, &p0);
+                let centred_live = cells
+                    .cells()
+                    .iter()
+                    .filter(|cell| {
+                        let (_, (j, k)) = centre_bin(&engine, &grid, cell, p0.get(cell.id));
+                        engine.is_live(j, k)
+                    })
+                    .count();
+                assert_eq!(live.len(), centred_live, "case {case} {mask:?}");
+                match mask {
+                    Mask::AllFrozen => assert_eq!(live.len(), 0),
+                    Mask::NoneFrozen => {
+                        assert!(live.len() > cells.cells().len() / 2, "walls cover few bins")
+                    }
+                    _ => assert!(0 < live.len() && live.len() < cells.cells().len()),
+                }
+                let cfg = DiffusionConfig {
+                    dt: rng.random_range(0.2..4.0),
+                    ..DiffusionConfig::default()
+                };
+                let mut want_p = p0.clone();
+                engine.set_threads(1);
+                let want: Vec<AdvectOutcome> = (0..3)
+                    .map(|_| advect_cells(&engine, &grid, &cells, &mut want_p, &cfg, Some(&every)))
+                    .collect();
+                for threads in [1, 2, 4] {
+                    engine.set_threads(threads);
+                    let mut got_p = p0.clone();
+                    for (step, want_step) in want.iter().enumerate() {
+                        let got =
+                            advect_cells(&engine, &grid, &cells, &mut got_p, &cfg, Some(&live));
+                        let ctx = format!("case {case} {mask:?} threads {threads} step {step}");
+                        assert_eq!(got.moved_cells, want_step.moved_cells, "{ctx}");
+                        assert_eq!(
+                            got.total_movement.to_bits(),
+                            want_step.total_movement.to_bits(),
+                            "{ctx}"
+                        );
+                    }
+                    assert_eq!(bits(&got_p), bits(&want_p), "case {case} {mask:?}");
+                }
+                for cell in cells.cells() {
+                    let (c0, (j0, k0)) = centre_bin(&engine, &grid, cell, p0.get(cell.id));
+                    straddlers += usize::from(straddles(&engine, cell, c0));
+                    let (_, (j1, k1)) = centre_bin(&engine, &grid, cell, want_p.get(cell.id));
+                    into_frozen += usize::from(engine.is_live(j0, k0) && engine.is_frozen(j1, k1));
+                }
+            }
+        }
+        assert!(straddlers > 100, "only {straddlers} window-edge straddlers");
+        assert!(
+            into_frozen > 10,
+            "only {into_frozen} cells advected into a frozen bin"
+        );
     }
 }

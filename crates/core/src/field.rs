@@ -131,10 +131,11 @@ impl FieldMigration {
         let mut telemetry = Telemetry::new();
         for step in 0..self.steps {
             engine.compute_velocities();
-            let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, false);
+            let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, None);
             engine.step_density(self.cfg.dt * self.cfg.diffusivity);
             telemetry.push(StepRecord {
                 step,
+                sweeps: 1,
                 movement: advect.total_movement,
                 computed_overflow: engine.total_overflow(self.cfg.d_max),
                 max_density: engine.max_live_density(),

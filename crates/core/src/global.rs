@@ -206,7 +206,7 @@ impl GlobalDiffusion {
                 break;
             }
             let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - field.at);
-            let end = field.at + stride;
+            let (start, end) = (field.at, field.at + stride);
             let field_start = Instant::now();
             let sampled = field.advance(&mut engine, field.sample_point(stride), should_stop);
             let mut field_elapsed = field_start.elapsed();
@@ -227,7 +227,7 @@ impl GlobalDiffusion {
             // max_step_displacement.
             let mut strided = self.cfg.clone();
             strided.dt = self.cfg.dt * stride as f64;
-            let advect = advect_cells(&engine, &grid, &cells, placement, &strided, false);
+            let advect = advect_cells(&engine, &grid, &cells, placement, &strided, None);
             let advect_elapsed = advect_start.elapsed();
             engine
                 .kernel_timers_mut()
@@ -243,6 +243,7 @@ impl GlobalDiffusion {
             let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
             let record = StepRecord {
                 step: steps - 1,
+                sweeps: field.at - start,
                 movement: advect.total_movement,
                 computed_overflow,
                 max_density,
@@ -435,7 +436,7 @@ mod tests {
                 dt: cfg.dt * s as f64,
                 ..cfg.clone()
             };
-            advect_cells(&engine, &grid, &cells, p, &strided, false);
+            advect_cells(&engine, &grid, &cells, p, &strided, None);
             for _ in s / 2..s {
                 engine.step_density(tau);
                 on_field(&engine);
@@ -816,6 +817,18 @@ mod tests {
         assert_eq!(k.advect.calls as usize, r.steps);
         assert_eq!(k.splat.calls, 1, "one initial density splat");
         assert_eq!(k.ftcs.max_threads, 2);
+    }
+
+    #[test]
+    fn step_records_carry_each_strides_sweeps() {
+        // A sweep budget of 12 with a pile that does not converge in it:
+        // strides 1, 2, 4, then the 5 sweeps left.
+        let (nl, die, mut p) = pile(200, Point::new(36.0, 36.0));
+        let cfg = cfg().with_max_steps(12).with_threads(1);
+        let r = GlobalDiffusion::new(cfg).run(&nl, &die, &mut p);
+        assert!(!r.converged);
+        let sweeps: Vec<usize> = r.telemetry.records().iter().map(|rec| rec.sweeps).collect();
+        assert_eq!(sweeps, [1, 2, 4, 5]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Robust local diffusion with dynamic density update (paper Algorithm 3).
 
-use crate::advect::{advect_cells, CellCache};
+use crate::advect::{advect_cells, CellCache, LiveCells};
 use crate::global::DiffusionResult;
 use crate::observe::{
     DiffusionObserver, KernelEvent, KernelKind, NoopObserver, RoundEvent, StepEvent,
@@ -20,7 +20,9 @@ use std::time::Instant;
 ///    Section VI-B);
 /// 2. identify local diffusion windows around overfull regions
 ///    (Algorithm 2) and freeze everything else;
-/// 3. run `N_U` diffusion steps confined to the windows;
+/// 3. run `N_U` diffusion steps confined to the windows, each advect
+///    visiting only the cells centred in a live bin at the round's
+///    start (the others cannot move this round; DESIGN.md §20);
 ///
 /// and the loop stops when the measured local overflow no longer
 /// improves — the paper's stopping rule — or when no window is overfull
@@ -115,8 +117,9 @@ impl LocalDiffusion {
     /// On top of the per-step and per-kernel callbacks that
     /// [`GlobalDiffusion::run_observed`](crate::GlobalDiffusion::run_observed)
     /// emits, local diffusion calls [`DiffusionObserver::on_round`] at
-    /// each executed round boundary, right after the dynamic density
-    /// update measured the real placement. Observers see only shared
+    /// each executed round boundary, after the dynamic density update
+    /// measured the real placement and the round's windows and live-cell
+    /// list were built. Observers see only shared
     /// references to post-step state and cannot perturb the dynamics —
     /// observed and plain runs produce bit-identical placements.
     pub fn run_observed(
@@ -154,6 +157,7 @@ impl LocalDiffusion {
             threads: pool.threads(),
         });
         let cells = CellCache::new(netlist, &grid);
+        let mut live = LiveCells::default();
         let mut avg: Vec<f64> = Vec::new();
         let mut frozen: Vec<bool> = Vec::new();
 
@@ -200,14 +204,21 @@ impl LocalDiffusion {
             }
             best_overflow = best_overflow.min(measured);
             rounds += 1;
+
+            // Only cells centred in a live bin can move this round
+            // (DESIGN.md §20). The list build is billed to the round's
+            // first advect.
+            engine.set_frozen_mask(&frozen);
+            let list_start = Instant::now();
+            live.rebuild(&engine, &grid, &cells, placement);
+            let mut list_elapsed = list_start.elapsed();
             observer.on_round(&RoundEvent {
                 round: rounds,
                 measured_overflow: measured,
                 max_window_overflow: max_local,
                 steps_so_far: steps,
+                live_cells: live.len(),
             });
-
-            engine.set_frozen_mask(&frozen);
 
             for i in 0..self.cfg.n_u {
                 if steps >= self.cfg.max_steps {
@@ -225,8 +236,9 @@ impl LocalDiffusion {
                     threads: pool.threads(),
                 });
                 let advect_start = Instant::now();
-                let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, true);
-                let advect_elapsed = advect_start.elapsed();
+                let advect =
+                    advect_cells(&engine, &grid, &cells, placement, &self.cfg, Some(&live));
+                let advect_elapsed = advect_start.elapsed() + std::mem::take(&mut list_elapsed);
                 engine
                     .kernel_timers_mut()
                     .advect
@@ -245,6 +257,7 @@ impl LocalDiffusion {
                 });
                 let record = StepRecord {
                     step: steps,
+                    sweeps: 1,
                     movement: advect.total_movement,
                     computed_overflow: engine.total_overflow(self.cfg.d_max),
                     max_density: engine.max_live_density(),
@@ -331,6 +344,136 @@ mod tests {
             .with_bin_size(24.0)
             .with_update_period(10)
             .with_windows(1, 2)
+    }
+
+    /// A 300-cell hot pile near one corner of a 720×720 die (30×30 bins
+    /// of 24) on a loose lattice of 884 legal cells: the windows open
+    /// around the pile and leave most cells frozen.
+    fn hot_corner_in_legal_field() -> (Netlist, Die, Placement) {
+        let mut b = NetlistBuilder::new();
+        let mut corners = Vec::new();
+        for i in 0..300 {
+            b.add_cell(format!("hot{i}"), 6.0, 12.0, CellKind::Movable);
+            corners.push(Point::new(
+                60.0 + (i % 15) as f64 * 3.6,
+                60.0 + (i / 15) as f64 * 3.0,
+            ));
+        }
+        for k in 0..30 {
+            for j in 0..30 {
+                if (2..6).contains(&j) && (2..6).contains(&k) {
+                    continue;
+                }
+                b.add_cell(format!("cold{j}_{k}"), 6.0, 12.0, CellKind::Movable);
+                corners.push(Point::new(3.0 + j as f64 * 23.8, 5.0 + k as f64 * 23.6));
+            }
+        }
+        let nl = b.build().expect("valid");
+        let p: Placement = corners.into_iter().collect();
+        (nl, Die::new(720.0, 720.0, 12.0), p)
+    }
+
+    /// Algorithm 3 rebuilt from the primitives, advecting through the
+    /// walk over every cell (frozen bins respected) instead of the live
+    /// list. Returns the step and round counts and, per round, how many
+    /// cells start it centred in a live bin.
+    fn oracle_run(
+        cfg: &DiffusionConfig,
+        nl: &Netlist,
+        die: &Die,
+        p: &mut Placement,
+    ) -> (usize, usize, Vec<usize>) {
+        let grid = BinGrid::new(die.outline(), cfg.bin_size);
+        let mut map = DensityMap::from_placement(nl, p, grid.clone());
+        let mut engine = DiffusionEngine::from_density_map(&map);
+        engine.set_conservative_boundaries(!cfg.paper_boundaries);
+        engine.set_threads(cfg.threads);
+        let cells = CellCache::new(nl, &grid);
+        let every = LiveCells::every(&cells);
+        let (mut steps, mut rounds, mut best) = (0, 0, f64::INFINITY);
+        let mut live_counts = Vec::new();
+        while rounds < cfg.max_rounds {
+            if rounds > 0 {
+                map = DensityMap::from_placement(nl, p, grid.clone());
+                engine.reload_from_density_map(&map);
+            }
+            let avg = map.windowed_average(cfg.w1);
+            let (measured, max_local) = map.local_overflow_from(&avg, cfg.d_max);
+            let frozen = crate::identify_windows(&map, cfg.w1, cfg.w2, cfg.d_max);
+            if frozen.iter().all(|&f| f) || max_local <= cfg.delta {
+                break;
+            }
+            let floor = best * (1.0 - LocalDiffusion::MIN_RELATIVE_IMPROVEMENT);
+            if rounds > 0 && measured >= floor {
+                break;
+            }
+            best = best.min(measured);
+            rounds += 1;
+            engine.set_frozen_mask(&frozen);
+            live_counts.push(
+                nl.movable_cell_ids()
+                    .filter(|&id| {
+                        let b = grid.bin_of_point(p.cell_center(nl, id));
+                        engine.is_live(b.j, b.k)
+                    })
+                    .count(),
+            );
+            for _ in 0..cfg.n_u {
+                if steps >= cfg.max_steps {
+                    break;
+                }
+                engine.compute_velocities();
+                advect_cells(&engine, &grid, &cells, p, cfg, Some(&every));
+                engine.step_density(cfg.dt * cfg.diffusivity);
+                steps += 1;
+            }
+            if steps >= cfg.max_steps {
+                break;
+            }
+        }
+        (steps, rounds, live_counts)
+    }
+
+    #[test]
+    fn run_matches_the_full_walk_oracle_at_every_thread_count() {
+        // Three steps per round: several rounds before the pile spreads.
+        let cfg = cfg().with_update_period(3);
+        let (nl, die, p0) = hot_corner_in_legal_field();
+        let mut want = p0.clone();
+        let (steps, rounds, live) = oracle_run(&cfg, &nl, &die, &mut want);
+        assert!(rounds >= 2, "only {rounds} round(s)");
+        for &n in &live {
+            assert!(
+                n < nl.num_cells() / 2,
+                "{n} of {} cells live",
+                nl.num_cells()
+            );
+        }
+        /// Records each round's live-cell count.
+        struct LiveCounts(Vec<usize>);
+        impl crate::DiffusionObserver for LiveCounts {
+            fn on_round(&mut self, event: &RoundEvent) {
+                self.0.push(event.live_cells);
+            }
+        }
+        for threads in [1, 2, 4] {
+            let mut got = p0.clone();
+            let mut counts = LiveCounts(Vec::new());
+            let r = LocalDiffusion::new(cfg.clone().with_threads(threads)).run_observed(
+                &nl,
+                &die,
+                &mut got,
+                &|| false,
+                &mut counts,
+            );
+            assert_eq!((r.steps, r.rounds), (steps, rounds), "{threads} threads");
+            assert_eq!(
+                got, want,
+                "{threads} threads: placement differs from oracle"
+            );
+            assert_eq!(counts.0, live, "{threads} threads: live cells per round");
+            assert!(r.telemetry.records().iter().all(|rec| rec.sweeps == 1));
+        }
     }
 
     #[test]
@@ -442,6 +585,7 @@ mod tests {
             steps: usize,
             rounds: usize,
             step_rounds_seen: Vec<usize>,
+            live_cells: Vec<usize>,
         }
         impl crate::DiffusionObserver for Watcher {
             fn on_step(&mut self, event: &crate::StepEvent<'_>) {
@@ -452,6 +596,7 @@ mod tests {
                 assert_eq!(event.round, self.rounds + 1, "rounds arrive in order");
                 assert!(event.measured_overflow >= 0.0);
                 self.rounds += 1;
+                self.live_cells.push(event.live_cells);
             }
         }
 
@@ -462,8 +607,12 @@ mod tests {
             steps: 0,
             rounds: 0,
             step_rounds_seen: Vec::new(),
+            live_cells: Vec::new(),
         };
         let r2 = LocalDiffusion::new(cfg()).run_observed(&nl, &die, &mut p2, &|| false, &mut obs);
+        let (_, _, mut p3) = pile(100, Point::new(30.0, 30.0));
+        let (_, _, oracle_live) = oracle_run(&cfg(), &nl, &die, &mut p3);
+        assert_eq!(obs.live_cells, oracle_live, "live cells per round");
         assert_eq!(p1, p2, "observer must not perturb the dynamics");
         assert_eq!((r1.steps, r1.rounds), (r2.steps, r2.rounds));
         assert_eq!(obs.steps, r2.steps, "one on_step per step");

@@ -53,7 +53,8 @@ pub struct StepEvent<'a> {
 }
 
 /// Emitted by local diffusion at the start of each executed round,
-/// right after the dynamic density update measured the real placement.
+/// after the dynamic density update measured the real placement and the
+/// round's windows and live-cell list were built, before its first step.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundEvent {
     /// The 1-based round number.
@@ -64,6 +65,9 @@ pub struct RoundEvent {
     pub max_window_overflow: f64,
     /// Diffusion steps completed before this round.
     pub steps_so_far: usize,
+    /// Cells each of the round's advects visits: those centred in a
+    /// bin that is neither wall nor frozen when the round starts.
+    pub live_cells: usize,
 }
 
 /// Emitted after each timed kernel invocation. Global diffusion sends
@@ -237,6 +241,7 @@ mod tests {
             measured_overflow: 0.0,
             max_window_overflow: 0.0,
             steps_so_far: 0,
+            live_cells: 0,
         });
         obs.on_kernel(&KernelEvent {
             kernel: KernelKind::Ftcs,

@@ -93,6 +93,11 @@ pub struct StepRecord {
     /// Step number `n` (0-based): one advect. In global diffusion a step
     /// is a stride of FTCS sweeps, so `n` is the stride index.
     pub step: usize,
+    /// FTCS sweeps of diffusion time this step covers: its stride in
+    /// global diffusion (the sweeps a spectral jump stands in for), 1 in
+    /// the runners that step 1:1. Summed, it puts runs with different
+    /// schedules on one time axis.
+    pub sweeps: usize,
     /// Total cell movement during this step, in world units: the sum of
     /// each moved cell's Euclidean displacement, each term within 2 ulp
     /// of `hypot` (the volumetric engine adds the tiers moved along z).
@@ -114,8 +119,8 @@ pub struct StepRecord {
 /// use dpm_diffusion::{StepRecord, Telemetry};
 ///
 /// let mut t = Telemetry::new();
-/// t.push(StepRecord { step: 0, movement: 3.0, computed_overflow: 1.0, max_density: 1.5, measured_overflow: None });
-/// t.push(StepRecord { step: 1, movement: 2.0, computed_overflow: 0.5, max_density: 1.2, measured_overflow: Some(0.4) });
+/// t.push(StepRecord { step: 0, sweeps: 1, movement: 3.0, computed_overflow: 1.0, max_density: 1.5, measured_overflow: None });
+/// t.push(StepRecord { step: 1, sweeps: 2, movement: 2.0, computed_overflow: 0.5, max_density: 1.2, measured_overflow: Some(0.4) });
 /// assert_eq!(t.total_movement(), 5.0);
 /// assert_eq!(t.len(), 2);
 /// ```
@@ -207,6 +212,7 @@ mod tests {
     fn rec(step: usize, movement: f64, overflow: f64) -> StepRecord {
         StepRecord {
             step,
+            sweeps: 1,
             movement,
             computed_overflow: overflow,
             max_density: 0.0,
@@ -237,6 +243,7 @@ mod tests {
         t.push(rec(0, 1.0, 5.0));
         t.push(StepRecord {
             step: 1,
+            sweeps: 1,
             movement: 1.0,
             computed_overflow: 4.0,
             max_density: 1.5,

@@ -471,6 +471,7 @@ impl VolumetricDiffusion {
                 let max_density = engine.max_live_density();
                 telemetry.push(StepRecord {
                     step: steps - 1,
+                    sweeps: stride,
                     movement: advect.total_movement,
                     computed_overflow: engine.total_overflow(self.cfg.d_max),
                     max_density,
@@ -510,6 +511,7 @@ impl VolumetricDiffusion {
                 let max_density = engine.max_live_density();
                 telemetry.push(StepRecord {
                     step: steps - 1,
+                    sweeps: 1,
                     movement: advect.total_movement,
                     computed_overflow: engine.total_overflow(self.cfg.d_max),
                     max_density,

@@ -9,10 +9,17 @@
 //! Every case must finish without panicking and leave finite positions,
 //! and live density must be conserved by the FTCS engine, the spectral
 //! solver and the single-tier volumetric runner.
+//!
+//! DIFF(L) advects only the cells centred in a live bin at each round's
+//! start. Its degenerate windows get their own cases: every bin frozen
+//! but one, no bin frozen, cells centred exactly on a window edge, and
+//! the 1×1 grid. Each round's reported live count must match the windows
+//! rebuilt from the public API, and every cell left off must stay put.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, GlobalDiffusion, LocalDiffusion, SolverKind, SpectralSolver,
-    VolJobSpec, VolPlacement, VolumetricDiffusion,
+    identify_windows, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
+    LocalDiffusion, RoundEvent, SolverKind, SpectralSolver, StepEvent, VolJobSpec, VolPlacement,
+    VolumetricDiffusion,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -190,5 +197,174 @@ fn single_tier_volumetric_runner_finishes_and_conserves_live_density() {
         assert_eq!(r.steps, 25, "{}", c.name);
         assert_finite(&c, "volumetric job", &vp.xy);
         assert_close(&c, "volumetric mass", r.field.iter().sum(), mass);
+    }
+}
+
+/// What a DIFF(L) run reports: each round's live-cell count and the
+/// placement after each step, tagged with its round.
+#[derive(Default)]
+struct LocalRounds {
+    live: Vec<usize>,
+    steps: Vec<(usize, Placement)>,
+}
+
+impl DiffusionObserver for LocalRounds {
+    fn on_round(&mut self, event: &RoundEvent) {
+        self.live.push(event.live_cells);
+    }
+
+    fn on_step(&mut self, event: &StepEvent<'_>) {
+        self.steps.push((event.round, event.placement.clone()));
+    }
+}
+
+/// Runs DIFF(L) on `c` and checks every round against the windows
+/// rebuilt from the round's starting placement: the reported live count
+/// is the number of cells centred in a live bin, and each other cell
+/// ends the round where it started, bit for bit. Returns the live
+/// counts.
+fn assert_local_rounds_list_the_live_cells(c: &Case, cfg: &DiffusionConfig) -> Vec<usize> {
+    let mut p = c.placement.clone();
+    let mut obs = LocalRounds::default();
+    let r = LocalDiffusion::new(cfg.clone()).run_observed(
+        &c.netlist,
+        &c.die,
+        &mut p,
+        &|| false,
+        &mut obs,
+    );
+    assert_eq!(
+        obs.live.len(),
+        r.rounds,
+        "{}: one live count per round",
+        c.name
+    );
+    let grid = BinGrid::new(c.die.outline(), cfg.bin_size);
+    let mut start = c.placement.clone();
+    for (round, &live) in (1..).zip(&obs.live) {
+        let map = DensityMap::from_placement(&c.netlist, &start, grid.clone());
+        let frozen = identify_windows(&map, cfg.w1, cfg.w2, cfg.d_max);
+        let end = obs
+            .steps
+            .iter()
+            .rev()
+            .find(|(r, _)| *r == round)
+            .map_or(&start, |(_, p)| p)
+            .clone();
+        let mut listed = 0;
+        for id in c.netlist.movable_cell_ids() {
+            let b = grid.bin_of_point(start.cell_center(&c.netlist, id));
+            if !frozen[b.k * grid.nx() + b.j] {
+                listed += 1;
+            } else {
+                let (a, z) = (start.get(id), end.get(id));
+                let same = a.x.to_bits() == z.x.to_bits() && a.y.to_bits() == z.y.to_bits();
+                assert!(
+                    same,
+                    "{} round {round}: frozen cell {id} moved {a:?} -> {z:?}",
+                    c.name
+                );
+            }
+        }
+        assert_eq!(live, listed, "{} round {round}: live cells", c.name);
+        start = end;
+    }
+    obs.live
+}
+
+/// Config for the DIFF(L) window cases: judge raw bin density (W1 = 0)
+/// and open a window of Chebyshev radius `w2`.
+fn windowed(c: &Case, w2: usize) -> DiffusionConfig {
+    config(c, SolverKind::Ftcs).with_windows(0, w2)
+}
+
+/// Forty 4×12 cells stacked inside bin (3, 3) of an 8×8 grid of 12-unit
+/// bins, four cold cells in far corners, plus `extra` corners.
+fn hot_bin_case(name: &'static str, extra: &[(f64, f64)]) -> Case {
+    let mut at = vec![(40.0, 36.0); 40];
+    at.extend([(4.0, 4.0), (80.0, 80.0), (4.0, 80.0), (80.0, 4.0)]);
+    at.extend_from_slice(extra);
+    case(name, (96.0, 96.0), 12.0, &at)
+}
+
+#[test]
+fn local_lists_the_live_cells_on_every_extreme_grid() {
+    for c in cases() {
+        assert_local_rounds_list_the_live_cells(&c, &config(&c, SolverKind::Ftcs));
+    }
+}
+
+#[test]
+fn local_with_every_bin_frozen_but_one_lists_only_that_bins_cells() {
+    let c = hot_bin_case("one_live_bin", &[]);
+    let cfg = windowed(&c, 0);
+    let frozen = identify_windows(&density_map(&c), cfg.w1, cfg.w2, cfg.d_max);
+    assert_eq!(frozen.iter().filter(|&&f| !f).count(), 1, "one live bin");
+    let live = assert_local_rounds_list_the_live_cells(&c, &cfg);
+    assert_eq!(
+        live.first(),
+        Some(&40),
+        "the hot bin's cells, not the cold ones"
+    );
+}
+
+#[test]
+fn local_with_no_bin_frozen_lists_every_cell() {
+    // A window radius as wide as the grid opens every bin.
+    let c = hot_bin_case("no_frozen_bin", &[]);
+    let cfg = windowed(&c, 8);
+    let frozen = identify_windows(&density_map(&c), cfg.w1, cfg.w2, cfg.d_max);
+    assert!(frozen.iter().all(|&f| !f), "every bin live");
+    let live = assert_local_rounds_list_the_live_cells(&c, &cfg);
+    assert!(!live.is_empty());
+    assert!(live.iter().all(|&n| n == c.netlist.num_cells()), "{live:?}");
+}
+
+#[test]
+fn local_decides_a_window_edge_centre_by_the_bin_it_floors_into() {
+    // W2 = 1 opens bins 2..=4 in x and y around the hot bin (3, 3).
+    // Centres exactly on the window's vertical edges: x = 24 floors into
+    // live bin 2 and x = 60 into frozen bin 5. Centres on its horizontal
+    // edges: y = 24 floors into live row 2 and y = 60 into frozen row 5.
+    let edges = [(22.0, 36.0), (58.0, 36.0), (40.0, 18.0), (40.0, 54.0)];
+    let c = hot_bin_case("window_edge", &edges);
+    let cfg = windowed(&c, 1);
+    let frozen = identify_windows(&density_map(&c), cfg.w1, cfg.w2, cfg.d_max);
+    let grid = density_map(&c).grid().clone();
+    let live_at = |x: f64, y: f64| {
+        let b = grid.bin_of_point(Point::new(x, y));
+        !frozen[b.k * grid.nx() + b.j]
+    };
+    assert!(live_at(24.0, 42.0) && !live_at(60.0, 42.0));
+    assert!(live_at(42.0, 24.0) && !live_at(42.0, 60.0));
+    let live = assert_local_rounds_list_the_live_cells(&c, &cfg);
+    assert_eq!(
+        live.first(),
+        Some(&42),
+        "the hot cells and the two low edges"
+    );
+}
+
+#[test]
+fn local_on_a_one_bin_grid_lists_all_or_nothing() {
+    // Twenty 4×12 cells overfill the 24×24 die, which one bin covers.
+    let c = case(
+        "one_bin_overfull",
+        (24.0, 24.0),
+        48.0,
+        &pile(4.0, 2.0, 5, 4),
+    );
+    assert_eq!(
+        (density_map(&c).grid().nx(), density_map(&c).grid().ny()),
+        (1, 1)
+    );
+    for w2 in [0, 1] {
+        let live = assert_local_rounds_list_the_live_cells(&c, &windowed(&c, w2));
+        assert_eq!(
+            live.first(),
+            Some(&20),
+            "W2 = {w2}: the one bin is overfull"
+        );
+        assert!(live.iter().all(|&n| n == 0 || n == 20), "{live:?}");
     }
 }
