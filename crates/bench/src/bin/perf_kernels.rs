@@ -11,7 +11,12 @@
 //! stack at the same thread counts. An `advect_windowed` section times
 //! the advects of local diffusion on a 256×256 grid whose windows leave
 //! about 2% of the cells live, so a local path that walks every cell
-//! again shows up against its ceiling in `scripts/ci.sh`.
+//! again shows up against its ceiling in `scripts/ci.sh`. A
+//! `splat_shuffled` section times the density splat of the 512×512
+//! clustered design with its cell order permuted, as `bench_e2e`'s
+//! `diffl-hotspot` does, so the netlist walk no longer follows the bin
+//! rows; a splat that rebuilds per-call cell lists or stripe buckets
+//! shows up against its ceiling there.
 //!
 //! Every sample line carries `lanes` and `precision` keys, always
 //! `wide` and `f64`: the kernels have one lane path and one field
@@ -180,8 +185,16 @@ fn time_velocity(n: usize, threads: usize, reps: u64) -> Sample {
     }
 }
 
-fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64) -> Sample {
-    let (nl, p, die) = clustered_design(n, num_cells);
+/// Times the density splat of [`clustered_design`]; with `shuffled`, its
+/// cell order is permuted first, as `bench_e2e`'s `diffl-hotspot` does,
+/// so the netlist walk no longer follows the bin rows.
+fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64, shuffled: bool) -> Sample {
+    let (nl, mut p, die) = clustered_design(n, num_cells);
+    if shuffled {
+        // The cells are identical, so permuting their positions permutes
+        // the cell order.
+        dpm_rng::Rng::seed_from_u64(0x005A_FF1E).shuffle(p.as_mut_slice());
+    }
     let grid = BinGrid::new(die.outline(), 1.0);
     let pool = ThreadPool::new(threads);
     let mut map = DensityMap::from_placement_with_pool(&nl, &p, grid, &pool); // warm-up
@@ -189,7 +202,7 @@ fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64) -> Sample {
         map.recompute_with_pool(&nl, &p, &pool);
     });
     Sample {
-        kernel: "splat",
+        kernel: if shuffled { "splat_shuffled" } else { "splat" },
         threads,
         calls,
         ns_per_call,
@@ -279,6 +292,29 @@ fn time_advect_windowed(n: usize, threads: usize, reps: usize) -> (Sample, f64) 
         ns_per_call: best,
     };
     (sample, first.0.unwrap_or(0) as f64 / nl.num_cells() as f64)
+}
+
+/// The `splat_shuffled` JSON section: the splat of an `n`×`n`
+/// [`clustered_design`] with its cell order permuted, at every thread
+/// count.
+fn splat_shuffled_json(n: usize, reps: u64) -> String {
+    let num_cells = n * n / 2;
+    let mut samples = Vec::new();
+    for &t in &THREAD_COUNTS {
+        eprintln!("  shuffled splat {n}x{n}, {t} thread(s)...");
+        samples.push(time_splat(n, num_cells, t, reps, true));
+    }
+    let mut body = String::new();
+    let _ = write!(
+        body,
+        "  \"splat_shuffled\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"cells\": {num_cells},\n    \"samples\": [\n"
+    );
+    for (i, s) in samples.iter().enumerate() {
+        let sep = if i + 1 == samples.len() { "" } else { "," };
+        let _ = writeln!(body, "      {}{sep}", s.json());
+    }
+    let _ = write!(body, "    ]\n  }}");
+    body
 }
 
 /// The `advect_windowed` JSON section: local-diffusion advect on an
@@ -581,7 +617,7 @@ fn main() {
             eprintln!("  grid {n}x{n}, {t} thread(s)...");
             samples.push(time_ftcs(n, t, reps));
             samples.push(time_velocity(n, t, reps));
-            samples.push(time_splat(n, num_cells, t, reps.min(10)));
+            samples.push(time_splat(n, num_cells, t, reps.min(10), false));
             samples.push(time_advect(n, num_cells, t, steps));
         }
 
@@ -627,13 +663,14 @@ fn main() {
     let stencil3d = stencil3d_json(n3, nz3, reps3);
     let spectral_generic = spectral_generic_json(113, if smoke { 16 } else { 64 });
     let advect_windowed = advect_windowed_json(256, if smoke { 3 } else { 10 });
+    let splat_shuffled = splat_shuffled_json(512, if smoke { 8 } else { 16 });
 
     eprintln!("  calibration loop...");
     let cal_iters: u64 = if smoke { 20_000_000 } else { 50_000_000 };
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d},\n{advect_windowed}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d},\n{advect_windowed},\n{splat_shuffled}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

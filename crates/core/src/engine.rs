@@ -685,7 +685,11 @@ impl DiffusionEngine {
         s
     }
 
-    /// Total overflow `Σ max(d − d_max, 0)` over live bins.
+    /// Total overflow `Σ max(d − d_max, 0)` over live bins only: bins
+    /// that are neither wall nor frozen. In local diffusion that is just
+    /// the round's windows, so it is not the whole grid's overflow; splat
+    /// the placement into a [`DensityMap`] and take its `total_overflow`
+    /// for that.
     pub fn total_overflow(&self, d_max: f64) -> f64 {
         let mut s = 0.0;
         for i in 0..self.dims.len() {

@@ -102,7 +102,12 @@ pub struct StepRecord {
     /// each moved cell's Euclidean displacement, each term within 2 ulp
     /// of `hypot` (the volumetric engine adds the tiers moved along z).
     pub movement: f64,
-    /// Total overflow of the *computed* (PDE) density after the step.
+    /// Total overflow of the *computed* (PDE) density after the step,
+    /// over live bins only ([`DiffusionEngine::total_overflow`]): in local
+    /// diffusion it covers just the round's windows, so it does not
+    /// compare with a global run's whole-grid value.
+    ///
+    /// [`DiffusionEngine::total_overflow`]: crate::DiffusionEngine::total_overflow
     pub computed_overflow: f64,
     /// Maximum computed density after the step.
     pub max_density: f64,

@@ -38,8 +38,8 @@ use crate::{
     KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
 };
 use dpm_geom::{floor_index, Point, Point3};
-use dpm_netlist::{CellId, CellKind, Netlist};
-use dpm_place::{BinGrid, BinIdx, DensityMap, Die, Placement};
+use dpm_netlist::{CellId, Netlist};
+use dpm_place::{splat_rect, BinGrid, DensityMap, Die, Placement};
 use std::time::Instant;
 
 /// A placement with depth: planar positions plus one tier-unit z
@@ -101,29 +101,20 @@ fn splat_macros(
     wall: &mut [bool],
 ) {
     let nxy = grid.len();
-    let bin_area = grid.bin_area();
     for cell in netlist.macro_ids() {
         let r = xy.cell_rect(netlist, cell);
-        let Some((lo, hi)) = grid.bins_overlapping(&r) else {
-            continue;
-        };
-        for k in lo.k..=hi.k {
-            for j in lo.j..=hi.j {
-                let idx = BinIdx::new(j, k);
-                let f = grid.flat(idx);
-                let cover = grid.bin_rect(idx).overlap_area(&r) / bin_area;
-                if cover >= DensityMap::FIXED_COVER_THRESHOLD {
-                    for z in 0..nz {
-                        wall[z * nxy + f] = true;
-                        density[z * nxy + f] = 1.0;
-                    }
-                } else {
-                    for z in 0..nz {
-                        density[z * nxy + f] += cover;
-                    }
+        splat_rect(grid, &r, 0..grid.ny(), |f, cover| {
+            if cover >= DensityMap::FIXED_COVER_THRESHOLD {
+                for z in 0..nz {
+                    wall[z * nxy + f] = true;
+                    density[z * nxy + f] = 1.0;
+                }
+            } else {
+                for z in 0..nz {
+                    density[z * nxy + f] += cover;
                 }
             }
-        }
+        });
     }
 }
 
@@ -146,24 +137,12 @@ pub fn splat_volume(
     let mut density = vec![0.0; nxy * nz];
     let mut wall = vec![false; nxy * nz];
     splat_macros(netlist, &placement.xy, grid, nz, &mut density, &mut wall);
-    let bin_area = grid.bin_area();
-    for c in netlist.cell_ids() {
-        if netlist.cell(c).kind != CellKind::Movable {
-            continue;
-        }
+    for c in netlist.movable_cell_ids() {
         let r = placement.xy.cell_rect(netlist, c);
-        let Some((lo, hi)) = grid.bins_overlapping(&r) else {
-            continue;
-        };
         let plane = placement.tier(c, nz) * nxy;
-        for k in lo.k..=hi.k {
-            for j in lo.j..=hi.j {
-                let idx = BinIdx::new(j, k);
-                // Area stacked on a macro bin is counted, exactly like
-                // the planar splat, so overflow metrics see it.
-                density[plane + grid.flat(idx)] += grid.bin_rect(idx).overlap_area(&r) / bin_area;
-            }
-        }
+        // Area stacked on a macro bin is counted, exactly like the planar
+        // splat, so overflow metrics see it.
+        splat_rect(grid, &r, 0..grid.ny(), |f, t| density[plane + f] += t);
     }
     (density, wall)
 }
@@ -636,7 +615,115 @@ fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, 
 mod tests {
     use super::*;
     use dpm_geom::{Rect, Vector3};
-    use dpm_netlist::NetlistBuilder;
+    use dpm_netlist::{CellKind, NetlistBuilder};
+    use dpm_place::BinIdx;
+
+    /// `splat_volume` as it stood before the shared `splat_rect` kernel:
+    /// one `bin_rect` overlap per bin. Kept verbatim as the oracle the
+    /// splat must match bit for bit.
+    fn splat_volume_reference(
+        netlist: &Netlist,
+        placement: &VolPlacement,
+        grid: &BinGrid,
+        nz: usize,
+    ) -> (Vec<f64>, Vec<bool>) {
+        let nxy = grid.len();
+        let mut density = vec![0.0; nxy * nz];
+        let mut wall = vec![false; nxy * nz];
+        let bin_area = grid.bin_area();
+        for cell in netlist.macro_ids() {
+            let r = placement.xy.cell_rect(netlist, cell);
+            let Some((lo, hi)) = grid.bins_overlapping(&r) else {
+                continue;
+            };
+            for k in lo.k..=hi.k {
+                for j in lo.j..=hi.j {
+                    let idx = BinIdx::new(j, k);
+                    let f = grid.flat(idx);
+                    let cover = grid.bin_rect(idx).overlap_area(&r) / bin_area;
+                    if cover >= DensityMap::FIXED_COVER_THRESHOLD {
+                        for z in 0..nz {
+                            wall[z * nxy + f] = true;
+                            density[z * nxy + f] = 1.0;
+                        }
+                    } else {
+                        for z in 0..nz {
+                            density[z * nxy + f] += cover;
+                        }
+                    }
+                }
+            }
+        }
+        for c in netlist.cell_ids() {
+            if netlist.cell(c).kind != CellKind::Movable {
+                continue;
+            }
+            let r = placement.xy.cell_rect(netlist, c);
+            let Some((lo, hi)) = grid.bins_overlapping(&r) else {
+                continue;
+            };
+            let plane = placement.tier(c, nz) * nxy;
+            for k in lo.k..=hi.k {
+                for j in lo.j..=hi.j {
+                    let idx = BinIdx::new(j, k);
+                    density[plane + grid.flat(idx)] +=
+                        grid.bin_rect(idx).overlap_area(&r) / bin_area;
+                }
+            }
+        }
+        (density, wall)
+    }
+
+    #[test]
+    fn splat_volume_matches_the_per_bin_oracle_bit_for_bit() {
+        let mut rng = dpm_rng::Rng::seed_from_u64(0x501A7);
+        for trial in 0..60 {
+            let (nx, ny, nz) = (
+                rng.random_range(1..14usize),
+                rng.random_range(1..14usize),
+                rng.random_range(1..5usize),
+            );
+            let (bw, bh) = (rng.random_range(2.0..9.0), rng.random_range(2.0..9.0));
+            let grid =
+                BinGrid::with_counts(Rect::new(0.0, 0.0, nx as f64 * bw, ny as f64 * bh), nx, ny);
+            let mut b = NetlistBuilder::new();
+            let mut at = Vec::new();
+            for i in 0..rng.random_range(0..250usize) {
+                let (kind, w, h) = match rng.random_range(0..10u32) {
+                    0 => (
+                        CellKind::FixedMacro,
+                        rng.random_range(1.0..20.0),
+                        rng.random_range(1.0..20.0),
+                    ),
+                    1 => (CellKind::Pad, 1.0, 1.0),
+                    2 => (CellKind::Movable, 12.0 * bw, rng.random_range(0.5..4.0)),
+                    _ => (
+                        CellKind::Movable,
+                        rng.random_range(0.1..12.0),
+                        rng.random_range(0.1..12.0),
+                    ),
+                };
+                b.add_cell(format!("c{i}"), w, h, kind);
+                at.push((
+                    Point::new(
+                        rng.random_range(-w - bw..nx as f64 * bw + bw),
+                        rng.random_range(-h - bh..ny as f64 * bh + bh),
+                    ),
+                    rng.random_range(-0.5..nz as f64 + 0.5),
+                ));
+            }
+            let nl = b.build().expect("valid");
+            let mut vp = VolPlacement::new(nl.num_cells());
+            for (c, &(xy, z)) in nl.cell_ids().zip(&at) {
+                vp.set(c, xy, z);
+            }
+            let (d, w) = splat_volume(&nl, &vp, &grid, nz);
+            let (rd, rw) = splat_volume_reference(&nl, &vp, &grid, nz);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&d), bits(&rd), "trial {trial}");
+            assert_eq!(w, rw, "trial {trial}");
+        }
+    }
 
     /// `n` movable cells piled near `at` in tier `tier` of a 96×96 die.
     fn pile(n: usize, at: Point, tier: usize) -> (Netlist, Die, VolPlacement) {

@@ -147,21 +147,15 @@ fn best_slot_near(
     let n_rows = row_slots.len();
     let mut best: Option<(f64, usize)> = None;
     for radius in 0..n_rows {
-        let mut candidates: Vec<usize> = Vec::new();
-        if radius == 0 {
-            candidates.push(row);
-        } else {
-            if row >= radius {
-                candidates.push(row - radius);
-            }
-            if row + radius < n_rows {
-                candidates.push(row + radius);
-            }
-            if candidates.is_empty() {
-                break;
-            }
+        // The rows `radius` away, below first; at radius 0 just `row`.
+        let candidates = [
+            row.checked_sub(radius),
+            Some(row + radius).filter(|&r| radius > 0 && r < n_rows),
+        ];
+        if candidates == [None, None] {
+            break;
         }
-        for r in candidates {
+        for r in candidates.into_iter().flatten() {
             for &si in &row_slots[r] {
                 let s = &slots[si];
                 if s.capacity() < w {

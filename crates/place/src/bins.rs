@@ -231,15 +231,40 @@ impl BinGrid {
         if !self.region.intersects(r) {
             return None;
         }
-        let lo = self.bin_of_point(Point::new(r.llx, r.lly));
-        // Subtract a hair so a rect ending exactly on a bin edge does not
-        // claim the next bin.
-        let hi = self.bin_of_point(Point::new(
-            (r.urx - 1e-12).max(r.llx),
-            (r.ury - 1e-12).max(r.lly),
-        ));
-        Some((lo, hi))
+        let (j_lo, j_hi) = self.col_span(r);
+        let (k_lo, k_hi) = self.row_span(r);
+        Some((BinIdx::new(j_lo, k_lo), BinIdx::new(j_hi, k_hi)))
     }
+
+    /// The inclusive bin-column span of [`bins_overlapping`], for a rect
+    /// that intersects the region.
+    ///
+    /// [`bins_overlapping`]: Self::bins_overlapping
+    #[inline]
+    pub(crate) fn col_span(&self, r: &Rect) -> (usize, usize) {
+        axis_span(r.llx, r.urx, self.region.llx, self.bin_w, self.nx)
+    }
+
+    /// The inclusive bin-row span of [`bins_overlapping`], for a rect that
+    /// intersects the region.
+    ///
+    /// [`bins_overlapping`]: Self::bins_overlapping
+    #[inline]
+    pub(crate) fn row_span(&self, r: &Rect) -> (usize, usize) {
+        axis_span(r.lly, r.ury, self.region.lly, self.bin_h, self.ny)
+    }
+}
+
+/// The first and last of `n` bins of `size` from `origin` that the
+/// interval `[lo, hi)` touches, clamped to the grid.
+#[inline]
+fn axis_span(lo: f64, hi: f64, origin: f64, size: f64, n: usize) -> (usize, usize) {
+    // Subtract a hair so an interval ending exactly on a bin edge does not
+    // claim the next bin.
+    (
+        floor_index((lo - origin) / size, n),
+        floor_index(((hi - 1e-12).max(lo) - origin) / size, n),
+    )
 }
 
 #[cfg(test)]

@@ -45,7 +45,7 @@ mod movement;
 mod placement;
 
 pub use bins::{BinGrid, BinIdx};
-pub use density::DensityMap;
+pub use density::{splat_rect, DensityMap};
 pub use die::{Die, Row};
 pub use hpwl::{hpwl, net_bbox, net_hpwl};
 pub use legality::{check_legality, LegalityReport, Violation};

@@ -136,6 +136,10 @@ grep -q '"madds_per_ns"' "$kernels_out"
 # RoundEvent::live_cells).
 grep -q '"advect_windowed"' "$kernels_out"
 grep -Eq '"live_share": 0\.0[1-3][0-9]*,' "$kernels_out"
+# The density splat of a 512x512 clustered design with its cell order
+# permuted, as diffl-hotspot's is.
+grep -q '"splat_shuffled"' "$kernels_out"
+grep -Eq '"kernel": "splat_shuffled", "threads": 8' "$kernels_out"
 
 echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
 # Absolute wall-clock pins would break on the next slower container, so
@@ -144,8 +148,9 @@ echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
 # process) and compared against a unitless ceiling. The ceilings carry
 # roughly 5-10x headroom over the tuned kernels: they do not police
 # scheduling jitter, they catch structural regressions — a stencil
-# falling off its lane path runs ~5x slower, a splat losing its bucket
-# pass ~10x.
+# falling off its lane path runs ~5x slower. The `splat` ceiling is as
+# loose as the stencils'; `splat_shuffled` below is the splat's tight
+# check.
 cal_ns=$(json_num ns_per_iter "$kernels_out")
 floor_check() {
     local kernel="$1" ceiling="$2" ns
@@ -179,6 +184,14 @@ floor_check dct2d_generic 2000000
 # diffl-hotspot the two paths differ by only ~1.2x, inside run-to-run
 # noise, which is why this sample keeps ~2% of the cells live.
 floor_check advect_windowed 50000
+# The banded splat walks the netlist once per band and allocates
+# nothing per call: 2.3M-4.3M units per call on this shuffled 512x512
+# design (131k cells) on a 2-thread Intel Xeon, against 8.6M-11.6M for
+# a scratch mutant that restores the per-call cell list and 8-row
+# stripe buckets. The ceiling sits between them, ~1.4x from each
+# side's worst run: the bucket kernel fails here, scheduling jitter
+# does not.
+floor_check splat_shuffled 6000000
 
 gate "service smoke test (perf_serve --smoke --pipeline 2)"
 # Boots a real server on an ephemeral port, replays a deterministic
