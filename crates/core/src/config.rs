@@ -104,8 +104,9 @@ impl Error for ConfigError {}
 /// see `GlobalDiffusion`).
 ///
 /// The discriminants are the wire encoding of `dpm-serve` request
-/// frames; a frame without the trailing solver byte decodes as
-/// [`Ftcs`](SolverKind::Ftcs) for back-compatibility.
+/// frames: one solver byte between the design and the extension block.
+/// A v2 frame ends at the design, without the byte, and decodes as
+/// [`Ftcs`](SolverKind::Ftcs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub enum SolverKind {

@@ -3,8 +3,9 @@
 //! over TCP), the NeedDesign handshake and LRU eviction behave
 //! deterministically over the wire, legacy v2 clients get v2 replies
 //! byte for byte, a sharded control plane survives a dead backend via
-//! the registry's warm spare, and in-process execution is the same
-//! executor a `dpm-serve` worker runs — volumetric jobs included.
+//! the registry's warm spare, in-process execution is the same
+//! executor a `dpm-serve` worker runs — volumetric jobs included — and
+//! wire v3 extension frames get a typed rejection.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -567,5 +568,51 @@ fn non_finite_request_is_rejected_and_the_worker_keeps_serving() {
         send(&full_request(&b, 2, JobKind::Local, &config)),
         Reply::Ok(resp) if resp.id == 2
     ));
+    ctl.shutdown();
+}
+
+#[test]
+fn legacy_extension_frames_are_malformed_and_the_connection_keeps_serving() {
+    // Wire v3 extension bytes, written by the v3 encoder: a traced delta
+    // request and a vol + exact-steps + trace request. The v4 extension
+    // block reads their flags bytes as unknown tags.
+    let fixtures: [(FrameKind, &[u8]); 2] = [
+        (
+            FrameKind::DeltaRequest,
+            include_bytes!("../../serve/tests/fixtures/wire/v3_delta_traced.bin"),
+        ),
+        (
+            FrameKind::Request,
+            include_bytes!("../../serve/tests/fixtures/wire/v3_request_vol_exact_trace.bin"),
+        ),
+    ];
+    let config = DiffusionConfig::default();
+    let b = bench(120, 131);
+    let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
+    let mut stream = TcpStream::connect(ctl.local_addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let mut send = |kind: FrameKind, payload: &[u8]| {
+        write_frame_versioned(&mut stream, 3, kind, payload).expect("send");
+        let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+            .expect("an answer before the timeout")
+            .expect("connection open");
+        Reply::from_frame(&frame).expect("decodes")
+    };
+    for (id, (kind, payload)) in (1..).zip(fixtures) {
+        match send(kind, payload) {
+            Reply::Rejected(e) => assert_eq!(e.code, ErrorCode::Malformed, "{}", e.message),
+            Reply::Ok(_) => panic!("{kind:?}: a v3 extension frame must not run"),
+        }
+        let plain = encode_request(
+            &full_request(&b, id, JobKind::Global, &config),
+            PayloadEncoding::Binary,
+        );
+        assert!(matches!(
+            send(FrameKind::Request, &plain),
+            Reply::Ok(resp) if resp.id == id
+        ));
+    }
     ctl.shutdown();
 }

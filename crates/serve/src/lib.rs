@@ -32,9 +32,9 @@
 //!   halo-exchange round — the routed stack is bit-identical to a
 //!   direct [`VolumetricDiffusion`](dpm_diffusion::VolumetricDiffusion)
 //!   run at any K, in-process or over TCP. The [`wire`] format carries
-//!   the tier axis as an optional trailing extension, so planar frames
-//!   are byte-identical to pre-volumetric ones and legacy frames decode
-//!   as 2D jobs.
+//!   the tier axis in records of its one extension block (as it does a
+//!   trace context or a span export), so planar frames are
+//!   byte-identical to pre-volumetric ones and decode as 2D jobs.
 //!
 //! The two routers are thin front ends over one halo-exchange round
 //! loop: it owns the fan-out, warm-spare failover, reply-shape checks,

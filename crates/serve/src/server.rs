@@ -452,7 +452,7 @@ fn connection_loop(mut stream: TcpStream, shared: Arc<Shared>) {
 
     // Every reply carries the wire version the request arrived with, so
     // a v2 client pinned to `version == 2` header checks keeps working
-    // against this (v3) server. Until a frame arrives, errors go out at
+    // against this server. Until a frame arrives, errors go out at
     // the current version.
     let mut conn_version: u16 = VERSION;
     loop {
@@ -1025,7 +1025,7 @@ pub fn execute_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::tests::legacy_f32_frames;
+    use crate::wire::tests::LEGACY_F32_FRAMES;
     use crate::wire::{
         decode_error, decode_response, encode_request, read_frame, write_frame, PayloadEncoding,
         DEFAULT_MAX_FRAME_LEN,
@@ -1096,8 +1096,11 @@ mod tests {
                 .expect("reply")
                 .expect("connection open")
         };
-        for frame in legacy_f32_frames(&req) {
-            let err = send(&frame);
+        // Both f32 fixtures, and a v3 vol + exact-steps + trace request:
+        // legacy extension bytes are unknown tags.
+        let v3_vol: &[u8] = include_bytes!("../tests/fixtures/wire/v3_request_vol_exact_trace.bin");
+        for frame in LEGACY_F32_FRAMES.into_iter().chain([v3_vol]) {
+            let err = send(frame);
             assert_eq!(err.kind, FrameKind::Error);
             let err = decode_error(&err.payload).expect("typed error");
             assert_eq!(err.code, ErrorCode::Malformed, "{}", err.message);

@@ -1,7 +1,7 @@
 //! Fault injection for both routers: a tiny TCP backend that misbehaves
-//! in one of five ways (closes on accept, truncates its reply frame,
+//! in one of six ways (closes on accept, truncates its reply frame,
 //! answers garbage bytes, sends a well-formed reply with the wrong
-//! position count, or never answers). The planar router must degrade
+//! position count or with a NaN position, or never answers). The planar router must degrade
 //! the faulty shard's region and keep the maximum principle; the
 //! volumetric router must fail with a typed backend error naming the
 //! slab. Every request carries a deadline, and no route may outlive it
@@ -36,15 +36,19 @@ enum Fault {
     /// Read the request, then send a well-formed response carrying one
     /// position fewer than the request had cells.
     WrongCount,
+    /// Read the request, then send a well-formed response with the
+    /// right counts whose first position has a NaN x.
+    NonFinite,
     /// Read the request, then hold the connection open and never reply.
     Silent,
 }
 
-const FAULTS: [Fault; 5] = [
+const FAULTS: [Fault; 6] = [
     Fault::CloseOnAccept,
     Fault::TruncatedFrame,
     Fault::Garbage,
     Fault::WrongCount,
+    Fault::NonFinite,
     Fault::Silent,
 ];
 
@@ -132,7 +136,7 @@ fn misbehave(fault: Fault, mut stream: TcpStream) {
             write_frame(
                 &mut buf,
                 FrameKind::Response,
-                &encode_response(&short_response(&req)),
+                &encode_response(&bad_response(fault, &req)),
             )
             .expect("encode into a Vec");
             if fault == Fault::TruncatedFrame {
@@ -149,10 +153,15 @@ fn misbehave(fault: Fault, mut stream: TcpStream) {
 }
 
 /// A response shaped like the real one — depths and field echoed for a
-/// volumetric sub-job — except that it carries one position too few.
-fn short_response(req: &JobRequest) -> JobResponse {
+/// volumetric sub-job — except that it carries one position too few
+/// ([`Fault::WrongCount`]) or a NaN first x ([`Fault::NonFinite`]).
+fn bad_response(fault: Fault, req: &JobRequest) -> JobResponse {
     let mut positions = req.placement.as_slice().to_vec();
-    positions.pop();
+    if fault == Fault::NonFinite {
+        positions[0].x = f64::NAN;
+    } else {
+        positions.pop();
+    }
     JobResponse {
         id: req.id,
         converged: true,
@@ -254,6 +263,9 @@ fn planar_route_degrades_a_faulty_shard_for_every_fault() {
         if fault == Fault::WrongCount {
             assert!(err.contains("positions"), "{fault:?}: {err}");
         }
+        if fault == Fault::NonFinite {
+            assert!(err.contains("non-finite"), "{fault:?}: {err}");
+        }
         // The faulty shard's region comes back unmigrated...
         for (i, c) in req.netlist.cell_ids().enumerate() {
             if owners[i] == 1 {
@@ -301,6 +313,9 @@ fn vol_route_fails_typed_for_every_fault() {
                 assert_eq!(slab, 1, "{fault:?}: {message}");
                 if fault == Fault::WrongCount {
                     assert!(message.contains("positions"), "{fault:?}: {message}");
+                }
+                if fault == Fault::NonFinite {
+                    assert!(message.contains("non-finite"), "{fault:?}: {message}");
                 }
             }
             other => panic!("{fault:?}: expected a typed backend failure, got {other:?}"),
