@@ -58,7 +58,7 @@ use dpm_serve::wire::{
     design_hash, read_frame, write_frame, FrameKind, JobKind, JobRequest, PayloadEncoding, Reply,
     DEFAULT_MAX_FRAME_LEN,
 };
-use dpm_serve::{DeltaJobRequest, EcoDelta, ServeClient, ServeConfig, Server, ShardBackend};
+use dpm_serve::{DeltaJobRequest, EcoDelta, ServeClient, ShardBackend};
 
 struct LoadSpec {
     /// Concurrent sender threads (each with its own connection).
@@ -428,8 +428,8 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
     // Backend fleet: two live shard servers and one dead address. The
     // registry starts with the dead one as a primary, so the very first
     // job forces a permanent warm-spare replacement.
-    let live_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend a");
-    let live_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend b");
+    let live_a = CtlServer::start(CtlConfig::default()).expect("backend a");
+    let live_b = CtlServer::start(CtlConfig::default()).expect("backend b");
     let dead = dead_addr();
     let registry = BackendRegistry::new(
         vec![
@@ -641,15 +641,7 @@ fn run_trace_overhead(out_path: &str, smoke: bool) {
         if smoke { " (smoke)" } else { "" },
         spec.requests,
     );
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            queue_capacity: spec.queue_capacity,
-            workers: spec.workers,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds an ephemeral port");
+    let server = CtlServer::start(single_tenant(spec)).expect("server binds an ephemeral port");
     let addr = server.local_addr();
     let requests = build_requests(spec);
 
@@ -710,6 +702,16 @@ fn run_trace_overhead(out_path: &str, smoke: bool) {
     eprintln!("wrote {out_path}");
 }
 
+/// The bare-server configuration: one tenant whose queue bound is the
+/// spec's queue capacity.
+fn single_tenant(spec: &LoadSpec) -> CtlConfig {
+    CtlConfig {
+        workers: spec.workers,
+        tenants: vec![TenantSpec::new("default", 1, spec.queue_capacity)],
+        ..CtlConfig::default()
+    }
+}
+
 fn main() {
     let mut out_path = "BENCH_serve.json".to_string();
     let mut smoke = false;
@@ -759,15 +761,7 @@ fn main() {
         spec.rate_per_sec
     );
 
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServeConfig {
-            queue_capacity: spec.queue_capacity,
-            workers: spec.workers,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("server binds an ephemeral port");
+    let server = CtlServer::start(single_tenant(spec)).expect("server binds an ephemeral port");
     let addr = server.local_addr();
 
     let requests = build_requests(spec);

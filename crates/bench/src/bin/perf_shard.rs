@@ -1,7 +1,7 @@
 //! Shard-routing benchmark: one migration job fanned out over K TCP
 //! backends with density halo exchange.
 //!
-//! Boots K [`Server`]s on ephemeral ports, routes a set of generated
+//! Boots K [`CtlServer`]s on ephemeral ports, routes a set of generated
 //! hot-spot jobs through a [`ShardRouter`], and reports per-shard
 //! service latency (the router's merged `dpm-obs` histogram) and
 //! end-to-end routed latency percentiles, plus a 1-shard-vs-K-shard
@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolCircuitSpec};
 use dpm_obs::{Histogram, HistogramSnapshot};
@@ -36,7 +37,6 @@ use dpm_place::{BinGrid, DensityMap, Placement};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
 use dpm_serve::wire::{JobKind, JobRequest, VolRequestExt};
 use dpm_serve::zslab::{VolRouter, VolRouterConfig};
-use dpm_serve::{ServeConfig, Server};
 
 struct LoadSpec {
     /// Shard count K (one TCP server per shard).
@@ -221,8 +221,8 @@ fn main() {
         spec.shards
     );
 
-    let servers: Vec<Server> = (0..spec.shards)
-        .map(|_| Server::start("127.0.0.1:0", ServeConfig::default()).expect("server binds"))
+    let servers: Vec<CtlServer> = (0..spec.shards)
+        .map(|_| CtlServer::start(CtlConfig::default()).expect("server binds"))
         .collect();
     let backends: Vec<ShardBackend> = servers
         .iter()

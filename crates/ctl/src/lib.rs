@@ -1,11 +1,13 @@
-//! `dpm-ctl` — a multi-tenant control plane over `dpm-serve`.
+//! `dpm-ctl` — the migration server: a multi-tenant control plane over
+//! `dpm-serve`'s executor, wire protocol and routers.
 //!
-//! The single [`Server`](dpm_serve::Server) answers one question: "run
-//! this diffusion migration". A physical-synthesis fleet asks harder
-//! ones: many tenants sharing one service, each replaying an ECO loop
-//! against an almost-unchanged design, over thousands of mostly-idle
-//! connections, against backends that sometimes die. This crate is
-//! that layer, built from four parts:
+//! [`CtlServer`] is the workspace's one TCP server. A single job ("run
+//! this diffusion migration") and a physical-synthesis fleet (many
+//! tenants sharing one service, each replaying an ECO loop against an
+//! almost-unchanged design, over thousands of mostly-idle connections,
+//! against backends that sometimes die) are served by the same
+//! admission, deadlines, workers, stats and shutdown. It is built from
+//! four parts:
 //!
 //! - [`DesignCache`][]: baselines keyed by FNV-1a
 //!   content hash with deterministic byte-budget LRU eviction. A
@@ -20,16 +22,34 @@
 //! - [`Readiness`]/[`CtlServer`]:
 //!   a poll-based front-end multiplexing thousands of idle
 //!   connections on one thread (epoll on Linux, a deterministic
-//!   scanner in tests), with incremental frame assembly and
-//!   per-connection version echo for wire-v2 clients.
+//!   scanner in tests), with incremental frame assembly,
+//!   per-connection version echo for wire-v2 clients and one job in
+//!   flight per connection, so pipelined requests are answered in
+//!   order. Worker replies wake it through a socket pair.
 //! - [`BackendRegistry`][]: health-checked
 //!   primaries with warm spares; dead backends are replaced between
 //!   jobs, and both routers' intra-job failovers feed back in.
 //!
 //! Everything is std-only, deterministic where it matters (cache
-//! eviction, fair-queue schedule), and speaks the same framed TCP
-//! protocol as `dpm-serve`, so [`ServeClient`](dpm_serve::ServeClient)
-//! works unchanged against a control plane.
+//! eviction, fair-queue schedule), and speaks `dpm-serve`'s framed TCP
+//! protocol, so [`ServeClient`](dpm_serve::ServeClient) is its client.
+//!
+//! ```no_run
+//! use dpm_ctl::{CtlConfig, CtlServer, TenantSpec};
+//! # fn main() -> std::io::Result<()> {
+//! let server = CtlServer::start(CtlConfig {
+//!     addr: "127.0.0.1:0".parse().expect("a socket address"),
+//!     workers: 2,
+//!     tenants: vec![TenantSpec::new("default", 1, 64)], // weight 1, 64 queued
+//!     log_path: Some("requests.jsonl".into()),
+//!     ..CtlConfig::default()
+//! })?;
+//! println!("listening on {}", server.local_addr());
+//! let stats = server.shutdown(); // drains admitted jobs, delivers replies
+//! println!("served {} jobs", stats.served);
+//! # Ok(())
+//! # }
+//! ```
 
 pub mod cache;
 pub mod fair;

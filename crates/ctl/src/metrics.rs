@@ -1,15 +1,18 @@
-//! Control-plane metrics: one `dpm-obs` registry, with per-tenant
-//! instruments named via [`labeled`].
+//! Server metrics: one `dpm-obs` registry, with per-tenant instruments
+//! named via [`labeled`].
 //!
-//! Global counters mirror the single-server
-//! [`StatsSnapshot`] so existing clients can
-//! ask a control plane for stats over the same wire frame; on top of
-//! those, the cache/delta/failover counters and the per-tenant
-//! `jobs_ok{tenant="…"}` / `e2e_ns{tenant="…"}` family only the
-//! control plane has.
+//! The outcome counters, latency histograms and merged kernel timers
+//! are what a `StatsRequest` frame reports as a [`StatsSnapshot`]; every
+//! reply is counted once, under its [`ErrorCode`] or as served. On top of
+//! those sit the cache/delta/failover counters and the per-tenant
+//! `jobs_ok{tenant="…"}` / `e2e_ns{tenant="…"}` family, visible through
+//! the [`registry`](CtlMetrics::registry).
 
+use std::sync::Mutex;
+
+use dpm_diffusion::KernelTimers;
 use dpm_obs::{labeled, Counter, Histogram, HistogramSnapshot, Registry};
-use dpm_serve::wire::StatsSnapshot;
+use dpm_serve::wire::{ErrorCode, StatsSnapshot};
 
 /// Handles for one tenant's instruments.
 pub struct TenantMetrics {
@@ -27,23 +30,27 @@ pub struct TenantMetrics {
 /// path never takes the registry lock.
 pub struct CtlMetrics {
     registry: Registry,
-    /// Frames read off connections (any kind).
+    /// Job requests (full or delta) that decoded.
     pub received: Counter,
     /// Jobs admitted to the fair queue.
     pub admitted: Counter,
-    /// Jobs served to completion (ok or error reply).
+    /// Jobs a worker started running.
+    pub started: Counter,
+    /// Jobs answered with a successful response.
     pub served: Counter,
     /// Jobs rejected with a full tenant queue.
     pub overloaded: Counter,
-    /// Frames or payloads that failed to decode, plus unknown tenants.
+    /// Frames, payloads or inputs that failed to decode or check, plus
+    /// unknown tenants.
     pub malformed: Counter,
     /// Jobs rejected for invalid diffusion parameters.
     pub invalid_config: Counter,
     /// Jobs rejected during shutdown.
     pub rejected_shutdown: Counter,
-    /// Jobs whose deadline expired.
+    /// Jobs whose deadline expired (in queue or mid-diffusion).
     pub deadline_expired: Counter,
-    /// Worker-side failures converted to internal-error replies.
+    /// Jobs that failed unexpectedly: an engine panic, or a routed job
+    /// that lost a part on every backend.
     pub internal_errors: Counter,
     /// Progress frames streamed to clients.
     pub progress_frames: Counter,
@@ -68,6 +75,8 @@ pub struct CtlMetrics {
     /// End-to-end latency, nanoseconds.
     pub e2e_hist: Histogram,
     tenants: Vec<TenantMetrics>,
+    /// Kernel timers of the jobs the server ran in process.
+    kernels: Mutex<KernelTimers>,
 }
 
 impl CtlMetrics {
@@ -86,16 +95,17 @@ impl CtlMetrics {
             })
             .collect();
         Self {
-            received: counter("received"),
-            admitted: counter("admitted"),
-            served: counter("served"),
-            overloaded: counter("overloaded"),
-            malformed: counter("malformed"),
-            invalid_config: counter("invalid_config"),
-            rejected_shutdown: counter("rejected_shutdown"),
-            deadline_expired: counter("deadline_expired"),
-            internal_errors: counter("internal_errors"),
-            progress_frames: counter("progress_frames"),
+            received: counter("requests_received_total"),
+            admitted: counter("requests_admitted_total"),
+            started: counter("jobs_started_total"),
+            served: counter("jobs_served_total"),
+            overloaded: counter("rejected_overloaded_total"),
+            malformed: counter("rejected_malformed_total"),
+            invalid_config: counter("rejected_invalid_config_total"),
+            rejected_shutdown: counter("rejected_shutdown_total"),
+            deadline_expired: counter("deadline_expired_total"),
+            internal_errors: counter("internal_errors_total"),
+            progress_frames: counter("progress_frames_total"),
             put_designs: counter("put_designs"),
             delta_requests: counter("delta_requests"),
             cache_hits: counter("cache_hits"),
@@ -103,12 +113,34 @@ impl CtlMetrics {
             cache_evictions: counter("cache_evictions"),
             failovers: counter("failovers"),
             replacements: counter("replacements"),
-            queue_hist: registry.histogram("queue_ns", &bounds),
+            queue_hist: registry.histogram("queue_wait_ns", &bounds),
             service_hist: registry.histogram("service_ns", &bounds),
             e2e_hist: registry.histogram("e2e_ns", &bounds),
             tenants,
+            kernels: Mutex::new(KernelTimers::default()),
             registry,
         }
+    }
+
+    /// Counts one error reply under its code.
+    pub(crate) fn count_error(&self, code: ErrorCode) {
+        let counter = match code {
+            ErrorCode::Overloaded => &self.overloaded,
+            ErrorCode::InvalidConfig => &self.invalid_config,
+            ErrorCode::Malformed => &self.malformed,
+            ErrorCode::DeadlineExpired => &self.deadline_expired,
+            ErrorCode::ShuttingDown => &self.rejected_shutdown,
+            ErrorCode::Internal => &self.internal_errors,
+        };
+        counter.inc();
+    }
+
+    /// Folds a served job's kernel timers into the snapshot's.
+    pub(crate) fn merge_kernels(&self, kernels: &KernelTimers) {
+        self.kernels
+            .lock()
+            .expect("kernel timers poisoned")
+            .merge(kernels);
     }
 
     /// Instruments for the tenant at `index` (fair-queue order).
@@ -126,11 +158,10 @@ impl CtlMetrics {
         &self.registry
     }
 
-    /// Builds the wire-compatible stats snapshot a `StatsRequest`
-    /// frame is answered with. Control-plane-only counters (cache,
-    /// failover, per-tenant) are visible via
-    /// [`registry`](Self::registry) instead — the wire snapshot keeps
-    /// the single-server shape so v2 clients can decode it.
+    /// Builds the stats snapshot a `StatsRequest` frame is answered
+    /// with. The cache, failover and per-tenant counters are visible via
+    /// [`registry`](Self::registry) instead: the wire snapshot keeps its
+    /// shape so v2 clients can decode it.
     pub fn stats_snapshot(&self, queue_depth: u64) -> StatsSnapshot {
         StatsSnapshot {
             queue_depth,
@@ -147,7 +178,7 @@ impl CtlMetrics {
             queue_hist: self.queue_hist.snapshot(),
             service_hist: self.service_hist.snapshot(),
             e2e_hist: self.e2e_hist.snapshot(),
-            kernels: Default::default(),
+            kernels: *self.kernels.lock().expect("kernel timers poisoned"),
         }
     }
 

@@ -4,8 +4,9 @@
 //! deterministically over the wire, legacy v2 clients get v2 replies
 //! byte for byte, a sharded control plane survives a dead backend via
 //! the registry's warm spare, in-process execution is the same
-//! executor a `dpm-serve` worker runs — volumetric jobs included — and
-//! wire v3 extension frames get a typed rejection.
+//! executor a direct `execute_job` call runs — volumetric jobs
+//! included — job thread counts are clamped to the host, and wire v3
+//! extension frames get a typed rejection.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -18,11 +19,12 @@ use dpm_serve::wire::{
     FrameKind, JobKind, JobRequest, PayloadEncoding, VolRequestExt, DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{
-    execute_job, DeltaJobRequest, DeltaReply, EcoDelta, Reply, ServeClient, ServeConfig, Server,
-    ShardBackend, ShardRouter, ShardRouterConfig,
+    execute_job, DeltaJobRequest, DeltaReply, EcoDelta, Reply, ServeClient, ShardBackend,
+    ShardRouter, ShardRouterConfig,
 };
 
 use dpm_ctl::{BackendRegistry, CtlConfig, CtlServer, ExecMode, TenantSpec};
+use dpm_place::MovementStats;
 
 fn bench(cells: usize, seed: u64) -> Benchmark {
     CircuitSpec::with_size("ctl_e2e", cells, seed).generate()
@@ -326,7 +328,7 @@ fn sharded_ctl_survives_dead_backend_via_registry_spare() {
 
     // Control plane: one primary is dead; the warm spare is a real
     // server. The registry's pre-job health probe must swap them.
-    let spare = Server::start("127.0.0.1:0", ServeConfig::default()).expect("spare starts");
+    let spare = CtlServer::start(CtlConfig::default()).expect("spare starts");
     let spare_addr = spare.local_addr();
     let registry = BackendRegistry::new(
         vec![ShardBackend::InProcess, ShardBackend::Tcp(dead_addr())],
@@ -475,65 +477,98 @@ fn sharded_ctl_runs_volumetric_jobs_in_process() {
 
 #[test]
 fn ctl_and_server_run_one_executor() {
-    // The same planar job through a dpm-serve worker and through the
-    // control plane's in-process mode: bit-identical placement and
+    // The same planar job run directly through `execute_job` and through
+    // the server's in-process mode: bit-identical placement and
     // movement, global and local, traced and untraced.
     let mut b = bench(160, 113);
     b.inflate(&InflationSpec::centered(0.3, 0.25, 113));
     let config = DiffusionConfig::default();
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
     let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
     for kind in [JobKind::Global, JobKind::Local] {
+        let mut direct = b.placement.clone();
+        let expect = execute_job(
+            kind,
+            &config,
+            &b.netlist,
+            &b.die,
+            &mut direct,
+            &|| false,
+            &mut dpm_diffusion::NoopObserver,
+        );
+        let movement = MovementStats::between(&b.netlist, &b.placement, &direct);
         for traced in [false, true] {
-            let run = |addr| {
-                let mut client = ServeClient::connect(addr).expect("connect");
-                let mut req = full_request(&b, 21, kind, &config);
-                if traced {
-                    client = client.with_tracing(0x0E7E_C070);
-                    client.begin_trace(&mut req).expect("tracing armed");
-                }
-                match client.request(&req, PayloadEncoding::Binary) {
-                    Ok(Reply::Ok(resp)) => (resp, client.take_trace_spans()),
-                    other => panic!("{kind:?} traced={traced} failed: {other:?}"),
-                }
+            let mut client = ServeClient::connect(ctl.local_addr()).expect("connect");
+            let mut req = full_request(&b, 21, kind, &config);
+            if traced {
+                client = client.with_tracing(0x0E7E_C070);
+                client.begin_trace(&mut req).expect("tracing armed");
+            }
+            let (served, spans) = match client.request(&req, PayloadEncoding::Binary) {
+                Ok(Reply::Ok(resp)) => (resp, client.take_trace_spans()),
+                other => panic!("{kind:?} traced={traced} failed: {other:?}"),
             };
-            let ((served, served_spans), (ctld, ctl_spans)) =
-                (run(server.local_addr()), run(ctl.local_addr()));
             let what = format!("{kind:?}, traced={traced}");
-            assert_eq!(served.positions, ctld.positions, "{what}");
-            assert_eq!(served.steps, ctld.steps, "{what}");
-            assert_eq!(served.rounds, ctld.rounds, "{what}");
+            assert_eq!(served.positions, direct.as_slice(), "{what}");
+            assert_eq!(served.steps, expect.steps as u64, "{what}");
+            assert_eq!(served.rounds, expect.rounds as u64, "{what}");
             assert_eq!(
                 served.total_movement.to_bits(),
-                ctld.total_movement.to_bits(),
+                movement.total.to_bits(),
                 "{what}"
             );
             assert_eq!(
                 served.max_movement.to_bits(),
-                ctld.max_movement.to_bits(),
+                movement.max.to_bits(),
                 "{what}"
             );
-            // One executor, one job span: traced runs export the same
-            // `job.*` span with the kernel spans, whichever front-end ran
-            // them.
+            // One executor, one job span: traced runs export the
+            // executor's `job.*` span with the kernel spans.
             let job_span = match kind {
                 JobKind::Global => "job.global",
                 JobKind::Local => "job.local",
             };
-            for spans in [&served_spans, &ctl_spans] {
-                let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
-                let jobs = names.iter().filter(|&&n| n == job_span).count();
-                assert_eq!(jobs, usize::from(traced), "{what}: {names:?}");
-                assert_eq!(
-                    spans.iter().any(|s| s.name.starts_with("kernel.")),
-                    traced,
-                    "{what}: kernel spans iff traced"
-                );
-            }
+            let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+            let jobs = names.iter().filter(|&&n| n == job_span).count();
+            assert_eq!(jobs, usize::from(traced), "{what}: {names:?}");
+            assert_eq!(
+                spans.iter().any(|s| s.name.starts_with("kernel.")),
+                traced,
+                "{what}: kernel spans iff traced"
+            );
         }
     }
     ctl.shutdown();
-    server.shutdown();
+}
+
+#[test]
+fn job_threads_are_clamped_to_the_host() {
+    // A request may ask for more FTCS threads than the host has; the
+    // server runs it on at most the host's parallelism (placements are
+    // bit-identical at any count), and the stats say so.
+    let mut b = bench(160, 139);
+    b.inflate(&InflationSpec::centered(0.3, 0.25, 139));
+    let config = DiffusionConfig {
+        threads: 64,
+        ..DiffusionConfig::default()
+    };
+    let ctl = CtlServer::start(one_tenant_cfg()).expect("ctl starts");
+    let mut client = ServeClient::connect(ctl.local_addr()).expect("connect");
+    let reply = client
+        .request(
+            &full_request(&b, 1, JobKind::Global, &config),
+            PayloadEncoding::Binary,
+        )
+        .expect("request");
+    assert!(matches!(reply, Reply::Ok(_)), "{reply:?}");
+    let stats = client.stats().expect("stats frame");
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(stats.kernels.ftcs.calls > 0, "no FTCS kernel time merged");
+    assert!(
+        stats.kernels.ftcs.max_threads <= host,
+        "FTCS ran on {} threads on a {host}-thread host",
+        stats.kernels.ftcs.max_threads
+    );
+    ctl.shutdown();
 }
 
 #[test]
@@ -563,6 +598,7 @@ fn non_finite_request_is_rejected_and_the_worker_keeps_serving() {
         Reply::Rejected(e) => assert_eq!(e.code, ErrorCode::Malformed, "{}", e.message),
         Reply::Ok(_) => panic!("a NaN position must not migrate"),
     }
+    assert_eq!(ctl.metrics().malformed.get(), 1, "counted as malformed");
     // The one worker is still alive and serves the next job.
     assert!(matches!(
         send(&full_request(&b, 2, JobKind::Local, &config)),
@@ -574,9 +610,10 @@ fn non_finite_request_is_rejected_and_the_worker_keeps_serving() {
 #[test]
 fn legacy_extension_frames_are_malformed_and_the_connection_keeps_serving() {
     // Wire v3 extension bytes, written by the v3 encoder: a traced delta
-    // request and a vol + exact-steps + trace request. The v4 extension
-    // block reads their flags bytes as unknown tags.
-    let fixtures: [(FrameKind, &[u8]); 2] = [
+    // request, a vol + exact-steps + trace request and both f32-field
+    // requests. The v4 extension block reads their flags bytes as
+    // unknown tags.
+    let fixtures: [(FrameKind, &[u8]); 4] = [
         (
             FrameKind::DeltaRequest,
             include_bytes!("../../serve/tests/fixtures/wire/v3_delta_traced.bin"),
@@ -584,6 +621,14 @@ fn legacy_extension_frames_are_malformed_and_the_connection_keeps_serving() {
         (
             FrameKind::Request,
             include_bytes!("../../serve/tests/fixtures/wire/v3_request_vol_exact_trace.bin"),
+        ),
+        (
+            FrameKind::Request,
+            include_bytes!("../../serve/tests/fixtures/wire/v3_request_f32_planar.bin"),
+        ),
+        (
+            FrameKind::Request,
+            include_bytes!("../../serve/tests/fixtures/wire/v3_request_f32_stacked.bin"),
         ),
     ];
     let config = DiffusionConfig::default();

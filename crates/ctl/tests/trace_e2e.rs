@@ -11,7 +11,7 @@ use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
 use dpm_gen::{VolBenchmark, VolCircuitSpec};
 use dpm_obs::{SpanRecord, TraceExporter};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, VolRequestExt};
-use dpm_serve::{Reply, ServeClient, ServeConfig, Server, ShardBackend};
+use dpm_serve::{Reply, ServeClient, ShardBackend};
 
 use dpm_ctl::{BackendRegistry, CtlConfig, CtlServer, ExecMode, TenantSpec};
 
@@ -69,8 +69,8 @@ fn traced_volumetric_job_builds_one_cross_process_span_tree() {
 
     // Fleet: a control plane fronting two real TCP backends, one z-slab
     // each.
-    let backend_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend a");
-    let backend_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("backend b");
+    let backend_a = CtlServer::start(CtlConfig::default()).expect("backend a");
+    let backend_b = CtlServer::start(CtlConfig::default()).expect("backend b");
     let registry = BackendRegistry::new(
         vec![
             ShardBackend::Tcp(backend_a.local_addr()),

@@ -2,8 +2,8 @@
 //!
 //! One [`ServeClient`] wraps one TCP connection; requests on it are
 //! serialized (send a frame, read the reply frame). Use one client per
-//! thread for concurrency — the server handles each connection on its
-//! own thread.
+//! thread for concurrency — the server multiplexes connections on one
+//! front-end thread and runs one job per connection at a time.
 //!
 //! Requests with `progress_stride > 0` stream [`ProgressUpdate`] frames
 //! before the terminal reply. [`request`](ServeClient::request) silently
@@ -69,7 +69,9 @@ struct Tracing {
     harvested: Vec<SpanRecord>,
 }
 
-/// A blocking connection to a [`Server`](crate::Server).
+/// A blocking connection to a migration server (`dpm-ctl`'s
+/// `CtlServer`), or to anything else that speaks the [`wire`](crate::wire)
+/// protocol.
 pub struct ServeClient {
     stream: TcpStream,
     max_frame_len: usize,
@@ -305,7 +307,7 @@ impl ServeClient {
     }
 
     /// Uploads a baseline design to the server's content-hash cache
-    /// (wire v3, control-plane servers only) and returns the ack. The
+    /// (wire v3) and returns the ack. The
     /// returned [`DesignAck::hash`] is the key later
     /// [`DeltaJobRequest::baseline`] fields must carry; it always
     /// equals [`design_hash`](crate::wire::design_hash) of the design.
@@ -314,8 +316,7 @@ impl ServeClient {
     ///
     /// Returns a [`WireError`] if the connection fails, a frame is
     /// corrupt, or the server answers with something other than a
-    /// design ack (a plain `dpm-serve` [`Server`](crate::Server) does
-    /// not speak v3 — use the `dpm-ctl` control plane).
+    /// design ack.
     pub fn put_design(
         &mut self,
         id: u64,

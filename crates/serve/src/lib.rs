@@ -1,25 +1,20 @@
 //! Migration-as-a-service: run diffusion-based placement migration over
 //! a socket.
 //!
-//! `dpm-serve` wraps the `dpm-diffusion` engines in a small, std-only
-//! TCP service speaking a length-prefixed, versioned binary protocol
-//! ([`wire`]). The server is built around explicit capacity limits:
+//! `dpm-serve` holds everything a migration service shares between its
+//! server, its clients and its routers; the server itself is `dpm-ctl`'s
+//! `CtlServer`, the one TCP front-end in the workspace:
 //!
-//! - a **bounded admission queue** ([`queue::BoundedQueue`]) — when it
-//!   is full the client gets an [`ErrorCode::Overloaded`] reply at once
-//!   instead of unbounded buffering;
-//! - **per-request deadlines** measured from admission (queue wait
-//!   counts), enforced *inside* the diffusion loops via the engines'
-//!   cancellation hooks — an expired job answers
-//!   [`ErrorCode::DeadlineExpired`] with its partial step/round counts;
-//! - a **fixed worker pool** running the actual jobs;
-//! - **structured JSONL request logs** ([`log::RequestLog`]);
-//! - **streaming observability**: requests can ask for periodic
-//!   [`ProgressUpdate`] frames while diffusion runs, and any client can
-//!   fetch a [`StatsSnapshot`] (counters, latency histograms, merged
-//!   kernel timings) — both built on the `dpm-obs` metrics registry;
-//! - **graceful shutdown**: stop accepting, drain every admitted job,
-//!   join all threads;
+//! - a length-prefixed, versioned binary protocol ([`wire`], [`delta`]);
+//! - the one job executor ([`execute_request`]): it checks a request,
+//!   runs the engine under a deadline polled between diffusion steps,
+//!   streams [`ProgressUpdate`]s, records job spans and contains engine
+//!   panics;
+//! - a blocking client ([`ServeClient`]) with pipelining, progress
+//!   callbacks, tracing and the design-cache handshake;
+//! - **structured JSONL request logs** ([`log::RequestLog`]) and the
+//!   wire-level [`StatsSnapshot`] (counters, latency histograms, merged
+//!   kernel timings), both built on the `dpm-obs` metrics registry;
 //! - **horizontal sharding** ([`shard`]): a [`ShardRouter`] partitions
 //!   one job's die into K bin-aligned regions with density halos, fans
 //!   the sub-problems out to in-process or TCP backends, and stitches
@@ -49,12 +44,15 @@
 //! is observation-only — a request with `progress_stride: 0` and the
 //! same request streamed every step produce bit-identical placements.
 //!
+//! A client of a server started with `dpm-ctl`:
+//!
 //! ```no_run
-//! use dpm_serve::{Server, ServeClient, ServeConfig};
+//! use dpm_ctl::{CtlConfig, CtlServer};
+//! use dpm_serve::ServeClient;
 //! use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply};
 //! # fn demo(netlist: dpm_netlist::Netlist, die: dpm_place::Die,
 //! #         placement: dpm_place::Placement) -> std::io::Result<()> {
-//! let server = Server::start("127.0.0.1:0", ServeConfig::default())?;
+//! let server = CtlServer::start(CtlConfig::default())?; // 127.0.0.1, ephemeral port
 //! let mut client = ServeClient::connect(server.local_addr())?;
 //! let req = JobRequest {
 //!     id: 1,
@@ -80,7 +78,7 @@
 //! let stats = client.stats().expect("stats frame");
 //! println!("served {} jobs; p99 e2e {} ns",
 //!          stats.served, stats.e2e_hist.percentile(0.99));
-//! server.shutdown();
+//! server.shutdown(); // drains admitted jobs and delivers their replies
 //! # Ok(())
 //! # }
 //! ```
@@ -90,16 +88,15 @@
 pub mod client;
 pub mod delta;
 pub mod log;
-pub mod queue;
 mod router;
-pub mod server;
+mod server;
 pub mod shard;
 pub mod wire;
 pub mod zslab;
 
 pub use client::{DeltaReply, ServeClient};
 pub use delta::{CellMove, CellResize, DeltaError, DeltaJobRequest, EcoDelta, NewCell};
-pub use server::{execute_job, execute_request, ServeConfig, ServeStats, Server};
+pub use server::{execute_job, execute_request};
 pub use shard::{
     ShardBackend, ShardFailover, ShardOutcome, ShardReply, ShardRouter, ShardRouterConfig,
 };

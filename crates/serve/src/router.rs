@@ -271,8 +271,8 @@ fn check(sub: &JobRequest, resp: &JobResponse) -> Result<(), String> {
 }
 
 /// Runs one sub-job on a backend — in-process through
-/// [`execute_request`], or binary-encoded over TCP on a
-/// [`Server`](crate::Server) — and checks the reply's shape. Both
+/// [`execute_request`], or binary-encoded over TCP on a migration
+/// server — and checks the reply's shape. Both
 /// backends honour the sub-job's deadline, count its streamed progress
 /// frames into `frames` and export its job span; every failure
 /// (transport, rejection, engine panic, bad shape) becomes a message.

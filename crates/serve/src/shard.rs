@@ -3,8 +3,8 @@
 //! A [`ShardRouter`] takes a normal [`JobRequest`], partitions its die
 //! into K bin-aligned shard regions with density halos
 //! ([`ShardPartition`]), and fans each shard's sub-problem out to a
-//! backend — either an in-process diffusion run or a remote
-//! [`Server`](crate::Server) reached over TCP through
+//! backend — either an in-process diffusion run or a remote migration
+//! server (`dpm-ctl`'s `CtlServer`) reached over TCP through
 //! [`ServeClient`](crate::ServeClient). Between shard-local diffusion
 //! passes it runs bounded **halo-exchange rounds**: after every fan-out
 //! the owned-cell results are stitched into the global placement,
@@ -67,15 +67,15 @@ pub enum ShardBackend {
     /// through the same [`execute_request`](crate::execute_request) a
     /// server worker runs.
     InProcess,
-    /// Send the sub-problem to a [`Server`](crate::Server) at this
-    /// address through a [`ServeClient`](crate::ServeClient), binary-encoded.
+    /// Send the sub-problem to a migration server at this address
+    /// through a [`ServeClient`](crate::ServeClient), binary-encoded.
     /// A sub-job with a deadline waits at most `deadline_ms` plus
     /// [`REPLY_GRACE`] of backend silence.
     Tcp(SocketAddr),
 }
 
 /// How long past a sub-job's deadline a router waits on a silent TCP
-/// backend. A [`Server`](crate::Server) answers an expired job within
+/// backend. A migration server answers an expired job within
 /// about one diffusion step of its deadline, so a backend still silent
 /// after `deadline_ms` plus this grace fails the attempt instead of
 /// hanging the route. A sub-job without a deadline waits indefinitely.
@@ -140,10 +140,9 @@ pub struct ShardFailover {
 /// Everything the router learned from one routed job.
 #[derive(Debug, Clone)]
 pub struct ShardReply {
-    /// Aggregated response in the same shape a single
-    /// [`Server`](crate::Server) would produce: final positions for
-    /// every cell, summed steps/rounds, movement stats against the
-    /// input placement.
+    /// Aggregated response in the same shape an unrouted job gets:
+    /// final positions for every cell, summed steps/rounds, movement
+    /// stats against the input placement.
     pub response: JobResponse,
     /// Number of shards that actually ran (after grid clamping).
     pub shards: usize,

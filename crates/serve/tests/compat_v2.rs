@@ -18,6 +18,7 @@
 use std::io::Read;
 use std::net::TcpStream;
 
+use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, SolverKind};
 use dpm_gen::{CircuitSpec, InflationSpec};
 use dpm_geom::Point;
@@ -32,7 +33,6 @@ use dpm_serve::wire::{
     encode_progress, encode_request, encode_response, encode_stats, fnv1a64, write_frame_versioned,
     FrameKind, JobKind, JobRequest, JobResponse, PayloadEncoding, WireError,
 };
-use dpm_serve::{ServeConfig, Server};
 
 /// A v2 request: the plain v3 request without its trailing solver byte.
 const V2_REQUEST: &[u8] = include_bytes!("fixtures/wire/v2_request.bin");
@@ -96,7 +96,7 @@ fn v2_request(id: u64, progress_stride: u32) -> JobRequest {
 
 #[test]
 fn v2_frames_round_trip_byte_for_byte_against_a_v3_server() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream.set_nodelay(true).expect("nodelay");
 
@@ -126,7 +126,7 @@ fn v2_frames_round_trip_byte_for_byte_against_a_v3_server() {
 
 #[test]
 fn v2_progress_and_error_frames_are_echoed_at_v2() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
     // A streaming request: progress frames must arrive v2-stamped too,

@@ -1,16 +1,18 @@
 //! End-to-end tests: a real server on an ephemeral TCP port, real
-//! clients, real diffusion jobs.
+//! clients, real diffusion jobs. The server is `dpm-ctl`'s `CtlServer`,
+//! the one TCP front-end; these tests pin its single-tenant contract.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dpm_ctl::{CtlConfig, CtlServer, TenantSpec};
 use dpm_diffusion::{DiffusionConfig, GlobalDiffusion, LocalDiffusion, SolverKind};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec};
 use dpm_serve::wire::{
     read_frame, write_frame, ErrorCode, FrameKind, JobKind, JobRequest, PayloadEncoding, Reply,
     DEFAULT_MAX_FRAME_LEN, MAGIC, VERSION,
 };
-use dpm_serve::{ProgressUpdate, ServeClient, ServeConfig, Server};
+use dpm_serve::{ProgressUpdate, ServeClient};
 
 /// A small inflated benchmark: overlapping, so diffusion has real work.
 fn bench(seed: u64) -> Benchmark {
@@ -88,7 +90,7 @@ fn send(addr: SocketAddr, req: &JobRequest, encoding: PayloadEncoding) -> Reply 
 
 #[test]
 fn tcp_round_trip_is_bit_identical_to_direct_call() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     for (id, kind) in [(1u64, JobKind::Local), (2, JobKind::Global)] {
@@ -130,12 +132,12 @@ fn tcp_round_trip_is_bit_identical_to_direct_call() {
 
 #[test]
 fn queue_full_requests_are_rejected_with_overloaded() {
-    let cfg = ServeConfig {
-        queue_capacity: 1,
+    let cfg = CtlConfig {
+        tenants: vec![TenantSpec::new("default", 1, 1)],
         workers: 1,
-        ..ServeConfig::default()
+        ..CtlConfig::default()
     };
-    let server = Server::start("127.0.0.1:0", cfg).expect("binds");
+    let server = CtlServer::start(cfg).expect("binds");
     let addr = server.local_addr();
 
     // Job 1 occupies the single worker for its whole 1200 ms deadline.
@@ -146,7 +148,7 @@ fn queue_full_requests_are_rejected_with_overloaded() {
             PayloadEncoding::Binary,
         )
     });
-    wait_until("worker busy", || server.stats().started >= 1);
+    wait_until("worker busy", || server.metrics().started.get() >= 1);
 
     // Job 2 fills the single queue slot.
     let c2 = std::thread::spawn(move || {
@@ -156,7 +158,7 @@ fn queue_full_requests_are_rejected_with_overloaded() {
             PayloadEncoding::Binary,
         )
     });
-    wait_until("queue full", || server.stats().admitted >= 2);
+    wait_until("queue full", || server.metrics().admitted.get() >= 2);
 
     // Job 3 must be rejected immediately — no waiting out the deadline.
     let t0 = Instant::now();
@@ -194,7 +196,7 @@ fn queue_full_requests_are_rejected_with_overloaded() {
 
 #[test]
 fn deadline_expiry_mid_diffusion_reports_partial_progress() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     let t0 = Instant::now();
@@ -230,12 +232,12 @@ fn deadline_expiry_mid_diffusion_reports_partial_progress() {
 
 #[test]
 fn graceful_shutdown_drains_admitted_jobs() {
-    let cfg = ServeConfig {
-        queue_capacity: 4,
+    let cfg = CtlConfig {
+        tenants: vec![TenantSpec::new("default", 1, 4)],
         workers: 1,
-        ..ServeConfig::default()
+        ..CtlConfig::default()
     };
-    let server = Server::start("127.0.0.1:0", cfg).expect("binds");
+    let server = CtlServer::start(cfg).expect("binds");
     let addr = server.local_addr();
 
     // Job 1 keeps the worker busy until its 400 ms deadline.
@@ -246,14 +248,16 @@ fn graceful_shutdown_drains_admitted_jobs() {
             PayloadEncoding::Binary,
         )
     });
-    wait_until("worker busy", || server.stats().started >= 1);
+    wait_until("worker busy", || server.metrics().started.get() >= 1);
 
     // Job 2 is admitted but still queued when shutdown begins.
     let req2 = request(2, JobKind::Local, DiffusionConfig::default(), 0);
     let mut direct2 = req2.placement.clone();
     LocalDiffusion::new(req2.config.clone()).run(&req2.netlist, &req2.die, &mut direct2);
     let c2 = std::thread::spawn(move || send(addr, &req2, PayloadEncoding::Binary));
-    wait_until("second job admitted", || server.stats().admitted >= 2);
+    wait_until("second job admitted", || {
+        server.metrics().admitted.get() >= 2
+    });
 
     // Shutdown must drain both: finish job 1 (expiring), then run job 2
     // from the closed queue to completion.
@@ -282,7 +286,7 @@ fn graceful_shutdown_drains_admitted_jobs() {
 
 #[test]
 fn invalid_config_is_rejected_with_a_typed_error() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     let bad = DiffusionConfig {
@@ -325,7 +329,7 @@ fn invalid_config_is_rejected_with_a_typed_error() {
 
 #[test]
 fn nonsensical_spectral_config_is_rejected_with_a_typed_error() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     // A spectral run with a zero step budget can never advance time: the
@@ -377,7 +381,7 @@ fn spectral_request_over_tcp_matches_direct_spectral_run() {
     // The solver choice must survive the wire: a spectral request run
     // through the server lands bit-identically with an in-process
     // spectral run, and differs from the FTCS answer for the same design.
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     let mut req = busy_request(31, JobKind::Global);
@@ -417,7 +421,7 @@ fn spectral_request_over_tcp_matches_direct_spectral_run() {
 
 #[test]
 fn malformed_payloads_get_error_replies_not_crashes() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     // Garbage payload inside a well-formed frame: the server answers with
@@ -502,11 +506,11 @@ fn request_log_captures_every_outcome_as_jsonl() {
     let path = dir.join(format!("requests_{}.jsonl", std::process::id()));
     let _ = std::fs::remove_file(&path);
 
-    let cfg = ServeConfig {
+    let cfg = CtlConfig {
         log_path: Some(path.clone()),
-        ..ServeConfig::default()
+        ..CtlConfig::default()
     };
-    let server = Server::start("127.0.0.1:0", cfg).expect("binds");
+    let server = CtlServer::start(cfg).expect("binds");
     let addr = server.local_addr();
 
     let ok = send(
@@ -553,7 +557,7 @@ fn request_log_captures_every_outcome_as_jsonl() {
 
 #[test]
 fn progress_frames_stream_while_the_job_runs() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     // Ground truth: the same request without streaming.
@@ -619,7 +623,7 @@ fn progress_frames_stream_while_the_job_runs() {
 
 #[test]
 fn stats_snapshot_matches_the_submitted_jobs() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     for id in 1..=3u64 {
@@ -660,8 +664,8 @@ fn stats_snapshot_matches_the_submitted_jobs() {
     assert!(stats.kernels.velocity.calls > 0);
 
     // The in-process views agree with the wire snapshot.
-    assert_eq!(server.stats().served, 3);
-    let text = server.metrics_text();
+    assert_eq!(server.metrics().served.get(), 3);
+    let text = server.metrics().registry().snapshot().to_text();
     assert!(text.contains("jobs_served_total 3"), "exposition: {text}");
     assert!(text.contains("requests_received_total 4"));
     assert!(!server.spans().is_empty(), "no job spans recorded");
@@ -671,11 +675,23 @@ fn stats_snapshot_matches_the_submitted_jobs() {
 
 #[test]
 fn pipelined_requests_are_answered_in_submission_order() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
-    let reqs: Vec<JobRequest> = (1..=4u64)
-        .map(|id| request(id, JobKind::Local, DiffusionConfig::default(), 0))
+    // A long job, then a short one: with two workers the short one
+    // finishes first, and must still be answered second.
+    let reqs: Vec<JobRequest> = [(1u64, 4_000), (2, 60)]
+        .into_iter()
+        .map(|(id, cells)| {
+            let mut b = CircuitSpec::with_size("e2e", cells, 0xB0B + id).generate();
+            b.inflate(&InflationSpec::distributed(0.15, id));
+            JobRequest {
+                netlist: b.netlist,
+                die: b.die,
+                placement: b.placement,
+                ..request(id, JobKind::Local, DiffusionConfig::default(), 0)
+            }
+        })
         .collect();
     let mut client = ServeClient::connect(addr).expect("connects");
     for req in &reqs {
@@ -691,12 +707,12 @@ fn pipelined_requests_are_answered_in_submission_order() {
     }
 
     let stats = server.shutdown();
-    assert_eq!(stats.served, 4);
+    assert_eq!(stats.served, 2);
 }
 
 #[test]
 fn clients_unaware_of_progress_frames_still_get_their_reply() {
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("binds");
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
     // A "legacy" reader: consumes frames manually and only understands
@@ -723,5 +739,31 @@ fn clients_unaware_of_progress_frames_still_get_their_reply() {
     assert!(skipped >= 1, "expected in-flight frames to skip");
     assert!(matches!(resp, Reply::Ok(resp) if resp.id == 51));
 
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_half_closes_still_gets_its_reply() {
+    let server = CtlServer::start(CtlConfig::default()).expect("binds");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connects");
+    let req = request(61, JobKind::Local, DiffusionConfig::default(), 0);
+    let payload = dpm_serve::wire::encode_request(&req, PayloadEncoding::Binary);
+    write_frame(&mut stream, FrameKind::Request, &payload).expect("writes");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let frame = read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+        .expect("reads")
+        .expect("reply present");
+    assert!(matches!(
+        Reply::from_frame(&frame).expect("decodes"),
+        Reply::Ok(resp) if resp.id == 61
+    ));
+    assert!(
+        read_frame(&mut stream, DEFAULT_MAX_FRAME_LEN)
+            .expect("clean close")
+            .is_none(),
+        "the server closes once the reply is out"
+    );
     server.shutdown();
 }

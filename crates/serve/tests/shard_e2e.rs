@@ -5,12 +5,12 @@
 
 use std::net::{SocketAddr, TcpListener};
 
+use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, LocalDiffusion};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec};
 use dpm_place::{BinGrid, DensityMap};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
 use dpm_serve::wire::{JobKind, JobRequest};
-use dpm_serve::{ServeConfig, Server};
 
 fn hot_bench(cells: usize, seed: u64) -> Benchmark {
     let mut b = CircuitSpec::with_size("shard_e2e", cells, seed).generate();
@@ -81,7 +81,7 @@ fn k1_over_tcp_is_bit_identical_to_direct_engine() {
     let mut direct = bench.placement.clone();
     LocalDiffusion::new(req.config.clone()).run(&bench.netlist, &bench.die, &mut direct);
 
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let router = ShardRouter::new(
         ShardRouterConfig {
             shards: 1,
@@ -344,7 +344,7 @@ fn killed_backend_fails_over_to_warm_spare_with_no_unmigrated_region() {
     }
 
     // Shard 1's assigned backend is dead; one healthy TCP spare.
-    let spare = Server::start("127.0.0.1:0", ServeConfig::default()).expect("spare starts");
+    let spare = CtlServer::start(CtlConfig::default()).expect("spare starts");
     let spare_addr = spare.local_addr();
     let dead = dead_addr();
     let router = ShardRouter::with_spares(
@@ -388,8 +388,8 @@ fn router_reports_progress_frames_from_streamed_tcp_shards() {
     let mut req = request(&bench, 5);
     req.progress_stride = 4;
 
-    let server_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server a");
-    let server_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server b");
+    let server_a = CtlServer::start(CtlConfig::default()).expect("server a");
+    let server_b = CtlServer::start(CtlConfig::default()).expect("server b");
     let router = ShardRouter::new(
         ShardRouterConfig {
             shards: 2,

@@ -5,12 +5,13 @@
 
 use std::collections::HashSet;
 
+use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, LocalDiffusion};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec};
 use dpm_obs::{SpanRecord, TraceContext};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply};
-use dpm_serve::{ServeClient, ServeConfig, Server};
+use dpm_serve::ServeClient;
 
 fn hot_bench(cells: usize, seed: u64) -> Benchmark {
     let mut b = CircuitSpec::with_size("trace_e2e", cells, seed).generate();
@@ -54,7 +55,7 @@ fn assert_tree(spans: &[SpanRecord], trace_id: u64, graft: u64) {
 #[test]
 fn traced_server_job_exports_spans_and_changes_nothing() {
     let bench = hot_bench(160, 51);
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
 
     let mut plain_client = ServeClient::connect(server.local_addr()).expect("connect");
     let Reply::Ok(plain) = plain_client
@@ -147,8 +148,8 @@ fn traced_k1_shard_route_is_bit_identical_to_untraced() {
 #[test]
 fn traced_k2_tcp_shard_route_stitches_remote_spans() {
     let bench = hot_bench(170, 57);
-    let server_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server a");
-    let server_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server b");
+    let server_a = CtlServer::start(CtlConfig::default()).expect("server a");
+    let server_b = CtlServer::start(CtlConfig::default()).expect("server b");
     let router = ShardRouter::new(
         ShardRouterConfig {
             shards: 2,

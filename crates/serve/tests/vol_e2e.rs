@@ -5,12 +5,13 @@
 //! stack, one slab per tier), through-stack macros, warm-spare
 //! failover, and the router's exactness refusals.
 
+use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolPlacement, VolumetricDiffusion};
 use dpm_gen::{VolBenchmark, VolCircuitSpec};
 use dpm_serve::shard::{ShardBackend, ShardFailover};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, Reply, VolRequestExt};
 use dpm_serve::zslab::{VolRouteError, VolRouter, VolRouterConfig};
-use dpm_serve::{ServeClient, ServeConfig, Server};
+use dpm_serve::ServeClient;
 
 /// A 3-tier stack with an overfull middle tier — the canonical 3D-IC
 /// migration workload.
@@ -136,8 +137,8 @@ fn k2_over_tcp_is_bit_identical_to_k1_and_preserves_the_maximum_principle() {
         .route(&req)
         .expect("K=1 routes");
 
-    let server_a = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server a");
-    let server_b = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server b");
+    let server_a = CtlServer::start(CtlConfig::default()).expect("server a");
+    let server_b = CtlServer::start(CtlConfig::default()).expect("server b");
     let router = VolRouter::new(
         VolRouterConfig { slabs: 2 },
         vec![
@@ -379,7 +380,7 @@ fn volumetric_job_over_tcp_runs_directly_and_omits_the_field() {
 
     let (direct, steps) = direct_run(&bench);
 
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let mut client = ServeClient::connect(server.local_addr()).expect("connects");
     let reply = client
         .request(&req, PayloadEncoding::Binary)
@@ -408,7 +409,7 @@ fn local_job_with_vol_extension_is_rejected_by_the_server() {
     let mut req = request(&bench, 13);
     req.kind = JobKind::Local;
 
-    let server = Server::start("127.0.0.1:0", ServeConfig::default()).expect("server starts");
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
     let mut client = ServeClient::connect(server.local_addr()).expect("connects");
     let reply = client
         .request(&req, PayloadEncoding::Binary)

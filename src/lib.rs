@@ -25,12 +25,12 @@
 //! - [`par`] — deterministic fixed-chunk worker pool behind every
 //!   parallel kernel (bit-identical results at any thread count)
 //! - [`rng`] — the tiny SplitMix64 generator used by [`gen`] and tests
-//! - [`serve`] — migration-as-a-service: a framed TCP server with a
-//!   bounded queue, per-request deadlines, streaming progress frames
-//!   and JSONL request logs
-//! - [`ctl`] — multi-tenant control plane over [`serve`]: content-hash
-//!   design cache with ECO-delta streaming, poll-based connection
-//!   front-end, deficit-round-robin tenant fairness, health-checked
+//! - [`serve`] — migration-as-a-service: the framed wire protocol, the
+//!   one job executor (per-request deadlines, streaming progress
+//!   frames), the client, JSONL request logs and the shard routers
+//! - [`ctl`] — the migration server over [`serve`]: poll-based
+//!   connection front-end, bounded deficit-round-robin tenant queues,
+//!   content-hash design cache with ECO-delta streaming, health-checked
 //!   backend registry with warm spares
 //! - [`obs`] — std-only observability: atomic metrics registry,
 //!   fixed-bucket histograms with deterministic merge, bounded span
