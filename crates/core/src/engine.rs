@@ -4,7 +4,6 @@
 
 use crate::config::{FieldPrecision, LaneMode};
 use crate::dims::Dims;
-use crate::telemetry::KernelTimers;
 use crate::velocity::interpolate_velocity;
 use dpm_geom::{floor, Point, Point3, Vector, Vector3};
 use dpm_par::{
@@ -12,7 +11,6 @@ use dpm_par::{
     CACHE_BLOCK_BYTES,
 };
 use dpm_place::DensityMap;
-use std::time::Instant;
 
 /// Density below which a bin is considered empty for velocity purposes
 /// (guards the division in Eq. 5).
@@ -80,7 +78,6 @@ pub struct DiffusionEngine {
     fast_bin: Vec<bool>,
     conservative: bool,
     pool: ThreadPool,
-    timers: KernelTimers,
 }
 
 /// Immutable view of the density field and masks, shared by the serial
@@ -425,7 +422,6 @@ impl DiffusionEngine {
             fast_bin: Vec::new(),
             conservative: true,
             pool: ThreadPool::single(),
-            timers: KernelTimers::default(),
         };
         engine.refresh_live_masks();
         engine
@@ -469,8 +465,8 @@ impl DiffusionEngine {
 
     /// Reloads density and walls from a [`DensityMap`] of the same grid,
     /// reusing every existing buffer (no allocation). Frozen bins and
-    /// velocities are cleared; thread pool, boundary rule and kernel
-    /// timers are kept.
+    /// velocities are cleared; thread pool and boundary rule are
+    /// kept.
     ///
     /// This is the hot path of the local-diffusion round loop, which
     /// re-measures the placement every round (dynamic density update).
@@ -773,19 +769,6 @@ impl DiffusionEngine {
         &self.pool
     }
 
-    /// Accumulated per-kernel wall-time counters for this engine.
-    #[inline]
-    pub fn kernel_timers(&self) -> &KernelTimers {
-        &self.timers
-    }
-
-    /// Mutable access to the kernel counters (the diffusion runners record
-    /// advection and splat time here so one struct holds the whole loop).
-    #[inline]
-    pub fn kernel_timers_mut(&mut self) -> &mut KernelTimers {
-        &mut self.timers
-    }
-
     /// Advances the density field by one FTCS step (Eq. 4):
     ///
     /// `d(n+1) = d(n) + Σ_axis Δt/2·(d_+ + d_− − 2d)`
@@ -804,7 +787,6 @@ impl DiffusionEngine {
             dt > 0.0 && dt * self.dims.ndim() as f64 <= 1.0,
             "dt outside FTCS stability region"
         );
-        let start = Instant::now();
         let nx = self.dims.nx();
         let chunk = self.chunk_lines() * nx;
         let half = dt / 2.0;
@@ -813,9 +795,6 @@ impl DiffusionEngine {
         parallel_for_chunks(&self.pool, &mut next, chunk, |_, range, out| {
             view.ftcs_lines(range.start / nx, range.end / nx, half, out);
         });
-        self.timers
-            .ftcs
-            .record(start.elapsed(), self.pool.threads());
         self.next = std::mem::replace(&mut self.density, next);
     }
 
@@ -829,7 +808,6 @@ impl DiffusionEngine {
     /// zero velocity outright. Bins with (numerically) no density get zero
     /// velocity — there is nothing there to move.
     pub fn compute_velocities(&mut self) {
-        let start = Instant::now();
         let nx = self.dims.nx();
         let chunk = self.chunk_lines() * nx;
         let mut vel = std::mem::take(&mut self.vel);
@@ -848,9 +826,6 @@ impl DiffusionEngine {
             }
         }
         self.vel = vel;
-        self.timers
-            .velocity
-            .record(start.elapsed(), self.pool.threads());
     }
 
     /// The velocity assigned to bin `(j, k)` (tier 0 on a volumetric
@@ -1314,20 +1289,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn kernel_timers_accumulate() {
-        let mut e = bumpy_engine(2);
-        e.step_density(0.2);
-        e.compute_velocities();
-        e.compute_velocities();
-        let t = e.kernel_timers();
-        assert_eq!(t.ftcs.calls, 1);
-        assert_eq!(t.velocity.calls, 2);
-        assert_eq!(t.ftcs.max_threads, 2);
-        assert_eq!(t.ftcs.serial_ns, 0);
-        assert!(t.velocity.parallel_ns > 0);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! moves cells along the blended gradients.
 
 use crate::advect::{advect_cells, CellCache};
-use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, StepRecord, Telemetry};
+use crate::observe::{lap, RunRecorder};
+use crate::{
+    DiffusionConfig, DiffusionEngine, DiffusionResult, KernelKind, NoopObserver, StepRecord,
+};
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
 
@@ -110,7 +113,9 @@ impl FieldMigration {
             field.len(),
             grid.len()
         );
-        let map = DensityMap::from_placement(netlist, placement, grid.clone());
+        // The splat is serial; the other kernels run on the engine's pool.
+        let (map, splat_elapsed) =
+            lap(|| DensityMap::from_placement(netlist, placement, grid.clone()));
         let peak = field.iter().cloned().fold(0.0f64, f64::max).max(1e-12);
         let blended: Vec<f64> = map
             .densities()
@@ -126,14 +131,19 @@ impl FieldMigration {
         );
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
+        let mut noop = NoopObserver;
+        let mut rec = RunRecorder::new(&mut noop, engine.threads());
+        rec.record(KernelKind::Splat, splat_elapsed, 1, 1);
 
+        let tau = self.cfg.dt * self.cfg.diffusivity;
         let cells = CellCache::new(netlist, &grid);
-        let mut telemetry = Telemetry::new();
         for step in 0..self.steps {
-            engine.compute_velocities();
-            let advect = advect_cells(&engine, &grid, &cells, placement, &self.cfg, None);
-            engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-            telemetry.push(StepRecord {
+            rec.time(KernelKind::Velocity, || engine.compute_velocities());
+            let advect = rec.time(KernelKind::Advect, || {
+                advect_cells(&engine, &grid, &cells, placement, &self.cfg, None)
+            });
+            rec.time(KernelKind::Ftcs, || engine.step_density(tau));
+            rec.telemetry.push(StepRecord {
                 step,
                 sweeps: 1,
                 movement: advect.total_movement,
@@ -147,7 +157,7 @@ impl FieldMigration {
             rounds: 1,
             converged: true,
             cancelled: false,
-            telemetry,
+            telemetry: rec.telemetry,
         }
     }
 }
@@ -259,6 +269,18 @@ mod tests {
             strong > weak,
             "stronger field must move more: {weak} vs {strong}"
         );
+    }
+
+    #[test]
+    fn reports_one_call_of_each_kernel_per_step() {
+        let (nl, die, mut p, grid, cfg) = uniform_bench();
+        let field = vec![1.0; grid.len()];
+        let r = FieldMigration::new(cfg)
+            .with_steps(7)
+            .run(&nl, &die, &mut p, &field);
+        let k = r.telemetry.kernels();
+        assert_eq!((k.velocity.calls, k.advect.calls, k.ftcs.calls), (7, 7, 7));
+        assert_eq!(k.splat.calls, 1, "one initial density splat");
     }
 
     #[test]

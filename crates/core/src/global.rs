@@ -1,15 +1,15 @@
 //! Global diffusion-based legalization (paper Algorithm 1).
 
 use crate::advect::{advect_cells, CellCache};
-use crate::observe::{DiffusionObserver, KernelEvent, KernelKind, NoopObserver, StepEvent};
-use crate::spectral::SpectralSolver;
+use crate::observe::{lap, DiffusionObserver, KernelKind, NoopObserver, RunRecorder, StepEvent};
+use crate::spectral::{SpectralSolver, SpectralSolver3};
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, SolverKind, StepRecord, Telemetry,
 };
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
-use std::time::Instant;
+use std::time::Duration;
 
 /// Outcome of a diffusion run ([`GlobalDiffusion`] or
 /// [`LocalDiffusion`](crate::LocalDiffusion)).
@@ -146,22 +146,13 @@ impl GlobalDiffusion {
     ) -> DiffusionResult {
         let grid = BinGrid::new(die.outline(), self.cfg.bin_size);
         let pool = ThreadPool::new(self.cfg.threads);
-        let kernel_event = |kernel, elapsed| KernelEvent {
-            kernel,
-            elapsed,
-            threads: pool.threads(),
-        };
-        let splat_start = Instant::now();
-        let map = DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool);
-        let splat_elapsed = splat_start.elapsed();
+        let mut rec = RunRecorder::new(observer, pool.threads());
+        let map = rec.time(KernelKind::Splat, || {
+            DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool)
+        });
         let mut engine = DiffusionEngine::from_density_map(&map);
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine
-            .kernel_timers_mut()
-            .splat
-            .record(splat_elapsed, pool.threads());
-        observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
 
         if self.cfg.manipulate {
             let mut d = engine.densities().to_vec();
@@ -171,7 +162,6 @@ impl GlobalDiffusion {
         }
 
         let cells = CellCache::new(netlist, &grid);
-        let mut telemetry = Telemetry::new();
         let mut steps = 0;
         let mut converged = engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
         let mut cancelled = false;
@@ -206,39 +196,27 @@ impl GlobalDiffusion {
                 break;
             }
             let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - field.at);
-            let (start, end) = (field.at, field.at + stride);
-            let field_start = Instant::now();
-            let sampled = field.advance(&mut engine, field.sample_point(stride), should_stop);
-            let mut field_elapsed = field_start.elapsed();
+            let start = field.at;
+            let (sampled, mut field_elapsed) =
+                lap(|| field.advance(&mut engine, field.sample_point(stride), should_stop));
             if !sampled {
-                observer.on_kernel(&kernel_event(KernelKind::Ftcs, field_elapsed));
+                field.record(&mut rec, start, field_elapsed);
                 cancelled = true;
                 break;
             }
-            let velocity_start = Instant::now();
-            engine.compute_velocities();
-            observer.on_kernel(&kernel_event(
-                KernelKind::Velocity,
-                velocity_start.elapsed(),
-            ));
-            let advect_start = Instant::now();
+            rec.time(KernelKind::Velocity, || engine.compute_velocities());
             // One advect call covers the whole stride: velocities act
             // for stride·Δt, still clamped per call by
             // max_step_displacement.
             let mut strided = self.cfg.clone();
             strided.dt = self.cfg.dt * stride as f64;
-            let advect = advect_cells(&engine, &grid, &cells, placement, &strided, None);
-            let advect_elapsed = advect_start.elapsed();
-            engine
-                .kernel_timers_mut()
-                .advect
-                .record(advect_elapsed, pool.threads());
-            observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
-            let field_start = Instant::now();
-            let finished = field.advance(&mut engine, end, should_stop);
-            field_elapsed += field_start.elapsed();
+            let advect = rec.time(KernelKind::Advect, || {
+                advect_cells(&engine, &grid, &cells, placement, &strided, None)
+            });
+            let (finished, rest) = lap(|| field.advance(&mut engine, start + stride, should_stop));
+            field_elapsed += rest;
             // One event bills both halves of the stride's field update.
-            observer.on_kernel(&kernel_event(KernelKind::Ftcs, field_elapsed));
+            field.record(&mut rec, start, field_elapsed);
             steps += 1;
             let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
             let record = StepRecord {
@@ -249,8 +227,8 @@ impl GlobalDiffusion {
                 max_density,
                 measured_overflow: None,
             };
-            telemetry.push(record);
-            observer.on_step(&StepEvent {
+            rec.telemetry.push(record);
+            rec.observer.on_step(&StepEvent {
                 record,
                 round: 1,
                 placement,
@@ -263,30 +241,50 @@ impl GlobalDiffusion {
             converged = max_density <= self.cfg.d_max + self.cfg.delta;
         }
 
-        telemetry.set_kernels(*engine.kernel_timers());
         DiffusionResult {
             steps,
             rounds: 1,
             converged,
             cancelled,
-            telemetry,
+            telemetry: rec.telemetry,
         }
     }
 }
 
-/// The density field a global-diffusion stride advances: FTCS sweeps,
-/// or the spectral closed-form jump standing in for them.
-struct StrideField {
-    /// FTCS-sweep budget the density has advanced through.
-    at: usize,
-    /// `D·Δt`: one FTCS sweep advances diffusion time by `τ/2`.
-    tau: f64,
-    /// The closed-form solver and its output buffer, when the spectral
-    /// jump replaces the sweeps.
-    spectral: Option<(SpectralSolver, Vec<f64>)>,
+/// A closed-form solver that jumps the density field to any diffusion
+/// time: [`SpectralSolver`] on a planar grid, [`SpectralSolver3`] on a
+/// volumetric one.
+pub(crate) trait DensityJump {
+    /// Writes the density at diffusion time `t` into `out`.
+    fn density_at(&mut self, t: f64, out: &mut [f64]);
 }
 
-impl StrideField {
+impl DensityJump for SpectralSolver {
+    fn density_at(&mut self, t: f64, out: &mut [f64]) {
+        SpectralSolver::density_at(self, t, out);
+    }
+}
+
+impl DensityJump for SpectralSolver3 {
+    fn density_at(&mut self, t: f64, out: &mut [f64]) {
+        SpectralSolver3::density_at(self, t, out);
+    }
+}
+
+/// The density field a diffusion stride advances: FTCS sweeps, or the
+/// spectral closed-form jump standing in for them. Global and
+/// volumetric diffusion both stride through one.
+pub(crate) struct StrideField<S> {
+    /// FTCS-sweep budget the density has advanced through.
+    pub(crate) at: usize,
+    /// `D·Δt`: one FTCS sweep advances diffusion time by `τ/2`.
+    pub(crate) tau: f64,
+    /// The closed-form solver and its output buffer, when the spectral
+    /// jump replaces the sweeps.
+    pub(crate) spectral: Option<(S, Vec<f64>)>,
+}
+
+impl<S: DensityJump> StrideField<S> {
     /// The budget at which a stride of `stride` sweeps starting here
     /// samples velocity. FTCS samples the stride's midpoint. The
     /// spectral jump samples its start: a mid-stride field would cost a
@@ -302,7 +300,7 @@ impl StrideField {
     /// already there). FTCS polls `should_stop` between sweeps and
     /// returns `false` if it fired, leaving the sweeps done so far; the
     /// spectral jump is one transform and always finishes.
-    fn advance(
+    pub(crate) fn advance(
         &mut self,
         engine: &mut DiffusionEngine,
         to: usize,
@@ -320,21 +318,25 @@ impl StrideField {
                 }
             }
             Some((solver, buf)) if self.at < to => {
-                // The jump replaces the sweeps, so its time lands in the
-                // ftcs timer slot (transforms are serial by construction).
-                let start = Instant::now();
                 solver.density_at(to as f64 * self.tau * 0.5, buf);
                 engine.load_densities(buf);
-                let threads = engine.pool().threads();
-                engine
-                    .kernel_timers_mut()
-                    .ftcs
-                    .record(start.elapsed(), threads);
                 self.at = to;
             }
             Some(_) => {}
         }
         true
+    }
+
+    /// Records the field's advance since budget `start`, which took
+    /// `elapsed`, as one [`KernelKind::Ftcs`] event: one call per FTCS
+    /// sweep on the run's pool, or one serial spectral jump (the jump
+    /// samples at the stride's start, so a stride makes at most one).
+    pub(crate) fn record(&self, rec: &mut RunRecorder, start: usize, elapsed: Duration) {
+        let (calls, threads) = match self.spectral {
+            None => ((self.at - start) as u64, rec.threads),
+            Some(_) => (u64::from(self.at > start), 1),
+        };
+        rec.record(KernelKind::Ftcs, elapsed, threads, calls);
     }
 }
 

@@ -36,9 +36,10 @@
 //! the density splat — run on the deterministic worker pool of
 //! [`dpm_par`]: work is decomposed into fixed chunks independent of the
 //! thread count, so results are bit-identical at any parallelism. Set the
-//! thread count with [`DiffusionConfig::with_threads`]; per-kernel wall
-//! time is reported through [`KernelTimers`] on each run's
-//! [`Telemetry`].
+//! thread count with [`DiffusionConfig::with_threads`]. Each runner times
+//! every kernel call once: the call becomes one [`KernelEvent`] for the
+//! run's observer, and [`KernelTimers`] on the run's [`Telemetry`] are the
+//! fold of those events. The engine itself keeps no clock.
 //!
 //! Runs can be watched live through a [`DiffusionObserver`] attached
 //! with `run_observed` on either runner: per-step, per-round and

@@ -3,14 +3,13 @@
 use crate::advect::{advect_cells, CellCache, LiveCells};
 use crate::global::DiffusionResult;
 use crate::observe::{
-    DiffusionObserver, KernelEvent, KernelKind, NoopObserver, RoundEvent, StepEvent,
+    lap, DiffusionObserver, KernelKind, NoopObserver, RoundEvent, RunRecorder, StepEvent,
 };
 use crate::window::identify_windows_into;
-use crate::{DiffusionConfig, DiffusionEngine, StepRecord, Telemetry};
+use crate::{DiffusionConfig, DiffusionEngine, StepRecord};
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
-use std::time::Instant;
 
 /// Algorithm 3: robust local diffusion.
 ///
@@ -133,7 +132,7 @@ impl LocalDiffusion {
         assert!(self.cfg.w2 >= self.cfg.w1, "W2 must be at least W1");
         let grid = BinGrid::new(die.outline(), self.cfg.bin_size);
         let pool = ThreadPool::new(self.cfg.threads);
-        let mut telemetry = Telemetry::new();
+        let mut rec = RunRecorder::new(observer, pool.threads());
         let mut steps = 0usize;
         let mut rounds = 0usize;
         let mut converged = false;
@@ -141,21 +140,13 @@ impl LocalDiffusion {
         let mut best_overflow = f64::INFINITY;
 
         // Round-loop buffers, allocated once and reused.
-        let splat_start = Instant::now();
-        let mut map = DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool);
-        let splat_elapsed = splat_start.elapsed();
+        let mut map = rec.time(KernelKind::Splat, || {
+            DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool)
+        });
         let mut engine = DiffusionEngine::from_density_map(&map);
         engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
         engine.set_threads(self.cfg.threads);
-        engine
-            .kernel_timers_mut()
-            .splat
-            .record(splat_elapsed, pool.threads());
-        observer.on_kernel(&KernelEvent {
-            kernel: KernelKind::Splat,
-            elapsed: splat_elapsed,
-            threads: pool.threads(),
-        });
+        let tau = self.cfg.dt * self.cfg.diffusivity;
         let cells = CellCache::new(netlist, &grid);
         let mut live = LiveCells::default();
         let mut avg: Vec<f64> = Vec::new();
@@ -168,17 +159,8 @@ impl LocalDiffusion {
             }
             // Dynamic density update: measure the *real* placement.
             if rounds > 0 {
-                let splat_start = Instant::now();
-                map.recompute_with_pool(netlist, placement, &pool);
-                let splat_elapsed = splat_start.elapsed();
-                engine
-                    .kernel_timers_mut()
-                    .splat
-                    .record(splat_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Splat,
-                    elapsed: splat_elapsed,
-                    threads: pool.threads(),
+                rec.time(KernelKind::Splat, || {
+                    map.recompute_with_pool(netlist, placement, &pool)
                 });
                 engine.reload_from_density_map(&map);
             }
@@ -209,10 +191,8 @@ impl LocalDiffusion {
             // (DESIGN.md §20). The list build is billed to the round's
             // first advect.
             engine.set_frozen_mask(&frozen);
-            let list_start = Instant::now();
-            live.rebuild(&engine, &grid, &cells, placement);
-            let mut list_elapsed = list_start.elapsed();
-            observer.on_round(&RoundEvent {
+            let ((), mut list_elapsed) = lap(|| live.rebuild(&engine, &grid, &cells, placement));
+            rec.observer.on_round(&RoundEvent {
                 round: rounds,
                 measured_overflow: measured,
                 max_window_overflow: max_local,
@@ -228,33 +208,12 @@ impl LocalDiffusion {
                     cancelled = true;
                     break;
                 }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Velocity,
-                    elapsed: velocity_start.elapsed(),
-                    threads: pool.threads(),
-                });
-                let advect_start = Instant::now();
-                let advect =
-                    advect_cells(&engine, &grid, &cells, placement, &self.cfg, Some(&live));
-                let advect_elapsed = advect_start.elapsed() + std::mem::take(&mut list_elapsed);
-                engine
-                    .kernel_timers_mut()
-                    .advect
-                    .record(advect_elapsed, pool.threads());
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Advect,
-                    elapsed: advect_elapsed,
-                    threads: pool.threads(),
-                });
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&KernelEvent {
-                    kernel: KernelKind::Ftcs,
-                    elapsed: ftcs_start.elapsed(),
-                    threads: pool.threads(),
-                });
+                rec.time(KernelKind::Velocity, || engine.compute_velocities());
+                let (advect, advect_elapsed) =
+                    lap(|| advect_cells(&engine, &grid, &cells, placement, &self.cfg, Some(&live)));
+                let advect_elapsed = advect_elapsed + std::mem::take(&mut list_elapsed);
+                rec.record(KernelKind::Advect, advect_elapsed, rec.threads, 1);
+                rec.time(KernelKind::Ftcs, || engine.step_density(tau));
                 let record = StepRecord {
                     step: steps,
                     sweeps: 1,
@@ -263,8 +222,8 @@ impl LocalDiffusion {
                     max_density: engine.max_live_density(),
                     measured_overflow: if i == 0 { Some(measured) } else { None },
                 };
-                telemetry.push(record);
-                observer.on_step(&StepEvent {
+                rec.telemetry.push(record);
+                rec.observer.on_step(&StepEvent {
                     record,
                     round: rounds,
                     placement,
@@ -277,13 +236,12 @@ impl LocalDiffusion {
             }
         }
 
-        telemetry.set_kernels(*engine.kernel_timers());
         DiffusionResult {
             steps,
             rounds,
             converged,
             cancelled,
-            telemetry,
+            telemetry: rec.telemetry,
         }
     }
 }

@@ -13,10 +13,10 @@
 //! the dynamics — runs with and without observers produce bit-identical
 //! placements (asserted by tests in `global.rs` and `local.rs`).
 
-use crate::StepRecord;
+use crate::{StepRecord, Telemetry};
 use dpm_netlist::Netlist;
 use dpm_place::Placement;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which parallel kernel a [`KernelEvent`] timed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,18 +70,27 @@ pub struct RoundEvent {
     pub live_cells: usize,
 }
 
-/// Emitted after each timed kernel invocation. Global diffusion sends
-/// one [`KernelKind::Ftcs`] event per stride, billing all of its sweeps
-/// (or its spectral jump); local and volumetric FTCS diffusion send one per
+/// Emitted after each timed kernel invocation. A [`KernelKind::Ftcs`]
+/// event bills one stride's field update: all of a global stride's FTCS
+/// sweeps, or one spectral jump. Runners that step 1:1 send one per
 /// sweep.
+///
+/// Every runner times each kernel call exactly once and folds the same
+/// event into its run's [`KernelTimers`](crate::KernelTimers), so
+/// [`Telemetry::kernels`](crate::Telemetry::kernels) is the sum of the
+/// events an observer saw.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelEvent {
     /// Which kernel ran.
     pub kernel: KernelKind,
     /// Wall time of this invocation.
     pub elapsed: Duration,
-    /// Worker-pool threads the kernel ran on.
+    /// Worker-pool threads the kernel ran on: 1 for the serial
+    /// kernels (the volumetric splat and advect, the spectral jumps).
     pub threads: usize,
+    /// Kernel invocations the event bills: a global stride's FTCS
+    /// sweeps, or 1 (one spectral jump, one call of any other kernel).
+    pub calls: u64,
 }
 
 /// A witness attached to a diffusion run.
@@ -108,6 +117,66 @@ pub trait DiffusionObserver {
 pub struct NoopObserver;
 
 impl DiffusionObserver for NoopObserver {}
+
+/// The one clock of a run, and its record. A runner times every kernel
+/// call through it exactly once: each call becomes one [`KernelEvent`]
+/// for the observer and is folded into the kernel timers of the run's
+/// [`Telemetry`], so those timers are the sum of the events the observer
+/// saw.
+pub(crate) struct RunRecorder<'a> {
+    /// The run's observer; runners send their step and round events to
+    /// it directly.
+    pub(crate) observer: &'a mut dyn DiffusionObserver,
+    /// Workers of the run's pool, which the parallel kernels run on.
+    pub(crate) threads: usize,
+    /// The run's telemetry.
+    pub(crate) telemetry: Telemetry,
+}
+
+impl<'a> RunRecorder<'a> {
+    pub(crate) fn new(observer: &'a mut dyn DiffusionObserver, threads: usize) -> Self {
+        Self {
+            observer,
+            threads,
+            telemetry: Telemetry::new(),
+        }
+    }
+
+    /// Runs `f` as one call of the parallel `kernel` on the run's pool
+    /// and records it.
+    pub(crate) fn time<R>(&mut self, kernel: KernelKind, f: impl FnOnce() -> R) -> R {
+        let (out, elapsed) = lap(f);
+        self.record(kernel, elapsed, self.threads, 1);
+        out
+    }
+
+    /// Records `calls` invocations of `kernel` on `threads` workers that
+    /// together took `elapsed`, as one event.
+    pub(crate) fn record(
+        &mut self,
+        kernel: KernelKind,
+        elapsed: Duration,
+        threads: usize,
+        calls: u64,
+    ) {
+        let event = KernelEvent {
+            kernel,
+            elapsed,
+            threads,
+            calls,
+        };
+        self.telemetry.kernels.record(&event);
+        self.observer.on_kernel(&event);
+    }
+}
+
+/// Runs `f` and returns its wall time with its result, for a kernel
+/// call that one event bills together with other work.
+pub(crate) fn lap<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
 
 impl KernelKind {
     /// Stable span/metric name for this kernel.
@@ -247,6 +316,7 @@ mod tests {
             kernel: KernelKind::Ftcs,
             elapsed: Duration::ZERO,
             threads: 1,
+            calls: 1,
         });
         assert_eq!(obs.0, 0);
     }
@@ -275,6 +345,7 @@ mod tests {
                 kernel: KernelKind::Velocity,
                 elapsed: Duration::from_micros(10),
                 threads: 2,
+                calls: 1,
             });
         }
         assert_eq!(bridge.kernel_events(), 5);
@@ -295,6 +366,7 @@ mod tests {
                 kernel: KernelKind::Velocity,
                 elapsed: Duration::from_micros(10),
                 threads: 2,
+                calls: 1,
             });
         }
         let ids: Vec<u64> = records.iter().map(|r| r.span_id).collect();

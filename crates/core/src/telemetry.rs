@@ -1,6 +1,7 @@
 //! Per-step telemetry of a diffusion run (drives the paper's Figs. 9–10),
 //! plus per-kernel wall-time counters for the parallel runtime.
 
+use crate::observe::{KernelEvent, KernelKind};
 use std::time::Duration;
 
 /// Accumulated wall time of one kernel (FTCS step, velocity field, cell
@@ -25,8 +26,14 @@ pub struct KernelTiming {
 impl KernelTiming {
     /// Records one invocation that took `elapsed` using `threads` workers.
     pub fn record(&mut self, elapsed: Duration, threads: usize) {
+        self.bill(1, elapsed, threads);
+    }
+
+    /// Records `calls` invocations that together took `elapsed` using
+    /// `threads` workers.
+    fn bill(&mut self, calls: u64, elapsed: Duration, threads: usize) {
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        self.calls += 1;
+        self.calls += calls;
         if threads <= 1 {
             self.serial_ns = self.serial_ns.saturating_add(ns);
         } else {
@@ -51,6 +58,10 @@ impl KernelTiming {
 
 /// Wall-time counters for the four diffusion hot paths.
 ///
+/// A run's counters are the fold ([`record`](Self::record)) of the
+/// [`KernelEvent`]s its observer saw. `ftcs.calls` counts FTCS sweeps,
+/// or spectral jumps where a jump replaces them.
+///
 /// # Examples
 ///
 /// ```
@@ -67,7 +78,7 @@ impl KernelTiming {
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelTimers {
-    /// FTCS density step (Eq. 4).
+    /// Density-field update: FTCS sweeps (Eq. 4) or spectral jumps.
     pub ftcs: KernelTiming,
     /// Velocity-field computation (Eq. 5).
     pub velocity: KernelTiming,
@@ -78,6 +89,18 @@ pub struct KernelTimers {
 }
 
 impl KernelTimers {
+    /// Folds one kernel event into its kernel's counter: `event.calls`
+    /// invocations, its wall time and its worker count.
+    pub fn record(&mut self, event: &KernelEvent) {
+        let slot = match event.kernel {
+            KernelKind::Ftcs => &mut self.ftcs,
+            KernelKind::Velocity => &mut self.velocity,
+            KernelKind::Advect => &mut self.advect,
+            KernelKind::Splat => &mut self.splat,
+        };
+        slot.bill(event.calls, event.elapsed, event.threads);
+    }
+
     /// Folds another set of counters into this one.
     pub fn merge(&mut self, other: &KernelTimers) {
         self.ftcs.merge(&other.ftcs);
@@ -132,7 +155,8 @@ pub struct StepRecord {
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     records: Vec<StepRecord>,
-    kernels: KernelTimers,
+    /// The fold of the run's kernel events.
+    pub(crate) kernels: KernelTimers,
 }
 
 impl Telemetry {
@@ -186,12 +210,6 @@ impl Telemetry {
     /// Per-kernel wall-time counters accumulated over the run.
     pub fn kernels(&self) -> &KernelTimers {
         &self.kernels
-    }
-
-    /// Replaces the kernel counters (runners install the engine's timers
-    /// when a run finishes).
-    pub fn set_kernels(&mut self, kernels: KernelTimers) {
-        self.kernels = kernels;
     }
 
     /// The measured-overflow checkpoints `(step, overflow)` recorded at

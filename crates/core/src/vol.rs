@@ -32,15 +32,16 @@
 //! ownership from the fresh depths every round.
 
 use crate::advect::{clamp_extent, move_length, AdvectOutcome, CellCache};
+use crate::global::StrideField;
+use crate::observe::{lap, RunRecorder};
 use crate::spectral::SpectralSolver3;
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelEvent,
-    KernelKind, NoopObserver, SolverKind, StepRecord, Telemetry,
+    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelKind,
+    NoopObserver, SolverKind, StepRecord, Telemetry,
 };
 use dpm_geom::{floor_index, Point, Point3};
 use dpm_netlist::{CellId, Netlist};
 use dpm_place::{splat_rect, BinGrid, DensityMap, Die, Placement};
-use std::time::Instant;
 
 /// A placement with depth: planar positions plus one tier-unit z
 /// coordinate per cell (the cell's center depth; tier `t` spans
@@ -343,48 +344,45 @@ impl VolumetricDiffusion {
         should_stop: &dyn Fn() -> bool,
         observer: &mut dyn DiffusionObserver,
     ) -> VolResult {
-        let kernel_event = |kernel: KernelKind, elapsed: std::time::Duration| KernelEvent {
-            kernel,
-            elapsed,
-            threads: self.cfg.threads.max(1),
-        };
         assert_eq!(
             placement.z.len(),
             netlist.num_cells(),
             "volumetric placement does not cover the netlist"
         );
         let grid = BinGrid::new(die.outline(), self.cfg.bin_size);
-        let splat_start = Instant::now();
-        let (density, wall) = match &job.field {
-            Some(f) => {
-                assert_eq!(
-                    f.len(),
-                    grid.len() * job.nz,
-                    "raw field does not match the job region"
-                );
-                // Shift to region-local depths only for the splat of the
-                // wall mask — macros are planar so only nz matters.
-                (
-                    f.clone(),
-                    volume_wall_mask(netlist, &placement.xy, &grid, job.nz),
-                )
-            }
-            None => {
-                // Depths are global; splat against a region-local view.
-                let local = VolPlacement {
-                    xy: placement.xy.clone(),
-                    z: placement.z.iter().map(|&z| z - job.z0 as f64).collect(),
-                };
-                splat_volume(netlist, &local, &grid, job.nz)
-            }
-        };
-        let mut engine =
-            DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
-        let splat_elapsed = splat_start.elapsed();
-        engine.kernel_timers_mut().splat.record(splat_elapsed, 1);
-        observer.on_kernel(&kernel_event(KernelKind::Splat, splat_elapsed));
+        // The splat and the advect are serial loops: they bill 1 thread.
+        let (mut engine, splat_elapsed) = lap(|| {
+            let (density, wall) = match &job.field {
+                Some(f) => {
+                    assert_eq!(
+                        f.len(),
+                        grid.len() * job.nz,
+                        "raw field does not match the job region"
+                    );
+                    // Shift to region-local depths only for the splat of
+                    // the wall mask — macros are planar so only nz matters.
+                    (
+                        f.clone(),
+                        volume_wall_mask(netlist, &placement.xy, &grid, job.nz),
+                    )
+                }
+                None => {
+                    // Depths are global; splat against a region-local view.
+                    let local = VolPlacement {
+                        xy: placement.xy.clone(),
+                        z: placement.z.iter().map(|&z| z - job.z0 as f64).collect(),
+                    };
+                    splat_volume(netlist, &local, &grid, job.nz)
+                }
+            };
+            let mut engine =
+                DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
+            engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
+            engine.set_threads(self.cfg.threads);
+            engine
+        });
+        let mut rec = RunRecorder::new(observer, engine.threads());
+        rec.record(KernelKind::Splat, splat_elapsed, 1, 1);
 
         if self.cfg.manipulate && job.field.is_none() {
             let mut d = engine.densities().to_vec();
@@ -394,7 +392,7 @@ impl VolumetricDiffusion {
         }
 
         let cells = CellCache::new(netlist, &grid);
-        let mut telemetry = Telemetry::new();
+        let (z0, global_nz) = (job.z0, job.global_nz);
         let mut steps = 0;
         let mut converged = job.exact_steps.is_none()
             && engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
@@ -405,109 +403,61 @@ impl VolumetricDiffusion {
             && self.cfg.solver == SolverKind::Spectral
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w);
+        let mut field = StrideField {
+            at: 0,
+            tau: self.cfg.dt * self.cfg.diffusivity,
+            spectral: use_spectral.then(|| {
+                let solver =
+                    SpectralSolver3::new(engine.nx(), engine.ny(), engine.nz(), engine.densities());
+                (solver, vec![0.0; engine.densities().len()])
+            }),
+        };
 
-        if use_spectral {
-            let tau = self.cfg.dt * self.cfg.diffusivity;
-            let mut solver =
-                SpectralSolver3::new(engine.nx(), engine.ny(), engine.nz(), engine.densities());
-            let mut field = vec![0.0; engine.densities().len()];
-            let mut elapsed_budget = 0usize;
-            while !converged && elapsed_budget < self.cfg.max_steps {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - elapsed_budget);
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&kernel_event(
-                    KernelKind::Velocity,
-                    velocity_start.elapsed(),
-                ));
-                let advect_start = Instant::now();
-                let mut strided = self.cfg.clone();
-                strided.dt = self.cfg.dt * stride as f64;
-                let advect = advect_cells3(
-                    &engine,
-                    &grid,
-                    &cells,
-                    placement,
-                    &strided,
-                    job.z0,
-                    job.global_nz,
-                );
-                let advect_elapsed = advect_start.elapsed();
-                engine.kernel_timers_mut().advect.record(advect_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
-                let jump_start = Instant::now();
-                elapsed_budget += stride;
-                solver.density_at(elapsed_budget as f64 * tau * 0.5, &mut field);
-                engine.load_densities(&field);
-                let jump_elapsed = jump_start.elapsed();
-                engine.kernel_timers_mut().ftcs.record(jump_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Ftcs, jump_elapsed));
-                steps += 1;
-                let max_density = engine.max_live_density();
-                telemetry.push(StepRecord {
-                    step: steps - 1,
-                    sweeps: stride,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                });
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
+        // One stride loop serves both solvers. The FTCS stack steps 1:1
+        // (velocity, advect, one sweep); the spectral jump strides like
+        // global diffusion, doubling per step. Both sample velocity at
+        // the stride's start.
+        while !converged && field.at < step_cap {
+            if should_stop() {
+                cancelled = true;
+                break;
             }
-        } else {
-            while !converged && steps < step_cap {
-                if should_stop() {
-                    cancelled = true;
-                    break;
-                }
-                let velocity_start = Instant::now();
-                engine.compute_velocities();
-                observer.on_kernel(&kernel_event(
-                    KernelKind::Velocity,
-                    velocity_start.elapsed(),
-                ));
-                let advect_start = Instant::now();
-                let advect = advect_cells3(
-                    &engine,
-                    &grid,
-                    &cells,
-                    placement,
-                    &self.cfg,
-                    job.z0,
-                    job.global_nz,
-                );
-                let advect_elapsed = advect_start.elapsed();
-                engine.kernel_timers_mut().advect.record(advect_elapsed, 1);
-                observer.on_kernel(&kernel_event(KernelKind::Advect, advect_elapsed));
-                let ftcs_start = Instant::now();
-                engine.step_density(self.cfg.dt * self.cfg.diffusivity);
-                observer.on_kernel(&kernel_event(KernelKind::Ftcs, ftcs_start.elapsed()));
-                steps += 1;
-                let max_density = engine.max_live_density();
-                telemetry.push(StepRecord {
-                    step: steps - 1,
-                    sweeps: 1,
-                    movement: advect.total_movement,
-                    computed_overflow: engine.total_overflow(self.cfg.d_max),
-                    max_density,
-                    measured_overflow: None,
-                });
-                if job.exact_steps.is_none() {
-                    converged = max_density <= self.cfg.d_max + self.cfg.delta;
-                }
+            let stride = if use_spectral {
+                (1usize << steps.min(20)).min(step_cap - field.at)
+            } else {
+                1
+            };
+            let start = field.at;
+            rec.time(KernelKind::Velocity, || engine.compute_velocities());
+            let mut strided = self.cfg.clone();
+            strided.dt = self.cfg.dt * stride as f64;
+            let (advect, advect_elapsed) =
+                lap(|| advect_cells3(&engine, &grid, &cells, placement, &strided, z0, global_nz));
+            rec.record(KernelKind::Advect, advect_elapsed, 1, 1);
+            // A one-sweep stride or a jump never polls `should_stop`, so
+            // the advance always finishes.
+            let (_, elapsed) = lap(|| field.advance(&mut engine, start + stride, should_stop));
+            field.record(&mut rec, start, elapsed);
+            steps += 1;
+            let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
+            rec.telemetry.push(StepRecord {
+                step: steps - 1,
+                sweeps: field.at - start,
+                movement: advect.total_movement,
+                computed_overflow,
+                max_density,
+                measured_overflow: None,
+            });
+            if job.exact_steps.is_none() {
+                converged = max_density <= self.cfg.d_max + self.cfg.delta;
             }
         }
 
-        telemetry.set_kernels(*engine.kernel_timers());
         VolResult {
             steps,
             converged,
             cancelled,
-            telemetry,
+            telemetry: rec.telemetry,
             field: engine.densities().to_vec(),
         }
     }

@@ -967,8 +967,8 @@ fn run_job(
             };
             let (resp, kernels) =
                 execute_request(req, deadline, Some(&mut sink), Some(&shared.spans))?;
-            // Only the kernels this server ran: a route's reply folds in
-            // its TCP backends' lifetime timers, which would count twice.
+            // The kernels this server ran. A routed job's sub-jobs are
+            // billed by the backends that ran them.
             shared.metrics.merge_kernels(&kernels);
             Ok(resp)
         }

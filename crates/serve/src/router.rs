@@ -43,11 +43,6 @@ const SPAN_CAPACITY: usize = 256;
 /// wire export.
 const REMOTE_SPAN_CAP: usize = 2048;
 
-/// Bound on the end-of-route stats probe of each TCP backend. A live
-/// server answers a stats request at once; one that stays silent this
-/// long contributes no timers instead of stalling the route.
-const STATS_TIMEOUT: Duration = Duration::from_secs(1);
-
 /// One partition's side of the halo-exchange loop.
 pub(crate) trait Partition: Sync {
     /// What stitching a part's reply needs to know about its sub-job.
@@ -91,9 +86,9 @@ pub(crate) struct Routed {
     /// Rounds executed (fan-outs over all parts).
     pub rounds: usize,
     pub failovers: Vec<ShardFailover>,
-    /// Kernel timers merged across every in-process run, plus the
-    /// lifetime timers of every TCP backend's server: a `JobResponse`
-    /// cannot carry per-run timers.
+    /// Kernel timers merged across the sub-jobs this process ran (its
+    /// in-process backends). A TCP backend bills its own runs in its
+    /// own `StatsSnapshot` and in the stitched spans.
     pub kernels: KernelTimers,
     /// Progress frames the backends streamed.
     pub progress_frames: u64,
@@ -121,7 +116,6 @@ pub(crate) fn route<P: Partition>(
     let mut assign: Vec<ShardBackend> = (0..k).map(|i| backends[i % backends.len()]).collect();
     let mut spares = spares.to_vec();
     let mut failovers = Vec::new();
-    let mut failed = Vec::new();
     let mut remote_spans = Vec::new();
     let mut kernels = KernelTimers::default();
     let frames = AtomicU64::new(0);
@@ -157,9 +151,6 @@ pub(crate) fn route<P: Partition>(
         // Warm-spare failover, serially and before any stitching. A
         // retry is a fresh dispatch with its own span under the round.
         for (i, sub, _, reply) in runs.iter_mut().flatten() {
-            if reply.is_err() {
-                failed.push(assign[*i]);
-            }
             while reply.is_err() && !spares.is_empty() {
                 let spare = spares.remove(0);
                 if let Some((_, round_ctx, _)) = &round {
@@ -193,24 +184,6 @@ pub(crate) fn route<P: Partition>(
         }
     }
 
-    // TCP backends cannot ship per-run kernel timers in a JobResponse;
-    // fold in each server's lifetime timers once instead. A primary
-    // that failed a sub-job of this route is not probed: dead or
-    // silent, it would only stall the route.
-    for (i, &backend) in backends.iter().enumerate() {
-        let stats = match backend {
-            ShardBackend::Tcp(addr)
-                if !backends[..i].contains(&backend) && !failed.contains(&backend) =>
-            {
-                ServeClient::connect(addr).ok().and_then(|mut c| {
-                    c.set_io_timeout(Some(STATS_TIMEOUT)).ok()?;
-                    c.stats().ok()
-                })
-            }
-            _ => None,
-        };
-        kernels.merge(&stats.map_or_else(KernelTimers::default, |s| s.kernels));
-    }
     // The stitched span tree: the route's own round and dispatch spans
     // plus every backend's re-based remote spans, normalized so the
     // earliest span starts at 0 (a receiver one hop up re-bases again

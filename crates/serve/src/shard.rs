@@ -44,9 +44,10 @@
 //!   a killed backend costs a serial retry instead of an unmigrated
 //!   region. Replacements are reported as [`ShardFailover`] entries.
 //!
-//! Telemetry from every shard run is merged: `DiffusionResult` kernel
-//! timers via [`KernelTimers::merge`], per-shard service latencies via
-//! the `dpm-obs` histogram snapshot merge.
+//! Telemetry from every shard run is merged: the kernel timers of the
+//! runs this process made via [`KernelTimers::merge`] (a TCP backend
+//! bills its own in its stats), per-shard service latencies via the
+//! `dpm-obs` histogram snapshot merge.
 
 use std::convert::Infallible;
 use std::net::SocketAddr;
@@ -161,8 +162,9 @@ pub struct ShardReply {
     /// alike (0 unless the request asked for a progress stride).
     pub progress_frames: u64,
     /// Kernel timers merged across every in-process shard run via
-    /// [`KernelTimers::merge`], plus each TCP backend server's lifetime
-    /// timers from its stats endpoint (a `JobResponse` carries none).
+    /// [`KernelTimers::merge`]: exactly the sub-jobs this process ran. A
+    /// TCP backend bills its runs in its own `StatsSnapshot` and in the
+    /// stitched spans.
     pub kernels: KernelTimers,
     /// Per-shard service latencies in one `dpm-obs` histogram: one
     /// sample per successful shard run per round.

@@ -138,8 +138,9 @@ pub struct VolReply {
     /// Warm-spare replacements performed during this job, in the order
     /// they happened.
     pub failovers: Vec<ShardFailover>,
-    /// Kernel timers merged across every in-process slab run, plus each
-    /// TCP backend server's lifetime timers from its stats endpoint.
+    /// Kernel timers merged across every in-process slab run: exactly the
+    /// sub-jobs this process ran. A TCP backend bills its runs in its own
+    /// `StatsSnapshot` and in the stitched spans.
     pub kernels: KernelTimers,
 }
 

@@ -144,8 +144,7 @@ fn misbehave(fault: Fault, mut stream: TcpStream) {
             }
             buf
         }
-        // Anything else (the planar router's closing stats probe) gets
-        // a bare close.
+        // Any other frame kind gets a bare close.
         _ => Vec::new(),
     };
     let _ = stream.write_all(&reply);

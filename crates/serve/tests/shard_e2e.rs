@@ -6,7 +6,7 @@
 use std::net::{SocketAddr, TcpListener};
 
 use dpm_ctl::{CtlConfig, CtlServer};
-use dpm_diffusion::{DiffusionConfig, LocalDiffusion};
+use dpm_diffusion::{DiffusionConfig, KernelTimers, LocalDiffusion};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec};
 use dpm_place::{BinGrid, DensityMap};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig};
@@ -411,9 +411,36 @@ fn router_reports_progress_frames_from_streamed_tcp_shards() {
         reply.progress_frames > 0,
         "streamed shard requests must surface progress frames"
     );
-    // TCP backends contribute kernel timers through their stats
-    // endpoint.
-    assert!(reply.kernels.ftcs.calls > 0);
+    // The sub-jobs ran on the TCP backends, which bill their kernels in
+    // their own stats; this process ran none.
+    assert_eq!(reply.kernels, KernelTimers::default());
+}
+
+#[test]
+fn routing_one_job_repeatedly_reports_the_same_kernels() {
+    // A route's kernel timers cover only the sub-jobs this process ran,
+    // so they cannot grow with a backend's lifetime work.
+    let bench = hot_bench(200, 61);
+    let server = CtlServer::start(CtlConfig::default()).expect("server");
+    let router = ShardRouter::new(
+        ShardRouterConfig {
+            shards: 2,
+            max_halo_rounds: 2,
+        },
+        vec![ShardBackend::Tcp(server.local_addr())],
+    );
+    let kernels: Vec<_> = (0..3)
+        .map(|i| {
+            let reply = router.route(&request(&bench, 20 + i));
+            for o in &reply.outcomes {
+                assert!(o.error.is_none(), "shard {} failed: {:?}", o.shard, o.error);
+            }
+            reply.kernels
+        })
+        .collect();
+    server.shutdown();
+    assert_eq!(kernels[0], kernels[1]);
+    assert_eq!(kernels[1], kernels[2]);
 }
 
 #[test]

@@ -123,6 +123,10 @@ grep -q '"spectral_vs_ftcs"' "$kernels_out"
 grep -q '"spectral_round_trip_ns"' "$kernels_out"
 grep -q '"field_update_flops"' "$kernels_out"
 grep -q '"flops_ratio"' "$kernels_out"
+# The FTCS race run spends its whole 200-sweep budget, and its sweep
+# count is the run's ftcs timer: a fold that counted strides instead of
+# sweeps would read 8 here and skew the FLOP model.
+grep -q '"e2e": {"max_steps": 200, "ftcs_steps": 200' "$kernels_out"
 # The volumetric 7-point stencil section, timed at every thread count.
 grep -q '"stencil3d"' "$kernels_out"
 grep -q '"nz": 4' "$kernels_out"
