@@ -2,7 +2,7 @@
 
 use crate::advect::{advect_cells, CellCache};
 use crate::observe::{lap, DiffusionObserver, KernelKind, NoopObserver, RunRecorder, StepEvent};
-use crate::spectral::{SpectralSolver, SpectralSolver3};
+use crate::spectral::SpectralSolver;
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, SolverKind, StepRecord, Telemetry,
 };
@@ -27,7 +27,7 @@ pub struct DiffusionResult {
     /// `true` if the stopping criterion was met before the step/round cap.
     pub converged: bool,
     /// `true` if the run was cut short by a cancellation hook (see
-    /// [`GlobalDiffusion::run_with_cancel`]). The placement holds the
+    /// [`GlobalDiffusion::run_observed`]). The placement holds the
     /// partial progress made up to the cancellation point.
     pub cancelled: bool,
     /// Per-step telemetry (movement, overflow — the paper's Figs. 9–10).
@@ -95,10 +95,11 @@ impl GlobalDiffusion {
     /// Returns telemetry and whether the density target was reached within
     /// [`DiffusionConfig::max_steps`].
     pub fn run(&self, netlist: &Netlist, die: &Die, placement: &mut Placement) -> DiffusionResult {
-        self.run_with_cancel(netlist, die, placement, &|| false)
+        self.run_observed(netlist, die, placement, &|| false, &mut NoopObserver)
     }
 
-    /// Runs global diffusion with a cancellation hook.
+    /// Runs global diffusion with a cancellation hook and an attached
+    /// [`DiffusionObserver`].
     ///
     /// `should_stop` is polled before each stride and between the FTCS
     /// sweeps inside one (a late stride can be thousands of sweeps).
@@ -108,24 +109,10 @@ impl GlobalDiffusion {
     /// stride whose advect already ran still counts as a step. This is
     /// how `dpm-serve` enforces per-request deadlines: the hook compares
     /// `Instant::now()` against the request deadline, costing one branch
-    /// per sweep.
-    ///
-    /// A hook that always returns `false` makes this identical to
-    /// [`run`](Self::run) — the hook never influences the arithmetic, only
-    /// whether the next step happens, so cancellation cannot perturb
+    /// per sweep. A hook that always returns `false` makes this identical
+    /// to [`run`](Self::run) — the hook never influences the arithmetic,
+    /// only whether the next step happens, so cancellation cannot perturb
     /// determinism.
-    pub fn run_with_cancel(
-        &self,
-        netlist: &Netlist,
-        die: &Die,
-        placement: &mut Placement,
-        should_stop: &dyn Fn() -> bool,
-    ) -> DiffusionResult {
-        self.run_observed(netlist, die, placement, should_stop, &mut NoopObserver)
-    }
-
-    /// Runs global diffusion with a cancellation hook and an attached
-    /// [`DiffusionObserver`].
     ///
     /// The observer is notified after every step
     /// ([`DiffusionObserver::on_step`]) and every timed kernel
@@ -133,9 +120,9 @@ impl GlobalDiffusion {
     /// [`KernelKind::Ftcs`] event per stride bills all of its sweeps or
     /// its spectral jump); it sees only
     /// shared references to post-step state, so attaching one cannot
-    /// change the run's arithmetic — `run`, `run_with_cancel` and
-    /// `run_observed` produce bit-identical placements for the same
-    /// input (see `observed_run_is_bit_identical_to_plain_run`).
+    /// change the run's arithmetic — `run` and `run_observed` produce
+    /// bit-identical placements for the same input (see
+    /// `observed_run_is_bit_identical_to_plain_run`).
     pub fn run_observed(
         &self,
         netlist: &Netlist,
@@ -174,14 +161,8 @@ impl GlobalDiffusion {
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w)
             && !engine.frozen_mask().iter().any(|&f| f);
-        let mut field = StrideField {
-            at: 0,
-            tau: self.cfg.dt * self.cfg.diffusivity,
-            spectral: use_spectral.then(|| {
-                let solver = SpectralSolver::new(engine.nx(), engine.ny(), engine.densities());
-                (solver, vec![0.0; engine.nx() * engine.ny()])
-            }),
-        };
+        let tau = self.cfg.dt * self.cfg.diffusivity;
+        let mut field = StrideField::new(&engine, tau, use_spectral);
 
         // One stride loop serves both solvers (DESIGN.md §19). Strides
         // double geometrically in units of the FTCS-sweep budget: early
@@ -251,40 +232,35 @@ impl GlobalDiffusion {
     }
 }
 
-/// A closed-form solver that jumps the density field to any diffusion
-/// time: [`SpectralSolver`] on a planar grid, [`SpectralSolver3`] on a
-/// volumetric one.
-pub(crate) trait DensityJump {
-    /// Writes the density at diffusion time `t` into `out`.
-    fn density_at(&mut self, t: f64, out: &mut [f64]);
-}
-
-impl DensityJump for SpectralSolver {
-    fn density_at(&mut self, t: f64, out: &mut [f64]) {
-        SpectralSolver::density_at(self, t, out);
-    }
-}
-
-impl DensityJump for SpectralSolver3 {
-    fn density_at(&mut self, t: f64, out: &mut [f64]) {
-        SpectralSolver3::density_at(self, t, out);
-    }
-}
-
 /// The density field a diffusion stride advances: FTCS sweeps, or the
 /// spectral closed-form jump standing in for them. Global and
 /// volumetric diffusion both stride through one.
-pub(crate) struct StrideField<S> {
+pub(crate) struct StrideField {
     /// FTCS-sweep budget the density has advanced through.
     pub(crate) at: usize,
     /// `D·Δt`: one FTCS sweep advances diffusion time by `τ/2`.
-    pub(crate) tau: f64,
+    tau: f64,
     /// The closed-form solver and its output buffer, when the spectral
     /// jump replaces the sweeps.
-    pub(crate) spectral: Option<(S, Vec<f64>)>,
+    spectral: Option<(SpectralSolver, Vec<f64>)>,
 }
 
-impl<S: DensityJump> StrideField<S> {
+impl StrideField {
+    /// A field at budget 0 that sweeps `engine` by FTCS steps of `tau`
+    /// or, when `spectral`, jumps it from its current density through a
+    /// [`SpectralSolver`] over the engine's grid, planar or volumetric.
+    pub(crate) fn new(engine: &DiffusionEngine, tau: f64, spectral: bool) -> Self {
+        let spectral = spectral.then(|| {
+            let solver = SpectralSolver::with_dims(engine.dims(), engine.densities());
+            (solver, vec![0.0; engine.densities().len()])
+        });
+        Self {
+            at: 0,
+            tau,
+            spectral,
+        }
+    }
+
     /// The budget at which a stride of `stride` sweeps starting here
     /// samples velocity. FTCS samples the stride's midpoint. The
     /// spectral jump samples its start: a mid-stride field would cost a
@@ -596,14 +572,16 @@ mod tests {
         let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
         let p0 = p.clone();
         let budget = Cell::new(2usize);
-        let r = GlobalDiffusion::new(cfg()).run_with_cancel(&nl, &die, &mut p, &|| {
+        let stop = || {
             if budget.get() == 0 {
                 true
             } else {
                 budget.set(budget.get() - 1);
                 false
             }
-        });
+        };
+        let r =
+            GlobalDiffusion::new(cfg()).run_observed(&nl, &die, &mut p, &stop, &mut NoopObserver);
         assert!(r.cancelled);
         assert!(!r.converged);
         assert_eq!(r.steps, 2);
@@ -617,7 +595,13 @@ mod tests {
         let (nl, die, mut p1) = pile(24, Point::new(36.0, 36.0));
         let (_, _, mut p2) = pile(24, Point::new(36.0, 36.0));
         let r1 = GlobalDiffusion::new(cfg()).run(&nl, &die, &mut p1);
-        let r2 = GlobalDiffusion::new(cfg()).run_with_cancel(&nl, &die, &mut p2, &|| false);
+        let r2 = GlobalDiffusion::new(cfg()).run_observed(
+            &nl,
+            &die,
+            &mut p2,
+            &|| false,
+            &mut NoopObserver,
+        );
         assert_eq!(r1.steps, r2.steps);
         assert!(!r2.cancelled);
         assert_eq!(p1, p2);
@@ -792,14 +776,21 @@ mod tests {
         assert!(full.steps > 2, "workload too small to cancel mid-run");
         let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
         let budget = Cell::new(2usize);
-        let r = GlobalDiffusion::new(spectral_cfg()).run_with_cancel(&nl, &die, &mut p, &|| {
+        let stop = || {
             if budget.get() == 0 {
                 true
             } else {
                 budget.set(budget.get() - 1);
                 false
             }
-        });
+        };
+        let r = GlobalDiffusion::new(spectral_cfg()).run_observed(
+            &nl,
+            &die,
+            &mut p,
+            &stop,
+            &mut NoopObserver,
+        );
         assert!(r.cancelled);
         assert_eq!(r.steps, 2);
         assert_eq!(r.telemetry.len(), 2);
@@ -928,11 +919,17 @@ mod tests {
         let run = |fire_at: usize| {
             let (nl, die, mut p) = pile(24, Point::new(36.0, 36.0));
             let polls = Cell::new(0usize);
-            let r =
-                GlobalDiffusion::new(unreachable_cfg()).run_with_cancel(&nl, &die, &mut p, &|| {
-                    polls.set(polls.get() + 1);
-                    polls.get() >= fire_at
-                });
+            let stop = || {
+                polls.set(polls.get() + 1);
+                polls.get() >= fire_at
+            };
+            let r = GlobalDiffusion::new(unreachable_cfg()).run_observed(
+                &nl,
+                &die,
+                &mut p,
+                &stop,
+                &mut NoopObserver,
+            );
             assert_eq!(
                 polls.get(),
                 fire_at,

@@ -28,8 +28,9 @@
 //! - a **closed-form spectral solver**: the diffusion equation
 //!   diagonalizes in the DCT basis under the engine's zero-flux
 //!   boundaries, so `ρ(t)` for any `t` is one cached forward transform
-//!   plus one decayed inverse transform — [`SpectralSolver`], selected
-//!   per run with [`SolverKind::Spectral`] on [`DiffusionConfig`]
+//!   plus one decayed inverse transform — [`SpectralSolver`], one solver
+//!   for planar and volumetric grids ([`SpectralSolver::with_dims`]),
+//!   selected per run with [`SolverKind::Spectral`] on [`DiffusionConfig`]
 //!   (walled/frozen grids automatically keep the FTCS stepper).
 //!
 //! All four hot kernels — FTCS step, velocity field, cell advection and
@@ -42,11 +43,13 @@
 //! fold of those events. The engine itself keeps no clock.
 //!
 //! Runs can be watched live through a [`DiffusionObserver`] attached
-//! with `run_observed` on either runner: per-step, per-round and
-//! per-kernel callbacks that see only post-step state and therefore
-//! never perturb the dynamics (observed runs are bit-identical to
-//! plain runs). Trajectory tracing and `dpm-serve`'s streaming
-//! progress frames are both observers.
+//! with `run_observed` on every runner (`run_job_observed` on
+//! [`VolumetricDiffusion`]), the one entry point that also takes a
+//! cancellation hook: per-step, per-round and per-kernel callbacks that
+//! see only post-step state and therefore never perturb the dynamics
+//! (observed runs are bit-identical to plain runs). Trajectory tracing
+//! and `dpm-serve`'s streaming progress frames, planar and volumetric,
+//! are both observers.
 //!
 //! The engine works in *bin coordinates*: the die is divided into square
 //! bins and scaled so each bin is 1×1, exactly as the paper assumes. The
@@ -112,7 +115,7 @@ pub use observe::{
 pub use shard::{
     stitch_positions, BinRect, ShardPartition, ShardProblem, ShardRegion, ZSlab, ZSlabPartition,
 };
-pub use spectral::{DctPlan, SpectralSolver, SpectralSolver3};
+pub use spectral::{DctPlan, SpectralSolver};
 pub use telemetry::{KernelTimers, KernelTiming, StepRecord, Telemetry};
 pub use trace::{trace_global_diffusion, TracedRun, Trajectory};
 pub use velocity::interpolate_velocity;

@@ -88,10 +88,11 @@ impl LocalDiffusion {
     /// every round — reallocating them per round dominated small-window
     /// runs), and every kernel runs on the configured worker pool.
     pub fn run(&self, netlist: &Netlist, die: &Die, placement: &mut Placement) -> DiffusionResult {
-        self.run_with_cancel(netlist, die, placement, &|| false)
+        self.run_observed(netlist, die, placement, &|| false, &mut NoopObserver)
     }
 
-    /// Runs robust local diffusion with a cancellation hook.
+    /// Runs robust local diffusion with a cancellation hook and an
+    /// attached [`DiffusionObserver`].
     ///
     /// `should_stop` is polled between rounds *and* between the `N_U`
     /// diffusion steps inside a round, so a deadline can cut a long round
@@ -100,18 +101,6 @@ impl LocalDiffusion {
     /// progress (every completed step left it consistent). A hook that
     /// never fires reproduces [`run`](Self::run) exactly — the hook is
     /// consulted only between steps and never changes the arithmetic.
-    pub fn run_with_cancel(
-        &self,
-        netlist: &Netlist,
-        die: &Die,
-        placement: &mut Placement,
-        should_stop: &dyn Fn() -> bool,
-    ) -> DiffusionResult {
-        self.run_observed(netlist, die, placement, should_stop, &mut NoopObserver)
-    }
-
-    /// Runs robust local diffusion with a cancellation hook and an
-    /// attached [`DiffusionObserver`].
     ///
     /// On top of the per-step and per-kernel callbacks that
     /// [`GlobalDiffusion::run_observed`](crate::GlobalDiffusion::run_observed)
@@ -511,14 +500,16 @@ mod tests {
         // Allow three hook polls, then cancel: the run stops inside the
         // first round's N_U-step loop.
         let polls = Cell::new(3usize);
-        let r = LocalDiffusion::new(cfg()).run_with_cancel(&nl, &die, &mut p, &|| {
+        let stop = || {
             if polls.get() == 0 {
                 true
             } else {
                 polls.set(polls.get() - 1);
                 false
             }
-        });
+        };
+        let r =
+            LocalDiffusion::new(cfg()).run_observed(&nl, &die, &mut p, &stop, &mut NoopObserver);
         assert!(r.cancelled);
         assert!(!r.converged);
         assert!(r.steps >= 1, "at least one step before cancellation");
@@ -531,7 +522,13 @@ mod tests {
         let (nl, die, mut p1) = pile(100, Point::new(30.0, 30.0));
         let (_, _, mut p2) = pile(100, Point::new(30.0, 30.0));
         let r1 = LocalDiffusion::new(cfg()).run(&nl, &die, &mut p1);
-        let r2 = LocalDiffusion::new(cfg()).run_with_cancel(&nl, &die, &mut p2, &|| false);
+        let r2 = LocalDiffusion::new(cfg()).run_observed(
+            &nl,
+            &die,
+            &mut p2,
+            &|| false,
+            &mut NoopObserver,
+        );
         assert_eq!((r1.steps, r1.rounds), (r2.steps, r2.rounds));
         assert!(!r2.cancelled);
         assert_eq!(p1, p2);

@@ -111,8 +111,8 @@ pub trait DiffusionObserver {
     fn on_kernel(&mut self, _event: &KernelEvent) {}
 }
 
-/// The observer that observes nothing; attached by the plain
-/// `run`/`run_with_cancel` entry points.
+/// The observer that observes nothing; attached by the plain `run`
+/// entry points.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 

@@ -24,7 +24,9 @@
 //!   the result is bit-identical to the textbook loop. Plans of equal
 //!   length share one matrix.
 //!
-//! [`SpectralSolver`] adds the incremental form Algorithm 1 needs: the
+//! [`SpectralSolver`] adds the incremental form Algorithm 1 needs, on a
+//! planar or a volumetric grid (a volumetric mode also decays by
+//! `exp(-t·(πm/nz)²)`): the
 //! forward transform of `ρ(0)` is computed once and cached; every
 //! density query re-decays the cached coefficients and inverse
 //! transforms, so `k` queries cost one forward transform plus `k`
@@ -33,6 +35,7 @@
 //! All transforms run serially on the calling thread — the spectral
 //! path is trivially bit-identical at any worker-thread count.
 
+use crate::Dims;
 use std::f64::consts::PI;
 use std::sync::Arc;
 
@@ -588,16 +591,133 @@ fn plan_sharing(n: usize, built: &[&DctPlan]) -> DctPlan {
         .map_or_else(|| DctPlan::new(n), |p| DctPlan::clone(p))
 }
 
-/// Closed-form diffusion solver over a 2-D density field with zero-flux
-/// boundaries.
+/// The continuous Neumann decay rate `(πk/len)²` of mode `k` along an
+/// axis of `len` bins.
+fn mode_rate(k: usize, len: usize) -> f64 {
+    let f = PI * k as f64 / len as f64;
+    f * f
+}
+
+/// Transforms every row of the row-major plane `src` along x with `plan`
+/// into the same row of `dst`, times `norm` (`× 1.0` is exact). Rows go
+/// two at a time through `pair`; an odd last row takes `single`.
+fn rows(
+    plan: &mut DctPlan,
+    [line, line2]: &mut [Vec<f64>; 2],
+    src: &[f64],
+    dst: &mut [f64],
+    norm: f64,
+    pair: impl Fn(&mut DctPlan, &[f64], &[f64], &mut [f64], &mut [f64]),
+    single: impl Fn(&mut DctPlan, &[f64], &mut [f64]),
+) {
+    let nx = plan.n;
+    let ny = src.len() / nx;
+    let (line, line2) = (&mut line[..nx], &mut line2[..nx]);
+    let mut y = 0;
+    while y + 1 < ny {
+        pair(
+            plan,
+            &src[y * nx..(y + 1) * nx],
+            &src[(y + 1) * nx..(y + 2) * nx],
+            line,
+            line2,
+        );
+        for j in 0..nx {
+            dst[y * nx + j] = line[j] * norm;
+            dst[(y + 1) * nx + j] = line2[j] * norm;
+        }
+        y += 2;
+    }
+    if y < ny {
+        single(plan, &src[y * nx..(y + 1) * nx], line);
+        for (j, &v) in line.iter().enumerate() {
+            dst[y * nx + j] = v * norm;
+        }
+    }
+}
+
+/// Transposes the row-major `plane` into `cols`, transforms every column
+/// along y with `plan` — two at a time through `pair`, an odd last one
+/// through `single` — and scatters the results back into `plane`.
+fn columns(
+    plan: &mut DctPlan,
+    cols: &mut [f64],
+    [line, line2]: &mut [Vec<f64>; 2],
+    plane: &mut [f64],
+    pair: impl Fn(&mut DctPlan, &[f64], &[f64], &mut [f64], &mut [f64]),
+    single: impl Fn(&mut DctPlan, &[f64], &mut [f64]),
+) {
+    let ny = plan.n;
+    let nx = plane.len() / ny;
+    for y in 0..ny {
+        for x in 0..nx {
+            cols[x * ny + y] = plane[y * nx + x];
+        }
+    }
+    let (line, line2) = (&mut line[..ny], &mut line2[..ny]);
+    let mut x = 0;
+    while x + 1 < nx {
+        pair(
+            plan,
+            &cols[x * ny..(x + 1) * ny],
+            &cols[(x + 1) * ny..(x + 2) * ny],
+            line,
+            line2,
+        );
+        for l in 0..ny {
+            plane[l * nx + x] = line[l];
+            plane[l * nx + x + 1] = line2[l];
+        }
+        x += 2;
+    }
+    if x < nx {
+        single(plan, &cols[x * ny..(x + 1) * ny], line);
+        for (l, &c) in line.iter().enumerate() {
+            plane[l * nx + x] = c;
+        }
+    }
+}
+
+/// Transforms every z-line of a plane-major `volume` (planes of `plane`
+/// bins) in place with `dct`, gathering each line into the first scratch
+/// line and scattering the result back from the second.
+fn z_pass(
+    plan: &mut DctPlan,
+    volume: &mut [f64],
+    plane: usize,
+    [line, out]: &mut [Vec<f64>; 2],
+    dct: impl Fn(&mut DctPlan, &[f64], &mut [f64]),
+) {
+    let nz = plan.n;
+    let (line, out) = (&mut line[..nz], &mut out[..nz]);
+    for i in 0..plane {
+        for (z, v) in line.iter_mut().enumerate() {
+            *v = volume[z * plane + i];
+        }
+        dct(plan, line, out);
+        for (z, &v) in out.iter().enumerate() {
+            volume[z * plane + i] = v;
+        }
+    }
+}
+
+/// Closed-form diffusion solver over a planar or volumetric density
+/// field with zero-flux boundaries.
 ///
-/// Construction takes **one forward 2-D DCT-II** of the initial field
-/// and caches the coefficients. Every [`density_at`](Self::density_at)
-/// query decays each mode `(k, l)` by `exp(-t·((πk/nx)² + (πl/ny)²))`
-/// — the *continuous* Neumann eigenvalues, so a sampled cosine mode
-/// follows the analytic heat-equation solution to machine precision —
-/// and runs one inverse transform. Mode `(0, 0)` never decays: total
-/// mass is conserved exactly at every queried time.
+/// Construction takes **one forward DCT-II** of the initial field and
+/// caches the coefficients. Every [`density_at`](Self::density_at) query
+/// decays each mode `(k, l)` by `exp(-t·((πk/nx)² + (πl/ny)²))` — the
+/// *continuous* Neumann eigenvalues, so a sampled cosine mode follows the
+/// analytic heat-equation solution to machine precision — and runs one
+/// inverse transform. Mode `(0, 0)` never decays: total mass is conserved
+/// exactly at every queried time.
+///
+/// A [`Dims::D3`] grid stacks `nz` planes (plane-major,
+/// `field[(z·ny + k)·nx + j]`, as in
+/// [`DiffusionEngine::from_raw_3d`](crate::DiffusionEngine::from_raw_3d)).
+/// Each plane runs the planar passes, and one z pass over the planes
+/// follows them in the forward transform and precedes them in the
+/// inverse; mode `(k, l, m)` also decays by `exp(-t·(πm/nz)²)`.
 ///
 /// Queries always re-decay from the cached `t = 0` coefficients, never
 /// from a previous query, so repeated queries accumulate no error and
@@ -629,306 +749,100 @@ fn plan_sharing(n: usize, built: &[&DctPlan]) -> DctPlan {
 /// assert!((before - after).abs() < 1e-9 * before.abs().max(1.0));
 /// ```
 pub struct SpectralSolver {
-    nx: usize,
-    ny: usize,
+    dims: Dims,
     plan_x: DctPlan,
     plan_y: DctPlan,
-    /// DCT-II coefficients of the initial field, row-major `[l·nx + k]`.
+    /// The z-axis plan of a [`Dims::D3`] grid; a planar grid has none.
+    plan_z: Option<DctPlan>,
+    /// DCT-II coefficients of the initial field, plane-major.
     coeffs: Vec<f64>,
     /// Continuous Neumann decay rate per x mode: `(πk/nx)²`.
     rate_x: Vec<f64>,
     /// Continuous Neumann decay rate per y mode: `(πl/ny)²`.
     rate_y: Vec<f64>,
-    buf_a: Vec<f64>,
-    buf_b: Vec<f64>,
-    line: Vec<f64>,
-    line2: Vec<f64>,
+    /// A query's decayed coefficients, transformed back in place.
+    buf: Vec<f64>,
+    /// One plane transposed to x-major, so its columns are contiguous.
+    cols: Vec<f64>,
+    /// Two scratch lines as long as the longest axis.
+    lines: [Vec<f64>; 2],
     decay_x: Vec<f64>,
     forward_transforms: u64,
     inverse_transforms: u64,
 }
 
 impl SpectralSolver {
-    /// Builds a solver from the initial density field (row-major, `ny`
-    /// rows of `nx` bins), running the one cached forward transform.
+    /// Builds a solver from the initial planar density field (row-major,
+    /// `ny` rows of `nx` bins), running the one cached forward transform.
     ///
     /// # Panics
     ///
     /// Panics if `nx` or `ny` is zero or `density.len() != nx·ny`.
     pub fn new(nx: usize, ny: usize, density: &[f64]) -> Self {
-        assert!(nx > 0 && ny > 0, "grid must be non-empty");
-        let plan_x = DctPlan::new(nx);
-        let plan_y = plan_sharing(ny, &[&plan_x]);
-        Self::from_plans(plan_x, plan_y, density)
+        Self::with_dims(Dims::d2(nx, ny), density)
     }
 
-    fn from_plans(plan_x: DctPlan, plan_y: DctPlan, density: &[f64]) -> Self {
-        let (nx, ny) = (plan_x.n, plan_y.n);
-        assert_eq!(density.len(), nx * ny, "field length must be nx*ny");
-        let n = nx * ny;
-        let rate = |k: usize, len: usize| {
-            let f = PI * k as f64 / len as f64;
-            f * f
-        };
-        let mut solver = Self {
-            nx,
-            ny,
-            plan_x,
-            plan_y,
-            coeffs: vec![0.0; n],
-            rate_x: (0..nx).map(|k| rate(k, nx)).collect(),
-            rate_y: (0..ny).map(|l| rate(l, ny)).collect(),
-            buf_a: vec![0.0; n],
-            buf_b: vec![0.0; n],
-            line: vec![0.0; nx.max(ny)],
-            line2: vec![0.0; nx.max(ny)],
-            decay_x: vec![0.0; nx],
-            forward_transforms: 0,
-            inverse_transforms: 0,
-        };
-        solver.forward(density);
-        solver
-    }
-
-    /// Grid width in bins.
-    pub fn nx(&self) -> usize {
-        self.nx
-    }
-
-    /// Grid height in bins.
-    pub fn ny(&self) -> usize {
-        self.ny
-    }
-
-    /// Forward 2-D DCT-II of `field` into `self.coeffs`. Rows and
-    /// columns go through the paired transform two at a time; an odd
-    /// trailing line takes the single path.
-    fn forward(&mut self, field: &[f64]) {
-        let (nx, ny) = (self.nx, self.ny);
-        // Rows.
-        let mut y = 0;
-        while y + 1 < ny {
-            let (o0, o1) = self.buf_a[y * nx..(y + 2) * nx].split_at_mut(nx);
-            self.plan_x.dct2_pair(
-                &field[y * nx..(y + 1) * nx],
-                &field[(y + 1) * nx..(y + 2) * nx],
-                o0,
-                o1,
-            );
-            y += 2;
-        }
-        if y < ny {
-            self.plan_x.dct2(
-                &field[y * nx..(y + 1) * nx],
-                &mut self.buf_a[y * nx..(y + 1) * nx],
-            );
-        }
-        // Transpose to x-major so columns are contiguous.
-        for y in 0..ny {
-            for x in 0..nx {
-                self.buf_b[x * ny + y] = self.buf_a[y * nx + x];
-            }
-        }
-        // Columns, scattered straight into row-major coefficients.
-        let mut x = 0;
-        while x + 1 < nx {
-            self.plan_y.dct2_pair(
-                &self.buf_b[x * ny..(x + 1) * ny],
-                &self.buf_b[(x + 1) * ny..(x + 2) * ny],
-                &mut self.line[..ny],
-                &mut self.line2[..ny],
-            );
-            for l in 0..ny {
-                self.coeffs[l * nx + x] = self.line[l];
-                self.coeffs[l * nx + x + 1] = self.line2[l];
-            }
-            x += 2;
-        }
-        if x < nx {
-            let (line, buf_b) = (&mut self.line[..ny], &self.buf_b[x * ny..(x + 1) * ny]);
-            self.plan_y.dct2(buf_b, line);
-            for (l, &c) in line.iter().enumerate() {
-                self.coeffs[l * nx + x] = c;
-            }
-        }
-        self.forward_transforms += 1;
-    }
-
-    /// Writes the density field at diffusion time `t` into `out`
-    /// (row-major, `nx·ny` bins): decays the cached coefficients and
-    /// runs one inverse 2-D transform.
+    /// Builds a solver over a grid of any [`Dims`] from its initial
+    /// density field (plane-major), running the one cached forward
+    /// transform. Axes of equal length share one plan's tables.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dpm_diffusion::{Dims, SpectralSolver};
+    ///
+    /// let (nx, ny, nz) = (8, 4, 3);
+    /// let field: Vec<f64> = (0..nx * ny * nz).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
+    /// let mut solver = SpectralSolver::with_dims(Dims::d3(nx, ny, nz), &field);
+    /// let mut out = vec![0.0; nx * ny * nz];
+    /// // t = 0 reproduces the input field.
+    /// solver.density_at(0.0, &mut out);
+    /// assert!(field.iter().zip(&out).all(|(a, b)| (a - b).abs() < 1e-9));
+    /// // Mass is conserved exactly at any jump distance.
+    /// solver.density_at(5.0, &mut out);
+    /// let before: f64 = field.iter().sum();
+    /// let after: f64 = out.iter().sum();
+    /// assert!((before - after).abs() < 1e-9 * before);
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `t` is negative or non-finite, or `out.len() != nx·ny`.
-    pub fn density_at(&mut self, t: f64, out: &mut [f64]) {
-        assert!(t.is_finite() && t >= 0.0, "diffusion time must be >= 0");
-        let (nx, ny) = (self.nx, self.ny);
-        assert_eq!(out.len(), nx * ny, "output length must be nx*ny");
-        // Separable decay: exp(-t·(μx+μy)) = exp(-t·μx)·exp(-t·μy).
-        for (d, &r) in self.decay_x.iter_mut().zip(&self.rate_x) {
-            *d = (-t * r).exp();
-        }
-        for l in 0..ny {
-            let ey = (-t * self.rate_y[l]).exp();
-            let row = &self.coeffs[l * nx..(l + 1) * nx];
-            let dst = &mut self.buf_a[l * nx..(l + 1) * nx];
-            decay_line(dst, row, &self.decay_x, ey);
-        }
-        // Transpose, inverse-transform columns (two per FFT), then rows.
-        for y in 0..ny {
-            for x in 0..nx {
-                self.buf_b[x * ny + y] = self.buf_a[y * nx + x];
-            }
-        }
-        let mut x = 0;
-        while x + 1 < nx {
-            self.plan_y.dct3_pair(
-                &self.buf_b[x * ny..(x + 1) * ny],
-                &self.buf_b[(x + 1) * ny..(x + 2) * ny],
-                &mut self.line[..ny],
-                &mut self.line2[..ny],
-            );
-            for l in 0..ny {
-                self.buf_a[l * nx + x] = self.line[l];
-                self.buf_a[l * nx + x + 1] = self.line2[l];
-            }
-            x += 2;
-        }
-        if x < nx {
-            let (line, buf_b) = (&mut self.line[..ny], &self.buf_b[x * ny..(x + 1) * ny]);
-            self.plan_y.dct3(buf_b, line);
-            for (l, &c) in line.iter().enumerate() {
-                self.buf_a[l * nx + x] = c;
-            }
-        }
-        let norm = 4.0 / (nx as f64 * ny as f64);
-        let mut y = 0;
-        while y + 1 < ny {
-            self.plan_x.dct3_pair(
-                &self.buf_a[y * nx..(y + 1) * nx],
-                &self.buf_a[(y + 1) * nx..(y + 2) * nx],
-                &mut self.line[..nx],
-                &mut self.line2[..nx],
-            );
-            for j in 0..nx {
-                out[y * nx + j] = self.line[j] * norm;
-                out[(y + 1) * nx + j] = self.line2[j] * norm;
-            }
-            y += 2;
-        }
-        if y < ny {
-            let (line, buf_a) = (&mut self.line[..nx], &self.buf_a[y * nx..(y + 1) * nx]);
-            self.plan_x.dct3(buf_a, line);
-            for (j, &v) in line.iter().enumerate() {
-                out[y * nx + j] = v * norm;
-            }
-        }
-        self.inverse_transforms += 1;
-    }
-
-    /// Forward 2-D transforms run so far (1 after construction).
-    pub fn forward_transforms(&self) -> u64 {
-        self.forward_transforms
-    }
-
-    /// Inverse 2-D transforms run so far (one per
-    /// [`density_at`](Self::density_at) query).
-    pub fn inverse_transforms(&self) -> u64 {
-        self.inverse_transforms
-    }
-}
-
-/// Closed-form diffusion solver over a **3-D** (volumetric) density field
-/// with zero-flux boundaries.
-///
-/// The separable extension of [`SpectralSolver`]: the Neumann heat
-/// operator on a box diagonalizes in the tensor-product DCT-II basis, so
-/// mode `(k, l, m)` decays by `exp(-t·((πk/nx)² + (πl/ny)² + (πm/nz)²))`.
-/// The three axis transforms reuse the same 1-D [`DctPlan`] primitives as
-/// the planar solver (FFT on power-of-two lengths, the exact O(n²)
-/// cosine-matrix path otherwise, one matrix per distinct axis length). Fields are plane-major: `field[(z·ny + k)·nx + j]`,
-/// matching [`DiffusionEngine::from_raw_3d`](crate::DiffusionEngine::from_raw_3d).
-///
-/// All transforms run serially on the calling thread — bit-identical at
-/// any worker-thread count, like the planar solver.
-///
-/// # Examples
-///
-/// ```
-/// use dpm_diffusion::SpectralSolver3;
-///
-/// let (nx, ny, nz) = (8, 4, 3);
-/// let field: Vec<f64> = (0..nx * ny * nz).map(|i| 1.0 + (i % 7) as f64 * 0.1).collect();
-/// let mut solver = SpectralSolver3::new(nx, ny, nz, &field);
-/// let mut out = vec![0.0; nx * ny * nz];
-/// // t = 0 reproduces the input field.
-/// solver.density_at(0.0, &mut out);
-/// assert!(field.iter().zip(&out).all(|(a, b)| (a - b).abs() < 1e-9));
-/// // Mass is conserved exactly at any jump distance.
-/// solver.density_at(5.0, &mut out);
-/// let before: f64 = field.iter().sum();
-/// let after: f64 = out.iter().sum();
-/// assert!((before - after).abs() < 1e-9 * before);
-/// ```
-pub struct SpectralSolver3 {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    plan_x: DctPlan,
-    plan_y: DctPlan,
-    plan_z: DctPlan,
-    /// DCT-II coefficients of the initial field, plane-major.
-    coeffs: Vec<f64>,
-    rate_x: Vec<f64>,
-    rate_y: Vec<f64>,
-    rate_z: Vec<f64>,
-    buf: Vec<f64>,
-    line_in: Vec<f64>,
-    line_out: Vec<f64>,
-    decay_x: Vec<f64>,
-    forward_transforms: u64,
-    inverse_transforms: u64,
-}
-
-impl SpectralSolver3 {
-    /// Builds a solver from the initial volumetric density field
-    /// (plane-major, `nz` planes of `ny` rows of `nx` bins), running the
-    /// one cached forward transform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any side is zero or `density.len() != nx·ny·nz`.
-    pub fn new(nx: usize, ny: usize, nz: usize, density: &[f64]) -> Self {
-        assert!(nx > 0 && ny > 0 && nz > 0, "grid must be non-empty");
-        let plan_x = DctPlan::new(nx);
-        let plan_y = plan_sharing(ny, &[&plan_x]);
-        let plan_z = plan_sharing(nz, &[&plan_x, &plan_y]);
+    /// Panics if any side is zero or `density.len() != dims.len()`.
+    pub fn with_dims(dims: Dims, density: &[f64]) -> Self {
+        let plan_x = DctPlan::new(dims.nx());
+        let plan_y = plan_sharing(dims.ny(), &[&plan_x]);
+        let plan_z = match dims {
+            Dims::D2 { .. } => None,
+            Dims::D3 { nz, .. } => Some(plan_sharing(nz, &[&plan_x, &plan_y])),
+        };
         Self::from_plans(plan_x, plan_y, plan_z, density)
     }
 
-    fn from_plans(plan_x: DctPlan, plan_y: DctPlan, plan_z: DctPlan, density: &[f64]) -> Self {
-        let (nx, ny, nz) = (plan_x.n, plan_y.n, plan_z.n);
-        assert_eq!(density.len(), nx * ny * nz, "field length must be nx*ny*nz");
-        let n = nx * ny * nz;
-        let rate = |k: usize, len: usize| {
-            let f = PI * k as f64 / len as f64;
-            f * f
+    fn from_plans(
+        plan_x: DctPlan,
+        plan_y: DctPlan,
+        plan_z: Option<DctPlan>,
+        density: &[f64],
+    ) -> Self {
+        let (nx, ny) = (plan_x.n, plan_y.n);
+        let dims = match &plan_z {
+            None => Dims::d2(nx, ny),
+            Some(p) => Dims::d3(nx, ny, p.n),
         };
+        let (n, nz) = (dims.len(), dims.nz());
+        assert_eq!(density.len(), n, "field length must match the grid");
+        let longest = nx.max(ny).max(nz);
         let mut solver = Self {
-            nx,
-            ny,
-            nz,
+            dims,
             plan_x,
             plan_y,
             plan_z,
             coeffs: vec![0.0; n],
-            rate_x: (0..nx).map(|k| rate(k, nx)).collect(),
-            rate_y: (0..ny).map(|l| rate(l, ny)).collect(),
-            rate_z: (0..nz).map(|m| rate(m, nz)).collect(),
+            rate_x: (0..nx).map(|k| mode_rate(k, nx)).collect(),
+            rate_y: (0..ny).map(|l| mode_rate(l, ny)).collect(),
             buf: vec![0.0; n],
-            line_in: vec![0.0; nx.max(ny).max(nz)],
-            line_out: vec![0.0; nx.max(ny).max(nz)],
+            cols: vec![0.0; nx * ny],
+            lines: [vec![0.0; longest], vec![0.0; longest]],
             decay_x: vec![0.0; nx],
             forward_transforms: 0,
             inverse_transforms: 0,
@@ -939,125 +853,99 @@ impl SpectralSolver3 {
 
     /// Grid width in bins.
     pub fn nx(&self) -> usize {
-        self.nx
+        self.dims.nx()
     }
 
     /// Grid height in bins.
     pub fn ny(&self) -> usize {
-        self.ny
+        self.dims.ny()
     }
 
-    /// Number of tiers.
+    /// Number of tiers (1 for a planar grid).
     pub fn nz(&self) -> usize {
-        self.nz
+        self.dims.nz()
     }
 
-    /// Forward 3-D DCT-II of `field` into `self.coeffs`: contiguous
-    /// x-lines first, then strided gather/transform/scatter along y and z.
+    /// Forward DCT-II of `field` into `self.coeffs`: each plane, then z.
     fn forward(&mut self, field: &[f64]) {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        for l in 0..ny * nz {
-            self.plan_x.dct2(
-                &field[l * nx..(l + 1) * nx],
-                &mut self.buf[l * nx..(l + 1) * nx],
+        let plane = self.nx() * self.ny();
+        let (x, y, lines) = (&mut self.plan_x, &mut self.plan_y, &mut self.lines);
+        for (src, dst) in field
+            .chunks_exact(plane)
+            .zip(self.coeffs.chunks_exact_mut(plane))
+        {
+            rows(x, lines, src, dst, 1.0, DctPlan::dct2_pair, DctPlan::dct2);
+            columns(
+                y,
+                &mut self.cols,
+                lines,
+                dst,
+                DctPlan::dct2_pair,
+                DctPlan::dct2,
             );
         }
-        for z in 0..nz {
-            for x in 0..nx {
-                for k in 0..ny {
-                    self.line_in[k] = self.buf[(z * ny + k) * nx + x];
-                }
-                self.plan_y
-                    .dct2(&self.line_in[..ny], &mut self.line_out[..ny]);
-                for k in 0..ny {
-                    self.buf[(z * ny + k) * nx + x] = self.line_out[k];
-                }
-            }
-        }
-        let plane = nx * ny;
-        for i in 0..plane {
-            for z in 0..nz {
-                self.line_in[z] = self.buf[z * plane + i];
-            }
-            self.plan_z
-                .dct2(&self.line_in[..nz], &mut self.line_out[..nz]);
-            for z in 0..nz {
-                self.coeffs[z * plane + i] = self.line_out[z];
-            }
+        if let Some(plan_z) = &mut self.plan_z {
+            z_pass(plan_z, &mut self.coeffs, plane, lines, DctPlan::dct2);
         }
         self.forward_transforms += 1;
     }
 
     /// Writes the density field at diffusion time `t` into `out`
-    /// (plane-major, `nx·ny·nz` bins): decays the cached coefficients and
-    /// runs one inverse 3-D transform.
+    /// (plane-major, one value per bin): decays the cached coefficients
+    /// and runs one inverse transform.
     ///
     /// # Panics
     ///
-    /// Panics if `t` is negative or non-finite, or `out.len() != nx·ny·nz`.
+    /// Panics if `t` is negative or non-finite, or `out` does not hold
+    /// one value per bin.
     pub fn density_at(&mut self, t: f64, out: &mut [f64]) {
         assert!(t.is_finite() && t >= 0.0, "diffusion time must be >= 0");
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        assert_eq!(out.len(), nx * ny * nz, "output length must be nx*ny*nz");
-        // Separable decay exp(-t·(μx+μy+μz)).
+        let (nx, ny, nz, n) = (self.nx(), self.ny(), self.nz(), self.dims.len());
+        assert_eq!(out.len(), n, "output length must match the grid");
+        // Separable decay: exp(-t·(μx+μy+μz)) = exp(-t·μx)·exp(-t·μy)·exp(-t·μz).
+        // A planar grid's one z mode has rate 0: exp(-0) = 1 scales exactly.
         for (d, &r) in self.decay_x.iter_mut().zip(&self.rate_x) {
             *d = (-t * r).exp();
         }
-        for z in 0..nz {
-            let ez = (-t * self.rate_z[z]).exp();
-            for l in 0..ny {
-                let eyz = ez * (-t * self.rate_y[l]).exp();
-                let base = (z * ny + l) * nx;
-                decay_line(
-                    &mut self.buf[base..base + nx],
-                    &self.coeffs[base..base + nx],
-                    &self.decay_x,
-                    eyz,
-                );
+        for m in 0..nz {
+            let ez = (-t * mode_rate(m, nz)).exp();
+            for (l, &ry) in self.rate_y.iter().enumerate() {
+                let at = (m * ny + l) * nx..(m * ny + l + 1) * nx;
+                let (dst, src) = (&mut self.buf[at.clone()], &self.coeffs[at]);
+                decay_line(dst, src, &self.decay_x, ez * (-t * ry).exp());
             }
         }
-        // Inverse: z, then y (strided), then contiguous x with the
-        // normalization folded in (dct3∘dct2 = (n/2)·id per axis).
         let plane = nx * ny;
-        for i in 0..plane {
-            for z in 0..nz {
-                self.line_in[z] = self.buf[z * plane + i];
-            }
-            self.plan_z
-                .dct3(&self.line_in[..nz], &mut self.line_out[..nz]);
-            for z in 0..nz {
-                self.buf[z * plane + i] = self.line_out[z];
-            }
+        let (x, y, lines) = (&mut self.plan_x, &mut self.plan_y, &mut self.lines);
+        if let Some(plan_z) = &mut self.plan_z {
+            z_pass(plan_z, &mut self.buf, plane, lines, DctPlan::dct3);
         }
-        for z in 0..nz {
-            for x in 0..nx {
-                for k in 0..ny {
-                    self.line_in[k] = self.buf[(z * ny + k) * nx + x];
-                }
-                self.plan_y
-                    .dct3(&self.line_in[..ny], &mut self.line_out[..ny]);
-                for k in 0..ny {
-                    self.buf[(z * ny + k) * nx + x] = self.line_out[k];
-                }
-            }
-        }
-        let norm = 8.0 / (nx as f64 * ny as f64 * nz as f64);
-        for l in 0..ny * nz {
-            self.plan_x
-                .dct3(&self.buf[l * nx..(l + 1) * nx], &mut self.line_out[..nx]);
-            for (j, &v) in self.line_out[..nx].iter().enumerate() {
-                out[l * nx + j] = v * norm;
-            }
+        // dct3∘dct2 = (n/2)·id per axis.
+        let norm = f64::from(1u32 << self.dims.ndim()) / (nx as f64 * ny as f64 * nz as f64);
+        for (src, dst) in self
+            .buf
+            .chunks_exact_mut(plane)
+            .zip(out.chunks_exact_mut(plane))
+        {
+            columns(
+                y,
+                &mut self.cols,
+                lines,
+                src,
+                DctPlan::dct3_pair,
+                DctPlan::dct3,
+            );
+            rows(x, lines, src, dst, norm, DctPlan::dct3_pair, DctPlan::dct3);
         }
         self.inverse_transforms += 1;
     }
 
-    /// Forward 3-D transforms run so far (1 after construction).
+    /// Forward transforms run so far (1 after construction).
     pub fn forward_transforms(&self) -> u64 {
         self.forward_transforms
     }
 
-    /// Inverse 3-D transforms run so far (one per
+    /// Inverse transforms run so far (one per
     /// [`density_at`](Self::density_at) query).
     pub fn inverse_transforms(&self) -> u64 {
         self.inverse_transforms
@@ -1293,7 +1181,7 @@ mod tests {
         let (nx, ny) = (16, 12);
         let field: Vec<f64> = (0..nx * ny).map(|_| rng.random_range(0.0..2.0)).collect();
         let mut planar = SpectralSolver::new(nx, ny, &field);
-        let mut volume = SpectralSolver3::new(nx, ny, 1, &field);
+        let mut volume = SpectralSolver::with_dims(Dims::d3(nx, ny, 1), &field);
         let mut out2 = vec![0.0; nx * ny];
         let mut out3 = vec![0.0; nx * ny];
         for t in [0.0, 0.4, 3.0] {
@@ -1327,7 +1215,7 @@ mod tests {
                     base + amp * mode(x, y, z)
                 })
                 .collect();
-            let mut solver = SpectralSolver3::new(nx, ny, nz, &field);
+            let mut solver = SpectralSolver::with_dims(Dims::d3(nx, ny, nz), &field);
             let mut out = vec![0.0; nx * ny * nz];
             let t = 0.9;
             solver.density_at(t, &mut out);
@@ -1355,7 +1243,7 @@ mod tests {
             .collect();
         let mass: f64 = field.iter().sum();
         let mean = mass / (nx * ny * nz) as f64;
-        let mut solver = SpectralSolver3::new(nx, ny, nz, &field);
+        let mut solver = SpectralSolver::with_dims(Dims::d3(nx, ny, nz), &field);
         let mut out = vec![0.0; nx * ny * nz];
         let mut last_spread = f64::INFINITY;
         for t in [0.0, 0.5, 2.0, 10.0, 2000.0] {
@@ -1435,39 +1323,41 @@ mod tests {
 
     #[test]
     fn solvers_are_bit_identical_on_oracle_plans() {
+        // The oracle has no power-of-two plan; those axes (a one-tier z
+        // pass) run the same FFT plan on both sides.
+        let oracle = |n: usize| {
+            if n.is_power_of_two() {
+                DctPlan::new(n)
+            } else {
+                DctPlan::reference(n)
+            }
+        };
         let mut rng = Rng::seed_from_u64(0x5017);
         let times = [0.0, 0.05, 40.0];
-        for (nx, ny) in [(113usize, 113usize), (42, 54), (7, 7)] {
-            let field: Vec<f64> = (0..nx * ny).map(|_| rng.random_range(0.0..3.0)).collect();
-            let mut fast = SpectralSolver::new(nx, ny, &field);
+        let grids = [
+            Dims::d2(113, 113),
+            Dims::d2(42, 54),
+            Dims::d2(7, 7),
+            Dims::d3(6, 6, 3),
+            Dims::d3(7, 5, 3),
+            Dims::d3(6, 6, 1),
+        ];
+        for dims in grids {
+            let field: Vec<f64> = (0..dims.len())
+                .map(|_| rng.random_range(0.0..3.0))
+                .collect();
+            let mut fast = SpectralSolver::with_dims(dims, &field);
+            let plan_z = matches!(dims, Dims::D3 { .. }).then(|| oracle(dims.nz()));
             let mut slow =
-                SpectralSolver::from_plans(DctPlan::reference(nx), DctPlan::reference(ny), &field);
-            assert_bits_eq(&fast.coeffs, &slow.coeffs, &format!("{nx}x{ny} coeffs"));
-            let mut got = vec![0.0; nx * ny];
-            let mut want = vec![0.0; nx * ny];
+                SpectralSolver::from_plans(oracle(dims.nx()), oracle(dims.ny()), plan_z, &field);
+            assert_bits_eq(&fast.coeffs, &slow.coeffs, &format!("{dims:?} coeffs"));
+            let mut got = vec![0.0; dims.len()];
+            let mut want = vec![0.0; dims.len()];
             for t in times {
                 fast.density_at(t, &mut got);
                 slow.density_at(t, &mut want);
-                assert_bits_eq(&got, &want, &format!("{nx}x{ny} t={t}"));
+                assert_bits_eq(&got, &want, &format!("{dims:?} t={t}"));
             }
-        }
-        let (nx, ny, nz) = (6, 6, 3);
-        let field: Vec<f64> = (0..nx * ny * nz)
-            .map(|_| rng.random_range(0.0..3.0))
-            .collect();
-        let mut fast = SpectralSolver3::new(nx, ny, nz, &field);
-        let mut slow = SpectralSolver3::from_plans(
-            DctPlan::reference(nx),
-            DctPlan::reference(ny),
-            DctPlan::reference(nz),
-            &field,
-        );
-        let mut got = vec![0.0; nx * ny * nz];
-        let mut want = vec![0.0; nx * ny * nz];
-        for t in times {
-            fast.density_at(t, &mut got);
-            slow.density_at(t, &mut want);
-            assert_bits_eq(&got, &want, &format!("{nx}x{ny}x{nz} t={t}"));
         }
     }
 
@@ -1480,18 +1370,24 @@ mod tests {
             }
         }
         let square = SpectralSolver::new(113, 113, &vec![1.0; 113 * 113]);
-        assert!(Arc::ptr_eq(matrix(&square.plan_x), matrix(&square.plan_y)));
-        assert_eq!(Arc::strong_count(matrix(&square.plan_x)), 2);
-        assert_eq!(matrix(&square.plan_x).len(), 113 * 113);
+        let (x, y) = (&square.plan_x, &square.plan_y);
+        assert!(Arc::ptr_eq(matrix(x), matrix(y)));
+        assert_eq!(Arc::strong_count(matrix(x)), 2);
+        assert_eq!(matrix(x).len(), 113 * 113);
 
         let oblong = SpectralSolver::new(42, 54, &vec![1.0; 42 * 54]);
-        assert!(!Arc::ptr_eq(matrix(&oblong.plan_x), matrix(&oblong.plan_y)));
+        let (x, y) = (&oblong.plan_x, &oblong.plan_y);
+        assert!(!Arc::ptr_eq(matrix(x), matrix(y)));
 
-        let stack = SpectralSolver3::new(6, 6, 3, &vec![1.0; 6 * 6 * 3]);
-        assert!(Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_y)));
-        assert_eq!(matrix(&stack.plan_z).len(), 9);
-        let stack = SpectralSolver3::new(7, 5, 7, &vec![1.0; 7 * 5 * 7]);
-        assert!(Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_z)));
-        assert!(!Arc::ptr_eq(matrix(&stack.plan_x), matrix(&stack.plan_y)));
+        let stack = SpectralSolver::with_dims(Dims::d3(6, 6, 3), &vec![1.0; 6 * 6 * 3]);
+        let (x, y) = (&stack.plan_x, &stack.plan_y);
+        let z = stack.plan_z.as_ref().expect("a stack has a z plan");
+        assert!(Arc::ptr_eq(matrix(x), matrix(y)));
+        assert_eq!(matrix(z).len(), 9);
+        let stack = SpectralSolver::with_dims(Dims::d3(7, 5, 7), &vec![1.0; 7 * 5 * 7]);
+        let (x, y) = (&stack.plan_x, &stack.plan_y);
+        let z = stack.plan_z.as_ref().expect("a stack has a z plan");
+        assert!(Arc::ptr_eq(matrix(x), matrix(z)));
+        assert!(!Arc::ptr_eq(matrix(x), matrix(y)));
     }
 }

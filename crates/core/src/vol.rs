@@ -15,8 +15,8 @@
 //!   bins in *every* tier, the 3D-IC analogue of a TSV keep-out column;
 //! - [`VolumetricDiffusion`] runs the migration loop — velocity, serial
 //!   3D advection with trilinear interpolation, FTCS step — under either
-//!   solver ([`SolverKind::Spectral`] jumps through
-//!   [`SpectralSolver3`](crate::SpectralSolver3) when the stack has no
+//!   solver ([`SolverKind::Spectral`] jumps through a volumetric
+//!   [`SpectralSolver`](crate::SpectralSolver) when the stack has no
 //!   walls);
 //! - [`VolJobSpec`] is the *field-continuation* contract the z-slab
 //!   router (`dpm-serve`) speaks: a sub-job receives a pre-evolved raw
@@ -34,10 +34,9 @@
 use crate::advect::{clamp_extent, move_length, AdvectOutcome, CellCache};
 use crate::global::StrideField;
 use crate::observe::{lap, RunRecorder};
-use crate::spectral::SpectralSolver3;
 use crate::{
     manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelKind,
-    NoopObserver, SolverKind, StepRecord, Telemetry,
+    NoopObserver, SolverKind, StepEvent, StepRecord, Telemetry,
 };
 use dpm_geom::{floor_index, Point, Point3};
 use dpm_netlist::{CellId, Netlist};
@@ -227,8 +226,8 @@ pub struct VolResult {
 /// deterministic at any thread count), step the density by FTCS (the
 /// `Δt·ndim ≤ 1` stability bound holds for the default `Δt = 0.2`), and
 /// stop when the maximum live density reaches `d_max + Δ`. Under
-/// [`SolverKind::Spectral`] a wall-free stack jumps through
-/// [`SpectralSolver3`](crate::SpectralSolver3) with the same
+/// [`SolverKind::Spectral`] a wall-free stack jumps through a volumetric
+/// [`SpectralSolver`](crate::SpectralSolver) with the same
 /// geometrically-growing stride schedule as the planar runner.
 ///
 /// # Examples
@@ -287,28 +286,8 @@ impl VolumetricDiffusion {
     /// Runs volumetric diffusion over the full stack, mutating
     /// `placement` in place.
     pub fn run(&self, netlist: &Netlist, die: &Die, placement: &mut VolPlacement) -> VolResult {
-        self.run_job(&VolJobSpec::full(self.nz), netlist, die, placement, &|| {
-            false
-        })
-    }
-
-    /// Like [`run`](Self::run) with a cancellation hook, polled between
-    /// steps exactly like
-    /// [`GlobalDiffusion::run_with_cancel`](crate::GlobalDiffusion::run_with_cancel).
-    pub fn run_with_cancel(
-        &self,
-        netlist: &Netlist,
-        die: &Die,
-        placement: &mut VolPlacement,
-        should_stop: &dyn Fn() -> bool,
-    ) -> VolResult {
-        self.run_job(
-            &VolJobSpec::full(self.nz),
-            netlist,
-            die,
-            placement,
-            should_stop,
-        )
+        let job = VolJobSpec::full(self.nz);
+        self.run_job_observed(&job, netlist, die, placement, &|| false, &mut NoopObserver)
     }
 
     /// Runs one volumetric job — the full entry point the z-slab router
@@ -316,25 +295,17 @@ impl VolumetricDiffusion {
     /// is shorter than the stack); positions in `placement` are global
     /// and only the job's cells should be present in `netlist`.
     ///
+    /// `should_stop` is polled before each step; once it returns `true`
+    /// the run stops with [`VolResult::cancelled`] set. The observer sees
+    /// every step ([`DiffusionObserver::on_step`], round 1, the planar
+    /// half of the placement) and every timed kernel invocation
+    /// ([`DiffusionObserver::on_kernel`]). Observers are read-only
+    /// witnesses, so the result is bit-identical with or without one.
+    ///
     /// # Panics
     ///
     /// Panics if a supplied [`VolJobSpec::field`] does not match the
     /// region size, or `placement` does not cover the netlist.
-    pub fn run_job(
-        &self,
-        job: &VolJobSpec,
-        netlist: &Netlist,
-        die: &Die,
-        placement: &mut VolPlacement,
-        should_stop: &dyn Fn() -> bool,
-    ) -> VolResult {
-        self.run_job_observed(job, netlist, die, placement, should_stop, &mut NoopObserver)
-    }
-
-    /// Like [`run_job`](Self::run_job) with an attached
-    /// [`DiffusionObserver`]: each timed kernel invocation additionally
-    /// fires [`DiffusionObserver::on_kernel`]. Observers are read-only
-    /// witnesses, so the result is bit-identical with or without one.
     pub fn run_job_observed(
         &self,
         job: &VolJobSpec,
@@ -403,15 +374,8 @@ impl VolumetricDiffusion {
             && self.cfg.solver == SolverKind::Spectral
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w);
-        let mut field = StrideField {
-            at: 0,
-            tau: self.cfg.dt * self.cfg.diffusivity,
-            spectral: use_spectral.then(|| {
-                let solver =
-                    SpectralSolver3::new(engine.nx(), engine.ny(), engine.nz(), engine.densities());
-                (solver, vec![0.0; engine.densities().len()])
-            }),
-        };
+        let tau = self.cfg.dt * self.cfg.diffusivity;
+        let mut field = StrideField::new(&engine, tau, use_spectral);
 
         // One stride loop serves both solvers. The FTCS stack steps 1:1
         // (velocity, advect, one sweep); the spectral jump strides like
@@ -440,13 +404,20 @@ impl VolumetricDiffusion {
             field.record(&mut rec, start, elapsed);
             steps += 1;
             let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
-            rec.telemetry.push(StepRecord {
+            let record = StepRecord {
                 step: steps - 1,
                 sweeps: field.at - start,
                 movement: advect.total_movement,
                 computed_overflow,
                 max_density,
                 measured_overflow: None,
+            };
+            rec.telemetry.push(record);
+            rec.observer.on_step(&StepEvent {
+                record,
+                round: 1,
+                placement: &placement.xy,
+                netlist,
             });
             if job.exact_steps.is_none() {
                 converged = max_density <= self.cfg.d_max + self.cfg.delta;
@@ -779,7 +750,14 @@ mod tests {
             field: Some(density),
             ..VolJobSpec::full(3)
         };
-        let r2 = runner.run_job(&job, &nl, &die, &mut via_field, &|| false);
+        let r2 = runner.run_job_observed(
+            &job,
+            &nl,
+            &die,
+            &mut via_field,
+            &|| false,
+            &mut NoopObserver,
+        );
 
         assert_eq!(r1.steps, r2.steps);
         assert_eq!(r1.converged, r2.converged);
@@ -809,7 +787,14 @@ mod tests {
                 exact_steps: Some(1),
                 ..VolJobSpec::full(3)
             };
-            let r = runner.run_job(&job, &nl, &die, &mut chained, &|| false);
+            let r = runner.run_job_observed(
+                &job,
+                &nl,
+                &die,
+                &mut chained,
+                &|| false,
+                &mut NoopObserver,
+            );
             assert_eq!(r.steps, 1);
             field = r.field;
         }
@@ -893,14 +878,16 @@ mod tests {
         assert!(full.steps > 2, "workload too small to cancel mid-run");
         let (_, _, mut vp) = pile(48, Point::new(36.0, 36.0), 1);
         let budget = Cell::new(2usize);
-        let r = runner.run_with_cancel(&nl, &die, &mut vp, &|| {
+        let stop = || {
             if budget.get() == 0 {
                 true
             } else {
                 budget.set(budget.get() - 1);
                 false
             }
-        });
+        };
+        let job = VolJobSpec::full(3);
+        let r = runner.run_job_observed(&job, &nl, &die, &mut vp, &stop, &mut NoopObserver);
         assert!(r.cancelled);
         assert!(!r.converged);
         assert_eq!(r.steps, 2);

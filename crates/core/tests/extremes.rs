@@ -18,8 +18,8 @@
 
 use dpm_diffusion::{
     identify_windows, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
-    LocalDiffusion, RoundEvent, SolverKind, SpectralSolver, StepEvent, VolJobSpec, VolPlacement,
-    VolumetricDiffusion,
+    LocalDiffusion, NoopObserver, RoundEvent, SolverKind, SpectralSolver, StepEvent, VolJobSpec,
+    VolPlacement, VolumetricDiffusion,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -193,7 +193,14 @@ fn single_tier_volumetric_runner_finishes_and_conserves_live_density() {
         };
         let runner = VolumetricDiffusion::new(config(&c, SolverKind::Ftcs), 1);
         let mut vp = placement();
-        let r = runner.run_job(&job, &c.netlist, &c.die, &mut vp, &|| false);
+        let r = runner.run_job_observed(
+            &job,
+            &c.netlist,
+            &c.die,
+            &mut vp,
+            &|| false,
+            &mut NoopObserver,
+        );
         assert_eq!(r.steps, 25, "{}", c.name);
         assert_finite(&c, "volumetric job", &vp.xy);
         assert_close(&c, "volumetric mass", r.field.iter().sum(), mass);

@@ -49,6 +49,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use dpm_diffusion::KernelTimers;
 use dpm_obs::{labeled, normalize_spans, rebase_spans, SpanRecord, SpanRecorder, TraceIdGen};
 use dpm_serve::delta::decode_delta_request;
 use dpm_serve::log::{RequestLog, RequestRecord};
@@ -932,7 +933,10 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Runs one job on the fleet its mode routes it to, or in process.
+/// Runs one job on the fleet its mode routes it to, or in process, and
+/// merges the kernels this process ran into the server's stats: an
+/// in-process job's, or a routed job's sub-jobs on
+/// [`ShardBackend::InProcess`] backends. TCP backends bill their own.
 fn run_job(
     shared: &Shared,
     conn: u64,
@@ -940,7 +944,7 @@ fn run_job(
     deadline: Option<Instant>,
     req: &JobRequest,
 ) -> Result<JobResponse, ErrorReply> {
-    match &shared.exec {
+    let (outcome, kernels) = match &shared.exec {
         Exec::Sharded {
             shards,
             max_halo_rounds,
@@ -965,18 +969,23 @@ fn run_job(
                 shared.metrics.progress_frames.inc();
                 shared.send(conn, version, FrameKind::Progress, &encode_progress(p));
             };
-            let (resp, kernels) =
-                execute_request(req, deadline, Some(&mut sink), Some(&shared.spans))?;
-            // The kernels this server ran. A routed job's sub-jobs are
-            // billed by the backends that ran them.
-            shared.metrics.merge_kernels(&kernels);
-            Ok(resp)
+            match execute_request(req, deadline, Some(&mut sink), Some(&shared.spans)) {
+                Ok((resp, kernels)) => (Ok(resp), kernels),
+                Err(err) => (Err(err), KernelTimers::default()),
+            }
         }
-    }
+    };
+    shared.metrics.merge_kernels(&kernels);
+    outcome
 }
 
-/// A routed job's answer, plus every backend the route found dead.
-type RouteOutcome = (Result<JobResponse, ErrorReply>, Vec<ShardBackend>);
+/// A routed job's answer, the kernels its sub-jobs ran in this process,
+/// and every backend the route found dead.
+type RouteOutcome = (
+    Result<JobResponse, ErrorReply>,
+    KernelTimers,
+    Vec<ShardBackend>,
+);
 
 /// Routes one job on this job's primaries and spares from the
 /// registry (counting any replacement its health check made), then
@@ -986,7 +995,7 @@ fn run_routed(
     shared: &Shared,
     registry: &Mutex<BackendRegistry>,
     route: impl FnOnce(Vec<ShardBackend>, Vec<ShardBackend>) -> RouteOutcome,
-) -> Result<JobResponse, ErrorReply> {
+) -> (Result<JobResponse, ErrorReply>, KernelTimers) {
     let (primaries, spares) = {
         let mut reg = registry.lock().unwrap();
         let before = reg.snapshot().replacements;
@@ -995,13 +1004,13 @@ fn run_routed(
         shared.metrics.replacements.add(replaced);
         selected
     };
-    let (outcome, dead) = route(primaries, spares);
+    let (outcome, kernels, dead) = route(primaries, spares);
     shared.metrics.failovers.add(dead.len() as u64);
     let mut reg = registry.lock().unwrap();
     for backend in dead {
         reg.report_failure(backend);
     }
-    outcome
+    (outcome, kernels)
 }
 
 /// A planar route degrades a shard that failed on every backend; the
@@ -1023,7 +1032,7 @@ fn run_sharded(router: ShardRouter, req: &JobRequest) -> RouteOutcome {
         }),
         None => Ok(reply.response),
     };
-    (outcome, dead)
+    (outcome, reply.kernels, dead)
 }
 
 /// An exact volumetric route cannot degrade: a slab that failed on
@@ -1032,7 +1041,7 @@ fn run_volumetric(router: VolRouter, req: &JobRequest) -> RouteOutcome {
     let err = match router.route(req) {
         Ok(reply) => {
             let dead = reply.failovers.iter().map(|f| f.from).collect();
-            return (Ok(reply.response), dead);
+            return (Ok(reply.response), reply.kernels, dead);
         }
         Err(err) => err,
     };
@@ -1053,5 +1062,5 @@ fn run_volumetric(router: VolRouter, req: &JobRequest) -> RouteOutcome {
         rounds: 0,
         message: err.to_string(),
     };
-    (Err(reply), dead)
+    (Err(reply), KernelTimers::default(), dead)
 }

@@ -5,15 +5,16 @@
 //! byte for byte, a sharded control plane survives a dead backend via
 //! the registry's warm spare, in-process execution is the same
 //! executor a direct `execute_job` call runs — volumetric jobs
-//! included — job thread counts are clamped to the host, and wire v3
-//! extension frames get a typed rejection.
+//! included — routed sub-jobs run on in-process backends bill their
+//! kernels to the control plane's stats, job thread counts are clamped
+//! to the host, and wire v3 extension frames get a typed rejection.
 
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
-use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec, VolCircuitSpec};
+use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec, VolBenchmark, VolCircuitSpec};
 use dpm_serve::wire::{
     design_hash, encode_request, encode_response, read_frame, write_frame_versioned, ErrorCode,
     FrameKind, JobKind, JobRequest, PayloadEncoding, VolRequestExt, DEFAULT_MAX_FRAME_LEN,
@@ -401,6 +402,30 @@ fn hundreds_of_idle_connections_do_not_starve_a_request() {
     ctl.shutdown();
 }
 
+/// A full-stack volumetric request for `bench`.
+fn vol_request(bench: &VolBenchmark, id: u64, config: DiffusionConfig) -> JobRequest {
+    JobRequest {
+        id,
+        deadline_ms: 0,
+        progress_stride: 0,
+        kind: JobKind::Global,
+        design: "ctl_e2e_vol".into(),
+        config,
+        netlist: bench.netlist.clone(),
+        die: bench.die.clone(),
+        placement: bench.placement.xy.clone(),
+        vol: Some(VolRequestExt {
+            nz: bench.layers() as u32,
+            z0: 0,
+            global_nz: bench.layers() as u32,
+            exact_steps: None,
+            z: bench.placement.z.clone(),
+            field: None,
+        }),
+        trace: None,
+    }
+}
+
 /// Runs a full-stack volumetric job through a control plane in `exec`
 /// mode and checks the reply against a direct 3D engine run.
 fn assert_volumetric_job_runs_in_process(exec: ExecMode) {
@@ -421,26 +446,7 @@ fn assert_volumetric_job_runs_in_process(exec: ExecMode) {
         ..one_tenant_cfg()
     })
     .expect("ctl starts");
-    let req = JobRequest {
-        id: 9,
-        deadline_ms: 0,
-        progress_stride: 0,
-        kind: JobKind::Global,
-        design: "ctl_e2e_vol".into(),
-        config,
-        netlist: bench.netlist.clone(),
-        die: bench.die.clone(),
-        placement: bench.placement.xy.clone(),
-        vol: Some(VolRequestExt {
-            nz: bench.layers() as u32,
-            z0: 0,
-            global_nz: bench.layers() as u32,
-            exact_steps: None,
-            z: bench.placement.z.clone(),
-            field: None,
-        }),
-        trace: None,
-    };
+    let req = vol_request(&bench, 9, config);
     let reply = ServeClient::connect(ctl.local_addr())
         .expect("connect")
         .request(&req, PayloadEncoding::Binary)
@@ -473,6 +479,61 @@ fn sharded_ctl_runs_volumetric_jobs_in_process() {
         max_halo_rounds: 4,
         registry: BackendRegistry::new(vec![ShardBackend::InProcess], vec![]),
     });
+}
+
+#[test]
+fn routed_in_process_sub_jobs_bill_their_kernels_to_the_ctl() {
+    // A registry of in-process backends makes the control plane run a
+    // routed job's sub-jobs itself, so its stats carry their kernels:
+    // a planar job through the shard router, a stack through the z-slab
+    // router (FTCS-only, so the solver is pinned).
+    let mut planar = bench(160, 149);
+    planar.inflate(&InflationSpec::centered(0.3, 0.25, 149));
+    let stack = VolCircuitSpec::with_size("ctl_e2e_vol", 3, 150, 151)
+        .with_hotspot(1)
+        .generate();
+    let config = DiffusionConfig::default().with_solver(SolverKind::Ftcs);
+    let in_process = || BackendRegistry::new(vec![ShardBackend::InProcess; 2], vec![]);
+    let cases = [
+        (
+            ExecMode::Sharded {
+                shards: 2,
+                max_halo_rounds: 4,
+                registry: in_process(),
+            },
+            full_request(&planar, 31, JobKind::Local, &config),
+        ),
+        (
+            ExecMode::Volumetric {
+                slabs: 2,
+                registry: in_process(),
+            },
+            vol_request(&stack, 32, config.clone()),
+        ),
+    ];
+    for (exec, req) in cases {
+        let what = if req.vol.is_some() {
+            "volumetric"
+        } else {
+            "sharded"
+        };
+        let ctl = CtlServer::start(CtlConfig {
+            exec,
+            ..one_tenant_cfg()
+        })
+        .expect("ctl starts");
+        let mut client = ServeClient::connect(ctl.local_addr()).expect("connect");
+        let reply = client
+            .request(&req, PayloadEncoding::Binary)
+            .expect("request");
+        assert!(matches!(reply, Reply::Ok(_)), "{what}: {reply:?}");
+        let stats = client.stats().expect("stats frame");
+        ctl.shutdown();
+        assert!(
+            stats.kernels.velocity.calls > 0,
+            "{what}: the in-process sub-jobs' kernels were not merged"
+        );
+    }
 }
 
 #[test]

@@ -3,7 +3,8 @@
 //! through the wire), the maximum principle across stitched rounds,
 //! awkward partitions (halos thicker than a slab, K not dividing the
 //! stack, one slab per tier), through-stack macros, warm-spare
-//! failover, and the router's exactness refusals.
+//! failover, the router's exactness refusals, and progress frames
+//! streamed by a direct volumetric job.
 
 use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolPlacement, VolumetricDiffusion};
@@ -401,6 +402,48 @@ fn volumetric_job_over_tcp_runs_directly_and_omits_the_field() {
     let ext = resp.vol.expect("volumetric reply carries the extension");
     assert_eq!(ext.z, direct.z);
     assert!(ext.field.is_none(), "field not requested, must not ship");
+}
+
+#[test]
+fn volumetric_job_streams_progress_without_perturbing_the_run() {
+    // A streamed volumetric request gets one progress frame per step,
+    // the frames carry the maximum principle's monotone max density, and
+    // watching the run does not change its placement.
+    let bench = hot_stack(109);
+    let server = CtlServer::start(CtlConfig::default()).expect("server starts");
+    let mut client = ServeClient::connect(server.local_addr()).expect("connects");
+    let plain = client
+        .request(&request(&bench, 14), PayloadEncoding::Binary)
+        .expect("transport");
+    let mut streamed = request(&bench, 14);
+    streamed.progress_stride = 1;
+    let mut frames = Vec::new();
+    let watched = client
+        .request_streaming(&streamed, PayloadEncoding::Binary, |p| frames.push(*p))
+        .expect("transport");
+    server.shutdown();
+
+    let (Reply::Ok(plain), Reply::Ok(watched)) = (plain, watched) else {
+        panic!("volumetric jobs rejected");
+    };
+    assert!(
+        !frames.is_empty(),
+        "a streamed volumetric job sent no progress"
+    );
+    assert_eq!(frames.len() as u64, watched.steps, "one frame per step");
+    for (i, p) in frames.iter().enumerate() {
+        assert_eq!((p.id, p.step, p.round), (14, i as u64 + 1, 1));
+    }
+    let trace: Vec<f64> = frames.iter().map(|p| p.max_density).collect();
+    for w in trace.windows(2) {
+        assert!(w[1] <= w[0], "max density rose between frames: {trace:?}");
+    }
+    assert_eq!(watched.positions, plain.positions);
+    assert_eq!(
+        watched.vol.expect("vol").z,
+        plain.vol.expect("vol").z,
+        "progress frames must not perturb the depths"
+    );
 }
 
 #[test]

@@ -391,4 +391,7 @@ echo "==> gate timing"
 for i in "${!gate_names[@]}"; do
     printf '    %5ss  %s\n' "${gate_secs[$i]}" "${gate_names[$i]}"
 done
+# Informational, not a gate: non-test code lines per crate.
+echo "==> non-test code lines (scripts/loc.sh)"
+scripts/loc.sh crates/*/src src | sed 's/^/    /'
 echo "CI green."
