@@ -40,7 +40,7 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion, LocalDiffusion,
+    DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion, LocalDiffusion,
     RoundEvent, SolverKind, SpectralSolver,
 };
 use dpm_geom::Point;
@@ -508,7 +508,10 @@ fn time_jump(n: usize, threads: usize, s_steps: u64) -> (f64, f64) {
 /// trip (solver build with its forward transform, plus one decayed
 /// inverse) on an `n`×`n` grid with `n` not a power of two, so every
 /// axis runs the cosine-matrix path instead of the FFT. Each 2-D
-/// transform costs `n²·2n` multiply-adds on that path.
+/// transform costs `n²·2n` multiply-adds on that path. `forward_ns`
+/// (the solver build) and `inverse_ns` (one `density_at`) time the two
+/// halves apart, as the e2e ledger's `dct_forward`/`dct_inverse` do, and
+/// `simd` names the compiled copy of the matrix kernel that ran.
 fn spectral_generic_json(n: usize, reps: u64) -> String {
     eprintln!("  grid {n}x{n}, generic-length DCT round trip...");
     let density = wall_free_field(n);
@@ -516,6 +519,13 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
     let (calls, ns_per_call) = best_round_ns(reps, || {
         let mut solver = SpectralSolver::new(n, n, std::hint::black_box(&density));
         solver.density_at(0.5, &mut out);
+    });
+    let (_, forward_ns) = best_round_ns(reps, || {
+        drop(std::hint::black_box(SpectralSolver::new(n, n, &density)));
+    });
+    let mut solver = SpectralSolver::new(n, n, &density);
+    let (_, inverse_ns) = best_round_ns(reps, || {
+        solver.density_at(std::hint::black_box(0.5), &mut out);
     });
     assert!(out.iter().all(|d| d.is_finite()));
     let sample = Sample {
@@ -526,7 +536,8 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
     };
     let madds = 2.0 * 2.0 * (n * n * n) as f64;
     format!(
-        "  \"spectral_generic\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"samples\": [\n      {}\n    ],\n    \"madds_per_call\": {madds:.3e}, \"madds_per_ns\": {:.2}\n  }}",
+        "  \"spectral_generic\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"simd\": \"{}\",\n    \"samples\": [\n      {}\n    ],\n    \"forward_ns\": {forward_ns:.1}, \"inverse_ns\": {inverse_ns:.1},\n    \"madds_per_call\": {madds:.3e}, \"madds_per_ns\": {:.2}\n  }}",
+        DctPlan::simd(),
         sample.json(),
         madds / ns_per_call,
     )
@@ -661,7 +672,7 @@ fn main() {
 
     let (n3, nz3, reps3): (usize, usize, u64) = if smoke { (48, 4, 4) } else { (192, 8, 20) };
     let stencil3d = stencil3d_json(n3, nz3, reps3);
-    let spectral_generic = spectral_generic_json(113, if smoke { 16 } else { 64 });
+    let spectral_generic = spectral_generic_json(113, 64);
     let advect_windowed = advect_windowed_json(256, if smoke { 3 } else { 10 });
     let splat_shuffled = splat_shuffled_json(512, if smoke { 8 } else { 16 });
 

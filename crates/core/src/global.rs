@@ -118,7 +118,8 @@ impl GlobalDiffusion {
     /// ([`DiffusionObserver::on_step`]) and every timed kernel
     /// invocation ([`DiffusionObserver::on_kernel`]; one
     /// [`KernelKind::Ftcs`] event per stride bills all of its sweeps or
-    /// its spectral jump); it sees only
+    /// its spectral jump, and a spectral run opens with one 0-call field
+    /// event for its forward transform); it sees only
     /// shared references to post-step state, so attaching one cannot
     /// change the run's arithmetic — `run` and `run_observed` produce
     /// bit-identical placements for the same input (see
@@ -162,7 +163,7 @@ impl GlobalDiffusion {
             && !engine.wall_mask().iter().any(|&w| w)
             && !engine.frozen_mask().iter().any(|&f| f);
         let tau = self.cfg.dt * self.cfg.diffusivity;
-        let mut field = StrideField::new(&engine, tau, use_spectral);
+        let mut field = StrideField::new(&engine, tau, use_spectral, &mut rec);
 
         // One stride loop serves both solvers (DESIGN.md §19). Strides
         // double geometrically in units of the FTCS-sweep budget: early
@@ -249,9 +250,18 @@ impl StrideField {
     /// A field at budget 0 that sweeps `engine` by FTCS steps of `tau`
     /// or, when `spectral`, jumps it from its current density through a
     /// [`SpectralSolver`] over the engine's grid, planar or volumetric.
-    pub(crate) fn new(engine: &DiffusionEngine, tau: f64, spectral: bool) -> Self {
+    /// Building that solver runs its forward transform, which `rec` bills
+    /// to the field as one serial [`KernelKind::Ftcs`] event of 0 calls.
+    pub(crate) fn new(
+        engine: &DiffusionEngine,
+        tau: f64,
+        spectral: bool,
+        rec: &mut RunRecorder,
+    ) -> Self {
         let spectral = spectral.then(|| {
-            let solver = SpectralSolver::with_dims(engine.dims(), engine.densities());
+            let (solver, elapsed) =
+                lap(|| SpectralSolver::with_dims(engine.dims(), engine.densities()));
+            rec.record(KernelKind::Ftcs, elapsed, 1, 0);
             (solver, vec![0.0; engine.densities().len()])
         });
         Self {
@@ -641,8 +651,11 @@ mod tests {
         assert_eq!(r1.steps, r2.steps);
         assert_eq!(obs.steps, r2.steps, "one on_step per step");
         assert_eq!(obs.rounds, 0, "global diffusion emits no round events");
-        // One splat plus velocity/advect/ftcs per step.
-        assert_eq!(obs.kernels, 1 + 3 * r2.steps);
+        // One splat (plus the forward transform under the spectral
+        // solver, which `DPM_SOLVER` may pick) and velocity/advect/ftcs
+        // per step.
+        let forward = usize::from(cfg().solver == SolverKind::Spectral);
+        assert_eq!(obs.kernels, 1 + forward + 3 * r2.steps);
         assert!(
             obs.last_max_density <= cfg().d_max + cfg().delta,
             "final observed max density is the converged one"
@@ -716,7 +729,11 @@ mod tests {
         assert!(r.converged);
         assert_eq!(r.telemetry.len(), r.steps);
         assert_eq!(obs.steps, r.steps);
-        assert_eq!(obs.kernels, 1 + 3 * r.steps, "splat + 3 kernels per iter");
+        assert_eq!(
+            obs.kernels,
+            2 + 3 * r.steps,
+            "splat + forward transform + 3 kernels per iter"
+        );
         let k = r.telemetry.kernels();
         assert_eq!(k.ftcs.calls as usize, r.steps, "one jump per iteration");
         assert_eq!(k.velocity.calls as usize, r.steps);

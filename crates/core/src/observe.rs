@@ -73,7 +73,9 @@ pub struct RoundEvent {
 /// Emitted after each timed kernel invocation. A [`KernelKind::Ftcs`]
 /// event bills one stride's field update: all of a global stride's FTCS
 /// sweeps, or one spectral jump. Runners that step 1:1 send one per
-/// sweep.
+/// sweep. A spectral run sends one more before its first stride, for
+/// the forward transform that builds its solver (see
+/// [`calls`](Self::calls)).
 ///
 /// Every runner times each kernel call exactly once and folds the same
 /// event into its run's [`KernelTimers`](crate::KernelTimers), so
@@ -90,6 +92,9 @@ pub struct KernelEvent {
     pub threads: usize,
     /// Kernel invocations the event bills: a global stride's FTCS
     /// sweeps, or 1 (one spectral jump, one call of any other kernel).
+    /// The field event of a spectral solver's forward transform bills 0
+    /// calls: its time counts towards the field update, while the field's
+    /// `calls` keep counting sweeps or jumps, one per stride.
     pub calls: u64,
 }
 

@@ -18,11 +18,13 @@
 //! - **power-of-two lengths** run through a radix-2 complex FFT of the
 //!   even extension (length 2n), the standard DCT-II/III factorization;
 //! - **any other length** evaluates the O(n²) definition against a
-//!   precomputed n×n cosine matrix: DCT-II dots four matrix rows at a
-//!   time, DCT-III accumulates row-wise axpys that vectorise across the
-//!   output. Every output keeps the definition's summation order, so
-//!   the result is bit-identical to the textbook loop. Plans of equal
-//!   length share one matrix.
+//!   precomputed n×n cosine matrix and its transpose: both directions
+//!   run one kernel that adds four table rows at a time into the
+//!   outputs, an axpy that vectorises across the output (4-wide on a
+//!   CPU with AVX2, through a second compiled copy of the kernel). Every
+//!   output keeps the definition's start value and summation order, so
+//!   the result is bit-identical to the textbook loop on every copy.
+//!   Plans of equal length share one pair of tables.
 //!
 //! [`SpectralSolver`] adds the incremental form Algorithm 1 needs, on a
 //! planar or a volumetric grid (a volumetric mode also decays by
@@ -151,11 +153,9 @@ enum Kind {
         /// `sin(πk/(2n))` for `k < n`.
         ph_sin: Vec<f64>,
     },
-    /// Generic length: direct O(n²) evaluation against the row-major
-    /// n×n matrix `m[k·n + j] = cos(πk(2j+1)/(2n))`, shared by every
-    /// clone of the plan. Row `k` is the DCT-II basis vector of output
-    /// `k` and, read the other way, the DCT-III weights of input `k`.
-    Matrix { m: Arc<[f64]> },
+    /// Generic length: direct O(n²) evaluation against the two cosine
+    /// tables, shared by every clone of the plan.
+    Matrix(Arc<CosTables>),
     /// The generic-length oracle: [`reference`] loops over the 4n table
     /// `cos[t] = cos(πt/(2n))`.
     #[cfg(test)]
@@ -170,18 +170,59 @@ fn cos_table(n: usize) -> Vec<f64> {
         .collect()
 }
 
-/// The generic-length cosine matrix `m[k·n + j] = cos[(2j+1)·k mod 4n]`,
-/// read off the 4n-entry table `cos[t] = cos(πt/(2n))` so every entry
-/// is the exact value the per-term modulo loop would index.
-fn cos_matrix(n: usize) -> Arc<[f64]> {
-    let cos = &cos_table(n);
-    (0..n)
-        .flat_map(|k| (0..n).map(move |j| cos[(2 * j + 1) * k % (4 * n)]))
-        .collect()
+/// The generic-length tables, row-major n×n: the cosine matrix
+/// `m[k·n + j] = cos(πk(2j+1)/(2n))` and its transpose `mt[j·n + k]`.
+/// Row `k` of `m` holds the DCT-III weights of input `k` and row `j` of
+/// `mt` the DCT-II weights of input `j`, so both directions run as row
+/// axpys.
+struct CosTables {
+    m: Vec<f64>,
+    mt: Vec<f64>,
 }
 
-/// Matrix rows one [`matrix_dct2`]/[`matrix_dct3`] block works on; the
-/// kernels split each block into the four named rows `r0..r3`.
+impl CosTables {
+    /// Reads both tables off the 4n-entry table `cos[t] = cos(πt/(2n))`,
+    /// entry `(k, j)` at `t = (2j+1)·k mod 4n`, so every entry is the
+    /// exact value the per-term modulo loop would index. Row `k` of `m`
+    /// walks `t = k, 3k, 5k, …` and row `j` of `mt` walks
+    /// `t = 0, 2j+1, 2(2j+1), …`, each wrapped at 4n by one subtraction
+    /// per step instead of a modulo.
+    fn new(n: usize) -> Self {
+        let cos = cos_table(n);
+        let table = |first_step: fn(usize) -> (usize, usize)| {
+            let mut t = Vec::with_capacity(n * n);
+            for r in 0..n {
+                let (mut at, step) = first_step(r);
+                for _ in 0..n {
+                    t.push(cos[at]);
+                    at += step;
+                    if at >= cos.len() {
+                        at -= cos.len();
+                    }
+                }
+            }
+            t
+        };
+        Self {
+            m: table(|k| (k, 2 * k)),
+            mt: table(|j| (0, 2 * j + 1)),
+        }
+    }
+}
+
+/// Which direction a matrix-path transform runs.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// DCT-II: outputs start at `0.0` and take rows `j = 0, 1, …` of the
+    /// transposed table `mt`.
+    Forward,
+    /// DCT-III: outputs start at `in[0]·0.5` and take rows `k = 1, 2, …`
+    /// of the table `m`.
+    Inverse,
+}
+
+/// Matrix rows one pass of [`matrix_body`] folds in; the body splits each
+/// block into the four named rows `r0..r3`.
 const ROWS: usize = 4;
 
 /// The generic-length transforms as they stood before the cosine matrix:
@@ -213,90 +254,121 @@ mod reference {
     }
 }
 
-/// DCT-II of `L` lines against the cosine matrix `m` (length n²):
-/// `out[l][k] = Σ_j in[l][j]·m[k·n + j]`.
+/// Both matrix-path transforms of `L` lines against the [`CosTables`]:
+/// every output starts at its [`Dir`]'s start value and adds
+/// `in[l][r]·t[r·n + i]` for the direction's table `t` (`mt` forward,
+/// `m` inverse) and rows `r` in ascending order,
 ///
-/// Outputs are produced [`ROWS`] at a time, so each loaded matrix entry
-/// feeds all `L` lines and the `ROWS·L` accumulators form independent
-/// add chains. Each accumulator still starts from `0.0` and adds its
-/// products with `j` ascending — the summation order of the plain
-/// per-output loop, so the blocking is bit-identical to it.
-fn matrix_dct2<const L: usize>(m: &[f64], input: [&[f64]; L], mut out: [&mut [f64]; L]) {
-    let n = out[0].len();
-    let mut k = 0;
-    while k + ROWS <= n {
-        let block = &m[k * n..(k + ROWS) * n];
-        let (r0, rest) = block.split_at(n);
-        let (r1, rest) = rest.split_at(n);
-        let (r2, r3) = rest.split_at(n);
-        let mut acc = [[0.0f64; ROWS]; L];
-        for j in 0..n {
-            let col = [r0[j], r1[j], r2[j], r3[j]];
-            for (a, x) in acc.iter_mut().zip(&input) {
-                let x = x[j];
-                for (a, &c) in a.iter_mut().zip(&col) {
-                    *a += x * c;
-                }
-            }
-        }
-        for (o, a) in out.iter_mut().zip(&acc) {
-            o[k..k + ROWS].copy_from_slice(a);
-        }
-        k += ROWS;
-    }
-    for k in k..n {
-        let row = &m[k * n..(k + 1) * n];
-        for (o, x) in out.iter_mut().zip(&input) {
-            let mut acc = 0.0;
-            for (&x, &c) in x.iter().zip(row) {
-                acc += x * c;
-            }
-            o[k] = acc;
-        }
-    }
-}
-
-/// DCT-III of `L` lines against the cosine matrix `m` (length n²):
-/// `out[l][j] = in[l][0]/2 + Σ_{k≥1} in[l][k]·m[k·n + j]`.
+/// - DCT-II: `out[l][k] = 0.0 + Σ_{j≥0} in[l][j]·mt[j·n + k]`,
+/// - DCT-III: `out[l][j] = in[l][0]·0.5 + Σ_{k≥1} in[l][k]·m[k·n + j]`,
 ///
-/// Each output starts at `in[0]·0.5` and takes the products of matrix
-/// rows `k = 1, 2, …` in ascending order, [`ROWS`] rows per pass over
-/// the output: `((o + c₀·r₀[j]) + c₁·r₁[j]) + …` is the same add chain
-/// the plain per-output loop runs, so the result is bit-identical to it.
-/// The inner loop is an axpy across `j`, which the compiler vectorises,
-/// and every loaded row entry feeds all `L` lines.
-fn matrix_dct3<const L: usize>(m: &[f64], input: [&[f64]; L], mut out: [&mut [f64]; L]) {
+/// which is the summation order of the plain per-output loop, so the
+/// result is bit-identical to it. Each pass folds [`ROWS`] rows into the
+/// outputs as `((o + c₀·r₀[i]) + c₁·r₁[i]) + …`, left to right; the inner
+/// loop is an axpy across `i` that vectorises at whatever width the
+/// calling copy is compiled for, and every loaded row entry feeds all
+/// `L` lines.
+#[inline(always)]
+fn matrix_body<const L: usize>(
+    dir: Dir,
+    tables: &CosTables,
+    input: [&[f64]; L],
+    mut out: [&mut [f64]; L],
+) {
     let n = out[0].len();
+    let (t, mut r) = match dir {
+        Dir::Forward => (&tables.mt, 0),
+        Dir::Inverse => (&tables.m, 1),
+    };
+    // Checked once here, so no index in the loops below can fail.
+    assert_eq!(t.len(), n * n);
     for (o, x) in out.iter_mut().zip(&input) {
-        o.fill(x[0] * 0.5);
+        assert_eq!((o.len(), x.len()), (n, n));
+        o.fill(match dir {
+            Dir::Forward => 0.0,
+            Dir::Inverse => x[0] * 0.5,
+        });
     }
-    let mut k = 1;
-    while k + ROWS <= n {
-        let block = &m[k * n..(k + ROWS) * n];
+    while r + ROWS <= n {
+        let block = &t[r * n..(r + ROWS) * n];
         let (r0, rest) = block.split_at(n);
         let (r1, rest) = rest.split_at(n);
         let (r2, r3) = rest.split_at(n);
         let c: [[f64; ROWS]; L] = std::array::from_fn(|l| {
             let x = input[l];
-            [x[k], x[k + 1], x[k + 2], x[k + 3]]
+            [x[r], x[r + 1], x[r + 2], x[r + 3]]
         });
-        for j in 0..n {
-            let col = [r0[j], r1[j], r2[j], r3[j]];
+        for i in 0..n {
+            let col = [r0[i], r1[i], r2[i], r3[i]];
             for (o, c) in out.iter_mut().zip(&c) {
-                o[j] = o[j] + c[0] * col[0] + c[1] * col[1] + c[2] * col[2] + c[3] * col[3];
+                o[i] = o[i] + c[0] * col[0] + c[1] * col[1] + c[2] * col[2] + c[3] * col[3];
             }
         }
-        k += ROWS;
+        r += ROWS;
     }
-    for k in k..n {
-        let row = &m[k * n..(k + 1) * n];
+    for r in r..n {
+        let row = &t[r * n..(r + 1) * n];
         for (o, x) in out.iter_mut().zip(&input) {
-            let c = x[k];
-            for (o, &r) in o.iter_mut().zip(row) {
-                *o += c * r;
+            let c = x[r];
+            for (o, &v) in o.iter_mut().zip(row) {
+                *o += c * v;
             }
         }
     }
+}
+
+/// [`matrix_body`] compiled for the crate's build target (2-wide `f64`
+/// vectors on baseline x86-64).
+fn matrix_portable<const L: usize>(
+    dir: Dir,
+    tables: &CosTables,
+    input: [&[f64]; L],
+    out: [&mut [f64]; L],
+) {
+    matrix_body(dir, tables, input, out);
+}
+
+/// [`matrix_body`] compiled with AVX2 enabled: 4-wide `f64` vectors.
+/// `fma` stays off and Rust never contracts `a + b·c` on its own, so
+/// every output takes the same roundings as in [`matrix_portable`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn matrix_avx2<const L: usize>(
+    dir: Dir,
+    tables: &CosTables,
+    input: [&[f64]; L],
+    out: [&mut [f64]; L],
+) {
+    matrix_body(dir, tables, input, out);
+}
+
+/// Whether this CPU runs the AVX2 copy of the matrix kernel; std caches
+/// the detection after its first call. Always `false` off x86-64.
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Runs one matrix-path transform through the fastest compiled copy of
+/// [`matrix_body`] this CPU supports.
+fn matrix_dct<const L: usize>(
+    dir: Dir,
+    tables: &CosTables,
+    input: [&[f64]; L],
+    out: [&mut [f64]; L],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: the CPU supports AVX2, the one feature the copy enables.
+        return unsafe { matrix_avx2(dir, tables, input, out) };
+    }
+    matrix_portable(dir, tables, input, out);
 }
 
 /// A reusable 1-D DCT-II/DCT-III plan for a fixed length `n`.
@@ -326,7 +398,7 @@ fn matrix_dct3<const L: usize>(m: &[f64], input: [&[f64]; L], mut out: [&mut [f6
 /// }
 /// ```
 ///
-/// Clones share the generic-length cosine matrix; each clone keeps its
+/// Clones share the generic-length cosine tables; each clone keeps its
 /// own scratch space.
 #[derive(Clone)]
 pub struct DctPlan {
@@ -339,7 +411,7 @@ pub struct DctPlan {
 impl DctPlan {
     /// Builds a plan for length-`n` transforms. Power-of-two lengths
     /// get the O(n log n) FFT path; anything else the exact O(n²)
-    /// cosine-matrix path (an n×n table of `f64`).
+    /// cosine-matrix path (two n×n tables of `f64`: 200 KiB at n = 113).
     ///
     /// # Panics
     ///
@@ -363,7 +435,7 @@ impl DctPlan {
                 2 * n,
             )
         } else {
-            (Kind::Matrix { m: cos_matrix(n) }, 0)
+            (Kind::Matrix(Arc::new(CosTables::new(n))), 0)
         };
         Self {
             n,
@@ -385,6 +457,17 @@ impl DctPlan {
             kind: Kind::Reference { cos: cos_table(n) },
             sc_re: Vec::new(),
             sc_im: Vec::new(),
+        }
+    }
+
+    /// The compiled copy of the generic-length kernel this CPU runs:
+    /// `"avx2"` (4-wide `f64` vectors) or `"portable"` (the build
+    /// target's width). Both copies give bit-identical results.
+    pub fn simd() -> &'static str {
+        if has_avx2() {
+            "avx2"
+        } else {
+            "portable"
         }
     }
 
@@ -425,7 +508,7 @@ impl DctPlan {
                     output[k] = 0.5 * (self.sc_re[k] * ph_cos[k] + self.sc_im[k] * ph_sin[k]);
                 }
             }
-            Kind::Matrix { m } => matrix_dct2(m, [input], [output]),
+            Kind::Matrix(t) => matrix_dct(Dir::Forward, t, [input], [output]),
             #[cfg(test)]
             Kind::Reference { cos } => reference::dct2(cos, input, output),
         }
@@ -437,8 +520,8 @@ impl DctPlan {
     /// and imaginary halves of a single 2n-point transform and split
     /// back by conjugate symmetry — the classic two-real-sequences
     /// trick, halving the per-sequence cost on the power-of-two path.
-    /// Generic lengths stream the cosine matrix once for both sequences,
-    /// each output bit-equal to [`dct2`](Self::dct2).
+    /// Generic lengths stream the transposed cosine table once for both
+    /// sequences, each output bit-equal to [`dct2`](Self::dct2).
     ///
     /// # Panics
     ///
@@ -475,7 +558,7 @@ impl DctPlan {
                     out1[k] = 0.5 * (y1_re * ph_cos[k] + y1_im * ph_sin[k]);
                 }
             }
-            Kind::Matrix { m } => matrix_dct2(m, [in0, in1], [out0, out1]),
+            Kind::Matrix(t) => matrix_dct(Dir::Forward, t, [in0, in1], [out0, out1]),
             #[cfg(test)]
             Kind::Reference { cos } => {
                 reference::dct2(cos, in0, out0);
@@ -487,7 +570,7 @@ impl DctPlan {
     /// DCT-III of two coefficient sequences through one complex FFT
     /// (the inverse-direction counterpart of
     /// [`dct2_pair`](Self::dct2_pair)). Generic lengths stream the
-    /// cosine matrix once for both sequences, each output bit-equal to
+    /// cosine table once for both sequences, each output bit-equal to
     /// [`dct3`](Self::dct3).
     ///
     /// # Panics
@@ -528,7 +611,7 @@ impl DctPlan {
                     out1[j] = 0.5 * self.sc_im[j];
                 }
             }
-            Kind::Matrix { m } => matrix_dct3(m, [in0, in1], [out0, out1]),
+            Kind::Matrix(t) => matrix_dct(Dir::Inverse, t, [in0, in1], [out0, out1]),
             #[cfg(test)]
             Kind::Reference { cos } => {
                 reference::dct3(cos, in0, out0);
@@ -574,7 +657,7 @@ impl DctPlan {
                     *out = 0.5 * self.sc_re[j];
                 }
             }
-            Kind::Matrix { m } => matrix_dct3(m, [input], [output]),
+            Kind::Matrix(t) => matrix_dct(Dir::Inverse, t, [input], [output]),
             #[cfg(test)]
             Kind::Reference { cos } => reference::dct3(cos, input, output),
         }
@@ -582,8 +665,8 @@ impl DctPlan {
 }
 
 /// A length-`n` plan that shares the tables of the first plan in `built`
-/// with the same length, so a solver holds one cosine matrix per distinct
-/// generic axis length.
+/// with the same length, so a solver holds one pair of cosine tables per
+/// distinct generic axis length.
 fn plan_sharing(n: usize, built: &[&DctPlan]) -> DctPlan {
     built
         .iter()
@@ -1284,15 +1367,55 @@ mod tests {
         }
     }
 
+    /// The cosine tables of a matrix-path plan.
+    fn tables(plan: &DctPlan) -> &Arc<CosTables> {
+        match &plan.kind {
+            Kind::Matrix(t) => t,
+            _ => panic!("length {} is not on the matrix path", plan.n),
+        }
+    }
+
+    /// The compiled copies of [`matrix_body`] this CPU can run.
+    fn kernel_copies() -> Vec<&'static str> {
+        let mut copies = vec!["portable"];
+        if has_avx2() {
+            copies.push("avx2");
+        }
+        copies
+    }
+
+    /// Runs one transform through the compiled copy named `copy`,
+    /// bypassing [`matrix_dct`]'s dispatch.
+    fn run_copy<const L: usize>(
+        copy: &str,
+        dir: Dir,
+        t: &CosTables,
+        input: [&[f64]; L],
+        out: [&mut [f64]; L],
+    ) {
+        match copy {
+            "portable" => matrix_portable(dir, t, input, out),
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => {
+                assert!(has_avx2());
+                // SAFETY: the CPU supports AVX2, checked just above.
+                unsafe { matrix_avx2(dir, t, input, out) }
+            }
+            _ => unreachable!("no {copy} copy on this target"),
+        }
+    }
+
     #[test]
     fn matrix_transforms_are_bit_identical_to_the_modulo_oracle() {
         let mut rng = Rng::seed_from_u64(0xB175);
         let lens = (1..=130usize)
             .filter(|n| !n.is_power_of_two())
             .chain([211, 300]);
+        let copies = kernel_copies();
         for n in lens {
             let mut plan = DctPlan::new(n);
             let mut oracle = DctPlan::reference(n);
+            let t = Arc::clone(tables(&plan));
             let a = hostile_vec(&mut rng, n);
             let b = hostile_vec(&mut rng, n);
             let zeros = vec![-0.0; n];
@@ -1309,6 +1432,13 @@ mod tests {
                 plan.dct2_pair(x, y, &mut got_x, &mut got_y);
                 assert_bits_eq(&got_x, &want_x, &format!("dct2_pair.0 n={n}"));
                 assert_bits_eq(&got_y, &want_y, &format!("dct2_pair.1 n={n}"));
+                for &copy in &copies {
+                    run_copy(copy, Dir::Forward, &t, [x], [&mut got_x]);
+                    assert_bits_eq(&got_x, &want_x, &format!("{copy} dct2 n={n}"));
+                    run_copy(copy, Dir::Forward, &t, [x, y], [&mut got_x, &mut got_y]);
+                    assert_bits_eq(&got_x, &want_x, &format!("{copy} dct2 L=2.0 n={n}"));
+                    assert_bits_eq(&got_y, &want_y, &format!("{copy} dct2 L=2.1 n={n}"));
+                }
 
                 oracle.dct3(x, &mut want_x);
                 oracle.dct3(y, &mut want_y);
@@ -1317,6 +1447,13 @@ mod tests {
                 plan.dct3_pair(x, y, &mut got_x, &mut got_y);
                 assert_bits_eq(&got_x, &want_x, &format!("dct3_pair.0 n={n}"));
                 assert_bits_eq(&got_y, &want_y, &format!("dct3_pair.1 n={n}"));
+                for &copy in &copies {
+                    run_copy(copy, Dir::Inverse, &t, [x], [&mut got_x]);
+                    assert_bits_eq(&got_x, &want_x, &format!("{copy} dct3 n={n}"));
+                    run_copy(copy, Dir::Inverse, &t, [x, y], [&mut got_x, &mut got_y]);
+                    assert_bits_eq(&got_x, &want_x, &format!("{copy} dct3 L=2.0 n={n}"));
+                    assert_bits_eq(&got_y, &want_y, &format!("{copy} dct3 L=2.1 n={n}"));
+                }
             }
         }
     }
@@ -1363,31 +1500,32 @@ mod tests {
 
     #[test]
     fn equal_length_plans_share_one_matrix() {
-        fn matrix(plan: &DctPlan) -> &Arc<[f64]> {
-            match &plan.kind {
-                Kind::Matrix { m } => m,
-                _ => panic!("length {} is not on the matrix path", plan.n),
-            }
-        }
+        let shared = |a: &DctPlan, b: &DctPlan| Arc::ptr_eq(tables(a), tables(b));
         let square = SpectralSolver::new(113, 113, &vec![1.0; 113 * 113]);
         let (x, y) = (&square.plan_x, &square.plan_y);
-        assert!(Arc::ptr_eq(matrix(x), matrix(y)));
-        assert_eq!(Arc::strong_count(matrix(x)), 2);
-        assert_eq!(matrix(x).len(), 113 * 113);
+        assert!(shared(x, y));
+        let t = tables(x);
+        assert_eq!(Arc::strong_count(t), 2);
+        // One allocation holds both tables, so `mt` is shared with `m`.
+        assert_eq!((t.m.len(), t.mt.len()), (113 * 113, 113 * 113));
+        for (k, row) in t.m.chunks_exact(113).enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                assert_eq!(c.to_bits(), t.mt[j * 113 + k].to_bits(), "({k}, {j})");
+            }
+        }
 
         let oblong = SpectralSolver::new(42, 54, &vec![1.0; 42 * 54]);
-        let (x, y) = (&oblong.plan_x, &oblong.plan_y);
-        assert!(!Arc::ptr_eq(matrix(x), matrix(y)));
+        assert!(!shared(&oblong.plan_x, &oblong.plan_y));
 
         let stack = SpectralSolver::with_dims(Dims::d3(6, 6, 3), &vec![1.0; 6 * 6 * 3]);
         let (x, y) = (&stack.plan_x, &stack.plan_y);
         let z = stack.plan_z.as_ref().expect("a stack has a z plan");
-        assert!(Arc::ptr_eq(matrix(x), matrix(y)));
-        assert_eq!(matrix(z).len(), 9);
+        assert!(shared(x, y));
+        assert_eq!((tables(z).m.len(), tables(z).mt.len()), (9, 9));
         let stack = SpectralSolver::with_dims(Dims::d3(7, 5, 7), &vec![1.0; 7 * 5 * 7]);
         let (x, y) = (&stack.plan_x, &stack.plan_y);
         let z = stack.plan_z.as_ref().expect("a stack has a z plan");
-        assert!(Arc::ptr_eq(matrix(x), matrix(z)));
-        assert!(!Arc::ptr_eq(matrix(x), matrix(y)));
+        assert!(shared(x, z));
+        assert!(!shared(x, y));
     }
 }

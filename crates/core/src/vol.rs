@@ -375,7 +375,7 @@ impl VolumetricDiffusion {
             && !self.cfg.paper_boundaries
             && !engine.wall_mask().iter().any(|&w| w);
         let tau = self.cfg.dt * self.cfg.diffusivity;
-        let mut field = StrideField::new(&engine, tau, use_spectral);
+        let mut field = StrideField::new(&engine, tau, use_spectral, &mut rec);
 
         // One stride loop serves both solvers. The FTCS stack steps 1:1
         // (velocity, advect, one sweep); the spectral jump strides like

@@ -119,3 +119,71 @@ fn kernel_timers_are_the_fold_of_the_observed_events() {
     assert_eq!(fold.0.ftcs.calls as usize, r.steps, "one sweep per step");
     assert_eq!(fold.0.advect.max_threads, 2);
 }
+
+/// Every kernel event of a run, in order, as `(kernel, calls)`.
+#[derive(Default)]
+struct Sequence(Vec<(KernelKind, u64)>);
+
+impl DiffusionObserver for Sequence {
+    fn on_kernel(&mut self, event: &KernelEvent) {
+        self.0.push((event.kernel, event.calls));
+    }
+}
+
+/// A spectral run bills its forward transform to the field as one 0-call
+/// event before its first velocity pass; an FTCS run sends no such event.
+fn assert_forward_billed(solver: SolverKind, events: &[(KernelKind, u64)], what: &str) {
+    let zero_call: Vec<usize> = (0..events.len())
+        .filter(|&i| events[i] == (KernelKind::Ftcs, 0))
+        .collect();
+    let first_velocity = events
+        .iter()
+        .position(|&(k, _)| k == KernelKind::Velocity)
+        .expect("the run took a velocity pass");
+    match solver {
+        SolverKind::Ftcs => assert!(zero_call.is_empty(), "{what}: {zero_call:?}"),
+        SolverKind::Spectral => {
+            assert_eq!(zero_call.len(), 1, "{what}: one forward-transform event");
+            assert!(
+                zero_call[0] < first_velocity,
+                "{what}: forward transform at event {} after velocity at {first_velocity}",
+                zero_call[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn spectral_runs_bill_their_forward_transform_to_the_field_once() {
+    let (nl, die, p0) = pile();
+    for solver in [SolverKind::Ftcs, SolverKind::Spectral] {
+        let mut seq = Sequence::default();
+        let mut p = p0.clone();
+        let r =
+            GlobalDiffusion::new(cfg(solver)).run_observed(&nl, &die, &mut p, &|| false, &mut seq);
+        assert_forward_billed(solver, &seq.0, &format!("global {solver:?}"));
+        // The 0-call event leaves the field's calls at one per stride.
+        let field_calls: u64 = seq
+            .0
+            .iter()
+            .filter(|&&(k, _)| k == KernelKind::Ftcs)
+            .map(|&(_, c)| c)
+            .sum();
+        assert_eq!(field_calls, r.telemetry.kernels().ftcs.calls);
+
+        let mut seq = Sequence::default();
+        let mut vp = VolPlacement {
+            xy: p0.clone(),
+            z: (0..nl.num_cells()).map(|i| 0.5 + (i % 2) as f64).collect(),
+        };
+        VolumetricDiffusion::new(cfg(solver), 2).run_job_observed(
+            &VolJobSpec::full(2),
+            &nl,
+            &die,
+            &mut vp,
+            &|| false,
+            &mut seq,
+        );
+        assert_forward_billed(solver, &seq.0, &format!("volumetric {solver:?}"));
+    }
+}

@@ -132,9 +132,12 @@ grep -q '"stencil3d"' "$kernels_out"
 grep -q '"nz": 4' "$kernels_out"
 grep -Eq '"kernel": "stencil3d", "threads": 8' "$kernels_out"
 grep -q '"calibration"' "$kernels_out"
-# The generic-length DCT round trip on a prime 113x113 grid.
+# The generic-length DCT round trip on a prime 113x113 grid, its two
+# halves timed apart, and the compiled copy of the matrix kernel that ran.
 grep -q '"spectral_generic"' "$kernels_out"
 grep -q '"madds_per_ns"' "$kernels_out"
+grep -q '"forward_ns": [0-9.]*, "inverse_ns": [0-9.]*,' "$kernels_out"
+grep -Eq '"simd": "(avx2|portable)"' "$kernels_out"
 # Local-diffusion advect on a 256x256 grid whose windows leave ~2% of
 # the cells live (the share each round reports through
 # RoundEvent::live_cells).
@@ -176,10 +179,27 @@ floor_check velocity 80000
 floor_check stencil3d 300000
 floor_check splat 600000
 floor_check advect 600000
-# The generic-length DCT round trip (113x113, cosine-matrix path) runs
-# at ~480k calibration units; the ceiling leaves ~4x headroom, and the
-# per-term modulo loop it replaced (~5.8M units) lands well above it.
-floor_check dct2d_generic 2000000
+# The generic-length DCT round trip (113x113, cosine-matrix path). On a
+# 2-thread Intel Xeon with AVX2 the AVX2 copy of the matrix kernel ran
+# at 200k-370k calibration units per call (median ~270k over 11 smoke
+# runs), the portable copy of the same kernel at 380k-580k (median
+# ~520k). Where /proc/cpuinfo lists avx2, the kernel must dispatch to
+# the AVX2 copy, and its ceiling sits between the two copies with ~1.2x
+# headroom over the AVX2 copy's worst run. The ceiling catches an AVX2
+# copy that stops vectorising 4-wide; the "simd" grep catches a lost
+# dispatch exactly, which the ceiling alone would miss on the portable
+# copy's fastest runs. Elsewhere the ceiling stays at ~4x headroom over
+# the portable copy, and the per-term modulo loop the matrix path
+# replaced (~5.8M units) lands well above it.
+if grep -qsw avx2 /proc/cpuinfo; then
+    grep -q '"simd": "avx2"' "$kernels_out" || {
+        echo "KERNEL FLOOR: this CPU lists avx2 but the DCT ran its portable copy" >&2
+        exit 1
+    }
+    floor_check dct2d_generic 450000
+else
+    floor_check dct2d_generic 2000000
+fi
 # The windowed local advect visits only the live cells: 20k-27k units
 # per call on a 2-thread Intel Xeon, against 72k-128k for a local path
 # that walks every cell again (frozen ones included). The ceiling sits
