@@ -22,16 +22,24 @@
 //! step/round counts and every final position. Local diffusion always
 //! steps FTCS, so this literal is the same under either solver.
 //!
+//! With the `field` argument it runs one [`FieldMigration`]: a circuit
+//! with macros pushed off a hot spot by an external field for a fixed
+//! number of steps. It hashes the step count, every step's telemetry
+//! and every final position. Field migration always steps FTCS, so
+//! this literal is the same under either solver.
+//!
 //! Any other argument is an error (exit 2): the field is always f64, so
 //! these checksums per solver are the whole contract.
 //!
-//! Usage: `cargo run --release --bin golden_checksum [-- vol|local]`
+//! Usage: `cargo run --release --bin golden_checksum [-- vol|local|field]`
 
 use dpm_diffusion::{
-    DiffusionConfig, DiffusionResult, GlobalDiffusion, LocalDiffusion, VolumetricDiffusion,
+    DiffusionConfig, DiffusionResult, FieldMigration, GlobalDiffusion, LocalDiffusion,
+    VolumetricDiffusion,
 };
 use dpm_gen::{CircuitSpec, InflationSpec, VolCircuitSpec};
-use dpm_place::Placement;
+use dpm_geom::Point;
+use dpm_place::{BinGrid, Placement};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -102,6 +110,44 @@ fn local_checksum(cfg: &DiffusionConfig) -> u64 {
     hash
 }
 
+/// The field leg: 1,500 cells around two macros, 40 steps of
+/// [`FieldMigration`] at weight 0.8 on 2.5-row bins, with a field that
+/// peaks at a point off the die centre and falls linearly to zero.
+/// Hashes the step and round counts, each step's movement, overflow and
+/// peak density, and every final position.
+fn field_checksum(cfg: &DiffusionConfig) -> u64 {
+    let bench = CircuitSpec::with_size("golden_field", 1_500, 17)
+        .with_macros(2)
+        .generate();
+    let cfg = cfg.clone().with_bin_size(2.5 * bench.die.row_height());
+    let grid = BinGrid::new(bench.die.outline(), cfg.bin_size);
+    let o = bench.die.outline();
+    let hot = Point::new(o.llx + 0.4 * o.width(), o.lly + 0.6 * o.height());
+    let reach = 0.35 * (o.width() + o.height());
+    let field: Vec<f64> = grid
+        .iter()
+        .map(|idx| (1.0 - grid.bin_center(idx).distance(hot) / reach).max(0.0))
+        .collect();
+    let mut placement = bench.placement.clone();
+    let result = FieldMigration::new(cfg)
+        .with_weight(0.8)
+        .with_steps(40)
+        .run(&bench.netlist, &bench.die, &mut placement, &field);
+    eprintln!(
+        "golden_checksum: field leg ran {} step(s), total movement {:.1}",
+        result.steps,
+        result.telemetry.total_movement()
+    );
+    let mut hash = FNV_OFFSET;
+    for r in result.telemetry.records() {
+        absorb(&mut hash, &r.movement.to_bits().to_le_bytes());
+        absorb(&mut hash, &r.computed_overflow.to_bits().to_le_bytes());
+        absorb(&mut hash, &r.max_density.to_bits().to_le_bytes());
+    }
+    absorb_run(&mut hash, &result, &placement);
+    hash
+}
+
 /// Hashes a planar run's step and round counts and every final position.
 fn absorb_run(hash: &mut u64, result: &DiffusionResult, placement: &Placement) {
     absorb(hash, &(result.steps as u64).to_le_bytes());
@@ -126,9 +172,13 @@ fn main() {
             println!("{:016x}", local_checksum(&cfg));
             return;
         }
+        Some("field") => {
+            println!("{:016x}", field_checksum(&cfg));
+            return;
+        }
         Some(other) => {
             eprintln!(
-                "golden_checksum: unknown mode {other:?} (usage: golden_checksum [vol|local])"
+                "golden_checksum: unknown mode {other:?} (usage: golden_checksum [vol|local|field])"
             );
             std::process::exit(2);
         }

@@ -2,8 +2,9 @@
 //! velocities over a wall-aware bin grid, planar ([`Dims::D2`]) or
 //! volumetric ([`Dims::D3`]).
 
-use crate::config::{FieldPrecision, LaneMode};
+use crate::config::{DiffusionConfig, FieldPrecision, LaneMode};
 use crate::dims::Dims;
+use crate::manip::manipulate_density;
 use crate::velocity::interpolate_velocity;
 use dpm_geom::{floor, Point, Point3, Vector, Vector3};
 use dpm_par::{
@@ -509,6 +510,17 @@ impl DiffusionEngine {
     /// (used by the Fig. 5 regression tests and the ablation bench).
     pub fn set_conservative_boundaries(&mut self, conservative: bool) {
         self.conservative = conservative;
+    }
+
+    /// Sets the engine up for a run of `cfg`: the boundary rule, the
+    /// worker pool and, when `manipulate`, density-map manipulation
+    /// (Eq. 8) applied in place around the walls.
+    pub(crate) fn set_up(&mut self, cfg: &DiffusionConfig, manipulate: bool) {
+        self.set_conservative_boundaries(!cfg.paper_boundaries);
+        self.set_threads(cfg.threads);
+        if manipulate {
+            manipulate_density(&mut self.density, Some(&self.wall), cfg.d_max);
+        }
     }
 
     /// The grid shape.

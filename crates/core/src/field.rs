@@ -10,11 +10,9 @@
 //! diffusion steps on `area_density + weight · normalized(field)` and
 //! moves cells along the blended gradients.
 
-use crate::advect::{advect_cells, CellCache};
 use crate::observe::{lap, RunRecorder};
-use crate::{
-    DiffusionConfig, DiffusionEngine, DiffusionResult, KernelKind, NoopObserver, StepRecord,
-};
+use crate::stride::{Advect, StrideLoop};
+use crate::{DiffusionConfig, DiffusionEngine, DiffusionResult, KernelKind, NoopObserver};
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
 
@@ -129,35 +127,23 @@ impl FieldMigration {
             blended,
             Some(map.fixed_mask().to_vec()),
         );
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
+        engine.set_up(&self.cfg, false);
         let mut noop = NoopObserver;
         let mut rec = RunRecorder::new(&mut noop, engine.threads());
         rec.record(KernelKind::Splat, splat_elapsed, 1, 1);
 
-        let tau = self.cfg.dt * self.cfg.diffusivity;
-        let cells = CellCache::new(netlist, &grid);
-        for step in 0..self.steps {
-            rec.time(KernelKind::Velocity, || engine.compute_velocities());
-            let advect = rec.time(KernelKind::Advect, || {
-                advect_cells(&engine, &grid, &cells, placement, &self.cfg, None)
-            });
-            rec.time(KernelKind::Ftcs, || engine.step_density(tau));
-            rec.telemetry.push(StepRecord {
-                step,
-                sweeps: 1,
-                movement: advect.total_movement,
-                computed_overflow: engine.total_overflow(self.cfg.d_max),
-                max_density: engine.max_live_density(),
-                measured_overflow: None,
-            });
-        }
+        // A bounded perturbation: exactly `steps` one-sweep FTCS steps.
+        let strides = StrideLoop {
+            cap: self.steps,
+            doubling: false,
+            converge: false,
+            should_stop: &|| false,
+        };
+        let advect = Advect::Planar(placement);
+        let run = strides.run(&mut engine, rec, &self.cfg, netlist, &grid, advect);
         DiffusionResult {
-            steps: self.steps,
-            rounds: 1,
             converged: true,
-            cancelled: false,
-            telemetry: rec.telemetry,
+            ..run
         }
     }
 }

@@ -1,15 +1,11 @@
 //! Global diffusion-based legalization (paper Algorithm 1).
 
-use crate::advect::{advect_cells, CellCache};
-use crate::observe::{lap, DiffusionObserver, KernelKind, NoopObserver, RunRecorder, StepEvent};
-use crate::spectral::SpectralSolver;
-use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, SolverKind, StepRecord, Telemetry,
-};
+use crate::observe::{DiffusionObserver, KernelKind, NoopObserver, RunRecorder};
+use crate::stride::{Advect, StrideLoop};
+use crate::{DiffusionConfig, DiffusionEngine, Telemetry};
 use dpm_netlist::Netlist;
 use dpm_par::ThreadPool;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
-use std::time::Duration;
 
 /// Outcome of a diffusion run ([`GlobalDiffusion`] or
 /// [`LocalDiffusion`](crate::LocalDiffusion)).
@@ -139,196 +135,23 @@ impl GlobalDiffusion {
             DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool)
         });
         let mut engine = DiffusionEngine::from_density_map(&map);
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
-
-        if self.cfg.manipulate {
-            let mut d = engine.densities().to_vec();
-            let wall = engine.wall_mask().to_vec();
-            manipulate_density(&mut d, Some(&wall), self.cfg.d_max);
-            engine.load_densities(&d);
-        }
-
-        let cells = CellCache::new(netlist, &grid);
-        let mut steps = 0;
-        let mut converged = engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
-        let mut cancelled = false;
-
-        // The spectral jump models the pure heat equation with
-        // zero-flux boundaries: walls/frozen bins break the DCT
-        // diagonalization, and the paper's mirror boundary rule is a
-        // different operator, so those runs keep the FTCS stepper.
-        let use_spectral = self.cfg.solver == SolverKind::Spectral
-            && !self.cfg.paper_boundaries
-            && !engine.wall_mask().iter().any(|&w| w)
-            && !engine.frozen_mask().iter().any(|&f| f);
-        let tau = self.cfg.dt * self.cfg.diffusivity;
-        let mut field = StrideField::new(&engine, tau, use_spectral, &mut rec);
-
-        // One stride loop serves both solvers (DESIGN.md §19). Strides
-        // double geometrically in units of the FTCS-sweep budget: early
-        // strides resolve the fast transient finely, later ones cover
-        // whole swaths of diffusion time with one velocity sample and
-        // one advect. The field advances to the stride's sample point,
-        // cells follow the velocity there for the whole stride, then the
-        // field finishes the stride.
-        while !converged && field.at < self.cfg.max_steps {
-            if should_stop() {
-                cancelled = true;
-                break;
-            }
-            let stride = (1usize << steps.min(20)).min(self.cfg.max_steps - field.at);
-            let start = field.at;
-            let (sampled, mut field_elapsed) =
-                lap(|| field.advance(&mut engine, field.sample_point(stride), should_stop));
-            if !sampled {
-                field.record(&mut rec, start, field_elapsed);
-                cancelled = true;
-                break;
-            }
-            rec.time(KernelKind::Velocity, || engine.compute_velocities());
-            // One advect call covers the whole stride: velocities act
-            // for stride·Δt, still clamped per call by
-            // max_step_displacement.
-            let mut strided = self.cfg.clone();
-            strided.dt = self.cfg.dt * stride as f64;
-            let advect = rec.time(KernelKind::Advect, || {
-                advect_cells(&engine, &grid, &cells, placement, &strided, None)
-            });
-            let (finished, rest) = lap(|| field.advance(&mut engine, start + stride, should_stop));
-            field_elapsed += rest;
-            // One event bills both halves of the stride's field update.
-            field.record(&mut rec, start, field_elapsed);
-            steps += 1;
-            let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
-            let record = StepRecord {
-                step: steps - 1,
-                sweeps: field.at - start,
-                movement: advect.total_movement,
-                computed_overflow,
-                max_density,
-                measured_overflow: None,
-            };
-            rec.telemetry.push(record);
-            rec.observer.on_step(&StepEvent {
-                record,
-                round: 1,
-                placement,
-                netlist,
-            });
-            if !finished {
-                cancelled = true;
-                break;
-            }
-            converged = max_density <= self.cfg.d_max + self.cfg.delta;
-        }
-
-        DiffusionResult {
-            steps,
-            rounds: 1,
-            converged,
-            cancelled,
-            telemetry: rec.telemetry,
-        }
-    }
-}
-
-/// The density field a diffusion stride advances: FTCS sweeps, or the
-/// spectral closed-form jump standing in for them. Global and
-/// volumetric diffusion both stride through one.
-pub(crate) struct StrideField {
-    /// FTCS-sweep budget the density has advanced through.
-    pub(crate) at: usize,
-    /// `D·Δt`: one FTCS sweep advances diffusion time by `τ/2`.
-    tau: f64,
-    /// The closed-form solver and its output buffer, when the spectral
-    /// jump replaces the sweeps.
-    spectral: Option<(SpectralSolver, Vec<f64>)>,
-}
-
-impl StrideField {
-    /// A field at budget 0 that sweeps `engine` by FTCS steps of `tau`
-    /// or, when `spectral`, jumps it from its current density through a
-    /// [`SpectralSolver`] over the engine's grid, planar or volumetric.
-    /// Building that solver runs its forward transform, which `rec` bills
-    /// to the field as one serial [`KernelKind::Ftcs`] event of 0 calls.
-    pub(crate) fn new(
-        engine: &DiffusionEngine,
-        tau: f64,
-        spectral: bool,
-        rec: &mut RunRecorder,
-    ) -> Self {
-        let spectral = spectral.then(|| {
-            let (solver, elapsed) =
-                lap(|| SpectralSolver::with_dims(engine.dims(), engine.densities()));
-            rec.record(KernelKind::Ftcs, elapsed, 1, 0);
-            (solver, vec![0.0; engine.densities().len()])
-        });
-        Self {
-            at: 0,
-            tau,
-            spectral,
-        }
-    }
-
-    /// The budget at which a stride of `stride` sweeps starting here
-    /// samples velocity. FTCS samples the stride's midpoint. The
-    /// spectral jump samples its start: a mid-stride field would cost a
-    /// second inverse transform per stride.
-    fn sample_point(&self, stride: usize) -> usize {
-        match self.spectral {
-            None => self.at + stride / 2,
-            Some(_) => self.at,
-        }
-    }
-
-    /// Advances the engine's density to budget `to` (a no-op when it is
-    /// already there). FTCS polls `should_stop` between sweeps and
-    /// returns `false` if it fired, leaving the sweeps done so far; the
-    /// spectral jump is one transform and always finishes.
-    pub(crate) fn advance(
-        &mut self,
-        engine: &mut DiffusionEngine,
-        to: usize,
-        should_stop: &dyn Fn() -> bool,
-    ) -> bool {
-        match &mut self.spectral {
-            None => {
-                let from = self.at;
-                while self.at < to {
-                    if self.at > from && should_stop() {
-                        return false;
-                    }
-                    engine.step_density(self.tau);
-                    self.at += 1;
-                }
-            }
-            Some((solver, buf)) if self.at < to => {
-                solver.density_at(to as f64 * self.tau * 0.5, buf);
-                engine.load_densities(buf);
-                self.at = to;
-            }
-            Some(_) => {}
-        }
-        true
-    }
-
-    /// Records the field's advance since budget `start`, which took
-    /// `elapsed`, as one [`KernelKind::Ftcs`] event: one call per FTCS
-    /// sweep on the run's pool, or one serial spectral jump (the jump
-    /// samples at the stride's start, so a stride makes at most one).
-    pub(crate) fn record(&self, rec: &mut RunRecorder, start: usize, elapsed: Duration) {
-        let (calls, threads) = match self.spectral {
-            None => ((self.at - start) as u64, rec.threads),
-            Some(_) => (u64::from(self.at > start), 1),
+        engine.set_up(&self.cfg, self.cfg.manipulate);
+        let strides = StrideLoop {
+            cap: self.cfg.max_steps,
+            doubling: true,
+            converge: true,
+            should_stop,
         };
-        rec.record(KernelKind::Ftcs, elapsed, threads, calls);
+        let advect = Advect::Planar(placement);
+        strides.run(&mut engine, rec, &self.cfg, netlist, &grid, advect)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advect::{advect_cells, CellCache};
+    use crate::{manipulate_density, SolverKind};
     use dpm_geom::Point;
     use dpm_netlist::{CellKind, NetlistBuilder};
     use dpm_place::MovementStats;

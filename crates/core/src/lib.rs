@@ -33,6 +33,14 @@
 //!   selected per run with [`SolverKind::Spectral`] on [`DiffusionConfig`]
 //!   (walled/frozen grids automatically keep the FTCS stepper).
 //!
+//! [`GlobalDiffusion`], [`VolumetricDiffusion`] and [`FieldMigration`]
+//! run one stride loop: velocity (Eq. 5), one advect (Eq. 7), then the
+//! density update (Eq. 4) by FTCS sweeps or the spectral jump. They hand
+//! it only a sweep cap, whether FTCS strides double, whether to test
+//! convergence, and their advect (planar on the worker pool, or the
+//! serial volumetric one). [`LocalDiffusion`] keeps its own round loop
+//! around windows and live cells.
+//!
 //! All four hot kernels — FTCS step, velocity field, cell advection and
 //! the density splat — run on the deterministic worker pool of
 //! [`dpm_par`]: work is decomposed into fixed chunks independent of the
@@ -94,6 +102,7 @@ mod manip;
 mod observe;
 mod shard;
 mod spectral;
+mod stride;
 mod telemetry;
 mod trace;
 mod velocity;

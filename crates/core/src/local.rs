@@ -2,9 +2,7 @@
 
 use crate::advect::{advect_cells, CellCache, LiveCells};
 use crate::global::DiffusionResult;
-use crate::observe::{
-    lap, DiffusionObserver, KernelKind, NoopObserver, RoundEvent, RunRecorder, StepEvent,
-};
+use crate::observe::{lap, DiffusionObserver, KernelKind, NoopObserver, RoundEvent, RunRecorder};
 use crate::window::identify_windows_into;
 use crate::{DiffusionConfig, DiffusionEngine, StepRecord};
 use dpm_netlist::Netlist;
@@ -133,8 +131,7 @@ impl LocalDiffusion {
             DensityMap::from_placement_with_pool(netlist, placement, grid.clone(), &pool)
         });
         let mut engine = DiffusionEngine::from_density_map(&map);
-        engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-        engine.set_threads(self.cfg.threads);
+        engine.set_up(&self.cfg, false);
         let tau = self.cfg.dt * self.cfg.diffusivity;
         let cells = CellCache::new(netlist, &grid);
         let mut live = LiveCells::default();
@@ -211,13 +208,7 @@ impl LocalDiffusion {
                     max_density: engine.max_live_density(),
                     measured_overflow: if i == 0 { Some(measured) } else { None },
                 };
-                rec.telemetry.push(record);
-                rec.observer.on_step(&StepEvent {
-                    record,
-                    round: rounds,
-                    placement,
-                    netlist,
-                });
+                rec.step(record, rounds, placement, netlist);
                 steps += 1;
             }
             if cancelled || steps >= self.cfg.max_steps {

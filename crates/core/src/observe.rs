@@ -129,8 +129,8 @@ impl DiffusionObserver for NoopObserver {}
 /// [`Telemetry`], so those timers are the sum of the events the observer
 /// saw.
 pub(crate) struct RunRecorder<'a> {
-    /// The run's observer; runners send their step and round events to
-    /// it directly.
+    /// The run's observer; runners send their round events to it
+    /// directly.
     pub(crate) observer: &'a mut dyn DiffusionObserver,
     /// Workers of the run's pool, which the parallel kernels run on.
     pub(crate) threads: usize,
@@ -145,6 +145,25 @@ impl<'a> RunRecorder<'a> {
             threads,
             telemetry: Telemetry::new(),
         }
+    }
+
+    /// Records one diffusion step of local-diffusion round `round` (1 for
+    /// a single-round run): pushes `record` to the telemetry and shows it
+    /// to the observer with the post-step `placement`.
+    pub(crate) fn step(
+        &mut self,
+        record: StepRecord,
+        round: usize,
+        placement: &Placement,
+        netlist: &Netlist,
+    ) {
+        self.telemetry.push(record);
+        self.observer.on_step(&StepEvent {
+            record,
+            round,
+            placement,
+            netlist,
+        });
     }
 
     /// Runs `f` as one call of the parallel `kernel` on the run's pool

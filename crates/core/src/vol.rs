@@ -3,21 +3,24 @@
 //! A volumetric placement stacks `nz` tiers of the same die: cells carry
 //! a depth coordinate in *tier units* alongside their planar position,
 //! and the density field lives on the engine's `nx × ny × nz` plane-major
-//! grid ([`Dims::D3`](crate::Dims)). This module supplies the runner half
-//! of that story, mirroring the planar
-//! [`GlobalDiffusion`](crate::GlobalDiffusion) flow
-//! (Algorithm 1) axis-for-axis:
+//! grid ([`Dims::D3`](crate::Dims)). This module supplies what the
+//! planar [`GlobalDiffusion`](crate::GlobalDiffusion) flow (Algorithm 1)
+//! lacks for a stack — a depth per cell, a volumetric splat, a serial
+//! trilinear advect and the field-continuation contract — and runs the
+//! same stride loop as the planar runner:
 //!
 //! - [`VolPlacement`] pairs a planar [`Placement`] with a per-cell depth;
 //! - [`splat_volume`] measures the volumetric density: movable cells
 //!   splat their area overlap into their own tier's plane, while fixed
 //!   macros raise **through-stack walls** — a macro footprint blocks its
 //!   bins in *every* tier, the 3D-IC analogue of a TSV keep-out column;
-//! - [`VolumetricDiffusion`] runs the migration loop — velocity, serial
-//!   3D advection with trilinear interpolation, FTCS step — under either
-//!   solver ([`SolverKind::Spectral`] jumps through a volumetric
-//!   [`SpectralSolver`](crate::SpectralSolver) when the stack has no
-//!   walls);
+//! - [`VolumetricDiffusion`] runs the crate's one stride loop — the
+//!   loop [`GlobalDiffusion`](crate::GlobalDiffusion) and
+//!   [`FieldMigration`](crate::FieldMigration) run too — with the serial
+//!   3D advection (trilinear interpolation) as its advect, under either
+//!   solver ([`SolverKind::Spectral`](crate::SolverKind) jumps through a
+//!   volumetric [`SpectralSolver`](crate::SpectralSolver) when the stack
+//!   has no walls);
 //! - [`VolJobSpec`] is the *field-continuation* contract the z-slab
 //!   router (`dpm-serve`) speaks: a sub-job receives a pre-evolved raw
 //!   density region plus its tier offset, runs an exact number of steps,
@@ -32,11 +35,10 @@
 //! ownership from the fresh depths every round.
 
 use crate::advect::{clamp_extent, move_length, AdvectOutcome, CellCache};
-use crate::global::StrideField;
 use crate::observe::{lap, RunRecorder};
+use crate::stride::{Advect, StrideLoop};
 use crate::{
-    manipulate_density, DiffusionConfig, DiffusionEngine, DiffusionObserver, KernelKind,
-    NoopObserver, SolverKind, StepEvent, StepRecord, Telemetry,
+    DiffusionConfig, DiffusionEngine, DiffusionObserver, DiffusionResult, KernelKind, NoopObserver,
 };
 use dpm_geom::{floor_index, Point, Point3};
 use dpm_netlist::{CellId, Netlist};
@@ -200,35 +202,46 @@ impl VolJobSpec {
     }
 }
 
-/// Outcome of a volumetric diffusion run.
+/// Outcome of a volumetric diffusion run: the run's
+/// [`DiffusionResult`] (one round; it derefs to it, so `result.steps`
+/// reads through) next to the evolved field.
+///
+/// [`DiffusionResult::steps`] counts advects, as in the planar runner;
+/// [`DiffusionResult::converged`] is always `false` under
+/// [`VolJobSpec::exact_steps`], since the router owns convergence there;
+/// the telemetry's [`StepRecord::max_density`](crate::StepRecord) is the
+/// monotone max-density trace of the maximum principle.
 #[derive(Debug, Clone)]
 pub struct VolResult {
-    /// Diffusion steps executed (spectral mode: advect/re-jump
-    /// iterations, as in the planar runner).
-    pub steps: usize,
-    /// `true` if the density target was reached. Always `false` under
-    /// [`VolJobSpec::exact_steps`] — the router owns convergence there.
-    pub converged: bool,
-    /// `true` if a cancellation hook cut the run short.
-    pub cancelled: bool,
-    /// Per-step telemetry ([`StepRecord::max_density`] is the monotone
-    /// max-density trace of the maximum principle).
-    pub telemetry: Telemetry,
+    /// Steps, convergence, cancellation and per-step telemetry.
+    pub run: DiffusionResult,
     /// The final plane-major density field of the job's region — the
     /// router stitches slab cores out of these.
     pub field: Vec<f64>,
 }
 
+impl std::ops::Deref for VolResult {
+    type Target = DiffusionResult;
+
+    fn deref(&self) -> &DiffusionResult {
+        &self.run
+    }
+}
+
 /// Volumetric global diffusion: the planar Algorithm 1 with a tier axis.
 ///
-/// The loop is the planar one, per axis: compute the velocity field,
-/// advect every movable cell trilinearly (serial, netlist order —
-/// deterministic at any thread count), step the density by FTCS (the
-/// `Δt·ndim ≤ 1` stability bound holds for the default `Δt = 0.2`), and
-/// stop when the maximum live density reaches `d_max + Δ`. Under
-/// [`SolverKind::Spectral`] a wall-free stack jumps through a volumetric
-/// [`SpectralSolver`](crate::SpectralSolver) with the same
-/// geometrically-growing stride schedule as the planar runner.
+/// It runs the same stride loop as [`GlobalDiffusion`](crate::GlobalDiffusion)
+/// on a `D3` engine: compute the velocity field, advect every movable
+/// cell trilinearly (serial, netlist order — deterministic at any thread
+/// count), step the density by FTCS (the `Δt·ndim ≤ 1` stability bound
+/// holds for the default `Δt = 0.2`), and stop when the maximum live
+/// density reaches `d_max + Δ`. Only the schedule differs: FTCS steps
+/// one sweep per advect, and under
+/// [`SolverKind::Spectral`](crate::SolverKind) a wall-free stack jumps
+/// through a volumetric [`SpectralSolver`](crate::SpectralSolver) with
+/// the planar runner's doubling strides. A job with
+/// [`VolJobSpec::exact_steps`] steps FTCS exactly that many times under
+/// either solver and never tests convergence.
 ///
 /// # Examples
 ///
@@ -296,7 +309,7 @@ impl VolumetricDiffusion {
     /// and only the job's cells should be present in `netlist`.
     ///
     /// `should_stop` is polled before each step; once it returns `true`
-    /// the run stops with [`VolResult::cancelled`] set. The observer sees
+    /// the run stops with [`DiffusionResult::cancelled`] set. The observer sees
     /// every step ([`DiffusionObserver::on_step`], round 1, the planar
     /// half of the placement) and every timed kernel invocation
     /// ([`DiffusionObserver::on_kernel`]). Observers are read-only
@@ -346,89 +359,27 @@ impl VolumetricDiffusion {
                     splat_volume(netlist, &local, &grid, job.nz)
                 }
             };
-            let mut engine =
-                DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall));
-            engine.set_conservative_boundaries(!self.cfg.paper_boundaries);
-            engine.set_threads(self.cfg.threads);
-            engine
+            DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall))
         });
+        // A shipped-in field was splatted and manipulated by the router.
+        engine.set_up(&self.cfg, self.cfg.manipulate && job.field.is_none());
         let mut rec = RunRecorder::new(observer, engine.threads());
         rec.record(KernelKind::Splat, splat_elapsed, 1, 1);
 
-        if self.cfg.manipulate && job.field.is_none() {
-            let mut d = engine.densities().to_vec();
-            let wall = engine.wall_mask().to_vec();
-            manipulate_density(&mut d, Some(&wall), self.cfg.d_max);
-            engine.load_densities(&d);
-        }
-
-        let cells = CellCache::new(netlist, &grid);
-        let (z0, global_nz) = (job.z0, job.global_nz);
-        let mut steps = 0;
-        let mut converged = job.exact_steps.is_none()
-            && engine.max_live_density() <= self.cfg.d_max + self.cfg.delta;
-        let mut cancelled = false;
-        let step_cap = job.exact_steps.unwrap_or(self.cfg.max_steps);
-
-        let use_spectral = job.exact_steps.is_none()
-            && self.cfg.solver == SolverKind::Spectral
-            && !self.cfg.paper_boundaries
-            && !engine.wall_mask().iter().any(|&w| w);
-        let tau = self.cfg.dt * self.cfg.diffusivity;
-        let mut field = StrideField::new(&engine, tau, use_spectral, &mut rec);
-
-        // One stride loop serves both solvers. The FTCS stack steps 1:1
-        // (velocity, advect, one sweep); the spectral jump strides like
-        // global diffusion, doubling per step. Both sample velocity at
-        // the stride's start.
-        while !converged && field.at < step_cap {
-            if should_stop() {
-                cancelled = true;
-                break;
-            }
-            let stride = if use_spectral {
-                (1usize << steps.min(20)).min(step_cap - field.at)
-            } else {
-                1
-            };
-            let start = field.at;
-            rec.time(KernelKind::Velocity, || engine.compute_velocities());
-            let mut strided = self.cfg.clone();
-            strided.dt = self.cfg.dt * stride as f64;
-            let (advect, advect_elapsed) =
-                lap(|| advect_cells3(&engine, &grid, &cells, placement, &strided, z0, global_nz));
-            rec.record(KernelKind::Advect, advect_elapsed, 1, 1);
-            // A one-sweep stride or a jump never polls `should_stop`, so
-            // the advance always finishes.
-            let (_, elapsed) = lap(|| field.advance(&mut engine, start + stride, should_stop));
-            field.record(&mut rec, start, elapsed);
-            steps += 1;
-            let (max_density, computed_overflow) = engine.peak_and_overflow(self.cfg.d_max);
-            let record = StepRecord {
-                step: steps - 1,
-                sweeps: field.at - start,
-                movement: advect.total_movement,
-                computed_overflow,
-                max_density,
-                measured_overflow: None,
-            };
-            rec.telemetry.push(record);
-            rec.observer.on_step(&StepEvent {
-                record,
-                round: 1,
-                placement: &placement.xy,
-                netlist,
-            });
-            if job.exact_steps.is_none() {
-                converged = max_density <= self.cfg.d_max + self.cfg.delta;
-            }
-        }
-
+        // An exact step count is a field continuation: it sweeps FTCS one
+        // step at a time and leaves convergence to the router. Otherwise
+        // the FTCS stack steps 1:1 and the spectral jump strides like
+        // global diffusion.
+        let strides = StrideLoop {
+            cap: job.exact_steps.unwrap_or(self.cfg.max_steps),
+            doubling: false,
+            converge: job.exact_steps.is_none(),
+            should_stop,
+        };
+        let advect = Advect::Volumetric(placement, job);
+        let run = strides.run(&mut engine, rec, &self.cfg, netlist, &grid, advect);
         VolResult {
-            steps,
-            converged,
-            cancelled,
-            telemetry: rec.telemetry,
+            run,
             field: engine.densities().to_vec(),
         }
     }
@@ -452,7 +403,7 @@ impl VolumetricDiffusion {
 /// each step depends only on the cell's own position and the fixed
 /// field, so results are deterministic at any thread count by
 /// construction.
-fn advect_cells3(
+pub(crate) fn advect_cells3(
     engine: &DiffusionEngine,
     grid: &BinGrid,
     cells: &CellCache,
@@ -535,6 +486,7 @@ fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{manipulate_density, SolverKind};
     use dpm_geom::{Rect, Vector3};
     use dpm_netlist::{CellKind, NetlistBuilder};
     use dpm_place::BinIdx;

@@ -1,6 +1,9 @@
 //! Clustered circuit generation with a legal constructive placement.
 
-use dpm_geom::{Point, Rect};
+use crate::layout::{
+    add_pads, free_segments, grow_until_placed, pack_rows, pad_ring, sample_macros, size_die,
+};
+use dpm_geom::Rect;
 use dpm_netlist::{CellId, CellKind, Netlist, NetlistBuilder, PinDir};
 use dpm_place::{Die, Placement};
 use dpm_rng::Rng;
@@ -169,54 +172,19 @@ impl CircuitSpec {
         }
 
         // --- Die sized for the target utilization --------------------
-        let die_area = total_area / self.target_utilization;
-        let side = die_area.sqrt();
-        let rows = ((side / self.row_height).ceil() as usize).max(4);
-        let height = rows as f64 * self.row_height;
-        let width = (die_area / height).ceil();
-        let die = Die::new(width, height, self.row_height);
+        let (die, rows) = size_die(total_area, self.target_utilization, self.row_height);
 
-        // --- Macros --------------------------------------------------
-        // Rejection-sample interior positions so macros never overlap
-        // each other (overlapping blockages would double-count density
-        // and are not legalizable).
-        let mut macros: Vec<(CellId, Rect)> = Vec::new();
-        for m in 0..self.num_macros {
-            let mw = (width * rng.random_range(0.06..0.12)).max(2.0 * self.row_height);
-            let mh = (rng.random_range(4..10) as f64) * self.row_height;
-            let id = b.add_cell(format!("macro{m}"), mw, mh, CellKind::FixedMacro);
-            let mut placed = None;
-            for _ in 0..64 {
-                let mx = rng.random_range(0.1..0.8) * (width - mw);
-                let row = rng.random_range(
-                    1..rows
-                        .saturating_sub((mh / self.row_height) as usize + 1)
-                        .max(2),
-                );
-                let rect =
-                    Rect::from_origin_size(Point::new(mx, row as f64 * self.row_height), mw, mh);
-                if macros
-                    .iter()
-                    .all(|&(_, other)| !rect.inflated(1.0).intersects(&other))
-                {
-                    placed = Some(rect);
-                    break;
-                }
-            }
-            // A macro that cannot be placed without overlap (tiny die,
-            // many macros) parks in a corner sliver shrunk to fit.
-            let rect = placed.unwrap_or_else(|| {
-                Rect::from_origin_size(Point::new(0.0, self.row_height), mw.min(width / 4.0), mh)
-            });
-            macros.push((id, rect));
-        }
-
-        // --- Pads on the boundary ------------------------------------
-        let mut pads = Vec::new();
-        for p in 0..self.num_pads {
-            let id = b.add_cell(format!("pad{p}"), 1.0, 1.0, CellKind::Pad);
-            pads.push(id);
-        }
+        // --- Macros and boundary pads ----------------------------------
+        let width = die.outline().width();
+        let macros = sample_macros(
+            &mut rng,
+            &mut b,
+            self.num_macros,
+            width,
+            rows,
+            self.row_height,
+        );
+        let pads = add_pads(&mut b, self.num_pads);
 
         // --- Nets: clustered, DAG-oriented ---------------------------
         let n_nets = (self.num_cells as f64 * self.nets_per_cell).ceil() as usize;
@@ -274,32 +242,17 @@ impl CircuitSpec {
         let netlist = b.build().expect("generated netlist is structurally valid");
 
         // --- Legal constructive placement ----------------------------
-        // Macros consume die area the utilization-based sizing did not
-        // account for; grow the die until the cells (plus a fragmentation
-        // reserve) fit.
-        let mut die = die;
-        let mut placement = None;
-        for _ in 0..12 {
-            if let Some(p) = place_rows(
+        let (die, placement) = grow_until_placed(die, |die| {
+            place_rows(
                 &netlist,
-                &die,
+                die,
                 &macros,
                 &pads,
                 self.cluster_size,
                 self.local_utilization,
                 self.clusters_per_gap,
-            ) {
-                placement = Some(p);
-                break;
-            }
-            let o = die.outline();
-            die = Die::new(
-                o.width() * 1.1,
-                o.height() + self.row_height * 2.0,
-                self.row_height,
-            );
-        }
-        let placement = placement.expect("die growth must eventually fit the cells");
+            )
+        });
 
         Benchmark {
             name: self.name.clone(),
@@ -328,70 +281,14 @@ fn place_rows(
 ) -> Option<Placement> {
     let mut placement = Placement::new(netlist.num_cells());
 
-    // Pin macros at their chosen spots.
+    // Pin macros at their chosen spots; pads ring the boundary.
     for &(id, r) in macros {
         placement.set(id, r.origin());
     }
-    // Pads around the boundary (they occupy no placement area).
-    let outline = die.outline();
-    for (i, &pad) in pads.iter().enumerate() {
-        let t = i as f64 / pads.len().max(1) as f64;
-        let peri = 2.0 * (outline.width() + outline.height());
-        let d = t * peri;
-        let pos = if d < outline.width() {
-            Point::new(outline.llx + d, outline.lly)
-        } else if d < outline.width() + outline.height() {
-            Point::new(outline.urx - 1.0, outline.lly + (d - outline.width()))
-        } else if d < 2.0 * outline.width() + outline.height() {
-            Point::new(
-                outline.urx - (d - outline.width() - outline.height()) - 1.0,
-                outline.ury - 1.0,
-            )
-        } else {
-            Point::new(
-                outline.llx,
-                outline.ury - (d - 2.0 * outline.width() - outline.height()) - 1.0,
-            )
-        };
-        placement.set(
-            pad,
-            pos.clamped(
-                outline.llx,
-                outline.urx - 1.0,
-                outline.lly,
-                outline.ury - 1.0,
-            ),
-        );
+    for (&pad, pos) in pads.iter().zip(pad_ring(die.outline(), pads.len())) {
+        placement.set(pad, pos);
     }
-
-    // Free segments per row (macro spans removed).
-    let mut segments: Vec<Vec<(f64, f64)>> = Vec::with_capacity(die.num_rows());
-    for row in die.rows() {
-        let row_rect = Rect::new(row.llx, row.y, row.urx, row.y + die.row_height());
-        let mut segs = vec![(row.llx, row.urx)];
-        for &(_, mr) in macros {
-            if !mr.intersects(&row_rect) {
-                continue;
-            }
-            let mut next = Vec::new();
-            for (s, e) in segs {
-                if mr.llx <= s && mr.urx >= e {
-                    continue; // fully blocked
-                } else if mr.llx > s && mr.urx < e {
-                    next.push((s, mr.llx));
-                    next.push((mr.urx, e));
-                } else if mr.llx > s && mr.llx < e {
-                    next.push((s, mr.llx));
-                } else if mr.urx > s && mr.urx < e {
-                    next.push((mr.urx, e));
-                } else {
-                    next.push((s, e));
-                }
-            }
-            segs = next;
-        }
-        segments.push(segs);
-    }
+    let segments = free_segments(die, macros);
 
     // Whitespace budget: everything beyond the cells themselves, spent as
     // inter-cluster gaps (minus a fragmentation reserve of one max-width
@@ -427,49 +324,17 @@ fn place_rows(
 
     // Walk rows bottom-up, packing cells abutted, opening a gap whenever
     // a new cluster starts.
-    let mut row = 0usize;
-    let mut seg_idx = 0usize;
-    let mut cursor = segments
-        .first()
-        .and_then(|s| s.first())
-        .map(|&(s, _)| s)
-        .unwrap_or(0.0);
-
-    for (i, cell) in netlist.movable_cell_ids().enumerate() {
-        if i > 0 && i % gap_stride == 0 {
-            cursor += cluster_gap;
-        }
-        let w = netlist.cell(cell).width;
-        let pitch = w * pitch_factor;
-        loop {
-            if row >= die.num_rows() {
-                return None;
-            }
-            let segs = &segments[row];
-            if seg_idx >= segs.len() {
-                row += 1;
-                seg_idx = 0;
-                cursor = segments
-                    .get(row)
-                    .and_then(|s| s.first())
-                    .map(|&(s, _)| s)
-                    .unwrap_or(0.0);
-                continue;
-            }
-            let (s, e) = segs[seg_idx];
-            if cursor < s {
-                cursor = s;
-            }
-            if cursor + w <= e {
-                placement.set(cell, Point::new(cursor, die.row(row).y));
-                cursor += pitch;
-                break;
-            }
-            seg_idx += 1;
-            if let Some(&(ns, _)) = segs.get(seg_idx) {
-                cursor = ns;
-            }
-        }
+    let cells = netlist.movable_cell_ids().enumerate().map(|(i, c)| {
+        let w = netlist.cell(c).width;
+        let gap = if i > 0 && i % gap_stride == 0 {
+            cluster_gap
+        } else {
+            0.0
+        };
+        (c, gap, w, w * pitch_factor)
+    });
+    if !pack_rows(die, &segments, 0, cells, |c, p| placement.set(c, p)) {
+        return None;
     }
     Some(placement)
 }

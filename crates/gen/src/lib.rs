@@ -46,6 +46,7 @@
 mod circuit;
 mod eco;
 mod inflate;
+mod layout;
 mod stats;
 pub mod suites;
 mod vol;
@@ -55,3 +56,102 @@ pub use eco::{EcoSpec, EcoSummary};
 pub use inflate::InflationSpec;
 pub use stats::WorkloadStats;
 pub use vol::{VolBenchmark, VolCircuitSpec};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dpm_netlist::Netlist;
+    use dpm_place::{Die, Placement};
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// FNV-1a over `words`' little-endian bytes.
+    fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for w in words {
+            for b in w.to_le_bytes() {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(FNV_PRIME);
+            }
+        }
+        hash
+    }
+
+    /// Every cell's size and kind, every net's pins (cell, direction,
+    /// offset), the die outline and row height, and every position bit.
+    fn planar_words(netlist: &Netlist, die: &Die, xy: &Placement) -> Vec<u64> {
+        let o = die.outline();
+        let mut w = vec![
+            o.llx.to_bits(),
+            o.lly.to_bits(),
+            o.urx.to_bits(),
+            o.ury.to_bits(),
+            die.row_height().to_bits(),
+        ];
+        for c in netlist.cell_ids() {
+            let cell = netlist.cell(c);
+            w.extend([
+                cell.width.to_bits(),
+                cell.height.to_bits(),
+                cell.kind as u64,
+            ]);
+        }
+        for n in netlist.net_ids() {
+            for &p in &netlist.net(n).pins {
+                let pin = netlist.pin(p);
+                w.extend([
+                    pin.cell.index() as u64,
+                    pin.dir as u64,
+                    pin.offset.x.to_bits(),
+                    pin.offset.y.to_bits(),
+                ]);
+            }
+        }
+        w.extend(
+            xy.as_slice()
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()]),
+        );
+        w
+    }
+
+    fn planar_hash(spec: CircuitSpec) -> u64 {
+        let b = spec.generate();
+        fnv(planar_words(&b.netlist, &b.die, &b.placement))
+    }
+
+    fn vol_hash(spec: VolCircuitSpec) -> u64 {
+        let b = spec.generate();
+        let mut w = planar_words(&b.netlist, &b.die, &b.placement.xy);
+        w.extend(b.placement.z.iter().map(|z| z.to_bits()));
+        fnv(w)
+    }
+
+    /// Both generators' outputs, pinned bit for bit: the circuits the
+    /// golden checksums migrate, and each generator with enough macros
+    /// to exercise rejection sampling, macro-split row segments and die
+    /// growth (both dies grow once).
+    #[test]
+    fn generators_are_pinned_bit_for_bit() {
+        let golden_local = CircuitSpec::with_size("golden_local", 3_000, 1)
+            .with_utilization(0.55)
+            .with_local_utilization(0.97)
+            .with_clusters_per_gap(6);
+        let golden3d = VolCircuitSpec::with_size("golden3d", 3, 250, 31).with_hotspot(1);
+        let got = [
+            planar_hash(golden_local),
+            planar_hash(CircuitSpec::small(42).with_macros(12)),
+            vol_hash(golden3d),
+            vol_hash(VolCircuitSpec::small(5).with_macros(6)),
+        ];
+        let want = [
+            0x5ebd_1ae5_5e9e_d496,
+            0x47df_ec1b_3a63_0d39,
+            0x592b_8fb6_e10e_9302,
+            0xd87b_3960_0eba_1c45,
+        ];
+        let show = |h: &[u64]| h.iter().map(|h| format!("{h:016x}")).collect::<Vec<_>>();
+        assert_eq!(show(&got), show(&want));
+    }
+}

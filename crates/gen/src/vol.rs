@@ -11,6 +11,9 @@
 //! not z-symmetric (a perfectly symmetric stack sits at a zero of the
 //! z-gradient and would never exercise tier migration).
 
+use crate::layout::{
+    add_pads, free_segments, grow_until_placed, pack_rows, pad_ring, sample_macros, size_die,
+};
 use dpm_diffusion::VolPlacement;
 use dpm_geom::{Point, Rect};
 use dpm_netlist::{CellId, CellKind, Netlist, NetlistBuilder, PinDir};
@@ -149,54 +152,18 @@ impl VolCircuitSpec {
             .iter()
             .map(|w| w * self.row_height)
             .fold(0.0, f64::max);
-        let die_area = max_tier_area / self.target_utilization;
-        let side = die_area.sqrt();
-        let rows = ((side / self.row_height).ceil() as usize).max(4);
-        let height = rows as f64 * self.row_height;
-        let width = (die_area / height).ceil();
-        let mut die = Die::new(width, height, self.row_height);
+        let (die, rows) = size_die(max_tier_area, self.target_utilization, self.row_height);
 
-        // --- Through-stack macros --------------------------------------
-        let mut macros: Vec<(CellId, Rect)> = Vec::new();
-        for m in 0..self.num_macros {
-            let o = die.outline();
-            let mw = (o.width() * rng.random_range(0.06..0.12)).max(2.0 * self.row_height);
-            let mh = (rng.random_range(4..10) as f64) * self.row_height;
-            let id = b.add_cell(format!("macro{m}"), mw, mh, CellKind::FixedMacro);
-            let mut placed = None;
-            for _ in 0..64 {
-                let mx = rng.random_range(0.1..0.8) * (o.width() - mw);
-                let row = rng.random_range(
-                    1..rows
-                        .saturating_sub((mh / self.row_height) as usize + 1)
-                        .max(2),
-                );
-                let rect =
-                    Rect::from_origin_size(Point::new(mx, row as f64 * self.row_height), mw, mh);
-                if macros
-                    .iter()
-                    .all(|&(_, other)| !rect.inflated(1.0).intersects(&other))
-                {
-                    placed = Some(rect);
-                    break;
-                }
-            }
-            let rect = placed.unwrap_or_else(|| {
-                Rect::from_origin_size(
-                    Point::new(0.0, self.row_height),
-                    mw.min(o.width() / 4.0),
-                    mh,
-                )
-            });
-            macros.push((id, rect));
-        }
-
-        // --- Pads on the tier-0 boundary -------------------------------
-        let mut pads = Vec::new();
-        for p in 0..self.num_pads {
-            let id = b.add_cell(format!("pad{p}"), 1.0, 1.0, CellKind::Pad);
-            pads.push(id);
-        }
+        // --- Through-stack macros and tier-0 boundary pads -------------
+        let macros = sample_macros(
+            &mut rng,
+            &mut b,
+            self.num_macros,
+            die.outline().width(),
+            rows,
+            self.row_height,
+        );
+        let pads = add_pads(&mut b, self.num_pads);
 
         // --- Nets: intra-tier chains plus TSVs -------------------------
         // Intra-tier locality: every fourth cell drives its neighbors.
@@ -255,20 +222,9 @@ impl VolCircuitSpec {
         let netlist = b.build().expect("generated netlist is structurally valid");
 
         // --- Volumetric placement, growing the die until tiers fit -----
-        let mut placement = None;
-        for _ in 0..12 {
-            if let Some(p) = self.place_tiers(&netlist, &die, &macros, &pads, &cells) {
-                placement = Some(p);
-                break;
-            }
-            let o = die.outline();
-            die = Die::new(
-                o.width() * 1.1,
-                o.height() + self.row_height * 2.0,
-                self.row_height,
-            );
-        }
-        let placement = placement.expect("die growth must eventually fit the cells");
+        let (die, placement) = grow_until_placed(die, |die| {
+            self.place_tiers(&netlist, die, &macros, &pads, &cells)
+        });
 
         VolBenchmark {
             name: self.name.clone(),
@@ -290,73 +246,17 @@ impl VolCircuitSpec {
         cells: &[CellId],
     ) -> Option<VolPlacement> {
         let mut vp = VolPlacement::new(netlist.num_cells());
-        let outline = die.outline();
 
         // Macros centered in the stack (walls are through-stack anyway);
-        // pads live on the tier-0 boundary.
+        // pads live on the tier-0 boundary. Macro spans cut the same free
+        // segments out of every tier's rows.
         for &(id, r) in macros {
             vp.set(id, r.origin(), self.layers as f64 / 2.0);
         }
-        for (i, &pad) in pads.iter().enumerate() {
-            let t = i as f64 / pads.len().max(1) as f64;
-            let peri = 2.0 * (outline.width() + outline.height());
-            let d = t * peri;
-            let pos = if d < outline.width() {
-                Point::new(outline.llx + d, outline.lly)
-            } else if d < outline.width() + outline.height() {
-                Point::new(outline.urx - 1.0, outline.lly + (d - outline.width()))
-            } else if d < 2.0 * outline.width() + outline.height() {
-                Point::new(
-                    outline.urx - (d - outline.width() - outline.height()) - 1.0,
-                    outline.ury - 1.0,
-                )
-            } else {
-                Point::new(
-                    outline.llx,
-                    outline.ury - (d - 2.0 * outline.width() - outline.height()) - 1.0,
-                )
-            };
-            vp.set(
-                pad,
-                pos.clamped(
-                    outline.llx,
-                    outline.urx - 1.0,
-                    outline.lly,
-                    outline.ury - 1.0,
-                ),
-                0.5,
-            );
+        for (&pad, pos) in pads.iter().zip(pad_ring(die.outline(), pads.len())) {
+            vp.set(pad, pos, 0.5);
         }
-
-        // Free segments per row (through-stack macro spans removed —
-        // identical for every tier).
-        let mut segments: Vec<Vec<(f64, f64)>> = Vec::with_capacity(die.num_rows());
-        for row in die.rows() {
-            let row_rect = Rect::new(row.llx, row.y, row.urx, row.y + die.row_height());
-            let mut segs = vec![(row.llx, row.urx)];
-            for &(_, mr) in macros {
-                if !mr.intersects(&row_rect) {
-                    continue;
-                }
-                let mut next = Vec::new();
-                for (s, e) in segs {
-                    if mr.llx <= s && mr.urx >= e {
-                        continue;
-                    } else if mr.llx > s && mr.urx < e {
-                        next.push((s, mr.llx));
-                        next.push((mr.urx, e));
-                    } else if mr.llx > s && mr.llx < e {
-                        next.push((s, mr.llx));
-                    } else if mr.urx > s && mr.urx < e {
-                        next.push((mr.urx, e));
-                    } else {
-                        next.push((s, e));
-                    }
-                }
-                segs = next;
-            }
-            segments.push(segs);
-        }
+        let segments = free_segments(die, macros);
 
         let pitch_factor = (1.0 / self.local_utilization).max(1.0);
         for t in 0..self.layers {
@@ -366,16 +266,12 @@ impl VolCircuitSpec {
                 continue;
             }
             let start_row = (t * self.row_phase) % die.num_rows();
-            if !pack_tier(
-                netlist,
-                die,
-                &segments,
-                tier_cells,
-                t,
-                start_row,
-                pitch_factor,
-                &mut vp,
-            ) {
+            let z = t as f64 + 0.5;
+            let widths = tier_cells.iter().map(|&c| {
+                let w = netlist.cell(c).width;
+                (c, 0.0, w, w * pitch_factor)
+            });
+            if !pack_rows(die, &segments, start_row, widths, |c, p| vp.set(c, p, z)) {
                 return None;
             }
         }
@@ -410,62 +306,6 @@ impl VolCircuitSpec {
             vp.set(c, p, z);
         }
     }
-}
-
-/// Packs one tier's cells into rows starting at `start_row`, wrapping
-/// cyclically through the die. Returns `false` if the tier does not fit.
-#[allow(clippy::too_many_arguments)]
-fn pack_tier(
-    netlist: &Netlist,
-    die: &Die,
-    segments: &[Vec<(f64, f64)>],
-    tier_cells: &[CellId],
-    tier: usize,
-    start_row: usize,
-    pitch_factor: f64,
-    vp: &mut VolPlacement,
-) -> bool {
-    let n_rows = die.num_rows();
-    let z = tier as f64 + 0.5;
-    let mut visit = 0usize; // rows consumed, in cyclic order
-    let mut seg_idx = 0usize;
-    let row_at = |visit: usize| (start_row + visit) % n_rows;
-    let mut cursor = segments[row_at(0)].first().map(|&(s, _)| s).unwrap_or(0.0);
-
-    for &cell in tier_cells {
-        let w = netlist.cell(cell).width;
-        let pitch = w * pitch_factor;
-        loop {
-            if visit >= n_rows {
-                return false;
-            }
-            let row = row_at(visit);
-            let segs = &segments[row];
-            if seg_idx >= segs.len() {
-                visit += 1;
-                seg_idx = 0;
-                cursor = segments[row_at(visit.min(n_rows - 1))]
-                    .first()
-                    .map(|&(s, _)| s)
-                    .unwrap_or(0.0);
-                continue;
-            }
-            let (s, e) = segs[seg_idx];
-            if cursor < s {
-                cursor = s;
-            }
-            if cursor + w <= e {
-                vp.set(cell, Point::new(cursor, die.row(row).y), z);
-                cursor += pitch;
-                break;
-            }
-            seg_idx += 1;
-            if let Some(&(ns, _)) = segs.get(seg_idx) {
-                cursor = ns;
-            }
-        }
-    }
-    true
 }
 
 /// A generated volumetric circuit: netlist, die, and tiered placement.

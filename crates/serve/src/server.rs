@@ -211,15 +211,8 @@ pub fn execute_request(
                     &should_stop,
                     observer,
                 );
-            let result = DiffusionResult {
-                steps: r.steps,
-                rounds: 1,
-                converged: r.converged,
-                cancelled: r.cancelled,
-                telemetry: r.telemetry,
-            };
             let field = v.field.is_some().then_some(r.field);
-            (result, vp.xy, Some(VolResponseExt { z: vp.z, field }))
+            (r.run, vp.xy, Some(VolResponseExt { z: vp.z, field }))
         }
         None => {
             let mut after = req.placement.clone();
@@ -285,7 +278,7 @@ pub fn execute_job(
     placement: &mut dpm_place::Placement,
     should_stop: &dyn Fn() -> bool,
     observer: &mut dyn DiffusionObserver,
-) -> dpm_diffusion::DiffusionResult {
+) -> DiffusionResult {
     match kind {
         JobKind::Global => GlobalDiffusion::new(config.clone()).run_observed(
             netlist,

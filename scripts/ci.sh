@@ -84,11 +84,14 @@ gate "determinism matrix (DPM_SOLVER × DPM_THREADS, pinned checksums)"
 # The `local` leg is a windowed DIFF(L) run in which most cells sit in
 # frozen bins every round, so it pins the live-cell advect list where the
 # list actually skips cells; local diffusion always steps FTCS, so one
-# literal holds under both solvers. The field is always f64, so these
-# five literals are the whole contract.
+# literal holds under both solvers. The `field` leg is a FieldMigration
+# run, which never tests convergence and so never takes the spectral
+# jump: one literal pins its loop under both solvers too. The field is
+# always f64, so these six literals are the whole contract.
 declare -A golden_plain=([ftcs]=17e4ee4d823bc613 [spectral]=87b3c85022bddcf4)
 declare -A golden_vol=([ftcs]=dcc914ce61fcb375 [spectral]=38f1b000b964ad02)
 golden_local=633c88d3edb0ecf4
+golden_field=b049aa5d3cfbed5c
 for solver in ftcs spectral; do
     for t in 1 2 4; do
         echo "  -> DPM_SOLVER=$solver DPM_THREADS=$t: dpm-diffusion test suite"
@@ -108,8 +111,13 @@ for solver in ftcs spectral; do
             echo "DETERMINISM BREAK: $solver threads=$t windowed local checksum $got != $golden_local" >&2
             exit 1
         fi
+        got=$(DPM_SOLVER=$solver DPM_THREADS=$t cargo run --release --offline -p dpm-bench --bin golden_checksum -- field 2>/dev/null)
+        if [[ "$got" != "$golden_field" ]]; then
+            echo "DETERMINISM BREAK: $solver threads=$t field-migration checksum $got != $golden_field" >&2
+            exit 1
+        fi
     done
-    echo "  -> $solver planar+volumetric+local checksums pinned across threads"
+    echo "  -> $solver planar+volumetric+local+field checksums pinned across threads"
 done
 
 gate "kernel smoke test (perf_kernels --smoke)"
