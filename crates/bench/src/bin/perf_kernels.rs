@@ -21,7 +21,10 @@
 //! Every sample line carries `lanes` and `precision` keys, always
 //! `wide` and `f64`: the kernels have one lane path and one field
 //! width, and the keys stay so committed samples and the CI bench
-//! guard's sample table keep lining up. A `calibration` section times a fixed serial FP loop so
+//! guard's sample table keep lining up. The `advect` and
+//! `advect_windowed` samples also carry `simd`, the compiled copy of the
+//! advect kernel that ran (`"avx2"` or `"portable"`), as the
+//! `spectral_generic` section does for the DCT. A `calibration` section times a fixed serial FP loop so
 //! `scripts/ci.sh` can scale its smoke-test ns/call ceilings to the
 //! speed of whatever container it runs on. `cpu_model` records the
 //! `/proc/cpuinfo` model name (`"unknown"` where there is none), so the
@@ -40,8 +43,8 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion, LocalDiffusion,
-    RoundEvent, SolverKind, SpectralSolver,
+    advect_simd, DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
+    LocalDiffusion, RoundEvent, SolverKind, SpectralSolver,
 };
 use dpm_geom::Point;
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
@@ -58,13 +61,18 @@ struct Sample {
     threads: usize,
     calls: u64,
     ns_per_call: f64,
+    /// The compiled copy that ran, for kernels with more than one.
+    simd: Option<&'static str>,
 }
 
 impl Sample {
     /// One JSON object line (no trailing separator or newline).
     fn json(&self) -> String {
+        let simd = self
+            .simd
+            .map_or(String::new(), |s| format!(", \"simd\": \"{s}\""));
         format!(
-            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"wide\", \"precision\": \"f64\", \"calls\": {}, \"ns_per_call\": {:.1}}}",
+            "{{\"kernel\": \"{}\", \"threads\": {}, \"lanes\": \"wide\", \"precision\": \"f64\", \"calls\": {}, \"ns_per_call\": {:.1}{simd}}}",
             self.kernel, self.threads, self.calls, self.ns_per_call
         )
     }
@@ -166,6 +174,7 @@ fn time_ftcs(n: usize, threads: usize, reps: u64) -> Sample {
         threads,
         calls,
         ns_per_call,
+        simd: None,
     }
 }
 
@@ -182,6 +191,7 @@ fn time_velocity(n: usize, threads: usize, reps: u64) -> Sample {
         threads,
         calls,
         ns_per_call,
+        simd: None,
     }
 }
 
@@ -206,6 +216,7 @@ fn time_splat(n: usize, num_cells: usize, threads: usize, reps: u64, shuffled: b
         threads,
         calls,
         ns_per_call,
+        simd: None,
     }
 }
 
@@ -225,6 +236,7 @@ fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize) -> Samp
         threads,
         calls: advect.calls,
         ns_per_call: advect.total_ns() as f64 / advect.calls.max(1) as f64,
+        simd: Some(advect_simd()),
     }
 }
 
@@ -290,6 +302,7 @@ fn time_advect_windowed(n: usize, threads: usize, reps: usize) -> (Sample, f64) 
         threads,
         calls,
         ns_per_call: best,
+        simd: Some(advect_simd()),
     };
     (sample, first.0.unwrap_or(0) as f64 / nl.num_cells() as f64)
 }
@@ -357,6 +370,7 @@ fn time_stencil3d(n: usize, nz: usize, threads: usize, reps: u64) -> Sample {
         threads,
         calls,
         ns_per_call,
+        simd: None,
     }
 }
 
@@ -533,6 +547,7 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
         threads: 1,
         calls,
         ns_per_call,
+        simd: None,
     };
     let madds = 2.0 * 2.0 * (n * n * n) as f64;
     format!(

@@ -1,5 +1,6 @@
 //! Cell advection through the diffusion velocity field (paper Eq. 7).
 
+use crate::cpu::has_avx2;
 use crate::{DiffusionConfig, DiffusionEngine};
 use dpm_geom::{clamp, floor_index, Point, Vector};
 use dpm_netlist::{CellId, Netlist};
@@ -144,16 +145,48 @@ impl LiveCells {
         cache: &CellCache,
         placement: &Placement,
     ) {
+        self.rebuild_with(Simd::detect(), engine, grid, cache, placement);
+    }
+
+    /// [`rebuild`](Self::rebuild) through the compiled copy `simd`: the
+    /// lane kernel's centre bins on whole blocks of four cells where it
+    /// runs, [`centre_bin`] on the rest. Both find every cell's bin bit
+    /// for bit.
+    fn rebuild_with(
+        &mut self,
+        simd: Simd,
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        cache: &CellCache,
+        placement: &Placement,
+    ) {
+        let lanes = simd.lanes(engine);
         let positions = placement.as_slice();
         self.cells.clear();
         self.starts.clear();
         self.starts.push(0);
         for chunk in cache.cells.chunks(CELL_CHUNK) {
-            self.cells
-                .extend(chunk.iter().zip(0u32..).filter_map(|(cell, i)| {
-                    let (_, (j, k)) = centre_bin(engine, grid, cell, positions[cell.id.index()]);
-                    engine.is_live(j, k).then_some(i)
-                }));
+            let mut done = 0;
+            if lanes {
+                #[cfg(target_arch = "x86_64")]
+                {
+                    // SAFETY: `Simd::lanes` holds only where `has_avx2()`
+                    // does, the one feature the kernel enables.
+                    done = unsafe {
+                        lanes::list_live(engine, grid, positions, chunk, &mut self.cells)
+                    };
+                }
+            }
+            self.cells.extend(
+                chunk[done..]
+                    .iter()
+                    .zip(done as u32..)
+                    .filter_map(|(cell, i)| {
+                        let (_, (j, k)) =
+                            centre_bin(engine, grid, cell, positions[cell.id.index()]);
+                        engine.is_live(j, k).then_some(i)
+                    }),
+            );
             self.starts.push(self.cells.len());
         }
     }
@@ -175,6 +208,51 @@ impl LiveCells {
             list.starts.push(list.cells.len());
         }
         list
+    }
+}
+
+/// The compiled copy of the interpolating advect kernel this CPU runs:
+/// `"avx2"` (the lane kernel, four cells per step with explicit
+/// gathers) or `"portable"` (one cell at a time). Both copies give
+/// bit-identical placements, moved-cell counts and movement sums;
+/// runs with [`DiffusionConfig::interpolate`] off always take the
+/// portable loop.
+pub fn simd() -> &'static str {
+    match Simd::detect() {
+        Simd::Avx2 => "avx2",
+        Simd::Portable => "portable",
+    }
+}
+
+/// The compiled copies of [`advect_cells`]' per-chunk loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Simd {
+    /// [`step_cell`] on one cell at a time.
+    Portable,
+    /// The AVX2 lane kernel for interpolating runs (`lanes::advect_chunk`),
+    /// [`step_cell`] for the lanes it hands back and for the rest.
+    Avx2,
+}
+
+impl Simd {
+    /// The fastest copy this CPU supports.
+    fn detect() -> Self {
+        if has_avx2() {
+            Self::Avx2
+        } else {
+            Self::Portable
+        }
+    }
+
+    /// Whether this copy runs the lane kernel on `engine`'s grid: the
+    /// AVX2 copy does wherever its 32-bit bin indices reach every bin.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the copy is [`Simd::Avx2`] on a CPU without AVX2.
+    fn lanes(self, engine: &DiffusionEngine) -> bool {
+        assert!(self == Self::Portable || has_avx2(), "no AVX2 on this CPU");
+        self == Self::Avx2 && i32::try_from(engine.nx() * engine.ny()).is_ok()
     }
 }
 
@@ -223,6 +301,28 @@ pub(crate) fn advect_cells(
     cfg: &DiffusionConfig,
     live: Option<&LiveCells>,
 ) -> AdvectOutcome {
+    advect_with(Simd::detect(), engine, grid, cells, placement, cfg, live)
+}
+
+/// [`advect_cells`] through the compiled copy `simd`.
+///
+/// An interpolating run on an AVX2 CPU advects through the lane kernel
+/// (DESIGN.md §23); every other run keeps the per-cell loop. Both give
+/// the same bits, so the copy is never part of a result.
+///
+/// # Panics
+///
+/// As [`advect_cells`] and [`Simd::lanes`].
+fn advect_with(
+    simd: Simd,
+    engine: &DiffusionEngine,
+    grid: &BinGrid,
+    cells: &CellCache,
+    placement: &mut Placement,
+    cfg: &DiffusionConfig,
+    live: Option<&LiveCells>,
+) -> AdvectOutcome {
+    let lanes = cfg.interpolate && simd.lanes(engine);
     let mut rest = placement.as_mut_slice();
     assert_eq!(
         rest.len(),
@@ -251,6 +351,14 @@ pub(crate) fn advect_cells(
     let partials = engine
         .pool()
         .map(chunks, |_, (base, positions, chunk, listed)| {
+            if lanes {
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: `Simd::lanes` holds only where `has_avx2()`
+                // does, the one feature the kernel enables.
+                return unsafe {
+                    lanes::advect_chunk(engine, grid, cfg, base, positions, chunk, listed)
+                };
+            }
             if let Some(listed) = listed {
                 return advect_listed(engine, grid, cfg, base, positions, chunk, listed);
             }
@@ -276,11 +384,14 @@ pub(crate) fn advect_cells(
 /// respected: `listed` holds chunk-local indices into `chunk`, whose
 /// positions start at id `base` in `positions`.
 ///
-/// Kept out of line so that the full walk in [`advect_cells`] stays the
-/// only other call of [`step_cell`] in that loop. With both walks
-/// inlined into one closure, the compiler stopped inlining or
-/// vectorizing the per-cell centre arithmetic, and the global advect
-/// ran about 10% slower.
+/// Kept out of line so that each of the portable copy's two walks
+/// inlines [`step_cell`] on its own and computes the centre with one
+/// packed `divpd`. With both walks inlined into one closure, the
+/// compiler kept that arithmetic scalar and the global advect ran about
+/// 10% slower (DESIGN.md §20). The packed division is the only vector
+/// op either walk gets: LLVM's x86-64 cost model emits no gathers for
+/// Eq. 6, so on AVX2 CPUs interpolating runs take the lane kernel
+/// (`lanes::advect_chunk`) instead of both walks.
 #[inline(never)]
 fn advect_listed(
     engine: &DiffusionEngine,
@@ -418,6 +529,496 @@ pub(crate) fn clamp_extent(v: f64, half: f64, n: f64) -> f64 {
         n / 2.0
     } else {
         clamp(v, half, n - half)
+    }
+}
+
+/// The AVX2 lane kernel of interpolating runs: [`step_cell`] four cells
+/// at a time, bit for bit (DESIGN.md §23).
+///
+/// One block loads four cells' corners and extents into `f64` lanes and
+/// computes, per lane, the centre bin, the bilinear velocity through
+/// eight explicit gathers (Eq. 6), the CFL-clamped displacement, the
+/// region-clamped target, its bin and the new corner. A scalar pass
+/// then commits the lanes in cell order, so the movement sum folds
+/// exactly as in the per-cell loop. It drops a lane centred on a wall
+/// (or, walking a live list, frozen) bin and a lane whose displacement
+/// is zero, and hands [`step_cell`] every lane the vector path does not
+/// decide: a centre that is not finite or lies 2³¹ bins or more from
+/// the origin, a displacement that is not finite, and a target on a
+/// wall (the projection around macros). The tail of fewer than four
+/// cells goes to [`step_cell`] too.
+///
+/// Every vector op is the IEEE element-wise op of the scalar expression
+/// it replaces, in the same order and with no FMA, so each committed
+/// lane carries [`step_cell`]'s bits. The same centre-bin lanes build
+/// the live list (`list_live`).
+#[cfg(target_arch = "x86_64")]
+mod lanes {
+    use super::{move_length, step_cell, AdvectOutcome, CachedCell};
+    use crate::{DiffusionConfig, DiffusionEngine};
+    use dpm_geom::Point;
+    use dpm_place::BinGrid;
+    use std::arch::x86_64::*;
+
+    /// Cells per block: one per `f64` lane of an AVX2 register.
+    const LANES: usize = 4;
+
+    /// Blocks computed before any is committed. The commit pass
+    /// branches on every lane and a block's vector path is one long
+    /// dependency chain (two divisions, the gathers, a third division):
+    /// committing each block as soon as it is computed left the core
+    /// waiting on that chain block after block. A batch of independent
+    /// blocks overlaps their chains.
+    const BATCH: usize = 8;
+
+    /// The grid's operands, each broadcast to all lanes.
+    struct Frame {
+        llx: __m256d,
+        lly: __m256d,
+        bin_w: __m256d,
+        bin_h: __m256d,
+        /// `nx as f64` and `ny as f64`.
+        nx: __m256d,
+        ny: __m256d,
+        /// `(nx − 1) as f64` and `(ny − 1) as f64`: the top bin indices.
+        nx_top: __m256d,
+        ny_top: __m256d,
+    }
+
+    impl Frame {
+        #[target_feature(enable = "avx2")]
+        fn new(engine: &DiffusionEngine, grid: &BinGrid) -> Self {
+            let (nx, ny) = (engine.nx() as f64, engine.ny() as f64);
+            let region = grid.region();
+            let splat = _mm256_set1_pd;
+            Self {
+                llx: splat(region.llx),
+                lly: splat(region.lly),
+                bin_w: splat(grid.bin_width()),
+                bin_h: splat(grid.bin_height()),
+                nx: splat(nx),
+                ny: splat(ny),
+                nx_top: splat(nx - 1.0),
+                ny_top: splat(ny - 1.0),
+            }
+        }
+
+        /// [`centre_bin`](super::centre_bin) on four cells at their
+        /// corners `old`.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn centres(&self, cells: &[&CachedCell; LANES], old: &[Point; LANES]) -> Centres {
+            let (px, py) = transpose(old.map(|p| _mm_setr_pd(p.x, p.y)));
+            let (hw, hh) = transpose(cells.map(|c| _mm_setr_pd(c.half_w, c.half_h)));
+            let cx = _mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(px, hw), self.llx), self.bin_w);
+            let cy = _mm256_div_pd(_mm256_sub_pd(_mm256_add_pd(py, hh), self.lly), self.bin_h);
+            Centres {
+                bin: self.bin(cx, cy),
+                cx,
+                cy,
+                hw,
+                hh,
+            }
+        }
+
+        /// The flat index `k · nx + j` of the bin holding `(x, y)` (bin
+        /// coordinates), clamped to the grid: on every input, NaN and ±∞
+        /// included, exactly [`bin_of`](super::bin_of)'s bin, and so in
+        /// `[0, nx·ny)` on every lane.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn bin(&self, x: __m256d, y: __m256d) -> __m128i {
+            let j = clamp_index(floor(x), self.nx_top);
+            let row = clamp_index(floor(y), self.ny_top);
+            _mm256_cvttpd_epi32(_mm256_add_pd(_mm256_mul_pd(row, self.nx), j))
+        }
+    }
+
+    /// Four cells' centres, as [`Frame::centres`] finds them.
+    struct Centres {
+        /// The centres in bin coordinates.
+        cx: __m256d,
+        cy: __m256d,
+        /// The flat index of each centre's bin.
+        bin: __m128i,
+        /// The world half extents.
+        hw: __m256d,
+        hh: __m256d,
+    }
+
+    /// One block's lanes, as the commit pass reads them.
+    #[derive(Clone, Copy, Default)]
+    struct Block {
+        /// Bit `l` set: lane `l` goes to [`step_cell`] outright.
+        fallback: i32,
+        /// Bit `l` set: lane `l`'s clamped displacement is zero.
+        still: i32,
+        /// Flat index `k · nx + j` of each lane's centre bin.
+        centre: [i32; LANES],
+        /// Flat index of each lane's target bin.
+        target: [i32; LANES],
+        /// Each lane's new lower-left corner.
+        x: [f64; LANES],
+        y: [f64; LANES],
+    }
+
+    /// One chunk's walk: its positions, the field and its partial sum.
+    struct Walk<'a> {
+        engine: &'a DiffusionEngine,
+        grid: &'a BinGrid,
+        cfg: &'a DiffusionConfig,
+        check_frozen: bool,
+        base: usize,
+        positions: &'a mut [Point],
+        vx: &'a [f64],
+        vy: &'a [f64],
+        wall: &'a [bool],
+        frozen: &'a [bool],
+        frame: Frame,
+        dt: __m256d,
+        max_disp: __m256d,
+        partial: AdvectOutcome,
+    }
+
+    /// [`advect_cells`](super::advect_cells)' loop over one chunk,
+    /// through the lane kernel: the whole chunk, or with `listed` only
+    /// its listed cells, frozen bins respected, as
+    /// [`advect_listed`](super::advect_listed) does.
+    ///
+    /// A caller without AVX2 enabled must have checked that the CPU has
+    /// it (`Simd::lanes`) before calling.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn advect_chunk(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        cfg: &DiffusionConfig,
+        base: usize,
+        positions: &mut [Point],
+        chunk: &[CachedCell],
+        listed: Option<&[u32]>,
+    ) -> AdvectOutcome {
+        let bins = engine.nx() * engine.ny();
+        let (vx, vy) = engine.velocity_planes();
+        // With every gather index clamped into [0, nx·ny) (`Frame::bin`
+        // and `Walk::lanes`), these lengths put every gather in bounds.
+        assert!(
+            vx.len() == bins && vy.len() == bins,
+            "the lane kernel needs a planar velocity field"
+        );
+        let mut walk = Walk {
+            engine,
+            grid,
+            cfg,
+            check_frozen: listed.is_some(),
+            base,
+            positions,
+            vx,
+            vy,
+            wall: engine.wall_mask(),
+            frozen: engine.frozen_mask(),
+            frame: Frame::new(engine, grid),
+            dt: _mm256_set1_pd(cfg.dt),
+            max_disp: _mm256_set1_pd(cfg.max_step_displacement),
+            partial: AdvectOutcome::default(),
+        };
+        match listed {
+            None => {
+                let (blocks, tail) = chunk.as_chunks::<LANES>();
+                walk.blocks(blocks.len(), |b| blocks[b].each_ref());
+                for cell in tail {
+                    walk.single(cell);
+                }
+            }
+            Some(listed) => {
+                let (blocks, tail) = listed.as_chunks::<LANES>();
+                walk.blocks(blocks.len(), |b| blocks[b].map(|i| &chunk[i as usize]));
+                for &i in tail {
+                    walk.single(&chunk[i as usize]);
+                }
+            }
+        }
+        walk.partial
+    }
+
+    /// [`LiveCells::rebuild`](super::LiveCells::rebuild)'s filter over
+    /// the whole blocks of four cells of `chunk`: appends to `out` the
+    /// chunk-local index of each of their cells whose centre bin is
+    /// live, and returns how many cells it looked at. [`Frame::bin`]
+    /// is [`bin_of`](super::bin_of) on every input, so no lane needs a
+    /// fallback. Callers check the CPU as for [`advect_chunk`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn list_live(
+        engine: &DiffusionEngine,
+        grid: &BinGrid,
+        positions: &[Point],
+        chunk: &[CachedCell],
+        out: &mut Vec<u32>,
+    ) -> usize {
+        let frame = Frame::new(engine, grid);
+        let (wall, frozen) = (engine.wall_mask(), engine.frozen_mask());
+        let (blocks, _) = chunk.as_chunks::<LANES>();
+        for (block, first) in blocks.iter().zip((0u32..).step_by(LANES)) {
+            let cells = block.each_ref();
+            let at = |l: usize| positions[cells[l].id.index()];
+            let centres = frame.centres(&cells, &[at(0), at(1), at(2), at(3)]);
+            for (&bin, i) in i32_lanes(centres.bin).iter().zip(first..) {
+                if !wall[bin as usize] && !frozen[bin as usize] {
+                    out.push(i);
+                }
+            }
+        }
+        blocks.len() * LANES
+    }
+
+    impl Walk<'_> {
+        /// Moves one cell through [`step_cell`].
+        #[inline]
+        fn single(&mut self, cell: &CachedCell) {
+            let old = self.positions[cell.id.index() - self.base];
+            let step = step_cell(
+                self.engine,
+                self.grid,
+                self.cfg,
+                self.check_frozen,
+                cell,
+                old,
+            );
+            self.commit(cell, step);
+        }
+
+        /// Writes one step's move, if any, and adds it to the partial.
+        #[inline]
+        fn commit(&mut self, cell: &CachedCell, step: Option<(Point, f64)>) {
+            if let Some((new_pos, dist)) = step {
+                self.positions[cell.id.index() - self.base] = new_pos;
+                self.partial.total_movement += dist;
+                self.partial.moved_cells += 1;
+            }
+        }
+
+        /// Moves the `n` blocks of four cells `cells(0), …, cells(n − 1)`,
+        /// [`BATCH`] blocks at a time: the vector lanes of a batch, then
+        /// the commit pass over its cells in order.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn blocks<'c>(&mut self, n: usize, cells: impl Fn(usize) -> [&'c CachedCell; LANES]) {
+            let mut batch = [Block::default(); BATCH];
+            for start in (0..n).step_by(BATCH) {
+                let batch = &mut batch[..BATCH.min(n - start)];
+                for (b, out) in batch.iter_mut().enumerate() {
+                    let cells = cells(start + b);
+                    let at = |l: usize| self.positions[cells[l].id.index() - self.base];
+                    *out = self.lanes(&cells, &[at(0), at(1), at(2), at(3)]);
+                }
+                for (b, block) in batch.iter().enumerate() {
+                    for (l, cell) in cells(start + b).into_iter().enumerate() {
+                        self.commit_lane(cell, block, l);
+                    }
+                }
+            }
+        }
+
+        /// Commits lane `l` of `block`, which holds `cell`: drops it,
+        /// moves it, or hands it to [`step_cell`].
+        #[inline]
+        fn commit_lane(&mut self, cell: &CachedCell, block: &Block, l: usize) {
+            let old = self.positions[cell.id.index() - self.base];
+            let step = if block.fallback >> l & 1 != 0 {
+                step_cell(
+                    self.engine,
+                    self.grid,
+                    self.cfg,
+                    self.check_frozen,
+                    cell,
+                    old,
+                )
+            } else {
+                let c = block.centre[l] as usize;
+                if self.wall[c]
+                    || (self.check_frozen && self.frozen[c])
+                    || block.still >> l & 1 != 0
+                {
+                    None
+                } else if self.wall[block.target[l] as usize] {
+                    step_cell(
+                        self.engine,
+                        self.grid,
+                        self.cfg,
+                        self.check_frozen,
+                        cell,
+                        old,
+                    )
+                } else {
+                    let new_pos = Point::new(block.x[l], block.y[l]);
+                    let dist = move_length(new_pos - old);
+                    (dist > 0.0).then_some((new_pos, dist))
+                }
+            };
+            self.commit(cell, step);
+        }
+
+        /// [`step_cell`]'s arithmetic on four cells at their corners
+        /// `old`, up to the bins the commit pass looks up.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn lanes(&self, cells: &[&CachedCell; LANES], old: &[Point; LANES]) -> Block {
+            let k = &self.frame;
+            let Centres {
+                cx,
+                cy,
+                bin: centre,
+                hw,
+                hh,
+            } = k.centres(cells, old);
+            // False for NaN and ±∞ too.
+            let far = _mm256_set1_pd(2_147_483_648.0);
+            let inside = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(cx), far),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(cy), far),
+            );
+
+            // `velocity_at`: the four nearest bin centres and the weights.
+            let half = _mm256_set1_pd(0.5);
+            let (xs, ys) = (_mm256_add_pd(cx, half), _mm256_add_pd(cy, half));
+            let (fx, fy) = (floor(xs), floor(ys));
+            let (alpha, beta) = (_mm256_sub_pd(xs, fx), _mm256_sub_pd(ys, fy));
+            let one = _mm256_set1_pd(1.0);
+            let j0 = clamp_index(_mm256_sub_pd(fx, one), k.nx_top);
+            let j1 = clamp_index(fx, k.nx_top);
+            let row0 = _mm256_mul_pd(clamp_index(_mm256_sub_pd(fy, one), k.ny_top), k.nx);
+            let row1 = _mm256_mul_pd(clamp_index(fy, k.ny_top), k.nx);
+            let corners = [(row0, j0), (row0, j1), (row1, j0), (row1, j1)]
+                .map(|(row, j)| _mm256_cvttpd_epi32(_mm256_add_pd(row, j)));
+            // SAFETY: each index is `row · nx + j` with `j ≤ nx − 1` and
+            // `row ≤ ny − 1` after `clamp_index`, on every lane, NaN lanes
+            // included, so it lies in `[0, nx·ny)`; `advect_chunk`
+            // asserted both planes hold `nx·ny` values, and the lanes run
+            // only where `nx·ny` fits an `i32` (`Simd::lanes`).
+            let gather = |plane: &[f64]| {
+                corners.map(|i| unsafe { _mm256_i32gather_pd::<8>(plane.as_ptr(), i) })
+            };
+            let ab = _mm256_mul_pd(alpha, beta);
+            let dx = _mm256_mul_pd(eq6(gather(self.vx), alpha, beta, ab), self.dt);
+            let dy = _mm256_mul_pd(eq6(gather(self.vy), alpha, beta, ab), self.dt);
+            let inf = _mm256_set1_pd(f64::INFINITY);
+            let finite = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(dx), inf),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(abs(dy), inf),
+            );
+
+            // `clamped_linf`: scale down to the CFL bound where it binds.
+            let n = _mm256_max_pd(abs(dx), abs(dy));
+            let binds = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(n, self.max_disp),
+                _mm256_cmp_pd::<_CMP_GT_OQ>(n, _mm256_setzero_pd()),
+            );
+            let scale = _mm256_div_pd(self.max_disp, n);
+            let dx = _mm256_blendv_pd(dx, _mm256_mul_pd(dx, scale), binds);
+            let dy = _mm256_blendv_pd(dy, _mm256_mul_pd(dy, scale), binds);
+            let still =
+                _mm256_cmp_pd::<_CMP_EQ_OQ>(_mm256_max_pd(abs(dx), abs(dy)), _mm256_setzero_pd());
+
+            // The region clamp, the target bin and the new corner.
+            let (hwb, hhb) = transpose(cells.map(|c| _mm_setr_pd(c.half_w_bins, c.half_h_bins)));
+            let tx = clamp_extent(_mm256_add_pd(cx, dx), hwb, k.nx);
+            let ty = clamp_extent(_mm256_add_pd(cy, dy), hhb, k.ny);
+            let x = _mm256_sub_pd(_mm256_add_pd(k.llx, _mm256_mul_pd(tx, k.bin_w)), hw);
+            let y = _mm256_sub_pd(_mm256_add_pd(k.lly, _mm256_mul_pd(ty, k.bin_h)), hh);
+            Block {
+                fallback: !_mm256_movemask_pd(_mm256_and_pd(inside, finite)) & 0xf,
+                still: _mm256_movemask_pd(still),
+                centre: i32_lanes(centre),
+                target: i32_lanes(k.bin(tx, ty)),
+                x: f64_lanes(x),
+                y: f64_lanes(y),
+            }
+        }
+    }
+
+    /// Four `(x, y)` pairs, transposed into an x and a y vector.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn transpose(pairs: [__m128d; LANES]) -> (__m256d, __m256d) {
+        let even = _mm256_set_m128d(pairs[2], pairs[0]);
+        let odd = _mm256_set_m128d(pairs[3], pairs[1]);
+        (_mm256_unpacklo_pd(even, odd), _mm256_unpackhi_pd(even, odd))
+    }
+
+    /// The four lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn f64_lanes(v: __m256d) -> [f64; LANES] {
+        let mut out = [0.0; LANES];
+        // SAFETY: an unaligned 32-byte store into a 32-byte array.
+        unsafe { _mm256_storeu_pd(out.as_mut_ptr(), v) };
+        out
+    }
+
+    /// The four lanes of `v`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn i32_lanes(v: __m128i) -> [i32; LANES] {
+        let mut out = [0; LANES];
+        // SAFETY: an unaligned 16-byte store into a 16-byte array.
+        unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), v) };
+        out
+    }
+
+    /// `|v|`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn abs(v: __m256d) -> __m256d {
+        _mm256_andnot_pd(_mm256_set1_pd(-0.0), v)
+    }
+
+    /// `floor(v)`, bit-equal to [`dpm_geom::floor`] on every input.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn floor(v: __m256d) -> __m256d {
+        _mm256_round_pd::<{ _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC }>(v)
+    }
+
+    /// The integral `f` clamped to `[0, top]`. `max` returns its second
+    /// operand when the first is NaN, so every lane, NaN included, lands
+    /// in range: for an integral `f` this is `velocity_at`'s `isize`
+    /// clamp and, after a `floor`, [`floor_index`](dpm_geom::floor_index).
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn clamp_index(f: __m256d, top: __m256d) -> __m256d {
+        _mm256_min_pd(_mm256_max_pd(f, _mm256_setzero_pd()), top)
+    }
+
+    /// [`clamp_extent`](super::clamp_extent) on four lanes:
+    /// `v.max(half).min(n − half)`, or `n / 2` where `2 · half ≥ n`.
+    /// The operand order of `max` and `min` is the one x86-64 lowers
+    /// `f64::max`/`f64::min` to, so even signed-zero ties agree.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn clamp_extent(v: __m256d, half: __m256d, n: __m256d) -> __m256d {
+        let two = _mm256_set1_pd(2.0);
+        let wide = _mm256_cmp_pd::<_CMP_GE_OQ>(_mm256_mul_pd(two, half), n);
+        let inside = _mm256_min_pd(_mm256_sub_pd(n, half), _mm256_max_pd(half, v));
+        _mm256_blendv_pd(inside, _mm256_div_pd(n, two), wide)
+    }
+
+    /// [`interpolate_velocity`](crate::interpolate_velocity)'s one axis
+    /// (Eq. 6), term for term:
+    /// `v00 + α(v10 − v00) + β(v01 − v00) + αβ(v00 + v11 − v10 − v01)`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn eq6(
+        [v00, v10, v01, v11]: [__m256d; 4],
+        alpha: __m256d,
+        beta: __m256d,
+        ab: __m256d,
+    ) -> __m256d {
+        let a = _mm256_mul_pd(alpha, _mm256_sub_pd(v10, v00));
+        let b = _mm256_mul_pd(beta, _mm256_sub_pd(v01, v00));
+        let cross = _mm256_sub_pd(_mm256_sub_pd(_mm256_add_pd(v00, v11), v10), v01);
+        _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(v00, a), b),
+            _mm256_mul_pd(ab, cross),
+        )
     }
 }
 
@@ -580,7 +1181,8 @@ mod tests {
         advect_cells(engine, grid, &cells, placement, cfg, live.as_ref())
     }
 
-    /// The live list a local-diffusion round would build right now.
+    /// The live list a local-diffusion round would build right now,
+    /// after checking that every compiled copy builds the same one.
     fn live_list(
         engine: &DiffusionEngine,
         grid: &BinGrid,
@@ -588,7 +1190,16 @@ mod tests {
         placement: &Placement,
     ) -> LiveCells {
         let mut live = LiveCells::default();
-        live.rebuild(engine, grid, cells, placement);
+        live.rebuild_with(Simd::Portable, engine, grid, cells, placement);
+        for simd in copies() {
+            let mut other = LiveCells::default();
+            other.rebuild_with(simd, engine, grid, cells, placement);
+            assert_eq!(
+                (&other.cells, &other.starts),
+                (&live.cells, &live.starts),
+                "{simd:?}"
+            );
+        }
         live
     }
 
@@ -780,11 +1391,14 @@ mod tests {
         }
     }
 
+    /// A design to advect: its netlist, placement, grid and engine.
+    type Case = (Netlist, Placement, BinGrid, DiffusionEngine);
+
     /// A random design for the fused-vs-reference property: macros
     /// interleaved among the movable ids, cells on and past the grid
     /// edge, cells wider/taller than the region, positions in shuffled
     /// order, and a wall/frozen-laced bumpy field on non-square bins.
-    fn random_case(rng: &mut Rng) -> (Netlist, Placement, BinGrid, DiffusionEngine) {
+    fn random_case(rng: &mut Rng) -> Case {
         let (nx, ny) = (rng.random_range(12..48usize), rng.random_range(12..48usize));
         let region = Rect::new(
             -30.0,
@@ -861,12 +1475,76 @@ mod tests {
             .collect()
     }
 
+    /// The compiled copies of the advect loop this CPU can run.
+    fn copies() -> Vec<Simd> {
+        let mut copies = vec![Simd::Portable];
+        if has_avx2() {
+            copies.push(Simd::Avx2);
+        }
+        copies
+    }
+
+    /// `steps` advects of `p0` by every compiled copy at 1, 2, 4 and 8
+    /// threads, each against the oracle, over the full walk and (with
+    /// `respect_frozen`) a live list built once from `p0`, as at a
+    /// round start; the oracle re-checks every cell on each step.
+    ///
+    /// Positions and moved-cell counts must match the oracle bit for
+    /// bit. The oracle measures moves with `hypot`, the kernels with
+    /// `move_length`, so its movement sums match to within rounding,
+    /// while every copy at every thread count must give the same sum
+    /// bits. Returns the oracle's outcomes.
+    fn assert_copies_match_reference(
+        case: &mut Case,
+        cfg: &DiffusionConfig,
+        respect_frozen: bool,
+        steps: usize,
+        ctx: &str,
+    ) -> Vec<AdvectOutcome> {
+        let (nl, p0, grid, engine) = (&case.0, &case.1, &case.2, &mut case.3);
+        let cells = CellCache::new(nl, grid);
+        let live = respect_frozen.then(|| live_list(engine, grid, &cells, p0));
+        engine.set_threads(1);
+        let mut want = p0.clone();
+        let want_out: Vec<AdvectOutcome> = (0..steps)
+            .map(|_| reference::advect_cells(engine, grid, nl, &mut want, cfg, respect_frozen))
+            .collect();
+        let mut sums: Option<Vec<u64>> = None;
+        for simd in copies() {
+            for threads in [1, 2, 4, 8] {
+                engine.set_threads(threads);
+                let mut got = p0.clone();
+                let mut got_sums = Vec::new();
+                for (step, want_step) in want_out.iter().enumerate() {
+                    let out = advect_with(simd, engine, grid, &cells, &mut got, cfg, live.as_ref());
+                    let ctx = format!(
+                        "{ctx} {simd:?} threads {threads} respect_frozen {respect_frozen} step {step}"
+                    );
+                    assert_eq!(out.moved_cells, want_step.moved_cells, "{ctx}");
+                    let (got_m, want_m) = (out.total_movement, want_step.total_movement);
+                    assert!(
+                        got_m.to_bits() == want_m.to_bits()
+                            || (got_m - want_m).abs() <= 1e-12 * want_m.abs(),
+                        "{ctx}: movement {got_m} vs oracle {want_m}"
+                    );
+                    got_sums.push(got_m.to_bits());
+                }
+                assert_eq!(bits(&got), bits(&want), "{ctx} {simd:?} threads {threads}");
+                let sums = sums.get_or_insert_with(|| got_sums.clone());
+                assert_eq!(
+                    *sums, got_sums,
+                    "{ctx} {simd:?} threads {threads}: movement bits"
+                );
+            }
+        }
+        want_out
+    }
+
     #[test]
     fn fused_kernel_matches_the_reference_bit_for_bit() {
         let mut rng = Rng::seed_from_u64(0xad_ec7);
         for case in 0..3 {
-            let (nl, p0, grid, mut engine) = random_case(&mut rng);
-            let cells = CellCache::new(&nl, &grid);
+            let mut design = random_case(&mut rng);
             for (interpolate, respect_frozen) in
                 [(true, true), (true, false), (false, true), (false, false)]
             {
@@ -876,53 +1554,159 @@ mod tests {
                     dt: rng.random_range(0.2..4.0),
                     ..DiffusionConfig::default()
                 };
-                // Built once, as at a round start, and kept for both
-                // steps: the oracle re-checks every cell on each.
-                let live = respect_frozen.then(|| live_list(&engine, &grid, &cells, &p0));
-                engine.set_threads(1);
-                let mut want = p0.clone();
-                let mut want_out = Vec::new();
-                for _ in 0..2 {
-                    want_out.push(reference::advect_cells(
-                        &engine,
-                        &grid,
-                        &nl,
-                        &mut want,
-                        &cfg,
-                        respect_frozen,
-                    ));
-                }
-                assert!(want_out[0].moved_cells > 0, "case {case}: nothing moved");
-                // The fused kernel measures moves with `move_length`, the
-                // oracle with `hypot`: positions and counts match bit for
-                // bit, the movement sums to within rounding, and the
-                // fused sums are bit-exact across thread counts.
-                let mut one_thread_movement = Vec::new();
-                for threads in [1, 2, 4, 8] {
-                    engine.set_threads(threads);
-                    let mut got = p0.clone();
-                    for (step, want_step) in want_out.iter().enumerate() {
-                        let out =
-                            advect_cells(&engine, &grid, &cells, &mut got, &cfg, live.as_ref());
-                        let ctx = format!(
-                            "case {case} step {step} threads {threads} \
-                             interpolate {interpolate} respect_frozen {respect_frozen}"
-                        );
-                        assert_eq!(out.moved_cells, want_step.moved_cells, "{ctx}");
-                        let (got_m, want_m) = (out.total_movement, want_step.total_movement);
-                        assert!(
-                            (got_m - want_m).abs() <= 1e-12 * want_m.abs(),
-                            "{ctx}: movement {got_m} vs oracle {want_m}"
-                        );
-                        if threads == 1 {
-                            one_thread_movement.push(got_m.to_bits());
-                        } else {
-                            assert_eq!(got_m.to_bits(), one_thread_movement[step], "{ctx}");
-                        }
+                let ctx = format!("case {case} interpolate {interpolate}");
+                let want =
+                    assert_copies_match_reference(&mut design, &cfg, respect_frozen, 2, &ctx);
+                assert!(want[0].moved_cells > 0, "{ctx}: nothing moved");
+            }
+        }
+    }
+
+    /// An 8×8 grid of 10-unit bins with hand-set velocities that drive
+    /// lanes into every branch of the lane kernel's commit pass: a 2×2
+    /// wall block at bins 3..5 that the field pulls cells into, a
+    /// frozen block, a zero-velocity patch, an outward push at the right
+    /// edge that the CFL clamp and the region clamp both bind, and one
+    /// NaN, one infinite and one huge (overflowing `v · Δt`) bin
+    /// velocity.
+    ///
+    /// The cells: a 16×16 lattice of 2×2 cells over the die, with a
+    /// macro interleaved among their ids; corners with NaN and ±∞
+    /// coordinates; centres at and past 2³¹ bins; and outlines wider or
+    /// taller than the region. With `guard_non_finite` the bins that
+    /// non-finite centres clamp to are walls, so that neither the
+    /// oracle nor [`step_cell`] samples the field at a NaN point (which
+    /// trips `interpolate_velocity`'s weight assertions in debug
+    /// builds); without it those cells are left out in debug builds.
+    fn special_lanes_case(guard_non_finite: bool) -> Case {
+        let n = 8usize;
+        let grid = BinGrid::new(Rect::new(0.0, 0.0, 80.0, 80.0), 10.0);
+        let mut wall = vec![false; n * n];
+        for (j, k) in [(3, 3), (4, 3), (3, 4), (4, 4)] {
+            wall[k * n + j] = true;
+        }
+        // NaN and -∞ clamp to index 0, +∞ to 7, and a corner at 14 sits
+        // in bin 1.
+        let with_non_finite = guard_non_finite || !cfg!(debug_assertions);
+        if guard_non_finite {
+            for (j, k) in [
+                (0, 0),
+                (0, 1),
+                (0, 7),
+                (7, 0),
+                (7, 1),
+                (7, 7),
+                (1, 0),
+                (1, 7),
+            ] {
+                wall[k * n + j] = true;
+            }
+        }
+        let mut frozen = vec![false; n * n];
+        for (j, k) in [(0, 3), (1, 3), (0, 4), (1, 4)] {
+            frozen[k * n + j] = true;
+        }
+        let mut engine = DiffusionEngine::from_raw(n, n, vec![1.0; n * n], Some(wall));
+        engine.set_frozen_mask(&frozen);
+        for k in 0..n {
+            for j in 0..n {
+                // Towards the wall block, except outward at the right edge.
+                let v = match (j, k) {
+                    (5..=6, 0..=1) => Vector::new(0.0, 0.0),
+                    (5, 6) => Vector::new(f64::NAN, 0.2),
+                    (2, 6) => Vector::new(0.1, f64::INFINITY),
+                    (6, 5) => Vector::new(1e308, -0.3),
+                    (7, _) => Vector::new(4.0, 0.25),
+                    _ => Vector::new(-(j as f64 - 3.5) * 0.45, -(k as f64 - 3.8) * 0.35),
+                };
+                engine.set_bin_velocity(j, k, v);
+            }
+        }
+
+        let mut cells: Vec<(f64, f64, Point)> = Vec::new();
+        for k in 0..16 {
+            for j in 0..16 {
+                cells.push((
+                    2.0,
+                    2.0,
+                    Point::new(j as f64 * 5.0 + 1.5, k as f64 * 5.0 + 0.75),
+                ));
+            }
+        }
+        if with_non_finite {
+            let vals = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 14.0];
+            for &x in &vals {
+                for &y in &vals {
+                    if !(x.is_finite() && y.is_finite()) {
+                        cells.push((2.0, 2.0, Point::new(x, y)));
                     }
-                    assert_eq!(bits(&got), bits(&want), "case {case} threads {threads}");
                 }
             }
+        }
+        // Centres 2³¹ − 1 bins out (vector path), exactly 2³¹ (the first
+        // centre handed back), and far beyond on either side.
+        let edge = 2_147_483_648.0 * 10.0;
+        for x in [edge - 11.0, edge - 1.0, 1e12, -1e12, -edge - 1.0] {
+            cells.push((2.0, 2.0, Point::new(x, 24.0)));
+        }
+        cells.push((2.0, 2.0, Point::new(24.0, edge - 1.0)));
+        // Centres on the region's corner and on a bin corner.
+        cells.push((2.0, 2.0, Point::new(-1.0, -1.0)));
+        cells.push((2.0, 2.0, Point::new(19.0, 59.0)));
+        // Outlines wider, taller, and both, than the region.
+        cells.push((100.0, 4.0, Point::new(-5.0, 52.0)));
+        cells.push((3.0, 85.0, Point::new(61.0, 2.0)));
+        cells.push((90.0, 81.0, Point::new(-3.0, -1.0)));
+
+        let mut b = NetlistBuilder::new();
+        let mut corners = Vec::new();
+        for (i, &(w, h, at)) in cells.iter().enumerate() {
+            if i == 37 {
+                b.add_cell("macro", 20.0, 20.0, CellKind::FixedMacro);
+                corners.push(Point::new(30.0, 30.0));
+            }
+            b.add_cell(format!("c{i}"), w, h, CellKind::Movable);
+            corners.push(at);
+        }
+        let nl = b.build().expect("valid");
+        (nl, corners.into_iter().collect(), grid, engine)
+    }
+
+    #[test]
+    fn lane_kernel_takes_every_fallback_bit_for_bit() {
+        // Each lane kernel fallback against the oracle: NaN and ±∞
+        // corners, centres at and past 2³¹ bins, non-finite and
+        // overflowing velocities, wall-centred cells, wall targets, zero
+        // and CFL-clamped moves, outlines wider than the region, and
+        // blocks of fewer than four cells at a chunk's tail and a live
+        // list's.
+        for guard_non_finite in [true, false] {
+            let mut design = special_lanes_case(guard_non_finite);
+            let movable = design.0.movable_cell_ids().count();
+            assert_ne!(movable % 4, 0, "the full walk must end in a partial block");
+            for dt in [0.2, 2.5] {
+                let cfg = DiffusionConfig {
+                    dt,
+                    ..DiffusionConfig::default()
+                };
+                for respect_frozen in [false, true] {
+                    let ctx = format!("guard {guard_non_finite} dt {dt}");
+                    let want =
+                        assert_copies_match_reference(&mut design, &cfg, respect_frozen, 3, &ctx);
+                    let moved = want[0].moved_cells;
+                    assert!(
+                        0 < moved && moved < movable,
+                        "{ctx}: {moved} of {movable} moved"
+                    );
+                }
+            }
+            let (nl, p0, grid, engine) = &design;
+            let live = live_list(engine, grid, &CellCache::new(nl, grid), p0);
+            assert_ne!(
+                live.len() % 4,
+                0,
+                "the live list must end in a partial block"
+            );
         }
     }
 

@@ -849,6 +849,15 @@ impl DiffusionEngine {
         Vector::new(self.vel[0][i], self.vel[1][i])
     }
 
+    /// The plane-major x and y velocity buffers the latest
+    /// [`compute_velocities`](Self::compute_velocities) call left: what
+    /// the advect's lane kernel gathers [`velocity_at`](Self::velocity_at)'s
+    /// corners from.
+    #[inline]
+    pub(crate) fn velocity_planes(&self) -> (&[f64], &[f64]) {
+        (&self.vel[0], &self.vel[1])
+    }
+
     /// The per-axis velocity of bin `(j, k, z)` on a volumetric grid.
     ///
     /// # Panics

@@ -93,6 +93,7 @@
 
 mod advect;
 mod config;
+mod cpu;
 mod dims;
 mod engine;
 mod field;
@@ -109,7 +110,7 @@ mod velocity;
 mod vol;
 mod window;
 
-pub use advect::AdvectOutcome;
+pub use advect::{simd as advect_simd, AdvectOutcome};
 pub use config::{ConfigError, DiffusionConfig, FieldPrecision, LaneMode, SolverKind};
 pub use dims::Dims;
 pub use engine::DiffusionEngine;

@@ -37,6 +37,7 @@
 //! All transforms run serially on the calling thread — the spectral
 //! path is trivially bit-identical at any worker-thread count.
 
+use crate::cpu::has_avx2;
 use crate::Dims;
 use std::f64::consts::PI;
 use std::sync::Arc;
@@ -340,19 +341,6 @@ fn matrix_avx2<const L: usize>(
     out: [&mut [f64]; L],
 ) {
     matrix_body(dir, tables, input, out);
-}
-
-/// Whether this CPU runs the AVX2 copy of the matrix kernel; std caches
-/// the detection after its first call. Always `false` off x86-64.
-fn has_avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// Runs one matrix-path transform through the fastest compiled copy of

@@ -88,32 +88,28 @@ impl VolPlacement {
     }
 }
 
-/// Raises the through-stack macro walls into `density`/`wall`: bins
-/// whose planar macro coverage reaches
-/// [`DensityMap::FIXED_COVER_THRESHOLD`] are pinned at density 1 and
-/// marked wall in **every** tier; partial covers contribute area to
-/// every tier. Planar rules are identical to
-/// [`DensityMap::recompute`]'s macro pass.
+/// Raises the through-stack macro walls into `wall`, and with `density`
+/// their density too: bins whose planar macro coverage reaches
+/// [`DensityMap::FIXED_COVER_THRESHOLD`] are marked wall and pinned at
+/// density 1 in **every** tier; partial covers contribute area to every
+/// tier. Planar rules are identical to [`DensityMap::recompute`]'s macro
+/// pass.
 fn splat_macros(
     netlist: &Netlist,
     xy: &Placement,
     grid: &BinGrid,
-    nz: usize,
-    density: &mut [f64],
     wall: &mut [bool],
+    mut density: Option<&mut [f64]>,
 ) {
     let nxy = grid.len();
     for cell in netlist.macro_ids() {
         let r = xy.cell_rect(netlist, cell);
         splat_rect(grid, &r, 0..grid.ny(), |f, cover| {
-            if cover >= DensityMap::FIXED_COVER_THRESHOLD {
-                for z in 0..nz {
-                    wall[z * nxy + f] = true;
-                    density[z * nxy + f] = 1.0;
-                }
-            } else {
-                for z in 0..nz {
-                    density[z * nxy + f] += cover;
+            let full = cover >= DensityMap::FIXED_COVER_THRESHOLD;
+            for i in (f..wall.len()).step_by(nxy) {
+                wall[i] |= full;
+                if let Some(density) = density.as_deref_mut() {
+                    density[i] = if full { 1.0 } else { density[i] + cover };
                 }
             }
         });
@@ -135,13 +131,28 @@ pub fn splat_volume(
     grid: &BinGrid,
     nz: usize,
 ) -> (Vec<f64>, Vec<bool>) {
+    splat_region(netlist, placement, 0, grid, nz)
+}
+
+/// [`splat_volume`] over the `nz` tiers of a stack region that starts at
+/// global tier `z0`: a cell at global depth `z` splats into region tier
+/// `floor_index(z − z0, nz)`, so the depths stay global and nothing is
+/// copied. At `z0 = 0` this is [`splat_volume`] exactly (`z − 0.0` is
+/// `z`, bit for bit).
+fn splat_region(
+    netlist: &Netlist,
+    placement: &VolPlacement,
+    z0: usize,
+    grid: &BinGrid,
+    nz: usize,
+) -> (Vec<f64>, Vec<bool>) {
     let nxy = grid.len();
     let mut density = vec![0.0; nxy * nz];
     let mut wall = vec![false; nxy * nz];
-    splat_macros(netlist, &placement.xy, grid, nz, &mut density, &mut wall);
+    splat_macros(netlist, &placement.xy, grid, &mut wall, Some(&mut density));
     for c in netlist.movable_cell_ids() {
         let r = placement.xy.cell_rect(netlist, c);
-        let plane = placement.tier(c, nz) * nxy;
+        let plane = floor_index(placement.z[c.index()] - z0 as f64, nz) * nxy;
         // Area stacked on a macro bin is counted, exactly like the planar
         // splat, so overflow metrics see it.
         splat_rect(grid, &r, 0..grid.ny(), |f, t| density[plane + f] += t);
@@ -153,9 +164,8 @@ pub fn splat_volume(
 /// sub-job needs, since its density arrives pre-evolved but walls must
 /// still be rebuilt from the macros it was shipped.
 pub fn volume_wall_mask(netlist: &Netlist, xy: &Placement, grid: &BinGrid, nz: usize) -> Vec<bool> {
-    let mut density = vec![0.0; grid.len() * nz];
     let mut wall = vec![false; grid.len() * nz];
-    splat_macros(netlist, xy, grid, nz, &mut density, &mut wall);
+    splat_macros(netlist, xy, grid, &mut wall, None);
     wall
 }
 
@@ -343,21 +353,15 @@ impl VolumetricDiffusion {
                         grid.len() * job.nz,
                         "raw field does not match the job region"
                     );
-                    // Shift to region-local depths only for the splat of
-                    // the wall mask — macros are planar so only nz matters.
+                    // Macros are planar, so only the region's tier count
+                    // shapes the wall mask.
                     (
                         f.clone(),
                         volume_wall_mask(netlist, &placement.xy, &grid, job.nz),
                     )
                 }
-                None => {
-                    // Depths are global; splat against a region-local view.
-                    let local = VolPlacement {
-                        xy: placement.xy.clone(),
-                        z: placement.z.iter().map(|&z| z - job.z0 as f64).collect(),
-                    };
-                    splat_volume(netlist, &local, &grid, job.nz)
-                }
+                // Depths are global; the splat offsets them to the region.
+                None => splat_region(netlist, placement, job.z0, &grid, job.nz),
             };
             DiffusionEngine::from_raw_3d(grid.nx(), grid.ny(), job.nz, density, Some(wall))
         });
@@ -595,6 +599,22 @@ mod tests {
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&d), bits(&rd), "trial {trial}");
             assert_eq!(w, rw, "trial {trial}");
+            assert_eq!(volume_wall_mask(&nl, &vp.xy, &grid, nz), w, "trial {trial}");
+            // A region at tier z0 of a taller stack splats the global
+            // depths as the region-local copy a job used to build.
+            let z0 = rng.random_range(1..4usize);
+            let global = VolPlacement {
+                xy: vp.xy.clone(),
+                z: vp.z.iter().map(|&z| z + z0 as f64).collect(),
+            };
+            let local = VolPlacement {
+                xy: vp.xy.clone(),
+                z: global.z.iter().map(|&z| z - z0 as f64).collect(),
+            };
+            let (gd, gw) = splat_region(&nl, &global, z0, &grid, nz);
+            let (ld, lw) = splat_volume(&nl, &local, &grid, nz);
+            assert_eq!(bits(&gd), bits(&ld), "trial {trial} z0 {z0}");
+            assert_eq!(gw, lw, "trial {trial} z0 {z0}");
         }
     }
 

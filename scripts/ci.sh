@@ -145,7 +145,10 @@ grep -q '"calibration"' "$kernels_out"
 grep -q '"spectral_generic"' "$kernels_out"
 grep -q '"madds_per_ns"' "$kernels_out"
 grep -q '"forward_ns": [0-9.]*, "inverse_ns": [0-9.]*,' "$kernels_out"
-grep -Eq '"simd": "(avx2|portable)"' "$kernels_out"
+grep -A3 '"spectral_generic"' "$kernels_out" | grep -Eq '"simd": "(avx2|portable)"'
+# The compiled copy of the advect kernel, on both advect samples.
+grep -Eq '"kernel": "advect", .*"simd": "(avx2|portable)"' "$kernels_out"
+grep -Eq '"kernel": "advect_windowed", .*"simd": "(avx2|portable)"' "$kernels_out"
 # Local-diffusion advect on a 256x256 grid whose windows leave ~2% of
 # the cells live (the share each round reports through
 # RoundEvent::live_cells).
@@ -186,7 +189,6 @@ floor_check ftcs 40000
 floor_check velocity 80000
 floor_check stencil3d 300000
 floor_check splat 600000
-floor_check advect 600000
 # The generic-length DCT round trip (113x113, cosine-matrix path). On a
 # 2-thread Intel Xeon with AVX2 the AVX2 copy of the matrix kernel ran
 # at 200k-370k calibration units per call (median ~270k over 11 smoke
@@ -200,7 +202,7 @@ floor_check advect 600000
 # the portable copy, and the per-term modulo loop the matrix path
 # replaced (~5.8M units) lands well above it.
 if grep -qsw avx2 /proc/cpuinfo; then
-    grep -q '"simd": "avx2"' "$kernels_out" || {
+    grep -A3 '"spectral_generic"' "$kernels_out" | grep -q '"simd": "avx2"' || {
         echo "KERNEL FLOOR: this CPU lists avx2 but the DCT ran its portable copy" >&2
         exit 1
     }
@@ -208,14 +210,42 @@ if grep -qsw avx2 /proc/cpuinfo; then
 else
     floor_check dct2d_generic 2000000
 fi
-# The windowed local advect visits only the live cells: 20k-27k units
-# per call on a 2-thread Intel Xeon, against 72k-128k for a local path
-# that walks every cell again (frozen ones included). The ceiling sits
-# between them, ~2x over the list path: a fallback to the full walk
-# fails here, and scheduling jitter does not. At the ~30% live share of
-# diffl-hotspot the two paths differ by only ~1.2x, inside run-to-run
-# noise, which is why this sample keeps ~2% of the cells live.
-floor_check advect_windowed 50000
+# The interpolating advect has a portable and an AVX2 copy (the lane
+# kernel, four cells per step with explicit gathers); both advect
+# samples record the copy that ran. Measured by smoke runs on a 2-thread
+# Intel Xeon with AVX2 (22 of the AVX2 copy, 12 of the portable one from
+# a scratch build whose dispatch always picks the portable loop, the
+# first 12 of each alternated):
+#   advect (global, 64x64 grid, 2048 cells): AVX2 17k-27k units per
+#   call, portable 33k-58k;
+#   advect_windowed (local, 256x256 grid, ~2% of the cells live; the
+#   round's live-list build, which the AVX2 copy also runs four cells
+#   at a time, is billed to its first advect): AVX2 11k-20k, portable
+#   19k-30k.
+# Where /proc/cpuinfo lists avx2, both samples must have run the AVX2
+# copy, and each ceiling sits ~1.2x over the AVX2 copy's worst run, as
+# the DCT's does: it catches a lane kernel that stops vectorising, and
+# the "simd" greps catch a lost dispatch exactly, which the windowed
+# ceiling alone would miss on the portable copy's fastest runs.
+# Elsewhere the ceilings keep the portable copy's headroom: ~10x for the
+# global advect, and for the windowed one ~2x over the list path, whose
+# fallback to a walk over every cell again (frozen ones included; 72k-
+# 128k units) still fails. At the ~30% live share of diffl-hotspot the
+# two walks differ by only ~1.2x, inside run-to-run noise, which is why
+# this sample keeps ~2% of the cells live.
+if grep -qsw avx2 /proc/cpuinfo; then
+    for kernel in advect advect_windowed; do
+        grep -q "\"kernel\": \"$kernel\", \"threads\": 1, .*\"simd\": \"avx2\"" "$kernels_out" || {
+            echo "KERNEL FLOOR: this CPU lists avx2 but $kernel ran its portable copy" >&2
+            exit 1
+        }
+    done
+    floor_check advect 32000
+    floor_check advect_windowed 24000
+else
+    floor_check advect 600000
+    floor_check advect_windowed 50000
+fi
 # The banded splat walks the netlist once per band and allocates
 # nothing per call: 2.3M-4.3M units per call on this shuffled 512x512
 # design (131k cells) on a 2-thread Intel Xeon, against 8.6M-11.6M for
