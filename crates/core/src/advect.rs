@@ -336,7 +336,8 @@ fn advect_with(
             "live list was built from another cache"
         );
     }
-    let chunks: Vec<_> = cells
+    let mut partials = vec![AdvectOutcome::default(); cells.cells.len().div_ceil(CELL_CHUNK)];
+    let chunks = cells
         .bounds
         .windows(2)
         .zip(cells.cells.chunks(CELL_CHUNK))
@@ -346,33 +347,38 @@ fn advect_with(
             rest = tail;
             let listed = live.map(|list| &list.cells[list.starts[c]..list.starts[c + 1]]);
             (span[0], owned, chunk, listed)
-        })
-        .collect();
-    let partials = engine
-        .pool()
-        .map(chunks, |_, (base, positions, chunk, listed)| {
+        });
+    engine.pool().for_each(
+        chunks.zip(&mut partials),
+        |((base, positions, chunk, listed), partial)| {
             if lanes {
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: `Simd::lanes` holds only where `has_avx2()`
-                // does, the one feature the kernel enables.
-                return unsafe {
-                    lanes::advect_chunk(engine, grid, cfg, base, positions, chunk, listed)
-                };
+                {
+                    // SAFETY: `Simd::lanes` holds only where `has_avx2()`
+                    // does, the one feature the kernel enables.
+                    *partial = unsafe {
+                        lanes::advect_chunk(engine, grid, cfg, base, positions, chunk, listed)
+                    };
+                    return;
+                }
             }
             if let Some(listed) = listed {
-                return advect_listed(engine, grid, cfg, base, positions, chunk, listed);
+                *partial = advect_listed(engine, grid, cfg, base, positions, chunk, listed);
+                return;
             }
-            let mut partial = AdvectOutcome::default();
+            // Summed in a local, so the slot is written once.
+            let mut sum = AdvectOutcome::default();
             for cell in chunk {
                 let pos = &mut positions[cell.id.index() - base];
                 if let Some((new_pos, dist)) = step_cell(engine, grid, cfg, false, cell, *pos) {
                     *pos = new_pos;
-                    partial.total_movement += dist;
-                    partial.moved_cells += 1;
+                    sum.total_movement += dist;
+                    sum.moved_cells += 1;
                 }
             }
-            partial
-        });
+            *partial = sum;
+        },
+    );
     tree_reduce(partials, |a, b| AdvectOutcome {
         total_movement: a.total_movement + b.total_movement,
         moved_cells: a.moved_cells + b.moved_cells,
@@ -1032,7 +1038,7 @@ mod reference {
     use crate::{DiffusionConfig, DiffusionEngine};
     use dpm_geom::{clamp, Point};
     use dpm_netlist::{CellId, Netlist};
-    use dpm_par::{chunk_ranges, parallel_for_chunks, tree_reduce};
+    use dpm_par::{parallel_for_chunks, tree_reduce};
     use dpm_place::{BinGrid, Placement};
 
     pub(super) fn advect_cells(
@@ -1046,7 +1052,7 @@ mod reference {
         let ids: Vec<CellId> = netlist.movable_cell_ids().collect();
         let frozen_placement: &Placement = placement;
         let mut planned: Vec<Option<(Point, f64)>> = vec![None; ids.len()];
-        parallel_for_chunks(engine.pool(), &mut planned, CELL_CHUNK, |_, range, out| {
+        parallel_for_chunks(engine.pool(), &mut planned, CELL_CHUNK, |range, out| {
             for (slot, &cell_id) in out.iter_mut().zip(&ids[range]) {
                 *slot = advect_one(
                     engine,
@@ -1060,9 +1066,9 @@ mod reference {
             }
         });
         let mut partials = Vec::new();
-        for range in chunk_ranges(ids.len(), CELL_CHUNK) {
+        for (plans, chunk_ids) in planned.chunks(CELL_CHUNK).zip(ids.chunks(CELL_CHUNK)) {
             let mut partial = AdvectOutcome::default();
-            for (plan, &cell_id) in planned[range.clone()].iter().zip(&ids[range]) {
+            for (plan, &cell_id) in plans.iter().zip(chunk_ids) {
                 if let Some((new_pos, dist)) = plan {
                     placement.set(cell_id, *new_pos);
                     partial.total_movement += dist;

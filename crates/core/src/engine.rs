@@ -7,10 +7,7 @@ use crate::dims::Dims;
 use crate::manip::manipulate_density;
 use crate::velocity::interpolate_velocity;
 use dpm_geom::{floor, Point, Point3, Vector, Vector3};
-use dpm_par::{
-    blocked_lines, parallel_for_chunks, parallel_for_chunks2, parallel_for_chunks3, ThreadPool,
-    CACHE_BLOCK_BYTES,
-};
+use dpm_par::{blocked_lines, parallel_for_chunks, ThreadPool, CACHE_BLOCK_BYTES};
 use dpm_place::DensityMap;
 
 /// Density below which a bin is considered empty for velocity purposes
@@ -804,7 +801,7 @@ impl DiffusionEngine {
         let half = dt / 2.0;
         let mut next = std::mem::take(&mut self.next);
         let view = self.view();
-        parallel_for_chunks(&self.pool, &mut next, chunk, |_, range, out| {
+        parallel_for_chunks(&self.pool, &mut next, chunk, |range, out| {
             view.ftcs_lines(range.start / nx, range.end / nx, half, out);
         });
         self.next = std::mem::replace(&mut self.density, next);
@@ -821,19 +818,22 @@ impl DiffusionEngine {
     /// velocity — there is nothing there to move.
     pub fn compute_velocities(&mut self) {
         let nx = self.dims.nx();
-        let chunk = self.chunk_lines() * nx;
+        let lines = self.chunk_lines();
+        let chunk = lines * nx;
         let mut vel = std::mem::take(&mut self.vel);
         let view = self.view();
         let [vx, vy, vz] = &mut vel;
+        let planar = vx.chunks_mut(chunk).zip(vy.chunks_mut(chunk)).enumerate();
         match self.dims {
-            Dims::D2 { .. } => {
-                parallel_for_chunks2(&self.pool, vx, vy, chunk, |_, range, cx, cy| {
-                    view.velocity_lines(range.start / nx, range.end / nx, &mut [cx, cy]);
-                });
-            }
+            Dims::D2 { .. } => self.pool.for_each(planar, |(i, (cx, cy))| {
+                let l0 = i * lines;
+                view.velocity_lines(l0, l0 + cx.len() / nx, &mut [cx, cy]);
+            }),
             Dims::D3 { .. } => {
-                parallel_for_chunks3(&self.pool, vx, vy, vz, chunk, |_, range, cx, cy, cz| {
-                    view.velocity_lines(range.start / nx, range.end / nx, &mut [cx, cy, cz]);
+                let axes = planar.zip(vz.chunks_mut(chunk));
+                self.pool.for_each(axes, |((i, (cx, cy)), cz)| {
+                    let l0 = i * lines;
+                    view.velocity_lines(l0, l0 + cx.len() / nx, &mut [cx, cy, cz]);
                 });
             }
         }

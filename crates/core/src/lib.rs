@@ -51,13 +51,14 @@
 //! fold of those events. The engine itself keeps no clock.
 //!
 //! Runs can be watched live through a [`DiffusionObserver`] attached
-//! with `run_observed` on every runner (`run_job_observed` on
-//! [`VolumetricDiffusion`]), the one entry point that also takes a
-//! cancellation hook: per-step, per-round and per-kernel callbacks that
-//! see only post-step state and therefore never perturb the dynamics
-//! (observed runs are bit-identical to plain runs). Trajectory tracing
-//! and `dpm-serve`'s streaming progress frames, planar and volumetric,
-//! are both observers.
+//! with `run_observed` on [`GlobalDiffusion`] and [`LocalDiffusion`]
+//! (`run_job_observed` on [`VolumetricDiffusion`]), the one entry point
+//! that also takes a cancellation hook; [`FieldMigration`] has only
+//! `run`, unobserved and uncancellable. The per-step, per-round and
+//! per-kernel callbacks see only post-step state and therefore never
+//! perturb the dynamics (observed runs are bit-identical to plain
+//! runs). Trajectory tracing and `dpm-serve`'s streaming progress
+//! frames, planar and volumetric, are both observers.
 //!
 //! The engine works in *bin coordinates*: the die is divided into square
 //! bins and scaled so each bin is 1×1, exactly as the paper assumes. The

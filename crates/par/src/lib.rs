@@ -3,22 +3,25 @@
 //! Deterministic parallel-for runtime for the diffusion hot loops.
 //!
 //! The paper's kernels — FTCS density step (Eq. 4), velocity field
-//! (Eq. 5), cell advection (Eq. 7), density splatting — are all
-//! embarrassingly parallel over bins or cells. This crate is the one
-//! threading idiom the workspace uses for them: a scoped worker pool
-//! ([`ThreadPool`]) plus fixed-chunk helpers ([`parallel_for_chunks`],
-//! [`parallel_map_reduce`]) designed so that **results are bit-identical
-//! at every thread count**.
+//! (Eq. 5), cell advection (Eq. 7), density splatting — are each a map
+//! over fixed chunks of bins or cells with at most one ordered
+//! reduction. This crate is the one threading idiom the workspace uses
+//! for them: a scoped worker pool ([`ThreadPool`]) whose one fan-out,
+//! [`ThreadPool::for_each`], runs a closure over a sized iterator of
+//! work items, plus [`parallel_for_chunks`] over a mutable slice and a
+//! fixed-shape [`tree_reduce`], designed so that **results are
+//! bit-identical at every thread count**.
 //!
 //! # Determinism contract
 //!
 //! Floating-point addition is not associative, so naive parallel
-//! reductions give different results run-to-run. The helpers here avoid
-//! that by construction:
+//! reductions give different results run-to-run. Callers avoid that by
+//! construction:
 //!
 //! 1. work is split into **fixed chunks** whose boundaries depend only on
 //!    the problem size (never on the thread count or scheduling);
-//! 2. each chunk is computed sequentially, by exactly one worker;
+//! 2. each chunk is computed sequentially, by exactly one worker, into
+//!    its own output slot (a disjoint `&mut` zipped with the chunk);
 //! 3. partial results are combined by a **fixed-shape tree reduction**
 //!    ([`tree_reduce`]) in chunk order.
 //!
@@ -30,26 +33,22 @@
 //! # Examples
 //!
 //! ```
-//! use dpm_par::{parallel_map_reduce, ThreadPool};
+//! use dpm_par::{tree_reduce, ThreadPool};
 //!
 //! let data: Vec<f64> = (0..10_000).map(|i| i as f64 * 0.1).collect();
 //! let sum_at = |threads: usize| {
-//!     let pool = ThreadPool::new(threads);
-//!     parallel_map_reduce(
-//!         &pool,
-//!         data.len(),
-//!         1024,
-//!         |r| data[r].iter().sum::<f64>(),
-//!         |a, b| a + b,
-//!     )
-//!     .unwrap_or(0.0)
+//!     let mut partials = vec![0.0; data.len().div_ceil(1024)];
+//!     ThreadPool::new(threads).for_each(
+//!         data.chunks(1024).zip(&mut partials),
+//!         |(chunk, slot)| *slot = chunk.iter().sum::<f64>(),
+//!     );
+//!     tree_reduce(partials, |a, b| a + b).unwrap_or(0.0)
 //! };
 //! // Bit-identical across thread counts.
 //! assert_eq!(sum_at(1).to_bits(), sum_at(4).to_bits());
 //! ```
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Target working-set size of one cache-blocked kernel chunk, in bytes.
@@ -93,19 +92,13 @@ pub fn blocked_lines(line_bytes: usize, target_bytes: usize) -> usize {
 ///
 /// The pool is a plain value (cheap to clone and store in configs or
 /// engines); threads are spawned scoped per call, so no worker outlives a
-/// borrow and no `'static` bounds infect the closures. Workers pull chunk
-/// indices from a shared atomic counter — scheduling is dynamic, but
-/// because every chunk is computed independently and combined in fixed
-/// order, scheduling never affects results.
+/// borrow and no `'static` bounds infect the closures. Workers pull items
+/// from one shared queue — scheduling is dynamic, but because every item
+/// is computed independently and combined in fixed order, scheduling
+/// never affects results.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadPool {
     threads: usize,
-}
-
-impl Default for ThreadPool {
-    fn default() -> Self {
-        Self::single()
-    }
 }
 
 impl ThreadPool {
@@ -121,113 +114,63 @@ impl ThreadPool {
         Self::new(1)
     }
 
-    /// A pool sized to the machine's available parallelism (1 if that
-    /// cannot be determined).
-    pub fn max_hardware() -> Self {
-        Self::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        )
-    }
-
     /// Number of worker threads this pool may use.
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Executes `task(0), task(1), …, task(n_tasks - 1)`, each exactly
-    /// once, distributed over the pool's workers.
+    /// Calls `f` once on every item of `items`, distributed over the
+    /// pool's workers.
     ///
-    /// With one worker (or one task) everything runs inline in index
-    /// order. Panics in tasks propagate to the caller.
-    pub fn run_tasks<F>(&self, n_tasks: usize, task: F)
+    /// With one thread (or one item) everything runs inline in item
+    /// order. Otherwise `min(threads, items.len())` scoped workers pull
+    /// items from one queue until it is empty; the queue is locked only
+    /// while an item is taken, never while `f` runs. To get results back,
+    /// zip each item with its own output slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` does: inline, with `f`'s own payload; otherwise
+    /// once every worker has stopped, as `std::thread::scope` does.
+    pub fn for_each<I, F>(&self, items: I, f: F)
     where
-        F: Fn(usize) + Sync,
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator + Send,
+        F: Fn(I::Item) + Sync,
     {
-        let workers = self.threads.min(n_tasks);
+        let items = items.into_iter();
+        let workers = self.threads.min(items.len());
         if workers <= 1 {
-            for i in 0..n_tasks {
-                task(i);
-            }
+            items.for_each(f);
             return;
         }
-        let next = AtomicUsize::new(0);
+        let queue = Mutex::new(items);
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_tasks {
-                        break;
+                    // Its own statement, so the guard drops before `f` runs.
+                    let item = queue
+                        .lock()
+                        .expect("a work item's iterator panicked")
+                        .next();
+                    match item {
+                        Some(item) => f(item),
+                        None => break,
                     }
-                    task(i);
                 });
             }
         });
     }
-
-    /// Consumes `items`, calling `f(index, item)` for each, distributed
-    /// over the pool.
-    ///
-    /// The index is the item's position in the input vector, so callers
-    /// can derive fixed chunk offsets from it.
-    pub fn for_each_owned<I, F>(&self, items: Vec<I>, f: F)
-    where
-        I: Send,
-        F: Fn(usize, I) + Sync,
-    {
-        if self.threads <= 1 || items.len() <= 1 {
-            for (i, item) in items.into_iter().enumerate() {
-                f(i, item);
-            }
-            return;
-        }
-        let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        self.run_tasks(slots.len(), |i| {
-            let item = slots[i]
-                .lock()
-                .expect("task slot poisoned")
-                .take()
-                .expect("task executed twice");
-            f(i, item);
-        });
-    }
-
-    /// Maps every item through `f`, returning results **in input order**
-    /// regardless of scheduling.
-    pub fn map<I, T, F>(&self, items: Vec<I>, f: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        if self.threads <= 1 || items.len() <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
-        }
-        let out: Vec<Mutex<Option<T>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
-        self.for_each_owned(items, |i, item| {
-            *out[i].lock().expect("result slot poisoned") = Some(f(i, item));
-        });
-        out.into_iter()
-            .map(|m| {
-                m.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("task produced no result")
-            })
-            .collect()
-    }
 }
 
-/// The fixed chunking of `len` elements into chunks of `chunk_len`
-/// (the last chunk may be short).
+/// Runs `f(global_range, chunk)` over fixed chunks of a mutable slice,
+/// in parallel.
 ///
-/// Chunk boundaries depend only on `(len, chunk_len)` — never on thread
-/// count — which is what makes every parallel result reproducible.
+/// Each chunk is a disjoint `&mut` view, so workers never alias; writes
+/// are race-free by construction. `global_range` is the element range the
+/// chunk covers within `data`. Chunk boundaries depend only on
+/// `(data.len(), chunk_len)`, never on the thread count.
 ///
 /// # Panics
 ///
@@ -236,32 +179,11 @@ impl ThreadPool {
 /// # Examples
 ///
 /// ```
-/// use dpm_par::chunk_ranges;
-/// assert_eq!(chunk_ranges(10, 4), vec![0..4, 4..8, 8..10]);
-/// assert!(chunk_ranges(0, 4).is_empty());
-/// ```
-pub fn chunk_ranges(len: usize, chunk_len: usize) -> Vec<Range<usize>> {
-    assert!(chunk_len > 0, "chunk length must be positive");
-    (0..len.div_ceil(chunk_len))
-        .map(|i| i * chunk_len..((i + 1) * chunk_len).min(len))
-        .collect()
-}
-
-/// Runs `f(chunk_index, global_range, chunk)` over fixed chunks of a
-/// mutable slice, in parallel.
-///
-/// Each chunk is a disjoint `&mut` view, so workers never alias; writes
-/// are race-free by construction. `global_range` is the element range the
-/// chunk covers within `data`.
-///
-/// # Examples
-///
-/// ```
 /// use dpm_par::{parallel_for_chunks, ThreadPool};
 ///
 /// let pool = ThreadPool::new(4);
 /// let mut v = vec![0usize; 1000];
-/// parallel_for_chunks(&pool, &mut v, 128, |_, range, chunk| {
+/// parallel_for_chunks(&pool, &mut v, 128, |range, chunk| {
 ///     for (off, x) in chunk.iter_mut().enumerate() {
 ///         *x = range.start + off;
 ///     }
@@ -271,125 +193,21 @@ pub fn chunk_ranges(len: usize, chunk_len: usize) -> Vec<Range<usize>> {
 pub fn parallel_for_chunks<T, F>(pool: &ThreadPool, data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
-    F: Fn(usize, Range<usize>, &mut [T]) + Sync,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk length must be positive");
-    let len = data.len();
-    let chunks: Vec<(usize, &mut [T])> = data.chunks_mut(chunk_len).enumerate().collect();
-    pool.for_each_owned(chunks, |_, (i, chunk)| {
+    pool.for_each(data.chunks_mut(chunk_len).enumerate(), |(i, chunk)| {
         let start = i * chunk_len;
-        let range = start..(start + chunk.len()).min(len);
-        f(i, range, chunk);
+        f(start..start + chunk.len(), chunk);
     });
 }
 
-/// Like [`parallel_for_chunks`] but over two equal-length slices chunked
-/// identically — the shape of the velocity kernel (writes `vx` and `vy`).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn parallel_for_chunks2<T, U, F>(
-    pool: &ThreadPool,
-    a: &mut [T],
-    b: &mut [U],
-    chunk_len: usize,
-    f: F,
-) where
-    T: Send,
-    U: Send,
-    F: Fn(usize, Range<usize>, &mut [T], &mut [U]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    assert_eq!(a.len(), b.len(), "slices must chunk identically");
-    let len = a.len();
-    type ChunkPairs<'s, T, U> = Vec<(usize, (&'s mut [T], &'s mut [U]))>;
-    let chunks: ChunkPairs<'_, T, U> = a
-        .chunks_mut(chunk_len)
-        .zip(b.chunks_mut(chunk_len))
-        .enumerate()
-        .collect();
-    pool.for_each_owned(chunks, |_, (i, (ca, cb))| {
-        let start = i * chunk_len;
-        let range = start..(start + ca.len()).min(len);
-        f(i, range, ca, cb);
-    });
-}
-
-/// Like [`parallel_for_chunks`] but over three equal-length slices chunked
-/// identically — the shape of the volumetric velocity kernel (writes `vx`,
-/// `vy` and `vz`).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn parallel_for_chunks3<T, U, V, F>(
-    pool: &ThreadPool,
-    a: &mut [T],
-    b: &mut [U],
-    c: &mut [V],
-    chunk_len: usize,
-    f: F,
-) where
-    T: Send,
-    U: Send,
-    V: Send,
-    F: Fn(usize, Range<usize>, &mut [T], &mut [U], &mut [V]) + Sync,
-{
-    assert!(chunk_len > 0, "chunk length must be positive");
-    assert_eq!(a.len(), b.len(), "slices must chunk identically");
-    assert_eq!(a.len(), c.len(), "slices must chunk identically");
-    let len = a.len();
-    type ChunkTriples<'s, T, U, V> = Vec<(usize, ((&'s mut [T], &'s mut [U]), &'s mut [V]))>;
-    let chunks: ChunkTriples<'_, T, U, V> = a
-        .chunks_mut(chunk_len)
-        .zip(b.chunks_mut(chunk_len))
-        .zip(c.chunks_mut(chunk_len))
-        .enumerate()
-        .collect();
-    pool.for_each_owned(chunks, |_, (i, ((ca, cb), cc))| {
-        let start = i * chunk_len;
-        let range = start..(start + ca.len()).min(len);
-        f(i, range, ca, cb, cc);
-    });
-}
-
-/// Maps fixed chunks of `0..len` through `map` in parallel and combines
-/// the per-chunk partials with a fixed-shape [`tree_reduce`].
-///
-/// Returns `None` when `len == 0`. The result is bit-identical at every
-/// thread count because both the chunk boundaries and the reduction tree
-/// depend only on `(len, chunk_len)`.
-///
-/// # Examples
-///
-/// ```
-/// use dpm_par::{parallel_map_reduce, ThreadPool};
-///
-/// let pool = ThreadPool::new(2);
-/// let total = parallel_map_reduce(&pool, 100, 7, |r| r.len(), |a, b| a + b);
-/// assert_eq!(total, Some(100));
-/// ```
-pub fn parallel_map_reduce<T, M, R>(
-    pool: &ThreadPool,
-    len: usize,
-    chunk_len: usize,
-    map: M,
-    reduce: R,
-) -> Option<T>
-where
-    T: Send,
-    M: Fn(Range<usize>) -> T + Sync,
-    R: Fn(T, T) -> T,
-{
-    let partials = pool.map(chunk_ranges(len, chunk_len), |_, r| map(r));
-    tree_reduce(partials, reduce)
-}
-
-/// Combines `items` pairwise — `(0,1), (2,3), …` — level by level until
-/// one value remains. The tree's shape depends only on `items.len()`, so
-/// the combination order (and therefore any floating-point result) is
-/// reproducible.
+/// Combines `items` in a fixed binary tree: pairwise — `(0,1), (2,3), …`
+/// — level by level until one value remains, an odd item out passing up
+/// a level unchanged. The tree's shape depends only on the item count,
+/// so the combination order (and therefore any floating-point result) is
+/// reproducible. The items are combined depth first, in place of a
+/// buffer per level, so the fold allocates nothing.
 ///
 /// # Examples
 ///
@@ -398,32 +216,39 @@ where
 /// assert_eq!(tree_reduce(vec![1, 2, 3, 4, 5], |a, b| a + b), Some(15));
 /// assert_eq!(tree_reduce(Vec::<i32>::new(), |a, b| a + b), None);
 /// ```
-pub fn tree_reduce<T>(mut items: Vec<T>, mut reduce: impl FnMut(T, T) -> T) -> Option<T> {
-    while items.len() > 1 {
-        let mut next = Vec::with_capacity(items.len().div_ceil(2));
-        let mut it = items.into_iter();
-        while let Some(a) = it.next() {
-            next.push(match it.next() {
-                Some(b) => reduce(a, b),
-                None => a,
-            });
+pub fn tree_reduce<T>(items: Vec<T>, mut reduce: impl FnMut(T, T) -> T) -> Option<T> {
+    // The first `2^⌊log2(n−1)⌋` items fill the left subtree: the same
+    // tree the level-by-level pairing builds.
+    fn fold<T>(
+        items: &mut std::vec::IntoIter<T>,
+        n: usize,
+        reduce: &mut impl FnMut(T, T) -> T,
+    ) -> T {
+        if n == 1 {
+            return items.next().expect("n never exceeds the items left");
         }
-        items = next;
+        let left = 1 << (n - 1).ilog2();
+        let a = fold(items, left, reduce);
+        let b = fold(items, n - left, reduce);
+        reduce(a, b)
     }
-    items.pop()
+    let n = items.len();
+    (n > 0).then(|| fold(&mut items.into_iter(), n, &mut reduce))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
     #[test]
-    fn run_tasks_executes_each_exactly_once() {
+    fn for_each_runs_each_item_exactly_once() {
         for threads in [1, 2, 4, 8] {
             let pool = ThreadPool::new(threads);
             let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-            pool.run_tasks(100, |i| {
+            pool.for_each(0..100, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             });
             assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -431,23 +256,72 @@ mod tests {
     }
 
     #[test]
-    fn map_preserves_input_order() {
-        for threads in [1, 3, 8] {
+    fn for_each_never_runs_on_more_threads_than_the_pool_or_items() {
+        for threads in [1, 2, 4, 8] {
+            for items in [1, 3, 5, 64] {
+                let seen = Mutex::new(HashSet::new());
+                ThreadPool::new(threads).for_each(0..items, |_| {
+                    seen.lock().unwrap().insert(std::thread::current().id());
+                    // Lets every worker started take an item.
+                    std::thread::yield_now();
+                });
+                let seen = seen.into_inner().unwrap().len();
+                assert!(
+                    (1..=threads.min(items)).contains(&seen),
+                    "{threads} threads, {items} items: ran on {seen} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_panic_reaches_the_caller_and_the_pool_runs_on() {
+        for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
-            let out = pool.map((0..257).collect(), |i, x: usize| {
-                assert_eq!(i, x);
-                x * 2
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each(0..16, |i| {
+                    assert_ne!(i, 5, "item five fails");
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }));
+            assert!(caught.is_err(), "{threads} threads: panic lost");
+            let after = AtomicUsize::new(0);
+            pool.for_each(0..16, |_| {
+                after.fetch_add(1, Ordering::Relaxed);
             });
+            assert_eq!(after.into_inner(), 16, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_preserves_input_order() {
+        // A map is a `for_each` over items zipped with their output slots.
+        for threads in [1, 3, 8] {
+            let mut out = vec![0; 257];
+            ThreadPool::new(threads).for_each((0..257).zip(&mut out), |(x, slot)| *slot = x * 2);
             assert_eq!(out, (0..257).map(|x| x * 2).collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn chunk_boundaries_are_thread_independent() {
-        // chunk_ranges takes no pool at all; pin the exact split.
-        assert_eq!(chunk_ranges(10, 3), vec![0..3, 3..6, 6..9, 9..10]);
-        assert_eq!(chunk_ranges(9, 3), vec![0..3, 3..6, 6..9]);
-        assert_eq!(chunk_ranges(1, 100), vec![0..1]);
+        let ranges = |threads: usize, len: usize, chunk: usize| {
+            let mut data = vec![0u8; len];
+            let seen = Mutex::new(Vec::new());
+            parallel_for_chunks(&ThreadPool::new(threads), &mut data, chunk, |r, _| {
+                seen.lock().unwrap().push(r);
+            });
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|r| r.start);
+            seen
+        };
+        for threads in [1, 4] {
+            assert_eq!(ranges(threads, 10, 3), vec![0..3, 3..6, 6..9, 9..10]);
+            assert_eq!(ranges(threads, 9, 3), vec![0..3, 3..6, 6..9]);
+            assert_eq!(ranges(threads, 1, 100), vec![0..1]);
+            assert!(ranges(threads, 0, 4).is_empty());
+        }
     }
 
     #[test]
@@ -460,15 +334,11 @@ mod tests {
             })
             .collect();
         let sum = |threads: usize| {
-            let pool = ThreadPool::new(threads);
-            parallel_map_reduce(
-                &pool,
-                data.len(),
-                1024,
-                |r| data[r].iter().sum::<f64>(),
-                |a, b| a + b,
-            )
-            .expect("non-empty")
+            let mut partials = vec![0.0; data.len().div_ceil(1024)];
+            ThreadPool::new(threads).for_each(data.chunks(1024).zip(&mut partials), |(c, slot)| {
+                *slot = c.iter().sum::<f64>();
+            });
+            tree_reduce(partials, |a, b| a + b).expect("non-empty")
         };
         let reference = sum(1);
         for threads in [2, 4, 8] {
@@ -485,7 +355,7 @@ mod tests {
         for threads in [1, 4] {
             let pool = ThreadPool::new(threads);
             let mut v = vec![0u32; 1013];
-            parallel_for_chunks(&pool, &mut v, 97, |_, range, chunk| {
+            parallel_for_chunks(&pool, &mut v, 97, |range, chunk| {
                 assert_eq!(range.len(), chunk.len());
                 for x in chunk.iter_mut() {
                     *x += 1;
@@ -497,12 +367,12 @@ mod tests {
 
     #[test]
     fn for_chunks2_zips_consistently() {
-        let pool = ThreadPool::new(4);
-        let mut a = vec![0usize; 500];
-        let mut b = vec![0usize; 500];
-        parallel_for_chunks2(&pool, &mut a, &mut b, 64, |ci, range, ca, cb| {
-            for (off, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
-                *x = range.start + off;
+        // Two slices chunked identically: the planar velocity kernel's shape.
+        let (mut a, mut b) = (vec![0usize; 500], vec![0usize; 500]);
+        let chunks = a.chunks_mut(64).zip(b.chunks_mut(64)).enumerate();
+        ThreadPool::new(4).for_each(chunks, |(ci, (ca, cb))| {
+            for (off, (x, y)) in ca.iter_mut().zip(cb).enumerate() {
+                *x = ci * 64 + off;
                 *y = ci;
             }
         });
@@ -512,29 +382,21 @@ mod tests {
 
     #[test]
     fn for_chunks3_zips_consistently() {
-        let pool = ThreadPool::new(4);
-        let mut a = vec![0usize; 500];
-        let mut b = vec![0usize; 500];
-        let mut c = vec![0usize; 500];
-        parallel_for_chunks3(
-            &pool,
-            &mut a,
-            &mut b,
-            &mut c,
-            64,
-            |ci, range, ca, cb, cc| {
-                for (off, ((x, y), z)) in ca
-                    .iter_mut()
-                    .zip(cb.iter_mut())
-                    .zip(cc.iter_mut())
-                    .enumerate()
-                {
-                    *x = range.start + off;
-                    *y = ci;
-                    *z = range.len();
-                }
-            },
-        );
+        // Three slices chunked identically: the volumetric velocity kernel's.
+        let (mut a, mut b, mut c) = (vec![0usize; 500], vec![0usize; 500], vec![0usize; 500]);
+        let chunks = a
+            .chunks_mut(64)
+            .zip(b.chunks_mut(64))
+            .zip(c.chunks_mut(64))
+            .enumerate();
+        ThreadPool::new(4).for_each(chunks, |(ci, ((ca, cb), cc))| {
+            let len = ca.len();
+            for (off, ((x, y), z)) in ca.iter_mut().zip(cb).zip(cc).enumerate() {
+                *x = ci * 64 + off;
+                *y = ci;
+                *z = len;
+            }
+        });
         assert!(a.iter().enumerate().all(|(i, &x)| i == x));
         assert!(b.iter().enumerate().all(|(i, &x)| x == i / 64));
         assert!(c.iter().take(448).all(|&x| x == 64));
@@ -553,6 +415,18 @@ mod tests {
         });
         assert_eq!(r.as_deref(), Some("((ab)c)"));
         assert_eq!(*trace.borrow(), vec!["a+b", "(ab)+c"]);
+        // Level-by-level pairing, an odd item out passing up unchanged.
+        let leaves = |n: u8| {
+            (b'a'..b'a' + n)
+                .map(|c| (c as char).to_string())
+                .collect::<Vec<_>>()
+        };
+        let tree = |n| tree_reduce(leaves(n), |a, b| format!("({a}{b})")).unwrap();
+        assert_eq!(tree(5), "(((ab)(cd))e)");
+        assert_eq!(tree(6), "(((ab)(cd))(ef))");
+        assert_eq!(tree(7), "(((ab)(cd))((ef)g))");
+        assert_eq!(tree(8), "(((ab)(cd))((ef)(gh)))");
+        assert_eq!(tree(9), "((((ab)(cd))((ef)(gh)))i)");
     }
 
     #[test]
@@ -561,12 +435,12 @@ mod tests {
         let again = pool.clone();
         let total = AtomicU64::new(0);
         for _ in 0..3 {
-            pool.run_tasks(10, |i| {
-                total.fetch_add(i as u64, Ordering::Relaxed);
+            pool.for_each(0..10u32, |i| {
+                total.fetch_add(u64::from(i), Ordering::Relaxed);
             });
         }
-        again.run_tasks(10, |i| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
+        again.for_each(0..10u32, |i| {
+            total.fetch_add(u64::from(i), Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::Relaxed), 45 * 4);
     }
@@ -574,7 +448,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "chunk length must be positive")]
     fn zero_chunk_rejected() {
-        let _ = chunk_ranges(10, 0);
+        parallel_for_chunks(&ThreadPool::single(), &mut [0u8; 10], 0, |_, _| {});
     }
 
     #[test]

@@ -158,7 +158,8 @@ impl DensityMap {
     /// through [`splat_rect`]. The partition follows the thread count,
     /// but no bin's sum depends on it: every bin still adds its terms in
     /// netlist order, so densities are bit-identical at every thread
-    /// count. Nothing is allocated per call beyond the pool's task slots.
+    /// count. Nothing is allocated per call beyond what spawning the
+    /// pool's scoped workers takes (none at one thread).
     pub fn recompute_with_pool(
         &mut self,
         netlist: &Netlist,
@@ -194,7 +195,7 @@ impl DensityMap {
         // legalization must move it off the blockage.
         let band_rows = ny.div_ceil(pool.threads().min(ny));
         let grid = &*grid;
-        parallel_for_chunks(pool, density, band_rows * nx, |_, range, out| {
+        parallel_for_chunks(pool, density, band_rows * nx, |range, out| {
             let rows = range.start / nx..range.end / nx;
             for c in netlist.movable_cell_ids() {
                 let r = placement.cell_rect(netlist, c);
@@ -517,7 +518,7 @@ mod reference {
                 fill[s] += 1;
             }
         }
-        parallel_for_chunks(pool, &mut map.density, STRIPE_ROWS * nx, |_, range, out| {
+        parallel_for_chunks(pool, &mut map.density, STRIPE_ROWS * nx, |range, out| {
             let k0 = range.start / nx;
             let k1 = range.end / nx; // exclusive
             let s = k0 / STRIPE_ROWS;

@@ -158,6 +158,11 @@ grep -Eq '"live_share": 0\.0[1-3][0-9]*,' "$kernels_out"
 # permuted, as diffl-hotspot's is.
 grep -q '"splat_shuffled"' "$kernels_out"
 grep -Eq '"kernel": "splat_shuffled", "threads": 8' "$kernels_out"
+# The cost of one bare ThreadPool::for_each over 16 no-op items at each
+# thread count. It has no ceiling: it records what every parallel kernel
+# call pays to start its scoped workers (35-66 us at 2 threads, 70-120
+# at 4 and 156-242 at 8 over 24 smoke runs on a 2-thread Intel Xeon).
+grep -Eq '"fanout": \{"items": 16, "us_per_call": \{"1": [0-9.]+, "2": [0-9.]+, "4": [0-9.]+, "8": [0-9.]+\}\}' "$kernels_out"
 
 echo "  -> throughput floors (ns/call ceilings scaled by the calibration loop)"
 # Absolute wall-clock pins would break on the next slower container, so
@@ -212,21 +217,23 @@ else
 fi
 # The interpolating advect has a portable and an AVX2 copy (the lane
 # kernel, four cells per step with explicit gathers); both advect
-# samples record the copy that ran. Measured by smoke runs on a 2-thread
-# Intel Xeon with AVX2 (22 of the AVX2 copy, 12 of the portable one from
-# a scratch build whose dispatch always picks the portable loop, the
-# first 12 of each alternated):
-#   advect (global, 64x64 grid, 2048 cells): AVX2 17k-27k units per
-#   call, portable 33k-58k;
+# samples record the copy that ran, and each reports the fastest of
+# several runs (16 global-diffusion runs of 2 advects, 3 local runs).
+# Measured by 12 alternated smoke runs of each copy on a 2-thread Intel
+# Xeon with AVX2 (the portable one from a scratch build whose dispatch
+# always picks the portable loop):
+#   advect (global, 64x64 grid, 2048 cells): AVX2 12.6k-20.0k units
+#   per call, portable 24.7k-42.8k (when it timed one run of ~2 calls:
+#   AVX2 17k-27k, portable 33k-58k);
 #   advect_windowed (local, 256x256 grid, ~2% of the cells live; the
 #   round's live-list build, which the AVX2 copy also runs four cells
-#   at a time, is billed to its first advect): AVX2 11k-20k, portable
-#   19k-30k.
+#   at a time, is billed to its first advect): AVX2 11.4k-18.0k,
+#   portable 15.9k-28.8k.
 # Where /proc/cpuinfo lists avx2, both samples must have run the AVX2
-# copy, and each ceiling sits ~1.2x over the AVX2 copy's worst run, as
-# the DCT's does: it catches a lane kernel that stops vectorising, and
-# the "simd" greps catch a lost dispatch exactly, which the windowed
-# ceiling alone would miss on the portable copy's fastest runs.
+# copy, and each ceiling sits over the AVX2 copy's worst run (~1.6x for
+# the global advect, ~1.3x for the windowed one). A ceiling fails only a
+# copy slower than that; the portable copy's faster runs pass both, so
+# the "simd" greps are what catch a lost dispatch.
 # Elsewhere the ceilings keep the portable copy's headroom: ~10x for the
 # global advect, and for the windowed one ~2x over the list path, whose
 # fallback to a walk over every cell again (frozen ones included; 72k-
