@@ -19,7 +19,9 @@
 //! shows up against its ceiling there. A `fanout` section, next to
 //! `hardware_threads`, times one bare `ThreadPool::for_each` over 16
 //! no-op items at each thread count: the fixed cost every parallel
-//! kernel call pays before any work.
+//! kernel call pays before any work. A `legalize` section times the
+//! detailed legalizer plus the legality check, one thread, on a
+//! `diffg-paper`-shaped circuit after global diffusion.
 //!
 //! Every sample line carries `lanes` and `precision` keys, always
 //! `wide` and `f64`: the kernels have one lane path and one field
@@ -49,10 +51,12 @@ use dpm_diffusion::{
     advect_simd, DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
     LocalDiffusion, RoundEvent, SolverKind, SpectralSolver,
 };
+use dpm_gen::{CircuitSpec, InflationSpec};
 use dpm_geom::Point;
+use dpm_legalize::{DetailedLegalizer, Legalizer};
 use dpm_netlist::{CellKind, Netlist, NetlistBuilder};
 use dpm_par::ThreadPool;
-use dpm_place::{BinGrid, DensityMap, Die, Placement};
+use dpm_place::{check_legality, BinGrid, DensityMap, Die, Placement};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -362,6 +366,57 @@ fn splat_shuffled_json(n: usize, reps: u64) -> String {
     }
     let _ = write!(body, "    ]\n  }}");
     body
+}
+
+/// The `legalize` JSON section: the final legalization every job ends
+/// in, `DetailedLegalizer` then `check_legality`, on one thread. The
+/// input is a fixed circuit of `bench_e2e`'s `diffg-paper` shape (12k
+/// cells, 55% utilization, 97% local, whitespace every 6 clusters, 25%
+/// of the movable area inflated) after one global-diffusion run with
+/// bins of 2.5 rows. Each of `runs` runs legalizes a fresh copy of the
+/// diffused placement; the sample is the fastest run, and
+/// `detailed_ns`/`check_ns` split that run.
+fn legalize_json(runs: usize) -> String {
+    eprintln!("  legalize, diffg-paper shape...");
+    let mut bench = CircuitSpec::with_size("ckt", 12_000, 0xD1F6)
+        .with_utilization(0.55)
+        .with_local_utilization(0.97)
+        .with_clusters_per_gap(6)
+        .generate();
+    bench.inflate(&InflationSpec::distributed(0.25, 0x5EED));
+    let (nl, die) = (&bench.netlist, &bench.die);
+    let cfg = DiffusionConfig::default()
+        .with_bin_size(2.5 * die.row_height())
+        .with_threads(1);
+    GlobalDiffusion::new(cfg).run(nl, die, &mut bench.placement);
+    let mut best = (f64::INFINITY, 0.0, 0.0);
+    for _ in 0..runs {
+        let mut p = bench.placement.clone();
+        let t0 = Instant::now();
+        DetailedLegalizer::new().legalize_in_place(nl, die, &mut p);
+        let detailed = t0.elapsed().as_nanos() as f64;
+        let t1 = Instant::now();
+        let report = check_legality(nl, die, &p, 0);
+        let check = t1.elapsed().as_nanos() as f64;
+        assert!(report.is_legal(), "legalize sample: {report}");
+        if detailed + check < best.0 {
+            best = (detailed + check, detailed, check);
+        }
+    }
+    let sample = Sample {
+        kernel: "legalize",
+        threads: 1,
+        calls: runs as u64,
+        ns_per_call: best.0,
+        simd: None,
+    };
+    format!(
+        "  \"legalize\": {{\n    \"cells\": {},\n    \"samples\": [\n      {}\n    ],\n    \"detailed_ns\": {:.1}, \"check_ns\": {:.1}\n  }}",
+        nl.num_cells(),
+        sample.json(),
+        best.1,
+        best.2,
+    )
 }
 
 /// The `advect_windowed` JSON section: local-diffusion advect on an
@@ -729,13 +784,14 @@ fn main() {
     let advect_windowed = advect_windowed_json(256, if smoke { 3 } else { 10 });
     let splat_shuffled = splat_shuffled_json(512, if smoke { 8 } else { 16 });
     let fanout = fanout_json(if smoke { 400 } else { 2000 });
+    let legalize = legalize_json(if smoke { 16 } else { 64 });
 
     eprintln!("  calibration loop...");
     let cal_iters: u64 = if smoke { 20_000_000 } else { 50_000_000 };
     let cal_ns = calibrate(cal_iters);
 
     let json = format!(
-        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n{fanout},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d},\n{advect_windowed},\n{splat_shuffled}\n}}\n",
+        "{{\n  \"bench\": \"perf_kernels\",\n  \"hardware_threads\": {cores},\n{fanout},\n  \"cpu_model\": \"{cpu}\",\n  \"thread_counts\": [1, 2, 4, 8],\n  \"note\": \"Deterministic workloads; parallel results are bit-identical to serial. Speedups above 1.0 require more than one hardware thread. Sample keys lanes/precision record the kernel configuration and are constant: lanes is always wide (the stencils lane-process runs of lane-eligible bins 4 at a time; the scalar lane mode and its lane_speedup_1t ratio were removed), precision is the field storage type, always f64. ns_per_call is the fastest of up to 8 timing rounds (calls = total calls made), which filters CI-box throttle noise; the calibration section records a serial FP dependency chain timed in the same process, so ns_per_call divided by ns_per_iter is a machine-independent throughput unit.\",\n  \"calibration\": {{\"iters\": {cal_iters}, \"ns_per_iter\": {cal_ns:.3}}},\n  \"grids\": [\n{}\n  ],\n{spectral_generic},\n{stencil3d},\n{advect_windowed},\n{splat_shuffled},\n{legalize}\n}}\n",
         grids_json.join(",\n")
     );
     std::fs::write(&out_path, &json).expect("write BENCH_kernels.json");

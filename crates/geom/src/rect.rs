@@ -1,6 +1,7 @@
 //! Axis-aligned rectangles.
 
 use crate::Point;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// An axis-aligned rectangle given by its lower-left and upper-right corners.
@@ -36,11 +37,18 @@ impl Rect {
     ///
     /// # Panics
     ///
-    /// Panics (in debug builds) if `llx > urx` or `lly > ury`.
+    /// Panics (in debug builds) if `llx > urx` or `lly > ury`. A NaN
+    /// coordinate compares false either way and passes.
     #[inline]
     pub fn new(llx: f64, lly: f64, urx: f64, ury: f64) -> Self {
-        debug_assert!(llx <= urx, "rect llx {llx} > urx {urx}");
-        debug_assert!(lly <= ury, "rect lly {lly} > ury {ury}");
+        debug_assert!(
+            llx.partial_cmp(&urx) != Some(Ordering::Greater),
+            "rect llx {llx} > urx {urx}"
+        );
+        debug_assert!(
+            lly.partial_cmp(&ury) != Some(Ordering::Greater),
+            "rect lly {lly} > ury {ury}"
+        );
         Self { llx, lly, urx, ury }
     }
 

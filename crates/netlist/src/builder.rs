@@ -191,11 +191,16 @@ impl NetlistBuilder {
                 }
             }
         }
+        let macros = (0..self.cells.len())
+            .filter(|&i| self.cells[i].kind == CellKind::FixedMacro)
+            .map(|i| CellId::new(i as u32))
+            .collect();
         Ok(Netlist {
             cells: self.cells,
             nets: self.nets,
             pins: self.pins,
             drivers,
+            macros,
         })
     }
 }

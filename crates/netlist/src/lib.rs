@@ -135,6 +135,8 @@ pub struct Netlist {
     pub(crate) pins: Vec<Pin>,
     /// For each net, the index of its driving (output) pin, if unique.
     pub(crate) drivers: Vec<Option<PinId>>,
+    /// The fixed macros, in id order.
+    pub(crate) macros: Vec<CellId>,
 }
 
 impl Netlist {
@@ -213,11 +215,7 @@ impl Netlist {
 
     /// Iterates over the ids of fixed macros.
     pub fn macro_ids(&self) -> impl Iterator<Item = CellId> + '_ {
-        self.cells
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.kind == CellKind::FixedMacro)
-            .map(|(i, _)| CellId::new(i as u32))
+        self.macros.iter().copied()
     }
 
     /// Total area of movable cells.

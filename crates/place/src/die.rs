@@ -134,12 +134,29 @@ impl Die {
         floor_index(rel, self.rows.len())
     }
 
+    /// The index of the row whose bottom edge is nearest `y`, halfway
+    /// cases rounding up, clamped to the die (NaN maps to row 0).
+    ///
+    /// This is `rel.round()` of the offset in rows, computed with one
+    /// division and no branch: baseline x86-64 has no rounding
+    /// instruction, so `f64::round` is a libm call.
+    #[inline]
+    pub fn snap_row(&self, y: f64) -> usize {
+        let top = self.rows.len() - 1;
+        // `max` maps NaN to 0. Clamped to the rows, the offset's integer
+        // part is exact and so is the fraction beside it. (`i64` converts
+        // in one instruction each way, `usize` does not.)
+        let rel = ((y - self.outline.lly) / self.row_height)
+            .max(0.0)
+            .min(top as f64);
+        let whole = rel as i64;
+        (whole + i64::from(rel - whole as f64 >= 0.5)) as usize
+    }
+
     /// Snaps a y coordinate to the bottom edge of the nearest row (by the
     /// cell's lower edge).
     pub fn snap_y(&self, y: f64) -> f64 {
-        let rel = (y - self.outline.lly) / self.row_height;
-        let idx = (rel.round().max(0.0) as usize).min(self.rows.len() - 1);
-        self.rows[idx].y
+        self.rows[self.snap_row(y)].y
     }
 
     /// Total placement area of the die.
@@ -184,6 +201,50 @@ mod tests {
         assert_eq!(die.snap_y(7.0), 12.0);
         assert_eq!(die.snap_y(35.0), 24.0);
         assert_eq!(die.snap_y(-3.0), 0.0);
+    }
+
+    #[test]
+    fn snap_row_matches_libm_round() {
+        let die = Die::with_origin(3.0, -7.5, 40.0, 36.0 * 12.0, 12.0);
+        let reference = |y: f64| {
+            let rel = (y - die.outline().lly) / die.row_height();
+            (rel.round().max(0.0) as usize).min(die.num_rows() - 1)
+        };
+        let mut ys = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -0.0,
+            1e300,
+            2f64.powi(53) * 12.0,
+            2f64.powi(64) * 12.0,
+        ];
+        for k in -3..40 {
+            let edge = -7.5 + 12.0 * k as f64;
+            for d in [
+                -6.0,
+                6.0,
+                -0.0,
+                0.0,
+                1e-9,
+                -1e-9,
+                5.999_999_999,
+                6.000_000_001,
+            ] {
+                ys.push(edge + d);
+                ys.push(f64::from_bits((edge + d).to_bits() + 1));
+                ys.push(f64::from_bits((edge + d).to_bits().wrapping_sub(1)));
+            }
+        }
+        let mut rng = dpm_rng::Rng::seed_from_u64(0x5EA7);
+        ys.extend((0..4000).map(|_| rng.random_range(-40.0..480.0)));
+        for y in ys {
+            assert_eq!(die.snap_row(y), reference(y), "y = {y:e}");
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::{Die, Placement};
 use dpm_geom::Rect;
-use dpm_netlist::{CellId, CellKind, Netlist};
+use dpm_netlist::{CellId, Netlist};
+use std::collections::HashSet;
 use std::fmt;
 
 /// A single legality violation.
@@ -103,7 +104,7 @@ pub(crate) const EPS: f64 = 1e-6;
 ///
 /// At most `max_reported` violations are materialized into the report (the
 /// count is always exact). Macros and pads are exempt from the row and
-/// containment checks.
+/// containment checks. A cell with a NaN coordinate lies outside the die.
 ///
 /// # Examples
 ///
@@ -141,53 +142,72 @@ pub fn check_legality(
         report.violation_count += 1;
     };
 
-    // Containment and row alignment.
-    let mut by_row: Vec<Vec<(CellId, Rect)>> = vec![Vec::new(); die.num_rows()];
-    for cell in netlist.cell_ids() {
-        if netlist.cell(cell).kind != CellKind::Movable {
-            continue;
-        }
+    // Containment and row alignment. Each movable cell is bucketed into
+    // every row its vertical span touches, so that unaligned or
+    // multi-row-tall cells still get overlap-checked.
+    let mut spans: Vec<(u32, u32, f64)> = Vec::with_capacity(netlist.num_cells());
+    let mut row_start = vec![0usize; die.num_rows() + 1];
+    for cell in netlist.movable_cell_ids() {
         let r = placement.cell_rect(netlist, cell);
-        if r.llx < outline.llx - EPS
-            || r.urx > outline.urx + EPS
-            || r.lly < outline.lly - EPS
-            || r.ury > outline.ury + EPS
-        {
+        let inside = r.llx >= outline.llx - EPS
+            && r.urx <= outline.urx + EPS
+            && r.lly >= outline.lly - EPS
+            && r.ury <= outline.ury + EPS;
+        if !inside {
             push(&mut report, Violation::OutsideDie { cell });
         }
-        let snapped = die.snap_y(r.lly);
-        let off = (r.lly - snapped).abs();
+        let off = (r.lly - die.row(die.snap_row(r.lly)).y).abs();
         if off > EPS {
             push(&mut report, Violation::NotRowAligned { cell, offset: off });
         }
-        // Bucket into every row the cell's vertical span touches so that
-        // unaligned or multi-row-tall cells still get overlap-checked.
-        let row_lo = die.row_of_y(r.lly + EPS);
-        let row_hi = die.row_of_y(r.ury - EPS);
-        #[allow(clippy::needless_range_loop)]
-        for row in row_lo..=row_hi {
-            by_row[row].push((cell, r));
+        let (lo, hi) = (die.row_of_y(r.lly + EPS), die.row_of_y(r.ury - EPS));
+        for row in lo..=hi {
+            row_start[row + 1] += 1;
         }
+        spans.push((lo as u32, hi as u32, r.urx));
     }
 
-    // Pairwise overlap within each row bucket (sweep over sorted x).
-    let mut seen_pairs = std::collections::HashSet::new();
-    for bucket in &mut by_row {
-        bucket.sort_by(|a, b| a.1.llx.total_cmp(&b.1.llx));
-        for i in 0..bucket.len() {
-            let (a, ra) = bucket[i];
-            for &(b, rb) in bucket.iter().skip(i + 1) {
-                if rb.llx >= ra.urx - EPS {
+    // One flat array of (llx order key, cell, urx bits), row by row.
+    for row in 0..die.num_rows() {
+        row_start[row + 1] += row_start[row];
+    }
+    let mut fill = row_start.clone();
+    let mut by_row = vec![(0u64, CellId::new(0), 0u64); row_start[die.num_rows()]];
+    for (cell, &(lo, hi, urx)) in netlist.movable_cell_ids().zip(&spans) {
+        let entry = (order_key(placement.get(cell).x), cell, urx.to_bits());
+        for row in lo as usize..=hi as usize {
+            by_row[fill[row]] = entry;
+            fill[row] += 1;
+        }
+    }
+    drop((fill, spans));
+
+    // Pairwise overlap within each row (sweep over x). Cells enter a row
+    // in id order and the sort is by (llx, id), the order a stable sort
+    // by llx gives. Only a pair that passes the x test reads the rects.
+    let mut seen_pairs: Option<HashSet<(CellId, CellId)>> = None;
+    for row in 0..die.num_rows() {
+        let bucket = &mut by_row[row_start[row]..row_start[row + 1]];
+        bucket.sort_unstable();
+        for (i, &(_, a, urx)) in bucket.iter().enumerate() {
+            let urx = f64::from_bits(urx);
+            for &(llx, b, _) in &bucket[i + 1..] {
+                if from_order_key(llx) >= urx - EPS {
                     break;
                 }
+                let (ra, rb) = (
+                    placement.cell_rect(netlist, a),
+                    placement.cell_rect(netlist, b),
+                );
                 let area = ra.overlap_area(&rb);
-                if area > EPS && seen_pairs.insert((a.min(b), a.max(b))) {
+                let pair = (a.min(b), a.max(b));
+                if area > EPS && seen_pairs.get_or_insert_with(HashSet::new).insert(pair) {
                     report.total_overlap_area += area;
                     push(
                         &mut report,
                         Violation::CellOverlap {
-                            a: a.min(b),
-                            b: a.max(b),
+                            a: pair.0,
+                            b: pair.1,
                             area,
                         },
                     );
@@ -202,10 +222,7 @@ pub fn check_legality(
         .map(|m| (m, placement.cell_rect(netlist, m)))
         .collect();
     if !macros.is_empty() {
-        for cell in netlist.cell_ids() {
-            if netlist.cell(cell).kind != CellKind::Movable {
-                continue;
-            }
+        for cell in netlist.movable_cell_ids() {
             let r = placement.cell_rect(netlist, cell);
             for &(m, mr) in &macros {
                 let area = r.overlap_area(&mr);
@@ -226,11 +243,139 @@ pub fn check_legality(
     report
 }
 
+/// A key whose unsigned order is `f64::total_cmp`'s.
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// The `x` of [`order_key`]`(x)`.
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key ^ (1 << 63)
+    } else {
+        !key
+    })
+}
+
+/// `check_legality` before its flat row pass, with a `Vec` per row and a
+/// stable sort by llx. Kept verbatim as the oracle the flat pass must
+/// match; it still passes a cell with a NaN coordinate.
+#[cfg(test)]
+mod reference {
+    use super::{LegalityReport, Violation, EPS};
+    use crate::{Die, Placement};
+    use dpm_geom::Rect;
+    use dpm_netlist::{CellId, CellKind, Netlist};
+
+    pub fn check_legality(
+        netlist: &Netlist,
+        die: &Die,
+        placement: &Placement,
+        max_reported: usize,
+    ) -> LegalityReport {
+        let mut report = LegalityReport::default();
+        let outline = die.outline();
+
+        let push = |report: &mut LegalityReport, v: Violation| {
+            if report.violations.len() < max_reported {
+                report.violations.push(v);
+            }
+            report.violation_count += 1;
+        };
+
+        // Containment and row alignment.
+        let mut by_row: Vec<Vec<(CellId, Rect)>> = vec![Vec::new(); die.num_rows()];
+        for cell in netlist.cell_ids() {
+            if netlist.cell(cell).kind != CellKind::Movable {
+                continue;
+            }
+            let r = placement.cell_rect(netlist, cell);
+            if r.llx < outline.llx - EPS
+                || r.urx > outline.urx + EPS
+                || r.lly < outline.lly - EPS
+                || r.ury > outline.ury + EPS
+            {
+                push(&mut report, Violation::OutsideDie { cell });
+            }
+            let snapped = die.snap_y(r.lly);
+            let off = (r.lly - snapped).abs();
+            if off > EPS {
+                push(&mut report, Violation::NotRowAligned { cell, offset: off });
+            }
+            // Bucket into every row the cell's vertical span touches so that
+            // unaligned or multi-row-tall cells still get overlap-checked.
+            let row_lo = die.row_of_y(r.lly + EPS);
+            let row_hi = die.row_of_y(r.ury - EPS);
+            #[allow(clippy::needless_range_loop)]
+            for row in row_lo..=row_hi {
+                by_row[row].push((cell, r));
+            }
+        }
+
+        // Pairwise overlap within each row bucket (sweep over sorted x).
+        let mut seen_pairs = std::collections::HashSet::new();
+        for bucket in &mut by_row {
+            bucket.sort_by(|a, b| a.1.llx.total_cmp(&b.1.llx));
+            for i in 0..bucket.len() {
+                let (a, ra) = bucket[i];
+                for &(b, rb) in bucket.iter().skip(i + 1) {
+                    if rb.llx >= ra.urx - EPS {
+                        break;
+                    }
+                    let area = ra.overlap_area(&rb);
+                    if area > EPS && seen_pairs.insert((a.min(b), a.max(b))) {
+                        report.total_overlap_area += area;
+                        push(
+                            &mut report,
+                            Violation::CellOverlap {
+                                a: a.min(b),
+                                b: a.max(b),
+                                area,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+
+        // Overlap with macros.
+        let macros: Vec<(CellId, Rect)> = netlist
+            .macro_ids()
+            .map(|m| (m, placement.cell_rect(netlist, m)))
+            .collect();
+        if !macros.is_empty() {
+            for cell in netlist.cell_ids() {
+                if netlist.cell(cell).kind != CellKind::Movable {
+                    continue;
+                }
+                let r = placement.cell_rect(netlist, cell);
+                for &(m, mr) in &macros {
+                    let area = r.overlap_area(&mr);
+                    if area > EPS {
+                        push(
+                            &mut report,
+                            Violation::MacroOverlap {
+                                cell,
+                                macro_cell: m,
+                                area,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+
+        report
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use dpm_geom::Point;
-    use dpm_netlist::NetlistBuilder;
+    use dpm_netlist::{CellKind, NetlistBuilder};
+    use dpm_rng::Rng;
 
     fn setup(cells: &[(f64, f64)]) -> (Netlist, Die, Placement) {
         let mut b = NetlistBuilder::new();
@@ -312,6 +457,138 @@ mod tests {
         let r = check_legality(&nl, &die, &p, 3);
         assert_eq!(r.violations.len(), 3);
         assert!(r.violation_count > 3);
+    }
+
+    /// An illegal placement of the kind diffusion leaves: rows packed
+    /// with gaps, then displaced by a smooth field plus jitter, so that
+    /// cells overlap their neighbours and many sit off their rows. Mixed
+    /// in: two- and three-row-tall cells, cells whose height is no row
+    /// multiple, cells pushed off the die, cells moved onto another
+    /// cell's position, three macros, two pads, and on odd seeds the
+    /// cells in a shuffled order.
+    fn diffused_case(seed: u64) -> (Netlist, Die, Placement) {
+        let mut rng = Rng::seed_from_u64(seed);
+        let die = Die::with_origin(-5.0, 3.0, 400.0, 240.0, 12.0);
+        let mut cells: Vec<(f64, f64, CellKind, Point)> = Vec::new();
+        for row in 0..die.num_rows() {
+            let mut x = -5.0;
+            while x < 390.0 {
+                let w = rng.random_range(2.0..9.0);
+                let h = match rng.random_range(0..40) {
+                    0 => 24.0,
+                    1 => 36.0,
+                    2 => 17.5,
+                    _ => 12.0,
+                };
+                let y = die.row(row).y;
+                let dx = 6.0 * (x / 37.0 + seed as f64).sin() + rng.random_range(-1.0..1.0);
+                let dy = if rng.random_bool(0.3) {
+                    rng.random_range(-6.0..6.0)
+                } else {
+                    0.0
+                };
+                cells.push((w, h, CellKind::Movable, Point::new(x + dx, y + dy)));
+                x += w + rng.random_range(0.0..2.5);
+            }
+        }
+        for _ in 0..5 {
+            let k = rng.random_range(0..cells.len());
+            cells[k].3.x += if rng.random_bool(0.5) { -30.0 } else { 420.0 };
+        }
+        for _ in 0..40 {
+            let (a, b) = (
+                rng.random_range(0..cells.len()),
+                rng.random_range(0..cells.len()),
+            );
+            cells[a].3 = cells[b].3;
+        }
+        for _ in 0..3 {
+            let at = Point::new(rng.random_range(0.0..340.0), rng.random_range(3.0..180.0));
+            cells.push((48.0, 36.0, CellKind::FixedMacro, at));
+        }
+        cells.push((1.0, 1.0, CellKind::Pad, Point::new(-5.0, 3.0)));
+        cells.push((1.0, 1.0, CellKind::Pad, Point::new(394.0, 242.0)));
+        if seed % 2 == 1 {
+            rng.shuffle(&mut cells);
+        }
+        let mut b = NetlistBuilder::new();
+        for (i, &(w, h, kind, _)) in cells.iter().enumerate() {
+            b.add_cell(format!("c{i}"), w, h, kind);
+        }
+        let nl = b.build().expect("valid");
+        let mut p = Placement::new(nl.num_cells());
+        for (i, &(_, _, _, at)) in cells.iter().enumerate() {
+            p.set(CellId::new(i as u32), at);
+        }
+        (nl, die, p)
+    }
+
+    #[test]
+    fn matches_reference_on_illegal_placements() {
+        for seed in 0..16 {
+            let (nl, die, p) = diffused_case(seed);
+            for limit in [0, 7, usize::MAX] {
+                let want = reference::check_legality(&nl, &die, &p, limit);
+                let got = check_legality(&nl, &die, &p, limit);
+                let what = format!("seed {seed}, limit {limit}");
+                assert!(want.violation_count > 100, "{what}: {want}");
+                assert_eq!(got.violation_count, want.violation_count, "{what}");
+                assert_eq!(
+                    format!("{:?}", got.violations),
+                    format!("{:?}", want.violations),
+                    "{what}"
+                );
+                assert_eq!(
+                    got.total_overlap_area.to_bits(),
+                    want.total_overlap_area.to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn order_key_sorts_as_total_cmp_and_round_trips() {
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1.5,
+            -1.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        let mut rng = Rng::seed_from_u64(3);
+        xs.extend((0..200).map(|_| rng.random_range(-1e6..1e6)));
+        for &a in &xs {
+            assert_eq!(from_order_key(order_key(a)).to_bits(), a.to_bits());
+            for &b in &xs {
+                assert_eq!(order_key(a).cmp(&order_key(b)), a.total_cmp(&b));
+            }
+        }
+    }
+
+    #[test]
+    fn nan_position_is_outside_the_die() {
+        let (nl, die, mut p) = setup(&[(0.0, 0.0), (8.0, 0.0), (16.0, 0.0)]);
+        p.set(CellId::new(0), Point::new(f64::NAN, 0.0));
+        p.set(CellId::new(1), Point::new(f64::INFINITY, 0.0));
+        p.set(CellId::new(2), Point::new(16.0, f64::NAN));
+        let r = check_legality(&nl, &die, &p, 10);
+        let outside: Vec<_> = r
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                Violation::OutsideDie { cell } => Some(cell.index()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(outside, vec![0, 1, 2], "{:?}", r.violations);
     }
 
     #[test]

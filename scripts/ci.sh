@@ -219,21 +219,22 @@ fi
 # kernel, four cells per step with explicit gathers); both advect
 # samples record the copy that ran, and each reports the fastest of
 # several runs (16 global-diffusion runs of 2 advects, 3 local runs).
-# Measured by 12 alternated smoke runs of each copy on a 2-thread Intel
+# Measured by alternated smoke runs of each copy on a 2-thread Intel
 # Xeon with AVX2 (the portable one from a scratch build whose dispatch
 # always picks the portable loop):
-#   advect (global, 64x64 grid, 2048 cells): AVX2 12.6k-20.0k units
-#   per call, portable 24.7k-42.8k (when it timed one run of ~2 calls:
-#   AVX2 17k-27k, portable 33k-58k);
+#   advect (global, 64x64 grid, 2048 cells), 24 runs each: AVX2
+#   12.4k-21.0k units per call, portable 27.9k-50.2k (12 earlier runs:
+#   AVX2 12.6k-20.0k, portable 24.7k-42.8k);
 #   advect_windowed (local, 256x256 grid, ~2% of the cells live; the
 #   round's live-list build, which the AVX2 copy also runs four cells
-#   at a time, is billed to its first advect): AVX2 11.4k-18.0k,
-#   portable 15.9k-28.8k.
+#   at a time, is billed to its first advect), 12 runs each: AVX2
+#   11.4k-18.0k, portable 15.9k-28.8k.
 # Where /proc/cpuinfo lists avx2, both samples must have run the AVX2
-# copy, and each ceiling sits over the AVX2 copy's worst run (~1.6x for
-# the global advect, ~1.3x for the windowed one). A ceiling fails only a
-# copy slower than that; the portable copy's faster runs pass both, so
-# the "simd" greps are what catch a lost dispatch.
+# copy. The global ceiling sits between the two copies, ~1.14x over the
+# AVX2 copy's worst run of the 24 and ~1.16x under the portable copy's
+# best, so it fails the portable copy too. The windowed ceiling sits
+# ~1.3x over the AVX2 copy's worst run and fails only a copy slower
+# than that; the "simd" greps catch a lost dispatch exactly.
 # Elsewhere the ceilings keep the portable copy's headroom: ~10x for the
 # global advect, and for the windowed one ~2x over the list path, whose
 # fallback to a walk over every cell again (frozen ones included; 72k-
@@ -247,7 +248,7 @@ if grep -qsw avx2 /proc/cpuinfo; then
             exit 1
         }
     done
-    floor_check advect 32000
+    floor_check advect 24000
     floor_check advect_windowed 24000
 else
     floor_check advect 600000
@@ -261,6 +262,20 @@ fi
 # side's worst run: the bucket kernel fails here, scheduling jitter
 # does not.
 floor_check splat_shuffled 6000000
+# The final legalization every job ends in: DetailedLegalizer plus
+# check_legality, one thread, on a fixed diffg-paper-shaped circuit
+# (12k cells) after global diffusion, the fastest of 16 runs. Measured
+# on a 2-thread Intel Xeon in smoke runs: the legalizer with x-ordered
+# slot indexes and the flat legality pass read 332k-662k units per call
+# (36 runs); the one that scanned a slot per balance move and sorted
+# every slot at the end, with a Vec per row in the check, read
+# 620k-1067k (24 runs, alternated with the first 24 of the others).
+# Both sides are bimodal from process to process (about 330k-450k or
+# 510k-660k; 620k-740k or 810k-1067k). The ceiling sits ~1.2x over the
+# new code's worst run and under the old code's worst; it failed 11 of
+# the old code's 24 runs.
+grep -q '"legalize": {' "$kernels_out"
+floor_check legalize 800000
 
 gate "service smoke test (perf_serve --smoke --pipeline 2)"
 # Boots a real server on an ephemeral port, replays a deterministic
