@@ -781,7 +781,7 @@ fn main() {
     let (n3, nz3, reps3): (usize, usize, u64) = if smoke { (48, 4, 4) } else { (192, 8, 20) };
     let stencil3d = stencil3d_json(n3, nz3, reps3);
     let spectral_generic = spectral_generic_json(113, 64);
-    let advect_windowed = advect_windowed_json(256, if smoke { 3 } else { 10 });
+    let advect_windowed = advect_windowed_json(256, 10);
     let splat_shuffled = splat_shuffled_json(512, if smoke { 8 } else { 16 });
     let fanout = fanout_json(if smoke { 400 } else { 2000 });
     let legalize = legalize_json(if smoke { 16 } else { 64 });

@@ -53,6 +53,16 @@ pub enum ConfigError {
     /// rule: the DCT basis diagonalizes only the conservative
     /// zero-flux boundary operator, so `paper_boundaries` must be off.
     SpectralPaperBoundaries,
+    /// An environment variable read by [`DiffusionConfig::from_env`] is
+    /// set to a value it cannot parse.
+    BadEnv {
+        /// The variable's name.
+        var: &'static str,
+        /// Its value as read.
+        value: String,
+        /// What the variable accepts.
+        expected: &'static str,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -85,6 +95,11 @@ impl fmt::Display for ConfigError {
                 "spectral solver requires the conservative zero-flux boundary \
                  rule (paper_boundaries must be off)"
             ),
+            ConfigError::BadEnv {
+                var,
+                value,
+                expected,
+            } => write!(f, "{var}={value:?} is invalid: expected {expected}"),
         }
     }
 }
@@ -176,7 +191,9 @@ pub enum FieldPrecision {
 /// few row heights (set per design via [`with_bin_size`]).
 ///
 /// The type is a plain value: build one with [`Default::default`] and
-/// chain `with_*` setters.
+/// chain `with_*` setters. The default is a constant (FTCS on one
+/// thread); [`DiffusionConfig::from_env`] is the one place that reads
+/// the environment.
 ///
 /// # Examples
 ///
@@ -241,9 +258,8 @@ pub struct DiffusionConfig {
     /// [`DiffusionEngine::set_conservative_boundaries`](crate::DiffusionEngine::set_conservative_boundaries).
     pub paper_boundaries: bool,
     /// Which solver evolves the density field between advections.
-    /// Defaults to the `DPM_SOLVER` environment variable (`"ftcs"` or
-    /// `"spectral"`), else [`SolverKind::Ftcs`] — CI runs the test
-    /// suite under both to keep the spectral path honest.
+    /// Defaults to [`SolverKind::Ftcs`]; [`DiffusionConfig::from_env`]
+    /// takes it from `DPM_SOLVER`.
     pub solver: SolverKind,
     /// Always [`LaneMode::Wide`]; kept only for source compatibility
     /// with callers that set it, and read by nothing.
@@ -252,45 +268,9 @@ pub struct DiffusionConfig {
     /// compatibility with callers that set it, and read by nothing.
     pub precision: FieldPrecision,
     /// Worker threads for the FTCS density step (1 = serial; results are
-    /// identical either way). Defaults to the `DPM_THREADS` environment
-    /// variable when it holds a positive integer, else 1 — CI runs the
-    /// test suite at several values to enforce the bit-identicality
-    /// claim.
+    /// identical either way). Defaults to 1; [`DiffusionConfig::from_env`]
+    /// takes it from `DPM_THREADS`.
     pub threads: usize,
-}
-
-/// Parses a `DPM_THREADS`-style value: a positive integer, else `None`.
-fn parse_threads(value: Option<&str>) -> Option<usize> {
-    value
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t > 0)
-}
-
-/// Default worker-thread count: `DPM_THREADS` from the environment when
-/// set to a positive integer, else 1. Results are bit-identical at any
-/// thread count (the dpm-par guarantee), so this changes only wall
-/// time; `scripts/ci.sh` runs the suite at 1/2/4 to enforce exactly
-/// that.
-fn default_threads() -> usize {
-    parse_threads(std::env::var("DPM_THREADS").ok().as_deref()).unwrap_or(1)
-}
-
-/// Parses a `DPM_SOLVER`-style value: `"ftcs"` or `"spectral"`
-/// (case-insensitive, whitespace-trimmed), else `None`.
-fn parse_solver(value: Option<&str>) -> Option<SolverKind> {
-    match value?.trim().to_ascii_lowercase().as_str() {
-        "ftcs" => Some(SolverKind::Ftcs),
-        "spectral" => Some(SolverKind::Spectral),
-        _ => None,
-    }
-}
-
-/// Default solver: `DPM_SOLVER` from the environment when it names a
-/// known solver, else FTCS. `scripts/ci.sh` runs the diffusion suite
-/// and the golden checksum under `DPM_SOLVER=spectral` at several
-/// thread counts, mirroring the `DPM_THREADS` determinism matrix.
-fn default_solver() -> SolverKind {
-    parse_solver(std::env::var("DPM_SOLVER").ok().as_deref()).unwrap_or_default()
 }
 
 impl Default for DiffusionConfig {
@@ -310,10 +290,10 @@ impl Default for DiffusionConfig {
             max_rounds: 200,
             max_step_displacement: 1.0,
             paper_boundaries: false,
-            solver: default_solver(),
+            solver: SolverKind::Ftcs,
             lanes: LaneMode::Wide,
             precision: FieldPrecision::F64,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 }
@@ -322,6 +302,54 @@ impl DiffusionConfig {
     /// Creates the default configuration (same as [`Default::default`]).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The default configuration with its solver taken from `DPM_SOLVER`
+    /// (`ftcs` or `spectral`, case-insensitive) and its thread count from
+    /// `DPM_THREADS` (a positive integer), each whitespace-trimmed. An
+    /// unset variable keeps the default. Nothing else in the library
+    /// reads the environment; `scripts/ci.sh` runs the `dpm-diffusion`
+    /// suite, whose runner tests start from this config, once per
+    /// (solver, threads) pair.
+    ///
+    /// # Errors
+    ///
+    /// [`ConfigError::BadEnv`] naming the first variable (solver, then
+    /// threads) that is set to a value it does not accept.
+    pub fn from_env() -> Result<Self, ConfigError> {
+        Self::from_lookup(|var| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`from_env`](Self::from_env) over `lookup` in place of the
+    /// process environment.
+    fn from_lookup(lookup: impl Fn(&'static str) -> Option<String>) -> Result<Self, ConfigError> {
+        let mut cfg = Self::default();
+        if let Some(value) = lookup("DPM_SOLVER") {
+            cfg.solver = match value.trim().to_ascii_lowercase().as_str() {
+                "ftcs" => SolverKind::Ftcs,
+                "spectral" => SolverKind::Spectral,
+                _ => {
+                    return Err(ConfigError::BadEnv {
+                        var: "DPM_SOLVER",
+                        value,
+                        expected: "ftcs or spectral",
+                    })
+                }
+            };
+        }
+        if let Some(value) = lookup("DPM_THREADS") {
+            cfg.threads = match value.trim().parse::<usize>() {
+                Ok(threads) if threads > 0 => threads,
+                _ => {
+                    return Err(ConfigError::BadEnv {
+                        var: "DPM_THREADS",
+                        value,
+                        expected: "a positive integer",
+                    })
+                }
+            };
+        }
+        Ok(cfg)
     }
 
     /// Sets the bin edge length in world units.
@@ -538,29 +566,99 @@ impl DiffusionConfig {
     }
 }
 
+/// The base config of this crate's tests: [`DiffusionConfig::from_env`],
+/// so that each `DPM_SOLVER` × `DPM_THREADS` leg of `scripts/ci.sh` runs
+/// the suite under its own solver and thread count. A variable that does
+/// not parse fails the test.
+#[cfg(test)]
+pub(crate) fn env_config() -> DiffusionConfig {
+    DiffusionConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// [`DiffusionConfig::from_lookup`] over a fixed variable table.
+    fn lookup(vars: &[(&'static str, &str)]) -> Result<DiffusionConfig, ConfigError> {
+        DiffusionConfig::from_lookup(|var| {
+            vars.iter()
+                .find(|&&(name, _)| name == var)
+                .map(|&(_, value)| value.to_string())
+        })
+    }
+
+    #[test]
+    fn from_env_without_variables_is_the_default() {
+        assert_eq!(lookup(&[]), Ok(DiffusionConfig::default()));
+        let c = DiffusionConfig::default();
+        assert_eq!((c.solver, c.threads), (SolverKind::Ftcs, 1));
+    }
+
     #[test]
     fn thread_env_parsing_accepts_only_positive_integers() {
-        assert_eq!(parse_threads(None), None);
-        assert_eq!(parse_threads(Some("")), None);
-        assert_eq!(parse_threads(Some("0")), None);
-        assert_eq!(parse_threads(Some("-2")), None);
-        assert_eq!(parse_threads(Some("two")), None);
-        assert_eq!(parse_threads(Some("4")), Some(4));
-        assert_eq!(parse_threads(Some(" 8 ")), Some(8));
+        for (value, threads) in [("4", 4), (" 8 ", 8), ("1", 1)] {
+            let c = lookup(&[("DPM_THREADS", value)]).unwrap();
+            assert_eq!(c.threads, threads, "{value:?}");
+            assert_eq!(c.solver, SolverKind::Ftcs);
+        }
+        for value in ["", "0", "-2", "two", "4.0"] {
+            let err = lookup(&[("DPM_THREADS", value)]).unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::BadEnv { var: "DPM_THREADS", value: v, .. } if v == value),
+                "{value:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("DPM_THREADS"), "{err}");
+        }
     }
 
     #[test]
     fn solver_env_parsing_accepts_only_known_solvers() {
-        assert_eq!(parse_solver(None), None);
-        assert_eq!(parse_solver(Some("")), None);
-        assert_eq!(parse_solver(Some("fft")), None);
-        assert_eq!(parse_solver(Some("ftcs")), Some(SolverKind::Ftcs));
-        assert_eq!(parse_solver(Some(" SPECTRAL ")), Some(SolverKind::Spectral));
-        assert_eq!(parse_solver(Some("Spectral")), Some(SolverKind::Spectral));
+        for (value, solver) in [
+            ("ftcs", SolverKind::Ftcs),
+            (" SPECTRAL ", SolverKind::Spectral),
+            ("Spectral", SolverKind::Spectral),
+        ] {
+            let c = lookup(&[("DPM_SOLVER", value)]).unwrap();
+            assert_eq!(c.solver, solver, "{value:?}");
+            assert_eq!(c.threads, 1);
+        }
+        for value in ["", "fft", "spetral"] {
+            let err = lookup(&[("DPM_SOLVER", value)]).unwrap_err();
+            assert!(
+                matches!(&err, ConfigError::BadEnv { var: "DPM_SOLVER", value: v, .. } if v == value),
+                "{value:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("DPM_SOLVER"), "{err}");
+        }
+    }
+
+    #[test]
+    fn from_env_sets_only_solver_and_threads() {
+        let c = lookup(&[("DPM_SOLVER", "spectral"), ("DPM_THREADS", "2")]).unwrap();
+        assert_eq!(
+            c,
+            DiffusionConfig::default()
+                .with_solver(SolverKind::Spectral)
+                .with_threads(2)
+        );
+        // A bad variable fails the whole read, even beside a good one.
+        let err = lookup(&[("DPM_SOLVER", "spectral"), ("DPM_THREADS", "0")]).unwrap_err();
+        assert!(matches!(
+            err,
+            ConfigError::BadEnv {
+                var: "DPM_THREADS",
+                ..
+            }
+        ));
+        let err = lookup(&[("DPM_SOLVER", "fft"), ("DPM_THREADS", "2")]).unwrap_err();
+        assert!(matches!(
+            err,
+            ConfigError::BadEnv {
+                var: "DPM_SOLVER",
+                ..
+            }
+        ));
     }
 
     #[test]

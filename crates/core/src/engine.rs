@@ -568,14 +568,6 @@ impl DiffusionEngine {
         self.density[self.dims.flat(j, k, z)]
     }
 
-    /// Overwrites the density of bin `(j, k)` (used by tests and by the
-    /// dynamic density update).
-    #[inline]
-    pub fn set_density(&mut self, j: usize, k: usize, d: f64) {
-        let i = self.at(j, k);
-        self.density[i] = d;
-    }
-
     /// Raw plane-major density buffer.
     #[inline]
     pub fn densities(&self) -> &[f64] {
@@ -650,12 +642,6 @@ impl DiffusionEngine {
             "frozen mask length mismatch"
         );
         self.frozen.copy_from_slice(frozen);
-        self.refresh_live_masks();
-    }
-
-    /// Unfreezes every bin (global diffusion mode).
-    pub fn clear_frozen(&mut self) {
-        self.frozen.iter_mut().for_each(|f| *f = false);
         self.refresh_live_masks();
     }
 
@@ -1169,7 +1155,7 @@ mod tests {
         }
         assert!((e.total_live_density() - 1.0).abs() < 1e-9);
         assert_eq!(e.live_bins(), 6);
-        e.clear_frozen();
+        e.set_frozen_mask(&[false; 9]);
         assert_eq!(e.live_bins(), 9);
     }
 

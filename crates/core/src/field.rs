@@ -151,6 +151,7 @@ impl FieldMigration {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::env_config;
     use dpm_geom::Point;
     use dpm_netlist::{CellKind, NetlistBuilder};
 
@@ -170,7 +171,7 @@ mod tests {
                 Point::new((i % 6) as f64 * 24.0 + 6.0, (i / 6) as f64 * 24.0),
             );
         }
-        let cfg = DiffusionConfig::default().with_bin_size(24.0);
+        let cfg = env_config().with_bin_size(24.0);
         let grid = BinGrid::new(die.outline(), 24.0);
         (nl, die, p, grid, cfg)
     }

@@ -151,6 +151,7 @@ impl GlobalDiffusion {
 mod tests {
     use super::*;
     use crate::advect::{advect_cells, CellCache};
+    use crate::config::env_config;
     use crate::{manipulate_density, SolverKind};
     use dpm_geom::Point;
     use dpm_netlist::{CellKind, NetlistBuilder};
@@ -175,15 +176,13 @@ mod tests {
     }
 
     fn cfg() -> DiffusionConfig {
-        DiffusionConfig::default().with_bin_size(24.0)
+        env_config().with_bin_size(24.0)
     }
 
     /// 8×8 bins: the slowest modes live long enough that the doubling
     /// strides need several steps to converge the pile.
     fn fine_cfg() -> DiffusionConfig {
-        DiffusionConfig::default()
-            .with_bin_size(12.0)
-            .with_delta(0.05)
+        env_config().with_bin_size(12.0).with_delta(0.05)
     }
 
     /// An FTCS run with a density target the pile can never reach, so it
@@ -606,7 +605,7 @@ mod tests {
         // enough that the geometric stride ramp needs several
         // iterations — there is a mid-run to cancel.
         let spectral_cfg = || {
-            DiffusionConfig::default()
+            env_config()
                 .with_bin_size(12.0)
                 .with_delta(0.05)
                 .with_solver(SolverKind::Spectral)

@@ -229,6 +229,7 @@ impl LocalDiffusion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::env_config;
     use crate::GlobalDiffusion;
     use dpm_geom::Point;
     use dpm_netlist::{CellKind, NetlistBuilder};
@@ -278,7 +279,7 @@ mod tests {
     }
 
     fn cfg() -> DiffusionConfig {
-        DiffusionConfig::default()
+        env_config()
             .with_bin_size(24.0)
             .with_update_period(10)
             .with_windows(1, 2)

@@ -141,6 +141,7 @@ pub fn trace_global_diffusion(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::env_config;
     use dpm_netlist::{CellKind, NetlistBuilder};
 
     fn hotspot() -> (Netlist, Die, Placement) {
@@ -163,7 +164,7 @@ mod tests {
     #[test]
     fn trace_matches_untraced_run() {
         let (nl, die, p0) = hotspot();
-        let cfg = DiffusionConfig::default().with_bin_size(24.0);
+        let cfg = env_config().with_bin_size(24.0);
         let mut p1 = p0.clone();
         let traced = trace_global_diffusion(&cfg, &nl, &die, &mut p1, &[]);
         let mut p2 = p0.clone();
@@ -176,7 +177,7 @@ mod tests {
     fn trajectory_covers_every_step() {
         let (nl, die, mut p) = hotspot();
         let cell = nl.cell_ids().next().expect("cells");
-        let cfg = DiffusionConfig::default().with_bin_size(24.0);
+        let cfg = env_config().with_bin_size(24.0);
         let run = trace_global_diffusion(&cfg, &nl, &die, &mut p, &[cell]);
         assert!(run.result.steps > 0);
         let t = &run.trajectories[0];
@@ -191,9 +192,7 @@ mod tests {
         // trajectory of a hot cell.
         let (nl, die, mut p) = hotspot();
         let cell = nl.cell_ids().nth(12).expect("center-ish cell");
-        let cfg = DiffusionConfig::default()
-            .with_bin_size(24.0)
-            .with_delta(0.02);
+        let cfg = env_config().with_bin_size(24.0).with_delta(0.02);
         let run = trace_global_diffusion(&cfg, &nl, &die, &mut p, &[cell]);
         let steps = run.trajectories[0].step_lengths();
         if steps.len() >= 9 {

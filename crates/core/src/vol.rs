@@ -490,6 +490,7 @@ fn bin3_of(x: f64, y: f64, zl: f64, engine: &DiffusionEngine) -> (usize, usize, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::env_config;
     use crate::{manipulate_density, SolverKind};
     use dpm_geom::{Rect, Vector3};
     use dpm_netlist::{CellKind, NetlistBuilder};
@@ -636,7 +637,7 @@ mod tests {
     }
 
     fn cfg() -> DiffusionConfig {
-        DiffusionConfig::default().with_bin_size(24.0)
+        env_config().with_bin_size(24.0)
     }
 
     #[test]

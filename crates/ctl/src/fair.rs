@@ -156,12 +156,6 @@ impl<T> FairQueue<T> {
         }
     }
 
-    /// Non-blocking [`pop_wait`](Self::pop_wait) — `None` when every
-    /// queue is empty (closed or not).
-    pub fn try_pop(&self) -> Option<(usize, T)> {
-        Self::pop_drr(&mut self.state.lock().unwrap())
-    }
-
     fn pop_drr(st: &mut State<T>) -> Option<(usize, T)> {
         let n = st.tenants.len();
         if n == 0 {

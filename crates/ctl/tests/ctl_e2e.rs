@@ -486,13 +486,13 @@ fn routed_in_process_sub_jobs_bill_their_kernels_to_the_ctl() {
     // A registry of in-process backends makes the control plane run a
     // routed job's sub-jobs itself, so its stats carry their kernels:
     // a planar job through the shard router, a stack through the z-slab
-    // router (FTCS-only, so the solver is pinned).
+    // router (FTCS-only, which the default config is).
     let mut planar = bench(160, 149);
     planar.inflate(&InflationSpec::centered(0.3, 0.25, 149));
     let stack = VolCircuitSpec::with_size("ctl_e2e_vol", 3, 150, 151)
         .with_hotspot(1)
         .generate();
-    let config = DiffusionConfig::default().with_solver(SolverKind::Ftcs);
+    let config = DiffusionConfig::default();
     let in_process = || BackendRegistry::new(vec![ShardBackend::InProcess; 2], vec![]);
     let cases = [
         (

@@ -7,7 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
+use dpm_diffusion::{DiffusionConfig, VolumetricDiffusion};
 use dpm_gen::{VolBenchmark, VolCircuitSpec};
 use dpm_obs::{SpanRecord, TraceExporter};
 use dpm_serve::wire::{JobKind, JobRequest, PayloadEncoding, VolRequestExt};
@@ -21,11 +21,6 @@ fn hot_stack(seed: u64) -> VolBenchmark {
         .generate()
 }
 
-/// The z-slab contract is FTCS-only.
-fn ftcs() -> DiffusionConfig {
-    DiffusionConfig::default().with_solver(SolverKind::Ftcs)
-}
-
 fn vol_request(bench: &VolBenchmark, id: u64) -> JobRequest {
     JobRequest {
         id,
@@ -33,7 +28,7 @@ fn vol_request(bench: &VolBenchmark, id: u64) -> JobRequest {
         progress_stride: 0,
         kind: JobKind::Global,
         design: "trace_e2e".into(),
-        config: ftcs(),
+        config: DiffusionConfig::default(),
         netlist: bench.netlist.clone(),
         die: bench.die.clone(),
         placement: bench.placement.xy.clone(),
@@ -60,7 +55,7 @@ fn traced_volumetric_job_builds_one_cross_process_span_tree() {
 
     // Ground truth: the direct 3D engine run in this process.
     let mut direct = bench.placement.clone();
-    let result = VolumetricDiffusion::new(ftcs(), bench.layers()).run(
+    let result = VolumetricDiffusion::new(DiffusionConfig::default(), bench.layers()).run(
         &bench.netlist,
         &bench.die,
         &mut direct,

@@ -19,7 +19,7 @@
 //! one a scan per move and a stable sort per slot give, bit for bit
 //! (DESIGN.md §24). The tests keep that form as the `reference` oracle.
 
-use crate::occupancy::row_segments;
+use crate::occupancy::{row_segments, snapped_rows};
 use crate::Legalizer;
 use dpm_geom::{Point, Rect};
 use dpm_netlist::{CellId, Netlist};
@@ -194,13 +194,8 @@ pub(crate) fn detailed_legalize(netlist: &Netlist, die: &Die, placement: &mut Pl
         return;
     }
 
-    // A cell's row is the one its lower edge snaps to, read back with
-    // `row_of_y` a hair above that row's edge.
-    let row_of_snap: Vec<usize> = die
-        .rows()
-        .iter()
-        .map(|r| die.row_of_y(r.y + 1e-9))
-        .collect();
+    // A cell's row is the one its lower edge snaps to.
+    let row_of_snap = snapped_rows(die);
     let rh = die.row_height();
     // Every movable cell goes to the nearest slot of its nearest row; a
     // row without slots (under a macro) falls back to the first slot

@@ -8,7 +8,7 @@
 //! that cells processed late find their neighborhoods full and get
 //! launched far away, destroying relative order.
 
-use crate::occupancy::{row_segments, RowOccupancy};
+use crate::occupancy::{row_segments, snapped_rows, RowOccupancy};
 use crate::Legalizer;
 use dpm_geom::{Point, Rect};
 use dpm_netlist::Netlist;
@@ -53,6 +53,7 @@ impl Legalizer for GreedyLegalizer {
             .into_iter()
             .map(RowOccupancy::new)
             .collect();
+        let row_of_snap = snapped_rows(die);
 
         // Process cells in x order (stable, deterministic).
         let mut order: Vec<_> = netlist.movable_cell_ids().collect();
@@ -67,7 +68,7 @@ impl Legalizer for GreedyLegalizer {
         for cell in order {
             let w = netlist.cell(cell).width;
             let pos = placement.get(cell);
-            let home_row = die.row_of_y(die.snap_y(pos.y) + 1e-9);
+            let home_row = row_of_snap[die.snap_row(pos.y)];
 
             // Spiral over rows by increasing vertical distance; within a
             // row take the nearest horizontal fit. Stop as soon as the

@@ -144,6 +144,17 @@ pub(crate) fn row_segments(die: &Die, macros: &[Rect]) -> Vec<Vec<(f64, f64)>> {
     out
 }
 
+/// The row each snapped row index reads back as: a cell at height `y`
+/// belongs to row `table[die.snap_row(y)]`, which is
+/// `die.row_of_y(die.snap_y(y) + 1e-9)` (the nearest row's edge, read
+/// a hair above it) with one division per cell instead of two.
+pub(crate) fn snapped_rows(die: &Die) -> Vec<usize> {
+    die.rows()
+        .iter()
+        .map(|r| die.row_of_y(r.y + 1e-9))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,6 +199,46 @@ mod tests {
         r.insert(0.0, 10.0);
         assert_eq!(r.leftmost_fit(0.0, 5.0), Some(10.0));
         assert_eq!(r.leftmost_fit(50.0, 5.0), Some(50.0));
+    }
+
+    #[test]
+    fn snapped_rows_match_the_two_division_lookup() {
+        // A dyadic die and one whose row height and origin are not exact
+        // in binary, so some row edges `lly + i * h` round away from the
+        // edge `row_of_y` divides back to.
+        for die in [
+            Die::new(100.0, 36.0, 12.0),
+            Die::with_origin(-3.3, -7.1, 50.0, 28.3, 0.7),
+        ] {
+            let table = snapped_rows(&die);
+            assert_eq!(table.len(), die.num_rows());
+            let h = die.row_height();
+            let lly = die.outline().lly;
+            let mut ys = vec![
+                lly - 10.0 * h,
+                lly - 1e-9,
+                die.outline().ury,
+                die.outline().ury + 10.0 * h,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ];
+            for i in 0..=die.num_rows() {
+                let edge = lly + i as f64 * h;
+                ys.extend([edge, edge.next_up(), edge.next_down()]);
+                ys.extend([edge + 1e-9, edge - 1e-9]);
+                for half in [edge + 0.5 * h, edge - 0.5 * h] {
+                    ys.extend([half, half.next_up(), half.next_down()]);
+                }
+            }
+            for y in ys {
+                assert_eq!(
+                    table[die.snap_row(y)],
+                    die.row_of_y(die.snap_y(y) + 1e-9),
+                    "y = {y:e} on a die with row height {h}"
+                );
+            }
+        }
     }
 
     #[test]

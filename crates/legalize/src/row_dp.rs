@@ -11,7 +11,7 @@
 //! placement shared with the other legalizers.
 
 use crate::detailed::detailed_legalize;
-use crate::occupancy::row_segments;
+use crate::occupancy::{row_segments, snapped_rows};
 use crate::Legalizer;
 use dpm_geom::{Point, Rect};
 use dpm_netlist::{CellId, Netlist};
@@ -119,9 +119,10 @@ impl Legalizer for RowDpLegalizer {
         // Initial row assignment by nearest row.
         let n_rows = die.num_rows();
         let mut rows: Vec<Vec<(CellId, f64)>> = vec![Vec::new(); n_rows];
+        let row_of_snap = snapped_rows(die);
         for cell in netlist.movable_cell_ids() {
             let pos = placement.get(cell);
-            let row = die.row_of_y(die.snap_y(pos.y) + 1e-9);
+            let row = row_of_snap[die.snap_row(pos.y)];
             rows[row].push((cell, pos.x));
         }
 

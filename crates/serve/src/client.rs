@@ -34,7 +34,7 @@ use dpm_place::{Die, Placement};
 use crate::delta::{encode_delta_request, DeltaJobRequest};
 use crate::wire::{
     decode_design_ack, decode_need_design, decode_progress, decode_stats, encode_design_bytes,
-    encode_put_design, fnv1a64, read_frame, write_frame, DesignAck, FrameKind, JobRequest,
+    encode_put_design, fnv1a64, read_frame, write_frame, DesignAck, Frame, FrameKind, JobRequest,
     NeedDesign, PayloadEncoding, ProgressUpdate, PutDesign, Reply, StatsSnapshot, WireError,
     DEFAULT_MAX_FRAME_LEN,
 };
@@ -238,6 +238,12 @@ impl ServeClient {
         self.recv_reply_with(|_| {})
     }
 
+    /// Blocks for the next frame; a connection closed between frames is
+    /// [`WireError::Truncated`] with `context`.
+    fn next_frame(&mut self, context: &'static str) -> Result<Frame, WireError> {
+        read_frame(&mut self.stream, self.max_frame_len)?.ok_or(WireError::Truncated { context })
+    }
+
     /// Blocks until the next terminal reply arrives, handing every
     /// interleaved [`ProgressUpdate`] to `on_progress` first.
     ///
@@ -250,14 +256,7 @@ impl ServeClient {
         mut on_progress: impl FnMut(&ProgressUpdate),
     ) -> Result<Reply, WireError> {
         loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "reply frame (connection closed)",
-                    })
-                }
-            };
+            let frame = self.next_frame("reply frame (connection closed)")?;
             if frame.kind == FrameKind::Progress {
                 on_progress(&decode_progress(&frame.payload)?);
                 continue;
@@ -338,14 +337,7 @@ impl ServeClient {
             &encode_put_design(&put),
         )?;
         loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "design ack (connection closed)",
-                    })
-                }
-            };
+            let frame = self.next_frame("design ack (connection closed)")?;
             match frame.kind {
                 FrameKind::DesignAck => {
                     let ack = decode_design_ack(&frame.payload)?;
@@ -407,14 +399,7 @@ impl ServeClient {
         mut on_progress: impl FnMut(&ProgressUpdate),
     ) -> Result<DeltaReply, WireError> {
         loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "delta reply (connection closed)",
-                    })
-                }
-            };
+            let frame = self.next_frame("delta reply (connection closed)")?;
             match frame.kind {
                 FrameKind::Progress => on_progress(&decode_progress(&frame.payload)?),
                 FrameKind::NeedDesign => {
@@ -476,14 +461,7 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<StatsSnapshot, WireError> {
         write_frame(&mut self.stream, FrameKind::StatsRequest, &[])?;
         loop {
-            let frame = match read_frame(&mut self.stream, self.max_frame_len)? {
-                Some(frame) => frame,
-                None => {
-                    return Err(WireError::Truncated {
-                        context: "stats frame (connection closed)",
-                    })
-                }
-            };
+            let frame = self.next_frame("stats frame (connection closed)")?;
             match frame.kind {
                 FrameKind::Stats => return decode_stats(&frame.payload),
                 // Stray progress from an earlier streaming request on

@@ -754,9 +754,8 @@ pub(crate) fn take_config(cur: &mut Cur<'_>) -> Result<DiffusionConfig, WireErro
         threads: cur.u64("config.threads")? as usize,
         // The solver kind travels as an *optional trailing byte* of the
         // request payload (see `encode_request`), not inside the config
-        // block, so that v2 frames from pre-spectral clients still decode.
-        // Explicitly Ftcs here — never `Default`, which consults the
-        // server process's `DPM_SOLVER` environment.
+        // block, so that v2 frames from pre-spectral clients still decode
+        // as FTCS.
         solver: SolverKind::Ftcs,
         // `LaneMode` has a single value and changes no result, so it
         // does not travel on the wire.
@@ -1809,14 +1808,6 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Frames this reply for the stream.
-    pub fn to_frame_bytes(&self) -> (FrameKind, Vec<u8>) {
-        match self {
-            Reply::Ok(r) => (FrameKind::Response, encode_response(r)),
-            Reply::Rejected(e) => (FrameKind::Error, encode_error(e)),
-        }
-    }
-
     /// Decodes a reply from a received frame.
     ///
     /// # Errors

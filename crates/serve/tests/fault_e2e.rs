@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dpm_diffusion::{DiffusionConfig, ShardPartition, SolverKind};
+use dpm_diffusion::{DiffusionConfig, ShardPartition};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolBenchmark, VolCircuitSpec};
 use dpm_serve::shard::{ShardBackend, ShardRouter, ShardRouterConfig, REPLY_GRACE};
 use dpm_serve::wire::{
@@ -208,7 +208,7 @@ fn vol_request(bench: &VolBenchmark) -> JobRequest {
         progress_stride: 0,
         kind: JobKind::Global,
         design: "fault_vol".into(),
-        config: DiffusionConfig::default().with_solver(SolverKind::Ftcs),
+        config: DiffusionConfig::default(),
         netlist: bench.netlist.clone(),
         die: bench.die.clone(),
         placement: bench.placement.xy.clone(),

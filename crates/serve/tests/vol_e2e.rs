@@ -22,12 +22,6 @@ fn hot_stack(seed: u64) -> VolBenchmark {
         .generate()
 }
 
-/// The z-slab contract is FTCS-only, so pin the solver regardless of
-/// any ambient `DPM_SOLVER` override.
-fn ftcs() -> DiffusionConfig {
-    DiffusionConfig::default().with_solver(SolverKind::Ftcs)
-}
-
 fn request(bench: &VolBenchmark, id: u64) -> JobRequest {
     JobRequest {
         id,
@@ -35,7 +29,7 @@ fn request(bench: &VolBenchmark, id: u64) -> JobRequest {
         progress_stride: 0,
         kind: JobKind::Global,
         design: format!("vol_e2e_{id}"),
-        config: ftcs(),
+        config: DiffusionConfig::default(),
         netlist: bench.netlist.clone(),
         die: bench.die.clone(),
         placement: bench.placement.xy.clone(),
@@ -55,8 +49,11 @@ fn request(bench: &VolBenchmark, id: u64) -> JobRequest {
 /// returning the final volumetric placement and step count.
 fn direct_run(bench: &VolBenchmark) -> (VolPlacement, u64) {
     let mut vp = bench.placement.clone();
-    let r =
-        VolumetricDiffusion::new(ftcs(), bench.layers()).run(&bench.netlist, &bench.die, &mut vp);
+    let r = VolumetricDiffusion::new(DiffusionConfig::default(), bench.layers()).run(
+        &bench.netlist,
+        &bench.die,
+        &mut vp,
+    );
     assert!(
         r.converged,
         "direct run did not converge in {} steps",
