@@ -1,231 +1,50 @@
-//! Open-loop load generator for the `dpm-serve` migration service.
+//! Control-plane benchmark for the `dpm-ctl` migration service: one run
+//! writes every number of `BENCH_serve.json`, in two legs.
 //!
-//! Starts a server on an ephemeral port, replays a deterministic
-//! arrival schedule (exponential inter-arrivals from `dpm-rng`) from a
-//! pool of sender threads, and reports throughput plus p50/p95/p99/max
-//! latency, split into queue wait and service time as measured by the
-//! server and end-to-end wall time as seen by the client. Latency
-//! aggregation uses the fixed-bucket `dpm-obs` histograms — the same
-//! instrument the server itself exports over the wire.
-//!
-//! Open-loop means arrivals do not wait for earlier replies: if the
-//! server falls behind, requests pile into its bounded queue and the
-//! `Overloaded` rejections are counted rather than hidden — the honest
-//! way to measure a service under offered load.
-//!
-//! `--pipeline N` keeps up to N requests outstanding per connection
-//! (send without waiting, matching replies in submission order). The
-//! reported `head_of_line` histogram is the per-request difference
-//! between client-observed end-to-end time and the server-side
-//! queue + service time — the cost of waiting behind earlier replies on
-//! the same connection plus transport overhead.
-//!
-//! A slice of the schedule requests streamed progress frames, and the
-//! run ends with a wire-level stats probe; the JSON records how many
-//! progress frames the clients saw and cross-checks the server's own
-//! counter.
-//!
-//! `--tenants N` switches to the **multi-tenant control-plane mode**:
-//! instead of a bare server it boots a `dpm-ctl` [`CtlServer`] in
-//! sharded mode over a health-checked backend registry seeded with one
-//! dead primary and a warm spare, opens ≥1000 idle connections to
-//! exercise the poll-based front-end, and drives N tenant threads
+//! The **multi-tenant leg** boots a `dpm-ctl` [`CtlServer`] in sharded
+//! mode over a health-checked backend registry seeded with one dead
+//! primary and a warm spare, opens ≥1000 idle connections to exercise
+//! the poll-based front-end, and drives a fixed number of tenant threads
 //! through an ECO replay loop — one baseline upload each, then
 //! delta-only requests with a cold full resend mixed in every third
-//! round. The JSON gains `tenants`, `idle_connections`, the cache and
-//! failover counters, and per-tenant p50/p95/p99 latency.
+//! round. It records the cache and failover counters and per-tenant
+//! p50/p95/p99 latency from `dpm-obs` fixed-bucket histograms.
 //!
-//! Usage: `cargo run --release --bin perf_serve [-- <output-path>]
-//! [--smoke] [--pipeline N] [--tenants N]`
+//! The **trace-overhead leg** boots a bare in-process `CtlServer` and
+//! replays one closed-loop request set with tracing off and on,
+//! interleaved per request, and records the end-to-end cost of tracing
+//! under `"trace_overhead"`.
 //!
-//! `--smoke` runs a seconds-scale schedule (used by `scripts/ci.sh`) and
-//! applies the same acceptance checks: every request answered, clean
-//! shutdown, valid JSON written.
+//! Usage: `cargo run --release -p dpm-bench --bin perf_serve [--
+//! <output-path>] [--smoke] [--trace-out <path>]`
+//!
+//! The output path defaults to `BENCH_serve.json`. `--smoke` runs
+//! seconds-scale sizes (used by `scripts/ci.sh`) and writes the same
+//! keys. `--trace-out` also sends one traced request through the control
+//! plane and writes its span tree as Chrome `trace_event` JSONL. The
+//! binary exits non-zero unless every request was answered, the cache
+//! accounting is exact, the dead primary was replaced and the idle
+//! connections survived the load.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dpm_bench::latency_json;
 use dpm_ctl::{BackendRegistry, CtlConfig, CtlServer, ExecMode, TenantSpec};
 use dpm_diffusion::DiffusionConfig;
 use dpm_gen::{Benchmark, CircuitSpec, EcoSpec, InflationSpec};
-use dpm_obs::{Histogram, TraceExporter};
-use dpm_rng::Rng;
+use dpm_obs::TraceExporter;
 use dpm_serve::wire::{
     design_hash, read_frame, write_frame, FrameKind, JobKind, JobRequest, PayloadEncoding, Reply,
     DEFAULT_MAX_FRAME_LEN,
 };
 use dpm_serve::{DeltaJobRequest, EcoDelta, ServeClient, ShardBackend};
 
-struct LoadSpec {
-    /// Concurrent sender threads (each with its own connection).
-    senders: usize,
-    /// Total requests in the schedule.
-    requests: usize,
-    /// Mean offered arrival rate, requests per second.
-    rate_per_sec: f64,
-    /// Cells per circuit preset (requests cycle through these).
-    circuit_cells: &'static [usize],
-    /// Server worker threads.
-    workers: usize,
-    /// Server queue capacity.
-    queue_capacity: usize,
-}
-
-const FULL: LoadSpec = LoadSpec {
-    senders: 4,
-    requests: 48,
-    rate_per_sec: 24.0,
-    circuit_cells: &[200, 400],
-    workers: 2,
-    queue_capacity: 16,
-};
-
-const SMOKE: LoadSpec = LoadSpec {
-    senders: 2,
-    requests: 8,
-    rate_per_sec: 16.0,
-    circuit_cells: &[120],
-    workers: 2,
-    queue_capacity: 8,
-};
-
-/// Every `STREAM_EVERY`-th request asks for progress frames at this
-/// stride, on a workload dense enough to run real diffusion steps.
-const STREAM_EVERY: usize = 4;
-const STREAM_STRIDE: u32 = 4;
-
-/// One completed request as seen by its sender.
-struct Observation {
-    outcome: &'static str,
-    queue_ns: u64,
-    service_ns: u64,
-    e2e_ns: u64,
-}
-
-fn bench_for(cells: usize, seed: u64) -> Benchmark {
-    let mut b = CircuitSpec::with_size("serve", cells, seed).generate();
-    b.inflate(&InflationSpec::distributed(0.12, seed ^ 0x51EE));
-    b
-}
-
-/// A denser pile for the streamed requests: guarantees the job runs a
-/// non-trivial number of steps so progress frames actually flow.
-fn busy_bench_for(cells: usize, seed: u64) -> Benchmark {
-    let mut b = CircuitSpec::with_size("serve", cells, seed).generate();
-    b.inflate(&InflationSpec::centered(0.3, 0.25, seed ^ 0x51EE));
-    b
-}
-
-/// Builds the whole request set up front so generation cost never
-/// pollutes the measured window.
-fn build_requests(spec: &LoadSpec) -> Vec<JobRequest> {
-    (0..spec.requests)
-        .map(|i| {
-            let cells = spec.circuit_cells[i % spec.circuit_cells.len()];
-            let streamed = i % STREAM_EVERY == 0;
-            let b = if streamed {
-                busy_bench_for(cells, 0xC0FFEE + i as u64)
-            } else {
-                bench_for(cells, 0xC0FFEE + i as u64)
-            };
-            JobRequest {
-                id: i as u64 + 1,
-                deadline_ms: 0,
-                progress_stride: if streamed { STREAM_STRIDE } else { 0 },
-                kind: if i % 2 == 0 {
-                    JobKind::Local
-                } else {
-                    JobKind::Global
-                },
-                design: format!("serve_{cells}c_{i}"),
-                config: DiffusionConfig {
-                    d_max: if streamed { 0.8 } else { 1.0 },
-                    ..DiffusionConfig::default()
-                },
-                netlist: b.netlist,
-                die: b.die,
-                placement: b.placement,
-                vol: None,
-                trace: None,
-            }
-        })
-        .collect()
-}
-
-/// Deterministic exponential inter-arrival schedule: absolute offsets
-/// from the load start, one per request.
-fn arrival_schedule(spec: &LoadSpec, seed: u64) -> Vec<Duration> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut t = 0.0f64;
-    (0..spec.requests)
-        .map(|_| {
-            // Inverse-CDF sample; (0,1] keeps ln() finite.
-            let u = 1.0 - rng.random_f64();
-            t += -u.ln() / spec.rate_per_sec;
-            Duration::from_secs_f64(t)
-        })
-        .collect()
-}
-
-fn latency_json(name: &str, ns: &[u64]) -> String {
-    let h = Histogram::new(&Histogram::latency_bounds());
-    for &v in ns {
-        h.record(v);
-    }
-    let s = h.snapshot();
-    format!(
-        "\"{name}\": {{\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \"mean_us\": {:.1}, \"count\": {}}}",
-        s.percentile(0.50) as f64 / 1e3,
-        s.percentile(0.95) as f64 / 1e3,
-        s.percentile(0.99) as f64 / 1e3,
-        s.max as f64 / 1e3,
-        s.mean() / 1e3,
-        s.count,
-    )
-}
-
-/// Receives the oldest outstanding reply, counting skipped progress
-/// frames, and records the observation.
-fn recv_one(
-    client: &mut ServeClient,
-    inflight: &mut VecDeque<(u64, Instant)>,
-    obs: &mut Vec<Observation>,
-    progress_seen: &mut u64,
-) {
-    let reply = client
-        .recv_reply_with(|_| *progress_seen += 1)
-        .expect("transport stays healthy");
-    let (id, sent) = inflight.pop_front().expect("reply without a request");
-    let e2e_ns = sent.elapsed().as_nanos() as u64;
-    obs.push(match reply {
-        Reply::Ok(resp) => {
-            assert_eq!(resp.id, id, "pipelined replies out of order");
-            Observation {
-                outcome: "ok",
-                queue_ns: resp.queue_ns,
-                service_ns: resp.service_ns,
-                e2e_ns,
-            }
-        }
-        Reply::Rejected(e) => Observation {
-            outcome: e.code.as_str(),
-            queue_ns: 0,
-            service_ns: 0,
-            e2e_ns,
-        },
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Multi-tenant control-plane mode (--tenants N).
-// ---------------------------------------------------------------------------
-
-/// Shape of one multi-tenant run.
+/// Shape of one run.
 struct TenantLoad {
+    /// Tenant threads, weighted 1, 2, 3, 1, ...
+    tenants: usize,
     /// ECO rounds per tenant. Rounds with `round % 3 == 2` send a cold
     /// full request; the rest ship only the delta.
     rounds: usize,
@@ -233,18 +52,28 @@ struct TenantLoad {
     cells: usize,
     /// Idle connections held open across the run.
     idle_connections: usize,
+    /// Distinct requests per arm of the trace-overhead leg.
+    overhead_requests: usize,
+    /// Times each of them runs per arm; the fastest counts.
+    overhead_reps: usize,
 }
 
 const TENANT_FULL: TenantLoad = TenantLoad {
+    tenants: 3,
     rounds: 12,
     cells: 220,
     idle_connections: 1500,
+    overhead_requests: 48,
+    overhead_reps: 10,
 };
 
 const TENANT_SMOKE: TenantLoad = TenantLoad {
+    tenants: 3,
     rounds: 6,
     cells: 160,
     idle_connections: 1000,
+    overhead_requests: 8,
+    overhead_reps: 2,
 };
 
 /// What one tenant thread observed.
@@ -415,14 +244,13 @@ fn export_trace_sample(addr: std::net::SocketAddr, load: &TenantLoad, path: &str
     eprintln!("  wrote trace sample ({} spans) to {path}", spans.len());
 }
 
-fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Option<&str>) {
-    let load = if smoke { &TENANT_SMOKE } else { &TENANT_FULL };
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
+/// The multi-tenant leg. Returns its JSON members, `"tenants"` through
+/// `"per_tenant"`, one per line.
+fn run_multi_tenant(load: &'static TenantLoad, trace_out: Option<&str>) -> String {
+    let tenants = load.tenants;
     eprintln!(
-        "perf_serve multi-tenant{}: {tenants} tenants x {} rounds, {} idle connections, {cores} hardware thread(s)",
-        if smoke { " (smoke)" } else { "" },
-        load.rounds,
-        load.idle_connections,
+        "  multi-tenant: {tenants} tenants x {} rounds, {} idle connections",
+        load.rounds, load.idle_connections,
     );
 
     // Backend fleet: two live shard servers and one dead address. The
@@ -562,23 +390,6 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
         );
     }
 
-    let json = format!(
-        "{{\n  \"bench\": \"perf_serve\",\n  \"mode\": \"{mode}\",\n  \"hardware_threads\": {cores},\n  \"tenants\": {tenants},\n  \"idle_connections\": {idle_n},\n  \"config\": {{\"rounds_per_tenant\": {rounds}, \"cells\": {cells}, \"shards\": 2, \"ctl_workers\": 2}},\n  \"wall_seconds\": {wall:.3},\n  \"requests_ok\": {total_ok},\n  \"deltas_sent\": {deltas_sent},\n  \"fulls_sent\": {fulls_sent},\n  \"cache_hits\": {cache_hits},\n  \"delta_requests\": {delta_requests},\n  \"need_design\": {need_design},\n  \"put_designs\": {put_designs},\n  \"failovers\": {failovers},\n  \"replacements\": {replacements},\n  \"cache\": {{\"hits\": {ch}, \"misses\": {cm}, \"evictions\": {ce}, \"resident_bytes\": {cb}, \"entries\": {cn}}},\n  \"per_tenant\": {{\n    {per_tenant}\n  }},\n  \"note\": \"Control-plane replay: each tenant uploads its baseline once via the NeedDesign handshake, then ships ECO deltas; every third round is a cold full resend. Backends are a 2-shard fleet whose dead primary is replaced by a warm spare from the health-checked registry on first use. Idle connections are held open across the run and probed afterwards. Latency is client-observed end to end; percentiles from dpm-obs fixed-bucket histograms.\"\n}}\n",
-        mode = if smoke { "multi_tenant_smoke" } else { "multi_tenant" },
-        idle_n = n,
-        rounds = load.rounds,
-        cells = load.cells,
-        wall = wall.as_secs_f64(),
-        ch = cache.hits,
-        cm = cache.misses,
-        ce = cache.evictions,
-        cb = cache.resident_bytes,
-        cn = cache.entries,
-    );
-    std::fs::write(out_path, &json).expect("write BENCH_serve.json");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-
     if let Some(path) = trace_out {
         export_trace_sample(addr, load, path);
     }
@@ -587,11 +398,19 @@ fn run_multi_tenant(out_path: &str, smoke: bool, tenants: usize, trace_out: Opti
     ctl.shutdown();
     live_a.shutdown();
     live_b.shutdown();
-}
 
-// ---------------------------------------------------------------------------
-// Tracing-overhead mode (--trace-overhead).
-// ---------------------------------------------------------------------------
+    format!(
+        "  \"tenants\": {tenants},\n  \"idle_connections\": {n},\n  \"config\": {{\"rounds_per_tenant\": {rounds}, \"cells\": {cells}, \"shards\": 2, \"ctl_workers\": 2}},\n  \"wall_seconds\": {wall:.3},\n  \"requests_ok\": {total_ok},\n  \"deltas_sent\": {deltas_sent},\n  \"fulls_sent\": {fulls_sent},\n  \"cache_hits\": {cache_hits},\n  \"delta_requests\": {delta_requests},\n  \"need_design\": {need_design},\n  \"put_designs\": {put_designs},\n  \"failovers\": {failovers},\n  \"replacements\": {replacements},\n  \"cache\": {{\"hits\": {ch}, \"misses\": {cm}, \"evictions\": {ce}, \"resident_bytes\": {cb}, \"entries\": {cn}}},\n  \"per_tenant\": {{\n    {per_tenant}\n  }}",
+        rounds = load.rounds,
+        cells = load.cells,
+        wall = wall.as_secs_f64(),
+        ch = cache.hits,
+        cm = cache.misses,
+        ce = cache.evictions,
+        cb = cache.resident_bytes,
+        cn = cache.entries,
+    )
+}
 
 /// One closed-loop request on a persistent client, returning the
 /// client-observed end-to-end latency.
@@ -623,28 +442,46 @@ fn exact_percentile(ns: &[u64], q: f64) -> u64 {
     sorted[((sorted.len() as f64 - 1.0) * q).round() as usize]
 }
 
-/// Measures the end-to-end cost of tracing: the same closed-loop
-/// request schedule with tracing off and on, interleaved per request
-/// (alternating which arm goes first) so both arms see the same system
-/// drift. Each request is repeated `reps` times per arm and only its
-/// minimum latency is kept — scheduler preemption is strictly additive
-/// noise, so best-of-reps isolates the code-path cost — then exact
-/// p50/p99 are taken across the request mix. Span recording is a
-/// fixed-size ring write per event and the export rides an existing
-/// reply frame, so the target is < 2% on p50.
-fn run_trace_overhead(out_path: &str, smoke: bool) {
-    let spec = if smoke { &SMOKE } else { &FULL };
-    let reps = if smoke { 2 } else { 10 };
-    let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
+/// The trace-overhead leg: the end-to-end cost of tracing, measured on
+/// a bare in-process server by running the same closed-loop request set
+/// with tracing off and on, interleaved per request (alternating which
+/// arm goes first) so both arms see the same system drift. Each request
+/// is repeated `overhead_reps` times per arm and only its minimum
+/// latency is kept — scheduler preemption is strictly additive noise, so
+/// best-of-reps isolates the code-path cost — then exact p50/p99 are
+/// taken across the request mix. Span recording is a fixed-size ring
+/// write per event and the export rides an existing reply frame, so the
+/// target is < 2% on p50. Returns the `"trace_overhead"` JSON member.
+fn run_trace_overhead(load: &TenantLoad) -> String {
+    let reps = load.overhead_reps;
     eprintln!(
-        "perf_serve trace-overhead{}: {} requests x {reps} reps x 2 arms, {cores} hardware thread(s)",
-        if smoke { " (smoke)" } else { "" },
-        spec.requests,
+        "  trace-overhead: {} requests x {reps} reps x 2 arms",
+        load.overhead_requests,
     );
-    let server = CtlServer::start(single_tenant(spec)).expect("server binds an ephemeral port");
+    let requests: Vec<JobRequest> = (0..load.overhead_requests)
+        .map(|i| {
+            let b = tenant_baseline(load.cells, 0x0FF5 + i as u64);
+            JobRequest {
+                id: i as u64 + 1,
+                deadline_ms: 0,
+                progress_stride: 0,
+                kind: if i % 2 == 0 {
+                    JobKind::Local
+                } else {
+                    JobKind::Global
+                },
+                design: format!("overhead_{i}"),
+                config: DiffusionConfig::default(),
+                netlist: b.netlist,
+                die: b.die,
+                placement: b.placement,
+                vol: None,
+                trace: None,
+            }
+        })
+        .collect();
+    let server = CtlServer::start(CtlConfig::default()).expect("server binds an ephemeral port");
     let addr = server.local_addr();
-    let requests = build_requests(spec);
-
     let mut plain = ServeClient::connect(addr).expect("plain client connects");
     let mut traced = ServeClient::connect(addr)
         .expect("traced client connects")
@@ -686,9 +523,8 @@ fn run_trace_overhead(out_path: &str, smoke: bool) {
         pct(off_p99, on_p99),
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"perf_serve\",\n  \"mode\": \"trace_overhead{smoke_tag}\",\n  \"hardware_threads\": {cores},\n  \"requests_per_arm\": {n},\n  \"reps_per_request\": {reps},\n  \"trace_overhead\": {{\"off_p50_us\": {op50:.1}, \"off_p99_us\": {op99:.1}, \"on_p50_us\": {np50:.1}, \"on_p99_us\": {np99:.1}, \"overhead_p50_pct\": {d50:.2}, \"overhead_p99_pct\": {d99:.2}}},\n  \"note\": \"Closed-loop: the same request schedule with tracing off and on, interleaved per request so both arms share system drift (client arms a root context per request; the server exports its span tree on the reply). Per-request best-of-reps filters scheduler preemption, then exact p50/p99 across the request mix. Target: < 2% p50 regression.\"\n}}\n",
-        smoke_tag = if smoke { "_smoke" } else { "" },
+    format!(
+        "\"trace_overhead\": {{\"off_p50_us\": {op50:.1}, \"off_p99_us\": {op99:.1}, \"on_p50_us\": {np50:.1}, \"on_p99_us\": {np99:.1}, \"overhead_p50_pct\": {d50:.2}, \"overhead_p99_pct\": {d99:.2}, \"requests_per_arm\": {n}, \"reps_per_request\": {reps}, \"note\": \"Closed loop on a bare in-process server: each request with tracing off and on, interleaved per request so both arms share system drift (the client arms a root context per request; the server exports its span tree on the reply). Per-request best-of-reps filters scheduler preemption, then exact p50/p99 across the request mix. Target: < 2% p50 regression.\"}}",
         n = off.len(),
         op50 = off_p50 as f64 / 1e3,
         op99 = off_p99 as f64 / 1e3,
@@ -696,213 +532,37 @@ fn run_trace_overhead(out_path: &str, smoke: bool) {
         np99 = on_p99 as f64 / 1e3,
         d50 = pct(off_p50, on_p50),
         d99 = pct(off_p99, on_p99),
-    );
-    std::fs::write(out_path, &json).expect("write trace-overhead JSON");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
-}
-
-/// The bare-server configuration: one tenant whose queue bound is the
-/// spec's queue capacity.
-fn single_tenant(spec: &LoadSpec) -> CtlConfig {
-    CtlConfig {
-        workers: spec.workers,
-        tenants: vec![TenantSpec::new("default", 1, spec.queue_capacity)],
-        ..CtlConfig::default()
-    }
+    )
 }
 
 fn main() {
     let mut out_path = "BENCH_serve.json".to_string();
     let mut smoke = false;
-    let mut pipeline = 1usize;
-    let mut tenants = 0usize;
     let mut trace_out: Option<String> = None;
-    let mut trace_overhead = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if arg == "--smoke" {
             smoke = true;
-        } else if arg == "--pipeline" {
-            pipeline = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--pipeline needs a depth >= 1");
-        } else if arg == "--tenants" {
-            tenants = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .expect("--tenants needs a count >= 1");
         } else if arg == "--trace-out" {
             trace_out = Some(args.next().expect("--trace-out needs a path"));
-        } else if arg == "--trace-overhead" {
-            trace_overhead = true;
+        } else if arg.starts_with("--") {
+            panic!("unknown flag {arg}; usage: perf_serve [<out>] [--smoke] [--trace-out <path>]");
         } else {
             out_path = arg;
         }
     }
-    if trace_overhead {
-        run_trace_overhead(&out_path, smoke);
-        return;
-    }
-    if tenants > 0 {
-        run_multi_tenant(&out_path, smoke, tenants, trace_out.as_deref());
-        return;
-    }
-    let spec = if smoke { &SMOKE } else { &FULL };
+    let load = if smoke { &TENANT_SMOKE } else { &TENANT_FULL };
     let cores = std::thread::available_parallelism().map_or(0, |c| c.get());
     eprintln!(
-        "perf_serve{}: {} requests, {} senders, depth {pipeline}, {:.0} req/s offered, {cores} hardware thread(s)",
-        if smoke { " (smoke)" } else { "" },
-        spec.requests,
-        spec.senders,
-        spec.rate_per_sec
+        "perf_serve{}: {cores} hardware thread(s)",
+        if smoke { " (smoke)" } else { "" }
     );
 
-    let server = CtlServer::start(single_tenant(spec)).expect("server binds an ephemeral port");
-    let addr = server.local_addr();
-
-    let requests = build_requests(spec);
-    let schedule = arrival_schedule(spec, 0xA1157);
-    let started = Arc::new(AtomicU64::new(0));
-    let progress_total = Arc::new(AtomicU64::new(0));
-
-    // Sender k owns arrivals k, k+senders, k+2*senders, ... — open-loop
-    // within the sender pool's ability to keep up. With a pipeline
-    // depth above 1 a sender only blocks once `pipeline` requests are
-    // outstanding on its connection.
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..spec.senders)
-        .map(|k| {
-            let mine: Vec<(Duration, JobRequest)> = requests
-                .iter()
-                .zip(&schedule)
-                .skip(k)
-                .step_by(spec.senders)
-                .map(|(r, &d)| (d, r.clone()))
-                .collect();
-            let started = Arc::clone(&started);
-            let progress_total = Arc::clone(&progress_total);
-            std::thread::spawn(move || {
-                let mut client = ServeClient::connect(addr).expect("client connects");
-                let mut obs = Vec::with_capacity(mine.len());
-                let mut inflight: VecDeque<(u64, Instant)> = VecDeque::with_capacity(pipeline);
-                let mut progress_seen = 0u64;
-                for (offset, req) in mine {
-                    if let Some(wait) = offset.checked_sub(t0.elapsed()) {
-                        std::thread::sleep(wait);
-                    }
-                    started.fetch_add(1, Ordering::Relaxed);
-                    client
-                        .send_request(&req, PayloadEncoding::Binary)
-                        .expect("transport stays healthy");
-                    inflight.push_back((req.id, Instant::now()));
-                    while inflight.len() >= pipeline {
-                        recv_one(&mut client, &mut inflight, &mut obs, &mut progress_seen);
-                    }
-                }
-                while !inflight.is_empty() {
-                    recv_one(&mut client, &mut inflight, &mut obs, &mut progress_seen);
-                }
-                progress_total.fetch_add(progress_seen, Ordering::Relaxed);
-                obs
-            })
-        })
-        .collect();
-
-    let observations: Vec<Observation> = handles
-        .into_iter()
-        .flat_map(|h| h.join().expect("sender thread finishes"))
-        .collect();
-    let wall = t0.elapsed();
-    let progress_seen = progress_total.load(Ordering::Relaxed);
-
-    // Wire-level stats probe before shutdown: the server's own counters
-    // must agree with what the clients observed.
-    let snapshot = ServeClient::connect(addr)
-        .expect("stats client connects")
-        .stats()
-        .expect("stats frame decodes");
-    let stats = server.shutdown();
-
-    // Every scheduled request must have been answered one way or the
-    // other, and the server must account for each admitted job.
-    assert_eq!(observations.len(), spec.requests, "lost replies");
-    assert_eq!(
-        stats.admitted,
-        stats.served + stats.deadline_expired,
-        "shutdown left jobs unaccounted"
-    );
-    assert_eq!(
-        snapshot.received, stats.received,
-        "wire stats disagree with in-process stats"
-    );
-    assert_eq!(
-        stats.progress_frames, progress_seen,
-        "server sent a different number of progress frames than clients saw"
-    );
-    assert!(
-        progress_seen > 0,
-        "streamed requests produced no progress frames"
-    );
-
-    let ok: Vec<&Observation> = observations.iter().filter(|o| o.outcome == "ok").collect();
-    let rejected = observations.len() - ok.len();
-    let throughput = ok.len() as f64 / wall.as_secs_f64();
-    eprintln!(
-        "  {} ok / {} rejected in {:.2}s ({throughput:.1} req/s served), {progress_seen} progress frames",
-        ok.len(),
-        rejected,
-        wall.as_secs_f64()
-    );
-
-    let mut outcome_counts: Vec<(&'static str, usize)> = Vec::new();
-    for o in &observations {
-        match outcome_counts
-            .iter_mut()
-            .find(|(name, _)| *name == o.outcome)
-        {
-            Some((_, n)) => *n += 1,
-            None => outcome_counts.push((o.outcome, 1)),
-        }
-    }
-    let mut outcomes_json = String::new();
-    for (i, (name, n)) in outcome_counts.iter().enumerate() {
-        let sep = if i + 1 == outcome_counts.len() {
-            ""
-        } else {
-            ", "
-        };
-        let _ = write!(outcomes_json, "\"{name}\": {n}{sep}");
-    }
-
-    // Head-of-line delta: what the client paid on top of the server's
-    // own queue + service accounting (reply ordering, transport).
-    let hol: Vec<u64> = ok
-        .iter()
-        .map(|o| o.e2e_ns.saturating_sub(o.queue_ns + o.service_ns))
-        .collect();
-
+    let tenants = run_multi_tenant(load, trace_out.as_deref());
+    let overhead = run_trace_overhead(load);
     let json = format!(
-        "{{\n  \"bench\": \"perf_serve\",\n  \"mode\": \"{mode}\",\n  \"hardware_threads\": {cores},\n  \"config\": {{\"senders\": {senders}, \"requests\": {requests}, \"pipeline\": {pipeline}, \"offered_rate_per_sec\": {rate:.1}, \"server_workers\": {workers}, \"queue_capacity\": {cap}, \"circuit_cells\": {cells:?}}},\n  \"wall_seconds\": {wall:.3},\n  \"served_per_sec\": {throughput:.2},\n  \"progress_frames\": {progress_seen},\n  \"outcomes\": {{{outcomes}}},\n  \"latency\": {{\n    {queue},\n    {service},\n    {e2e},\n    {hol}\n  }},\n  \"note\": \"Open-loop exponential arrivals from a fixed dpm-rng seed; queue/service split measured server-side, e2e client-side; percentiles from dpm-obs fixed-bucket histograms (bucket upper bounds). head_of_line = e2e - (queue + service): reply-ordering plus transport cost, nonzero mainly when --pipeline > 1. Overloaded rejections are counted, not retried.\"\n}}\n",
-        mode = if smoke { "smoke" } else { "full" },
-        senders = spec.senders,
-        requests = spec.requests,
-        rate = spec.rate_per_sec,
-        workers = spec.workers,
-        cap = spec.queue_capacity,
-        cells = spec.circuit_cells,
-        wall = wall.as_secs_f64(),
-        outcomes = outcomes_json,
-        queue = latency_json("queue", &ok.iter().map(|o| o.queue_ns).collect::<Vec<_>>()),
-        service = latency_json("service", &ok.iter().map(|o| o.service_ns).collect::<Vec<_>>()),
-        e2e = latency_json(
-            "e2e",
-            &observations.iter().map(|o| o.e2e_ns).collect::<Vec<_>>()
-        ),
-        hol = latency_json("head_of_line", &hol),
+        "{{\n  \"bench\": \"perf_serve\",\n  \"mode\": \"{mode}\",\n  \"hardware_threads\": {cores},\n{tenants},\n  {overhead},\n  \"note\": \"Control-plane replay: each tenant uploads its baseline once via the NeedDesign handshake, then ships ECO deltas; every third round is a cold full resend. Backends are a 2-shard fleet whose dead primary is replaced by a warm spare from the health-checked registry on first use. Idle connections are held open across the run and probed afterwards. Latency is client-observed end to end; percentiles from dpm-obs fixed-bucket histograms.\"\n}}\n",
+        mode = if smoke { "multi_tenant_smoke" } else { "multi_tenant" },
     );
     std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
     println!("{json}");

@@ -29,6 +29,7 @@
 
 use std::time::Instant;
 
+use dpm_bench::{hist_json, latency_json};
 use dpm_ctl::{CtlConfig, CtlServer};
 use dpm_diffusion::{DiffusionConfig, SolverKind, VolumetricDiffusion};
 use dpm_gen::{Benchmark, CircuitSpec, InflationSpec, VolCircuitSpec};
@@ -97,26 +98,6 @@ fn request(bench: &Benchmark, id: u64) -> JobRequest {
         vol: None,
         trace: None,
     }
-}
-
-fn hist_json(name: &str, s: &HistogramSnapshot) -> String {
-    format!(
-        "\"{name}\": {{\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \"mean_us\": {:.1}, \"count\": {}}}",
-        s.percentile(0.50) as f64 / 1e3,
-        s.percentile(0.95) as f64 / 1e3,
-        s.percentile(0.99) as f64 / 1e3,
-        s.max as f64 / 1e3,
-        s.mean() / 1e3,
-        s.count,
-    )
-}
-
-fn latency_json(name: &str, ns: &[u64]) -> String {
-    let h = Histogram::new(&Histogram::latency_bounds());
-    for &v in ns {
-        h.record(v);
-    }
-    hist_json(name, &h.snapshot())
 }
 
 /// Max bin density and raw (W = 0) overflow of `positions` applied to

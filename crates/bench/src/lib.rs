@@ -18,6 +18,7 @@ pub mod suite;
 use dpm_gen::Benchmark;
 use dpm_legalize::{run_legalizer, Legalizer};
 use dpm_netlist::Netlist;
+use dpm_obs::{Histogram, HistogramSnapshot};
 use dpm_place::{check_legality, hpwl, MovementStats, Placement};
 use dpm_sta::{DelayModel, TimingAnalyzer};
 use std::fmt::Write as _;
@@ -261,6 +262,31 @@ pub fn fnum(v: f64) -> String {
     } else {
         format!("{v:.3}")
     }
+}
+
+/// One latency histogram as a `"name": {...}` JSON member, in
+/// microseconds: p50/p95/p99 (bucket upper bounds), max, mean and count.
+/// The service benchmarks (`perf_serve`, `perf_shard`) share this shape.
+pub fn hist_json(name: &str, s: &HistogramSnapshot) -> String {
+    format!(
+        "\"{name}\": {{\"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"max_us\": {:.1}, \"mean_us\": {:.1}, \"count\": {}}}",
+        s.percentile(0.50) as f64 / 1e3,
+        s.percentile(0.95) as f64 / 1e3,
+        s.percentile(0.99) as f64 / 1e3,
+        s.max as f64 / 1e3,
+        s.mean() / 1e3,
+        s.count,
+    )
+}
+
+/// [`hist_json`] of raw nanosecond samples, bucketed by the `dpm-obs`
+/// latency histogram.
+pub fn latency_json(name: &str, ns: &[u64]) -> String {
+    let h = Histogram::new(&Histogram::latency_bounds());
+    for &v in ns {
+        h.record(v);
+    }
+    hist_json(name, &h.snapshot())
 }
 
 /// Writes `content` into `results/<name>`, creating the directory.

@@ -678,14 +678,16 @@ fn pipelined_requests_are_answered_in_submission_order() {
     let server = CtlServer::start(CtlConfig::default()).expect("binds");
     let addr = server.local_addr();
 
-    // A long job, then a short one: with two workers the short one
-    // finishes first, and must still be answered second.
-    let reqs: Vec<JobRequest> = [(1u64, 4_000), (2, 60)]
+    // A long streamed job, then a short one: with two workers the short
+    // one finishes first, and must still be answered second. The long
+    // job's progress frames share the connection with both replies.
+    let reqs: Vec<JobRequest> = [(1u64, 4_000, 1), (2, 60, 0)]
         .into_iter()
-        .map(|(id, cells)| {
+        .map(|(id, cells, progress_stride)| {
             let mut b = CircuitSpec::with_size("e2e", cells, 0xB0B + id).generate();
-            b.inflate(&InflationSpec::distributed(0.15, id));
+            b.inflate(&InflationSpec::centered(0.3, 0.25, id));
             JobRequest {
+                progress_stride,
                 netlist: b.netlist,
                 die: b.die,
                 placement: b.placement,
@@ -699,15 +701,21 @@ fn pipelined_requests_are_answered_in_submission_order() {
             .send_request(req, PayloadEncoding::Binary)
             .expect("send ok");
     }
+    let mut frames = 0u64;
     for req in &reqs {
-        match client.recv_reply().expect("recv ok") {
+        match client.recv_reply_with(|_| frames += 1).expect("recv ok") {
             Reply::Ok(resp) => assert_eq!(resp.id, req.id, "replies out of order"),
             Reply::Rejected(e) => panic!("pipelined job rejected: {}", e.message),
         }
     }
+    assert!(frames > 0, "the streamed job sent no progress frames");
 
     let stats = server.shutdown();
     assert_eq!(stats.served, 2);
+    assert_eq!(
+        stats.progress_frames, frames,
+        "the server sent a different number of progress frames than the client saw"
+    );
 }
 
 #[test]

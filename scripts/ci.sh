@@ -39,6 +39,20 @@ mktemp_tracked() {
 json_num() { grep -o "\"$1\": [0-9.]*" "$2" | head -1 | grep -o '[0-9.]*$' || true; }
 json_str() { grep -o "\"$1\": \"[^\"]*\"" "$2" | head -1 | sed 's/^[^:]*: "//; s/"$//' || true; }
 
+# A smoke run writes every key name of the committed bench file it
+# regenerates at full size, so a harness edit that stops emitting a key
+# fails here, not only when someone next regenerates the file.
+committed_keys_check() {
+    local committed="$1" out="$2" missing
+    missing=$(comm -23 <(grep -o '"[A-Za-z0-9_]*":' "$committed" | sort -u) \
+        <(grep -o '"[A-Za-z0-9_]*":' "$out" | sort -u))
+    if [[ -n "$missing" ]]; then
+        echo "BENCH KEYS: the smoke output lacks keys of the committed $committed:" >&2
+        echo "$missing" >&2
+        exit 1
+    fi
+}
+
 # Each gate is announced with `gate "<name>"`, which also records how
 # long the previous gate took; the per-gate timing summary printed just
 # before the final verdict makes slow gates easy to spot.
@@ -248,38 +262,24 @@ floor_check splat_shuffled 6000000
 grep -q '"legalize": {' "$kernels_out"
 floor_check legalize 800000
 
-gate "service smoke test (perf_serve --smoke --pipeline 2)"
-# Boots a real server on an ephemeral port, replays a deterministic
-# open-loop schedule with two requests pipelined per connection, and
-# asserts every request was answered and the shutdown drained cleanly
-# (the binary exits non-zero otherwise). The schedule includes streamed
-# requests, so at least one in-flight progress frame must arrive before
-# its response, and the wire-level stats snapshot must agree with the
-# server's own counters — both enforced inside the binary; the greps
-# below pin the observability fields into the emitted JSON.
-smoke_out="$(mktemp_tracked)"
-cargo run --release --offline -p dpm-bench --bin perf_serve -- "$smoke_out" --smoke --pipeline 2 >/dev/null
-grep -q '"bench": "perf_serve"' "$smoke_out"
-grep -q '"hardware_threads"' "$smoke_out"
-grep -q '"p99_us"' "$smoke_out"
-grep -q '"head_of_line"' "$smoke_out"
-grep -Eq '"progress_frames": [1-9][0-9]*' "$smoke_out"
-
-gate "control-plane smoke test (perf_serve --smoke --tenants 2)"
-# Boots the dpm-ctl control plane in sharded mode over a backend
+gate "control-plane smoke test (perf_serve --smoke --trace-out)"
+# One perf_serve run, its two legs at smoke sizes. The multi-tenant leg
+# boots the dpm-ctl control plane in sharded mode over a backend
 # registry seeded with one dead primary and a warm spare, opens 1000
-# idle connections through the poll-based front-end, and replays two
+# idle connections through the poll-based front-end, and replays three
 # tenants' ECO loops: one NeedDesign upload each, then delta-only
 # requests with a cold full resend mixed in. The binary asserts every
 # request was answered, exact cache-hit accounting, and that the dead
 # primary was permanently replaced; the greps pin the multi-tenant
 # telemetry — cache traffic, delta traffic, and per-tenant tail
-# latency — into the emitted JSON.
+# latency — into the emitted JSON. The trace-overhead leg times the
+# same requests with tracing off and on against a bare server.
 ctl_out="$(mktemp_tracked)"
-cargo run --release --offline -p dpm-bench --bin perf_serve -- "$ctl_out" --smoke --tenants 2 >/dev/null
+trace_jsonl="$(mktemp_tracked)"
+cargo run --release --offline -p dpm-bench --bin perf_serve -- "$ctl_out" --smoke --trace-out "$trace_jsonl" >/dev/null
 grep -q '"bench": "perf_serve"' "$ctl_out"
 grep -q '"mode": "multi_tenant_smoke"' "$ctl_out"
-grep -q '"tenants": 2' "$ctl_out"
+grep -q '"tenants": 3' "$ctl_out"
 grep -Eq '"idle_connections": 1000' "$ctl_out"
 grep -Eq '"cache_hits": [1-9][0-9]*' "$ctl_out"
 grep -Eq '"delta_requests": [1-9][0-9]*' "$ctl_out"
@@ -288,17 +288,13 @@ grep -Eq '"replacements": [1-9][0-9]*' "$ctl_out"
 grep -q '"tenant0": {"weight"' "$ctl_out"
 grep -q '"tenant1": {"weight"' "$ctl_out"
 grep -q '"p99_us"' "$ctl_out"
-
-gate "trace smoke test (perf_serve --smoke --tenants 2 --trace-out)"
-# Re-runs the control-plane smoke with tracing armed on one extra job
-# and exports its stitched span tree as Chrome trace_event JSONL. The
-# greps pin the fleet-wide trace shape: every line carries the same
-# trace_id (root + front-end admission + shard dispatches + kernel
-# spans all stitched into one tree), and the tenant label rides the
-# root span's args.
-trace_json="$(mktemp_tracked)"
-trace_jsonl="$(mktemp_tracked)"
-cargo run --release --offline -p dpm-bench --bin perf_serve -- "$trace_json" --smoke --tenants 2 --trace-out "$trace_jsonl" >/dev/null
+grep -q '"trace_overhead": {"off_p50_us": [0-9.]*,' "$ctl_out"
+committed_keys_check BENCH_serve.json "$ctl_out"
+# The traced job's stitched span tree, exported as Chrome trace_event
+# JSONL. The greps pin the fleet-wide trace shape: every line carries
+# the same trace_id (root + front-end admission + shard dispatches +
+# kernel spans all stitched into one tree), and the tenant label rides
+# the root span's args.
 grep -q '"name":"client.request"' "$trace_jsonl"
 grep -q '"name":"ctl.admit' "$trace_jsonl"
 grep -q '"name":"queue.wait"' "$trace_jsonl"
@@ -418,6 +414,7 @@ grep -q '"bench": "perf_shard"' "$shard_out"
 grep -q '"shards": 2' "$shard_out"
 grep -Eq '"halo_exchanges": [1-9][0-9]*' "$shard_out"
 grep -q '"slabs": 2' "$shard_out"
+committed_keys_check BENCH_shard.json "$shard_out"
 
 gate "end-to-end smoke test (bench_e2e --smoke, untraced and traced)"
 # Runs every bench_e2e workload for a few jobs through the public
