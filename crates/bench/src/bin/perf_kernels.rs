@@ -610,8 +610,9 @@ fn time_jump(n: usize, threads: usize, s_steps: u64) -> (f64, f64) {
 /// The `spectral_generic` JSON section: one single-thread 2-D DCT round
 /// trip (solver build with its forward transform, plus one decayed
 /// inverse) on an `n`×`n` grid with `n` not a power of two, so every
-/// axis runs the cosine-matrix path instead of the FFT. Each 2-D
-/// transform costs `n²·2n` multiply-adds on that path. `forward_ns`
+/// axis runs the folded cosine-matrix path instead of the FFT. Each 2-D
+/// transform runs `2n` line transforms of [`DctPlan::table_madds`]
+/// multiply-adds (`⌈n/2⌉² + ⌊n/2⌋²`), about `n³` in all. `forward_ns`
 /// (the solver build) and `inverse_ns` (one `density_at`) time the two
 /// halves apart, as the e2e ledger's `dct_forward`/`dct_inverse` do, and
 /// `simd` names the compiled copy of the matrix kernel that ran.
@@ -638,7 +639,11 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
         ns_per_call,
         simd: None,
     };
-    let madds = 2.0 * 2.0 * (n * n * n) as f64;
+    let per_line = DctPlan::new(n)
+        .table_madds()
+        .expect("a generic length runs the folded tables");
+    // Two 2-D transforms (forward and inverse) of 2n lines each.
+    let madds = 2.0 * (2 * n * per_line) as f64;
     format!(
         "  \"spectral_generic\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"simd\": \"{}\",\n    \"samples\": [\n      {}\n    ],\n    \"forward_ns\": {forward_ns:.1}, \"inverse_ns\": {inverse_ns:.1},\n    \"madds_per_call\": {madds:.3e}, \"madds_per_ns\": {:.2}\n  }}",
         DctPlan::simd(),

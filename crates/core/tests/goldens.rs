@@ -12,6 +12,11 @@
 //! always step FTCS, so their literals are the same under both solvers.
 //! The field is always f64, so these six literals are the whole
 //! contract.
+//!
+//! The spectral legs run on 7×7 and 6×6×3 grids, so they pin the
+//! generic-length DCT down to its summation order: the fold by even/odd
+//! symmetry (`x[j] ± x[n−1−j]` rounded before the multiply) and the
+//! order of every output's adds fix their last bits.
 
 use dpm_diffusion::{
     DiffusionConfig, DiffusionResult, FieldMigration, GlobalDiffusion, LocalDiffusion, SolverKind,
@@ -157,12 +162,12 @@ fn golden_checksums_hold_for_every_solver_and_thread_count() {
         (
             "planar",
             planar_checksum,
-            [0x17e4_ee4d_823b_c613, 0x87b3_c850_22bd_dcf4],
+            [0x17e4_ee4d_823b_c613, 0x14f7_0731_4613_0e25],
         ),
         (
             "vol",
             vol_checksum,
-            [0xdcc9_14ce_61fc_b375, 0x38f1_b000_b964_ad02],
+            [0xdcc9_14ce_61fc_b375, 0x286a_7ae9_98eb_a842],
         ),
         ("local", local_checksum, [0x633c_88d3_edb0_ecf4; 2]),
         ("field", field_checksum, [0xb049_aa5d_3cfb_ed5c; 2]),
