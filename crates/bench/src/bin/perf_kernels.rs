@@ -48,7 +48,7 @@
 //! `spectral_vs_ftcs` section) in a couple of seconds.
 
 use dpm_diffusion::{
-    advect_simd, DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
+    simd, DctPlan, DiffusionConfig, DiffusionEngine, DiffusionObserver, GlobalDiffusion,
     LocalDiffusion, RoundEvent, SolverKind, SpectralSolver,
 };
 use dpm_gen::{CircuitSpec, InflationSpec};
@@ -250,7 +250,7 @@ fn time_advect(n: usize, num_cells: usize, threads: usize, steps: usize, runs: u
         threads,
         calls,
         ns_per_call: best,
-        simd: Some(advect_simd()),
+        simd: Some(simd()),
     }
 }
 
@@ -316,7 +316,7 @@ fn time_advect_windowed(n: usize, threads: usize, reps: usize) -> (Sample, f64) 
         threads,
         calls,
         ns_per_call: best,
-        simd: Some(advect_simd()),
+        simd: Some(simd()),
     };
     (sample, first.0.unwrap_or(0) as f64 / nl.num_cells() as f64)
 }
@@ -646,7 +646,7 @@ fn spectral_generic_json(n: usize, reps: u64) -> String {
     let madds = 2.0 * (2 * n * per_line) as f64;
     format!(
         "  \"spectral_generic\": {{\n    \"nx\": {n},\n    \"ny\": {n},\n    \"simd\": \"{}\",\n    \"samples\": [\n      {}\n    ],\n    \"forward_ns\": {forward_ns:.1}, \"inverse_ns\": {inverse_ns:.1},\n    \"madds_per_call\": {madds:.3e}, \"madds_per_ns\": {:.2}\n  }}",
-        DctPlan::simd(),
+        simd(),
         sample.json(),
         madds / ns_per_call,
     )

@@ -2,7 +2,7 @@
 
 use crate::{fnum, print_table, Experiment, RunResult, TextTable};
 use dpm_diffusion::{DiffusionConfig, GlobalDiffusion, LocalDiffusion};
-use dpm_gen::suites::{ckt_suite, ibm_suite, SuiteEntry};
+use dpm_gen::suites::{ckt_suite, ibm_suite};
 use dpm_gen::{Benchmark, InflationSpec};
 use dpm_legalize::{
     DiffusionLegalizer, FlowLegalizer, GemLegalizer, GreedyLegalizer, Legalizer, RowDpLegalizer,
@@ -44,13 +44,6 @@ pub fn diffusion_cfg(bench: &Benchmark) -> DiffusionConfig {
         .with_bin_size(2.5 * bench.die.row_height())
         .with_windows(1, 2)
         .with_update_period(10)
-}
-
-/// Generates a suite entry and wraps it into an [`Experiment`].
-pub fn experiment_for(entry: &SuiteEntry) -> Experiment {
-    let base = entry.spec.generate();
-    let (bench, _) = entry.generate_inflated();
-    Experiment::new(bench, &base)
 }
 
 /// Runs the four-legalizer comparison (Tables II–V) over the ckt suite.

@@ -1,6 +1,6 @@
 //! Cell advection through the diffusion velocity field (paper Eq. 7).
 
-use crate::cpu::has_avx2;
+use crate::cpu::{has_avx2, Simd};
 use crate::{DiffusionConfig, DiffusionEngine};
 use dpm_geom::{clamp, floor_index, Point, Vector};
 use dpm_netlist::{CellId, Netlist};
@@ -160,7 +160,7 @@ impl LiveCells {
         cache: &CellCache,
         placement: &Placement,
     ) {
-        let lanes = simd.lanes(engine);
+        let lanes = uses_lanes(simd, engine);
         let positions = placement.as_slice();
         self.cells.clear();
         self.starts.clear();
@@ -170,7 +170,7 @@ impl LiveCells {
             if lanes {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    // SAFETY: `Simd::lanes` holds only where `has_avx2()`
+                    // SAFETY: `uses_lanes` holds only where `has_avx2()`
                     // does, the one feature the kernel enables.
                     done = unsafe {
                         lanes::list_live(engine, grid, positions, chunk, &mut self.cells)
@@ -211,49 +211,19 @@ impl LiveCells {
     }
 }
 
-/// The compiled copy of the interpolating advect kernel this CPU runs:
-/// `"avx2"` (the lane kernel, four cells per step with explicit
-/// gathers) or `"portable"` (one cell at a time). Both copies give
-/// bit-identical placements, moved-cell counts and movement sums;
-/// runs with [`DiffusionConfig::interpolate`] off always take the
-/// portable loop.
-pub fn simd() -> &'static str {
-    match Simd::detect() {
-        Simd::Avx2 => "avx2",
-        Simd::Portable => "portable",
-    }
-}
-
-/// The compiled copies of [`advect_cells`]' per-chunk loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Simd {
-    /// [`step_cell`] on one cell at a time.
-    Portable,
-    /// The AVX2 lane kernel for interpolating runs (`lanes::advect_chunk`),
-    /// [`step_cell`] for the lanes it hands back and for the rest.
-    Avx2,
-}
-
-impl Simd {
-    /// The fastest copy this CPU supports.
-    fn detect() -> Self {
-        if has_avx2() {
-            Self::Avx2
-        } else {
-            Self::Portable
-        }
-    }
-
-    /// Whether this copy runs the lane kernel on `engine`'s grid: the
-    /// AVX2 copy does wherever its 32-bit bin indices reach every bin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the copy is [`Simd::Avx2`] on a CPU without AVX2.
-    fn lanes(self, engine: &DiffusionEngine) -> bool {
-        assert!(self == Self::Portable || has_avx2(), "no AVX2 on this CPU");
-        self == Self::Avx2 && i32::try_from(engine.nx() * engine.ny()).is_ok()
-    }
+/// Whether the copy `simd` of [`advect_cells`]' per-chunk loop runs the
+/// lane kernel on `engine`'s grid: the portable copy runs [`step_cell`]
+/// on one cell at a time; the AVX2 copy runs the lane kernel
+/// (`lanes::advect_chunk`, four cells per step with explicit gathers)
+/// wherever its 32-bit bin indices reach every bin, and [`step_cell`]
+/// for the lanes it hands back and for the rest.
+///
+/// # Panics
+///
+/// Panics if the copy is [`Simd::Avx2`] on a CPU without AVX2.
+fn uses_lanes(simd: Simd, engine: &DiffusionEngine) -> bool {
+    assert!(simd == Simd::Portable || has_avx2(), "no AVX2 on this CPU");
+    simd == Simd::Avx2 && i32::try_from(engine.nx() * engine.ny()).is_ok()
 }
 
 /// Moves movable cells one step along the velocity field:
@@ -312,7 +282,7 @@ pub(crate) fn advect_cells(
 ///
 /// # Panics
 ///
-/// As [`advect_cells`] and [`Simd::lanes`].
+/// As [`advect_cells`] and [`uses_lanes`].
 fn advect_with(
     simd: Simd,
     engine: &DiffusionEngine,
@@ -322,7 +292,7 @@ fn advect_with(
     cfg: &DiffusionConfig,
     live: Option<&LiveCells>,
 ) -> AdvectOutcome {
-    let lanes = cfg.interpolate && simd.lanes(engine);
+    let lanes = cfg.interpolate && uses_lanes(simd, engine);
     let mut rest = placement.as_mut_slice();
     assert_eq!(
         rest.len(),
@@ -354,7 +324,7 @@ fn advect_with(
             if lanes {
                 #[cfg(target_arch = "x86_64")]
                 {
-                    // SAFETY: `Simd::lanes` holds only where `has_avx2()`
+                    // SAFETY: `uses_lanes` holds only where `has_avx2()`
                     // does, the one feature the kernel enables.
                     *partial = unsafe {
                         lanes::advect_chunk(engine, grid, cfg, base, positions, chunk, listed)
@@ -692,7 +662,7 @@ mod lanes {
     /// [`advect_listed`](super::advect_listed) does.
     ///
     /// A caller without AVX2 enabled must have checked that the CPU has
-    /// it (`Simd::lanes`) before calling.
+    /// it (`uses_lanes`) before calling.
     #[target_feature(enable = "avx2")]
     pub(super) fn advect_chunk(
         engine: &DiffusionEngine,
@@ -899,7 +869,7 @@ mod lanes {
             // `row ≤ ny − 1` after `clamp_index`, on every lane, NaN lanes
             // included, so it lies in `[0, nx·ny)`; `advect_chunk`
             // asserted both planes hold `nx·ny` values, and the lanes run
-            // only where `nx·ny` fits an `i32` (`Simd::lanes`).
+            // only where `nx·ny` fits an `i32` (`uses_lanes`).
             let gather = |plane: &[f64]| {
                 corners.map(|i| unsafe { _mm256_i32gather_pd::<8>(plane.as_ptr(), i) })
             };
@@ -1197,7 +1167,7 @@ mod tests {
     ) -> LiveCells {
         let mut live = LiveCells::default();
         live.rebuild_with(Simd::Portable, engine, grid, cells, placement);
-        for simd in copies() {
+        for simd in Simd::copies() {
             let mut other = LiveCells::default();
             other.rebuild_with(simd, engine, grid, cells, placement);
             assert_eq!(
@@ -1481,15 +1451,6 @@ mod tests {
             .collect()
     }
 
-    /// The compiled copies of the advect loop this CPU can run.
-    fn copies() -> Vec<Simd> {
-        let mut copies = vec![Simd::Portable];
-        if has_avx2() {
-            copies.push(Simd::Avx2);
-        }
-        copies
-    }
-
     /// `steps` advects of `p0` by every compiled copy at 1, 2, 4 and 8
     /// threads, each against the oracle, over the full walk and (with
     /// `respect_frozen`) a live list built once from `p0`, as at a
@@ -1516,7 +1477,7 @@ mod tests {
             .map(|_| reference::advect_cells(engine, grid, nl, &mut want, cfg, respect_frozen))
             .collect();
         let mut sums: Option<Vec<u64>> = None;
-        for simd in copies() {
+        for simd in Simd::copies() {
             for threads in [1, 2, 4, 8] {
                 engine.set_threads(threads);
                 let mut got = p0.clone();

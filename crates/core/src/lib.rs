@@ -111,8 +111,9 @@ mod velocity;
 mod vol;
 mod window;
 
-pub use advect::{simd as advect_simd, AdvectOutcome};
+pub use advect::AdvectOutcome;
 pub use config::{ConfigError, DiffusionConfig, FieldPrecision, LaneMode, SolverKind};
+pub use cpu::simd;
 pub use dims::Dims;
 pub use engine::DiffusionEngine;
 pub use field::FieldMigration;

@@ -17,6 +17,9 @@ use std::time::Duration;
 
 use dpm_serve::ShardBackend;
 
+/// How long a health probe waits for a TCP backend to accept.
+const PROBE_TIMEOUT: Duration = Duration::from_millis(250);
+
 /// Point-in-time registry state, for metrics and `BENCH_serve.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegistrySnapshot {
@@ -35,7 +38,6 @@ pub struct BackendRegistry {
     primaries: Vec<ShardBackend>,
     spares: Vec<ShardBackend>,
     dead: HashSet<SocketAddr>,
-    probe_timeout: Duration,
     replacements: u64,
 }
 
@@ -48,15 +50,8 @@ impl BackendRegistry {
             primaries,
             spares,
             dead: HashSet::new(),
-            probe_timeout: Duration::from_millis(250),
             replacements: 0,
         }
-    }
-
-    /// Overrides the health-probe connect timeout (default 250 ms).
-    pub fn with_probe_timeout(mut self, timeout: Duration) -> Self {
-        self.probe_timeout = timeout;
-        self
     }
 
     /// Whether `backend` currently looks alive. In-process backends
@@ -67,7 +62,7 @@ impl BackendRegistry {
             ShardBackend::InProcess => true,
             ShardBackend::Tcp(addr) => {
                 !self.dead.contains(&addr)
-                    && TcpStream::connect_timeout(&addr, self.probe_timeout).is_ok()
+                    && TcpStream::connect_timeout(&addr, PROBE_TIMEOUT).is_ok()
             }
         }
     }

@@ -15,6 +15,9 @@ use dpm_mcmf::FlowNetwork;
 use dpm_netlist::{CellId, Netlist};
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
 
+/// Bin edge length in row heights.
+const BIN_ROWS: f64 = 2.5;
+
 /// The min-cost-flow legalizer (`FLOW` in the paper's tables).
 ///
 /// # Examples
@@ -30,18 +33,13 @@ use dpm_place::{BinGrid, DensityMap, Die, Placement};
 /// ```
 #[derive(Debug, Clone)]
 pub struct FlowLegalizer {
-    /// Bin edge length in row heights.
-    bin_rows: f64,
     /// Target density.
     d_max: f64,
 }
 
 impl Default for FlowLegalizer {
     fn default() -> Self {
-        Self {
-            bin_rows: 2.5,
-            d_max: 1.0,
-        }
+        Self { d_max: 1.0 }
     }
 }
 
@@ -51,17 +49,6 @@ impl FlowLegalizer {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Sets the bin size in row heights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_rows` is not positive.
-    pub fn with_bin_rows(mut self, bin_rows: f64) -> Self {
-        assert!(bin_rows > 0.0, "bin size must be positive");
-        self.bin_rows = bin_rows;
-        self
-    }
 }
 
 impl Legalizer for FlowLegalizer {
@@ -70,7 +57,7 @@ impl Legalizer for FlowLegalizer {
     }
 
     fn legalize_in_place(&self, netlist: &Netlist, die: &Die, placement: &mut Placement) {
-        let grid = BinGrid::new(die.outline(), self.bin_rows * die.row_height());
+        let grid = BinGrid::new(die.outline(), BIN_ROWS * die.row_height());
         let map = DensityMap::from_placement(netlist, placement, grid.clone());
         let bin_area = grid.bin_area();
         let nx = grid.nx();

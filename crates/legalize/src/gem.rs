@@ -15,6 +15,10 @@ use dpm_geom::Point;
 use dpm_netlist::Netlist;
 use dpm_place::{BinGrid, DensityMap, Die, Placement};
 
+/// Bin edge length in row heights (GEM uses coarser grids than
+/// diffusion — part of why it is faster).
+const BIN_ROWS: f64 = 4.0;
+
 /// The grid-stretch legalizer (`GEM`-like in the ISPD comparison tables).
 ///
 /// # Examples
@@ -30,8 +34,6 @@ use dpm_place::{BinGrid, DensityMap, Die, Placement};
 /// ```
 #[derive(Debug, Clone)]
 pub struct GemLegalizer {
-    /// Bin edge length in row heights.
-    bin_rows: f64,
     /// Target density.
     d_max: f64,
     /// Maximum stretch iterations.
@@ -44,7 +46,6 @@ pub struct GemLegalizer {
 impl Default for GemLegalizer {
     fn default() -> Self {
         Self {
-            bin_rows: 4.0,
             d_max: 1.0,
             max_iters: 12,
             softness: 0.25,
@@ -56,18 +57,6 @@ impl GemLegalizer {
     /// Creates the legalizer with default parameters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the bin size in row heights (GEM uses coarser grids than
-    /// diffusion — part of why it is faster).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin_rows` is not positive.
-    pub fn with_bin_rows(mut self, bin_rows: f64) -> Self {
-        assert!(bin_rows > 0.0, "bin size must be positive");
-        self.bin_rows = bin_rows;
-        self
     }
 
     /// One horizontal stretch pass: returns `true` if anything moved.
@@ -166,7 +155,7 @@ impl Legalizer for GemLegalizer {
     }
 
     fn legalize_in_place(&self, netlist: &Netlist, die: &Die, placement: &mut Placement) {
-        let bin = self.bin_rows * die.row_height();
+        let bin = BIN_ROWS * die.row_height();
         for _ in 0..self.max_iters {
             let grid = BinGrid::new(die.outline(), bin);
             let map = DensityMap::from_placement(netlist, placement, grid);

@@ -74,7 +74,6 @@ struct Tracing {
 /// protocol.
 pub struct ServeClient {
     stream: TcpStream,
-    max_frame_len: usize,
     tracing: Option<Tracing>,
 }
 
@@ -89,7 +88,6 @@ impl ServeClient {
         stream.set_nodelay(true)?;
         Ok(Self {
             stream,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
             tracing: None,
         })
     }
@@ -100,12 +98,6 @@ impl ServeClient {
     pub(crate) fn set_io_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)
-    }
-
-    /// Caps the size of reply frames this client will accept.
-    pub fn with_max_frame_len(mut self, max: usize) -> Self {
-        self.max_frame_len = max;
-        self
     }
 
     /// Arms distributed tracing on this connection. Trace and span ids
@@ -144,28 +136,14 @@ impl ServeClient {
     /// the request joins a new distributed trace. Returns `None` (and
     /// leaves `req` untouched) unless tracing is armed.
     pub fn begin_trace(&mut self, req: &mut JobRequest) -> Option<TraceContext> {
-        let root = self.mint_root(req.id)?;
-        req.trace = Some(root);
-        Some(root)
-    }
-
-    /// Like [`begin_trace`](Self::begin_trace) for delta requests. The
-    /// root span covers the whole handshake, including a cache-miss
-    /// baseline upload and resend.
-    pub fn begin_delta_trace(&mut self, req: &mut DeltaJobRequest) -> Option<TraceContext> {
-        let root = self.mint_root(req.id)?;
-        req.trace = Some(root);
-        Some(root)
-    }
-
-    fn mint_root(&mut self, id: u64) -> Option<TraceContext> {
         let t = self.tracing.as_mut()?;
         let root = t.ids.root();
         t.pending.push_back(PendingTrace {
-            id,
+            id: req.id,
             ctx: root,
             start_ns: t.clock.now_ns(),
         });
+        req.trace = Some(root);
         Some(root)
     }
 
@@ -241,7 +219,7 @@ impl ServeClient {
     /// Blocks for the next frame; a connection closed between frames is
     /// [`WireError::Truncated`] with `context`.
     fn next_frame(&mut self, context: &'static str) -> Result<Frame, WireError> {
-        read_frame(&mut self.stream, self.max_frame_len)?.ok_or(WireError::Truncated { context })
+        read_frame(&mut self.stream, DEFAULT_MAX_FRAME_LEN)?.ok_or(WireError::Truncated { context })
     }
 
     /// Blocks until the next terminal reply arrives, handing every

@@ -27,6 +27,9 @@ use dpm_netlist::{CellKind, Netlist};
 use dpm_place::{DensityMap, Placement};
 use std::fmt::Write as _;
 
+/// Output width in pixels; the height follows the region's aspect ratio.
+const WIDTH_PX: f64 = 800.0;
+
 /// Builder for an SVG picture of a die region.
 ///
 /// Coordinates are flipped so y grows upward (die convention), and the
@@ -34,7 +37,6 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone)]
 pub struct SvgScene {
     region: Rect,
-    width_px: f64,
     body: String,
 }
 
@@ -43,24 +45,12 @@ impl SvgScene {
     pub fn new(region: Rect) -> Self {
         Self {
             region,
-            width_px: 800.0,
             body: String::new(),
         }
     }
 
-    /// Sets the output width in pixels (height follows the aspect ratio).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width_px` is not positive.
-    pub fn with_width_px(mut self, width_px: f64) -> Self {
-        assert!(width_px > 0.0, "width must be positive");
-        self.width_px = width_px;
-        self
-    }
-
     fn scale(&self) -> f64 {
-        self.width_px / self.region.width()
+        WIDTH_PX / self.region.width()
     }
 
     fn tx(&self, p: Point) -> (f64, f64) {
@@ -193,7 +183,7 @@ impl SvgScene {
         let _ = writeln!(
             out,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{:.0}" height="{:.0}" viewBox="0 0 {:.0} {:.0}">"#,
-            self.width_px, h_px, self.width_px, h_px
+            WIDTH_PX, h_px, WIDTH_PX, h_px
         );
         let _ = writeln!(
             out,

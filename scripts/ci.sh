@@ -175,12 +175,17 @@ floor_check velocity 80000
 floor_check stencil3d 300000
 floor_check splat 600000
 # The generic-length DCT round trip (113x113, the cosine-matrix path
-# folded by symmetry; the y pass transposes and runs paired columns).
+# folded by symmetry; every axis runs one strided in-place line pass,
+# the y pass gathering paired columns straight from the plane).
 # Over 12 alternated smoke runs on a 2-thread Intel Xeon with AVX2, the
 # AVX2 copy of the kernel ran at 190k-294k calibration units per call
 # (median ~213k) and the portable copy of the same kernel at 224k-368k
 # (median ~289k); in 8 earlier runs the unfolded AVX2 kernel it
-# replaced read 276k-425k (median ~319k). The folded kernel's two
+# replaced read 276k-425k (median ~319k). With the strided pass, 16
+# smoke runs of the AVX2 copy on the same host read 189k-319k (median
+# ~234k in the last 10), against 180k-305k (median ~216k) for the
+# transposing passes before it, alternated: each process lands in a
+# fast mode (~180k-225k) or a slow one (~260k-320k), on both sides. The folded kernel's two
 # copies overlap, so no ceiling can sit between them: the "simd" grep
 # catches a lost dispatch exactly, and nothing here catches an AVX2
 # copy that stops vectorising 4-wide (it would read like the portable
